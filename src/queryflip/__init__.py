@@ -6,63 +6,4 @@ strictly outranks the first, together with the metric suite and
 baselines used to judge such edits.
 """
 
-from .text import (
-    MASK_TOKEN,
-    PAD_TOKEN,
-    UNK_TOKEN,
-    Vocabulary,
-    build_vocabulary,
-    detokenize,
-    tokenize,
-)
-from .corpus import (
-    Bm25Params,
-    Bm25SearchModel,
-    Corpus,
-    Document,
-    InvertedIndex,
-    Ranking,
-    build_index,
-    ingest_corpus,
-    load_corpus_file,
-)
-from .embed import EmbeddingTable, cosine, load_embeddings, train_embeddings
-from .masker import ImportanceScores, maxsim_importance, occlusion_importance
-from .lm import (
-    NgramLM,
-    NgramPredictor,
-    PredictionDistribution,
-    perplexity,
-    predict_masked,
-    train_ngram,
-)
-from .editor import (
-    Beam,
-    EditCandidate,
-    EditResult,
-    Triplet,
-    check_flip,
-    decode_masked_slots,
-    edit,
-    expand_beam,
-    select_final,
-)
-from .evaluation import (
-    EvalContext,
-    EvalReport,
-    baseline_mask_only,
-    baseline_max_flip,
-    beam_sweep,
-    bertscore_f1,
-    build_triplets,
-    cos_sim_metric,
-    evaluate,
-    fluency_metric,
-    flip_rate,
-    render_markdown,
-)
-from .remote import BackendEndpoint, call_backend
-from .config import RunConfig
-from .pipeline import Stack, build_stack, load_stack, make_context, save_stack
-
 __version__ = "0.1.0"

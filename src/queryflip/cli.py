@@ -9,10 +9,12 @@ import os
 import sys
 from typing import Sequence
 
-from .config import METHODS, RunConfig
+from .config import RunConfig
 from .editor import EditResult, Triplet
 from .evaluation import (
+    METHODS,
     EvalReport,
+    beam_sweep,
     build_triplets,
     evaluate,
     render_markdown,
@@ -100,8 +102,10 @@ def _collect_triplets(stack: Stack, config: RunConfig, args) -> list[Triplet]:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                record = json.loads(line)
                 try:
+                    record = json.loads(line)
+                    if not isinstance(record, dict):
+                        raise ValueError("not a JSON object")
                     triplets.append(
                         _triplet_from_ids(
                             stack,
@@ -213,8 +217,6 @@ def cmd_eval(args) -> int:
     stack = load_stack(config)
     ctx = make_context(stack, config)
     triplets = _collect_triplets(stack, config, args)
-    if not triplets:
-        raise ValueError("no triplets to evaluate")
     reports = [
         evaluate(
             triplets,
@@ -239,19 +241,16 @@ def cmd_sweep_beam(args) -> int:
     stack = load_stack(config)
     ctx = make_context(stack, config)
     triplets = _collect_triplets(stack, config, args)
-    if not triplets:
-        raise ValueError("no triplets to evaluate")
-    for size in sizes:
-        report = evaluate(
-            triplets,
-            "cfe2",
-            ctx,
-            beam_width=size,
-            max_masks=config.max_masks,
-            workers=_resolve_workers(config),
-            timing=config.timing,
-            meta=_eval_meta(config),
-        )
+    reports = beam_sweep(
+        triplets,
+        sizes,
+        ctx,
+        max_masks=config.max_masks,
+        workers=_resolve_workers(config),
+        timing=config.timing,
+        meta=_eval_meta(config),
+    )
+    for size, report in zip(sizes, reports):
         json_path, _ = _write_reports([report], config, f"sweep_b{size}")
         aggregates = report.aggregates
         print(

@@ -2,7 +2,7 @@
 
 A config can live in a JSON file; command-line flags override file
 values. The subset of fields that affects built artifacts is hashed into
-a build fingerprint which every artifact file embeds, so stale artifacts
+a build fingerprint which the artifact file embeds, so stale artifacts
 are detected at load time.
 """
 
@@ -13,7 +13,6 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
-from .evaluation import METHODS
 from .remote import ROLES
 
 MASKERS = ("maxsim", "occlusion")
@@ -144,14 +143,3 @@ def build_fingerprint(build_params: dict[str, Any], corpus_digest: str) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
-# METHODS re-exported here so the CLI can validate --methods without
-# importing the evaluation module directly.
-__all__ = [
-    "MASKERS",
-    "METHODS",
-    "RunConfig",
-    "TIMING_MODES",
-    "build_fingerprint",
-]

@@ -14,6 +14,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .text import SPECIAL_IDS, Vocabulary, tokenize
 
 logger = logging.getLogger(__name__)
@@ -45,13 +47,6 @@ class Corpus:
         total_len = sum(d.length for d in docs.values())
         self.n_docs = len(docs)
         self.avgdl = total_len / self.n_docs if self.n_docs else 0.0
-        df: Counter[str] = Counter()
-        for doc in docs.values():
-            df.update(set(doc.tokens))
-        self.doc_freq: dict[str, int] = dict(df)
-
-    def __len__(self) -> int:
-        return self.n_docs
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._docs
@@ -97,11 +92,6 @@ def ingest_corpus(lines: Iterable[str]) -> Corpus:
     return Corpus(docs)
 
 
-def load_corpus_file(path: str) -> Corpus:
-    with open(path, encoding="utf-8") as fh:
-        return ingest_corpus(fh)
-
-
 class InvertedIndex:
     """Term-id postings plus document lengths.
 
@@ -123,6 +113,38 @@ class InvertedIndex:
 
     def tf(self, term_id: int, doc_id: str) -> int:
         return self.postings.get(term_id, {}).get(doc_id, 0)
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """CSR postings: per term id, the documents as positions in
+        ascending doc-id order, with their term frequencies. Document
+        lengths are not stored; they come from the corpus."""
+        position = {doc_id: i for i, doc_id in enumerate(sorted(self.doc_len))}
+        terms = sorted(self.postings)
+        rows = [self.postings[t] for t in terms]
+        docs = [position[doc_id] for row in rows for doc_id in row]
+        tfs = [tf for row in rows for tf in row.values()]
+        return {
+            "index.terms": np.array(terms, dtype=np.int32),
+            "index.indptr": np.cumsum([0] + [len(row) for row in rows]),
+            "index.docs": np.array(docs, dtype=np.int32),
+            "index.tfs": np.array(tfs, dtype=np.int32),
+        }
+
+    @classmethod
+    def from_arrays(
+        cls, arrays: Mapping[str, np.ndarray], corpus: Corpus
+    ) -> "InvertedIndex":
+        doc_ids = sorted(corpus.doc_ids())
+        indptr = arrays["index.indptr"].tolist()
+        docs = [doc_ids[i] for i in arrays["index.docs"].tolist()]
+        tfs = arrays["index.tfs"].tolist()
+        postings = {
+            term_id: dict(zip(docs[start:end], tfs[start:end]))
+            for term_id, start, end in zip(
+                arrays["index.terms"].tolist(), indptr, indptr[1:]
+            )
+        }
+        return cls(postings, {doc_id: corpus[doc_id].length for doc_id in doc_ids})
 
 
 def build_index(corpus: Corpus, vocab: Vocabulary) -> InvertedIndex:
@@ -188,12 +210,10 @@ class Bm25SearchModel:
     def __init__(
         self,
         corpus: Corpus,
-        vocab: Vocabulary,
         index: InvertedIndex,
         params: Bm25Params = Bm25Params(),
     ) -> None:
         self.corpus = corpus
-        self.vocab = vocab
         self.index = index
         self.params = params
 

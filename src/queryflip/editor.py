@@ -53,7 +53,6 @@ class EditCandidate:
 
     tokens: tuple[int, ...]
     log_prob: float
-    filled: int
 
     def __post_init__(self) -> None:
         if self.log_prob > 0.0:
@@ -144,7 +143,7 @@ def expand_beam(
             log_prob = candidate.log_prob + log(prob)
             held = best.get(tokens)
             if held is None or log_prob > held.log_prob:
-                best[tokens] = EditCandidate(tokens, log_prob, candidate.filled + 1)
+                best[tokens] = EditCandidate(tokens, log_prob)
     ranked = sorted(best.values(), key=lambda c: (-c.log_prob, c.tokens))
     return Beam(beam.width, tuple(ranked[: beam.width]))
 
@@ -179,7 +178,7 @@ def decode_masked_slots(
     prediction distributions; ``top`` is the beam width, so each of the
     (at most) b candidates proposes its b most probable tokens.
     """
-    beam = Beam(width, (EditCandidate(tuple(masked_ids), 0.0, 0),))
+    beam = Beam(width, (EditCandidate(tuple(masked_ids), 0.0),))
     for slot in sorted(slots):
         dists = [predictor.predict(c.tokens, slot, width) for c in beam.candidates]
         beam = expand_beam(beam, dists)
@@ -210,8 +209,6 @@ def edit(
         raise ValueError("empty query")
     if len(importance) != len(query):
         raise ValueError("importance scores do not match query length")
-    if not triplet.rel_d > triplet.rel_d_prime:
-        raise ValueError("not a valid counterfactual target")
     if max_masks is None:
         max_masks = len(query)
     if not 1 <= max_masks <= len(query):

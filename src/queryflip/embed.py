@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .text import FIRST_CONTENT_ID, UNK_ID, Vocabulary
+from .text import FIRST_CONTENT_ID, Vocabulary
 from .corpus import Corpus
 
 logger = logging.getLogger(__name__)
@@ -28,7 +28,6 @@ class EmbeddingTable:
 
     dim: int
     vectors: np.ndarray  # shape (vocab size, dim), float64, rows unit-norm
-    provenance: str      # "trained-on-corpus" | "loaded-from-file"
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -44,6 +43,14 @@ class EmbeddingTable:
 
     def vectors_for(self, token_ids: Sequence[int]) -> np.ndarray:
         return self.vectors[np.asarray(token_ids, dtype=np.intp)]
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        return {"embed.vectors": self.vectors}
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "EmbeddingTable":
+        vectors = arrays["embed.vectors"]
+        return cls(vectors.shape[1], vectors)
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
@@ -72,19 +79,15 @@ def train_embeddings(
     vocab: Vocabulary,
     dim: int = 64,
     window: int = 5,
-    seed: int = 0,
-    clamp_to_rank: bool = False,
 ) -> EmbeddingTable:
     """Train token vectors: PPMI co-occurrence + truncated SVD + row norm.
 
     Co-occurrence is counted between content tokens within a symmetric
     ``window`` inside each document. The computation has no random
-    component; ``seed`` is accepted so all artifact builds flow from one
-    seed, and is recorded by the callers that persist the table.
+    component. A ``dim`` above the available PPMI rank is lowered to the
+    rank (at least 2) with a log message.
 
-    Raises ValueError when ``dim`` exceeds the vocabulary size or the
-    available PPMI rank (unless ``clamp_to_rank`` is set, in which case
-    the dimension is lowered to the rank with a log message).
+    Raises ValueError when ``dim`` exceeds the vocabulary size.
     """
     n_content = vocab.content_size
     if corpus.n_docs == 0:
@@ -118,11 +121,6 @@ def train_embeddings(
     u, s, _ = np.linalg.svd(ppmi)
     rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
     if dim > rank:
-        if not clamp_to_rank:
-            raise ValueError(
-                f"dim {dim} exceeds available PPMI rank {rank}; "
-                f"use dim <= {rank}"
-            )
         logger.info("clamping embedding dim %d to PPMI rank %d", dim, rank)
         dim = max(2, rank)
     factors = _fix_signs(u[:, :dim] * np.sqrt(s[:dim]))
@@ -141,64 +139,4 @@ def train_embeddings(
     unk = content.mean(axis=0)
     unk /= np.linalg.norm(unk)
     table = np.vstack([np.tile(unk, (FIRST_CONTENT_ID, 1)), content])
-    return EmbeddingTable(dim, table, "trained-on-corpus")
-
-
-def load_embeddings(lines: Iterable[str], vocab: Vocabulary) -> EmbeddingTable:
-    """Load word vectors from text lines: ``surface v1 v2 ... vd``.
-
-    Vectors are L2-normalized on load. Surfaces outside the vocabulary
-    are ignored; vocabulary tokens missing from the file fall back to
-    the UNK vector (the normalized mean of the loaded vectors). A line
-    whose width disagrees with the first line raises ValueError naming
-    the line.
-    """
-    dim: int | None = None
-    loaded: dict[int, np.ndarray] = {}
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        surface, values = parts[0], parts[1:]
-        if dim is None:
-            dim = len(values)
-            if dim < 2:
-                raise ValueError(f"vector dimension must be >= 2 @ line {lineno}")
-        if len(values) != dim:
-            raise ValueError(
-                f"inconsistent dimensions ({len(values)} != {dim}) @ line {lineno}"
-            )
-        if surface not in vocab:
-            continue
-        vec = np.array([float(v) for v in values], dtype=np.float64)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise ValueError(f"zero vector @ line {lineno}")
-        loaded[vocab.id(surface)] = vec / norm
-    if dim is None or not loaded:
-        raise ValueError("no vocabulary tokens found in embedding source")
-    unk = np.mean([v for v in loaded.values()], axis=0)
-    unk /= np.linalg.norm(unk)
-    table = np.tile(unk, (len(vocab), 1))
-    for token_id, vec in loaded.items():
-        table[token_id] = vec
-    table[UNK_ID] = unk
-    return EmbeddingTable(dim, table, "loaded-from-file")
-
-
-def load_embeddings_file(path: str, vocab: Vocabulary) -> EmbeddingTable:
-    with open(path, encoding="utf-8") as fh:
-        return load_embeddings(fh, vocab)
-
-
-def cosine(u: Sequence[float], v: Sequence[float]) -> float:
-    """u.v / (|u||v|); zero-norm input yields 0.0 by definition."""
-    a = np.asarray(u, dtype=np.float64)
-    b = np.asarray(v, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        logger.debug("cosine of zero vector flagged as 0.0")
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    return EmbeddingTable(dim, table)

@@ -359,8 +359,6 @@ def evaluate(
     """
     if not triplets:
         raise ValueError("no triplets to evaluate")
-    if method not in METHODS:
-        raise ValueError(f"unknown method: {method}")
     if timing not in ("wall", "off"):
         raise ValueError(f"unknown timing mode: {timing}")
 

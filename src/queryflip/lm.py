@@ -10,10 +10,10 @@ likelihood, natural base.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import exp, log
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -67,13 +67,46 @@ class NgramLM:
         self.order = order
         self.k = k
         self.n_candidates = n_candidates
-        self._counts: dict[tuple[int, ...], Counter[int]] = {}
-        self._totals: dict[tuple[int, ...], int] = {}
+        # Defaults serve _observe; every read goes through .get().
+        self._counts: defaultdict[tuple[int, ...], Counter[int]] = defaultdict(Counter)
+        self._totals: defaultdict[tuple[int, ...], int] = defaultdict(int)
         self._dist_cache: dict[tuple[int, ...], np.ndarray] = {}
 
-    def _observe(self, context: tuple[int, ...], target: int) -> None:
-        self._counts.setdefault(context, Counter())[target] += 1
-        self._totals[context] = self._totals.get(context, 0) + 1
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """Settings plus one (context, target, count) row per observed n-gram."""
+        grams = [
+            (context, target, count)
+            for context, counter in self._counts.items()
+            for target, count in counter.items()
+        ]
+        contexts, targets, counts = zip(*grams)
+        return {
+            "lm.order": np.array(self.order),
+            "lm.k": np.array(self.k),
+            "lm.n_candidates": np.array(self.n_candidates),
+            "lm.contexts": np.array(contexts, dtype=np.int32),
+            "lm.targets": np.array(targets, dtype=np.int32),
+            "lm.counts": np.array(counts, dtype=np.int32),
+        }
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "NgramLM":
+        lm = cls(
+            int(arrays["lm.order"]),
+            float(arrays["lm.k"]),
+            int(arrays["lm.n_candidates"]),
+        )
+        for context, target, count in zip(
+            arrays["lm.contexts"].tolist(),
+            arrays["lm.targets"].tolist(),
+            arrays["lm.counts"].tolist(),
+        ):
+            lm._observe(tuple(context), target, count)
+        return lm
+
+    def _observe(self, context: tuple[int, ...], target: int, count: int = 1) -> None:
+        self._counts[context][target] += count
+        self._totals[context] += count
 
     def train_sequence(self, token_ids: Sequence[int]) -> None:
         ctx_len = self.order - 1

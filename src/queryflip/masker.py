@@ -40,11 +40,6 @@ class ImportanceScores:
     def __len__(self) -> int:
         return len(self.scores)
 
-    @property
-    def approx_relevance(self) -> float:
-        """Sum of the scores: the scorer's own relevance approximation."""
-        return float(sum(self.scores))
-
 
 def maxsim_importance(
     query_ids: Sequence[int], doc_ids: Sequence[int], embedder

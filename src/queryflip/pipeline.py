@@ -2,17 +2,16 @@
 
 The stack bundles everything derived from one corpus: the corpus store,
 vocabulary, inverted index, BM25 model, embedding table, and n-gram LM.
-Each persisted artifact embeds the build fingerprint of the config and
+The persisted stack embeds the build fingerprint of the config and
 corpus that produced it; loading with a different config is an error.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
-from collections import Counter
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,18 +36,17 @@ from .remote import (
     RemotePredictor,
     RemoteScorer,
 )
-from .text import Vocabulary, build_vocabulary, tokenize
+from .text import (
+    Vocabulary,
+    build_vocabulary,
+    pack_strings,
+    tokenize,
+    unpack_strings,
+)
 
 logger = logging.getLogger(__name__)
 
-_FORMAT_VERSION = 1
-
-CORPUS_FILE = "corpus.json"
-INDEX_FILE = "index.json"
-EMBED_FILE = "embeddings.npz"
-LM_FILE = "lm.json"
-
-ARTIFACT_FILES = (CORPUS_FILE, INDEX_FILE, EMBED_FILE, LM_FILE)
+STACK_FILE = "stack.npz"
 
 
 class ArtifactError(RuntimeError):
@@ -88,18 +86,9 @@ def build_stack(corpus: Corpus, config: RunConfig) -> Stack:
         (doc.tokens for doc in corpus.documents()), config.min_count
     )
     index = build_index(corpus, vocab)
-    search = Bm25SearchModel(
-        corpus, vocab, index, Bm25Params(config.k1, config.b_bm25)
-    )
+    search = Bm25SearchModel(corpus, index, Bm25Params(config.k1, config.b_bm25))
     dim = min(config.embed_dim, max(2, vocab.content_size))
-    table = train_embeddings(
-        corpus,
-        vocab,
-        dim=dim,
-        window=config.embed_window,
-        seed=config.seed,
-        clamp_to_rank=True,
-    )
+    table = train_embeddings(corpus, vocab, dim=dim, window=config.embed_window)
     lm = train_ngram(corpus, vocab, order=config.lm_order, k=config.lm_k)
     fingerprint = build_fingerprint(config.build_params(), corpus_digest(corpus))
     return Stack(corpus, vocab, index, search, table, lm, fingerprint)
@@ -112,124 +101,91 @@ def build_stack_from_file(path: str, config: RunConfig) -> Stack:
 
 # ---------------------------------------------------------------------------
 # Persistence
+#
+# The whole stack lives in one uncompressed ``.npz``: the corpus (ids and
+# texts as UTF-8 buffers with offsets), one build fingerprint, and the
+# arrays each component writes with ``to_arrays`` and reads back with
+# ``from_arrays``. The BM25 model is cheap to rebuild and is not stored.
 
 
 def save_stack(stack: Stack, config: RunConfig) -> None:
-    out = config.artifacts
-    os.makedirs(out, exist_ok=True)
-    head = {
-        "format_version": _FORMAT_VERSION,
-        "fingerprint": stack.fingerprint,
-        "build_params": config.build_params(),
+    """Write the stack atomically: a reader sees the old file or the new one."""
+    os.makedirs(config.artifacts, exist_ok=True)
+    ids, id_offsets = pack_strings(stack.corpus.doc_ids())
+    texts, text_offsets = pack_strings(
+        [doc.text for doc in stack.corpus.documents()]
+    )
+    corpus_arrays = {
+        "corpus.ids": ids,
+        "corpus.id_offsets": id_offsets,
+        "corpus.texts": texts,
+        "corpus.text_offsets": text_offsets,
     }
-
-    docs = [
-        {"id": doc.id, "text": doc.text}
-        for doc in stack.corpus.documents()
-    ]
-    _write_json(os.path.join(out, CORPUS_FILE), {**head, "docs": docs})
-
-    postings = {
-        str(term_id): sorted(by_doc.items())
-        for term_id, by_doc in stack.index.postings.items()
-    }
-    _write_json(
-        os.path.join(out, INDEX_FILE),
-        {**head, "postings": postings, "doc_len": stack.index.doc_len},
-    )
-
-    counts = [
-        [list(context), sorted(counter.items())]
-        for context, counter in sorted(stack.lm._counts.items())
-    ]
-    _write_json(
-        os.path.join(out, LM_FILE),
-        {
-            **head,
-            "order": stack.lm.order,
-            "k": stack.lm.k,
-            "n_candidates": stack.lm.n_candidates,
-            "counts": counts,
-        },
-    )
-
-    np.savez(
-        os.path.join(out, EMBED_FILE),
-        vectors=stack.table.vectors,
-        dim=np.array([stack.table.dim]),
-        provenance=np.array([stack.table.provenance]),
-        fingerprint=np.array([stack.fingerprint]),
-    )
-    logger.info("saved artifacts to %s (fingerprint %s)", out, stack.fingerprint)
+    path = os.path.join(config.artifacts, STACK_FILE)
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        # Keyword arguments, so two components writing one name is a TypeError.
+        np.savez(
+            fh,
+            fingerprint=np.array(stack.fingerprint),
+            **corpus_arrays,
+            **stack.vocab.to_arrays(),
+            **stack.index.to_arrays(),
+            **stack.table.to_arrays(),
+            **stack.lm.to_arrays(),
+        )
+    os.replace(tmp, path)
+    logger.info("saved %s (fingerprint %s)", path, stack.fingerprint)
 
 
 def load_stack(config: RunConfig) -> Stack:
-    """Load artifacts, verifying fingerprints against the current config."""
-    art = config.artifacts
-    for name in ARTIFACT_FILES:
-        if not os.path.exists(os.path.join(art, name)):
+    """Load the stack, verifying its fingerprint against the current config.
+
+    A missing, unreadable or inconsistent file raises ArtifactError.
+    """
+    path = os.path.join(config.artifacts, STACK_FILE)
+    if not os.path.exists(path):
+        raise ArtifactError(
+            f"missing artifact {STACK_FILE} in {config.artifacts}; "
+            "run `queryflip index` first"
+        )
+    if not zipfile.is_zipfile(path):
+        raise ArtifactError(f"{path} is truncated or not an npz archive")
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        ids = unpack_strings(arrays["corpus.ids"], arrays["corpus.id_offsets"])
+        texts = unpack_strings(arrays["corpus.texts"], arrays["corpus.text_offsets"])
+        corpus = Corpus(
+            [Document(i, t, tuple(tokenize(t))) for i, t in zip(ids, texts)]
+        )
+        expected = build_fingerprint(config.build_params(), corpus_digest(corpus))
+        stored = str(arrays["fingerprint"])
+        if stored != expected:
             raise ArtifactError(
-                f"missing artifact {name} in {art}; run `queryflip index` first"
+                f"{STACK_FILE} fingerprint {stored} does not match current "
+                f"config ({expected}); re-run `queryflip index`"
             )
-
-    corpus_doc = _read_json(os.path.join(art, CORPUS_FILE))
-    index_doc = _read_json(os.path.join(art, INDEX_FILE))
-    lm_doc = _read_json(os.path.join(art, LM_FILE))
-    with np.load(os.path.join(art, EMBED_FILE), allow_pickle=False) as npz:
-        vectors = npz["vectors"]
-        dim = int(npz["dim"][0])
-        provenance = str(npz["provenance"][0])
-        embed_fingerprint = str(npz["fingerprint"][0])
-
-    documents = [
-        Document(rec["id"], rec["text"], tuple(tokenize(rec["text"])))
-        for rec in corpus_doc["docs"]
-    ]
-    corpus = Corpus(documents)
-    expected = build_fingerprint(config.build_params(), corpus_digest(corpus))
-    stored = {
-        CORPUS_FILE: corpus_doc["fingerprint"],
-        INDEX_FILE: index_doc["fingerprint"],
-        LM_FILE: lm_doc["fingerprint"],
-        EMBED_FILE: embed_fingerprint,
-    }
-    for name, fingerprint in stored.items():
-        if fingerprint != expected:
-            raise ArtifactError(
-                f"artifact {name} fingerprint {fingerprint} does not match "
-                f"current config ({expected}); re-run `queryflip index`"
-            )
-
-    vocab = build_vocabulary(
-        (doc.tokens for doc in corpus.documents()), config.min_count
-    )
-    index = InvertedIndex(
-        {int(t): dict((d, tf) for d, tf in posting) for t, posting in
-         index_doc["postings"].items()},
-        index_doc["doc_len"],
-    )
-    search = Bm25SearchModel(
-        corpus, vocab, index, Bm25Params(config.k1, config.b_bm25)
-    )
-    table = EmbeddingTable(dim, vectors, provenance)
-    lm = NgramLM(lm_doc["order"], lm_doc["k"], lm_doc["n_candidates"])
-    lm._counts = {
-        tuple(context): Counter({t: c for t, c in pairs})
-        for context, pairs in lm_doc["counts"]
-    }
-    lm._totals = {ctx: sum(counter.values()) for ctx, counter in lm._counts.items()}
+        vocab = Vocabulary.from_arrays(arrays)
+        index = InvertedIndex.from_arrays(arrays, corpus)
+        table = EmbeddingTable.from_arrays(arrays)
+        lm = NgramLM.from_arrays(arrays)
+    except KeyError as exc:
+        raise ArtifactError(f"{STACK_FILE} is missing array {exc}") from exc
+    except (EOFError, IndexError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ArtifactError(f"malformed {path}: {exc}") from exc
+    if len(table.vectors) != len(vocab):
+        raise ArtifactError(
+            f"{STACK_FILE} has {len(table.vectors)} vector rows for a "
+            f"vocabulary of {len(vocab)}"
+        )
+    if lm.n_candidates != vocab.content_size:
+        raise ArtifactError(
+            f"{STACK_FILE} n-gram model has {lm.n_candidates} candidates for "
+            f"{vocab.content_size} content tokens"
+        )
+    search = Bm25SearchModel(corpus, index, Bm25Params(config.k1, config.b_bm25))
     return Stack(corpus, vocab, index, search, table, lm, expected)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
-def _read_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 # Unicode letters and digits; underscore is excluded so it behaves like
 # punctuation. Everything that does not match is a boundary and is dropped.
@@ -42,6 +44,20 @@ def tokenize(text: str) -> list[str]:
 def detokenize(tokens: Sequence[str]) -> str:
     """Join tokens with single spaces (inverse of tokenize on its outputs)."""
     return " ".join(tokens)
+
+
+def pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Strings as one UTF-8 byte buffer plus ``len + 1`` offsets into it."""
+    encoded = [s.encode("utf-8") for s in strings]
+    offsets = np.cumsum([0] + [len(b) for b in encoded], dtype=np.int64)
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
+
+
+def unpack_strings(buffer: np.ndarray, offsets: np.ndarray) -> list[str]:
+    """Inverse of pack_strings."""
+    raw = buffer.tobytes()
+    bounds = offsets.tolist()
+    return [raw[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
 
 
 class Vocabulary:
@@ -96,6 +112,15 @@ class Vocabulary:
 
     def content_surfaces(self) -> tuple[str, ...]:
         return self._surfaces[FIRST_CONTENT_ID:]
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """Content surfaces in id order; the specials are implied."""
+        buffer, offsets = pack_strings(self.content_surfaces())
+        return {"vocab.surfaces": buffer, "vocab.offsets": offsets}
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "Vocabulary":
+        return cls(unpack_strings(arrays["vocab.surfaces"], arrays["vocab.offsets"]))
 
 
 def build_vocabulary(

@@ -32,6 +32,7 @@ def _run(*argv) -> int:
 def test_index_then_search_truncates(workdir, capsys):
     tmp, config = workdir
     assert _run("index", "--config", config) == 0
+    assert [p.name for p in (tmp / "artifacts").iterdir()] == ["stack.npz"]
     capsys.readouterr()
     assert _run("search", "--config", config, "apple recipe", "--k", "5") == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -85,6 +86,25 @@ def test_edit_batch_triplets_file(workdir, tmp_path, capsys):
     assert _run("edit", "--config", config, "--triplets", triplets, "--out", out) == 0
     record = json.loads(out.read_text().strip())
     assert record["q_prime"] == "banana recipe"
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("{not json", "triplets file line 2: "),
+        ("[1]", "triplets file line 2: not a JSON object"),
+    ],
+    ids=["malformed", "not_object"],
+)
+def test_edit_bad_triplets_line_names_line(workdir, capsys, bad_line, message):
+    tmp, config = workdir
+    assert _run("index", "--config", config) == 0
+    triplets = tmp / "triplets.jsonl"
+    good = {"query": "apple recipe", "doc_id": "d1", "counter_doc_id": "d3"}
+    triplets.write_text(json.dumps(good) + "\n" + bad_line + "\n")
+    capsys.readouterr()
+    assert _run("edit", "--config", config, "--triplets", triplets) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_eval_writes_json_and_markdown(workdir, capsys):

@@ -53,7 +53,7 @@ def _ppl(stack):
 
 
 def test_width_one_beam_is_greedy():
-    beam = Beam(1, (EditCandidate((MASK_ID, 9), 0.0, 0),))
+    beam = Beam(1, (EditCandidate((MASK_ID, 9), 0.0),))
     dist = PredictionDistribution(0, ((5, 0.6), (6, 0.4)))
     out = expand_beam(beam, dist)
     assert len(out.candidates) == 1
@@ -70,7 +70,7 @@ def test_expand_matches_exhaustive_enumeration_two_slots():
         4: ((5, 0.6), (3, 0.3), (4, 0.1)),
         5: ((3, 0.5), (4, 0.4), (5, 0.1)),
     }
-    beam = Beam(9, (EditCandidate((MASK_ID, MASK_ID), 0.0, 0),))
+    beam = Beam(9, (EditCandidate((MASK_ID, MASK_ID), 0.0),))
     beam = expand_beam(beam, first)
     dists = [
         PredictionDistribution(1, second_given[c.tokens[0]])
@@ -87,7 +87,7 @@ def test_expand_matches_exhaustive_enumeration_two_slots():
 
 
 def test_expand_dedupes_identical_sequences():
-    beam = Beam(4, (EditCandidate((MASK_ID,), 0.0, 0),))
+    beam = Beam(4, (EditCandidate((MASK_ID,), 0.0),))
     # a malformed-but-legal distribution mentioning token 3 twice
     dist = PredictionDistribution(0, ((3, 0.5), (3, 0.2), (4, 0.1)))
     out = expand_beam(beam, dist)
@@ -96,13 +96,13 @@ def test_expand_dedupes_identical_sequences():
 
 
 def test_expand_rejects_empty_distribution():
-    beam = Beam(2, (EditCandidate((MASK_ID,), 0.0, 0),))
+    beam = Beam(2, (EditCandidate((MASK_ID,), 0.0),))
     with pytest.raises(ValueError, match="empty prediction"):
         expand_beam(beam, PredictionDistribution(0, ()))
 
 
 def test_expand_requires_matching_count():
-    beam = Beam(2, (EditCandidate((MASK_ID,), 0.0, 0),))
+    beam = Beam(2, (EditCandidate((MASK_ID,), 0.0),))
     dists = [
         PredictionDistribution(0, ((3, 0.5),)),
         PredictionDistribution(0, ((4, 0.5),)),
@@ -144,8 +144,8 @@ def test_check_flip_rejects_masked_candidate(sample_stack):
 
 def test_select_final_single_and_ppl_order(sample_stack):
     ppl = _ppl(sample_stack)
-    banana = EditCandidate(tuple(ids(sample_stack, "banana recipe")), -1.0, 1)
-    bread = EditCandidate(tuple(ids(sample_stack, "bread recipe")), -1.0, 1)
+    banana = EditCandidate(tuple(ids(sample_stack, "banana recipe")), -1.0)
+    bread = EditCandidate(tuple(ids(sample_stack, "bread recipe")), -1.0)
     assert select_final([bread], ppl) is bread
     # hand perplexities: banana-recipe 7.5619 < bread-recipe 16.0935
     assert select_final([bread, banana], ppl) is banana
@@ -153,8 +153,8 @@ def test_select_final_single_and_ppl_order(sample_stack):
 
 def test_select_final_tie_breaks_lexicographically():
     constant_ppl = lambda seq: 2.0  # noqa: E731
-    low = EditCandidate((3, 4), -1.0, 1)
-    high = EditCandidate((4, 3), -1.0, 1)
+    low = EditCandidate((3, 4), -1.0)
+    high = EditCandidate((4, 3), -1.0)
     assert select_final([high, low], constant_ppl) is low
 
 

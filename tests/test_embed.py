@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from queryflip.corpus import ingest_corpus
-from queryflip.embed import cosine, load_embeddings, train_embeddings
+from queryflip.embed import train_embeddings
 from queryflip.text import UNK_ID, build_vocabulary
 
 import json
@@ -51,8 +51,8 @@ def test_all_vectors_unit_norm():
 
 def test_training_is_deterministic():
     corpus, vocab = _corpus(PAIR_TEXTS)
-    first = train_embeddings(corpus, vocab, dim=4, window=2, seed=3)
-    second = train_embeddings(corpus, vocab, dim=4, window=2, seed=3)
+    first = train_embeddings(corpus, vocab, dim=4, window=2)
+    second = train_embeddings(corpus, vocab, dim=4, window=2)
     assert np.array_equal(first.vectors, second.vectors)
 
 
@@ -60,8 +60,9 @@ def test_dim_above_rank_rejected_with_suggestion():
     # "c" never co-occurs with anything, so the PPMI matrix has a zero
     # row and rank 2 < dim 3.
     corpus, vocab = _corpus(["a b", "c"])
-    with pytest.raises(ValueError, match=r"use dim <= 2"):
-        train_embeddings(corpus, vocab, dim=3, window=2)
+    table = train_embeddings(corpus, vocab, dim=3, window=2)
+    assert table.dim == 2
+    assert table.vectors.shape == (len(vocab), 2)
 
 
 def test_dim_above_vocab_rejected():
@@ -74,63 +75,3 @@ def test_unk_vector_defined():
     corpus, vocab = _corpus(PAIR_TEXTS)
     table = train_embeddings(corpus, vocab, dim=4, window=2)
     assert np.linalg.norm(table.vector(UNK_ID)) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_load_embeddings_orthogonal_pair():
-    _, vocab = _corpus(["apple pie", "apple pie"])
-    table = load_embeddings(["apple 1 0", "pie 0 1"], vocab)
-    assert table.dim == 2
-    assert np.allclose(table.vector(vocab.id("apple")), [1.0, 0.0])
-    assert np.allclose(table.vector(vocab.id("pie")), [0.0, 1.0])
-
-
-def test_load_embeddings_dimension_error_names_line():
-    _, vocab = _corpus(["apple pie", "apple pie"])
-    with pytest.raises(ValueError, match=r"@ line 2"):
-        load_embeddings(["apple 1 0", "pie 0 1 1"], vocab)
-
-
-def test_load_embeddings_missing_token_uses_unk():
-    _, vocab = _corpus(["apple pie", "apple pie"])
-    table = load_embeddings(["apple 0 1"], vocab)
-    assert np.array_equal(table.vector(vocab.id("pie")), table.vector(UNK_ID))
-    assert np.allclose(np.linalg.norm(table.vector(vocab.id("pie"))), 1.0)
-
-
-def test_load_embeddings_normalizes():
-    _, vocab = _corpus(["apple pie", "apple pie"])
-    table = load_embeddings(["apple 3 4"], vocab)
-    assert np.allclose(table.vector(vocab.id("apple")), [0.6, 0.8])
-
-
-def test_load_embeddings_ignores_out_of_vocab():
-    _, vocab = _corpus(["apple pie", "apple pie"])
-    table = load_embeddings(["apple 1 0", "zebra 0 1"], vocab)
-    assert np.allclose(table.vector(vocab.id("apple")), [1.0, 0.0])
-
-
-def test_cosine_identities():
-    assert cosine([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
-    root_half = 1.0 / math.sqrt(2.0)
-    assert cosine([root_half, root_half], [1.0, 0.0]) == pytest.approx(
-        math.sqrt(2.0) / 2.0, abs=1e-12
-    )
-
-
-def test_cosine_zero_vector_flagged_zero():
-    assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
-
-
-def test_cosine_dim_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        cosine([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-def test_cosine_bounds_random():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        u = rng.normal(size=5)
-        v = rng.normal(size=5)
-        value = cosine(u, v)
-        assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12

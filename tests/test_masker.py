@@ -55,7 +55,6 @@ def test_maxsim_brute_force_oracle():
     assert importance.scores[0] == pytest.approx(sqrt_half, abs=1e-12)
     assert importance.scores[1] == pytest.approx(sqrt_half, abs=1e-12)
     assert importance.order == (0, 1)  # tie resolves leftmost-first
-    assert importance.approx_relevance == pytest.approx(2 * sqrt_half, abs=1e-12)
 
 
 def test_maxsim_permutation_invariant_and_monotone():

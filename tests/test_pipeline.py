@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from queryflip.config import RunConfig
 from queryflip.corpus import ingest_corpus
 from queryflip.lm import perplexity
 from queryflip.pipeline import (
+    STACK_FILE,
     ArtifactError,
     build_stack,
     load_stack,
@@ -68,6 +67,8 @@ def test_save_load_round_trip(tmp_path):
     q = stack.vocab.encode(["apple", "recipe"])
     assert loaded.search.score(q, "d1") == stack.search.score(q, "d1")
     assert perplexity(q, loaded.lm) == perplexity(q, stack.lm)
+    saved, read = stack.lm.to_arrays(), loaded.lm.to_arrays()
+    assert all(np.array_equal(saved[name], read[name]) for name in saved)
 
 
 def test_load_missing_artifacts_instructs(tmp_path):
@@ -85,15 +86,47 @@ def test_load_with_changed_build_config_fails(tmp_path):
         load_stack(changed)
 
 
-def test_load_with_changed_corpus_fails(tmp_path):
+def _saved(tmp_path):
     config = sample_config(artifacts=str(tmp_path / "artifacts"))
-    stack = build_stack(ingest_corpus(SAMPLE_LINES), config)
-    save_stack(stack, config)
-    corpus_path = tmp_path / "artifacts" / "corpus.json"
-    payload = json.loads(corpus_path.read_text())
-    payload["docs"][0]["text"] = "tampered text"
-    corpus_path.write_text(json.dumps(payload))
+    save_stack(build_stack(ingest_corpus(SAMPLE_LINES), config), config)
+    return config, tmp_path / "artifacts" / STACK_FILE
+
+
+def _edit_array(path, name, change):
+    """Rewrite ``stack.npz`` with array ``name`` replaced by ``change(array)``,
+    or dropped when that is None."""
+    with np.load(path) as npz:
+        arrays = {n: npz[n] for n in npz.files}
+    changed = change(arrays.pop(name))
+    if changed is not None:
+        arrays[name] = changed
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def test_load_with_changed_corpus_fails(tmp_path):
+    config, path = _saved(tmp_path)
+    tampered = np.frombuffer(b"tampered", dtype=np.uint8)
+    _edit_array(path, "corpus.texts", lambda t: np.concatenate([tampered, t[8:]]))
     with pytest.raises(ArtifactError, match="fingerprint"):
+        load_stack(config)
+
+
+@pytest.mark.parametrize(
+    "damage, match",
+    [
+        (lambda p: p.write_bytes(p.read_bytes()[:-100]), "truncated or not an npz"),
+        (lambda p: p.write_text("not a zip"), "truncated or not an npz"),
+        (lambda p: _edit_array(p, "lm.targets", lambda a: None), "missing array"),
+        (lambda p: _edit_array(p, "embed.vectors", lambda a: a[:-1]), "vector rows"),
+        (lambda p: _edit_array(p, "lm.n_candidates", lambda a: a + 1), "candidates"),
+    ],
+    ids=["truncated", "not_zip", "missing_array", "vector_rows", "lm_candidates"],
+)
+def test_load_rejects_bad_artifact(tmp_path, damage, match):
+    config, path = _saved(tmp_path)
+    damage(path)
+    with pytest.raises(ArtifactError, match=match):
         load_stack(config)
 
 
