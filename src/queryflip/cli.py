@@ -47,7 +47,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _result_payload(
-    result: EditResult, triplet: Triplet, stack: Stack, query_text: str
+    result: EditResult, triplet: Triplet, stack: Stack, query_text: str,
+    timing: str,
 ) -> dict:
     outcome = None
     if result.outcome is not None:
@@ -58,7 +59,7 @@ def _result_payload(
         "counter_doc_id": triplet.d_prime.id,
         "q_prime": outcome,
         "masks_used": result.masks_used,
-        "elapsed_s": result.elapsed,
+        "elapsed_s": result.elapsed if timing == "wall" else 0.0,
         "iterations": [
             {
                 "masks": it.masks,
@@ -187,7 +188,8 @@ def cmd_edit(args) -> int:
                 triplet, "cfe2", ctx, beam_width=config.beam,
                 max_masks=config.max_masks,
             )
-            out.write(json.dumps(_result_payload(result, triplet, stack, text)))
+            payload = _result_payload(result, triplet, stack, text, config.timing)
+            out.write(json.dumps(payload))
             out.write("\n")
     finally:
         if out is not sys.stdout:

@@ -3,9 +3,9 @@
 The vectors stand in for contextual embeddings: the masker's max-pooled
 token scores and the greedy-matching similarity metric only need one
 vector per token and rely on the unit-norm invariant (dot product equals
-cosine). Training factors a PPMI co-occurrence matrix over a symmetric
-window through a truncated SVD; it is fully deterministic for a given
-corpus.
+cosine). Training counts co-occurring pairs over a symmetric window and
+factors them by an exact eigendecomposition of the symmetric PPMI matrix;
+it is fully deterministic for a given corpus.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
 def _fix_signs(columns: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive.
 
-    Removes the sign ambiguity of SVD factors so the table does not
+    Removes the sign ambiguity of eigenvectors so the table does not
     depend on LAPACK internals.
     """
     out = columns.copy()
@@ -80,12 +80,16 @@ def train_embeddings(
     dim: int = 64,
     window: int = 5,
 ) -> EmbeddingTable:
-    """Train token vectors: PPMI co-occurrence + truncated SVD + row norm.
+    """Train token vectors: PPMI co-occurrence + exact eigendecomposition
+    of the symmetric PPMI matrix + row norm.
 
     Co-occurrence is counted between content tokens within a symmetric
-    ``window`` inside each document. The computation has no random
-    component. A ``dim`` above the available PPMI rank is lowered to the
-    rank (at least 2) with a log message.
+    ``window`` inside each document, as sorted pair keys; PMI is computed
+    on the nonzero pairs only. The ``dim`` eigenvectors of largest
+    |eigenvalue|, scaled by sqrt(|eigenvalue|), are the rank-``dim``
+    truncated SVD of the PPMI matrix up to column signs. The computation
+    has no random component. A ``dim`` above the available PPMI rank is
+    lowered to the rank (at least 2) with a log message.
 
     Raises ValueError when ``dim`` exceeds the vocabulary size.
     """
@@ -97,33 +101,35 @@ def train_embeddings(
     if window < 1:
         raise ValueError("window must be >= 1")
 
-    cooc = np.zeros((n_content, n_content), dtype=np.float64)
+    keys = []
     for doc in corpus.documents():
-        ids = [
-            t - FIRST_CONTENT_ID
-            for t in vocab.encode(doc.tokens)
-            if t >= FIRST_CONTENT_ID
-        ]
-        for i, a in enumerate(ids):
-            for j in range(i + 1, min(i + window + 1, len(ids))):
-                b = ids[j]
-                cooc[a, b] += 1.0
-                cooc[b, a] += 1.0
-
-    total = cooc.sum()
-    if total == 0.0:
+        ids = np.asarray(vocab.encode(doc.tokens), dtype=np.int64)
+        ids = ids[ids >= FIRST_CONTENT_ID] - FIRST_CONTENT_ID
+        for offset in range(1, window + 1):
+            a, b = ids[:-offset], ids[offset:]
+            keys += (a * n_content + b, b * n_content + a)
+    pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
+    if pairs.size == 0:
         raise ValueError("no co-occurrence signal in corpus")
-    marginals = cooc.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pmi = np.log(cooc * total / np.outer(marginals, marginals))
-    ppmi = np.where(np.isfinite(pmi) & (pmi > 0.0), pmi, 0.0)
+    rows, cols = np.divmod(pairs, n_content)
+    counts = counts.astype(np.float64)
+    total = counts.sum()
+    marginals = np.bincount(rows, weights=counts, minlength=n_content)
+    pmi = np.log(counts * total / (marginals[rows] * marginals[cols]))
+    positive = pmi > 0.0
+    ppmi = np.zeros((n_content, n_content), dtype=np.float64)
+    ppmi[rows[positive], cols[positive]] = pmi[positive]
 
-    u, s, _ = np.linalg.svd(ppmi)
+    # For the symmetric PPMI matrix the singular values are |eigenvalues|
+    # and the singular vectors are the eigenvectors up to sign.
+    eigenvalues, eigenvectors = np.linalg.eigh(ppmi)
+    order = np.argsort(-np.abs(eigenvalues), kind="stable")
+    s = np.abs(eigenvalues[order])
     rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
     if dim > rank:
         logger.info("clamping embedding dim %d to PPMI rank %d", dim, rank)
         dim = max(2, rank)
-    factors = _fix_signs(u[:, :dim] * np.sqrt(s[:dim]))
+    factors = _fix_signs(eigenvectors[:, order[:dim]] * np.sqrt(s[:dim]))
 
     content = _normalize_rows(factors)
     row_norms = np.linalg.norm(factors, axis=1)

@@ -48,7 +48,10 @@ def maxsim_importance(
 
     With unit-norm vectors each score lies in [-1, 1]. The max-pool is
     order-free in the document, and adding document tokens can only raise
-    scores. ``embedder`` must provide ``vectors_for(ids) -> ndarray``.
+    scores. Scores are rounded to 12 decimals, so every query token that
+    occurs in the document scores exactly 1.0 instead of 1 +- 1 ulp, and
+    such ties resolve leftmost rather than by float noise. ``embedder``
+    must provide ``vectors_for(ids) -> ndarray``.
     """
     if len(query_ids) == 0:
         raise ValueError("empty query")
@@ -57,7 +60,7 @@ def maxsim_importance(
     q = embedder.vectors_for(query_ids)
     d = embedder.vectors_for(doc_ids)
     sims = q @ d.T
-    return ImportanceScores.from_scores(np.max(sims, axis=1).tolist())
+    return ImportanceScores.from_scores(np.round(np.max(sims, axis=1), 12).tolist())
 
 
 def occlusion_importance(

@@ -218,10 +218,15 @@ class RemoteEmbedder:
     def vectors_for(self, token_ids: Sequence[int]) -> np.ndarray:
         surfaces = self.vocab.decode(token_ids)
         body = call_backend(self.endpoint, {"tokens": surfaces})
-        vectors = body["vectors"]
+        vectors = body.get("vectors")
+        if not isinstance(vectors, list):
+            raise ProtocolError("embed response has no vectors list")
         if len(vectors) != len(surfaces):
             raise ProtocolError("vector count does not match token count")
-        out = np.asarray(vectors, dtype=np.float64)
+        try:
+            out = np.asarray(vectors, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError("vectors must all have the same width") from exc
         if out.ndim != 2:
             raise ProtocolError("vectors must all have the same width")
         norms = np.linalg.norm(out, axis=1)

@@ -88,6 +88,22 @@ def test_edit_batch_triplets_file(workdir, tmp_path, capsys):
     assert record["q_prime"] == "banana recipe"
 
 
+@pytest.mark.parametrize("timing", ["off", "wall"])
+def test_edit_elapsed_follows_timing(workdir, capsys, timing):
+    tmp, config = workdir
+    settings = json.loads(config.read_text())
+    config.write_text(json.dumps({**settings, "timing": timing}))
+    assert _run("index", "--config", config) == 0
+    capsys.readouterr()
+    code = _run(
+        "edit", "--config", config,
+        "--query", "apple recipe", "--doc", "d1", "--counter", "d3",
+    )
+    assert code == 0
+    elapsed = json.loads(capsys.readouterr().out.strip())["elapsed_s"]
+    assert (elapsed == 0.0) == (timing == "off")
+
+
 @pytest.mark.parametrize(
     "bad_line, message",
     [

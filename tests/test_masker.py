@@ -39,6 +39,21 @@ def test_identical_token_scores_one():
     assert importance.scores[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_query_tokens_in_document_tie_at_one_and_resolve_leftmost():
+    # A token's dot product with itself comes out as 1 +- 1 ulp; the
+    # rounding makes both in-document query tokens tie at exactly 1.0,
+    # whatever float noise the vectors carry.
+    rng = np.random.default_rng(0)
+    base = rng.normal(size=(2, 16))
+    for trial in range(50):
+        noisy = base + (1e-14 * rng.normal(size=base.shape) if trial else 0.0)
+        noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
+        embedder = FakeEmbedder({1: noisy[0], 2: noisy[1]})
+        importance = maxsim_importance([1, 2], [2, 1], embedder)
+        assert importance.scores == (1.0, 1.0)
+        assert importance.order == (0, 1)
+
+
 def test_maxsim_brute_force_oracle():
     # 2x2 token pairs with hand-set vectors: enumerate all dot products
     # and max-pool by hand.

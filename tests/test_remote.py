@@ -83,6 +83,39 @@ def test_remote_embedder_matches_builtin(sample_stack, stub):
     )
 
 
+def test_remote_embedder_rejects_ragged_vectors(sample_stack, stub):
+    embedder = RemoteEmbedder(_endpoint(stub, "embed"), sample_stack.vocab)
+    stub.override = {"vectors": [[1.0, 0.0], [1.0]]}
+    try:
+        with pytest.raises(ProtocolError, match="same width"):
+            embedder.vectors_for(ids(sample_stack, "apple banana"))
+    finally:
+        stub.override = None
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ({}, "no vectors list"),
+        ({"vectors": None}, "no vectors list"),
+        ({"vectors": [[1.0, 0.0]]}, "vector count"),
+        ({"vectors": [[1.0, 0.0], ["x", 1.0]]}, "same width"),
+        ({"vectors": [1.0, 0.0]}, "same width"),
+        ({"vectors": [[[1.0]], [[1.0]]]}, "same width"),
+    ],
+    ids=["missing", "null", "count", "non_number", "flat", "nested"],
+)
+def test_remote_embedder_bad_body_raises_protocol_error(
+    sample_stack, monkeypatch, body, message
+):
+    # Bypass the transport's schema check so the adapter's own checks run.
+    monkeypatch.setattr("queryflip.remote.call_backend", lambda endpoint, request: body)
+    endpoint = BackendEndpoint("http://localhost:1", "embed")
+    embedder = RemoteEmbedder(endpoint, sample_stack.vocab)
+    with pytest.raises(ProtocolError, match=message):
+        embedder.vectors_for(ids(sample_stack, "apple banana"))
+
+
 def test_remote_perplexity_matches_builtin(sample_stack, stub):
     ppl = RemotePerplexity(_endpoint(stub, "perplexity"), sample_stack.vocab)
     q = ids(sample_stack, "banana recipe")
