@@ -296,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float)
     p.add_argument("--masker")
     p.add_argument("--max-masks", dest="max_masks", type=int)
+    p.add_argument("--timing", choices=("wall", "off"))
     p.set_defaults(func=cmd_edit)
 
     p = sub.add_parser("eval", help="run methods over queries and report")

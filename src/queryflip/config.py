@@ -111,13 +111,17 @@ class RunConfig:
         return RunConfig.from_dict(raw)
 
     def result_dict(self) -> dict[str, Any]:
-        """Config fields that may influence results.
+        """Config fields that may influence results, as report metadata.
 
         ``workers`` is excluded: parallelism must never change output
-        bytes, so it cannot appear in report metadata either.
+        bytes. So are the paths, which differ between run directories,
+        and the backend settings, which may hold credentials: only the
+        sorted list of remote roles is kept.
         """
         raw = self.to_dict()
-        raw.pop("workers")
+        for name in ("workers", "corpus", "artifacts", "out_dir"):
+            raw.pop(name)
+        raw["backends"] = sorted(self.backends)
         return raw
 
     def config_hash(self) -> str:

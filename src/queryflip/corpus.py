@@ -1,4 +1,4 @@
-"""Document storage, inverted index, and the built-in BM25 search model.
+"""Document storage and the built-in BM25 search model with its postings.
 
 The search model plays the role of the relevance scorer the rest of the
 pipeline treats as a black box: it produces rel(query, doc) scores, ranked
@@ -92,75 +92,6 @@ def ingest_corpus(lines: Iterable[str]) -> Corpus:
     return Corpus(docs)
 
 
-class InvertedIndex:
-    """Term-id postings plus document lengths.
-
-    Postings map token id -> {doc id: term frequency}, with doc ids in
-    ascending order. Special token ids are never indexed, so MASK/PAD/UNK
-    query tokens can never match anything. Immutable after build.
-    """
-
-    def __init__(
-        self,
-        postings: Mapping[int, Mapping[str, int]],
-        doc_len: Mapping[str, int],
-    ) -> None:
-        self.postings = {t: dict(p) for t, p in postings.items()}
-        self.doc_len = dict(doc_len)
-
-    def df(self, term_id: int) -> int:
-        return len(self.postings.get(term_id, ()))
-
-    def tf(self, term_id: int, doc_id: str) -> int:
-        return self.postings.get(term_id, {}).get(doc_id, 0)
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """CSR postings: per term id, the documents as positions in
-        ascending doc-id order, with their term frequencies. Document
-        lengths are not stored; they come from the corpus."""
-        position = {doc_id: i for i, doc_id in enumerate(sorted(self.doc_len))}
-        terms = sorted(self.postings)
-        rows = [self.postings[t] for t in terms]
-        docs = [position[doc_id] for row in rows for doc_id in row]
-        tfs = [tf for row in rows for tf in row.values()]
-        return {
-            "index.terms": np.array(terms, dtype=np.int32),
-            "index.indptr": np.cumsum([0] + [len(row) for row in rows]),
-            "index.docs": np.array(docs, dtype=np.int32),
-            "index.tfs": np.array(tfs, dtype=np.int32),
-        }
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: Mapping[str, np.ndarray], corpus: Corpus
-    ) -> "InvertedIndex":
-        doc_ids = sorted(corpus.doc_ids())
-        indptr = arrays["index.indptr"].tolist()
-        docs = [doc_ids[i] for i in arrays["index.docs"].tolist()]
-        tfs = arrays["index.tfs"].tolist()
-        postings = {
-            term_id: dict(zip(docs[start:end], tfs[start:end]))
-            for term_id, start, end in zip(
-                arrays["index.terms"].tolist(), indptr, indptr[1:]
-            )
-        }
-        return cls(postings, {doc_id: corpus[doc_id].length for doc_id in doc_ids})
-
-
-def build_index(corpus: Corpus, vocab: Vocabulary) -> InvertedIndex:
-    postings: dict[int, dict[str, int]] = {}
-    doc_len: dict[str, int] = {}
-    for doc_id in sorted(corpus.doc_ids()):
-        doc = corpus[doc_id]
-        doc_len[doc_id] = doc.length
-        counts: Counter[int] = Counter(vocab.encode(doc.tokens))
-        for term_id, tf in counts.items():
-            if term_id in SPECIAL_IDS:
-                continue
-            postings.setdefault(term_id, {})[doc_id] = tf
-    return InvertedIndex(postings, doc_len)
-
-
 @dataclass(frozen=True)
 class Bm25Params:
     """Okapi constants; the community-standard defaults."""
@@ -195,13 +126,17 @@ class Ranking:
 
 
 class Bm25SearchModel:
-    """BM25 relevance scorer over an inverted index.
+    """BM25 relevance scorer that owns its term-frequency postings.
 
-    Scoring uses Robertson idf with +1 inside the log (keeps idf >= 0):
+    Postings map token id -> {doc id: term frequency}, with doc ids in
+    ascending order. Special token ids are never indexed, so MASK/PAD/UNK
+    query tokens can never match anything. Scoring uses Robertson idf
+    with +1 inside the log (keeps idf >= 0):
 
         idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5))
         w(t,d) = idf(t) * tf * (k1+1) / (tf + k1 * (1 - b + b * n/avgdl))
 
+    The impact w(t,d) of every posting is computed once, at construction.
     A query is scored one token occurrence at a time, so repeated query
     terms contribute once per occurrence. Non-indexed terms contribute 0.
     The model is immutable after construction and safe for concurrent use.
@@ -210,36 +145,46 @@ class Bm25SearchModel:
     def __init__(
         self,
         corpus: Corpus,
-        index: InvertedIndex,
-        params: Bm25Params = Bm25Params(),
+        postings: Mapping[int, Mapping[str, int]],
+        params: Bm25Params,
     ) -> None:
         self.corpus = corpus
-        self.index = index
-        self.params = params
+        self.postings = {t: dict(p) for t, p in postings.items()}
+        k1, b = params.k1, params.b
+        # k1 * norm per document; empty documents have no postings.
+        k1_norm = {
+            doc.id: k1 * (1.0 - b + b * doc.length / corpus.avgdl)
+            for doc in corpus.documents()
+            if doc.length
+        }
+        # doc id -> {term id: w(t,d)}
+        self._impacts: dict[str, dict[int, float]] = {d: {} for d in corpus.doc_ids()}
+        for term_id, row in self.postings.items():
+            idf = self.idf(term_id)
+            for doc_id, tf in row.items():
+                w = idf * tf * (k1 + 1.0) / (tf + k1_norm[doc_id])
+                self._impacts[doc_id][term_id] = w
 
     def idf(self, term_id: int) -> float:
-        df = self.index.df(term_id)
+        df = len(self.postings.get(term_id, ()))
         n = self.corpus.n_docs
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
-    def _weight(self, term_id: int, tf: int, doc_len: int) -> float:
-        k1, b = self.params.k1, self.params.b
-        norm = 1.0 - b + b * doc_len / self.corpus.avgdl
-        return self.idf(term_id) * tf * (k1 + 1.0) / (tf + k1 * norm)
-
     def bm25_score(self, query_ids: Sequence[int], doc_id: str) -> float:
-        """rel(q, d) for one document; 0.0 when no query term matches."""
-        doc_len = self.index.doc_len[doc_id]
+        """rel(q, d) for one document; 0.0 when no query term matches.
+
+        The one scoring kernel: ``score`` is this method and ``search``
+        ranks with it. The impacts are added left to right in query-token
+        order; ``sum`` would round differently on Python >= 3.12.
+        """
+        impacts = self._impacts[doc_id]
         score = 0.0
         for term_id in query_ids:
-            tf = self.index.tf(term_id, doc_id)
-            if tf:
-                score += self._weight(term_id, tf, doc_len)
+            score += impacts.get(term_id, 0.0)
         return score
 
     # The scorer protocol used by the editor and the evaluation harness.
-    def score(self, query_ids: Sequence[int], doc_id: str) -> float:
-        return self.bm25_score(query_ids, doc_id)
+    score = bm25_score
 
     def search(self, query_ids: Sequence[int], k: int) -> Ranking:
         """Top-k documents by bm25_score, ties broken by ascending doc id.
@@ -252,19 +197,48 @@ class Bm25SearchModel:
             raise ValueError("k must be >= 1")
         if self.corpus.n_docs == 0:
             raise ValueError("empty corpus")
-        scores: dict[str, float] = {}
-        # Accumulate in query-token order so the sum matches bm25_score
-        # float-for-float.
-        for term_id in query_ids:
-            for doc_id, tf in self.index.postings.get(term_id, {}).items():
-                w = self._weight(term_id, tf, self.index.doc_len[doc_id])
-                scores[doc_id] = scores.get(doc_id, 0.0) + w
-        ranked = sorted(scores.items(), key=lambda e: (-e[1], e[0]))
+        matched = {d for t in set(query_ids) for d in self.postings.get(t, ())}
+        ranked = sorted(
+            ((d, self.bm25_score(query_ids, d)) for d in matched),
+            key=lambda e: (-e[1], e[0]),
+        )
         if len(ranked) < k:
-            matched = set(scores)
             zeros = [d for d in sorted(self.corpus.doc_ids()) if d not in matched]
             ranked.extend((d, 0.0) for d in zeros)
         return Ranking(tuple(query_ids), tuple(ranked[:k]))
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """CSR postings: per term id, the documents as positions in
+        ascending doc-id order, with their term frequencies. Document
+        lengths come from the corpus. Impacts are not stored: they depend
+        on k1 and b, which the build fingerprint does not cover."""
+        position = {d: i for i, d in enumerate(sorted(self.corpus.doc_ids()))}
+        terms = sorted(self.postings)
+        rows = [self.postings[t] for t in terms]
+        docs = [position[doc_id] for row in rows for doc_id in row]
+        tfs = [tf for row in rows for tf in row.values()]
+        return {
+            "index.terms": np.array(terms, dtype=np.int32),
+            "index.indptr": np.cumsum([0] + [len(row) for row in rows]),
+            "index.docs": np.array(docs, dtype=np.int32),
+            "index.tfs": np.array(tfs, dtype=np.int32),
+        }
+
+    @classmethod
+    def from_arrays(
+        cls, arrays: Mapping[str, np.ndarray], corpus: Corpus, params: Bm25Params
+    ) -> "Bm25SearchModel":
+        doc_ids = sorted(corpus.doc_ids())
+        indptr = arrays["index.indptr"].tolist()
+        docs = [doc_ids[i] for i in arrays["index.docs"].tolist()]
+        tfs = arrays["index.tfs"].tolist()
+        postings = {
+            term_id: dict(zip(docs[start:end], tfs[start:end]))
+            for term_id, start, end in zip(
+                arrays["index.terms"].tolist(), indptr, indptr[1:]
+            )
+        }
+        return cls(corpus, postings, params)
 
     def query_representation(self, query_ids: Sequence[int]) -> dict[int, float]:
         """L2-normalized sparse idf*tf vector over the vocabulary.
@@ -282,3 +256,16 @@ class Bm25SearchModel:
             logger.debug("query has no scoreable terms; zero representation")
             return {}
         return {t: w / norm for t, w in sorted(weights.items())}
+
+
+def build_index(
+    corpus: Corpus, vocab: Vocabulary, params: Bm25Params
+) -> Bm25SearchModel:
+    postings: dict[int, dict[str, int]] = {}
+    for doc_id in sorted(corpus.doc_ids()):
+        counts: Counter[int] = Counter(vocab.encode(corpus[doc_id].tokens))
+        for term_id, tf in counts.items():
+            if term_id in SPECIAL_IDS:
+                continue
+            postings.setdefault(term_id, {})[doc_id] = tf
+    return Bm25SearchModel(corpus, postings, params)

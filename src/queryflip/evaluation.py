@@ -357,34 +357,9 @@ def evaluate(
     runs are byte-identical. Triplets may be processed by several worker
     threads; records are emitted in input order regardless.
     """
-    if not triplets:
-        raise ValueError("no triplets to evaluate")
-    if timing not in ("wall", "off"):
-        raise ValueError(f"unknown timing mode: {timing}")
-
-    def work(item: tuple[int, Triplet]) -> EvalRecord:
-        index, triplet = item
-        start = time.perf_counter()
-        result = run_method(triplet, method, ctx, beam_width, max_masks)
-        elapsed = time.perf_counter() - start if timing == "wall" else 0.0
-        return _record_for(index, triplet, result, ctx, elapsed)
-
-    items = list(enumerate(triplets))
-    if workers <= 1:
-        records = [work(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(work, items))
-    records.sort(key=lambda r: r.index)
-
-    report = EvalReport(
-        method=method,
-        records=records,
-        aggregates=aggregate_records(records),
-        by_rank=_breakdown_by_rank(records),
-        meta={"beam": beam_width, "timing": timing, **(meta or {})},
-    )
-    return report
+    return beam_sweep(
+        triplets, [beam_width], ctx, max_masks, workers, timing, meta, method
+    )[0]
 
 
 def _record_for(
@@ -427,24 +402,49 @@ def beam_sweep(
     workers: int = 1,
     timing: str = "wall",
     meta: dict[str, Any] | None = None,
+    method: str = "cfe2",
 ) -> list[EvalReport]:
-    """One cfe2 report per beam size, in the order given."""
+    """One report per beam size, in the order given (``evaluate`` is the
+    one-size case). Each triplet is edited at every size in turn, so a
+    change in host speed during the run hits all sizes alike, and the
+    size it starts with rotates, so the extra cost of a triplet's first
+    edit (cold caches) is shared by all sizes too."""
     if not sizes:
         raise ValueError("no beam sizes")
     if any(b < 1 for b in sizes):
         raise ValueError("beam sizes must be >= 1")
+    if not triplets:
+        raise ValueError("no triplets to evaluate")
+    if timing not in ("wall", "off"):
+        raise ValueError(f"unknown timing mode: {timing}")
+    n = len(sizes)
+
+    def work(item: tuple[int, Triplet]) -> list[EvalRecord]:
+        index, triplet = item
+        records: dict[int, EvalRecord] = {}
+        for k in range(index, index + n):
+            start = time.perf_counter()
+            result = run_method(triplet, method, ctx, sizes[k % n], max_masks)
+            elapsed = time.perf_counter() - start if timing == "wall" else 0.0
+            records[k % n] = _record_for(index, triplet, result, ctx, elapsed)
+        return [records[k] for k in range(n)]
+
+    items = list(enumerate(triplets))
+    if workers <= 1:
+        rows = [work(item) for item in items]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(work, items))  # in input order
+
     return [
-        evaluate(
-            triplets,
-            "cfe2",
-            ctx,
-            beam_width=b,
-            max_masks=max_masks,
-            workers=workers,
-            timing=timing,
-            meta=meta,
+        EvalReport(
+            method=method,
+            records=list(records),
+            aggregates=aggregate_records(records),
+            by_rank=_breakdown_by_rank(records),
+            meta={"beam": size, "timing": timing, **(meta or {})},
         )
-        for b in sizes
+        for size, records in zip(sizes, zip(*rows))
     ]
 
 

@@ -1,7 +1,7 @@
 """Build, persist, and load the full model stack; wire up eval contexts.
 
 The stack bundles everything derived from one corpus: the corpus store,
-vocabulary, inverted index, BM25 model, embedding table, and n-gram LM.
+vocabulary, BM25 model with its postings, embedding table, and n-gram LM.
 The persisted stack embeds the build fingerprint of the config and
 corpus that produced it; loading with a different config is an error.
 """
@@ -22,7 +22,6 @@ from .corpus import (
     Bm25SearchModel,
     Corpus,
     Document,
-    InvertedIndex,
     build_index,
     ingest_corpus,
 )
@@ -57,7 +56,6 @@ class ArtifactError(RuntimeError):
 class Stack:
     corpus: Corpus
     vocab: Vocabulary
-    index: InvertedIndex
     search: Bm25SearchModel
     table: EmbeddingTable
     lm: NgramLM
@@ -85,13 +83,12 @@ def build_stack(corpus: Corpus, config: RunConfig) -> Stack:
     vocab = build_vocabulary(
         (doc.tokens for doc in corpus.documents()), config.min_count
     )
-    index = build_index(corpus, vocab)
-    search = Bm25SearchModel(corpus, index, Bm25Params(config.k1, config.b_bm25))
+    search = build_index(corpus, vocab, Bm25Params(config.k1, config.b_bm25))
     dim = min(config.embed_dim, max(2, vocab.content_size))
     table = train_embeddings(corpus, vocab, dim=dim, window=config.embed_window)
     lm = train_ngram(corpus, vocab, order=config.lm_order, k=config.lm_k)
     fingerprint = build_fingerprint(config.build_params(), corpus_digest(corpus))
-    return Stack(corpus, vocab, index, search, table, lm, fingerprint)
+    return Stack(corpus, vocab, search, table, lm, fingerprint)
 
 
 def build_stack_from_file(path: str, config: RunConfig) -> Stack:
@@ -105,7 +102,7 @@ def build_stack_from_file(path: str, config: RunConfig) -> Stack:
 # The whole stack lives in one uncompressed ``.npz``: the corpus (ids and
 # texts as UTF-8 buffers with offsets), one build fingerprint, and the
 # arrays each component writes with ``to_arrays`` and reads back with
-# ``from_arrays``. The BM25 model is cheap to rebuild and is not stored.
+# ``from_arrays``. The BM25 model stores its tf postings, not its impacts.
 
 
 def save_stack(stack: Stack, config: RunConfig) -> None:
@@ -130,7 +127,7 @@ def save_stack(stack: Stack, config: RunConfig) -> None:
             fingerprint=np.array(stack.fingerprint),
             **corpus_arrays,
             **stack.vocab.to_arrays(),
-            **stack.index.to_arrays(),
+            **stack.search.to_arrays(),
             **stack.table.to_arrays(),
             **stack.lm.to_arrays(),
         )
@@ -167,7 +164,9 @@ def load_stack(config: RunConfig) -> Stack:
                 f"config ({expected}); re-run `queryflip index`"
             )
         vocab = Vocabulary.from_arrays(arrays)
-        index = InvertedIndex.from_arrays(arrays, corpus)
+        search = Bm25SearchModel.from_arrays(
+            arrays, corpus, Bm25Params(config.k1, config.b_bm25)
+        )
         table = EmbeddingTable.from_arrays(arrays)
         lm = NgramLM.from_arrays(arrays)
     except KeyError as exc:
@@ -184,8 +183,7 @@ def load_stack(config: RunConfig) -> Stack:
             f"{STACK_FILE} n-gram model has {lm.n_candidates} candidates for "
             f"{vocab.content_size} content tokens"
         )
-    search = Bm25SearchModel(corpus, index, Bm25Params(config.k1, config.b_bm25))
-    return Stack(corpus, vocab, index, search, table, lm, expected)
+    return Stack(corpus, vocab, search, table, lm, expected)
 
 
 # ---------------------------------------------------------------------------

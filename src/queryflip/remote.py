@@ -264,10 +264,13 @@ class RemotePredictor:
         )
         if len(body["tokens"]) > top:
             raise ProtocolError(f"more than {top} predictions returned")
-        entries = tuple(
-            (self.vocab.id(surface), float(prob))
-            for surface, prob in zip(body["tokens"], body["probs"])
-        )
+        ids = [self.vocab.id(surface) for surface in body["tokens"]]
+        for surface, token_id in zip(body["tokens"], ids):
+            if token_id in SPECIAL_IDS:  # out-of-vocabulary surfaces map to UNK
+                raise ProtocolError(f"predicted a non-content token: {surface!r}")
+        if len(set(ids)) != len(ids):
+            raise ProtocolError("predicted tokens repeat")
+        entries = tuple(zip(ids, map(float, body["probs"])))
         return PredictionDistribution(position, entries)
 
 

@@ -9,20 +9,25 @@ from queryflip.cli import main
 from conftest import SAMPLE_LINES
 
 
-@pytest.fixture()
-def workdir(tmp_path):
-    corpus = tmp_path / "corpus.jsonl"
+def _write_inputs(run_dir):
+    """The sample corpus plus a config with absolute paths into ``run_dir``."""
+    corpus = run_dir / "corpus.jsonl"
     corpus.write_text("\n".join(SAMPLE_LINES) + "\n")
-    config = tmp_path / "config.json"
+    config = run_dir / "config.json"
     config.write_text(json.dumps({
         "corpus": str(corpus),
-        "artifacts": str(tmp_path / "artifacts"),
-        "out_dir": str(tmp_path / "reports"),
+        "artifacts": str(run_dir / "artifacts"),
+        "out_dir": str(run_dir / "reports"),
         "embed_dim": 4,
         "embed_window": 2,
         "timing": "off",
     }))
-    return tmp_path, config
+    return config
+
+
+@pytest.fixture()
+def workdir(tmp_path):
+    return tmp_path, _write_inputs(tmp_path)
 
 
 def _run(*argv) -> int:
@@ -104,6 +109,20 @@ def test_edit_elapsed_follows_timing(workdir, capsys, timing):
     assert (elapsed == 0.0) == (timing == "off")
 
 
+def test_edit_timing_flag_without_config_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(SAMPLE_LINES) + "\n")
+    paths = ("--corpus", corpus, "--artifacts", tmp_path / "artifacts")
+    assert _run("index", *paths) == 0
+    capsys.readouterr()
+    code = _run(
+        "edit", *paths, "--timing", "off",
+        "--query", "apple recipe", "--doc", "d1", "--counter", "d3",
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out.strip())["elapsed_s"] == 0.0
+
+
 @pytest.mark.parametrize(
     "bad_line, message",
     [
@@ -171,3 +190,19 @@ def test_sweep_beam_writes_one_report_per_size(workdir, capsys):
     assert code == 0
     assert (tmp / "reports" / "sweep_b1.json").exists()
     assert (tmp / "reports" / "sweep_b3.json").exists()
+
+
+def test_eval_report_identical_across_run_directories(tmp_path):
+    reports = []
+    for name in ("one", "two"):
+        run = tmp_path / name
+        run.mkdir()
+        config = _write_inputs(run)
+        queries = run / "queries.txt"
+        queries.write_text("apple recipe\nbanana bread\n")
+        assert _run("index", "--config", config) == 0
+        assert _run("eval", "--config", config, "--queries", queries,
+                    "--top-k", "3") == 0
+        reports.append((run / "reports" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert str(tmp_path).encode() not in reports[0]

@@ -3,11 +3,12 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from queryflip.corpus import Bm25Params, ingest_corpus
-from queryflip.text import UNK_ID
+from queryflip.corpus import Bm25Params, build_index, ingest_corpus
+from queryflip.text import SPECIAL_IDS, UNK_ID, build_vocabulary
 
 from conftest import SAMPLE_LINES
 
@@ -169,3 +170,50 @@ def test_bad_params_rejected():
 def test_search_rejects_bad_k(sample_stack):
     with pytest.raises(ValueError):
         sample_stack.search.search([3], 0)
+
+
+def _okapi(corpus, vocab, params, query_ids, doc_id):
+    """Okapi BM25 recomputed from the corpus on every call, term by term."""
+    k1, b = params.k1, params.b
+    encoded = {d.id: vocab.encode(d.tokens) for d in corpus.documents()}
+    df = Counter(t for doc_ids in encoded.values() for t in set(doc_ids))
+    doc_tf = Counter(encoded[doc_id])
+    norm = 1.0 - b + b * corpus[doc_id].length / corpus.avgdl
+    score = 0.0
+    for term_id in query_ids:
+        tf = 0 if term_id in SPECIAL_IDS else doc_tf[term_id]
+        if tf:
+            n, n_t = corpus.n_docs, df[term_id]
+            idf = math.log(1.0 + (n - n_t + 0.5) / (n_t + 0.5))
+            score += idf * tf * (k1 + 1.0) / (tf + k1 * norm)
+    return score
+
+
+def test_score_equals_per_call_okapi_on_random_corpora():
+    rng = random.Random(11)
+    words = [f"w{i}" for i in range(30)]
+    for _ in range(20):
+        texts = [
+            " ".join(rng.choices(words[: rng.randint(3, 30)], k=rng.randint(0, 25)))
+            for _ in range(rng.randint(2, 12))
+        ]
+        corpus = ingest_corpus(
+            json.dumps({"id": f"d{i:02d}", "text": t}) for i, t in enumerate(texts)
+        )
+        if corpus.avgdl == 0.0:
+            continue
+        vocab = build_vocabulary(
+            (d.tokens for d in corpus.documents()), rng.choice((1, 2))
+        )
+        params = Bm25Params(k1=rng.uniform(0.1, 3.0), b=rng.choice((0.0, 0.75, 1.0)))
+        search = build_index(corpus, vocab, params)
+        for _ in range(10):
+            # specials, ids past the vocabulary and repeated terms included
+            query = rng.choices(range(len(vocab) + 3), k=rng.randint(1, 8))
+            query += rng.choices(query, k=rng.randint(0, 3))
+            for doc_id in corpus.doc_ids():
+                expected = _okapi(corpus, vocab, params, query, doc_id)
+                assert search.score(query, doc_id) == expected
+                assert search.bm25_score(query, doc_id) == expected
+            for doc_id, score in search.search(query, corpus.n_docs).entries:
+                assert score == _okapi(corpus, vocab, params, query, doc_id)

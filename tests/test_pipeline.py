@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,23 @@ def test_config_hash_ignores_workers():
     assert one.config_hash() != RunConfig(beam=3).config_hash()
 
 
+def test_result_dict_drops_paths_and_credentials():
+    config = RunConfig(
+        corpus="/data/corpus.jsonl",
+        artifacts="/data/artifacts",
+        out_dir="/data/reports",
+        backends={
+            "score": {"url": "http://scorer", "token": "s3cret"},
+            "embed": {"url": "http://embedder", "token": "s3cret"},
+        },
+    )
+    meta = json.dumps(config.result_dict())
+    assert "s3cret" not in meta and "/data" not in meta
+    assert config.result_dict()["backends"] == ["embed", "score"]
+    moved = config.with_overrides(corpus="c.jsonl", artifacts="a", out_dir="r")
+    assert moved.config_hash() == config.config_hash()
+
+
 def test_overrides_revalidate():
     config = RunConfig()
     assert config.with_overrides(beam=4).beam == 4
@@ -62,13 +81,32 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.corpus.doc_ids() == stack.corpus.doc_ids()
     assert loaded.vocab.content_surfaces() == stack.vocab.content_surfaces()
     assert np.array_equal(loaded.table.vectors, stack.table.vectors)
-    assert loaded.index.postings == stack.index.postings
+    assert loaded.search.postings == stack.search.postings
 
     q = stack.vocab.encode(["apple", "recipe"])
     assert loaded.search.score(q, "d1") == stack.search.score(q, "d1")
     assert perplexity(q, loaded.lm) == perplexity(q, stack.lm)
     saved, read = stack.lm.to_arrays(), loaded.lm.to_arrays()
     assert all(np.array_equal(saved[name], read[name]) for name in saved)
+
+
+def test_load_with_other_bm25_params_scores_like_a_fresh_build(tmp_path):
+    # Unequal lengths and tf > 1, so k1 and b change the scores.
+    lines = [
+        json.dumps({"id": "d1", "text": "apple apple pie recipe"}),
+        json.dumps({"id": "d2", "text": "apple tree orchard orchard green"}),
+        json.dumps({"id": "d3", "text": "banana bread recipe"}),
+    ]
+    config = sample_config(artifacts=str(tmp_path / "artifacts"))
+    save_stack(build_stack(ingest_corpus(lines), config), config)
+    retuned = config.with_overrides(k1=0.6, b_bm25=0.2)
+    loaded = load_stack(retuned)
+    built = build_stack(ingest_corpus(lines), retuned)
+    default = load_stack(config)
+    q = built.vocab.encode(["apple", "apple", "recipe", "orchard", "zzz"])
+    for doc_id in built.corpus.doc_ids():
+        assert loaded.search.score(q, doc_id) == built.search.score(q, doc_id)
+        assert loaded.search.score(q, doc_id) != default.search.score(q, doc_id)
 
 
 def test_load_missing_artifacts_instructs(tmp_path):

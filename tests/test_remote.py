@@ -75,6 +75,33 @@ def test_remote_predictor_matches_builtin(sample_stack, stub):
     assert remote.predict(masked, 0, 5) == builtin.predict(masked, 0, 5)
 
 
+@pytest.mark.parametrize(
+    "tokens, message",
+    [
+        (["apple", "[MASK]"], r"non-content token: '\[MASK\]'"),
+        (["[PAD]", "apple"], r"non-content token: '\[PAD\]'"),
+        (["apple", "[UNK]"], r"non-content token: '\[UNK\]'"),
+        (["apple", "xylophone"], "non-content token: 'xylophone'"),
+        (["apple", "apple"], "repeat"),
+    ],
+    ids=["mask", "pad", "unk", "out_of_vocabulary", "repeat"],
+)
+def test_remote_predictor_rejects_non_content_and_repeats(
+    sample_stack, stub, tokens, message
+):
+    stub.override = {"tokens": tokens, "probs": [0.5, 0.25]}
+    predictor = RemotePredictor(
+        _endpoint(stub, "predict"), sample_stack.vocab,
+        sample_stack.corpus["d3"].text,
+    )
+    masked = tuple([MASK_ID] + ids(sample_stack, "recipe"))
+    try:
+        with pytest.raises(ProtocolError, match=message):
+            predictor.predict(masked, 0, 2)
+    finally:
+        stub.override = None
+
+
 def test_remote_embedder_matches_builtin(sample_stack, stub):
     embedder = RemoteEmbedder(_endpoint(stub, "embed"), sample_stack.vocab)
     q = ids(sample_stack, "apple banana")
