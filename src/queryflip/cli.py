@@ -39,7 +39,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         name: getattr(args, name)
         for name in (
             "corpus", "artifacts", "out_dir", "beam", "lam", "masker",
-            "top_k", "seed", "workers", "timing", "max_masks",
+            "top_k", "workers", "timing", "max_masks",
         )
         if hasattr(args, name)
     }
@@ -138,7 +138,6 @@ def _eval_meta(config: RunConfig) -> dict:
         "config_hash": config.config_hash(),
         "lam": config.lam,
         "masker": config.masker,
-        "seed": config.seed,
     }
 
 

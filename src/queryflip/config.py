@@ -43,7 +43,6 @@ class RunConfig:
     # remote backends: role -> {url, timeout_ms, retries, token}
     backends: dict[str, dict[str, Any]] = field(default_factory=dict)
     # run behaviour
-    seed: int = 0
     workers: int | None = None  # None: use available parallelism
     timing: str = "wall"
 
@@ -136,7 +135,6 @@ class RunConfig:
             "embed_window": self.embed_window,
             "lm_order": self.lm_order,
             "lm_k": self.lm_k,
-            "seed": self.seed,
         }
 
 

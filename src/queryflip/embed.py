@@ -38,9 +38,6 @@ class EmbeddingTable:
         if not np.all(np.abs(norms - 1.0) < 1e-6):
             raise ValueError("all stored vectors must be unit-norm")
 
-    def vector(self, token_id: int) -> np.ndarray:
-        return self.vectors[token_id]
-
     def vectors_for(self, token_ids: Sequence[int]) -> np.ndarray:
         return self.vectors[np.asarray(token_ids, dtype=np.intp)]
 

@@ -1,16 +1,16 @@
 """N-gram language model: masked-slot word prediction and perplexity.
 
-The model is the statistical backbone of the editor. Prediction for a
-masked query slot interpolates the n-gram conditional (left context
-within the query) with the add-k-smoothed unigram distribution of the
-target document, which is how the target document conditions what gets
-written into the slot. Perplexity is exp of the mean negative log
-likelihood, natural base.
+The model, one immutable count table sorted by context and then target,
+is the statistical backbone of the editor. Prediction for a masked query
+slot interpolates the n-gram conditional (left context within the query)
+with the add-k-smoothed unigram distribution of the target document,
+which is how the target document conditions what gets written into the
+slot. Perplexity is exp of the mean negative log likelihood, natural base.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import exp, log
 from typing import Mapping, Sequence
@@ -46,77 +46,80 @@ class PredictionDistribution:
 
 
 class NgramLM:
-    """Add-k-smoothed n-gram counts over the content vocabulary.
+    """Add-k-smoothed n-gram model; immutable, so concurrent reads are safe.
 
-    Contexts are (order-1)-tuples of token ids, BOS-padded at sentence
-    starts. Only content tokens are ever predicted; the candidate space
-    has ``n_candidates`` tokens with contiguous ids starting at
+    One count table: ``grams`` (int32, ``(n, order)``: the order-1 context
+    ids, then the target) and ``counts`` (int32, ``(n,)``), rows strictly
+    increasing by context, then target. Contexts are BOS-padded at sentence
+    starts. Only content tokens are ever predicted; the candidate space has
+    ``n_candidates`` tokens with contiguous ids starting at
     FIRST_CONTENT_ID. Probability of a non-candidate target (a special
     token appearing inside a scored sequence) is the add-k floor of an
     unseen token, so perplexity stays defined for PAD-bearing sequences.
-    Immutable after training; concurrent reads are safe.
     """
 
-    def __init__(self, order: int, k: float, n_candidates: int) -> None:
+    def __init__(
+        self,
+        order: int,
+        k: float,
+        n_candidates: int,
+        grams: np.ndarray,
+        counts: np.ndarray,
+    ) -> None:
         if order < 1:
             raise ValueError("order must be >= 1")
         if not k > 0:
             raise ValueError("smoothing constant k must be > 0")
         if n_candidates < 1:
             raise ValueError("candidate vocabulary is empty")
+        if grams.shape[1:] != (order,):
+            raise ValueError(f"n-gram contexts must hold order-1 = {order - 1} ids")
+        if counts.shape != grams.shape[:1]:
+            raise ValueError(f"{len(grams)} n-gram rows but counts {counts.shape}")
+        if (counts < 1).any():
+            raise ValueError("n-gram counts must be >= 1")
+        candidate = grams[:, -1] - FIRST_CONTENT_ID
+        if ((candidate < 0) | (candidate >= n_candidates)).any():
+            raise ValueError("n-gram target outside the candidate ids")
+        step = np.diff(grams.astype(np.int64), axis=0)
+        if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
+            raise ValueError("n-gram rows not sorted strictly by context, then target")
         self.order = order
         self.k = k
         self.n_candidates = n_candidates
-        # Defaults serve _observe; every read goes through .get().
-        self._counts: defaultdict[tuple[int, ...], Counter[int]] = defaultdict(Counter)
-        self._totals: defaultdict[tuple[int, ...], int] = defaultdict(int)
+        self.grams = grams
+        self.counts = counts
+        # Each context's rows form one run: context -> (start, end, total).
+        starts = np.flatnonzero(np.r_[True, step[:, :-1].any(axis=1)][: len(grams)])
+        ends = np.append(starts[1:], len(grams))
+        totals = np.add.reduceat(counts.astype(np.int64), starts)
+        keys = map(tuple, grams[starts, :-1].tolist())
+        runs = zip(starts.tolist(), ends.tolist(), totals.tolist())
+        self._runs = dict(zip(keys, runs))
+        self._targets: list[int] = grams[:, -1].tolist()
+        self._counts: list[int] = counts.tolist()
         self._dist_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """Settings plus one (context, target, count) row per observed n-gram."""
-        grams = [
-            (context, target, count)
-            for context, counter in self._counts.items()
-            for target, count in counter.items()
-        ]
-        contexts, targets, counts = zip(*grams)
+        """Settings plus the count table, split into contexts and targets."""
         return {
             "lm.order": np.array(self.order),
             "lm.k": np.array(self.k),
             "lm.n_candidates": np.array(self.n_candidates),
-            "lm.contexts": np.array(contexts, dtype=np.int32),
-            "lm.targets": np.array(targets, dtype=np.int32),
-            "lm.counts": np.array(counts, dtype=np.int32),
+            "lm.contexts": self.grams[:, :-1],
+            "lm.targets": self.grams[:, -1],
+            "lm.counts": self.counts,
         }
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "NgramLM":
-        lm = cls(
+        return cls(
             int(arrays["lm.order"]),
             float(arrays["lm.k"]),
             int(arrays["lm.n_candidates"]),
+            np.column_stack((arrays["lm.contexts"], arrays["lm.targets"])),
+            arrays["lm.counts"],
         )
-        for context, target, count in zip(
-            arrays["lm.contexts"].tolist(),
-            arrays["lm.targets"].tolist(),
-            arrays["lm.counts"].tolist(),
-        ):
-            lm._observe(tuple(context), target, count)
-        return lm
-
-    def _observe(self, context: tuple[int, ...], target: int, count: int = 1) -> None:
-        self._counts[context][target] += count
-        self._totals[context] += count
-
-    def train_sequence(self, token_ids: Sequence[int]) -> None:
-        ctx_len = self.order - 1
-        padded = [BOS] * ctx_len + list(token_ids)
-        for pos, target in enumerate(token_ids):
-            if target < FIRST_CONTENT_ID:
-                continue  # specials (UNK) are context, never targets
-            context = tuple(padded[pos : pos + ctx_len])
-            self._observe(context, target)
-        self._dist_cache.clear()
 
     def context_at(self, token_ids: Sequence[int], position: int) -> tuple[int, ...]:
         """BOS-padded (order-1)-token context preceding ``position``."""
@@ -127,8 +130,9 @@ class NgramLM:
 
     def prob(self, token_id: int, context: tuple[int, ...]) -> float:
         """P(token | context) with add-k smoothing over the candidates."""
-        total = self._totals.get(context, 0)
-        count = self._counts.get(context, {}).get(token_id, 0)
+        start, end, total = self._runs.get(context, (0, 0, 0))
+        i = bisect_left(self._targets, token_id, start, end)
+        count = self._counts[i] if i < end and self._targets[i] == token_id else 0
         return (count + self.k) / (total + self.k * self.n_candidates)
 
     def distribution(self, context: tuple[int, ...]) -> np.ndarray:
@@ -136,10 +140,10 @@ class NgramLM:
         cached = self._dist_cache.get(context)
         if cached is not None:
             return cached
+        start, end, total = self._runs.get(context, (0, 0, 0))
         dist = np.full(self.n_candidates, self.k, dtype=np.float64)
-        for token_id, count in self._counts.get(context, {}).items():
-            dist[token_id - FIRST_CONTENT_ID] += count
-        dist /= self._totals.get(context, 0) + self.k * self.n_candidates
+        dist[self.grams[start:end, -1] - FIRST_CONTENT_ID] += self.counts[start:end]
+        dist /= total + self.k * self.n_candidates
         self._dist_cache[context] = dist
         return dist
 
@@ -150,10 +154,16 @@ def train_ngram(
     """Count n-grams over every document, BOS-padded at document starts."""
     if corpus.n_docs == 0:
         raise ValueError("empty corpus")
-    lm = NgramLM(order, k, vocab.content_size)
+    stream: list[int] = []
     for doc in corpus.documents():
-        lm.train_sequence(vocab.encode(doc.tokens))
-    return lm
+        stream += [BOS] * (order - 1) + vocab.encode(doc.tokens)
+    ids = np.array(stream, dtype=np.int32)
+    # One pass over one stream: each content id is the target of the window
+    # of ``order`` ids ending at it. Specials (UNK) are context, never targets.
+    ends = np.flatnonzero(ids >= FIRST_CONTENT_ID)
+    windows = ids[ends[:, None] + np.arange(1 - order, 1)]
+    grams, counts = np.unique(windows, axis=0, return_counts=True)
+    return NgramLM(order, k, vocab.content_size, grams, counts.astype(np.int32))
 
 
 def perplexity(token_ids: Sequence[int], lm: NgramLM) -> float:

@@ -41,11 +41,6 @@ def tokenize(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
-def detokenize(tokens: Sequence[str]) -> str:
-    """Join tokens with single spaces (inverse of tokenize on its outputs)."""
-    return " ".join(tokens)
-
-
 def pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Strings as one UTF-8 byte buffer plus ``len + 1`` offsets into it."""
     encoded = [s.encode("utf-8") for s in strings]

@@ -107,10 +107,10 @@ def test_paired_tokens_most_similar():
     corpus, vocab = _corpus(PAIR_TEXTS)
     table = train_embeddings(corpus, vocab, dim=4, window=2)
     a, b, c, d = (vocab.id(s) for s in "abcd")
-    cos_ab = float(np.dot(table.vector(a), table.vector(b)))
+    cos_ab = float(np.dot(table.vectors[a], table.vectors[b]))
     assert cos_ab == pytest.approx(COS_AB_EXPECTED, abs=1e-9)
     for other in (c, d):
-        cos_other = float(np.dot(table.vector(a), table.vector(other)))
+        cos_other = float(np.dot(table.vectors[a], table.vectors[other]))
         assert cos_ab > cos_other
         assert cos_other == pytest.approx(0.0, abs=1e-9)
 
@@ -147,4 +147,4 @@ def test_dim_above_vocab_rejected():
 def test_unk_vector_defined():
     corpus, vocab = _corpus(PAIR_TEXTS)
     table = train_embeddings(corpus, vocab, dim=4, window=2)
-    assert np.linalg.norm(table.vector(UNK_ID)) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.norm(table.vectors[UNK_ID]) == pytest.approx(1.0, abs=1e-9)

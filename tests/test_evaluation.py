@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from queryflip.editor import Triplet, check_flip
@@ -142,7 +143,7 @@ def test_fluency_identity_exact(sample_stack):
 def test_fluency_uniform_lm_is_one():
     from queryflip.lm import NgramLM
 
-    lm = NgramLM(order=2, k=0.5, n_candidates=4)
+    lm = NgramLM(2, 0.5, 4, np.empty((0, 2), np.int32), np.empty(0, np.int32))
     ppl = lambda seq: perplexity(seq, lm)  # noqa: E731
     assert fluency_metric([3, 4], [5, 6, 3], ppl) == pytest.approx(1.0, abs=1e-12)
 

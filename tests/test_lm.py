@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import random
+from collections import Counter, defaultdict
 
+import numpy as np
 import pytest
 
 from queryflip.corpus import ingest_corpus
@@ -53,7 +56,7 @@ def test_distributions_normalize():
 
 def test_perplexity_uniform_lm_is_vocab_size():
     # an untrained model is uniform over its candidates
-    lm = NgramLM(order=2, k=0.1, n_candidates=4)
+    lm = NgramLM(2, 0.1, 4, np.empty((0, 2), np.int32), np.empty(0, np.int32))
     seq = [FIRST_CONTENT_ID, FIRST_CONTENT_ID + 1, FIRST_CONTENT_ID + 3]
     assert perplexity(seq, lm) == pytest.approx(4.0, abs=1e-9)
 
@@ -81,11 +84,15 @@ def test_perplexity_rejects_empty():
 
 
 def test_perplexity_unigram_length_invariance():
-    lm, vocab = _bigram_ab()
-    unigram = NgramLM(order=1, k=0.1, n_candidates=2)
+    lines = [
+        json.dumps({"id": "d1", "text": "a b"}),
+        json.dumps({"id": "d2", "text": "a a b"}),
+    ]
+    corpus = ingest_corpus(lines)
+    vocab = build_vocabulary((d.tokens for d in corpus.documents()), 1)
+    unigram = train_ngram(corpus, vocab, order=1, k=0.1)
+    assert unigram.n_candidates == 2
     a, b = vocab.id("a"), vocab.id("b")
-    unigram.train_sequence([a, b])
-    unigram.train_sequence([a, a, b])
     seq = [a, b, b, a]
     assert perplexity(seq + seq, unigram) == pytest.approx(
         perplexity(seq, unigram), abs=1e-9
@@ -99,6 +106,78 @@ def test_special_target_scored_at_unseen_floor():
     # sequences containing it stay scoreable (and expensive).
     assert lm.prob(PAD_ID, (a,)) == pytest.approx(0.1 / 2.2, abs=1e-12)
     assert perplexity([a, PAD_ID], lm) > perplexity([a, vocab.id("b")], lm)
+
+
+def reference_counts(corpus, vocab, order):
+    """Per-n-gram counting with one Counter per context, in first-seen order.
+
+    The reference train_ngram must agree with: each document BOS-padded,
+    specials kept as context but never counted as targets.
+    """
+    counts = defaultdict(Counter)
+    totals = defaultdict(int)
+    ctx_len = order - 1
+    for doc in corpus.documents():
+        token_ids = vocab.encode(doc.tokens)
+        padded = [BOS] * ctx_len + token_ids
+        for pos, target in enumerate(token_ids):
+            if target < FIRST_CONTENT_ID:
+                continue
+            context = tuple(padded[pos : pos + ctx_len])
+            counts[context][target] += 1
+            totals[context] += 1
+    return counts, totals
+
+
+def _random_corpus(rng):
+    words = [f"w{i}" for i in range(8)]
+    lines = []
+    for i in range(12):
+        tokens = rng.choices(words, weights=range(8, 0, -1), k=rng.randint(0, 8))
+        if i == 0:
+            tokens = []
+        if i == 5:
+            # A word seen once: UNK under min_count 2, and context to "w0".
+            tokens += [f"once{rng.randrange(10**6)}", "w0"]
+        lines.append(json.dumps({"id": f"d{i}", "text": " ".join(tokens)}))
+    return ingest_corpus(lines)
+
+
+@pytest.mark.parametrize("min_count", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_train_ngram_matches_counter_reference(order, min_count):
+    rng = random.Random(order * 10 + min_count)
+    for _ in range(5):
+        corpus = _random_corpus(rng)
+        assert any(not doc.tokens for doc in corpus.documents())
+        vocab = build_vocabulary((d.tokens for d in corpus.documents()), min_count)
+        k, n = 0.1, vocab.content_size
+        lm = train_ngram(corpus, vocab, order=order, k=k)
+        counts, totals = reference_counts(corpus, vocab, order)
+        if min_count == 2 and order > 1:
+            assert any(UNK_ID in context for context in counts)
+
+        def ref_prob(token_id, context):
+            count = counts.get(context, {}).get(token_id, 0)
+            return (count + k) / (totals.get(context, 0) + k * n)
+
+        unseen = (PAD_ID,) * (order - 1)
+        for context in [*counts, unseen]:
+            for token_id in [*vocab.content_ids(), PAD_ID]:
+                assert lm.prob(token_id, context) == ref_prob(token_id, context)
+            expected = np.full(n, k)
+            for token_id, count in counts.get(context, {}).items():
+                expected[token_id - FIRST_CONTENT_ID] += count
+            expected /= totals.get(context, 0) + k * n
+            assert np.array_equal(lm.distribution(context), expected)
+
+        sequences = [vocab.encode(d.tokens) for d in corpus.documents()]
+        sequences.append([PAD_ID, UNK_ID, FIRST_CONTENT_ID, FIRST_CONTENT_ID])
+        for seq in filter(None, sequences):
+            log_sum = 0.0
+            for pos, target in enumerate(seq):
+                log_sum += math.log(ref_prob(target, lm.context_at(seq, pos)))
+            assert perplexity(seq, lm) == math.exp(-log_sum / len(seq))
 
 
 # ---------------------------------------------------------------------------

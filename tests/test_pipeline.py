@@ -15,8 +15,10 @@ from queryflip.pipeline import (
     load_stack,
     save_stack,
 )
+from queryflip.text import FIRST_CONTENT_ID, UNK_ID, Vocabulary
 
 from conftest import SAMPLE_LINES, sample_config
+from test_lm import reference_counts
 
 
 def test_config_round_trips_through_json(tmp_path):
@@ -37,6 +39,8 @@ def test_config_validation_names_field():
         RunConfig(timing="cpu").validate()
     with pytest.raises(ValueError, match="nope"):
         RunConfig.from_dict({"nope": 1})
+    with pytest.raises(ValueError, match="invalid config field: seed"):
+        RunConfig.from_dict({"seed": 0})
 
 
 def test_config_hash_ignores_workers():
@@ -130,16 +134,57 @@ def _saved(tmp_path):
     return config, tmp_path / "artifacts" / STACK_FILE
 
 
+def _edit_arrays(path, change):
+    """Rewrite ``stack.npz`` after ``change`` edits its dict of arrays."""
+    with np.load(path) as npz:
+        arrays = {n: npz[n] for n in npz.files}
+    change(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 def _edit_array(path, name, change):
     """Rewrite ``stack.npz`` with array ``name`` replaced by ``change(array)``,
     or dropped when that is None."""
-    with np.load(path) as npz:
-        arrays = {n: npz[n] for n in npz.files}
-    changed = change(arrays.pop(name))
-    if changed is not None:
-        arrays[name] = changed
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+
+    def edit(arrays):
+        changed = change(arrays.pop(name))
+        if changed is not None:
+            arrays[name] = changed
+
+    _edit_arrays(path, edit)
+
+
+def _set(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+def _first_seen_rows(arrays):
+    """The n-gram rows in first-seen order, one Counter per context, as
+    the table was written before it was kept sorted."""
+    counts, _ = reference_counts(
+        ingest_corpus(SAMPLE_LINES),
+        Vocabulary.from_arrays(arrays),
+        int(arrays["lm.order"]),
+    )
+    rows = [(c, t, n) for c, counter in counts.items() for t, n in counter.items()]
+    contexts, targets, ns = zip(*rows)
+    assert sorted(rows) != rows
+    arrays["lm.contexts"] = np.array(contexts, dtype=np.int32)
+    arrays["lm.targets"] = np.array(targets, dtype=np.int32)
+    arrays["lm.counts"] = np.array(ns, dtype=np.int32)
+
+
+def _target_past_candidates(arrays):
+    past = FIRST_CONTENT_ID + int(arrays["lm.n_candidates"])
+    arrays["lm.targets"] = _set(arrays["lm.targets"], -1, past)
+
+
+def _duplicate_first_row(arrays):
+    for name in ("lm.contexts", "lm.targets", "lm.counts"):
+        arrays[name] = np.concatenate([arrays[name][:1], arrays[name]])
 
 
 def test_load_with_changed_corpus_fails(tmp_path):
@@ -158,8 +203,21 @@ def test_load_with_changed_corpus_fails(tmp_path):
         (lambda p: _edit_array(p, "lm.targets", lambda a: None), "missing array"),
         (lambda p: _edit_array(p, "embed.vectors", lambda a: a[:-1]), "vector rows"),
         (lambda p: _edit_array(p, "lm.n_candidates", lambda a: a + 1), "candidates"),
+        (lambda p: _edit_array(p, "lm.counts", lambda a: a[:-1]), "rows but counts"),
+        (lambda p: _edit_array(p, "lm.targets", lambda a: a[:-1]), "must match"),
+        (lambda p: _edit_array(p, "lm.contexts", lambda a: a[:, 1:]), "order-1"),
+        (lambda p: _edit_arrays(p, _first_seen_rows), "sorted strictly"),
+        (lambda p: _edit_arrays(p, _duplicate_first_row), "sorted strictly"),
+        (lambda p: _edit_arrays(p, _target_past_candidates), "outside the candidate ids"),
+        (lambda p: _edit_array(p, "lm.targets", lambda a: _set(a, 0, UNK_ID)), "outside"),
+        (lambda p: _edit_array(p, "lm.counts", lambda a: _set(a, 0, 0)), "counts must be"),
     ],
-    ids=["truncated", "not_zip", "missing_array", "vector_rows", "lm_candidates"],
+    ids=[
+        "truncated", "not_zip", "missing_array", "vector_rows", "lm_candidates",
+        "lm_counts_length", "lm_targets_length", "lm_context_width",
+        "lm_first_seen_order", "lm_duplicate_row", "lm_target_past_candidates",
+        "lm_target_special", "lm_zero_count",
+    ],
 )
 def test_load_rejects_bad_artifact(tmp_path, damage, match):
     config, path = _saved(tmp_path)
