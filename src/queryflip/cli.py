@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import sys
+import time
 from typing import Sequence
 
 from .config import RunConfig
@@ -48,7 +49,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def _result_payload(
     result: EditResult, triplet: Triplet, stack: Stack, query_text: str,
-    timing: str,
+    elapsed: float,
 ) -> dict:
     outcome = None
     if result.outcome is not None:
@@ -59,7 +60,7 @@ def _result_payload(
         "counter_doc_id": triplet.d_prime.id,
         "q_prime": outcome,
         "masks_used": result.masks_used,
-        "elapsed_s": result.elapsed if timing == "wall" else 0.0,
+        "elapsed_s": elapsed,
         "iterations": [
             {
                 "masks": it.masks,
@@ -107,14 +108,12 @@ def _collect_triplets(stack: Stack, config: RunConfig, args) -> list[Triplet]:
                     record = json.loads(line)
                     if not isinstance(record, dict):
                         raise ValueError("not a JSON object")
-                    triplets.append(
-                        _triplet_from_ids(
-                            stack,
-                            record["query"],
-                            record["doc_id"],
-                            record["counter_doc_id"],
-                        )
-                    )
+                    names = ("query", "doc_id", "counter_doc_id")
+                    values = [record[name] for name in names]
+                    for name, value in zip(names, values):
+                        if not isinstance(value, str):
+                            raise ValueError(f"field {name!r} is not a string")
+                    triplets.append(_triplet_from_ids(stack, *values))
                 except (KeyError, ValueError) as exc:
                     raise ValueError(f"triplets file line {lineno}: {exc}") from exc
         return triplets
@@ -183,11 +182,13 @@ def cmd_edit(args) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for triplet, text in zip(triplets, texts):
+            start = time.perf_counter()
             result = run_method(
                 triplet, "cfe2", ctx, beam_width=config.beam,
                 max_masks=config.max_masks,
             )
-            payload = _result_payload(result, triplet, stack, text, config.timing)
+            elapsed = time.perf_counter() - start if config.timing == "wall" else 0.0
+            payload = _result_payload(result, triplet, stack, text, elapsed)
             out.write(json.dumps(payload))
             out.write("\n")
     finally:

@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
-from .remote import ROLES
+from .remote import BackendEndpoint
 
 MASKERS = ("maxsim", "occlusion")
 TIMING_MODES = ("wall", "off")
@@ -76,9 +76,14 @@ class RunConfig:
             raise ValueError("invalid config field: workers (must be >= 1)")
         if self.timing not in TIMING_MODES:
             raise ValueError(f"invalid config field: timing (one of {TIMING_MODES})")
-        for role in self.backends:
-            if role not in ROLES:
-                raise ValueError(f"invalid config field: backends ({role!r})")
+        if not isinstance(self.backends, dict):
+            raise ValueError("invalid config field: backends (must be an object)")
+        for role, raw in self.backends.items():
+            try:
+                BackendEndpoint.from_dict(role, raw)
+            except ValueError as exc:
+                message = f"invalid config field: backends.{role} ({exc})"
+                raise ValueError(message) from exc
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

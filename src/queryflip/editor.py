@@ -19,7 +19,6 @@ models.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -100,31 +99,23 @@ class EditResult:
     outcome: tuple[int, ...] | None
     masks_used: int
     trace: tuple[IterationTrace, ...]
-    elapsed: float
 
 
-def expand_beam(
-    beam: Beam,
-    distributions: PredictionDistribution | Sequence[PredictionDistribution],
-) -> Beam:
+def expand_beam(beam: Beam, distributions: Sequence[PredictionDistribution]) -> Beam:
     """Extend every candidate by one slot and keep the top ``width``.
 
-    ``distributions`` holds one prediction per candidate (conditioned on
-    that candidate's filled tokens); a single distribution is broadcast
-    to all candidates. All predictions must target the same slot, and
-    every candidate must still have that slot masked. New log
+    ``distributions`` holds one prediction per candidate, conditioned on
+    that candidate's filled tokens. All predictions must target the same
+    slot, and every candidate must still have that slot masked. New log
     probabilities are ``old + ln P(token)``. Identical token sequences
     are deduplicated keeping the higher log probability; ties order by
     ascending token-id sequence.
     """
-    if isinstance(distributions, PredictionDistribution):
-        dists: list[PredictionDistribution] = [distributions] * len(beam.candidates)
-    else:
-        dists = list(distributions)
-        if len(dists) != len(beam.candidates):
-            raise ValueError(
-                f"{len(dists)} distributions for {len(beam.candidates)} candidates"
-            )
+    dists = list(distributions)
+    if len(dists) != len(beam.candidates):
+        raise ValueError(
+            f"{len(dists)} distributions for {len(beam.candidates)} candidates"
+        )
     if not dists or any(not d.entries for d in dists):
         raise ValueError("empty prediction distribution")
     positions = {d.position for d in dists}
@@ -214,7 +205,6 @@ def edit(
     if not 1 <= max_masks <= len(query):
         raise ValueError("max_masks must be in 1..|query|")
 
-    start = time.perf_counter()
     trace: list[IterationTrace] = []
     for i in range(1, max_masks + 1):
         positions = tuple(sorted(importance.order[:i]))
@@ -236,7 +226,5 @@ def edit(
         flipping = [c for c, f in zip(beam.candidates, flags) if f]
         if flipping:
             chosen = select_final(flipping, ppl_fn)
-            elapsed = time.perf_counter() - start
-            return EditResult(chosen.tokens, i, tuple(trace), elapsed)
-    elapsed = time.perf_counter() - start
-    return EditResult(None, max_masks, tuple(trace), elapsed)
+            return EditResult(chosen.tokens, i, tuple(trace))
+    return EditResult(None, max_masks, tuple(trace))

@@ -158,7 +158,6 @@ def baseline_mask_only(
     query = triplet.query_ids
     if len(query) == 0:
         raise ValueError("empty query")
-    start = time.perf_counter()
     trace: list[IterationTrace] = []
     for i in range(1, len(query) + 1):
         positions = tuple(sorted(importance.order[:i]))
@@ -170,8 +169,8 @@ def baseline_mask_only(
             IterationTrace(i, positions, (TraceCandidate(padded, 0.0, flipped),))
         )
         if flipped:
-            return EditResult(padded, i, tuple(trace), time.perf_counter() - start)
-    return EditResult(None, len(query), tuple(trace), time.perf_counter() - start)
+            return EditResult(padded, i, tuple(trace))
+    return EditResult(None, len(query), tuple(trace))
 
 
 def split_sentences(text: str) -> list[str]:
@@ -191,7 +190,6 @@ def baseline_max_flip(
     lowest perplexity wins (ties by ascending token-id sequence). None
     when no sentence flips.
     """
-    start = time.perf_counter()
     flipping: list[tuple[int, ...]] = []
     for sentence in split_sentences(triplet.d_prime.text):
         tokens = tokenize(sentence)
@@ -201,9 +199,9 @@ def baseline_max_flip(
         if check_flip(ids, triplet, scorer):
             flipping.append(ids)
     if not flipping:
-        return EditResult(None, 0, (), time.perf_counter() - start)
+        return EditResult(None, 0, ())
     best = min(flipping, key=lambda ids: (ppl_fn(ids), ids))
-    return EditResult(best, 0, (), time.perf_counter() - start)
+    return EditResult(best, 0, ())
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,16 @@ is the statistical backbone of the editor. Prediction for a masked query
 slot interpolates the n-gram conditional (left context within the query)
 with the add-k-smoothed unigram distribution of the target document,
 which is how the target document conditions what gets written into the
-slot. Perplexity is exp of the mean negative log likelihood, natural base.
+slot. A prediction scores only the context's observed targets and the
+document's tokens: every other candidate shares one floor probability.
+Perplexity is exp of the mean negative log likelihood, natural base.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from math import exp, log
 from typing import Mapping, Sequence
 
@@ -46,7 +49,8 @@ class PredictionDistribution:
 
 
 class NgramLM:
-    """Add-k-smoothed n-gram model; immutable, so concurrent reads are safe.
+    """Add-k-smoothed n-gram model. No state changes after construction,
+    so concurrent reads are safe.
 
     One count table: ``grams`` (int32, ``(n, order)``: the order-1 context
     ids, then the target) and ``counts`` (int32, ``(n,)``), rows strictly
@@ -98,7 +102,6 @@ class NgramLM:
         self._runs = dict(zip(keys, runs))
         self._targets: list[int] = grams[:, -1].tolist()
         self._counts: list[int] = counts.tolist()
-        self._dist_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Settings plus the count table, split into contexts and targets."""
@@ -135,17 +138,15 @@ class NgramLM:
         count = self._counts[i] if i < end and self._targets[i] == token_id else 0
         return (count + self.k) / (total + self.k * self.n_candidates)
 
-    def distribution(self, context: tuple[int, ...]) -> np.ndarray:
-        """Dense P(. | context) over candidate ids (index = id - first id)."""
-        cached = self._dist_cache.get(context)
-        if cached is not None:
-            return cached
+    def distribution(
+        self, context: tuple[int, ...]
+    ) -> tuple[list[int], list[int], float]:
+        """The run of ``context``: its observed targets (ascending), their
+        counts, and the add-k denominator. P(t | context) is
+        ``(count + k) / denominator``, with count 0 for an unseen target."""
         start, end, total = self._runs.get(context, (0, 0, 0))
-        dist = np.full(self.n_candidates, self.k, dtype=np.float64)
-        dist[self.grams[start:end, -1] - FIRST_CONTENT_ID] += self.counts[start:end]
-        dist /= total + self.k * self.n_candidates
-        self._dist_cache[context] = dist
-        return dist
+        denominator = total + self.k * self.n_candidates
+        return self._targets[start:end], self._counts[start:end], denominator
 
 
 def train_ngram(
@@ -176,75 +177,69 @@ def perplexity(token_ids: Sequence[int], lm: NgramLM) -> float:
     return exp(-log_sum / len(token_ids))
 
 
-def document_unigram(d_prime_ids: Sequence[int], lm: NgramLM) -> np.ndarray:
-    """Add-k-smoothed unigram distribution of a document over candidates."""
-    dist = np.full(lm.n_candidates, lm.k, dtype=np.float64)
-    total = 0
-    for token_id in d_prime_ids:
-        if token_id >= FIRST_CONTENT_ID:
-            dist[token_id - FIRST_CONTENT_ID] += 1.0
-            total += 1
-    dist /= total + lm.k * lm.n_candidates
-    return dist
-
-
-def _top_entries(
-    probs: np.ndarray, top: int, position: int
-) -> PredictionDistribution:
-    ids = np.arange(FIRST_CONTENT_ID, FIRST_CONTENT_ID + probs.shape[0])
-    # Primary key: descending probability; secondary: ascending token id.
-    order = np.lexsort((ids, -probs))[:top]
-    entries = tuple((int(ids[i]), float(probs[i])) for i in order)
-    return PredictionDistribution(position, entries)
-
-
-def predict_masked(
-    masked_ids: Sequence[int],
-    d_prime_ids: Sequence[int],
-    position: int,
-    top: int,
-    lm: NgramLM,
-    lam: float = 0.5,
-) -> PredictionDistribution:
-    """Predict the token for one masked slot of a query.
-
-    The returned distribution is
-    ``(1 - lam) * P_ngram(. | left context) + lam * P_doc(.)`` where
-    P_doc is the smoothed unigram distribution of the target document.
-    A slot with no real token to its left (or with an unfilled/PAD token
-    inside the context window) has no usable n-gram context and falls
-    back to P_doc alone. Ties break by ascending token id.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must be in [0, 1]")
-    if top < 1:
-        raise ValueError("top must be >= 1")
-    if position < 0 or position >= len(masked_ids):
-        raise ValueError(f"position {position} out of range")
-    if masked_ids[position] != MASK_ID:
-        raise ValueError(f"position {position} is not masked")
-
-    p_doc = document_unigram(d_prime_ids, lm)
-    context = lm.context_at(masked_ids, position)
-    window = masked_ids[max(0, position - (lm.order - 1)) : position]
-    if position == 0 or any(t in (MASK_ID, PAD_ID) for t in window):
-        probs = p_doc
-    else:
-        probs = (1.0 - lam) * lm.distribution(context) + lam * p_doc
-    return _top_entries(probs, top, position)
-
-
 class NgramPredictor:
-    """Word-prediction backend binding an n-gram model to one document."""
+    """Masked-slot word prediction, conditioned on one target document d'.
+
+    A slot's distribution is ``(1 - lam) * P_ngram(. | left context) +
+    lam * P_doc(.)``, where P_doc is the add-k-smoothed unigram
+    distribution of d'. A slot with no real token to its left (or with an
+    unfilled/PAD token inside the context window) has no usable n-gram
+    context and falls back to P_doc alone. Every candidate outside the
+    context's observed targets and d''s tokens gets the same floor value,
+    so only those few ids are scored; floor-valued ids fill the remaining
+    places in ascending order. Entries come out by descending probability,
+    ties by ascending token id, exactly as a sort over all candidates.
+    """
 
     def __init__(self, lm: NgramLM, d_prime_ids: Sequence[int], lam: float = 0.5):
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError("lam must be in [0, 1]")
         self.lm = lm
-        self.d_prime_ids = tuple(d_prime_ids)
         self.lam = lam
+        # Add-k numerators of d''s content tokens: k, plus 1.0 per occurrence.
+        doc: dict[int, float] = {}
+        n_tokens = 0
+        for token_id in d_prime_ids:
+            if token_id >= FIRST_CONTENT_ID:
+                doc[token_id] = doc.get(token_id, lm.k) + 1.0
+                n_tokens += 1
+        if doc and max(doc) >= FIRST_CONTENT_ID + lm.n_candidates:
+            raise ValueError("document token outside the candidate ids")
+        self._doc = doc
+        self._doc_denominator = n_tokens + lm.k * lm.n_candidates
 
     def predict(
         self, masked_ids: Sequence[int], position: int, top: int
     ) -> PredictionDistribution:
-        return predict_masked(
-            masked_ids, self.d_prime_ids, position, top, self.lm, self.lam
-        )
+        """The ``top`` most probable tokens for the masked ``position``."""
+        if top < 1:
+            raise ValueError("top must be >= 1")
+        if position < 0 or position >= len(masked_ids):
+            raise ValueError(f"position {position} out of range")
+        if masked_ids[position] != MASK_ID:
+            raise ValueError(f"position {position} is not masked")
+        lm, lam, k = self.lm, self.lam, self.lm.k
+        doc, d_doc = self._doc, self._doc_denominator
+        window = masked_ids[max(0, position - (lm.order - 1)) : position]
+        if position == 0 or any(t in (MASK_ID, PAD_ID) for t in window):
+            floor = k / d_doc
+            scored = {t: num / d_doc for t, num in doc.items()}
+        else:
+            context = lm.context_at(masked_ids, position)
+            targets, counts, d_ngram = lm.distribution(context)
+            ngram = dict(zip(targets, counts))
+            w = 1.0 - lam
+            floor = w * (k / d_ngram) + lam * (k / d_doc)
+            scored = {
+                t: w * ((k + ngram.get(t, 0)) / d_ngram) + lam * (doc.get(t, k) / d_doc)
+                for t in ngram.keys() | doc.keys()
+            }
+        # Every scored probability is >= floor; ids at the floor tie with
+        # the unscored ones, so they are placed with them, by id.
+        above = [(t, p) for t, p in scored.items() if p > floor]
+        entries = sorted(above, key=lambda e: (-e[1], e[0]))[:top]
+        taken = {t for t, _ in entries}
+        ids = range(FIRST_CONTENT_ID, FIRST_CONTENT_ID + lm.n_candidates)
+        fill = (t for t in ids if t not in taken)
+        entries += [(t, floor) for t in islice(fill, top - len(entries))]
+        return PredictionDistribution(position, tuple(entries))

@@ -73,14 +73,17 @@ class BackendEndpoint:
         return self.base_url.rstrip("/") + "/" + self.role
 
     @classmethod
-    def from_dict(cls, role: str, raw: dict[str, Any]) -> "BackendEndpoint":
-        return cls(
-            base_url=raw["url"],
-            role=role,
-            timeout_ms=int(raw.get("timeout_ms", 5000)),
-            retries=int(raw.get("retries", 2)),
-            token=raw.get("token"),
-        )
+    def from_dict(cls, role: str, raw: Any) -> "BackendEndpoint":
+        """One ``backends`` config entry; ValueError names what is wrong."""
+        if not isinstance(raw, dict):
+            raise ValueError("entry must be an object")
+        if not isinstance(raw.get("url"), str):
+            raise ValueError("url must be a string")
+        timeout_ms, retries = raw.get("timeout_ms", 5000), raw.get("retries", 2)
+        for name, value in (("timeout_ms", timeout_ms), ("retries", retries)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+        return cls(raw["url"], role, timeout_ms, retries, raw.get("token"))
 
 
 def _require(payload: dict[str, Any], fld: str, kind: type) -> Any:

@@ -12,7 +12,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from queryflip.lm import perplexity, predict_masked
+from queryflip.lm import NgramPredictor, perplexity
 from queryflip.pipeline import Stack
 from queryflip.text import tokenize
 
@@ -79,9 +79,8 @@ class StubBackendServer:
         if role == "predict":
             masked = [stack.vocab.id(s) for s in request["masked_query"]]
             d_prime = stack.vocab.encode(tokenize(request["doc"]))
-            dist = predict_masked(
-                masked, d_prime, request["position"], request["top"],
-                stack.lm, self.lam,
+            dist = NgramPredictor(stack.lm, d_prime, self.lam).predict(
+                masked, request["position"], request["top"]
             )
             return {
                 "tokens": [stack.vocab.surface(t) for t, _ in dist.entries],

@@ -128,8 +128,16 @@ def test_edit_timing_flag_without_config_file(tmp_path, capsys):
     [
         ("{not json", "triplets file line 2: "),
         ("[1]", "triplets file line 2: not a JSON object"),
+        (
+            '{"query": 5, "doc_id": "d1", "counter_doc_id": "d3"}',
+            "triplets file line 2: field 'query' is not a string",
+        ),
+        (
+            '{"query": "apple recipe", "doc_id": ["d1"], "counter_doc_id": "d3"}',
+            "triplets file line 2: field 'doc_id' is not a string",
+        ),
     ],
-    ids=["malformed", "not_object"],
+    ids=["malformed", "not_object", "query_not_string", "doc_id_not_string"],
 )
 def test_edit_bad_triplets_line_names_line(workdir, capsys, bad_line, message):
     tmp, config = workdir

@@ -55,7 +55,7 @@ def _ppl(stack):
 def test_width_one_beam_is_greedy():
     beam = Beam(1, (EditCandidate((MASK_ID, 9), 0.0),))
     dist = PredictionDistribution(0, ((5, 0.6), (6, 0.4)))
-    out = expand_beam(beam, dist)
+    out = expand_beam(beam, [dist])
     assert len(out.candidates) == 1
     assert out.candidates[0].tokens == (5, 9)
     assert out.candidates[0].log_prob == math.log(0.6)
@@ -71,7 +71,7 @@ def test_expand_matches_exhaustive_enumeration_two_slots():
         5: ((3, 0.5), (4, 0.4), (5, 0.1)),
     }
     beam = Beam(9, (EditCandidate((MASK_ID, MASK_ID), 0.0),))
-    beam = expand_beam(beam, first)
+    beam = expand_beam(beam, [first])
     dists = [
         PredictionDistribution(1, second_given[c.tokens[0]])
         for c in beam.candidates
@@ -90,7 +90,7 @@ def test_expand_dedupes_identical_sequences():
     beam = Beam(4, (EditCandidate((MASK_ID,), 0.0),))
     # a malformed-but-legal distribution mentioning token 3 twice
     dist = PredictionDistribution(0, ((3, 0.5), (3, 0.2), (4, 0.1)))
-    out = expand_beam(beam, dist)
+    out = expand_beam(beam, [dist])
     assert [c.tokens for c in out.candidates] == [(3,), (4,)]
     assert out.candidates[0].log_prob == math.log(0.5)
 
@@ -98,7 +98,7 @@ def test_expand_dedupes_identical_sequences():
 def test_expand_rejects_empty_distribution():
     beam = Beam(2, (EditCandidate((MASK_ID,), 0.0),))
     with pytest.raises(ValueError, match="empty prediction"):
-        expand_beam(beam, PredictionDistribution(0, ()))
+        expand_beam(beam, [PredictionDistribution(0, ())])
 
 
 def test_expand_requires_matching_count():

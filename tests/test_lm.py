@@ -15,7 +15,6 @@ from queryflip.lm import (
     NgramPredictor,
     PredictionDistribution,
     perplexity,
-    predict_masked,
     train_ngram,
 )
 from queryflip.text import FIRST_CONTENT_ID, MASK_ID, PAD_ID, UNK_ID, build_vocabulary
@@ -165,11 +164,11 @@ def test_train_ngram_matches_counter_reference(order, min_count):
         for context in [*counts, unseen]:
             for token_id in [*vocab.content_ids(), PAD_ID]:
                 assert lm.prob(token_id, context) == ref_prob(token_id, context)
-            expected = np.full(n, k)
-            for token_id, count in counts.get(context, {}).items():
-                expected[token_id - FIRST_CONTENT_ID] += count
-            expected /= totals.get(context, 0) + k * n
-            assert np.array_equal(lm.distribution(context), expected)
+            seen = counts.get(context, {})
+            targets, run_counts, denominator = lm.distribution(context)
+            assert targets == sorted(seen)
+            assert run_counts == [seen[t] for t in targets]
+            assert denominator == totals.get(context, 0) + k * n
 
         sequences = [vocab.encode(d.tokens) for d in corpus.documents()]
         sequences.append([PAD_ID, UNK_ID, FIRST_CONTENT_ID, FIRST_CONTENT_ID])
@@ -189,7 +188,7 @@ def test_predict_lambda_one_equals_doc_unigram(sample_stack):
     stack = sample_stack
     d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
     masked = [MASK_ID] + ids(stack, "recipe")
-    dist = predict_masked(masked, d3, 0, 7, stack.lm, lam=1.0)
+    dist = NgramPredictor(stack.lm, d3, lam=1.0).predict(masked, 0, 7)
     probs = dict(dist.entries)
     hit, miss = 1.1 / 3.7, 0.1 / 3.7
     for surface in ("banana", "bread", "recipe"):
@@ -204,7 +203,7 @@ def test_predict_lambda_zero_equals_ngram(sample_stack):
     d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
     apple = stack.vocab.id("apple")
     masked = [apple, MASK_ID]
-    dist = predict_masked(masked, d3, 1, 7, stack.lm, lam=0.0)
+    dist = NgramPredictor(stack.lm, d3, lam=0.0).predict(masked, 1, 7)
     probs = dict(dist.entries)
     context = stack.lm.context_at(masked, 1)
     assert context == (BOS, apple)
@@ -218,7 +217,7 @@ def test_predict_first_slot_falls_back_to_doc_distribution(sample_stack):
     stack = sample_stack
     d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
     masked = [MASK_ID] + ids(stack, "recipe")
-    dist = predict_masked(masked, d3, 0, 7, stack.lm, lam=0.5)
+    dist = NgramPredictor(stack.lm, d3, lam=0.5).predict(masked, 0, 7)
     top_id, top_prob = dist.entries[0]
     assert stack.vocab.surface(top_id) in {"banana", "bread", "recipe"}
     assert top_prob == pytest.approx(1.1 / 3.7, abs=1e-12)
@@ -236,7 +235,7 @@ def test_predict_mixture_hand_value(sample_stack):
     banana = stack.vocab.id("banana")
     bread = stack.vocab.id("bread")
     masked = [banana, MASK_ID]
-    dist = predict_masked(masked, d3, 1, 7, stack.lm, lam=0.5)
+    dist = NgramPredictor(stack.lm, d3, lam=0.5).predict(masked, 1, 7)
     probs = dict(dist.entries)
     expected_bread = 0.5 * (1.1 / 1.7) + 0.5 * (1.1 / 3.7)
     assert probs[bread] == pytest.approx(expected_bread, abs=1e-12)
@@ -247,7 +246,7 @@ def test_predict_top_truncates_and_sorts(sample_stack):
     stack = sample_stack
     d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
     masked = [MASK_ID, stack.vocab.id("recipe")]
-    dist = predict_masked(masked, d3, 0, 2, stack.lm, lam=0.5)
+    dist = NgramPredictor(stack.lm, d3, lam=0.5).predict(masked, 0, 2)
     assert len(dist.entries) == 2
     probs = [p for _, p in dist.entries]
     assert probs == sorted(probs, reverse=True)
@@ -257,7 +256,8 @@ def test_predict_full_distribution_sums_to_one(sample_stack):
     stack = sample_stack
     d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
     masked = stack.vocab.encode(["apple", "[MASK]", "recipe"])
-    dist = predict_masked(masked, d3, 1, stack.vocab.content_size, stack.lm, 0.5)
+    predictor = NgramPredictor(stack.lm, d3, lam=0.5)
+    dist = predictor.predict(masked, 1, stack.vocab.content_size)
     assert sum(p for _, p in dist.entries) == pytest.approx(1.0, abs=1e-9)
     assert all(t >= FIRST_CONTENT_ID for t, _ in dist.entries)
 
@@ -266,25 +266,102 @@ def test_predict_unmasked_position_rejected(sample_stack):
     stack = sample_stack
     d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
     with pytest.raises(ValueError, match="not masked"):
-        predict_masked(ids(stack, "apple recipe"), d3, 0, 3, stack.lm)
+        NgramPredictor(stack.lm, d3).predict(ids(stack, "apple recipe"), 0, 3)
 
 
 def test_predict_deterministic(sample_stack):
     stack = sample_stack
     d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
     masked = [MASK_ID] + ids(stack, "recipe")
-    first = predict_masked(masked, d3, 0, 5, stack.lm, 0.5)
-    second = predict_masked(masked, d3, 0, 5, stack.lm, 0.5)
+    first = NgramPredictor(stack.lm, d3, lam=0.5).predict(masked, 0, 5)
+    second = NgramPredictor(stack.lm, d3, lam=0.5).predict(masked, 0, 5)
     assert first == second
 
 
-def test_ngram_predictor_binds_document(sample_stack):
+def test_predictor_rejects_bad_arguments(sample_stack):
     stack = sample_stack
     d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
-    predictor = NgramPredictor(stack.lm, d3, lam=0.5)
-    masked = tuple([MASK_ID] + ids(stack, "recipe"))
-    direct = predict_masked(masked, d3, 0, 4, stack.lm, 0.5)
-    assert predictor.predict(masked, 0, 4) == direct
+    masked = [MASK_ID] + ids(stack, "recipe")
+    for lam in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="lam must be in"):
+            NgramPredictor(stack.lm, d3, lam=lam)
+    outside = FIRST_CONTENT_ID + stack.lm.n_candidates
+    with pytest.raises(ValueError, match="outside the candidate ids"):
+        NgramPredictor(stack.lm, d3 + [outside])
+    predictor = NgramPredictor(stack.lm, d3)
+    with pytest.raises(ValueError, match="top must be"):
+        predictor.predict(masked, 0, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        predictor.predict(masked, 2, 3)
+
+
+def dense_prediction(counts, totals, lm, d_prime_ids, masked_ids, position, top, lam):
+    """The mixture over every candidate, picked by one np.lexsort.
+
+    The n-gram row comes from the Counter reference, the document row
+    adds 1.0 to k per occurrence; both are divided by their add-k
+    denominators in one step, as a length-V array each.
+    """
+    n, k = lm.n_candidates, lm.k
+    p_doc = np.full(n, k, dtype=np.float64)
+    total = 0
+    for token_id in d_prime_ids:
+        if token_id >= FIRST_CONTENT_ID:
+            p_doc[token_id - FIRST_CONTENT_ID] += 1.0
+            total += 1
+    p_doc /= total + k * n
+    window = masked_ids[max(0, position - (lm.order - 1)) : position]
+    if position == 0 or any(t in (MASK_ID, PAD_ID) for t in window):
+        probs = p_doc
+    else:
+        context = lm.context_at(masked_ids, position)
+        row = np.full(n, k, dtype=np.float64)
+        for token_id, count in counts.get(context, {}).items():
+            row[token_id - FIRST_CONTENT_ID] += count
+        row /= totals.get(context, 0) + k * n
+        probs = (1.0 - lam) * row + lam * p_doc
+    candidates = np.arange(FIRST_CONTENT_ID, FIRST_CONTENT_ID + n)
+    order = np.lexsort((candidates, -probs))[:top]
+    return tuple((int(candidates[i]), float(probs[i])) for i in order)
+
+
+# With k = 1/3, k + 1.0 + 1.0 != k + 2: the document counts must be
+# accumulated one occurrence at a time, as the dense reference does.
+@pytest.mark.parametrize("k", [0.1, 1 / 3])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_predict_matches_dense_reference(order, k):
+    rng = random.Random(order * 100 + int(k * 100))
+    slots = {"ngram": 0, "fallback": 0}
+    for _ in range(6):
+        corpus = _random_corpus(rng)
+        min_count = rng.choice((1, 2))
+        vocab = build_vocabulary((d.tokens for d in corpus.documents()), min_count)
+        lm = train_ngram(corpus, vocab, order=order, k=k)
+        counts, totals = reference_counts(corpus, vocab, order)
+        n = vocab.content_size
+        docs = [vocab.encode(d.tokens) for d in corpus.documents()]
+        content = list(vocab.content_ids())
+        for d_prime in docs:  # includes an empty document
+            for lam in (0.0, 1.0, rng.random()):
+                predictor = NgramPredictor(lm, d_prime, lam=lam)
+                for _ in range(4):
+                    length = rng.randint(1, 6)
+                    masked = [rng.choice(content + [UNK_ID]) for _ in range(length)]
+                    position = rng.randrange(length)
+                    masked[position] = MASK_ID
+                    if rng.random() < 0.3:
+                        masked[rng.randrange(length)] = rng.choice((MASK_ID, PAD_ID))
+                        masked[position] = MASK_ID
+                    window = masked[max(0, position - (order - 1)) : position]
+                    fallback = position == 0 or MASK_ID in window or PAD_ID in window
+                    slots["fallback" if fallback else "ngram"] += 1
+                    for top in (1, 3, 10, n + 5):
+                        expected = dense_prediction(
+                            counts, totals, lm, d_prime, masked, position, top, lam
+                        )
+                        got = predictor.predict(masked, position, top)
+                        assert got.entries == expected
+    assert min(slots.values()) > 0
 
 
 def test_distribution_invariants_enforced():

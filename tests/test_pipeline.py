@@ -41,6 +41,25 @@ def test_config_validation_names_field():
         RunConfig.from_dict({"nope": 1})
     with pytest.raises(ValueError, match="invalid config field: seed"):
         RunConfig.from_dict({"seed": 0})
+    url = "http://scorer"
+    bad_backends = [
+        ("rank", {"url": url}, "unknown backend role: rank"),
+        ("score", url, "entry must be an object"),
+        ("score", {}, "url must be a string"),
+        ("score", {"url": 5}, "url must be a string"),
+        ("embed", {"url": url, "timeout_ms": "5"}, "timeout_ms must be an integer"),
+        ("embed", {"url": url, "timeout_ms": 2.5}, "timeout_ms must be an integer"),
+        ("embed", {"url": url, "timeout_ms": 0}, "timeout_ms must be > 0"),
+        ("embed", {"url": url, "retries": "many"}, "retries must be an integer"),
+        ("embed", {"url": url, "retries": True}, "retries must be an integer"),
+        ("embed", {"url": url, "retries": -1}, "retries must be >= 0"),
+    ]
+    for role, entry, message in bad_backends:
+        expected = rf"invalid config field: backends\.{role} \({message}\)"
+        with pytest.raises(ValueError, match=expected):
+            RunConfig.from_dict({"backends": {role: entry}})
+    with pytest.raises(ValueError, match=r"invalid config field: backends \(must be"):
+        RunConfig.from_dict({"backends": ["score"]})
 
 
 def test_config_hash_ignores_workers():
