@@ -273,6 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="queryflip",
         description="Edit queries so a chosen lower-ranked document wins.",
     )
+    parser.add_argument(
+        "--log-level", default="INFO",
+        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
+        help="least severe queryflip log message to print (default INFO)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("index", help="build every artifact from the corpus")
@@ -327,9 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(message)s")
+    logging.getLogger("queryflip").setLevel(args.log_level)
     try:
         return args.func(args)
     except Exception as exc:  # one-line diagnostic, nonzero exit

@@ -18,6 +18,22 @@ from .remote import BackendEndpoint
 MASKERS = ("maxsim", "occlusion")
 TIMING_MODES = ("wall", "off")
 
+# The JSON type each scalar field must have. A bool is not an integer
+# here, and an integer is a valid number.
+_STRING = ((str,), "a string")
+_INTEGER = ((int,), "an integer")
+_OPTIONAL_INTEGER = ((int, type(None)), "an integer or null")
+_NUMBER = ((int, float), "a number")
+_FIELD_TYPES = {
+    "corpus": _STRING, "artifacts": _STRING, "out_dir": _STRING,
+    "k1": _NUMBER, "b_bm25": _NUMBER, "top_k": _INTEGER, "min_count": _INTEGER,
+    "embed_dim": _INTEGER, "embed_window": _INTEGER,
+    "lm_order": _INTEGER, "lm_k": _NUMBER,
+    "masker": _STRING, "beam": _INTEGER, "lam": _NUMBER,
+    "max_masks": _OPTIONAL_INTEGER, "workers": _OPTIONAL_INTEGER,
+    "timing": _STRING,
+}
+
 
 @dataclass
 class RunConfig:
@@ -47,7 +63,12 @@ class RunConfig:
     timing: str = "wall"
 
     def validate(self) -> None:
-        """Raise ValueError naming the first invalid field."""
+        """Raise ValueError naming the first invalid field: types first,
+        then ranges."""
+        for name, (types, kind) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"invalid config field: {name} (must be {kind})")
         if self.beam < 1:
             raise ValueError("invalid config field: beam (must be >= 1)")
         if self.top_k < 2:

@@ -4,14 +4,17 @@ The vectors stand in for contextual embeddings: the masker's max-pooled
 token scores and the greedy-matching similarity metric only need one
 vector per token and rely on the unit-norm invariant (dot product equals
 cosine). Training counts co-occurring pairs over a symmetric window and
-factors them by an exact eigendecomposition of the symmetric PPMI matrix;
-it is fully deterministic for a given corpus.
+takes the eigenpairs of largest |eigenvalue| of the symmetric PPMI
+matrix: from a dense eigendecomposition for small vocabularies, and from
+a Lanczos solve over the sparse PPMI entries, stopped on a residual
+test, for larger ones. It is fully deterministic for a given corpus.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,6 +23,13 @@ from .text import FIRST_CONTENT_ID, Vocabulary
 from .corpus import Corpus
 
 logger = logging.getLogger(__name__)
+
+# Vocabularies up to this many content words keep the dense
+# eigendecomposition, which is faster there; above it the Lanczos solve
+# wins. Medians of five solves for dim 64 on Zipf corpora (2-vCPU VM):
+# dense 0.23 s against Lanczos 0.28 s at V 1,200, 0.37 s against 0.32 s
+# at V 1,400, and 1.00 s against 0.43 s at V 2,000.
+DENSE_EIGH_MAX_VOCAB = 1300
 
 
 @dataclass(frozen=True)
@@ -71,22 +81,136 @@ def _fix_signs(columns: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ppmi_entries(
+    corpus: Corpus, vocab: Vocabulary, window: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positive entries of the symmetric PPMI matrix over content ids,
+    as ``(rows, cols, values)`` sorted by row, then column.
+
+    Pairs are counted within a symmetric ``window`` inside each document,
+    over one corpus-wide stream of content ids labelled by document: each
+    window offset is one pass that keeps the pairs whose two ends share a
+    document. PMI is computed on the nonzero pairs only.
+    """
+    n_content = vocab.content_size
+    encoded = [vocab.encode(doc.tokens) for doc in corpus.documents()]
+    ids = np.fromiter(chain.from_iterable(encoded), dtype=np.int64)
+    docs = np.repeat(np.arange(len(encoded)), [len(e) for e in encoded])
+    content = ids >= FIRST_CONTENT_ID
+    ids, docs = ids[content] - FIRST_CONTENT_ID, docs[content]
+    keys = []
+    for offset in range(1, window + 1):
+        same = docs[:-offset] == docs[offset:]
+        a, b = ids[:-offset][same], ids[offset:][same]
+        keys += (a * n_content + b, b * n_content + a)
+    pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
+    rows, cols = np.divmod(pairs, n_content)
+    counts = counts.astype(np.float64)
+    total = counts.sum()
+    marginals = np.bincount(rows, weights=counts, minlength=n_content)
+    pmi = np.log(counts * total / (marginals[rows] * marginals[cols]))
+    positive = pmi > 0.0
+    if not np.any(positive):
+        raise ValueError("no co-occurrence signal in corpus")
+    return rows[positive], cols[positive], pmi[positive]
+
+
+def _orthogonalise(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Remove from ``w``, in place, its components along the orthonormal
+    rows of ``basis`` by classical Gram-Schmidt applied twice; return the
+    coefficients removed."""
+    h = basis @ w
+    w -= basis.T @ h
+    h2 = basis @ w
+    w -= basis.T @ h2
+    return h + h2
+
+
+def _top_eigenpairs(
+    n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` eigenpairs of largest |eigenvalue| of the symmetric n x n
+    matrix with entries ``(rows, cols, vals)``, sorted by row.
+
+    Lanczos with full reorthogonalisation (classical Gram-Schmidt, applied
+    twice) from a seeded start vector. Every few steps the Ritz pairs of
+    the tridiagonal matrix are computed; the solve stops once the top
+    ``k + 1`` of them by |theta|, from both ends of the spectrum, have
+    residuals |beta * y_last| of at most 1e-12 |theta_max|, or once the
+    basis spans the whole space. When the Krylov space becomes invariant
+    (beta ~ 0) the recurrence continues from a fresh seeded vector
+    orthogonal to the basis; that is how further copies of a repeated
+    eigenvalue are found. Returns the eigenvalues in ascending order and
+    the unit eigenvectors as columns, as ``np.linalg.eigh`` orders them.
+    """
+    present, starts = np.unique(rows, return_index=True)
+    rng = np.random.default_rng(0)
+    want = min(k + 1, n)
+    basis = np.empty((min(n, 2 * want), n))
+    alpha: list[float] = []
+    beta: list[float] = []
+    # Each check solves an m x m eigenproblem, so checks grow apart.
+    check = min(n, 2 * want)
+    restarts = 0
+    q = rng.standard_normal(n)
+    q /= np.linalg.norm(q)
+    for m in range(n):
+        if m == len(basis):
+            grown = np.empty((min(n, 2 * m), n))
+            grown[:m] = basis
+            basis = grown
+        basis[m] = q
+        spanned = basis[: m + 1]
+        w = np.zeros(n)
+        w[present] = np.add.reduceat(vals * q[cols], starts)
+        aq_norm = np.linalg.norm(w)
+        alpha.append(_orthogonalise(w, spanned)[m])
+        b = float(np.linalg.norm(w))
+        # Aq is (numerically) in the span of the basis: the space is invariant.
+        invariant = b <= 1e-12 * aq_norm
+        beta.append(0.0 if invariant else b)
+        if m + 1 == n or (m + 1 >= check and not invariant):
+            tridiagonal = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+            theta, y = np.linalg.eigh(tridiagonal)
+            top = np.argsort(-np.abs(theta), kind="stable")[:want]
+            residuals = np.abs(beta[-1] * y[-1, top])
+            if np.all(residuals <= 1e-12 * np.abs(theta[top[0]])):
+                break
+            check = min(n, int(1.25 * check) + 1)
+        if invariant:
+            restarts += 1
+            w = rng.standard_normal(n)
+            _orthogonalise(w, spanned)
+            b = float(np.linalg.norm(w))
+        q = w / b
+    logger.debug(
+        "lanczos: top %d of %d eigenpairs in %d steps, %d restarts",
+        k, n, m + 1, restarts,
+    )
+    keep = np.sort(top[:k])
+    return theta[keep], spanned.T @ y[:, keep]
+
+
 def train_embeddings(
     corpus: Corpus,
     vocab: Vocabulary,
     dim: int = 64,
     window: int = 5,
 ) -> EmbeddingTable:
-    """Train token vectors: PPMI co-occurrence + exact eigendecomposition
-    of the symmetric PPMI matrix + row norm.
+    """Train token vectors: PPMI co-occurrence + the top eigenpairs of the
+    symmetric PPMI matrix + row norm.
 
     Co-occurrence is counted between content tokens within a symmetric
-    ``window`` inside each document, as sorted pair keys; PMI is computed
-    on the nonzero pairs only. The ``dim`` eigenvectors of largest
-    |eigenvalue|, scaled by sqrt(|eigenvalue|), are the rank-``dim``
-    truncated SVD of the PPMI matrix up to column signs. The computation
-    has no random component. A ``dim`` above the available PPMI rank is
-    lowered to the rank (at least 2) with a log message.
+    ``window`` inside each document; PMI is computed on the nonzero pairs
+    only. The ``dim`` eigenvectors of largest |eigenvalue|, scaled by
+    sqrt(|eigenvalue|), are the rank-``dim`` truncated SVD of the PPMI
+    matrix up to column signs. Up to ``DENSE_EIGH_MAX_VOCAB`` content words
+    they come from a dense eigendecomposition of the whole matrix; above
+    it, from a Lanczos solve over the sparse entries that stops on a
+    residual test, so no V x V array is formed. The computation is
+    deterministic (the Lanczos start vector is seeded). A ``dim`` above the
+    available PPMI rank is lowered to the rank (at least 2) with a log
+    message.
 
     Raises ValueError when ``dim`` exceeds the vocabulary size.
     """
@@ -98,28 +222,15 @@ def train_embeddings(
     if window < 1:
         raise ValueError("window must be >= 1")
 
-    keys = []
-    for doc in corpus.documents():
-        ids = np.asarray(vocab.encode(doc.tokens), dtype=np.int64)
-        ids = ids[ids >= FIRST_CONTENT_ID] - FIRST_CONTENT_ID
-        for offset in range(1, window + 1):
-            a, b = ids[:-offset], ids[offset:]
-            keys += (a * n_content + b, b * n_content + a)
-    pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
-    if pairs.size == 0:
-        raise ValueError("no co-occurrence signal in corpus")
-    rows, cols = np.divmod(pairs, n_content)
-    counts = counts.astype(np.float64)
-    total = counts.sum()
-    marginals = np.bincount(rows, weights=counts, minlength=n_content)
-    pmi = np.log(counts * total / (marginals[rows] * marginals[cols]))
-    positive = pmi > 0.0
-    ppmi = np.zeros((n_content, n_content), dtype=np.float64)
-    ppmi[rows[positive], cols[positive]] = pmi[positive]
-
+    rows, cols, vals = _ppmi_entries(corpus, vocab, window)
+    if n_content <= DENSE_EIGH_MAX_VOCAB:
+        ppmi = np.zeros((n_content, n_content), dtype=np.float64)
+        ppmi[rows, cols] = vals
+        eigenvalues, eigenvectors = np.linalg.eigh(ppmi)
+    else:
+        eigenvalues, eigenvectors = _top_eigenpairs(n_content, rows, cols, vals, dim)
     # For the symmetric PPMI matrix the singular values are |eigenvalues|
     # and the singular vectors are the eigenvectors up to sign.
-    eigenvalues, eigenvectors = np.linalg.eigh(ppmi)
     order = np.argsort(-np.abs(eigenvalues), kind="stable")
     s = np.abs(eigenvalues[order])
     rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0

@@ -163,8 +163,14 @@ def train_ngram(
     # of ``order`` ids ending at it. Specials (UNK) are context, never targets.
     ends = np.flatnonzero(ids >= FIRST_CONTENT_ID)
     windows = ids[ends[:, None] + np.arange(1 - order, 1)]
-    grams, counts = np.unique(windows, axis=0, return_counts=True)
-    return NgramLM(order, k, vocab.content_size, grams, counts.astype(np.int32))
+    # Sort the windows lexicographically (first column most significant)
+    # and count each run of equal rows.
+    windows = windows[np.lexsort(windows.T[::-1])]
+    run_start = np.ones(len(windows), dtype=bool)
+    run_start[1:] = np.any(windows[1:] != windows[:-1], axis=1)
+    starts = np.flatnonzero(run_start)
+    counts = np.diff(starts, append=len(windows)).astype(np.int32)
+    return NgramLM(order, k, vocab.content_size, windows[starts], counts)
 
 
 def perplexity(token_ids: Sequence[int], lm: NgramLM) -> float:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
@@ -121,6 +122,25 @@ def test_edit_timing_flag_without_config_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(capsys.readouterr().out.strip())["elapsed_s"] == 0.0
+
+
+def test_log_level_flag_sets_verbosity(tmp_path, caplog):
+    # Window 1 over "a b" and "c d e" gives a PPMI matrix of rank 4 < dim 5,
+    # so indexing logs the dim clamp at INFO.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "d0", "text": "a b"}\n{"id": "d1", "text": "c d e"}\n')
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "corpus": str(corpus), "artifacts": str(tmp_path / "artifacts"),
+        "embed_dim": 5, "embed_window": 1,
+    }))
+    try:
+        assert _run("--log-level", "WARNING", "index", "--config", config) == 0
+        assert "clamping embedding dim" not in caplog.text
+        assert _run("index", "--config", config) == 0
+        assert "clamping embedding dim 5 to PPMI rank 4" in caplog.text
+    finally:
+        logging.getLogger("queryflip").setLevel(logging.NOTSET)
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,18 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
 from queryflip.corpus import ingest_corpus
-from queryflip.embed import train_embeddings
+from queryflip.embed import (
+    DENSE_EIGH_MAX_VOCAB,
+    _ppmi_entries,
+    _top_eigenpairs,
+    train_embeddings,
+)
 from queryflip.text import FIRST_CONTENT_ID, UNK_ID, build_vocabulary
 
 from synthdata import synthetic_corpus
@@ -51,24 +57,30 @@ def _reference_table(corpus, vocab, dim, window):
     return dim, np.vstack([np.tile(unk, (FIRST_CONTENT_ID, 1)), content])
 
 
-def _random_lines(seed):
+def _random_lines(seed, n_words=30, n_docs=40):
+    """Documents of 5-14 words drawn from a Zipf distribution."""
     rng = np.random.default_rng(seed)
-    words = [f"w{i}" for i in range(30)]
-    weights = 1.0 / np.arange(1, 31)
+    words = [f"w{i}" for i in range(n_words)]
+    weights = 1.0 / np.arange(1, n_words + 1)
     weights /= weights.sum()
     return [
         json.dumps({
             "id": f"d{i}",
             "text": " ".join(rng.choice(words, size=int(rng.integers(5, 15)), p=weights)),
         })
-        for i in range(40)
+        for i in range(n_docs)
     ]
+
+
+# About 2,000 content words: above DENSE_EIGH_MAX_VOCAB, so the table
+# comes from the Lanczos solve.
+ZIPF_LINES = _random_lines(1, n_words=2200, n_docs=3000)
 
 
 @pytest.mark.parametrize(
     "lines, dim, window",
-    [(synthetic_corpus(), 64, 5), (_random_lines(0), 8, 3)],
-    ids=["synthetic", "random"],
+    [(synthetic_corpus(), 64, 5), (_random_lines(0), 8, 3), (ZIPF_LINES, 64, 5)],
+    ids=["synthetic", "random", "zipf-lanczos"],
 )
 def test_table_agrees_with_dense_svd_reference(lines, dim, window):
     # Compare Gram matrices: they do not depend on the factors' signs.
@@ -148,3 +160,82 @@ def test_unk_vector_defined():
     corpus, vocab = _corpus(PAIR_TEXTS)
     table = train_embeddings(corpus, vocab, dim=4, window=2)
     assert np.linalg.norm(table.vectors[UNK_ID]) == pytest.approx(1.0, abs=1e-9)
+
+
+def _lanczos_log(caplog):
+    """(steps, restarts) of the last Lanczos solve logged."""
+    found = re.findall(r"in (\d+) steps, (\d+) restarts", caplog.text)
+    assert found, "no Lanczos solve was logged"
+    return tuple(int(x) for x in found[-1])
+
+
+def _assert_matches_dense_eigh(n, rows, cols, vals, k):
+    """The top-k pairs agree with ``np.linalg.eigh`` of the dense matrix:
+    eigenvalues, and the projector onto their span, which does not depend
+    on signs or on the basis chosen inside a repeated eigenvalue."""
+    values, vectors = _top_eigenpairs(n, rows, cols, vals, k)
+    matrix = np.zeros((n, n))
+    matrix[rows, cols] = vals
+    ref_values, ref_vectors = np.linalg.eigh(matrix)
+    top = np.sort(np.argsort(-np.abs(ref_values), kind="stable")[:k])
+    np.testing.assert_allclose(
+        values, ref_values[top], rtol=0, atol=1e-12 * np.abs(ref_values).max()
+    )
+    ref_vectors = ref_vectors[:, top]
+    np.testing.assert_allclose(
+        vectors @ vectors.T, ref_vectors @ ref_vectors.T, rtol=0, atol=1e-10
+    )
+    return values
+
+
+def _ppmi_problem(corpus, vocab, window=5):
+    return (vocab.content_size, *_ppmi_entries(corpus, vocab, window))
+
+
+def _random_symmetric_entries(seed, n, density):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < density))
+    matrix = upper + upper.T
+    rows, cols = np.nonzero(matrix)
+    return rows, cols, matrix[rows, cols]
+
+
+@pytest.mark.parametrize(
+    "make_entries, k",
+    [
+        (lambda: (300, *_random_symmetric_entries(3, 300, 0.03)), 10),
+        (lambda: _ppmi_problem(*_ingest(_random_lines(0, n_words=300, n_docs=300))), 64),
+    ],
+    ids=["random-sparse", "ppmi-300-words"],
+)
+def test_top_eigenpairs_agree_with_dense_eigh(caplog, make_entries, k):
+    n, rows, cols, vals = make_entries()
+    with caplog.at_level(logging.DEBUG, logger="queryflip.embed"):
+        values = _assert_matches_dense_eigh(n, rows, cols, vals, k)
+    steps, _ = _lanczos_log(caplog)
+    assert steps < n
+    # The top-|lambda| set takes eigenvalues from both ends of the spectrum.
+    assert values.min() < 0.0 < values.max()
+
+
+def test_top_eigenpairs_find_repeated_eigenvalues(caplog):
+    # Two disjoint documents of the same shape: the PPMI matrix is two
+    # equal blocks, so every eigenvalue appears twice. The Krylov space of
+    # one start vector holds one copy of each; the second copy is found
+    # after the recurrence restarts on the invariant subspace.
+    n, rows, cols, vals = _ppmi_problem(*_corpus(["a b c a d b e c", "f g h f i g j h"]), 2)
+    with caplog.at_level(logging.DEBUG, logger="queryflip.embed"):
+        values = _assert_matches_dense_eigh(n, rows, cols, vals, 4)
+    _, restarts = _lanczos_log(caplog)
+    assert restarts >= 1
+    assert values[0] == pytest.approx(values[1]) and values[2] == pytest.approx(values[3])
+
+
+def test_lanczos_training_is_deterministic(caplog):
+    corpus, vocab = _ingest(ZIPF_LINES)
+    assert vocab.content_size > DENSE_EIGH_MAX_VOCAB
+    with caplog.at_level(logging.DEBUG, logger="queryflip.embed"):
+        first = train_embeddings(corpus, vocab, dim=64, window=5)
+    _lanczos_log(caplog)
+    second = train_embeddings(corpus, vocab, dim=64, window=5)
+    assert np.array_equal(first.vectors, second.vectors)

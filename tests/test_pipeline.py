@@ -39,6 +39,21 @@ def test_config_validation_names_field():
         RunConfig(timing="cpu").validate()
     with pytest.raises(ValueError, match="nope"):
         RunConfig.from_dict({"nope": 1})
+    bad_types = [
+        ({"beam": "10"}, "beam", "an integer"),
+        ({"beam": True}, "beam", "an integer"),
+        ({"lam": "0.5"}, "lam", "a number"),
+        ({"lam": False}, "lam", "a number"),
+        ({"max_masks": 2.5}, "max_masks", "an integer or null"),
+        ({"workers": True}, "workers", "an integer or null"),
+        ({"embed_dim": 64.0}, "embed_dim", "an integer"),
+        ({"masker": ["maxsim"]}, "masker", "a string"),
+        ({"corpus": 5}, "corpus", "a string"),
+    ]
+    for raw, name, kind in bad_types:
+        with pytest.raises(ValueError, match=rf"invalid config field: {name} \(must be {kind}\)"):
+            RunConfig.from_dict(raw)
+    assert RunConfig.from_dict({"lam": 1, "k1": 2, "max_masks": None}).lam == 1
     with pytest.raises(ValueError, match="invalid config field: seed"):
         RunConfig.from_dict({"seed": 0})
     url = "http://scorer"
