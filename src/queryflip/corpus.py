@@ -1,4 +1,5 @@
-"""Document storage and the built-in BM25 search model with its postings.
+"""Document storage, the encoded corpus, and the built-in BM25 search
+model with its postings.
 
 The search model plays the role of the relevance scorer the rest of the
 pipeline treats as a black box: it produces rel(query, doc) scores, ranked
@@ -12,11 +13,12 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .text import SPECIAL_IDS, Vocabulary, tokenize
+from .text import FIRST_CONTENT_ID, SPECIAL_IDS, Vocabulary, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +61,25 @@ class Corpus:
 
     def doc_ids(self) -> list[str]:
         return list(self._docs)
+
+
+@dataclass(frozen=True)
+class EncodedCorpus:
+    """Every document's token ids as one int32 stream, documents in corpus
+    order: document i is ``ids[offsets[i]:offsets[i + 1]]``. A build
+    encodes once and hands this to the index, the embeddings and the
+    n-gram model."""
+
+    ids: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def n_docs(self) -> int:
+        return len(self.offsets) - 1
+
+    def doc_labels(self) -> np.ndarray:
+        """The document index of every id in the stream."""
+        return np.repeat(np.arange(self.n_docs), np.diff(self.offsets))
 
 
 def ingest_corpus(lines: Iterable[str]) -> Corpus:
@@ -128,47 +149,69 @@ class Ranking:
 class Bm25SearchModel:
     """BM25 relevance scorer that owns its term-frequency postings.
 
-    Postings map token id -> {doc id: term frequency}, with doc ids in
-    ascending order. Special token ids are never indexed, so MASK/PAD/UNK
-    query tokens can never match anything. Scoring uses Robertson idf
-    with +1 inside the log (keeps idf >= 0):
+    The postings are held as four CSR arrays, as built or loaded:
+    ``terms`` (int32, strictly increasing content token ids), ``indptr``
+    (int64, ``len(terms) + 1`` row bounds, each row non-empty), ``docs``
+    (int32, each row's documents as strictly increasing positions in
+    ascending doc-id order) and ``tfs`` (int32, term frequencies >= 1).
+    Special token ids are never indexed, so MASK/PAD/UNK query tokens can
+    never match anything. Scoring uses Robertson idf with +1 inside the
+    log (keeps idf >= 0):
 
         idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5))
         w(t,d) = idf(t) * tf * (k1+1) / (tf + k1 * (1 - b + b * n/avgdl))
 
-    The impact w(t,d) of every posting is computed once, at construction.
-    A query is scored one token occurrence at a time, so repeated query
-    terms contribute once per occurrence. Non-indexed terms contribute 0.
-    The model is immutable after construction and safe for concurrent use.
+    Derived once at construction: idf per term (``math.log``, one call
+    per term), the impact w(t,d) of every posting in one numpy
+    expression, one {term id: w} dict per document for ``score`` and one
+    term -> row map for ``search``. A query is scored one token
+    occurrence at a time, so repeated query terms contribute once per
+    occurrence. Non-indexed terms contribute 0. The model is immutable
+    after construction and safe for concurrent use.
     """
 
     def __init__(
         self,
         corpus: Corpus,
-        postings: Mapping[int, Mapping[str, int]],
+        terms: np.ndarray,
+        indptr: np.ndarray,
+        docs: np.ndarray,
+        tfs: np.ndarray,
         params: Bm25Params,
     ) -> None:
+        _check_postings(terms, indptr, docs, tfs, corpus.n_docs)
         self.corpus = corpus
-        self.postings = {t: dict(p) for t, p in postings.items()}
+        self.terms, self.indptr, self.docs, self.tfs = terms, indptr, docs, tfs
+        n = corpus.n_docs
+        term_ids = terms.tolist()
+        dfs = np.diff(indptr)
+        idfs = [_robertson_idf(n, df) for df in dfs.tolist()]
+        self._idf = dict(zip(term_ids, idfs))
+        self._idf_unseen = _robertson_idf(n, 0)
+        bounds = indptr.tolist()
+        self._rows = {t: slice(a, b) for t, a, b in zip(term_ids, bounds, bounds[1:])}
+        # Documents by position, i.e. in ascending doc-id order.
+        self._doc_ids = sorted(corpus.doc_ids())
+        lengths = np.array([corpus[d].length for d in self._doc_ids])
+        # The scalar formula's float operations in its order, one element
+        # per posting. Only a posting's document is normalised, so avgdl 0
+        # (every document empty, no postings) divides nothing.
         k1, b = params.k1, params.b
-        # k1 * norm per document; empty documents have no postings.
-        k1_norm = {
-            doc.id: k1 * (1.0 - b + b * doc.length / corpus.avgdl)
-            for doc in corpus.documents()
-            if doc.length
+        k1_norm = k1 * (1.0 - b + b * lengths[docs] / corpus.avgdl)
+        posting_idf = np.repeat(np.array(idfs), dfs)
+        impacts = posting_idf * tfs * (k1 + 1.0) / (tfs + k1_norm)
+        # Regroup the postings by document: doc id -> {term id: w(t,d)}.
+        by_doc = np.argsort(docs, kind="stable")
+        doc_terms = np.repeat(terms, dfs)[by_doc].tolist()
+        doc_impacts = impacts[by_doc].tolist()
+        ends = np.cumsum(np.bincount(docs, minlength=n)).tolist()
+        self._impacts: dict[str, dict[int, float]] = {
+            doc_id: dict(zip(doc_terms[start:end], doc_impacts[start:end]))
+            for doc_id, start, end in zip(self._doc_ids, [0, *ends], ends)
         }
-        # doc id -> {term id: w(t,d)}
-        self._impacts: dict[str, dict[int, float]] = {d: {} for d in corpus.doc_ids()}
-        for term_id, row in self.postings.items():
-            idf = self.idf(term_id)
-            for doc_id, tf in row.items():
-                w = idf * tf * (k1 + 1.0) / (tf + k1_norm[doc_id])
-                self._impacts[doc_id][term_id] = w
 
     def idf(self, term_id: int) -> float:
-        df = len(self.postings.get(term_id, ()))
-        n = self.corpus.n_docs
-        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        return self._idf.get(term_id, self._idf_unseen)
 
     def bm25_score(self, query_ids: Sequence[int], doc_id: str) -> float:
         """rel(q, d) for one document; 0.0 when no query term matches.
@@ -197,48 +240,41 @@ class Bm25SearchModel:
             raise ValueError("k must be >= 1")
         if self.corpus.n_docs == 0:
             raise ValueError("empty corpus")
-        matched = {d for t in set(query_ids) for d in self.postings.get(t, ())}
+        rows = [self.docs[self._rows[t]] for t in set(query_ids) if t in self._rows]
+        doc_ids = self._doc_ids
+        matched = {doc_ids[p] for row in rows for p in row.tolist()}
         ranked = sorted(
             ((d, self.bm25_score(query_ids, d)) for d in matched),
             key=lambda e: (-e[1], e[0]),
         )
         if len(ranked) < k:
-            zeros = [d for d in sorted(self.corpus.doc_ids()) if d not in matched]
+            zeros = [d for d in doc_ids if d not in matched]
             ranked.extend((d, 0.0) for d in zeros)
         return Ranking(tuple(query_ids), tuple(ranked[:k]))
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """CSR postings: per term id, the documents as positions in
-        ascending doc-id order, with their term frequencies. Document
-        lengths come from the corpus. Impacts are not stored: they depend
-        on k1 and b, which the build fingerprint does not cover."""
-        position = {d: i for i, d in enumerate(sorted(self.corpus.doc_ids()))}
-        terms = sorted(self.postings)
-        rows = [self.postings[t] for t in terms]
-        docs = [position[doc_id] for row in rows for doc_id in row]
-        tfs = [tf for row in rows for tf in row.values()]
+        """The CSR postings as held. Document lengths come from the corpus.
+        Impacts are not stored: they depend on k1 and b, which the build
+        fingerprint does not cover."""
         return {
-            "index.terms": np.array(terms, dtype=np.int32),
-            "index.indptr": np.cumsum([0] + [len(row) for row in rows]),
-            "index.docs": np.array(docs, dtype=np.int32),
-            "index.tfs": np.array(tfs, dtype=np.int32),
+            "index.terms": self.terms,
+            "index.indptr": self.indptr,
+            "index.docs": self.docs,
+            "index.tfs": self.tfs,
         }
 
     @classmethod
     def from_arrays(
         cls, arrays: Mapping[str, np.ndarray], corpus: Corpus, params: Bm25Params
     ) -> "Bm25SearchModel":
-        doc_ids = sorted(corpus.doc_ids())
-        indptr = arrays["index.indptr"].tolist()
-        docs = [doc_ids[i] for i in arrays["index.docs"].tolist()]
-        tfs = arrays["index.tfs"].tolist()
-        postings = {
-            term_id: dict(zip(docs[start:end], tfs[start:end]))
-            for term_id, start, end in zip(
-                arrays["index.terms"].tolist(), indptr, indptr[1:]
-            )
-        }
-        return cls(corpus, postings, params)
+        return cls(
+            corpus,
+            arrays["index.terms"],
+            arrays["index.indptr"],
+            arrays["index.docs"],
+            arrays["index.tfs"],
+            params,
+        )
 
     def query_representation(self, query_ids: Sequence[int]) -> dict[int, float]:
         """L2-normalized sparse idf*tf vector over the vocabulary.
@@ -258,14 +294,70 @@ class Bm25SearchModel:
         return {t: w / norm for t, w in sorted(weights.items())}
 
 
+def _robertson_idf(n_docs: int, df: int) -> float:
+    return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+
+
+def _check_postings(
+    terms: np.ndarray,
+    indptr: np.ndarray,
+    docs: np.ndarray,
+    tfs: np.ndarray,
+    n_docs: int,
+) -> None:
+    """Raise ValueError unless the arrays are CSR postings as documented
+    on Bm25SearchModel, with document positions below ``n_docs``."""
+    if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in (terms, indptr, docs, tfs)):
+        raise ValueError("BM25 postings must be 1-d integer arrays")
+    if len(indptr) != len(terms) + 1 or len(tfs) != len(docs):
+        raise ValueError(
+            f"BM25 postings have {len(terms)} terms, {len(indptr)} row bounds, "
+            f"{len(docs)} documents and {len(tfs)} term frequencies"
+        )
+    if indptr[0] != 0 or indptr[-1] != len(docs) or (indptr[1:] <= indptr[:-1]).any():
+        raise ValueError("BM25 row bounds must rise strictly from 0 to the posting count")
+    if (terms < FIRST_CONTENT_ID).any() or (terms[1:] <= terms[:-1]).any():
+        raise ValueError("BM25 terms must be strictly increasing content ids")
+    if (docs < 0).any() or (docs >= n_docs).any():
+        raise ValueError(f"BM25 document position outside the {n_docs} documents")
+    unordered = docs[1:] <= docs[:-1]
+    unordered[indptr[1:-1] - 1] = False  # each row starts its own order
+    if unordered.any():
+        raise ValueError("BM25 documents must be strictly increasing within a term")
+    if (tfs < 1).any():
+        raise ValueError("BM25 term frequencies must be >= 1")
+
+
+def encode_corpus(corpus: Corpus, vocab: Vocabulary) -> EncodedCorpus:
+    """Encode every document once, in corpus order."""
+    docs = list(corpus.documents())
+    ids = vocab.encode(chain.from_iterable(doc.tokens for doc in docs))
+    offsets = np.cumsum([0] + [doc.length for doc in docs], dtype=np.int64)
+    return EncodedCorpus(np.array(ids, dtype=np.int32), offsets)
+
+
 def build_index(
-    corpus: Corpus, vocab: Vocabulary, params: Bm25Params
+    corpus: Corpus, encoded: EncodedCorpus, params: Bm25Params
 ) -> Bm25SearchModel:
-    postings: dict[int, dict[str, int]] = {}
-    for doc_id in sorted(corpus.doc_ids()):
-        counts: Counter[int] = Counter(vocab.encode(corpus[doc_id].tokens))
-        for term_id, tf in counts.items():
-            if term_id in SPECIAL_IDS:
-                continue
-            postings.setdefault(term_id, {})[doc_id] = tf
-    return Bm25SearchModel(corpus, postings, params)
+    """Count every (term, document) pair of the encoded corpus, specials
+    left out, into CSR postings sorted by term, then document position."""
+    doc_ids = corpus.doc_ids()
+    n = len(doc_ids)
+    # Each document's position in ascending doc-id order.
+    position = np.empty(n, dtype=np.int64)
+    position[sorted(range(n), key=doc_ids.__getitem__)] = np.arange(n)
+    content = encoded.ids >= FIRST_CONTENT_ID
+    term_ids = encoded.ids[content].astype(np.int64)
+    pairs, tfs = np.unique(
+        term_ids * n + position[encoded.doc_labels()[content]], return_counts=True
+    )
+    terms, docs = np.divmod(pairs, n)
+    terms, starts = np.unique(terms, return_index=True)
+    return Bm25SearchModel(
+        corpus,
+        terms.astype(np.int32),
+        np.append(starts, len(pairs)),
+        docs.astype(np.int32),
+        tfs.astype(np.int32),
+        params,
+    )

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .text import FIRST_CONTENT_ID, Vocabulary
-from .corpus import Corpus
+from .corpus import EncodedCorpus
 
 logger = logging.getLogger(__name__)
 
@@ -82,7 +81,7 @@ def _fix_signs(columns: np.ndarray) -> np.ndarray:
 
 
 def _ppmi_entries(
-    corpus: Corpus, vocab: Vocabulary, window: int
+    encoded: EncodedCorpus, vocab: Vocabulary, window: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The positive entries of the symmetric PPMI matrix over content ids,
     as ``(rows, cols, values)`` sorted by row, then column.
@@ -93,9 +92,7 @@ def _ppmi_entries(
     document. PMI is computed on the nonzero pairs only.
     """
     n_content = vocab.content_size
-    encoded = [vocab.encode(doc.tokens) for doc in corpus.documents()]
-    ids = np.fromiter(chain.from_iterable(encoded), dtype=np.int64)
-    docs = np.repeat(np.arange(len(encoded)), [len(e) for e in encoded])
+    ids, docs = encoded.ids.astype(np.int64), encoded.doc_labels()
     content = ids >= FIRST_CONTENT_ID
     ids, docs = ids[content] - FIRST_CONTENT_ID, docs[content]
     keys = []
@@ -192,7 +189,7 @@ def _top_eigenpairs(
 
 
 def train_embeddings(
-    corpus: Corpus,
+    encoded: EncodedCorpus,
     vocab: Vocabulary,
     dim: int = 64,
     window: int = 5,
@@ -215,14 +212,14 @@ def train_embeddings(
     Raises ValueError when ``dim`` exceeds the vocabulary size.
     """
     n_content = vocab.content_size
-    if corpus.n_docs == 0:
+    if encoded.n_docs == 0:
         raise ValueError("empty corpus")
     if dim > n_content:
         raise ValueError(f"dim {dim} exceeds vocabulary size {n_content}")
     if window < 1:
         raise ValueError("window must be >= 1")
 
-    rows, cols, vals = _ppmi_entries(corpus, vocab, window)
+    rows, cols, vals = _ppmi_entries(encoded, vocab, window)
     if n_content <= DENSE_EIGH_MAX_VOCAB:
         ppmi = np.zeros((n_content, n_content), dtype=np.float64)
         ppmi[rows, cols] = vals

@@ -34,8 +34,6 @@ from .text import PAD_ID, Vocabulary, tokenize
 
 logger = logging.getLogger(__name__)
 
-METHODS = ("cfe2", "mask_only", "max_flip")
-
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 
 
@@ -227,12 +225,21 @@ class EvalContext:
     masker: str = "maxsim"
 
     def importance(self, query_ids: Sequence[int], doc: Document) -> ImportanceScores:
-        if self.masker == "maxsim":
-            doc_ids = self.vocab.encode(doc.tokens)
-            return maxsim_importance(query_ids, doc_ids, self.embedder)
-        if self.masker == "occlusion":
-            return occlusion_importance(query_ids, doc, self.scorer)
-        raise ValueError(f"unknown masker: {self.masker}")
+        try:
+            masker = _MASKERS[self.masker]
+        except KeyError:
+            raise ValueError(f"unknown masker: {self.masker}") from None
+        return masker(self, query_ids, doc)
+
+
+_MASKERS: dict[str, Callable[..., ImportanceScores]] = {
+    "maxsim": lambda ctx, query_ids, doc: maxsim_importance(
+        query_ids, ctx.vocab.encode(doc.tokens), ctx.embedder
+    ),
+    "occlusion": lambda ctx, query_ids, doc: occlusion_importance(
+        query_ids, doc, ctx.scorer
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -307,6 +314,46 @@ def _breakdown_by_rank(records: Sequence[EvalRecord]) -> dict[int, dict[str, Any
     }
 
 
+def _run_cfe2(
+    triplet: Triplet, ctx: EvalContext, beam_width: int, max_masks: int | None
+) -> EditResult:
+    importance = ctx.importance(triplet.query_ids, triplet.d)
+    predictor = ctx.predictor_factory(triplet.d_prime)
+    budget = len(triplet.query_ids)
+    if max_masks is not None:
+        budget = min(max_masks, budget)
+    return edit(
+        triplet,
+        ctx.scorer,
+        importance,
+        predictor,
+        ctx.ppl_fn,
+        beam_width=beam_width,
+        max_masks=budget,
+    )
+
+
+def _run_mask_only(
+    triplet: Triplet, ctx: EvalContext, beam_width: int, max_masks: int | None
+) -> EditResult:
+    importance = ctx.importance(triplet.query_ids, triplet.d)
+    return baseline_mask_only(triplet, importance, ctx.scorer)
+
+
+def _run_max_flip(
+    triplet: Triplet, ctx: EvalContext, beam_width: int, max_masks: int | None
+) -> EditResult:
+    return baseline_max_flip(triplet, ctx.vocab, ctx.scorer, ctx.ppl_fn)
+
+
+_METHOD_RUNNERS = {
+    "cfe2": _run_cfe2,
+    "mask_only": _run_mask_only,
+    "max_flip": _run_max_flip,
+}
+METHODS = tuple(_METHOD_RUNNERS)
+
+
 def run_method(
     triplet: Triplet,
     method: str,
@@ -315,27 +362,11 @@ def run_method(
     max_masks: int | None = None,
 ) -> EditResult:
     """Produce one EditResult for ``triplet`` with the chosen method."""
-    if method == "cfe2":
-        importance = ctx.importance(triplet.query_ids, triplet.d)
-        predictor = ctx.predictor_factory(triplet.d_prime)
-        budget = len(triplet.query_ids)
-        if max_masks is not None:
-            budget = min(max_masks, budget)
-        return edit(
-            triplet,
-            ctx.scorer,
-            importance,
-            predictor,
-            ctx.ppl_fn,
-            beam_width=beam_width,
-            max_masks=budget,
-        )
-    if method == "mask_only":
-        importance = ctx.importance(triplet.query_ids, triplet.d)
-        return baseline_mask_only(triplet, importance, ctx.scorer)
-    if method == "max_flip":
-        return baseline_max_flip(triplet, ctx.vocab, ctx.scorer, ctx.ppl_fn)
-    raise ValueError(f"unknown method: {method}")
+    try:
+        run = _METHOD_RUNNERS[method]
+    except KeyError:
+        raise ValueError(f"unknown method: {method}") from None
+    return run(triplet, ctx, beam_width, max_masks)
 
 
 def evaluate(

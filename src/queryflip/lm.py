@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .text import FIRST_CONTENT_ID, MASK_ID, PAD_ID, Vocabulary
-from .corpus import Corpus
+from .corpus import EncodedCorpus
 
 #: Sentence-boundary padding marker used in n-gram contexts. Not a
 #: vocabulary id, so it can never collide with a real token.
@@ -52,10 +52,16 @@ class NgramLM:
     """Add-k-smoothed n-gram model. No state changes after construction,
     so concurrent reads are safe.
 
-    One count table: ``grams`` (int32, ``(n, order)``: the order-1 context
-    ids, then the target) and ``counts`` (int32, ``(n,)``), rows strictly
-    increasing by context, then target. Contexts are BOS-padded at sentence
-    starts. Only content tokens are ever predicted; the candidate space has
+    It holds one count table, as built or loaded: ``grams`` (int32,
+    ``(n, order)``: the order-1 context ids, then the target) and
+    ``counts`` (int32, ``(n,)``), rows strictly increasing by context, then
+    target. Contexts are BOS-padded at sentence starts. Derived at
+    construction, with numpy and no loop over rows: each context's run of
+    rows, found by one diff, and from it a dict from the context tuple to
+    its run index, with the run starts, add-k denominators, targets and
+    counts as flat lists for ``prob`` and ``distribution``.
+
+    Only content tokens are ever predicted; the candidate space has
     ``n_candidates`` tokens with contiguous ids starting at
     FIRST_CONTENT_ID. Probability of a non-candidate target (a special
     token appearing inside a scored sequence) is the add-k floor of an
@@ -93,13 +99,20 @@ class NgramLM:
         self.n_candidates = n_candidates
         self.grams = grams
         self.counts = counts
-        # Each context's rows form one run: context -> (start, end, total).
+        # Each context's rows form one run. A context maps to its run index
+        # r: rows starts[r]:starts[r + 1], add-k denominator
+        # denominators[r] (the run's count total + k * n_candidates). An
+        # unseen context gets index len(runs), an empty run.
         starts = np.flatnonzero(np.r_[True, step[:, :-1].any(axis=1)][: len(grams)])
-        ends = np.append(starts[1:], len(grams))
-        totals = np.add.reduceat(counts.astype(np.int64), starts)
-        keys = map(tuple, grams[starts, :-1].tolist())
-        runs = zip(starts.tolist(), ends.tolist(), totals.tolist())
-        self._runs = dict(zip(keys, runs))
+        totals = np.append(np.add.reduceat(counts.astype(np.int64), starts), 0)
+        # Keys from column lists; with no context columns (order 1) there
+        # is at most one run, under the empty context.
+        columns = grams[starts, :-1].T.tolist()
+        keys = zip(*columns) if columns else [()] * len(starts)
+        self._runs = dict(zip(keys, range(len(starts))))
+        self._unseen = len(starts)
+        self._starts: list[int] = starts.tolist() + [len(grams)] * 2
+        self._denominators: list[float] = (totals + k * n_candidates).tolist()
         self._targets: list[int] = grams[:, -1].tolist()
         self._counts: list[int] = counts.tolist()
 
@@ -133,10 +146,12 @@ class NgramLM:
 
     def prob(self, token_id: int, context: tuple[int, ...]) -> float:
         """P(token | context) with add-k smoothing over the candidates."""
-        start, end, total = self._runs.get(context, (0, 0, 0))
-        i = bisect_left(self._targets, token_id, start, end)
+        run = self._runs.get(context, self._unseen)
+        starts = self._starts
+        end = starts[run + 1]
+        i = bisect_left(self._targets, token_id, starts[run], end)
         count = self._counts[i] if i < end and self._targets[i] == token_id else 0
-        return (count + self.k) / (total + self.k * self.n_candidates)
+        return (count + self.k) / self._denominators[run]
 
     def distribution(
         self, context: tuple[int, ...]
@@ -144,21 +159,22 @@ class NgramLM:
         """The run of ``context``: its observed targets (ascending), their
         counts, and the add-k denominator. P(t | context) is
         ``(count + k) / denominator``, with count 0 for an unseen target."""
-        start, end, total = self._runs.get(context, (0, 0, 0))
-        denominator = total + self.k * self.n_candidates
+        run = self._runs.get(context, self._unseen)
+        start, end = self._starts[run], self._starts[run + 1]
+        denominator = self._denominators[run]
         return self._targets[start:end], self._counts[start:end], denominator
 
 
 def train_ngram(
-    corpus: Corpus, vocab: Vocabulary, order: int = 3, k: float = 0.1
+    encoded: EncodedCorpus, vocab: Vocabulary, order: int = 3, k: float = 0.1
 ) -> NgramLM:
     """Count n-grams over every document, BOS-padded at document starts."""
-    if corpus.n_docs == 0:
+    if encoded.n_docs == 0:
         raise ValueError("empty corpus")
-    stream: list[int] = []
-    for doc in corpus.documents():
-        stream += [BOS] * (order - 1) + vocab.encode(doc.tokens)
-    ids = np.array(stream, dtype=np.int32)
+    # The stream with order-1 BOS pads before each document.
+    pad = order - 1
+    ids = np.full(len(encoded.ids) + pad * encoded.n_docs, BOS, dtype=np.int32)
+    ids[np.arange(len(encoded.ids)) + pad * (encoded.doc_labels() + 1)] = encoded.ids
     # One pass over one stream: each content id is the target of the window
     # of ``order`` ids ending at it. Specials (UNK) are context, never targets.
     ends = np.flatnonzero(ids >= FIRST_CONTENT_ID)
@@ -177,9 +193,13 @@ def perplexity(token_ids: Sequence[int], lm: NgramLM) -> float:
     """exp(-(1/T) sum_t ln P(x_t | context_t)), natural base."""
     if len(token_ids) == 0:
         raise ValueError("empty sequence")
+    # The BOS-padded sequence, built once: position pos's context is
+    # padded[pos : pos + width], as context_at would return it.
+    width = lm.order - 1
+    padded = [BOS] * width + list(token_ids)
     log_sum = 0.0
     for pos, target in enumerate(token_ids):
-        log_sum += log(lm.prob(target, lm.context_at(token_ids, pos)))
+        log_sum += log(lm.prob(target, tuple(padded[pos : pos + width])))
     return exp(-log_sum / len(token_ids))
 
 

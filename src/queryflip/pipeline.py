@@ -23,6 +23,7 @@ from .corpus import (
     Corpus,
     Document,
     build_index,
+    encode_corpus,
     ingest_corpus,
 )
 from .embed import EmbeddingTable, train_embeddings
@@ -83,10 +84,11 @@ def build_stack(corpus: Corpus, config: RunConfig) -> Stack:
     vocab = build_vocabulary(
         (doc.tokens for doc in corpus.documents()), config.min_count
     )
-    search = build_index(corpus, vocab, Bm25Params(config.k1, config.b_bm25))
+    encoded = encode_corpus(corpus, vocab)
+    search = build_index(corpus, encoded, Bm25Params(config.k1, config.b_bm25))
     dim = min(config.embed_dim, max(2, vocab.content_size))
-    table = train_embeddings(corpus, vocab, dim=dim, window=config.embed_window)
-    lm = train_ngram(corpus, vocab, order=config.lm_order, k=config.lm_k)
+    table = train_embeddings(encoded, vocab, dim=dim, window=config.embed_window)
+    lm = train_ngram(encoded, vocab, order=config.lm_order, k=config.lm_k)
     fingerprint = build_fingerprint(config.build_params(), corpus_digest(corpus))
     return Stack(corpus, vocab, search, table, lm, fingerprint)
 
@@ -102,7 +104,12 @@ def build_stack_from_file(path: str, config: RunConfig) -> Stack:
 # The whole stack lives in one uncompressed ``.npz``: the corpus (ids and
 # texts as UTF-8 buffers with offsets), one build fingerprint, and the
 # arrays each component writes with ``to_arrays`` and reads back with
-# ``from_arrays``. The BM25 model stores its tf postings, not its impacts.
+# ``from_arrays``. Components hold their stored arrays as they are and
+# derive their lookups from them with numpy on load: the BM25 model its
+# idf and per-document impacts (not stored: they depend on k1 and b), the
+# n-gram model its context -> run index. The loader checks what one
+# component cannot: vector rows, candidates and term ids against the
+# vocabulary.
 
 
 def save_stack(stack: Stack, config: RunConfig) -> None:
@@ -182,6 +189,11 @@ def load_stack(config: RunConfig) -> Stack:
         raise ArtifactError(
             f"{STACK_FILE} n-gram model has {lm.n_candidates} candidates for "
             f"{vocab.content_size} content tokens"
+        )
+    if len(search.terms) and search.terms[-1] >= len(vocab):
+        raise ArtifactError(
+            f"{STACK_FILE} BM25 postings hold term id {search.terms[-1]} past "
+            f"a vocabulary of {len(vocab)}"
         )
     return Stack(corpus, vocab, search, table, lm, expected)
 

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from queryflip.corpus import Bm25Params, build_index, ingest_corpus
+from queryflip.corpus import (
+    Bm25Params,
+    Bm25SearchModel,
+    build_index,
+    encode_corpus,
+    ingest_corpus,
+)
 from queryflip.text import SPECIAL_IDS, UNK_ID, build_vocabulary
 
 from conftest import SAMPLE_LINES
@@ -189,6 +197,48 @@ def _okapi(corpus, vocab, params, query_ids, doc_id):
     return score
 
 
+def _counter_postings(corpus, vocab):
+    """The CSR postings arrays, counted one document at a time with a
+    Counter, documents in ascending doc-id order."""
+    rows = {}
+    for position, doc_id in enumerate(sorted(corpus.doc_ids())):
+        for term_id, tf in Counter(vocab.encode(corpus[doc_id].tokens)).items():
+            if term_id not in SPECIAL_IDS:
+                rows.setdefault(term_id, []).append((position, tf))
+    terms = sorted(rows)
+    return {
+        "index.terms": np.array(terms, dtype=np.int32),
+        "index.indptr": np.cumsum([0] + [len(rows[t]) for t in terms]),
+        "index.docs": np.array([p for t in terms for p, _ in rows[t]], dtype=np.int32),
+        "index.tfs": np.array([tf for t in terms for _, tf in rows[t]], dtype=np.int32),
+    }
+
+
+def npz_round_trip(arrays):
+    """``arrays`` written to an in-memory ``.npz`` and read back."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    buffer.seek(0)
+    with np.load(buffer) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def assert_same_arrays(got, expected):
+    assert got.keys() == expected.keys()
+    for name, array in expected.items():
+        assert got[name].dtype == array.dtype, name
+        assert np.array_equal(got[name], array), name
+
+
+def test_index_of_empty_documents_has_no_postings():
+    corpus = ingest_corpus(json.dumps({"id": f"d{i}", "text": "?!"}) for i in range(3))
+    vocab = build_vocabulary((d.tokens for d in corpus.documents()), 1)
+    search = build_index(corpus, encode_corpus(corpus, vocab), Bm25Params())
+    assert corpus.avgdl == 0.0 and len(search.docs) == 0
+    assert_same_arrays(search.to_arrays(), _counter_postings(corpus, vocab))
+    assert search.search([UNK_ID], 2).entries == (("d0", 0.0), ("d1", 0.0))
+
+
 def test_score_equals_per_call_okapi_on_random_corpora():
     rng = random.Random(11)
     words = [f"w{i}" for i in range(30)]
@@ -206,7 +256,16 @@ def test_score_equals_per_call_okapi_on_random_corpora():
             (d.tokens for d in corpus.documents()), rng.choice((1, 2))
         )
         params = Bm25Params(k1=rng.uniform(0.1, 3.0), b=rng.choice((0.0, 0.75, 1.0)))
-        search = build_index(corpus, vocab, params)
+        search = build_index(corpus, encode_corpus(corpus, vocab), params)
+        assert_same_arrays(search.to_arrays(), _counter_postings(corpus, vocab))
+        loaded = Bm25SearchModel.from_arrays(
+            npz_round_trip(search.to_arrays()), corpus, params
+        )
+        for term_id in range(len(vocab) + 3):
+            assert loaded.idf(term_id) == search.idf(term_id)
+            for doc_id in corpus.doc_ids():
+                impact = search.score([term_id], doc_id)
+                assert loaded.score([term_id], doc_id) == impact
         for _ in range(10):
             # specials, ids past the vocabulary and repeated terms included
             query = rng.choices(range(len(vocab) + 3), k=rng.randint(1, 8))
@@ -215,5 +274,9 @@ def test_score_equals_per_call_okapi_on_random_corpora():
                 expected = _okapi(corpus, vocab, params, query, doc_id)
                 assert search.score(query, doc_id) == expected
                 assert search.bm25_score(query, doc_id) == expected
-            for doc_id, score in search.search(query, corpus.n_docs).entries:
+                assert loaded.score(query, doc_id) == expected
+            ranking = search.search(query, corpus.n_docs)
+            for doc_id, score in ranking.entries:
                 assert score == _okapi(corpus, vocab, params, query, doc_id)
+            assert loaded.search(query, corpus.n_docs) == ranking
+            assert loaded.search(query, 1) == search.search(query, 1)

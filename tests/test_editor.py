@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from queryflip.corpus import ingest_corpus
+from queryflip.corpus import encode_corpus, ingest_corpus
 from queryflip.editor import (
     Beam,
     EditCandidate,
@@ -266,7 +266,7 @@ def _random_toy_stack(rng: random.Random):
     lines = [json.dumps({"id": f"d{i}", "text": t}) for i, t in enumerate(texts)]
     corpus = ingest_corpus(lines)
     vocab = build_vocabulary((d.tokens for d in corpus.documents()), 1)
-    lm = train_ngram(corpus, vocab, order=rng.choice((2, 3)), k=0.1)
+    lm = train_ngram(encode_corpus(corpus, vocab), vocab, order=rng.choice((2, 3)), k=0.1)
     return corpus, vocab, lm
 
 

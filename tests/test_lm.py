@@ -8,7 +8,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from queryflip.corpus import ingest_corpus
+from queryflip.corpus import encode_corpus, ingest_corpus
 from queryflip.lm import (
     BOS,
     NgramLM,
@@ -19,7 +19,7 @@ from queryflip.lm import (
 )
 from queryflip.text import FIRST_CONTENT_ID, MASK_ID, PAD_ID, UNK_ID, build_vocabulary
 
-from test_corpus import ids
+from test_corpus import assert_same_arrays, ids, npz_round_trip
 
 
 def _bigram_ab():
@@ -27,7 +27,7 @@ def _bigram_ab():
     lines = [json.dumps({"id": f"d{i}", "text": "a b"}) for i in range(2)]
     corpus = ingest_corpus(lines)
     vocab = build_vocabulary((d.tokens for d in corpus.documents()), 1)
-    return train_ngram(corpus, vocab, order=2, k=0.1), vocab
+    return train_ngram(encode_corpus(corpus, vocab), vocab, order=2, k=0.1), vocab
 
 
 def test_bigram_conditional_hand_value():
@@ -89,7 +89,7 @@ def test_perplexity_unigram_length_invariance():
     ]
     corpus = ingest_corpus(lines)
     vocab = build_vocabulary((d.tokens for d in corpus.documents()), 1)
-    unigram = train_ngram(corpus, vocab, order=1, k=0.1)
+    unigram = train_ngram(encode_corpus(corpus, vocab), vocab, order=1, k=0.1)
     assert unigram.n_candidates == 2
     a, b = vocab.id("a"), vocab.id("b")
     seq = [a, b, b, a]
@@ -151,7 +151,7 @@ def test_train_ngram_matches_counter_reference(order, min_count):
         assert any(not doc.tokens for doc in corpus.documents())
         vocab = build_vocabulary((d.tokens for d in corpus.documents()), min_count)
         k, n = 0.1, vocab.content_size
-        lm = train_ngram(corpus, vocab, order=order, k=k)
+        lm = train_ngram(encode_corpus(corpus, vocab), vocab, order=order, k=k)
         counts, totals = reference_counts(corpus, vocab, order)
         if min_count == 2 and order > 1:
             assert any(UNK_ID in context for context in counts)
@@ -160,23 +160,27 @@ def test_train_ngram_matches_counter_reference(order, min_count):
             count = counts.get(context, {}).get(token_id, 0)
             return (count + k) / (totals.get(context, 0) + k * n)
 
+        # The model as built and as loaded from its saved arrays.
+        loaded = NgramLM.from_arrays(npz_round_trip(lm.to_arrays()))
+        assert_same_arrays(loaded.to_arrays(), lm.to_arrays())
         unseen = (PAD_ID,) * (order - 1)
-        for context in [*counts, unseen]:
-            for token_id in [*vocab.content_ids(), PAD_ID]:
-                assert lm.prob(token_id, context) == ref_prob(token_id, context)
-            seen = counts.get(context, {})
-            targets, run_counts, denominator = lm.distribution(context)
-            assert targets == sorted(seen)
-            assert run_counts == [seen[t] for t in targets]
-            assert denominator == totals.get(context, 0) + k * n
-
         sequences = [vocab.encode(d.tokens) for d in corpus.documents()]
         sequences.append([PAD_ID, UNK_ID, FIRST_CONTENT_ID, FIRST_CONTENT_ID])
-        for seq in filter(None, sequences):
-            log_sum = 0.0
-            for pos, target in enumerate(seq):
-                log_sum += math.log(ref_prob(target, lm.context_at(seq, pos)))
-            assert perplexity(seq, lm) == math.exp(-log_sum / len(seq))
+        for model in (lm, loaded):
+            for context in [*counts, unseen]:
+                for token_id in [*vocab.content_ids(), PAD_ID]:
+                    assert model.prob(token_id, context) == ref_prob(token_id, context)
+                seen = counts.get(context, {})
+                targets, run_counts, denominator = model.distribution(context)
+                assert targets == sorted(seen)
+                assert run_counts == [seen[t] for t in targets]
+                assert denominator == totals.get(context, 0) + k * n
+
+            for seq in filter(None, sequences):
+                log_sum = 0.0
+                for pos, target in enumerate(seq):
+                    log_sum += math.log(ref_prob(target, model.context_at(seq, pos)))
+                assert perplexity(seq, model) == math.exp(-log_sum / len(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +340,7 @@ def test_predict_matches_dense_reference(order, k):
         corpus = _random_corpus(rng)
         min_count = rng.choice((1, 2))
         vocab = build_vocabulary((d.tokens for d in corpus.documents()), min_count)
-        lm = train_ngram(corpus, vocab, order=order, k=k)
+        lm = train_ngram(encode_corpus(corpus, vocab), vocab, order=order, k=k)
         counts, totals = reference_counts(corpus, vocab, order)
         n = vocab.content_size
         docs = [vocab.encode(d.tokens) for d in corpus.documents()]
@@ -375,4 +379,4 @@ def test_train_rejects_empty_corpus():
     corpus = ingest_corpus([])
     vocab = build_vocabulary([["a"]], 1)
     with pytest.raises(ValueError, match="empty corpus"):
-        train_ngram(corpus, vocab)
+        train_ngram(encode_corpus(corpus, vocab), vocab)

@@ -18,6 +18,7 @@ from queryflip.pipeline import (
 from queryflip.text import FIRST_CONTENT_ID, UNK_ID, Vocabulary
 
 from conftest import SAMPLE_LINES, sample_config
+from test_corpus import assert_same_arrays
 from test_lm import reference_counts
 
 
@@ -119,13 +120,22 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.corpus.doc_ids() == stack.corpus.doc_ids()
     assert loaded.vocab.content_surfaces() == stack.vocab.content_surfaces()
     assert np.array_equal(loaded.table.vectors, stack.table.vectors)
-    assert loaded.search.postings == stack.search.postings
+    assert_same_arrays(loaded.search.to_arrays(), stack.search.to_arrays())
 
     q = stack.vocab.encode(["apple", "recipe"])
     assert loaded.search.score(q, "d1") == stack.search.score(q, "d1")
     assert perplexity(q, loaded.lm) == perplexity(q, stack.lm)
-    saved, read = stack.lm.to_arrays(), loaded.lm.to_arrays()
-    assert all(np.array_equal(saved[name], read[name]) for name in saved)
+    assert_same_arrays(loaded.lm.to_arrays(), stack.lm.to_arrays())
+
+    # save -> load -> save writes the same arrays.
+    again = config.with_overrides(artifacts=str(tmp_path / "again"))
+    save_stack(loaded, again)
+    with np.load(tmp_path / "artifacts" / STACK_FILE) as first, np.load(
+        tmp_path / "again" / STACK_FILE
+    ) as second:
+        assert_same_arrays(
+            {n: second[n] for n in second.files}, {n: first[n] for n in first.files}
+        )
 
 
 def test_load_with_other_bm25_params_scores_like_a_fresh_build(tmp_path):
@@ -221,6 +231,17 @@ def _duplicate_first_row(arrays):
         arrays[name] = np.concatenate([arrays[name][:1], arrays[name]])
 
 
+def _term_past_vocabulary(arrays):
+    past = len(Vocabulary.from_arrays(arrays))
+    arrays["index.terms"] = _set(arrays["index.terms"], -1, past)
+
+
+def _swap(array, i, j):
+    array = array.copy()
+    array[[i, j]] = array[[j, i]]
+    return array
+
+
 def test_load_with_changed_corpus_fails(tmp_path):
     config, path = _saved(tmp_path)
     tampered = np.frombuffer(b"tampered", dtype=np.uint8)
@@ -245,12 +266,25 @@ def test_load_with_changed_corpus_fails(tmp_path):
         (lambda p: _edit_arrays(p, _target_past_candidates), "outside the candidate ids"),
         (lambda p: _edit_array(p, "lm.targets", lambda a: _set(a, 0, UNK_ID)), "outside"),
         (lambda p: _edit_array(p, "lm.counts", lambda a: _set(a, 0, 0)), "counts must be"),
+        (lambda p: _edit_array(p, "index.docs", lambda a: _set(a, 0, -1)), "outside the 3"),
+        (lambda p: _edit_array(p, "index.docs", lambda a: _set(a, 0, 3)), "outside the 3"),
+        (lambda p: _edit_array(p, "index.docs", lambda a: _swap(a, 0, 1)), "within a term"),
+        (lambda p: _edit_array(p, "index.terms", lambda a: _set(a, 0, UNK_ID)), "content ids"),
+        (lambda p: _edit_arrays(p, _term_past_vocabulary), "past a vocabulary of 10"),
+        (lambda p: _edit_array(p, "index.terms", lambda a: _set(a, 1, a[0])), "content ids"),
+        (lambda p: _edit_array(p, "index.tfs", lambda a: _set(a, 0, 0)), "frequencies must"),
+        (lambda p: _edit_array(p, "index.tfs", lambda a: a.astype(float)), "integer arrays"),
+        (lambda p: _edit_array(p, "index.indptr", lambda a: a[:-1]), "row bounds"),
+        (lambda p: _edit_array(p, "index.indptr", lambda a: _swap(a, 1, 2)), "rise strictly"),
     ],
     ids=[
         "truncated", "not_zip", "missing_array", "vector_rows", "lm_candidates",
         "lm_counts_length", "lm_targets_length", "lm_context_width",
         "lm_first_seen_order", "lm_duplicate_row", "lm_target_past_candidates",
-        "lm_target_special", "lm_zero_count",
+        "lm_target_special", "lm_zero_count", "index_negative_doc",
+        "index_doc_past_end", "index_unsorted_docs", "index_special_term",
+        "index_term_past_vocabulary", "index_duplicate_term", "index_zero_tf",
+        "index_float_tfs", "index_short_indptr", "index_decreasing_indptr",
     ],
 )
 def test_load_rejects_bad_artifact(tmp_path, damage, match):
