@@ -14,6 +14,7 @@ from .config import RunConfig
 from .editor import EditResult, Triplet
 from .evaluation import (
     METHODS,
+    TIMING_MODES,
     EvalReport,
     beam_sweep,
     build_triplets,
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float)
     p.add_argument("--masker")
     p.add_argument("--max-masks", dest="max_masks", type=int)
-    p.add_argument("--timing", choices=("wall", "off"))
+    p.add_argument("--timing", choices=TIMING_MODES)
     p.set_defaults(func=cmd_edit)
 
     p = sub.add_parser("eval", help="run methods over queries and report")
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--masker")
     p.add_argument("--top-k", dest="top_k", type=int)
     p.add_argument("--workers", type=int)
-    p.add_argument("--timing", choices=("wall", "off"))
+    p.add_argument("--timing", choices=TIMING_MODES)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep-beam", help="evaluate cfe2 across beam sizes")
@@ -325,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="5,10,15,20")
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--workers", type=int)
-    p.add_argument("--timing", choices=("wall", "off"))
+    p.add_argument("--timing", choices=TIMING_MODES)
     p.set_defaults(func=cmd_sweep_beam)
 
     return parser

@@ -13,10 +13,8 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
+from .evaluation import MASKERS, TIMING_MODES
 from .remote import BackendEndpoint
-
-MASKERS = ("maxsim", "occlusion")
-TIMING_MODES = ("wall", "off")
 
 # The JSON type each scalar field must have. A bool is not an integer
 # here, and an integer is a valid number.
@@ -110,7 +108,9 @@ class RunConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "RunConfig":
+    def from_dict(cls, raw: Any) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -121,8 +121,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
+        """Load and validate a JSON config; a ValueError names the path."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

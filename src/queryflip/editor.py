@@ -87,10 +87,6 @@ class IterationTrace:
     masked_positions: tuple[int, ...]
     candidates: tuple[TraceCandidate, ...]
 
-    @property
-    def any_flipped(self) -> bool:
-        return any(c.flipped for c in self.candidates)
-
 
 @dataclass(frozen=True)
 class EditResult:

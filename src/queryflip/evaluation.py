@@ -36,6 +36,8 @@ logger = logging.getLogger(__name__)
 
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 
+TIMING_MODES = ("wall", "off")
+
 
 # ---------------------------------------------------------------------------
 # Triplet construction
@@ -240,6 +242,7 @@ _MASKERS: dict[str, Callable[..., ImportanceScores]] = {
         query_ids, doc, ctx.scorer
     ),
 }
+MASKERS = tuple(_MASKERS)
 
 
 @dataclass(frozen=True)
@@ -444,7 +447,7 @@ def beam_sweep(
         raise ValueError("beam sizes must be >= 1")
     if not triplets:
         raise ValueError("no triplets to evaluate")
-    if timing not in ("wall", "off"):
+    if timing not in TIMING_MODES:
         raise ValueError(f"unknown timing mode: {timing}")
     n = len(sizes)
 

@@ -8,16 +8,18 @@ that speaks a small JSON-over-POST protocol, one endpoint path per role:
     /predict     {masked_query: [..], doc, position, top} -> {tokens, probs}
     /perplexity  {tokens: [..]}                           -> {ppl}
 
-Requests carry ``proto_version`` (currently 1). The client validates
-responses rather than trusting backends: shapes, orderings, finiteness
-and unit norms are checked, and transient failures are retried with
-exponential backoff. All requests are read-only, so retries are safe.
+Requests carry ``proto_version`` (currently 1). ``call_backend`` is a
+transport that knows no role: it retries connection errors, timeouts and
+5xx answers with exponential backoff (requests are read-only, so retries
+are safe) and returns any JSON object of this version. Each adapter checks
+its role's answer once; a bad answer is a ``ProtocolError`` naming the field.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -77,42 +79,48 @@ class BackendEndpoint:
         """One ``backends`` config entry; ValueError names what is wrong."""
         if not isinstance(raw, dict):
             raise ValueError("entry must be an object")
+        unknown = sorted(set(raw) - {"url", "timeout_ms", "retries", "token"})
+        if unknown:
+            raise ValueError(f"unknown field: {unknown[0]}")
         if not isinstance(raw.get("url"), str):
             raise ValueError("url must be a string")
         timeout_ms, retries = raw.get("timeout_ms", 5000), raw.get("retries", 2)
         for name, value in (("timeout_ms", timeout_ms), ("retries", retries)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
-        return cls(raw["url"], role, timeout_ms, retries, raw.get("token"))
+        token = raw.get("token")
+        if token is not None and not isinstance(token, str):
+            raise ValueError("token must be a string")
+        return cls(raw["url"], role, timeout_ms, retries, token)
 
 
-def _require(payload: dict[str, Any], fld: str, kind: type) -> Any:
-    if fld not in payload:
+def _require(body: dict[str, Any], fld: str, kind: type) -> Any:
+    """``body[fld]``: a finite number if ``kind`` is float, else a ``kind``."""
+    if fld not in body:
         raise ProtocolError(f"response missing field: {fld}")
-    value = payload[fld]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ProtocolError(f"response field not a number: {fld}")
-        value = float(value)
-        if not math.isfinite(value):
-            raise ProtocolError(f"non-finite number in field: {fld}")
-    elif not isinstance(value, kind):
+    return _number(body[fld], fld) if kind is float else _typed(body[fld], fld, kind)
+
+
+def _typed(value: Any, fld: str, kind: type) -> Any:
+    if not isinstance(value, kind):
         raise ProtocolError(f"response field has wrong type: {fld}")
     return value
 
 
-def _check_finite(values: Sequence[float], fld: str) -> None:
-    for v in values:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise ProtocolError(f"non-finite number in field: {fld}")
+def _number(value: Any, fld: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ProtocolError(f"response field not a number: {fld}")
+    if not math.isfinite(value):
+        raise ProtocolError(f"non-finite number in field: {fld}")
+    return float(value)
 
 
 def call_backend(endpoint: BackendEndpoint, request: dict[str, Any]) -> dict[str, Any]:
-    """POST a role request and return the schema-validated response body.
+    """POST a role request and return the response body, a JSON object.
 
     Connection errors, timeouts and 5xx responses are retried up to the
-    endpoint's budget with exponential backoff; a schema violation fails
-    immediately (retrying cannot fix a broken backend).
+    endpoint's budget with exponential backoff; anything else fails at
+    once (retrying cannot fix a broken backend). Callers check the fields.
     """
     payload = {"proto_version": PROTO_VERSION, **request}
     headers = {"Content-Type": "application/json"}
@@ -147,42 +155,11 @@ def call_backend(endpoint: BackendEndpoint, request: dict[str, Any]) -> dict[str
         version = body.get("proto_version", PROTO_VERSION)
         if version != PROTO_VERSION:
             raise ProtocolError(f"unsupported proto_version: {version}")
-        return _validate(endpoint.role, body)
+        return body
     raise BackendUnavailableError(
         f"backend {endpoint.url} unavailable after {endpoint.retries + 1} attempts: "
         f"{last_error}"
     )
-
-
-def _validate(role: str, body: dict[str, Any]) -> dict[str, Any]:
-    if role == "score":
-        return {"score": _require(body, "score", float)}
-    if role == "perplexity":
-        ppl = _require(body, "ppl", float)
-        if ppl <= 0:
-            raise ProtocolError("response field out of range: ppl")
-        return {"ppl": ppl}
-    if role == "embed":
-        vectors = _require(body, "vectors", list)
-        for vec in vectors:
-            if not isinstance(vec, list):
-                raise ProtocolError("response field has wrong type: vectors")
-            _check_finite(vec, "vectors")
-        return {"vectors": vectors}
-    if role == "predict":
-        tokens = _require(body, "tokens", list)
-        probs = _require(body, "probs", list)
-        _check_finite(probs, "probs")
-        if len(tokens) != len(probs):
-            raise ProtocolError("tokens and probs lengths differ")
-        if any(not isinstance(t, str) for t in tokens):
-            raise ProtocolError("response field has wrong type: tokens")
-        if any(not 0.0 < p <= 1.0 for p in probs):
-            raise ProtocolError("response field out of range: probs")
-        if any(a < b for a, b in zip(probs, probs[1:])):
-            raise ProtocolError("probs must be non-increasing")
-        return {"tokens": tokens, "probs": probs}
-    raise ValueError(f"unknown backend role: {role}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,30 +185,40 @@ class RemoteScorer:
         body = call_backend(
             self.endpoint, {"query": " ".join(surfaces), "doc_id": doc_id}
         )
-        return body["score"]
+        return _require(body, "score", float)
 
 
 class RemoteEmbedder:
-    """Token-vector provider backed by an /embed endpoint."""
+    """Token-vector provider backed by an /embed endpoint.
+
+    The first answer fixes the width, since the masker and BERTScore
+    multiply the vectors of two calls.
+    """
 
     def __init__(self, endpoint: BackendEndpoint, vocab: Vocabulary) -> None:
         self.endpoint = endpoint
         self.vocab = vocab
+        self._width: int | None = None
+        self._width_lock = threading.Lock()  # eval threads share one embedder
 
     def vectors_for(self, token_ids: Sequence[int]) -> np.ndarray:
         surfaces = self.vocab.decode(token_ids)
+        if not surfaces:
+            raise ValueError("no tokens to embed")
         body = call_backend(self.endpoint, {"tokens": surfaces})
-        vectors = body.get("vectors")
-        if not isinstance(vectors, list):
-            raise ProtocolError("embed response has no vectors list")
+        vectors = _require(body, "vectors", list)
         if len(vectors) != len(surfaces):
             raise ProtocolError("vector count does not match token count")
-        try:
-            out = np.asarray(vectors, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError("vectors must all have the same width") from exc
-        if out.ndim != 2:
-            raise ProtocolError("vectors must all have the same width")
+        rows = [
+            [_number(x, "vectors") for x in _typed(vec, "vectors", list)]
+            for vec in vectors
+        ]
+        with self._width_lock:
+            if self._width is None:
+                self._width = len(rows[0])
+        if any(len(row) != self._width for row in rows):
+            raise ProtocolError(f"vectors must all have the same width ({self._width})")
+        out = np.asarray(rows, dtype=np.float64)
         norms = np.linalg.norm(out, axis=1)
         if np.any(norms == 0.0):
             raise ProtocolError("zero vector in embed response")
@@ -265,16 +252,23 @@ class RemotePredictor:
                 "top": top,
             },
         )
-        if len(body["tokens"]) > top:
+        tokens = [_typed(t, "tokens", str) for t in _require(body, "tokens", list)]
+        probs = [_number(p, "probs") for p in _require(body, "probs", list)]
+        if len(tokens) != len(probs):
+            raise ProtocolError("tokens and probs lengths differ")
+        if any(not 0.0 < p <= 1.0 for p in probs):
+            raise ProtocolError("response field out of range: probs")
+        if any(a < b for a, b in zip(probs, probs[1:])):
+            raise ProtocolError("probs must be non-increasing")
+        if len(tokens) > top:
             raise ProtocolError(f"more than {top} predictions returned")
-        ids = [self.vocab.id(surface) for surface in body["tokens"]]
-        for surface, token_id in zip(body["tokens"], ids):
+        ids = [self.vocab.id(surface) for surface in tokens]
+        for surface, token_id in zip(tokens, ids):
             if token_id in SPECIAL_IDS:  # out-of-vocabulary surfaces map to UNK
                 raise ProtocolError(f"predicted a non-content token: {surface!r}")
         if len(set(ids)) != len(ids):
             raise ProtocolError("predicted tokens repeat")
-        entries = tuple(zip(ids, map(float, body["probs"])))
-        return PredictionDistribution(position, entries)
+        return PredictionDistribution(position, tuple(zip(ids, probs)))
 
 
 class RemotePerplexity:
@@ -288,4 +282,7 @@ class RemotePerplexity:
         body = call_backend(
             self.endpoint, {"tokens": self.vocab.decode(token_ids)}
         )
-        return body["ppl"]
+        ppl = _require(body, "ppl", float)
+        if ppl <= 0:
+            raise ProtocolError("response field out of range: ppl")
+        return ppl

@@ -153,7 +153,7 @@ def test_criterion_05_schedule_minimality(synth):
             continue
         for iteration in result.trace[:-1]:
             assert iteration.masks < result.masks_used
-            if iteration.any_flipped:
+            if any(c.flipped for c in iteration.candidates):
                 violations += 1
     assert violations == 0
 

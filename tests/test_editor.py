@@ -232,7 +232,7 @@ def test_edit_forced_null_exhausts_all_masks():
     assert result.outcome is None
     assert result.masks_used == len(t.query_ids)
     assert [it.masks for it in result.trace] == [1, 2]
-    assert not any(it.any_flipped for it in result.trace)
+    assert not any(c.flipped for it in result.trace for c in it.candidates)
 
 
 def test_edit_rejects_invalid_triplet(sample_stack):

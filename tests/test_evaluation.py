@@ -19,6 +19,7 @@ from queryflip.evaluation import (
     fluency_metric,
     render_markdown,
     reports_to_json,
+    run_method,
     split_sentences,
 )
 from queryflip.corpus import ingest_corpus
@@ -156,6 +157,17 @@ def test_fluency_hand_ratio(sample_stack):
     expected = perplexity(edited, stack.lm) / perplexity(q, stack.lm)
     assert fluency_metric(q, edited, ppl) == pytest.approx(expected, abs=1e-12)
     assert expected > 1.0  # the edit is less fluent than the original
+
+
+def test_cfe2_mask_budget_caps_the_edit(sample_stack, sample_ctx):
+    # "apple pie" flips d1 against d2 only with both tokens masked.
+    t = _triplet(sample_stack, "apple pie", "d1", "d2")
+    full = run_method(t, "cfe2", sample_ctx, beam_width=10)
+    assert full.outcome is not None
+    assert [it.masks for it in full.trace] == [1, 2]
+    capped = run_method(t, "cfe2", sample_ctx, beam_width=10, max_masks=1)
+    assert capped.outcome is None
+    assert [it.masks for it in capped.trace] == [1]
 
 
 # ---------------------------------------------------------------------------

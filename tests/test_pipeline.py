@@ -54,6 +54,25 @@ def test_config_validation_names_field():
     for raw, name, kind in bad_types:
         with pytest.raises(ValueError, match=rf"invalid config field: {name} \(must be {kind}\)"):
             RunConfig.from_dict(raw)
+    bad_ranges = [
+        ({"k1": 0}, "k1"),
+        ({"b_bm25": 1.5}, "b_bm25"),
+        ({"min_count": 0}, "min_count"),
+        ({"embed_dim": 1}, "embed_dim"),
+        ({"embed_window": 0}, "embed_window"),
+        ({"lm_order": 0}, "lm_order"),
+        ({"lm_k": 0.0}, "lm_k"),
+        ({"masker": "bert"}, "masker"),
+        ({"lam": 1.5}, "lam"),
+        ({"max_masks": 0}, "max_masks"),
+        ({"workers": 0}, "workers"),
+    ]
+    for raw, name in bad_ranges:
+        with pytest.raises(ValueError, match=rf"invalid config field: {name} \((must|one of)"):
+            RunConfig.from_dict(raw)
+    for raw in (5, None, [1, 2], "abc"):
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            RunConfig.from_dict(raw)
     assert RunConfig.from_dict({"lam": 1, "k1": 2, "max_masks": None}).lam == 1
     with pytest.raises(ValueError, match="invalid config field: seed"):
         RunConfig.from_dict({"seed": 0})
@@ -69,6 +88,9 @@ def test_config_validation_names_field():
         ("embed", {"url": url, "retries": "many"}, "retries must be an integer"),
         ("embed", {"url": url, "retries": True}, "retries must be an integer"),
         ("embed", {"url": url, "retries": -1}, "retries must be >= 0"),
+        ("score", {"url": url, "timeout": 50}, "unknown field: timeout"),
+        ("score", {"url": url, "token": 7}, "token must be a string"),
+        ("score", {"url": url, "token": ["a"]}, "token must be a string"),
     ]
     for role, entry, message in bad_backends:
         expected = rf"invalid config field: backends\.{role} \({message}\)"
@@ -76,6 +98,13 @@ def test_config_validation_names_field():
             RunConfig.from_dict({"backends": {role: entry}})
     with pytest.raises(ValueError, match=r"invalid config field: backends \(must be"):
         RunConfig.from_dict({"backends": ["score"]})
+
+
+def test_config_file_errors_name_the_path(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match=r"config\.json: config must be a JSON object"):
+        RunConfig.from_file(str(path))
 
 
 def test_config_hash_ignores_workers():

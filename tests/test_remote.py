@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from queryflip.lm import NgramPredictor, perplexity
+from queryflip.masker import maxsim_importance
 from queryflip.remote import (
     BackendEndpoint,
     BackendUnavailableError,
@@ -37,6 +40,46 @@ def _endpoint(stub, role, **kw) -> BackendEndpoint:
     return BackendEndpoint(stub.base_url, role, **kw)
 
 
+@contextmanager
+def _answering(stub, body):
+    """Make the stub answer every request with ``body``."""
+    stub.override = body
+    try:
+        yield
+    finally:
+        stub.override = None
+
+
+def _predictor(stack, stub) -> RemotePredictor:
+    return RemotePredictor(
+        _endpoint(stub, "predict"), stack.vocab, stack.corpus["d3"].text
+    )
+
+
+class _Answer:
+    """A stand-in for ``requests.Response``: a status and a body text."""
+
+    def __init__(self, status_code=200, body=None, text=None):
+        self.status_code = status_code
+        self._text = json.dumps(body) if text is None else text
+
+    def json(self):
+        return json.loads(self._text)
+
+
+def _fake_post(monkeypatch, *answers):
+    """Replace ``requests.post`` with one that gives ``answers`` in turn
+    (the last one from then on); returns the headers of every request."""
+    sent = []
+
+    def post(url, json, headers, timeout):
+        sent.append(headers)
+        return answers[min(len(sent), len(answers)) - 1]
+
+    monkeypatch.setattr("queryflip.remote.requests.post", post)
+    return sent
+
+
 def test_score_round_trip_exact(sample_stack, stub):
     q = ids(sample_stack, "apple recipe")
     body = call_backend(
@@ -53,12 +96,8 @@ def test_remote_scorer_drops_specials(sample_stack, stub):
 
 
 def test_predict_returns_exactly_top(sample_stack, stub):
-    predictor = RemotePredictor(
-        _endpoint(stub, "predict"), sample_stack.vocab,
-        sample_stack.corpus["d3"].text,
-    )
     masked = tuple([MASK_ID] + ids(sample_stack, "recipe"))
-    dist = predictor.predict(masked, 0, 3)
+    dist = _predictor(sample_stack, stub).predict(masked, 0, 3)
     assert len(dist.entries) == 3
     probs = [p for _, p in dist.entries]
     assert probs == sorted(probs, reverse=True)
@@ -67,12 +106,9 @@ def test_predict_returns_exactly_top(sample_stack, stub):
 def test_remote_predictor_matches_builtin(sample_stack, stub):
     d3_ids = sample_stack.vocab.encode(sample_stack.corpus["d3"].tokens)
     builtin = NgramPredictor(sample_stack.lm, d3_ids, lam=0.5)
-    remote = RemotePredictor(
-        _endpoint(stub, "predict"), sample_stack.vocab,
-        sample_stack.corpus["d3"].text,
-    )
     masked = tuple([MASK_ID] + ids(sample_stack, "recipe"))
-    assert remote.predict(masked, 0, 5) == builtin.predict(masked, 0, 5)
+    remote = _predictor(sample_stack, stub).predict(masked, 0, 5)
+    assert remote == builtin.predict(masked, 0, 5)
 
 
 @pytest.mark.parametrize(
@@ -89,17 +125,44 @@ def test_remote_predictor_matches_builtin(sample_stack, stub):
 def test_remote_predictor_rejects_non_content_and_repeats(
     sample_stack, stub, tokens, message
 ):
-    stub.override = {"tokens": tokens, "probs": [0.5, 0.25]}
-    predictor = RemotePredictor(
-        _endpoint(stub, "predict"), sample_stack.vocab,
-        sample_stack.corpus["d3"].text,
-    )
     masked = tuple([MASK_ID] + ids(sample_stack, "recipe"))
-    try:
+    with _answering(stub, {"tokens": tokens, "probs": [0.5, 0.25]}):
         with pytest.raises(ProtocolError, match=message):
-            predictor.predict(masked, 0, 2)
-    finally:
-        stub.override = None
+            _predictor(sample_stack, stub).predict(masked, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ({"probs": [0.5]}, "missing field: tokens"),
+        ({"tokens": "apple", "probs": [0.5]}, "wrong type: tokens"),
+        ({"tokens": ["apple", 3], "probs": [0.5, 0.25]}, "wrong type: tokens"),
+        ({"tokens": ["apple"], "probs": 0.5}, "wrong type: probs"),
+        ({"tokens": ["apple", "pie"], "probs": [0.5, "x"]}, "not a number: probs"),
+        ({"tokens": ["apple", "pie"], "probs": [0.5, float("nan")]},
+         "non-finite number in field: probs"),
+        ({"tokens": ["apple"], "probs": [0.5, 0.25]}, "lengths differ"),
+        ({"tokens": ["apple", "pie"], "probs": [1.5, 0.25]}, "out of range: probs"),
+        ({"tokens": ["apple", "pie"], "probs": [0.5, 0.0]}, "out of range: probs"),
+        ({"tokens": ["apple", "pie", "bread"], "probs": [0.5, 0.25, 0.125]},
+         "more than 2 predictions"),
+    ],
+    ids=["missing", "tokens_not_list", "token_not_string", "probs_not_list",
+         "prob_not_number", "prob_nan", "lengths", "prob_above_one",
+         "prob_zero", "more_than_top"],
+)
+def test_remote_predictor_bad_body_raises_protocol_error(
+    sample_stack, stub, body, message
+):
+    masked = tuple([MASK_ID] + ids(sample_stack, "recipe"))
+    with _answering(stub, body):
+        with pytest.raises(ProtocolError, match=message):
+            _predictor(sample_stack, stub).predict(masked, 0, 2)
+
+
+def test_remote_predictor_requires_masked_position(sample_stack, stub):
+    with pytest.raises(ValueError, match="position 0 is not masked"):
+        _predictor(sample_stack, stub).predict(ids(sample_stack, "apple pie"), 0, 2)
 
 
 def test_remote_embedder_matches_builtin(sample_stack, stub):
@@ -112,35 +175,77 @@ def test_remote_embedder_matches_builtin(sample_stack, stub):
 
 def test_remote_embedder_rejects_ragged_vectors(sample_stack, stub):
     embedder = RemoteEmbedder(_endpoint(stub, "embed"), sample_stack.vocab)
-    stub.override = {"vectors": [[1.0, 0.0], [1.0]]}
-    try:
+    with _answering(stub, {"vectors": [[1.0, 0.0], [1.0]]}):
         with pytest.raises(ProtocolError, match="same width"):
             embedder.vectors_for(ids(sample_stack, "apple banana"))
-    finally:
-        stub.override = None
 
 
 @pytest.mark.parametrize(
     "body, message",
     [
-        ({}, "no vectors list"),
-        ({"vectors": None}, "no vectors list"),
+        ({}, "missing field: vectors"),
+        ({"vectors": None}, "wrong type: vectors"),
         ({"vectors": [[1.0, 0.0]]}, "vector count"),
-        ({"vectors": [[1.0, 0.0], ["x", 1.0]]}, "same width"),
-        ({"vectors": [1.0, 0.0]}, "same width"),
-        ({"vectors": [[[1.0]], [[1.0]]]}, "same width"),
+        ({"vectors": [[1.0, 0.0], ["x", 1.0]]}, "not a number: vectors"),
+        ({"vectors": [[1.0, 0.0], [True, 0.0]]}, "not a number: vectors"),
+        ({"vectors": [[1.0, 0.0], [float("inf"), 0.0]]},
+         "non-finite number in field: vectors"),
+        ({"vectors": [1.0, 0.0]}, "wrong type: vectors"),
+        ({"vectors": [[[1.0]], [[1.0]]]}, "not a number: vectors"),
+        ({"vectors": [[1.0, 0.0], [0.0, 0.0]]}, "zero vector"),
     ],
-    ids=["missing", "null", "count", "non_number", "flat", "nested"],
+    ids=["missing", "null", "count", "non_number", "bool", "infinite", "flat",
+         "nested", "zero"],
 )
 def test_remote_embedder_bad_body_raises_protocol_error(
-    sample_stack, monkeypatch, body, message
+    sample_stack, stub, body, message
 ):
-    # Bypass the transport's schema check so the adapter's own checks run.
-    monkeypatch.setattr("queryflip.remote.call_backend", lambda endpoint, request: body)
-    endpoint = BackendEndpoint("http://localhost:1", "embed")
-    embedder = RemoteEmbedder(endpoint, sample_stack.vocab)
-    with pytest.raises(ProtocolError, match=message):
+    embedder = RemoteEmbedder(_endpoint(stub, "embed"), sample_stack.vocab)
+    with _answering(stub, body):
+        with pytest.raises(ProtocolError, match=message):
+            embedder.vectors_for(ids(sample_stack, "apple banana"))
+
+
+def test_remote_embedder_keeps_first_width(sample_stack, stub):
+    embedder = RemoteEmbedder(_endpoint(stub, "embed"), sample_stack.vocab)
+    with _answering(stub, {"vectors": [[1.0, 0.0], [0.0, 1.0]]}):
         embedder.vectors_for(ids(sample_stack, "apple banana"))
+    with _answering(stub, {"vectors": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}):
+        with pytest.raises(ProtocolError, match=r"same width \(2\)"):
+            embedder.vectors_for(ids(sample_stack, "apple banana"))
+
+
+def test_maxsim_over_a_width_changing_backend_raises_protocol_error(
+    sample_stack, monkeypatch
+):
+    # The query and the document are embedded in two calls; a second
+    # answer of another width must not reach the matrix product.
+    _fake_post(
+        monkeypatch,
+        _Answer(body={"vectors": [[1.0, 0.0], [0.0, 1.0]]}),
+        _Answer(body={"vectors": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}),
+    )
+    embedder = RemoteEmbedder(
+        BackendEndpoint("http://localhost:1", "embed"), sample_stack.vocab
+    )
+    query, doc = ids(sample_stack, "apple banana"), ids(sample_stack, "apple pie")
+    with pytest.raises(ProtocolError, match="same width"):
+        maxsim_importance(query, doc, embedder)
+
+
+def test_remote_embedder_renormalises_only_beyond_tolerance(sample_stack, stub):
+    near_unit = [0.6, 0.8 + 5e-7]  # norm within 1e-6 of 1
+    embedder = RemoteEmbedder(_endpoint(stub, "embed"), sample_stack.vocab)
+    with _answering(stub, {"vectors": [[3.0, 4.0], near_unit]}):
+        out = embedder.vectors_for(ids(sample_stack, "apple banana"))
+    assert np.linalg.norm(out[0]) == pytest.approx(1.0, abs=1e-12)
+    assert out[1].tolist() == near_unit
+
+
+def test_remote_embedder_rejects_empty_token_list(sample_stack):
+    endpoint = BackendEndpoint("http://localhost:1", "embed")
+    with pytest.raises(ValueError, match="no tokens"):
+        RemoteEmbedder(endpoint, sample_stack.vocab).vectors_for([])
 
 
 def test_remote_perplexity_matches_builtin(sample_stack, stub):
@@ -173,33 +278,73 @@ def test_timeout_budget_and_elapsed(sample_stack, stub):
 
 
 def test_schema_violation_names_field(sample_stack, stub):
-    stub.override = {"wrong": 1.0}
-    try:
+    scorer = RemoteScorer(_endpoint(stub, "score"), sample_stack.vocab)
+    with _answering(stub, {"wrong": 1.0}):
         with pytest.raises(ProtocolError, match="score"):
-            call_backend(_endpoint(stub, "score"), {"query": "a", "doc_id": "d1"})
-    finally:
-        stub.override = None
+            scorer.score(ids(sample_stack, "apple"), "d1")
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [({"score": "high"}, "not a number: score"), ({"score": True}, "not a number: score")],
+    ids=["string", "bool"],
+)
+def test_remote_scorer_rejects_non_number(sample_stack, stub, body, message):
+    scorer = RemoteScorer(_endpoint(stub, "score"), sample_stack.vocab)
+    with _answering(stub, body):
+        with pytest.raises(ProtocolError, match=message):
+            scorer.score(ids(sample_stack, "apple"), "d1")
 
 
 def test_non_finite_number_rejected(sample_stack, stub):
-    stub.override = {"ppl": float("inf")}
-    try:
+    ppl = RemotePerplexity(_endpoint(stub, "perplexity"), sample_stack.vocab)
+    with _answering(stub, {"ppl": float("inf")}):
         with pytest.raises(ProtocolError, match="non-finite|ppl"):
-            call_backend(_endpoint(stub, "perplexity"), {"tokens": ["a"]})
-    finally:
-        stub.override = None
+            ppl(ids(sample_stack, "apple"))
+
+
+@pytest.mark.parametrize("value", [0, -1.5])
+def test_non_positive_perplexity_rejected(sample_stack, stub, value):
+    ppl = RemotePerplexity(_endpoint(stub, "perplexity"), sample_stack.vocab)
+    with _answering(stub, {"ppl": value}):
+        with pytest.raises(ProtocolError, match="out of range: ppl"):
+            ppl(ids(sample_stack, "apple"))
 
 
 def test_descending_probs_enforced(sample_stack, stub):
-    stub.override = {"tokens": ["apple", "pie"], "probs": [0.1, 0.9]}
-    try:
+    masked = tuple([MASK_ID] + ids(sample_stack, "recipe"))
+    with _answering(stub, {"tokens": ["apple", "pie"], "probs": [0.1, 0.9]}):
         with pytest.raises(ProtocolError, match="non-increasing"):
-            call_backend(
-                _endpoint(stub, "predict"),
-                {"masked_query": ["[MASK]"], "doc": "x", "position": 0, "top": 2},
-            )
-    finally:
-        stub.override = None
+            _predictor(sample_stack, stub).predict(masked, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "answer, message",
+    [
+        (_Answer(404, {"score": 1.0}), "returned status 404"),
+        (_Answer(text="{not json"), "invalid JSON"),
+        (_Answer(body=[1.0]), "response body is not an object"),
+        (_Answer(body={"proto_version": 2, "score": 1.0}), "unsupported proto_version: 2"),
+    ],
+    ids=["status_4xx", "invalid_json", "not_object", "proto_version"],
+)
+def test_transport_failure_is_not_retried(monkeypatch, answer, message):
+    sent = _fake_post(monkeypatch, answer)
+    endpoint = BackendEndpoint("http://localhost:1", "score", retries=2)
+    with pytest.raises(ProtocolError, match=message):
+        call_backend(endpoint, {"query": "a", "doc_id": "d1"})
+    assert len(sent) == 1
+
+
+def test_transport_returns_any_object_and_sends_token(monkeypatch):
+    sent = _fake_post(monkeypatch, _Answer(body={"anything": [1]}))
+    body = call_backend(
+        BackendEndpoint("http://localhost:1", "score", token="s3cret"), {}
+    )
+    assert body == {"anything": [1]}
+    call_backend(BackendEndpoint("http://localhost:1", "score"), {})
+    assert sent[0]["Authorization"] == "Bearer s3cret"
+    assert "Authorization" not in sent[1]
 
 
 def test_unknown_role_rejected():
