@@ -7,17 +7,19 @@ import json
 import logging
 import os
 import sys
-import time
-from typing import Sequence
+from dataclasses import fields
+from typing import Sequence, get_args, get_type_hints
 
 from .config import RunConfig
 from .editor import EditResult, Triplet
 from .evaluation import (
     METHODS,
     TIMING_MODES,
+    EvalContext,
     EvalReport,
     beam_sweep,
     build_triplets,
+    edit_clock,
     evaluate,
     render_markdown,
     reports_to_json,
@@ -36,16 +38,18 @@ logger = logging.getLogger(__name__)
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
+    """The config file (or the defaults) with every given setting flag applied."""
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {
-        name: getattr(args, name)
-        for name in (
-            "corpus", "artifacts", "out_dir", "beam", "lam", "masker",
-            "top_k", "workers", "timing", "max_masks",
-        )
-        if hasattr(args, name)
-    }
-    return config.with_overrides(**overrides)
+    return config.with_overrides(
+        **{f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    )
+
+
+def _open_run(args: argparse.Namespace) -> tuple[RunConfig, Stack, EvalContext]:
+    """Config, loaded stack and editing context for edit, eval and sweep-beam."""
+    config = _load_config(args)
+    stack = load_stack(config)
+    return config, stack, make_context(stack, config)
 
 
 def _result_payload(
@@ -98,8 +102,11 @@ def _triplet_from_ids(
     )
 
 
-def _collect_triplets(stack: Stack, config: RunConfig, args) -> list[Triplet]:
-    triplets: list[Triplet] = []
+def _collect_triplets(
+    stack: Stack, config: RunConfig, args
+) -> list[tuple[str, Triplet]]:
+    """Each triplet with the query text it came from, as given."""
+    triplets: list[tuple[str, Triplet]] = []
     if getattr(args, "triplets", None):
         with open(args.triplets, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -114,7 +121,7 @@ def _collect_triplets(stack: Stack, config: RunConfig, args) -> list[Triplet]:
                     for name, value in zip(names, values):
                         if not isinstance(value, str):
                             raise ValueError(f"field {name!r} is not a string")
-                    triplets.append(_triplet_from_ids(stack, *values))
+                    triplets.append((values[0], _triplet_from_ids(stack, *values)))
                 except (KeyError, ValueError) as exc:
                     raise ValueError(f"triplets file line {lineno}: {exc}") from exc
         return triplets
@@ -128,23 +135,24 @@ def _collect_triplets(stack: Stack, config: RunConfig, args) -> list[Triplet]:
             logger.warning("skipping empty query %r", query_text)
             continue
         ranking = stack.search.search(query_ids, config.top_k)
-        triplets.extend(build_triplets(ranking, stack.corpus))
+        triplets += [(query_text, t) for t in build_triplets(ranking, stack.corpus)]
     return triplets
 
 
-def _eval_meta(config: RunConfig) -> dict:
+def _sweep_options(config: RunConfig) -> dict:
+    """The ``beam_sweep``/``evaluate`` options eval and sweep-beam share;
+    no ``workers`` means the available parallelism."""
     return {
-        "config": config.result_dict(),
-        "config_hash": config.config_hash(),
-        "lam": config.lam,
-        "masker": config.masker,
+        "max_masks": config.max_masks,
+        "workers": config.workers or os.cpu_count() or 1,
+        "timing": config.timing,
+        "meta": {
+            "config": config.result_dict(),
+            "config_hash": config.config_hash(),
+            "lam": config.lam,
+            "masker": config.masker,
+        },
     }
-
-
-def _resolve_workers(config: RunConfig) -> int:
-    if config.workers is not None:
-        return config.workers
-    return os.cpu_count() or 1
 
 
 def cmd_index(args) -> int:
@@ -169,27 +177,24 @@ def cmd_search(args) -> int:
 
 
 def cmd_edit(args) -> int:
-    config = _load_config(args)
-    stack = load_stack(config)
-    ctx = make_context(stack, config)
+    config, stack, ctx = _open_run(args)
     if args.triplets:
-        triplets = _collect_triplets(stack, config, args)
-        texts = [" ".join(stack.vocab.decode(t.query_ids)) for t in triplets]
+        items = _collect_triplets(stack, config, args)
     else:
         if not (args.query and args.doc and args.counter):
             raise ValueError("edit needs --query/--doc/--counter or --triplets")
-        triplets = [_triplet_from_ids(stack, args.query, args.doc, args.counter)]
-        texts = [args.query]
+        triplet = _triplet_from_ids(stack, args.query, args.doc, args.counter)
+        items = [(args.query, triplet)]
+    clock = edit_clock(config.timing)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for triplet, text in zip(triplets, texts):
-            start = time.perf_counter()
+        for text, triplet in items:
+            start = clock()
             result = run_method(
                 triplet, "cfe2", ctx, beam_width=config.beam,
                 max_masks=config.max_masks,
             )
-            elapsed = time.perf_counter() - start if config.timing == "wall" else 0.0
-            payload = _result_payload(result, triplet, stack, text, elapsed)
+            payload = _result_payload(result, triplet, stack, text, clock() - start)
             out.write(json.dumps(payload))
             out.write("\n")
     finally:
@@ -212,25 +217,17 @@ def _write_reports(
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValueError("--methods needs at least one method")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method: {method}")
-    stack = load_stack(config)
-    ctx = make_context(stack, config)
-    triplets = _collect_triplets(stack, config, args)
+    config, stack, ctx = _open_run(args)
+    triplets = [t for _, t in _collect_triplets(stack, config, args)]
+    options = _sweep_options(config)
     reports = [
-        evaluate(
-            triplets,
-            method,
-            ctx,
-            beam_width=config.beam,
-            max_masks=config.max_masks,
-            workers=_resolve_workers(config),
-            timing=config.timing,
-            meta=_eval_meta(config),
-        )
+        evaluate(triplets, method, ctx, beam_width=config.beam, **options)
         for method in methods
     ]
     json_path, md_path = _write_reports(reports, config, "report")
@@ -239,20 +236,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep_beam(args) -> int:
-    config = _load_config(args)
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    stack = load_stack(config)
-    ctx = make_context(stack, config)
-    triplets = _collect_triplets(stack, config, args)
-    reports = beam_sweep(
-        triplets,
-        sizes,
-        ctx,
-        max_masks=config.max_masks,
-        workers=_resolve_workers(config),
-        timing=config.timing,
-        meta=_eval_meta(config),
-    )
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        raise ValueError("--sizes must be comma-separated integers") from None
+    config, stack, ctx = _open_run(args)
+    triplets = [t for _, t in _collect_triplets(stack, config, args)]
+    reports = beam_sweep(triplets, sizes, ctx, **_sweep_options(config))
     for size, report in zip(sizes, reports):
         json_path, _ = _write_reports([report], config, f"sweep_b{size}")
         aggregates = report.aggregates
@@ -263,10 +253,22 @@ def cmd_sweep_beam(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
+    """``--config`` plus one override flag per named RunConfig field (the
+    paths always), typed by its annotation (``int | None`` parses as ``int``)."""
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--corpus", help="corpus JSONL path")
-    parser.add_argument("--artifacts", help="artifact directory")
+    hints = get_type_hints(RunConfig)
+    helps = {f.name: f.metadata.get("help") for f in fields(RunConfig)}
+    for name in ("corpus", "artifacts", *names):
+        hint = hints[name]
+        kind = next((t for t in get_args(hint) if t is not type(None)), hint)
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            dest=name,
+            type=kind,
+            choices=TIMING_MODES if name == "timing" else None,
+            help=helps[name],
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,51 +284,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("index", help="build every artifact from the corpus")
-    _add_common(p)
+    _add_settings(p)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("search", help="print a ranking for a query")
-    _add_common(p)
+    _add_settings(p)
     p.add_argument("query")
     p.add_argument("--k", type=int, default=5)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("edit", help="edit one query or a triplets file")
-    _add_common(p)
+    _add_settings(p, "beam", "lam", "masker", "max_masks", "timing")
     p.add_argument("--query")
     p.add_argument("--doc", help="id of the currently winning document")
     p.add_argument("--counter", help="id of the document that should win")
     p.add_argument("--triplets", help="JSONL: {query, doc_id, counter_doc_id}")
     p.add_argument("--out", help="output JSONL path (default stdout)")
-    p.add_argument("--beam", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--masker")
-    p.add_argument("--max-masks", dest="max_masks", type=int)
-    p.add_argument("--timing", choices=TIMING_MODES)
     p.set_defaults(func=cmd_edit)
 
     p = sub.add_parser("eval", help="run methods over queries and report")
-    _add_common(p)
+    _add_settings(p, "out_dir", "beam", "lam", "masker", "top_k", "workers", "timing")
     p.add_argument("--queries", help="text file, one query per line")
     p.add_argument("--triplets", help="JSONL: {query, doc_id, counter_doc_id}")
     p.add_argument("--methods", default="cfe2,mask_only,max_flip")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--beam", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--masker")
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--timing", choices=TIMING_MODES)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep-beam", help="evaluate cfe2 across beam sizes")
-    _add_common(p)
+    _add_settings(p, "out_dir", "workers", "timing")
     p.add_argument("--queries")
     p.add_argument("--triplets")
     p.add_argument("--sizes", default="5,10,15,20")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--timing", choices=TIMING_MODES)
     p.set_defaults(func=cmd_sweep_beam)
 
     return parser

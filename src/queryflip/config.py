@@ -11,32 +11,26 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any
+from typing import Any, get_type_hints
 
 from .evaluation import MASKERS, TIMING_MODES
 from .remote import BackendEndpoint
 
-# The JSON type each scalar field must have. A bool is not an integer
-# here, and an integer is a valid number.
-_STRING = ((str,), "a string")
-_INTEGER = ((int,), "an integer")
-_OPTIONAL_INTEGER = ((int, type(None)), "an integer or null")
-_NUMBER = ((int, float), "a number")
-_FIELD_TYPES = {
-    "corpus": _STRING, "artifacts": _STRING, "out_dir": _STRING,
-    "k1": _NUMBER, "b_bm25": _NUMBER, "top_k": _INTEGER, "min_count": _INTEGER,
-    "embed_dim": _INTEGER, "embed_window": _INTEGER,
-    "lm_order": _INTEGER, "lm_k": _NUMBER,
-    "masker": _STRING, "beam": _INTEGER, "lam": _NUMBER,
-    "max_masks": _OPTIONAL_INTEGER, "workers": _OPTIONAL_INTEGER,
-    "timing": _STRING,
+# The JSON types each field annotation accepts, and how a message names
+# them. A bool is not an integer here, and an integer is a valid number.
+_JSON_TYPES = {
+    str: ((str,), "a string"),
+    int: ((int,), "an integer"),
+    int | None: ((int, type(None)), "an integer or null"),
+    float: ((int, float), "a number"),
+    dict[str, dict[str, Any]]: ((dict,), "an object"),
 }
 
 
 @dataclass
 class RunConfig:
-    corpus: str = "corpus.jsonl"
-    artifacts: str = "artifacts"
+    corpus: str = field(default="corpus.jsonl", metadata={"help": "corpus JSONL path"})
+    artifacts: str = field(default="artifacts", metadata={"help": "artifact directory"})
     out_dir: str = "reports"
     # search model
     k1: float = 1.2
@@ -62,11 +56,13 @@ class RunConfig:
 
     def validate(self) -> None:
         """Raise ValueError naming the first invalid field: types first,
-        then ranges."""
-        for name, (types, kind) in _FIELD_TYPES.items():
-            value = getattr(self, name)
+        then ranges. Each field's JSON type comes from its annotation."""
+        hints = get_type_hints(RunConfig)
+        for f in fields(self):
+            types, kind = _JSON_TYPES[hints[f.name]]
+            value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(f"invalid config field: {name} (must be {kind})")
+                raise ValueError(f"invalid config field: {f.name} (must be {kind})")
         if self.beam < 1:
             raise ValueError("invalid config field: beam (must be >= 1)")
         if self.top_k < 2:
@@ -95,8 +91,6 @@ class RunConfig:
             raise ValueError("invalid config field: workers (must be >= 1)")
         if self.timing not in TIMING_MODES:
             raise ValueError(f"invalid config field: timing (one of {TIMING_MODES})")
-        if not isinstance(self.backends, dict):
-            raise ValueError("invalid config field: backends (must be an object)")
         for role, raw in self.backends.items():
             try:
                 BackendEndpoint.from_dict(role, raw)
@@ -127,11 +121,6 @@ class RunConfig:
                 return cls.from_dict(json.load(fh))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def with_overrides(self, **overrides: Any) -> "RunConfig":
         """New config with non-None overrides applied, re-validated."""

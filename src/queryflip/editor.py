@@ -149,10 +149,12 @@ def select_final(
     """The flipping candidate with the lowest perplexity.
 
     Equal perplexities resolve to the lexicographically smaller token-id
-    sequence.
+    sequence. A lone candidate is returned without calling ``ppl_fn``.
     """
     if not candidates:
         raise ValueError("no flipping candidates to select from")
+    if len(candidates) == 1:
+        return candidates[0]
     return min(candidates, key=lambda c: (ppl_fn(c.tokens), c.tokens))
 
 

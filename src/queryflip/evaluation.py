@@ -22,12 +22,14 @@ import numpy as np
 
 from .corpus import Bm25SearchModel, Corpus, Document, Ranking
 from .editor import (
+    EditCandidate,
     EditResult,
     IterationTrace,
     TraceCandidate,
     Triplet,
     check_flip,
     edit,
+    select_final,
 )
 from .masker import ImportanceScores, maxsim_importance, occlusion_importance
 from .text import PAD_ID, Vocabulary, tokenize
@@ -37,6 +39,14 @@ logger = logging.getLogger(__name__)
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 
 TIMING_MODES = ("wall", "off")
+
+
+def edit_clock(timing: str) -> Callable[[], float]:
+    """The clock each edit is timed with: wall seconds, or a constant 0.0
+    under ``timing="off"`` so repeated runs write identical bytes."""
+    if timing not in TIMING_MODES:
+        raise ValueError(f"unknown timing mode: {timing}")
+    return time.perf_counter if timing == "wall" else lambda: 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +196,21 @@ def baseline_max_flip(
 ) -> EditResult:
     """Use a whole sentence of the target document as the new query.
 
-    Among the sentences of d' that flip the pair, the one with the
-    lowest perplexity wins (ties by ascending token-id sequence). None
-    when no sentence flips.
+    Among the sentences of d' that flip the pair, ``select_final`` picks
+    the one with the lowest perplexity (ties by ascending token-id
+    sequence). None when no sentence flips.
     """
-    flipping: list[tuple[int, ...]] = []
+    flipping: list[EditCandidate] = []
     for sentence in split_sentences(triplet.d_prime.text):
         tokens = tokenize(sentence)
         if not tokens:
             continue
         ids = tuple(vocab.encode(tokens))
         if check_flip(ids, triplet, scorer):
-            flipping.append(ids)
+            flipping.append(EditCandidate(ids, 0.0))
     if not flipping:
         return EditResult(None, 0, ())
-    best = min(flipping, key=lambda ids: (ppl_fn(ids), ids))
-    return EditResult(best, 0, ())
+    return EditResult(select_final(flipping, ppl_fn).tokens, 0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -447,18 +456,16 @@ def beam_sweep(
         raise ValueError("beam sizes must be >= 1")
     if not triplets:
         raise ValueError("no triplets to evaluate")
-    if timing not in TIMING_MODES:
-        raise ValueError(f"unknown timing mode: {timing}")
+    clock = edit_clock(timing)
     n = len(sizes)
 
     def work(item: tuple[int, Triplet]) -> list[EvalRecord]:
         index, triplet = item
         records: dict[int, EvalRecord] = {}
         for k in range(index, index + n):
-            start = time.perf_counter()
+            start = clock()
             result = run_method(triplet, method, ctx, sizes[k % n], max_masks)
-            elapsed = time.perf_counter() - start if timing == "wall" else 0.0
-            records[k % n] = _record_for(index, triplet, result, ctx, elapsed)
+            records[k % n] = _record_for(index, triplet, result, ctx, clock() - start)
         return [records[k] for k in range(n)]
 
     items = list(enumerate(triplets))

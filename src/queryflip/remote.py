@@ -63,6 +63,15 @@ class BackendEndpoint:
     token: str | None = None
 
     def __post_init__(self) -> None:
+        """Types first, then ranges; a ValueError names the field."""
+        if not isinstance(self.base_url, str):
+            raise ValueError("url must be a string")
+        for name in ("timeout_ms", "retries"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+        if self.token is not None and not isinstance(self.token, str):
+            raise ValueError("token must be a string")
         if self.role not in ROLES:
             raise ValueError(f"unknown backend role: {self.role}")
         if self.timeout_ms <= 0:
@@ -82,16 +91,8 @@ class BackendEndpoint:
         unknown = sorted(set(raw) - {"url", "timeout_ms", "retries", "token"})
         if unknown:
             raise ValueError(f"unknown field: {unknown[0]}")
-        if not isinstance(raw.get("url"), str):
-            raise ValueError("url must be a string")
-        timeout_ms, retries = raw.get("timeout_ms", 5000), raw.get("retries", 2)
-        for name, value in (("timeout_ms", timeout_ms), ("retries", retries)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
-        token = raw.get("token")
-        if token is not None and not isinstance(token, str):
-            raise ValueError("token must be a string")
-        return cls(raw["url"], role, timeout_ms, retries, token)
+        options = dict(raw)
+        return cls(options.pop("url", None), role, **options)
 
 
 def _require(body: dict[str, Any], fld: str, kind: type) -> Any:

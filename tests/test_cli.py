@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import logging
+from dataclasses import fields
 
 import pytest
 
-from queryflip.cli import main
+from queryflip.cli import build_parser, main
+from queryflip.config import RunConfig
 
 from conftest import SAMPLE_LINES
 
@@ -234,3 +236,77 @@ def test_eval_report_identical_across_run_directories(tmp_path):
         reports.append((run / "reports" / "report.json").read_bytes())
     assert reports[0] == reports[1]
     assert str(tmp_path).encode() not in reports[0]
+
+
+def test_edit_triplets_echo_each_query_as_given(workdir, capsys):
+    tmp, config = workdir
+    assert _run("index", "--config", config) == 0
+    triplets = tmp / "triplets.jsonl"
+    lines = [
+        {"query": "Apple Recipe, qxjw!", "doc_id": "d1", "counter_doc_id": "d3"},
+        {"query": "apple recipe", "doc_id": "d1", "counter_doc_id": "d3"},
+    ]
+    triplets.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    capsys.readouterr()
+    assert _run("edit", "--config", config, "--triplets", triplets) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert [json.loads(row)["query"] for row in out] == [
+        "Apple Recipe, qxjw!", "apple recipe",
+    ]
+
+
+def test_eval_empty_methods_fails_before_loading(workdir, capsys):
+    # No index: the stack would fail to load, so the flag must be checked first.
+    tmp, config = workdir
+    queries = tmp / "queries.txt"
+    queries.write_text("apple recipe\n")
+    assert _run("eval", "--config", config, "--queries", queries,
+                "--methods", ",") == 1
+    assert "--methods needs at least one method" in capsys.readouterr().err
+    assert not (tmp / "reports").exists()
+
+
+def test_sweep_beam_non_integer_size_fails_before_loading(workdir, capsys):
+    tmp, config = workdir
+    queries = tmp / "queries.txt"
+    queries.write_text("apple recipe\n")
+    assert _run("sweep-beam", "--config", config, "--queries", queries,
+                "--sizes", "5,x") == 1
+    assert "--sizes must be comma-separated integers" in capsys.readouterr().err
+
+
+# Each subcommand's setting flags, and the values and types they parse to.
+_PATHS = {"corpus": "x.jsonl", "artifacts": "a"}
+_SETTING_FLAGS = {
+    "index": {},
+    "search": {},
+    "edit": {"beam": 7, "lam": 0.25, "masker": "occlusion", "max_masks": 2,
+             "timing": "off"},
+    "eval": {"out_dir": "r", "beam": 7, "lam": 0.25, "masker": "occlusion",
+             "top_k": 4, "workers": 3, "timing": "off"},
+    "sweep-beam": {"out_dir": "r", "workers": 3, "timing": "off"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SETTING_FLAGS))
+def test_setting_flags_are_config_fields(command):
+    parser = build_parser()
+    sub = parser._subparsers._group_actions[0].choices[command]
+    field_names = {f.name for f in fields(RunConfig)}
+    settings = {
+        a.dest: a for a in sub._actions
+        if a.option_strings and a.dest in field_names
+    }
+    expected = {**_PATHS, **_SETTING_FLAGS[command]}
+    assert set(settings) == set(expected)
+    assert settings["corpus"].help == "corpus JSONL path"
+    assert settings["artifacts"].help == "artifact directory"
+    assert all(a.help is None for n, a in settings.items() if n not in _PATHS)
+    if "timing" in settings:
+        assert settings["timing"].choices == ("wall", "off")
+    argv = [command, *(["q"] if command == "search" else [])]
+    for name, value in expected.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    parsed = vars(parser.parse_args(argv))
+    for name, value in expected.items():
+        assert parsed[name] == value and type(parsed[name]) is type(value), name

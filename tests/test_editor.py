@@ -151,6 +151,14 @@ def test_select_final_single_and_ppl_order(sample_stack):
     assert select_final([bread, banana], ppl) is banana
 
 
+def test_select_final_lone_candidate_skips_perplexity():
+    def no_ppl(seq):
+        raise AssertionError("one candidate needs no perplexity")
+
+    only = EditCandidate((3, 4), -1.0)
+    assert select_final([only], no_ppl) is only
+
+
 def test_select_final_tie_breaks_lexicographically():
     constant_ppl = lambda seq: 2.0  # noqa: E731
     low = EditCandidate((3, 4), -1.0)

@@ -277,6 +277,31 @@ def test_max_flip_prefers_lower_perplexity_sentence():
     assert ppl(result.outcome) == min(ppl(s) for s in sentences)
 
 
+def _no_ppl(seq):
+    raise AssertionError("a lone flipping sentence needs no perplexity")
+
+
+def test_max_flip_lone_flipping_sentence_costs_no_perplexity(sample_stack):
+    stack = sample_stack
+    t = _triplet(stack, "apple recipe", "d1", "d3")
+    result = baseline_max_flip(t, stack.vocab, stack.search, _no_ppl)
+    assert stack.vocab.decode(result.outcome) == ["banana", "bread", "recipe"]
+
+
+def test_max_flip_equal_perplexities_pick_smaller_ids():
+    lines = [
+        json.dumps({"id": "a", "text": "apple pie apple pie filler filler"}),
+        json.dumps({"id": "b", "text": "banana bread. banana toast plum."}),
+        json.dumps({"id": "c", "text": "banana bread banana bread"}),
+    ]
+    stack = build_stack(ingest_corpus(lines), sample_config())
+    t = _triplet(stack, "apple pie", "a", "b")
+    result = baseline_max_flip(t, stack.vocab, stack.search, lambda seq: 2.0)
+    sentences = [tuple(stack.vocab.encode(["banana", "bread"])),
+                 tuple(stack.vocab.encode(["banana", "toast", "plum"]))]
+    assert result.outcome == min(sentences)
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

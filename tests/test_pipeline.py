@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from test_lm import reference_counts
 def test_config_round_trips_through_json(tmp_path):
     config = RunConfig(beam=7, lam=0.25, backends={"score": {"url": "http://x"}})
     path = tmp_path / "config.json"
-    config.save(str(path))
+    path.write_text(json.dumps(config.to_dict()))
     loaded = RunConfig.from_file(str(path))
     assert loaded == config
     assert loaded.to_dict() == config.to_dict()
@@ -98,6 +99,32 @@ def test_config_validation_names_field():
             RunConfig.from_dict({"backends": {role: entry}})
     with pytest.raises(ValueError, match=r"invalid config field: backends \(must be"):
         RunConfig.from_dict({"backends": ["score"]})
+
+
+# The JSON type each annotation asks for, as the error message names it.
+_KIND_OF_ANNOTATION = {
+    "str": "a string",
+    "int": "an integer",
+    "float": "a number",
+    "int | None": "an integer or null",
+    "dict[str, dict[str, Any]]": "an object",
+}
+
+
+def test_every_field_rejects_a_wrong_json_type():
+    for f in fields(RunConfig):
+        kind = _KIND_OF_ANNOTATION[f.type]
+        wrong = [["x"], True, False, 5 if f.type == "str" else "5"]
+        if f.name != "backends":
+            wrong.append({"x": 1})
+        if f.type in ("int", "int | None"):
+            wrong.append(2.5)
+        if f.type != "int | None":
+            wrong.append(None)
+        expected = rf"invalid config field: {f.name} \(must be {kind}\)"
+        for value in wrong:
+            with pytest.raises(ValueError, match=expected):
+                RunConfig.from_dict({f.name: value})
 
 
 def test_config_file_errors_name_the_path(tmp_path):

@@ -350,3 +350,27 @@ def test_transport_returns_any_object_and_sends_token(monkeypatch):
 def test_unknown_role_rejected():
     with pytest.raises(ValueError, match="unknown backend role"):
         BackendEndpoint("http://localhost:1", "rank")
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((5, "score"), {}, "url must be a string"),
+        (("http://x", "score"), {"timeout_ms": "5"}, "timeout_ms must be an integer"),
+        (("http://x", "score"), {"timeout_ms": 2.5}, "timeout_ms must be an integer"),
+        (("http://x", "score"), {"retries": True}, "retries must be an integer"),
+        (("http://x", "score"), {"token": 7}, "token must be a string"),
+        (("http://x", "score"), {"timeout_ms": 0}, "timeout_ms must be > 0"),
+        (("http://x", "score"), {"retries": -1}, "retries must be >= 0"),
+    ],
+    ids=["url", "timeout_str", "timeout_float", "retries_bool", "token", "timeout_0",
+         "retries_neg"],
+)
+def test_endpoint_constructor_checks_every_field(args, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        BackendEndpoint(*args, **kwargs)
+
+
+def test_endpoint_from_dict_keeps_the_constructor_defaults():
+    endpoint = BackendEndpoint.from_dict("score", {"url": "http://x"})
+    assert endpoint == BackendEndpoint("http://x", "score")
