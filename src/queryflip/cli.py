@@ -19,6 +19,7 @@ from .evaluation import (
     EvalReport,
     beam_sweep,
     build_triplets,
+    check_beam_sizes,
     edit_clock,
     evaluate,
     render_markdown,
@@ -240,6 +241,7 @@ def cmd_sweep_beam(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
         raise ValueError("--sizes must be comma-separated integers") from None
+    check_beam_sizes(sizes)
     config, stack, ctx = _open_run(args)
     triplets = [t for _, t in _collect_triplets(stack, config, args)]
     reports = beam_sweep(triplets, sizes, ctx, **_sweep_options(config))

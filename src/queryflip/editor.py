@@ -119,20 +119,24 @@ def expand_beam(beam: Beam, distributions: Sequence[PredictionDistribution]) -> 
         raise ValueError("distributions target different slots")
     slot = positions.pop()
 
-    best: dict[tuple[int, ...], EditCandidate] = {}
+    best: dict[tuple[int, ...], float] = {}
     for candidate, dist in zip(beam.candidates, dists):
         if candidate.tokens[slot] != MASK_ID:
             raise ValueError(f"slot {slot} is not masked in candidate")
         prefix = candidate.tokens[:slot]
         suffix = candidate.tokens[slot + 1 :]
+        base = candidate.log_prob
         for token_id, prob in dist.entries:
             tokens = prefix + (token_id,) + suffix
-            log_prob = candidate.log_prob + log(prob)
+            log_prob = base + log(prob)
             held = best.get(tokens)
-            if held is None or log_prob > held.log_prob:
-                best[tokens] = EditCandidate(tokens, log_prob)
-    ranked = sorted(best.values(), key=lambda c: (-c.log_prob, c.tokens))
-    return Beam(beam.width, tuple(ranked[: beam.width]))
+            if held is None or log_prob > held:
+                best[tokens] = log_prob
+    ranked = sorted(best.items(), key=lambda item: (-item[1], item[0]))
+    return Beam(
+        beam.width,
+        tuple(EditCandidate(tokens, lp) for tokens, lp in ranked[: beam.width]),
+    )
 
 
 def check_flip(candidate_ids: Sequence[int], triplet: Triplet, scorer) -> bool:

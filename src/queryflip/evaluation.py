@@ -13,10 +13,12 @@ from __future__ import annotations
 import json
 import logging
 import re
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from itertools import groupby
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +37,8 @@ from .masker import ImportanceScores, maxsim_importance, occlusion_importance
 from .text import PAD_ID, Vocabulary, tokenize
 
 logger = logging.getLogger(__name__)
+
+_LOCK_TYPE = type(threading.Lock())
 
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 
@@ -235,20 +239,89 @@ class EvalContext:
     predictor_factory: Callable[[Document], Any]
     masker: str = "maxsim"
 
-    def importance(self, query_ids: Sequence[int], doc: Document) -> ImportanceScores:
+
+class RankingWork:
+    """The values every triplet of one ranking shares, each computed once,
+    on first use: the importance of q's tokens for its top document d,
+    q's text, and memos of ``vectors_for``, ``query_representation`` and
+    perplexity keyed by token sequence, so no sequence (q included) is
+    asked twice. It stands in for the embedder, the search model and
+    ``ppl_fn`` where the metrics and the masker take them.
+
+    The triplets of one group may run on several worker threads. The
+    first caller of a value computes it; a caller that finds it being
+    computed waits for it. The object refers to the context and nothing
+    refers back to it, so no reference cycle keeps a loaded stack alive
+    after its group is done.
+    """
+
+    def __init__(self, ctx: EvalContext, query_ids: tuple[int, ...], doc: Document):
+        self.ctx = ctx
+        self.query_ids = query_ids
+        self.doc = doc
+        # Each memo maps a key to its value (never None), or to the lock
+        # held by the thread that is computing it.
+        self._shared: dict[str, Any] = {}
+        self._vectors: dict[tuple[int, ...], Any] = {}
+        self._representations: dict[tuple[int, ...], Any] = {}
+        self._ppl: dict[tuple[int, ...], Any] = {}
+
+    @staticmethod
+    def _once(memo: dict, key: Any, compute: Callable[[Any], Any]) -> Any:
+        value = memo.get(key)
+        if value is None:
+            pending = threading.Lock()
+            pending.acquire()
+            value = memo.setdefault(key, pending)  # atomic: one caller wins
+            if value is pending:
+                try:
+                    memo[key] = value = compute(key)
+                except BaseException:
+                    del memo[key]  # a later caller computes it afresh
+                    raise
+                finally:
+                    pending.release()
+                return value
+        if type(value) is _LOCK_TYPE:
+            with value:  # wait until its value is stored, then look again
+                pass
+            return RankingWork._once(memo, key, compute)
+        return value
+
+    def importance(self) -> ImportanceScores:
+        return self._once(self._shared, "importance", self._importance)
+
+    def text(self) -> str:
+        return self._once(self._shared, "text", self._text)
+
+    def vectors_for(self, ids: Sequence[int]) -> np.ndarray:
+        return self._once(self._vectors, tuple(ids), self.ctx.embedder.vectors_for)
+
+    def query_representation(self, ids: Sequence[int]) -> dict[int, float]:
+        return self._once(
+            self._representations, tuple(ids), self.ctx.search.query_representation
+        )
+
+    def ppl(self, ids: Sequence[int]) -> float:
+        return self._once(self._ppl, tuple(ids), self.ctx.ppl_fn)
+
+    def _importance(self, _key: str) -> ImportanceScores:
         try:
-            masker = _MASKERS[self.masker]
+            masker = _MASKERS[self.ctx.masker]
         except KeyError:
-            raise ValueError(f"unknown masker: {self.masker}") from None
-        return masker(self, query_ids, doc)
+            raise ValueError(f"unknown masker: {self.ctx.masker}") from None
+        return masker(self)
+
+    def _text(self, _key: str) -> str:
+        return " ".join(self.ctx.vocab.decode(self.query_ids))
 
 
-_MASKERS: dict[str, Callable[..., ImportanceScores]] = {
-    "maxsim": lambda ctx, query_ids, doc: maxsim_importance(
-        query_ids, ctx.vocab.encode(doc.tokens), ctx.embedder
+_MASKERS: dict[str, Callable[[RankingWork], ImportanceScores]] = {
+    "maxsim": lambda work: maxsim_importance(
+        work.query_ids, work.ctx.vocab.encode(work.doc.tokens), work
     ),
-    "occlusion": lambda ctx, query_ids, doc: occlusion_importance(
-        query_ids, doc, ctx.scorer
+    "occlusion": lambda work: occlusion_importance(
+        work.query_ids, work.doc, work.ctx.scorer
     ),
 }
 MASKERS = tuple(_MASKERS)
@@ -327,9 +400,9 @@ def _breakdown_by_rank(records: Sequence[EvalRecord]) -> dict[int, dict[str, Any
 
 
 def _run_cfe2(
-    triplet: Triplet, ctx: EvalContext, beam_width: int, max_masks: int | None
+    triplet: Triplet, work: RankingWork, beam_width: int, max_masks: int | None
 ) -> EditResult:
-    importance = ctx.importance(triplet.query_ids, triplet.d)
+    ctx = work.ctx
     predictor = ctx.predictor_factory(triplet.d_prime)
     budget = len(triplet.query_ids)
     if max_masks is not None:
@@ -337,25 +410,24 @@ def _run_cfe2(
     return edit(
         triplet,
         ctx.scorer,
-        importance,
+        work.importance(),
         predictor,
-        ctx.ppl_fn,
+        work.ppl,
         beam_width=beam_width,
         max_masks=budget,
     )
 
 
 def _run_mask_only(
-    triplet: Triplet, ctx: EvalContext, beam_width: int, max_masks: int | None
+    triplet: Triplet, work: RankingWork, beam_width: int, max_masks: int | None
 ) -> EditResult:
-    importance = ctx.importance(triplet.query_ids, triplet.d)
-    return baseline_mask_only(triplet, importance, ctx.scorer)
+    return baseline_mask_only(triplet, work.importance(), work.ctx.scorer)
 
 
 def _run_max_flip(
-    triplet: Triplet, ctx: EvalContext, beam_width: int, max_masks: int | None
+    triplet: Triplet, work: RankingWork, beam_width: int, max_masks: int | None
 ) -> EditResult:
-    return baseline_max_flip(triplet, ctx.vocab, ctx.scorer, ctx.ppl_fn)
+    return baseline_max_flip(triplet, work.ctx.vocab, work.ctx.scorer, work.ppl)
 
 
 _METHOD_RUNNERS = {
@@ -372,13 +444,20 @@ def run_method(
     ctx: EvalContext,
     beam_width: int = 10,
     max_masks: int | None = None,
+    work: RankingWork | None = None,
 ) -> EditResult:
-    """Produce one EditResult for ``triplet`` with the chosen method."""
+    """Produce one EditResult for ``triplet`` with the chosen method.
+
+    ``work`` carries the values shared with other triplets of the same
+    query and top document; without it they are computed afresh.
+    """
     try:
         run = _METHOD_RUNNERS[method]
     except KeyError:
         raise ValueError(f"unknown method: {method}") from None
-    return run(triplet, ctx, beam_width, max_masks)
+    if work is None:
+        work = RankingWork(ctx, triplet.query_ids, triplet.d)
+    return run(triplet, work, beam_width, max_masks)
 
 
 def evaluate(
@@ -396,7 +475,8 @@ def evaluate(
     Each edit is timed individually with a per-task wall clock; with
     ``timing="off"`` the elapsed fields are recorded as 0.0 so repeated
     runs are byte-identical. Triplets may be processed by several worker
-    threads; records are emitted in input order regardless.
+    threads; records are emitted in input order regardless. A ranking's
+    shared work is charged to its first timed edit (see ``beam_sweep``).
     """
     return beam_sweep(
         triplets, [beam_width], ctx, max_masks, workers, timing, meta, method
@@ -407,7 +487,7 @@ def _record_for(
     index: int,
     triplet: Triplet,
     result: EditResult,
-    ctx: EvalContext,
+    work: RankingWork,
     elapsed: float,
 ) -> EvalRecord:
     query_ids = triplet.query_ids
@@ -415,13 +495,13 @@ def _record_for(
     cos = f1 = fluency = None
     outcome_text = None
     if outcome is not None:
-        cos = cos_sim_metric(query_ids, outcome, ctx.search)
-        f1 = bertscore_f1(query_ids, outcome, ctx.embedder)
-        fluency = fluency_metric(query_ids, outcome, ctx.ppl_fn)
-        outcome_text = " ".join(ctx.vocab.decode(outcome))
+        cos = cos_sim_metric(query_ids, outcome, work)
+        f1 = bertscore_f1(query_ids, outcome, work)
+        fluency = fluency_metric(query_ids, outcome, work.ppl)
+        outcome_text = " ".join(work.ctx.vocab.decode(outcome))
     return EvalRecord(
         index=index,
-        query=" ".join(ctx.vocab.decode(query_ids)),
+        query=work.text(),
         doc_id=triplet.d.id,
         counter_doc_id=triplet.d_prime.id,
         counter_rank=triplet.counter_rank,
@@ -435,6 +515,47 @@ def _record_for(
     )
 
 
+def check_beam_sizes(sizes: Sequence[int]) -> None:
+    """Reject an empty list of beam sizes or a size below 1."""
+    if not sizes:
+        raise ValueError("no beam sizes")
+    if any(b < 1 for b in sizes):
+        raise ValueError("beam sizes must be >= 1")
+
+
+def ranking_groups(
+    triplets: Sequence[Triplet],
+) -> list[list[tuple[int, Triplet]]]:
+    """Maximal runs of consecutive triplets with equal query and top
+    document, as ``(input index, triplet)`` pairs; ``build_triplets``
+    emits each ranking as one run."""
+    return [
+        list(run)
+        for _, run in groupby(
+            enumerate(triplets), key=lambda item: (item[1].query_ids, item[1].d.id)
+        )
+    ]
+
+
+def _sweep_tasks(
+    triplets: Sequence[Triplet], ctx: EvalContext, n_sizes: int
+) -> Iterator[tuple[int, Triplet, list[RankingWork]]]:
+    """``(index, triplet, works)`` for every triplet, where ``works`` holds
+    one ``RankingWork`` per beam size, shared by the triplet's group.
+
+    Each size has its own ``RankingWork``, so the edits at one size pay
+    exactly the shared work an ``evaluate`` at that size pays. Sharing
+    it across sizes would let a size reuse perplexities another size
+    paid for, and the measured runtime would no longer grow with the
+    beam as an ``evaluate`` at each size does.
+    """
+    for group in ranking_groups(triplets):
+        first = group[0][1]
+        works = [RankingWork(ctx, first.query_ids, first.d) for _ in range(n_sizes)]
+        for index, triplet in group:
+            yield index, triplet, works
+
+
 def beam_sweep(
     triplets: Sequence[Triplet],
     sizes: Sequence[int],
@@ -446,34 +567,44 @@ def beam_sweep(
     method: str = "cfe2",
 ) -> list[EvalReport]:
     """One report per beam size, in the order given (``evaluate`` is the
-    one-size case). Each triplet is edited at every size in turn, so a
-    change in host speed during the run hits all sizes alike, and the
-    size it starts with rotates, so the extra cost of a triplet's first
-    edit (cold caches) is shared by all sizes too."""
-    if not sizes:
-        raise ValueError("no beam sizes")
-    if any(b < 1 for b in sizes):
-        raise ValueError("beam sizes must be >= 1")
+    one-size case).
+
+    The triplets are split into ranking groups (see ``ranking_groups``).
+    A group's shared work at one size (see ``RankingWork``) is computed
+    once, inside the first timed edit at that size that needs it, so
+    with one worker the summed ``elapsed`` covers all the work exactly.
+    Workers take single triplets, so one ranking's triplets run in
+    parallel; an edit that waits for a value another thread is computing
+    counts that wait in its ``elapsed``. Records come out in input order.
+    Each triplet is edited at every size in turn, so a change in host
+    speed hits all sizes alike, and the size it starts with rotates from
+    triplet to triplet, so a group's shared work and the extra cost of a
+    triplet's first edit (cold caches) are spread over all sizes."""
+    check_beam_sizes(sizes)
     if not triplets:
         raise ValueError("no triplets to evaluate")
     clock = edit_clock(timing)
     n = len(sizes)
 
-    def work(item: tuple[int, Triplet]) -> list[EvalRecord]:
-        index, triplet = item
+    # Holds no reference to ctx: each task carries it in its RankingWorks,
+    # which are freed with the last task of their group.
+    def sweep(task: tuple[int, Triplet, list[RankingWork]]) -> list[EvalRecord]:
+        index, triplet, works = task
         records: dict[int, EvalRecord] = {}
         for k in range(index, index + n):
+            s = k % n
+            work = works[s]
             start = clock()
-            result = run_method(triplet, method, ctx, sizes[k % n], max_masks)
-            records[k % n] = _record_for(index, triplet, result, ctx, clock() - start)
-        return [records[k] for k in range(n)]
+            result = run_method(triplet, method, work.ctx, sizes[s], max_masks, work)
+            records[s] = _record_for(index, triplet, result, work, clock() - start)
+        return [records[s] for s in range(n)]
 
-    items = list(enumerate(triplets))
+    tasks = _sweep_tasks(triplets, ctx, n)
     if workers <= 1:
-        rows = [work(item) for item in items]
+        rows = [sweep(task) for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(work, items))  # in input order
+            rows = list(pool.map(sweep, tasks))  # in input order
 
     return [
         EvalReport(

@@ -275,6 +275,23 @@ def test_sweep_beam_non_integer_size_fails_before_loading(workdir, capsys):
     assert "--sizes must be comma-separated integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes, message", [
+    (",", "no beam sizes"),
+    ("0", "beam sizes must be >= 1"),
+    ("-3", "beam sizes must be >= 1"),
+])
+def test_sweep_beam_bad_sizes_fail_before_loading(tmp_path, capsys, sizes, message):
+    # The artifacts directory does not exist, so loading would raise
+    # ArtifactError; the sizes error must come first.
+    queries = tmp_path / "queries.txt"
+    queries.write_text("apple recipe\n")
+    assert _run("sweep-beam", "--artifacts", tmp_path / "missing",
+                "--queries", queries, f"--sizes={sizes}") == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "artifact" not in err
+
+
 # Each subcommand's setting flags, and the values and types they parse to.
 _PATHS = {"corpus": "x.jsonl", "artifacts": "a"}
 _SETTING_FLAGS = {

@@ -1,0 +1,276 @@
+"""Ranking groups in evaluation: each (query, top document) pair's shared
+work is done once per group, and grouping never changes a record.
+
+``build_triplets`` emits one ranking as a run of triplets with the same
+query and top document. ``beam_sweep`` (and so ``evaluate``) computes the
+importance, ppl(q) and q's vectors once per such run; the tests below
+count those calls with wrapped components and compare the records with
+those of evaluating every triplet alone.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import sys
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from queryflip import evaluation
+from queryflip.config import RunConfig
+from queryflip.corpus import ingest_corpus
+from queryflip.evaluation import (
+    METHODS,
+    beam_sweep,
+    build_triplets,
+    evaluate,
+    ranking_groups,
+)
+from queryflip.pipeline import build_stack, make_context
+from queryflip.text import tokenize
+
+from synthdata import synthetic_corpus, synthetic_queries
+
+N_QUERIES = 8
+
+
+@pytest.fixture(scope="module")
+def synth_small():
+    """The acceptance corpus with its first queries: top-5 rankings, so
+    each query gives a run of up to four triplets."""
+    config = RunConfig(embed_dim=48, timing="off")
+    stack = build_stack(ingest_corpus(synthetic_corpus()), config)
+    ctx = make_context(stack, config)
+    triplets = []
+    for query in synthetic_queries()[:N_QUERIES]:
+        ranking = stack.search.search(stack.vocab.encode(tokenize(query)), config.top_k)
+        triplets.extend(build_triplets(ranking, stack.corpus))
+    return stack, ctx, triplets
+
+
+class CountingPpl:
+    """Counts calls per sequence and the threads that made them; with
+    ``delay_s``, each call sleeps first, so worker threads overlap."""
+
+    def __init__(self, ppl_fn, delay_s=0.0):
+        self.ppl_fn = ppl_fn
+        self.delay_s = delay_s
+        self.calls: Counter = Counter()
+        self.threads: set[int] = set()
+        self._lock = threading.Lock()
+
+    def __call__(self, ids):
+        with self._lock:
+            self.calls[tuple(ids)] += 1
+            self.threads.add(threading.get_ident())
+        time.sleep(self.delay_s)
+        return self.ppl_fn(ids)
+
+
+class CountingEmbedder:
+    def __init__(self, embedder, delay_s=0.0):
+        self.embedder = embedder
+        self.delay_s = delay_s
+        self.calls: Counter = Counter()
+        self._lock = threading.Lock()
+
+    def vectors_for(self, ids):
+        with self._lock:
+            self.calls[tuple(ids)] += 1
+        time.sleep(self.delay_s)
+        return self.embedder.vectors_for(ids)
+
+
+def _counting(ctx, masker="maxsim", delay_s=0.0):
+    return dataclasses.replace(
+        ctx,
+        ppl_fn=CountingPpl(ctx.ppl_fn, delay_s),
+        embedder=CountingEmbedder(ctx.embedder, delay_s),
+        masker=masker,
+    )
+
+
+@pytest.fixture()
+def importance_calls(monkeypatch):
+    """Count every importance computation, whichever masker runs."""
+    calls: Counter = Counter()
+    lock = threading.Lock()
+    for name in ("maxsim_importance", "occlusion_importance"):
+        original = getattr(evaluation, name)
+
+        def counted(query_ids, *args, _original=original, **kwargs):
+            with lock:
+                calls[tuple(query_ids)] += 1
+            return _original(query_ids, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, counted)
+    return calls
+
+
+def _alone(records):
+    """Records as evaluating each triplet alone gives them: index 0."""
+    return [dataclasses.replace(r, index=0, elapsed=0.0) for r in records]
+
+
+def _per_triplet(triplets, method, ctx):
+    return [evaluate([t], method, ctx, beam_width=5, timing="off").records[0]
+            for t in triplets]
+
+
+def test_groups_are_maximal_runs_of_one_ranking(synth_small):
+    _, _, triplets = synth_small
+    groups = ranking_groups(triplets)
+    assert [i for group in groups for i, _ in group] == list(range(len(triplets)))
+    assert len(groups) == N_QUERIES
+    for group in groups:
+        assert len({(t.query_ids, t.d.id) for _, t in group}) == 1
+    for a, b in zip(groups, groups[1:]):
+        assert (a[-1][1].query_ids, a[-1][1].d.id) != (b[0][1].query_ids, b[0][1].d.id)
+
+
+@pytest.mark.parametrize("masker", ["maxsim", "occlusion"])
+@pytest.mark.parametrize("method", ["cfe2", "mask_only"])
+def test_importance_runs_once_per_ranking_group(
+    synth_small, importance_calls, method, masker
+):
+    _, ctx, triplets = synth_small
+    ctx = _counting(ctx, masker)
+    evaluate(triplets, method, ctx, beam_width=5, timing="off")
+    assert sum(importance_calls.values()) == len(ranking_groups(triplets))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_each_group_asks_each_perplexity_once(synth_small, method):
+    _, ctx, triplets = synth_small
+    for group in ranking_groups(triplets):
+        counting = _counting(ctx)
+        report = evaluate([t for _, t in group], method, counting,
+                          beam_width=5, timing="off")
+        calls = counting.ppl_fn.calls
+        assert not calls or max(calls.values()) == 1, calls
+        solved = any(r.outcome is not None for r in report.records)
+        assert calls[group[0][1].query_ids] == (1 if solved else 0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_sweep_pays_at_each_size_what_evaluate_pays(
+    synth_small, importance_calls, method
+):
+    # Each size is charged its own shared work, so a sweep's runtime per
+    # size measures what an evaluate at that size costs.
+    _, ctx, triplets = synth_small
+    sizes = [3, 5, 8]
+    swept = _counting(ctx)
+    beam_sweep(triplets, sizes, swept, timing="off", method=method)
+    swept_importance = +importance_calls
+    importance_calls.clear()
+    ppl: Counter = Counter()
+    vectors: Counter = Counter()
+    for size in sizes:
+        alone = _counting(ctx)
+        evaluate(triplets, method, alone, beam_width=size, timing="off")
+        ppl += alone.ppl_fn.calls
+        vectors += alone.embedder.calls
+    assert swept.ppl_fn.calls == ppl
+    assert swept.embedder.calls == vectors
+    assert swept_importance == importance_calls
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_workers_share_one_group_without_asking_twice(
+    synth_small, importance_calls, method
+):
+    # Slow backends and a short switch interval make the worker threads
+    # (more than there are cores) overlap inside one group: the triplets
+    # still run in parallel, and each shared value is still computed
+    # once, by whichever thread asks first.
+    _, ctx, triplets = synth_small
+    group = [t for _, t in max(ranking_groups(triplets), key=len)]
+    counting = _counting(ctx, delay_s=0.002)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as runner:
+            report = runner.submit(
+                evaluate, group, method, counting, beam_width=5, timing="off",
+                workers=len(group),
+            ).result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(counting.ppl_fn.calls.values()) == 1, counting.ppl_fn.calls
+    assert max(counting.embedder.calls.values(), default=1) == 1
+    assert sum(importance_calls.values()) == (0 if method == "max_flip" else 1)
+    assert len(counting.ppl_fn.threads) > 1
+    assert report.records == evaluate(group, method, ctx, beam_width=5,
+                                      timing="off").records
+
+
+def test_query_and_document_vectors_asked_once_per_group(synth_small):
+    stack, ctx, triplets = synth_small
+    for group in ranking_groups(triplets):
+        counting = _counting(ctx)
+        evaluate([t for _, t in group], "cfe2", counting, beam_width=5, timing="off")
+        first = group[0][1]
+        calls = counting.embedder.calls
+        assert calls[first.query_ids] == 1
+        assert calls[tuple(stack.vocab.encode(first.d.tokens))] == 1
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_grouped_records_match_per_triplet_records(synth_small, method):
+    _, ctx, triplets = synth_small
+    report = evaluate(triplets, method, ctx, beam_width=5, timing="off")
+    assert [r.index for r in report.records] == list(range(len(triplets)))
+    assert _alone(report.records) == _alone(_per_triplet(triplets, method, ctx))
+
+
+def test_split_ranking_forms_separate_groups(synth_small, importance_calls):
+    _, ctx, triplets = synth_small
+    first, second = (
+        [t for _, t in group] for group in ranking_groups(triplets)[:2]
+    )
+    interleaved = [first[0], second[0], *first[1:], *second[1:]]
+    groups = ranking_groups(interleaved)
+    assert [len(g) for g in groups] == [1, 1, len(first) - 1, len(second) - 1]
+    report = evaluate(interleaved, "cfe2", ctx, beam_width=5, timing="off")
+    assert sum(importance_calls.values()) == len(groups)
+    assert _alone(report.records) == _alone(_per_triplet(interleaved, "cfe2", ctx))
+
+
+@pytest.fixture(scope="module")
+def alone_records():
+    """(method, triplet position) -> that triplet's record evaluated alone."""
+    return {}
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_any_order_gives_per_triplet_records_at_any_worker_count(
+    synth_small, alone_records, data
+):
+    _, ctx, triplets = synth_small
+    method = data.draw(st.sampled_from(METHODS), label="method")
+    # Runs of consecutive triplets (part of one ranking or spanning two),
+    # in any order, repeats allowed: so groups get split, interleaved and
+    # repeated.
+    segments = data.draw(
+        st.lists(st.tuples(st.integers(0, len(triplets) - 1), st.integers(1, 4)),
+                 min_size=1, max_size=6),
+        label="segments",
+    )
+    order = [i for start, length in segments
+             for i in range(start, min(start + length, len(triplets)))]
+    ordered = [triplets[i] for i in order]
+    for i in set(order):
+        if (method, i) not in alone_records:
+            alone_records[method, i] = _per_triplet([triplets[i]], method, ctx)[0]
+    expected = [alone_records[method, i] for i in order]
+    serial = evaluate(ordered, method, ctx, beam_width=5, timing="off")
+    parallel = evaluate(ordered, method, ctx, beam_width=5, timing="off", workers=4)
+    assert serial.records == parallel.records
+    assert _alone(serial.records) == expected
