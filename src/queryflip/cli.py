@@ -141,11 +141,13 @@ def _collect_triplets(
 
 
 def _sweep_options(config: RunConfig) -> dict:
-    """The ``beam_sweep``/``evaluate`` options eval and sweep-beam share;
-    no ``workers`` means the available parallelism."""
+    """The ``beam_sweep``/``evaluate`` options eval and sweep-beam share. No
+    ``workers`` means 1 when every role is local, since local edits hold the
+    interpreter lock, and the available parallelism when a role is remote."""
+    parallelism = (os.cpu_count() or 1) if config.backends else 1
     return {
         "max_masks": config.max_masks,
-        "workers": config.workers or os.cpu_count() or 1,
+        "workers": config.workers or parallelism,
         "timing": config.timing,
         "meta": {
             "config": config.result_dict(),
@@ -221,9 +223,11 @@ def cmd_eval(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ValueError("--methods needs at least one method")
-    for method in methods:
+    for i, method in enumerate(methods):
         if method not in METHODS:
             raise ValueError(f"unknown method: {method}")
+        if method in methods[:i]:
+            raise ValueError(f"duplicate method: {method}")
     config, stack, ctx = _open_run(args)
     triplets = [t for _, t in _collect_triplets(stack, config, args)]
     options = _sweep_options(config)

@@ -51,7 +51,7 @@ class RunConfig:
     # remote backends: role -> {url, timeout_ms, retries, token}
     backends: dict[str, dict[str, Any]] = field(default_factory=dict)
     # run behaviour
-    workers: int | None = None  # None: use available parallelism
+    workers: int | None = None  # None: 1, or available parallelism if a role is remote
     timing: str = "wall"
 
     def validate(self) -> None:

@@ -18,37 +18,81 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .text import FIRST_CONTENT_ID, SPECIAL_IDS, Vocabulary, tokenize
+from .text import (
+    FIRST_CONTENT_ID,
+    SPECIAL_IDS,
+    Vocabulary,
+    build_vocabulary,
+    pack_strings,
+    tokenize,
+    unpack_strings,
+)
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class Document:
-    """A stored document: stable id, raw text, and its token sequence."""
+    """A stored document: stable id, raw text, and its token ids."""
 
     id: str
     text: str
-    tokens: tuple[str, ...]
+    ids: tuple[int, ...]
 
     @property
     def length(self) -> int:
-        return len(self.tokens)
+        return len(self.ids)
+
+
+@dataclass(frozen=True)
+class EncodedCorpus:
+    """Every document's token ids as one integer stream, documents in
+    corpus order: document i is ``ids[offsets[i]:offsets[i + 1]]``. A
+    corpus holds its tokens in this form only; the index, the embeddings
+    and the n-gram model are built from it."""
+
+    ids: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self) -> None:
+        ids, offsets = self.ids, self.offsets
+        if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in (ids, offsets)):
+            raise ValueError("corpus token ids and offsets must be 1-d integer arrays")
+        if not (len(offsets) and offsets[0] == 0 and offsets[-1] == len(ids)
+                and (offsets[1:] >= offsets[:-1]).all()):
+            raise ValueError(f"corpus token offsets must rise from 0 to {len(ids)}")
+
+    @property
+    def n_docs(self) -> int:
+        return len(self.offsets) - 1
+
+    def doc_labels(self) -> np.ndarray:
+        """The document index of every id in the stream."""
+        return np.repeat(np.arange(self.n_docs), np.diff(self.offsets))
 
 
 class Corpus:
-    """Id-addressable document collection with corpus-level statistics."""
+    """Id-addressable document collection with corpus-level statistics.
 
-    def __init__(self, documents: Sequence[Document]) -> None:
-        docs: dict[str, Document] = {}
-        for doc in documents:
-            if doc.id in docs:
-                raise ValueError(f"duplicate id: {doc.id}")
-            docs[doc.id] = doc
-        self._docs = docs
-        total_len = sum(d.length for d in docs.values())
-        self.n_docs = len(docs)
-        self.avgdl = total_len / self.n_docs if self.n_docs else 0.0
+    Built from the ``{id: text}`` records and their token ids, one
+    ``encoded`` row per record in record order. Each Document holds its
+    row as a tuple.
+    """
+
+    def __init__(self, records: Mapping[str, str], encoded: EncodedCorpus) -> None:
+        if len(records) != encoded.n_docs:
+            raise ValueError(
+                f"{encoded.n_docs} rows of token ids for {len(records)} documents"
+            )
+        ids = encoded.ids.tolist()
+        bounds = encoded.offsets.tolist()
+        self._docs = {
+            doc_id: Document(doc_id, text, tuple(ids[start:end]))
+            for (doc_id, text), start, end in zip(records.items(), bounds, bounds[1:])
+        }
+        self.encoded = encoded
+        self.n_docs = len(records)
+        self.avgdl = bounds[-1] / self.n_docs if self.n_docs else 0.0
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._docs
@@ -62,35 +106,36 @@ class Corpus:
     def doc_ids(self) -> list[str]:
         return list(self._docs)
 
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """Ids and texts as UTF-8 buffers with offsets, and the token ids."""
+        ids, id_offsets = pack_strings(self.doc_ids())
+        texts, text_offsets = pack_strings([d.text for d in self.documents()])
+        return {
+            "corpus.ids": ids,
+            "corpus.id_offsets": id_offsets,
+            "corpus.texts": texts,
+            "corpus.text_offsets": text_offsets,
+            "corpus.token_ids": self.encoded.ids,
+            "corpus.token_offsets": self.encoded.offsets,
+        }
 
-@dataclass(frozen=True)
-class EncodedCorpus:
-    """Every document's token ids as one int32 stream, documents in corpus
-    order: document i is ``ids[offsets[i]:offsets[i + 1]]``. A build
-    encodes once and hands this to the index, the embeddings and the
-    n-gram model."""
-
-    ids: np.ndarray
-    offsets: np.ndarray
-
-    @property
-    def n_docs(self) -> int:
-        return len(self.offsets) - 1
-
-    def doc_labels(self) -> np.ndarray:
-        """The document index of every id in the stream."""
-        return np.repeat(np.arange(self.n_docs), np.diff(self.offsets))
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "Corpus":
+        ids = unpack_strings(arrays["corpus.ids"], arrays["corpus.id_offsets"])
+        texts = unpack_strings(arrays["corpus.texts"], arrays["corpus.text_offsets"])
+        tokens = arrays["corpus.token_ids"], arrays["corpus.token_offsets"]
+        return cls(dict(zip(ids, texts)), EncodedCorpus(*tokens))
 
 
-def ingest_corpus(lines: Iterable[str]) -> Corpus:
-    """Parse a line-delimited record stream into a Corpus.
+def ingest_corpus(lines: Iterable[str]) -> dict[str, str]:
+    """Parse a line-delimited record stream into ``{id: text}`` records,
+    in stream order.
 
     Each non-blank line must be a JSON object with string fields ``id``
     and ``text``. Malformed records and duplicate ids raise ValueError
     with the offending line number / id.
     """
-    docs: list[Document] = []
-    seen: set[str] = set()
+    records: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -106,11 +151,23 @@ def ingest_corpus(lines: Iterable[str]) -> Corpus:
             if not isinstance(record[fld], str):
                 raise ValueError(f"invalid field: {fld} @ line {lineno}")
         doc_id = record["id"]
-        if doc_id in seen:
+        if doc_id in records:
             raise ValueError(f"duplicate id: {doc_id} @ line {lineno}")
-        seen.add(doc_id)
-        docs.append(Document(doc_id, record["text"], tuple(tokenize(record["text"]))))
-    return Corpus(docs)
+        records[doc_id] = record["text"]
+    return records
+
+
+def build_corpus(
+    records: Mapping[str, str], min_count: int = 1
+) -> tuple[Corpus, Vocabulary]:
+    """Tokenize each text once, build the vocabulary from those token
+    lists, and encode them into the corpus's one id stream."""
+    tokens = [tokenize(text) for text in records.values()]
+    vocab = build_vocabulary(tokens, min_count)
+    ids = vocab.encode(chain.from_iterable(tokens))
+    offsets = np.cumsum([0] + [len(t) for t in tokens], dtype=np.int64)
+    encoded = EncodedCorpus(np.array(ids, dtype=np.int32), offsets)
+    return Corpus(records, encoded), vocab
 
 
 @dataclass(frozen=True)
@@ -149,14 +206,14 @@ class Ranking:
 class Bm25SearchModel:
     """BM25 relevance scorer that owns its term-frequency postings.
 
-    The postings are held as four CSR arrays, as built or loaded:
-    ``terms`` (int32, strictly increasing content token ids), ``indptr``
-    (int64, ``len(terms) + 1`` row bounds, each row non-empty), ``docs``
-    (int32, each row's documents as strictly increasing positions in
-    ascending doc-id order) and ``tfs`` (int32, term frequencies >= 1).
-    Special token ids are never indexed, so MASK/PAD/UNK query tokens can
-    never match anything. Scoring uses Robertson idf with +1 inside the
-    log (keeps idf >= 0):
+    ``build_index`` counts the postings from the corpus's token ids into
+    four CSR arrays: ``terms`` (int32, strictly increasing content token
+    ids), ``indptr`` (int64, ``len(terms) + 1`` row bounds, each row
+    non-empty), ``docs`` (int32, each row's documents as strictly
+    increasing positions in corpus order) and ``tfs`` (int32, term
+    frequencies >= 1). Special token ids are never indexed, so
+    MASK/PAD/UNK query tokens can never match anything. Scoring uses
+    Robertson idf with +1 inside the log (keeps idf >= 0):
 
         idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5))
         w(t,d) = idf(t) * tf * (k1+1) / (tf + k1 * (1 - b + b * n/avgdl))
@@ -179,7 +236,6 @@ class Bm25SearchModel:
         tfs: np.ndarray,
         params: Bm25Params,
     ) -> None:
-        _check_postings(terms, indptr, docs, tfs, corpus.n_docs)
         self.corpus = corpus
         self.terms, self.indptr, self.docs, self.tfs = terms, indptr, docs, tfs
         n = corpus.n_docs
@@ -190,9 +246,10 @@ class Bm25SearchModel:
         self._idf_unseen = _robertson_idf(n, 0)
         bounds = indptr.tolist()
         self._rows = {t: slice(a, b) for t, a, b in zip(term_ids, bounds, bounds[1:])}
-        # Documents by position, i.e. in ascending doc-id order.
-        self._doc_ids = sorted(corpus.doc_ids())
-        lengths = np.array([corpus[d].length for d in self._doc_ids])
+        self._corpus_ids = corpus.doc_ids()
+        # Zero-score documents fill a short ranking in ascending doc-id order.
+        self._sorted_ids = sorted(self._corpus_ids)
+        lengths = np.diff(corpus.encoded.offsets)
         # The scalar formula's float operations in its order, one element
         # per posting. Only a posting's document is normalised, so avgdl 0
         # (every document empty, no postings) divides nothing.
@@ -207,7 +264,7 @@ class Bm25SearchModel:
         ends = np.cumsum(np.bincount(docs, minlength=n)).tolist()
         self._impacts: dict[str, dict[int, float]] = {
             doc_id: dict(zip(doc_terms[start:end], doc_impacts[start:end]))
-            for doc_id, start, end in zip(self._doc_ids, [0, *ends], ends)
+            for doc_id, start, end in zip(self._corpus_ids, [0, *ends], ends)
         }
 
     def idf(self, term_id: int) -> float:
@@ -241,40 +298,16 @@ class Bm25SearchModel:
         if self.corpus.n_docs == 0:
             raise ValueError("empty corpus")
         rows = [self.docs[self._rows[t]] for t in set(query_ids) if t in self._rows]
-        doc_ids = self._doc_ids
-        matched = {doc_ids[p] for row in rows for p in row.tolist()}
+        corpus_ids = self._corpus_ids
+        matched = {corpus_ids[p] for row in rows for p in row.tolist()}
         ranked = sorted(
             ((d, self.bm25_score(query_ids, d)) for d in matched),
             key=lambda e: (-e[1], e[0]),
         )
         if len(ranked) < k:
-            zeros = [d for d in doc_ids if d not in matched]
+            zeros = [d for d in self._sorted_ids if d not in matched]
             ranked.extend((d, 0.0) for d in zeros)
         return Ranking(tuple(query_ids), tuple(ranked[:k]))
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The CSR postings as held. Document lengths come from the corpus.
-        Impacts are not stored: they depend on k1 and b, which the build
-        fingerprint does not cover."""
-        return {
-            "index.terms": self.terms,
-            "index.indptr": self.indptr,
-            "index.docs": self.docs,
-            "index.tfs": self.tfs,
-        }
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: Mapping[str, np.ndarray], corpus: Corpus, params: Bm25Params
-    ) -> "Bm25SearchModel":
-        return cls(
-            corpus,
-            arrays["index.terms"],
-            arrays["index.indptr"],
-            arrays["index.docs"],
-            arrays["index.tfs"],
-            params,
-        )
 
     def query_representation(self, query_ids: Sequence[int]) -> dict[int, float]:
         """L2-normalized sparse idf*tf vector over the vocabulary.
@@ -298,58 +331,16 @@ def _robertson_idf(n_docs: int, df: int) -> float:
     return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
 
 
-def _check_postings(
-    terms: np.ndarray,
-    indptr: np.ndarray,
-    docs: np.ndarray,
-    tfs: np.ndarray,
-    n_docs: int,
-) -> None:
-    """Raise ValueError unless the arrays are CSR postings as documented
-    on Bm25SearchModel, with document positions below ``n_docs``."""
-    if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in (terms, indptr, docs, tfs)):
-        raise ValueError("BM25 postings must be 1-d integer arrays")
-    if len(indptr) != len(terms) + 1 or len(tfs) != len(docs):
-        raise ValueError(
-            f"BM25 postings have {len(terms)} terms, {len(indptr)} row bounds, "
-            f"{len(docs)} documents and {len(tfs)} term frequencies"
-        )
-    if indptr[0] != 0 or indptr[-1] != len(docs) or (indptr[1:] <= indptr[:-1]).any():
-        raise ValueError("BM25 row bounds must rise strictly from 0 to the posting count")
-    if (terms < FIRST_CONTENT_ID).any() or (terms[1:] <= terms[:-1]).any():
-        raise ValueError("BM25 terms must be strictly increasing content ids")
-    if (docs < 0).any() or (docs >= n_docs).any():
-        raise ValueError(f"BM25 document position outside the {n_docs} documents")
-    unordered = docs[1:] <= docs[:-1]
-    unordered[indptr[1:-1] - 1] = False  # each row starts its own order
-    if unordered.any():
-        raise ValueError("BM25 documents must be strictly increasing within a term")
-    if (tfs < 1).any():
-        raise ValueError("BM25 term frequencies must be >= 1")
-
-
-def encode_corpus(corpus: Corpus, vocab: Vocabulary) -> EncodedCorpus:
-    """Encode every document once, in corpus order."""
-    docs = list(corpus.documents())
-    ids = vocab.encode(chain.from_iterable(doc.tokens for doc in docs))
-    offsets = np.cumsum([0] + [doc.length for doc in docs], dtype=np.int64)
-    return EncodedCorpus(np.array(ids, dtype=np.int32), offsets)
-
-
-def build_index(
-    corpus: Corpus, encoded: EncodedCorpus, params: Bm25Params
-) -> Bm25SearchModel:
-    """Count every (term, document) pair of the encoded corpus, specials
-    left out, into CSR postings sorted by term, then document position."""
-    doc_ids = corpus.doc_ids()
-    n = len(doc_ids)
-    # Each document's position in ascending doc-id order.
-    position = np.empty(n, dtype=np.int64)
-    position[sorted(range(n), key=doc_ids.__getitem__)] = np.arange(n)
+def build_index(corpus: Corpus, params: Bm25Params) -> Bm25SearchModel:
+    """Count every (term, document) pair of the corpus's token ids,
+    specials left out, into CSR postings sorted by term, then document
+    position in corpus order."""
+    encoded = corpus.encoded
+    n = corpus.n_docs
     content = encoded.ids >= FIRST_CONTENT_ID
     term_ids = encoded.ids[content].astype(np.int64)
     pairs, tfs = np.unique(
-        term_ids * n + position[encoded.doc_labels()[content]], return_counts=True
+        term_ids * n + encoded.doc_labels()[content], return_counts=True
     )
     terms, docs = np.divmod(pairs, n)
     terms, starts = np.unique(terms, return_index=True)

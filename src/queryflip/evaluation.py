@@ -317,9 +317,7 @@ class RankingWork:
 
 
 _MASKERS: dict[str, Callable[[RankingWork], ImportanceScores]] = {
-    "maxsim": lambda work: maxsim_importance(
-        work.query_ids, work.ctx.vocab.encode(work.doc.tokens), work
-    ),
+    "maxsim": lambda work: maxsim_importance(work.query_ids, work.doc.ids, work),
     "occlusion": lambda work: occlusion_importance(
         work.query_ids, work.doc, work.ctx.scorer
     ),
@@ -516,11 +514,15 @@ def _record_for(
 
 
 def check_beam_sizes(sizes: Sequence[int]) -> None:
-    """Reject an empty list of beam sizes or a size below 1."""
+    """Reject an empty list of beam sizes, a size below 1 or a repeated
+    size, whose reports would share one name."""
     if not sizes:
         raise ValueError("no beam sizes")
     if any(b < 1 for b in sizes):
         raise ValueError("beam sizes must be >= 1")
+    repeated = [b for i, b in enumerate(sizes) if b in sizes[:i]]
+    if repeated:
+        raise ValueError(f"duplicate beam size: {repeated[0]}")
 
 
 def ranking_groups(

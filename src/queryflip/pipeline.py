@@ -1,7 +1,7 @@
 """Build, persist, and load the full model stack; wire up eval contexts.
 
-The stack bundles everything derived from one corpus: the corpus store,
-vocabulary, BM25 model with its postings, embedding table, and n-gram LM.
+The stack bundles everything derived from one corpus: the corpus with its
+token ids, vocabulary, BM25 model, embedding table, and n-gram LM.
 The persisted stack embeds the build fingerprint of the config and
 corpus that produced it; loading with a different config is an error.
 """
@@ -13,6 +13,7 @@ import logging
 import os
 import zipfile
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from .corpus import (
     Bm25SearchModel,
     Corpus,
     Document,
+    build_corpus,
     build_index,
-    encode_corpus,
     ingest_corpus,
 )
 from .embed import EmbeddingTable, train_embeddings
@@ -36,13 +37,7 @@ from .remote import (
     RemotePredictor,
     RemoteScorer,
 )
-from .text import (
-    Vocabulary,
-    build_vocabulary,
-    pack_strings,
-    tokenize,
-    unpack_strings,
-)
+from .text import UNK_ID, Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -74,18 +69,16 @@ def corpus_digest(corpus: Corpus) -> str:
     return hasher.hexdigest()[:16]
 
 
-def build_stack(corpus: Corpus, config: RunConfig) -> Stack:
-    """Derive every model artifact from an ingested corpus.
+def build_stack(records: Mapping[str, str], config: RunConfig) -> Stack:
+    """Derive every model artifact from ingested ``{id: text}`` records.
 
     The embedding dimension is clamped to what the vocabulary and the
     co-occurrence rank can support, so small corpora still index cleanly.
     """
     config.validate()
-    vocab = build_vocabulary(
-        (doc.tokens for doc in corpus.documents()), config.min_count
-    )
-    encoded = encode_corpus(corpus, vocab)
-    search = build_index(corpus, encoded, Bm25Params(config.k1, config.b_bm25))
+    corpus, vocab = build_corpus(records, config.min_count)
+    encoded = corpus.encoded
+    search = build_index(corpus, Bm25Params(config.k1, config.b_bm25))
     dim = min(config.embed_dim, max(2, vocab.content_size))
     table = train_embeddings(encoded, vocab, dim=dim, window=config.embed_window)
     lm = train_ngram(encoded, vocab, order=config.lm_order, k=config.lm_k)
@@ -101,30 +94,18 @@ def build_stack_from_file(path: str, config: RunConfig) -> Stack:
 # ---------------------------------------------------------------------------
 # Persistence
 #
-# The whole stack lives in one uncompressed ``.npz``: the corpus (ids and
-# texts as UTF-8 buffers with offsets), one build fingerprint, and the
-# arrays each component writes with ``to_arrays`` and reads back with
-# ``from_arrays``. Components hold their stored arrays as they are and
-# derive their lookups from them with numpy on load: the BM25 model its
-# idf and per-document impacts (not stored: they depend on k1 and b), the
-# n-gram model its context -> run index. The loader checks what one
-# component cannot: vector rows, candidates and term ids against the
-# vocabulary.
+# The whole stack lives in one uncompressed ``.npz``: one build fingerprint
+# and the arrays each component writes with ``to_arrays`` and reads back
+# with ``from_arrays``. The BM25 postings are not stored: load counts them
+# from the corpus's token ids with the ``build_index`` the build uses, and
+# their idf and impacts follow k1 and b, which the fingerprint leaves out.
+# The loader checks what one component cannot: vector rows, n-gram
+# candidates, and the corpus's token ids against the vocabulary.
 
 
 def save_stack(stack: Stack, config: RunConfig) -> None:
     """Write the stack atomically: a reader sees the old file or the new one."""
     os.makedirs(config.artifacts, exist_ok=True)
-    ids, id_offsets = pack_strings(stack.corpus.doc_ids())
-    texts, text_offsets = pack_strings(
-        [doc.text for doc in stack.corpus.documents()]
-    )
-    corpus_arrays = {
-        "corpus.ids": ids,
-        "corpus.id_offsets": id_offsets,
-        "corpus.texts": texts,
-        "corpus.text_offsets": text_offsets,
-    }
     path = os.path.join(config.artifacts, STACK_FILE)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -132,9 +113,8 @@ def save_stack(stack: Stack, config: RunConfig) -> None:
         np.savez(
             fh,
             fingerprint=np.array(stack.fingerprint),
-            **corpus_arrays,
+            **stack.corpus.to_arrays(),
             **stack.vocab.to_arrays(),
-            **stack.search.to_arrays(),
             **stack.table.to_arrays(),
             **stack.lm.to_arrays(),
         )
@@ -158,11 +138,7 @@ def load_stack(config: RunConfig) -> Stack:
     try:
         with np.load(path, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
-        ids = unpack_strings(arrays["corpus.ids"], arrays["corpus.id_offsets"])
-        texts = unpack_strings(arrays["corpus.texts"], arrays["corpus.text_offsets"])
-        corpus = Corpus(
-            [Document(i, t, tuple(tokenize(t))) for i, t in zip(ids, texts)]
-        )
+        corpus = Corpus.from_arrays(arrays)
         expected = build_fingerprint(config.build_params(), corpus_digest(corpus))
         stored = str(arrays["fingerprint"])
         if stored != expected:
@@ -171,9 +147,6 @@ def load_stack(config: RunConfig) -> Stack:
                 f"config ({expected}); re-run `queryflip index`"
             )
         vocab = Vocabulary.from_arrays(arrays)
-        search = Bm25SearchModel.from_arrays(
-            arrays, corpus, Bm25Params(config.k1, config.b_bm25)
-        )
         table = EmbeddingTable.from_arrays(arrays)
         lm = NgramLM.from_arrays(arrays)
     except KeyError as exc:
@@ -190,11 +163,12 @@ def load_stack(config: RunConfig) -> Stack:
             f"{STACK_FILE} n-gram model has {lm.n_candidates} candidates for "
             f"{vocab.content_size} content tokens"
         )
-    if len(search.terms) and search.terms[-1] >= len(vocab):
+    token_ids = corpus.encoded.ids
+    if len(token_ids) and (token_ids.min() < UNK_ID or token_ids.max() >= len(vocab)):
         raise ArtifactError(
-            f"{STACK_FILE} BM25 postings hold term id {search.terms[-1]} past "
-            f"a vocabulary of {len(vocab)}"
+            f"{STACK_FILE} holds corpus token ids outside [{UNK_ID}, {len(vocab)})"
         )
+    search = build_index(corpus, Bm25Params(config.k1, config.b_bm25))
     return Stack(corpus, vocab, search, table, lm, expected)
 
 
@@ -233,9 +207,7 @@ def make_context(stack: Stack, config: RunConfig) -> EvalContext:
     else:
 
         def predictor_factory(doc: Document):
-            return NgramPredictor(
-                stack.lm, stack.vocab.encode(doc.tokens), config.lam
-            )
+            return NgramPredictor(stack.lm, doc.ids, config.lam)
 
     return EvalContext(
         vocab=stack.vocab,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -119,7 +120,7 @@ class Vocabulary:
 
 
 def build_vocabulary(
-    corpus_tokens: Iterable[Sequence[str]], min_count: int = 1
+    corpus_tokens: Sequence[Sequence[str]], min_count: int = 1
 ) -> Vocabulary:
     """Build a vocabulary from token sequences.
 
@@ -131,13 +132,9 @@ def build_vocabulary(
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts: Counter[str] = Counter()
-    n_sequences = 0
-    for tokens in corpus_tokens:
-        n_sequences += 1
-        counts.update(tokens)
-    if n_sequences == 0:
+    if not corpus_tokens:
         raise ValueError("empty corpus")
+    counts = Counter(chain.from_iterable(corpus_tokens))
     kept = [s for s, c in counts.items() if c >= min_count]
     kept.sort(key=lambda s: (-counts[s], s))
     return Vocabulary(kept)

@@ -27,13 +27,8 @@ def sample_config(**overrides) -> RunConfig:
 
 
 @pytest.fixture(scope="session")
-def sample_corpus():
-    return ingest_corpus(SAMPLE_LINES)
-
-
-@pytest.fixture(scope="session")
-def sample_stack(sample_corpus) -> Stack:
-    return build_stack(sample_corpus, sample_config())
+def sample_stack() -> Stack:
+    return build_stack(ingest_corpus(SAMPLE_LINES), sample_config())
 
 
 @pytest.fixture(scope="session")

@@ -79,9 +79,7 @@ def test_criterion_01_beam_search_oracle_equivalence():
         if n > 8:
             continue
         doc = rng.choice(list(corpus.documents()))
-        predictor = NgramPredictor(
-            lm, vocab.encode(doc.tokens), lam=rng.choice((0.0, 0.5, 1.0))
-        )
+        predictor = NgramPredictor(lm, doc.ids, lam=rng.choice((0.0, 0.5, 1.0)))
         length = rng.randint(2, 4)
         query = tuple(rng.choices(range(3, 3 + n), k=length))
         slots = sorted(rng.sample(range(length), rng.randint(1, min(2, length))))

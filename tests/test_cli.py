@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import pytest
 
+from queryflip import cli
 from queryflip.cli import build_parser, main
 from queryflip.config import RunConfig
 
@@ -266,6 +267,35 @@ def test_eval_empty_methods_fails_before_loading(workdir, capsys):
     assert not (tmp / "reports").exists()
 
 
+def test_eval_duplicate_method_fails_before_loading(workdir, capsys):
+    # One report per method name: a repeated method would write its
+    # report.json entry once but its report.md column twice.
+    tmp, config = workdir
+    queries = tmp / "queries.txt"
+    queries.write_text("apple recipe\n")
+    assert _run("eval", "--config", config, "--queries", queries,
+                "--methods", "cfe2,mask_only,cfe2") == 1
+    err = capsys.readouterr().err
+    assert "duplicate method: cfe2" in err
+    assert "artifact" not in err
+    assert not (tmp / "reports").exists()
+
+
+def test_workers_default_to_one_when_every_role_is_local(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 6)
+    assert cli._sweep_options(RunConfig())["workers"] == 1
+    assert cli._sweep_options(RunConfig(workers=3))["workers"] == 3
+
+
+def test_workers_default_to_available_parallelism_with_a_remote_role(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 6)
+    remote = RunConfig(backends={"score": {"url": "http://127.0.0.1:9"}})
+    assert cli._sweep_options(remote)["workers"] == 6
+    assert cli._sweep_options(remote.with_overrides(workers=2))["workers"] == 2
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._sweep_options(remote)["workers"] == 1
+
+
 def test_sweep_beam_non_integer_size_fails_before_loading(workdir, capsys):
     tmp, config = workdir
     queries = tmp / "queries.txt"
@@ -279,6 +309,7 @@ def test_sweep_beam_non_integer_size_fails_before_loading(workdir, capsys):
     (",", "no beam sizes"),
     ("0", "beam sizes must be >= 1"),
     ("-3", "beam sizes must be >= 1"),
+    ("5,10,5", "duplicate beam size: 5"),
 ])
 def test_sweep_beam_bad_sizes_fail_before_loading(tmp_path, capsys, sizes, message):
     # The artifacts directory does not exist, so loading would raise

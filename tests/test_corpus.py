@@ -9,16 +9,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from queryflip.corpus import (
-    Bm25Params,
-    Bm25SearchModel,
-    build_index,
-    encode_corpus,
-    ingest_corpus,
-)
-from queryflip.text import SPECIAL_IDS, UNK_ID, build_vocabulary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SAMPLE_LINES
+from queryflip.corpus import Bm25Params, build_corpus, build_index, ingest_corpus
+from queryflip.pipeline import build_stack, load_stack, save_stack
+from queryflip.text import SPECIAL_IDS, UNK_ID, tokenize
+
+from conftest import SAMPLE_LINES, sample_config
 
 # Hand-derived BM25 constants for the sample corpus (k1=1.2, b=0.75).
 # All documents have length 3 = avgdl, so the length normalization factor
@@ -38,11 +36,12 @@ def ids(stack, text):
     return stack.vocab.encode(tokenize(text))
 
 
-def test_ingest_sample_corpus(sample_corpus):
-    assert sample_corpus.n_docs == 3
-    assert sample_corpus.avgdl == 3.0
-    assert sample_corpus["d1"].tokens == ("apple", "pie", "recipe")
-    assert sample_corpus["d1"].length == 3
+def test_ingest_sample_corpus(sample_stack):
+    corpus = sample_stack.corpus
+    assert corpus.n_docs == 3
+    assert corpus.avgdl == 3.0
+    assert sample_stack.vocab.decode(corpus["d1"].ids) == ["apple", "pie", "recipe"]
+    assert corpus["d1"].length == 3
 
 
 def test_ingest_collection_scale_count():
@@ -52,8 +51,7 @@ def test_ingest_collection_scale_count():
         json.dumps({"id": f"doc-{i}", "text": f"passage number {i} text"})
         for i in range(5183)
     )
-    corpus = ingest_corpus(lines)
-    assert corpus.n_docs == 5183
+    assert len(ingest_corpus(lines)) == 5183
 
 
 def test_ingest_missing_field_reports_line():
@@ -183,7 +181,7 @@ def test_search_rejects_bad_k(sample_stack):
 def _okapi(corpus, vocab, params, query_ids, doc_id):
     """Okapi BM25 recomputed from the corpus on every call, term by term."""
     k1, b = params.k1, params.b
-    encoded = {d.id: vocab.encode(d.tokens) for d in corpus.documents()}
+    encoded = {d.id: vocab.encode(tokenize(d.text)) for d in corpus.documents()}
     df = Counter(t for doc_ids in encoded.values() for t in set(doc_ids))
     doc_tf = Counter(encoded[doc_id])
     norm = 1.0 - b + b * corpus[doc_id].length / corpus.avgdl
@@ -199,19 +197,23 @@ def _okapi(corpus, vocab, params, query_ids, doc_id):
 
 def _counter_postings(corpus, vocab):
     """The CSR postings arrays, counted one document at a time with a
-    Counter, documents in ascending doc-id order."""
+    Counter from its re-tokenised text, documents in corpus order."""
     rows = {}
-    for position, doc_id in enumerate(sorted(corpus.doc_ids())):
-        for term_id, tf in Counter(vocab.encode(corpus[doc_id].tokens)).items():
+    for position, doc in enumerate(corpus.documents()):
+        for term_id, tf in Counter(vocab.encode(tokenize(doc.text))).items():
             if term_id not in SPECIAL_IDS:
                 rows.setdefault(term_id, []).append((position, tf))
     terms = sorted(rows)
     return {
-        "index.terms": np.array(terms, dtype=np.int32),
-        "index.indptr": np.cumsum([0] + [len(rows[t]) for t in terms]),
-        "index.docs": np.array([p for t in terms for p, _ in rows[t]], dtype=np.int32),
-        "index.tfs": np.array([tf for t in terms for _, tf in rows[t]], dtype=np.int32),
+        "terms": np.array(terms, dtype=np.int32),
+        "indptr": np.cumsum([0] + [len(rows[t]) for t in terms]),
+        "docs": np.array([p for t in terms for p, _ in rows[t]], dtype=np.int32),
+        "tfs": np.array([tf for t in terms for _, tf in rows[t]], dtype=np.int32),
     }
+
+
+def postings(search):
+    return {name: getattr(search, name) for name in ("terms", "indptr", "docs", "tfs")}
 
 
 def npz_round_trip(arrays):
@@ -231,11 +233,11 @@ def assert_same_arrays(got, expected):
 
 
 def test_index_of_empty_documents_has_no_postings():
-    corpus = ingest_corpus(json.dumps({"id": f"d{i}", "text": "?!"}) for i in range(3))
-    vocab = build_vocabulary((d.tokens for d in corpus.documents()), 1)
-    search = build_index(corpus, encode_corpus(corpus, vocab), Bm25Params())
+    records = ingest_corpus(json.dumps({"id": f"d{i}", "text": "?!"}) for i in range(3))
+    corpus, vocab = build_corpus(records)
+    search = build_index(corpus, Bm25Params())
     assert corpus.avgdl == 0.0 and len(search.docs) == 0
-    assert_same_arrays(search.to_arrays(), _counter_postings(corpus, vocab))
+    assert_same_arrays(postings(search), _counter_postings(corpus, vocab))
     assert search.search([UNK_ID], 2).entries == (("d0", 0.0), ("d1", 0.0))
 
 
@@ -247,25 +249,13 @@ def test_score_equals_per_call_okapi_on_random_corpora():
             " ".join(rng.choices(words[: rng.randint(3, 30)], k=rng.randint(0, 25)))
             for _ in range(rng.randint(2, 12))
         ]
-        corpus = ingest_corpus(
-            json.dumps({"id": f"d{i:02d}", "text": t}) for i, t in enumerate(texts)
-        )
+        records = {f"d{i:02d}": t for i, t in enumerate(texts)}
+        corpus, vocab = build_corpus(records, rng.choice((1, 2)))
         if corpus.avgdl == 0.0:
             continue
-        vocab = build_vocabulary(
-            (d.tokens for d in corpus.documents()), rng.choice((1, 2))
-        )
         params = Bm25Params(k1=rng.uniform(0.1, 3.0), b=rng.choice((0.0, 0.75, 1.0)))
-        search = build_index(corpus, encode_corpus(corpus, vocab), params)
-        assert_same_arrays(search.to_arrays(), _counter_postings(corpus, vocab))
-        loaded = Bm25SearchModel.from_arrays(
-            npz_round_trip(search.to_arrays()), corpus, params
-        )
-        for term_id in range(len(vocab) + 3):
-            assert loaded.idf(term_id) == search.idf(term_id)
-            for doc_id in corpus.doc_ids():
-                impact = search.score([term_id], doc_id)
-                assert loaded.score([term_id], doc_id) == impact
+        search = build_index(corpus, params)
+        assert_same_arrays(postings(search), _counter_postings(corpus, vocab))
         for _ in range(10):
             # specials, ids past the vocabulary and repeated terms included
             query = rng.choices(range(len(vocab) + 3), k=rng.randint(1, 8))
@@ -274,9 +264,51 @@ def test_score_equals_per_call_okapi_on_random_corpora():
                 expected = _okapi(corpus, vocab, params, query, doc_id)
                 assert search.score(query, doc_id) == expected
                 assert search.bm25_score(query, doc_id) == expected
-                assert loaded.score(query, doc_id) == expected
             ranking = search.search(query, corpus.n_docs)
             for doc_id, score in ranking.entries:
                 assert score == _okapi(corpus, vocab, params, query, doc_id)
-            assert loaded.search(query, corpus.n_docs) == ranking
-            assert loaded.search(query, 1) == search.search(query, 1)
+
+
+_WORDS = st.sampled_from(["w0", "w1", "w2", "w3", "w4", "w5", "W1", "w1!"])
+_TEXTS = st.lists(_WORDS, max_size=12).map(" ".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    texts=st.lists(_TEXTS, min_size=1, max_size=8),
+    min_count=st.sampled_from([1, 2]),
+    k1=st.floats(0.1, 3.0),
+    b=st.sampled_from([0.0, 0.75, 1.0]),
+    queries=st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=6), max_size=5),
+)
+def test_saved_corpus_loads_the_built_ids_and_index(
+    tmp_path_factory, texts, min_count, k1, b, queries
+):
+    """Build, save and load a random corpus (empty texts and, under
+    min_count 2, [UNK] ids included): the loaded documents hold the ids of
+    their texts, and the index counted from them scores like the built one.
+    One fixed document keeps two content words under min_count 2, which
+    the embeddings and the n-gram model need."""
+    config = sample_config(
+        artifacts=str(tmp_path_factory.mktemp("artifacts")),
+        min_count=min_count, k1=k1, b_bm25=b,
+    )
+    records = {f"d{i}": text for i, text in enumerate(texts)}
+    records["fixed"] = "w0 w0 w1 w1"
+    built = build_stack(records, config)
+    save_stack(built, config)
+    loaded = load_stack(config)
+    vocab, corpus = loaded.vocab, loaded.corpus
+    assert corpus.doc_ids() == built.corpus.doc_ids()
+    for doc in corpus.documents():
+        assert doc.ids == tuple(vocab.encode(tokenize(doc.text)))
+        assert doc.length == len(doc.ids)
+    assert_same_arrays(postings(loaded.search), _counter_postings(corpus, vocab))
+    params = Bm25Params(k1, b)
+    for query in queries:
+        for doc_id in corpus.doc_ids():
+            expected = built.search.score(query, doc_id)
+            assert loaded.search.score(query, doc_id) == expected
+            if corpus.avgdl:
+                assert expected == _okapi(corpus, vocab, params, query, doc_id)
+        assert loaded.search.search(query, 3) == built.search.search(query, 3)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from queryflip.corpus import encode_corpus, ingest_corpus
+from queryflip.corpus import build_corpus, ingest_corpus
 from queryflip.editor import (
     Beam,
     EditCandidate,
@@ -21,7 +21,7 @@ from queryflip.editor import (
 from queryflip.lm import NgramPredictor, PredictionDistribution, perplexity, train_ngram
 from queryflip.masker import occlusion_importance
 from queryflip.pipeline import build_stack
-from queryflip.text import MASK_ID, build_vocabulary
+from queryflip.text import MASK_ID
 
 from conftest import sample_config
 from test_corpus import ids
@@ -40,8 +40,7 @@ def _triplet(stack, query_text, doc_id, counter_doc_id, rank=None):
 
 
 def _predictor(stack, counter_doc_id, lam=0.5):
-    d_prime = stack.vocab.encode(stack.corpus[counter_doc_id].tokens)
-    return NgramPredictor(stack.lm, d_prime, lam=lam)
+    return NgramPredictor(stack.lm, stack.corpus[counter_doc_id].ids, lam=lam)
 
 
 def _ppl(stack):
@@ -272,9 +271,8 @@ def _random_toy_stack(rng: random.Random):
     for _ in range(rng.randint(3, 6)):
         texts.append(" ".join(rng.choices(pool, k=rng.randint(3, 8))))
     lines = [json.dumps({"id": f"d{i}", "text": t}) for i, t in enumerate(texts)]
-    corpus = ingest_corpus(lines)
-    vocab = build_vocabulary((d.tokens for d in corpus.documents()), 1)
-    lm = train_ngram(encode_corpus(corpus, vocab), vocab, order=rng.choice((2, 3)), k=0.1)
+    corpus, vocab = build_corpus(ingest_corpus(lines))
+    lm = train_ngram(corpus.encoded, vocab, order=rng.choice((2, 3)), k=0.1)
     return corpus, vocab, lm
 
 
@@ -304,8 +302,7 @@ def test_beam_equals_enumeration_on_random_instances():
         corpus, vocab, lm = _random_toy_stack(rng)
         n = vocab.content_size
         doc = rng.choice(list(corpus.documents()))
-        d_prime = vocab.encode(doc.tokens)
-        predictor = NgramPredictor(lm, d_prime, lam=rng.choice((0.0, 0.5, 1.0)))
+        predictor = NgramPredictor(lm, doc.ids, lam=rng.choice((0.0, 0.5, 1.0)))
         length = rng.randint(2, 4)
         query = tuple(rng.choices(range(3, 3 + n), k=length))
         n_slots = rng.randint(1, min(2, length))

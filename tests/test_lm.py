@@ -8,7 +8,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from queryflip.corpus import encode_corpus, ingest_corpus
+from queryflip.corpus import EncodedCorpus, build_corpus, ingest_corpus
 from queryflip.lm import (
     BOS,
     NgramLM,
@@ -17,7 +17,14 @@ from queryflip.lm import (
     perplexity,
     train_ngram,
 )
-from queryflip.text import FIRST_CONTENT_ID, MASK_ID, PAD_ID, UNK_ID, build_vocabulary
+from queryflip.text import (
+    FIRST_CONTENT_ID,
+    MASK_ID,
+    PAD_ID,
+    UNK_ID,
+    build_vocabulary,
+    tokenize,
+)
 
 from test_corpus import assert_same_arrays, ids, npz_round_trip
 
@@ -25,9 +32,8 @@ from test_corpus import assert_same_arrays, ids, npz_round_trip
 def _bigram_ab():
     # corpus {[a, b], [a, b]}, order 2, k = 0.1, candidates {a, b}
     lines = [json.dumps({"id": f"d{i}", "text": "a b"}) for i in range(2)]
-    corpus = ingest_corpus(lines)
-    vocab = build_vocabulary((d.tokens for d in corpus.documents()), 1)
-    return train_ngram(encode_corpus(corpus, vocab), vocab, order=2, k=0.1), vocab
+    corpus, vocab = build_corpus(ingest_corpus(lines))
+    return train_ngram(corpus.encoded, vocab, order=2, k=0.1), vocab
 
 
 def test_bigram_conditional_hand_value():
@@ -87,9 +93,8 @@ def test_perplexity_unigram_length_invariance():
         json.dumps({"id": "d1", "text": "a b"}),
         json.dumps({"id": "d2", "text": "a a b"}),
     ]
-    corpus = ingest_corpus(lines)
-    vocab = build_vocabulary((d.tokens for d in corpus.documents()), 1)
-    unigram = train_ngram(encode_corpus(corpus, vocab), vocab, order=1, k=0.1)
+    corpus, vocab = build_corpus(ingest_corpus(lines))
+    unigram = train_ngram(corpus.encoded, vocab, order=1, k=0.1)
     assert unigram.n_candidates == 2
     a, b = vocab.id("a"), vocab.id("b")
     seq = [a, b, b, a]
@@ -117,7 +122,7 @@ def reference_counts(corpus, vocab, order):
     totals = defaultdict(int)
     ctx_len = order - 1
     for doc in corpus.documents():
-        token_ids = vocab.encode(doc.tokens)
+        token_ids = vocab.encode(tokenize(doc.text))
         padded = [BOS] * ctx_len + token_ids
         for pos, target in enumerate(token_ids):
             if target < FIRST_CONTENT_ID:
@@ -147,11 +152,10 @@ def _random_corpus(rng):
 def test_train_ngram_matches_counter_reference(order, min_count):
     rng = random.Random(order * 10 + min_count)
     for _ in range(5):
-        corpus = _random_corpus(rng)
-        assert any(not doc.tokens for doc in corpus.documents())
-        vocab = build_vocabulary((d.tokens for d in corpus.documents()), min_count)
+        corpus, vocab = build_corpus(_random_corpus(rng), min_count)
+        assert any(not doc.ids for doc in corpus.documents())
         k, n = 0.1, vocab.content_size
-        lm = train_ngram(encode_corpus(corpus, vocab), vocab, order=order, k=k)
+        lm = train_ngram(corpus.encoded, vocab, order=order, k=k)
         counts, totals = reference_counts(corpus, vocab, order)
         if min_count == 2 and order > 1:
             assert any(UNK_ID in context for context in counts)
@@ -164,7 +168,7 @@ def test_train_ngram_matches_counter_reference(order, min_count):
         loaded = NgramLM.from_arrays(npz_round_trip(lm.to_arrays()))
         assert_same_arrays(loaded.to_arrays(), lm.to_arrays())
         unseen = (PAD_ID,) * (order - 1)
-        sequences = [vocab.encode(d.tokens) for d in corpus.documents()]
+        sequences = [vocab.encode(tokenize(d.text)) for d in corpus.documents()]
         sequences.append([PAD_ID, UNK_ID, FIRST_CONTENT_ID, FIRST_CONTENT_ID])
         for model in (lm, loaded):
             for context in [*counts, unseen]:
@@ -190,7 +194,7 @@ def test_train_ngram_matches_counter_reference(order, min_count):
 def test_predict_lambda_one_equals_doc_unigram(sample_stack):
     # lambda = 1: exactly the smoothed unigram distribution of d'
     stack = sample_stack
-    d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
+    d3 = stack.corpus["d3"].ids
     masked = [MASK_ID] + ids(stack, "recipe")
     dist = NgramPredictor(stack.lm, d3, lam=1.0).predict(masked, 0, 7)
     probs = dict(dist.entries)
@@ -204,7 +208,7 @@ def test_predict_lambda_one_equals_doc_unigram(sample_stack):
 def test_predict_lambda_zero_equals_ngram(sample_stack):
     # lambda = 0 at a slot with left context: exactly the n-gram conditional
     stack = sample_stack
-    d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
+    d3 = stack.corpus["d3"].ids
     apple = stack.vocab.id("apple")
     masked = [apple, MASK_ID]
     dist = NgramPredictor(stack.lm, d3, lam=0.0).predict(masked, 1, 7)
@@ -219,7 +223,7 @@ def test_predict_first_slot_falls_back_to_doc_distribution(sample_stack):
     # No left context at slot 0: the mixture degenerates to the document
     # unigram, so the top prediction is one of d3's tokens.
     stack = sample_stack
-    d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
+    d3 = stack.corpus["d3"].ids
     masked = [MASK_ID] + ids(stack, "recipe")
     dist = NgramPredictor(stack.lm, d3, lam=0.5).predict(masked, 0, 7)
     top_id, top_prob = dist.entries[0]
@@ -235,7 +239,7 @@ def test_predict_mixture_hand_value(sample_stack):
     # Slot 1 with left context "banana": mixture of trigram conditional
     # (context (BOS, banana) -> bread seen once) and d3's unigram.
     stack = sample_stack
-    d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
+    d3 = stack.corpus["d3"].ids
     banana = stack.vocab.id("banana")
     bread = stack.vocab.id("bread")
     masked = [banana, MASK_ID]
@@ -248,7 +252,7 @@ def test_predict_mixture_hand_value(sample_stack):
 
 def test_predict_top_truncates_and_sorts(sample_stack):
     stack = sample_stack
-    d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
+    d3 = stack.corpus["d3"].ids
     masked = [MASK_ID, stack.vocab.id("recipe")]
     dist = NgramPredictor(stack.lm, d3, lam=0.5).predict(masked, 0, 2)
     assert len(dist.entries) == 2
@@ -258,7 +262,7 @@ def test_predict_top_truncates_and_sorts(sample_stack):
 
 def test_predict_full_distribution_sums_to_one(sample_stack):
     stack = sample_stack
-    d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
+    d3 = stack.corpus["d3"].ids
     masked = stack.vocab.encode(["apple", "[MASK]", "recipe"])
     predictor = NgramPredictor(stack.lm, d3, lam=0.5)
     dist = predictor.predict(masked, 1, stack.vocab.content_size)
@@ -268,14 +272,14 @@ def test_predict_full_distribution_sums_to_one(sample_stack):
 
 def test_predict_unmasked_position_rejected(sample_stack):
     stack = sample_stack
-    d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
+    d3 = stack.corpus["d3"].ids
     with pytest.raises(ValueError, match="not masked"):
         NgramPredictor(stack.lm, d3).predict(ids(stack, "apple recipe"), 0, 3)
 
 
 def test_predict_deterministic(sample_stack):
     stack = sample_stack
-    d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
+    d3 = stack.corpus["d3"].ids
     masked = [MASK_ID] + ids(stack, "recipe")
     first = NgramPredictor(stack.lm, d3, lam=0.5).predict(masked, 0, 5)
     second = NgramPredictor(stack.lm, d3, lam=0.5).predict(masked, 0, 5)
@@ -284,14 +288,14 @@ def test_predict_deterministic(sample_stack):
 
 def test_predictor_rejects_bad_arguments(sample_stack):
     stack = sample_stack
-    d3 = stack.vocab.encode(stack.corpus["d3"].tokens)
+    d3 = stack.corpus["d3"].ids
     masked = [MASK_ID] + ids(stack, "recipe")
     for lam in (-0.1, 1.5):
         with pytest.raises(ValueError, match="lam must be in"):
             NgramPredictor(stack.lm, d3, lam=lam)
     outside = FIRST_CONTENT_ID + stack.lm.n_candidates
     with pytest.raises(ValueError, match="outside the candidate ids"):
-        NgramPredictor(stack.lm, d3 + [outside])
+        NgramPredictor(stack.lm, [*d3, outside])
     predictor = NgramPredictor(stack.lm, d3)
     with pytest.raises(ValueError, match="top must be"):
         predictor.predict(masked, 0, 0)
@@ -337,13 +341,11 @@ def test_predict_matches_dense_reference(order, k):
     rng = random.Random(order * 100 + int(k * 100))
     slots = {"ngram": 0, "fallback": 0}
     for _ in range(6):
-        corpus = _random_corpus(rng)
-        min_count = rng.choice((1, 2))
-        vocab = build_vocabulary((d.tokens for d in corpus.documents()), min_count)
-        lm = train_ngram(encode_corpus(corpus, vocab), vocab, order=order, k=k)
+        corpus, vocab = build_corpus(_random_corpus(rng), rng.choice((1, 2)))
+        lm = train_ngram(corpus.encoded, vocab, order=order, k=k)
         counts, totals = reference_counts(corpus, vocab, order)
         n = vocab.content_size
-        docs = [vocab.encode(d.tokens) for d in corpus.documents()]
+        docs = [vocab.encode(tokenize(d.text)) for d in corpus.documents()]
         content = list(vocab.content_ids())
         for d_prime in docs:  # includes an empty document
             for lam in (0.0, 1.0, rng.random()):
@@ -376,7 +378,7 @@ def test_distribution_invariants_enforced():
 
 
 def test_train_rejects_empty_corpus():
-    corpus = ingest_corpus([])
+    empty = EncodedCorpus(np.zeros(0, dtype=np.int32), np.zeros(1, dtype=np.int64))
     vocab = build_vocabulary([["a"]], 1)
     with pytest.raises(ValueError, match="empty corpus"):
-        train_ngram(encode_corpus(corpus, vocab), vocab)
+        train_ngram(empty, vocab)

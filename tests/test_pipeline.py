@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from queryflip.config import RunConfig
-from queryflip.corpus import ingest_corpus
+from queryflip.corpus import build_corpus, ingest_corpus
 from queryflip.lm import perplexity
 from queryflip.pipeline import (
     STACK_FILE,
@@ -19,7 +19,7 @@ from queryflip.pipeline import (
 from queryflip.text import FIRST_CONTENT_ID, UNK_ID, Vocabulary
 
 from conftest import SAMPLE_LINES, sample_config
-from test_corpus import assert_same_arrays
+from test_corpus import assert_same_arrays, postings
 from test_lm import reference_counts
 
 
@@ -176,7 +176,10 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.corpus.doc_ids() == stack.corpus.doc_ids()
     assert loaded.vocab.content_surfaces() == stack.vocab.content_surfaces()
     assert np.array_equal(loaded.table.vectors, stack.table.vectors)
-    assert_same_arrays(loaded.search.to_arrays(), stack.search.to_arrays())
+    assert [d.ids for d in loaded.corpus.documents()] == [
+        d.ids for d in stack.corpus.documents()
+    ]
+    assert_same_arrays(postings(loaded.search), postings(stack.search))
 
     q = stack.vocab.encode(["apple", "recipe"])
     assert loaded.search.score(q, "d1") == stack.search.score(q, "d1")
@@ -265,7 +268,7 @@ def _first_seen_rows(arrays):
     """The n-gram rows in first-seen order, one Counter per context, as
     the table was written before it was kept sorted."""
     counts, _ = reference_counts(
-        ingest_corpus(SAMPLE_LINES),
+        build_corpus(ingest_corpus(SAMPLE_LINES))[0],
         Vocabulary.from_arrays(arrays),
         int(arrays["lm.order"]),
     )
@@ -287,9 +290,14 @@ def _duplicate_first_row(arrays):
         arrays[name] = np.concatenate([arrays[name][:1], arrays[name]])
 
 
-def _term_past_vocabulary(arrays):
+def _token_id_past_vocabulary(arrays):
     past = len(Vocabulary.from_arrays(arrays))
-    arrays["index.terms"] = _set(arrays["index.terms"], -1, past)
+    arrays["corpus.token_ids"] = _set(arrays["corpus.token_ids"], -1, past)
+
+
+def _empty_row_added(arrays):
+    offsets = arrays["corpus.token_offsets"]
+    arrays["corpus.token_offsets"] = np.append(offsets, offsets[-1])
 
 
 def _swap(array, i, j):
@@ -322,25 +330,26 @@ def test_load_with_changed_corpus_fails(tmp_path):
         (lambda p: _edit_arrays(p, _target_past_candidates), "outside the candidate ids"),
         (lambda p: _edit_array(p, "lm.targets", lambda a: _set(a, 0, UNK_ID)), "outside"),
         (lambda p: _edit_array(p, "lm.counts", lambda a: _set(a, 0, 0)), "counts must be"),
-        (lambda p: _edit_array(p, "index.docs", lambda a: _set(a, 0, -1)), "outside the 3"),
-        (lambda p: _edit_array(p, "index.docs", lambda a: _set(a, 0, 3)), "outside the 3"),
-        (lambda p: _edit_array(p, "index.docs", lambda a: _swap(a, 0, 1)), "within a term"),
-        (lambda p: _edit_array(p, "index.terms", lambda a: _set(a, 0, UNK_ID)), "content ids"),
-        (lambda p: _edit_arrays(p, _term_past_vocabulary), "past a vocabulary of 10"),
-        (lambda p: _edit_array(p, "index.terms", lambda a: _set(a, 1, a[0])), "content ids"),
-        (lambda p: _edit_array(p, "index.tfs", lambda a: _set(a, 0, 0)), "frequencies must"),
-        (lambda p: _edit_array(p, "index.tfs", lambda a: a.astype(float)), "integer arrays"),
-        (lambda p: _edit_array(p, "index.indptr", lambda a: a[:-1]), "row bounds"),
-        (lambda p: _edit_array(p, "index.indptr", lambda a: _swap(a, 1, 2)), "rise strictly"),
+        (lambda p: _edit_array(p, "corpus.token_ids", lambda a: None), "missing array"),
+        (lambda p: _edit_array(p, "corpus.token_ids", lambda a: a.astype(float)), "integer"),
+        (lambda p: _edit_array(p, "corpus.token_offsets", lambda a: a[None]), "1-d"),
+        (lambda p: _edit_array(p, "corpus.token_ids", lambda a: _set(a, 0, 1)), r"\[2, 10\)"),
+        (lambda p: _edit_arrays(p, _token_id_past_vocabulary), r"\[2, 10\)"),
+        (lambda p: _edit_array(p, "corpus.token_ids", lambda a: np.append(a, a[0])), "offsets"),
+        (lambda p: _edit_array(p, "corpus.token_offsets", lambda a: _set(a, 0, 1)), "offsets"),
+        (lambda p: _edit_array(p, "corpus.token_offsets", lambda a: _swap(a, 1, 2)), "offsets"),
+        (lambda p: _edit_array(p, "corpus.token_ids", lambda a: a[:-1]), "offsets"),
+        (lambda p: _edit_arrays(p, _empty_row_added), "4 rows of token ids for 3"),
     ],
     ids=[
         "truncated", "not_zip", "missing_array", "vector_rows", "lm_candidates",
         "lm_counts_length", "lm_targets_length", "lm_context_width",
         "lm_first_seen_order", "lm_duplicate_row", "lm_target_past_candidates",
-        "lm_target_special", "lm_zero_count", "index_negative_doc",
-        "index_doc_past_end", "index_unsorted_docs", "index_special_term",
-        "index_term_past_vocabulary", "index_duplicate_term", "index_zero_tf",
-        "index_float_tfs", "index_short_indptr", "index_decreasing_indptr",
+        "lm_target_special", "lm_zero_count", "token_ids_missing",
+        "token_ids_float", "token_offsets_2d", "token_id_special",
+        "token_id_past_vocabulary", "token_ids_past_offsets",
+        "token_offsets_start_above_zero", "token_offsets_fall",
+        "token_offsets_past_ids", "token_rows_past_documents",
     ],
 )
 def test_load_rejects_bad_artifact(tmp_path, damage, match):

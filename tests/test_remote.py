@@ -104,7 +104,7 @@ def test_predict_returns_exactly_top(sample_stack, stub):
 
 
 def test_remote_predictor_matches_builtin(sample_stack, stub):
-    d3_ids = sample_stack.vocab.encode(sample_stack.corpus["d3"].tokens)
+    d3_ids = sample_stack.corpus["d3"].ids
     builtin = NgramPredictor(sample_stack.lm, d3_ids, lam=0.5)
     masked = tuple([MASK_ID] + ids(sample_stack, "recipe"))
     remote = _predictor(sample_stack, stub).predict(masked, 0, 5)
