@@ -21,10 +21,10 @@ from .evaluation import (
     build_triplets,
     check_beam_sizes,
     edit_clock,
+    edit_each,
     evaluate,
     render_markdown,
     reports_to_json,
-    run_method,
 )
 from .pipeline import (
     Stack,
@@ -188,16 +188,14 @@ def cmd_edit(args) -> int:
             raise ValueError("edit needs --query/--doc/--counter or --triplets")
         triplet = _triplet_from_ids(stack, args.query, args.doc, args.counter)
         items = [(args.query, triplet)]
-    clock = edit_clock(config.timing)
+    results = edit_each(
+        [t for _, t in items], ctx, config.beam, config.max_masks,
+        edit_clock(config.timing),
+    )
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for text, triplet in items:
-            start = clock()
-            result = run_method(
-                triplet, "cfe2", ctx, beam_width=config.beam,
-                max_masks=config.max_masks,
-            )
-            payload = _result_payload(result, triplet, stack, text, clock() - start)
+        for (text, triplet), (result, elapsed) in zip(items, results):
+            payload = _result_payload(result, triplet, stack, text, elapsed)
             out.write(json.dumps(payload))
             out.write("\n")
     finally:

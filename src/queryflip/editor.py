@@ -100,9 +100,9 @@ class EditResult:
 def expand_beam(beam: Beam, distributions: Sequence[PredictionDistribution]) -> Beam:
     """Extend every candidate by one slot and keep the top ``width``.
 
-    ``distributions`` holds one prediction per candidate, conditioned on
-    that candidate's filled tokens. All predictions must target the same
-    slot, and every candidate must still have that slot masked. New log
+    The slot is the leftmost masked one, which every candidate must have
+    masked. ``distributions`` holds one prediction per candidate for that
+    slot, conditioned on that candidate's filled tokens. New log
     probabilities are ``old + ln P(token)``. Identical token sequences
     are deduplicated keeping the higher log probability; ties order by
     ascending token-id sequence.
@@ -114,10 +114,9 @@ def expand_beam(beam: Beam, distributions: Sequence[PredictionDistribution]) -> 
         )
     if not dists or any(not d.entries for d in dists):
         raise ValueError("empty prediction distribution")
-    positions = {d.position for d in dists}
-    if len(positions) != 1:
-        raise ValueError("distributions target different slots")
-    slot = positions.pop()
+    if MASK_ID not in beam.candidates[0].tokens:
+        raise ValueError("no masked slot left to fill")
+    slot = beam.candidates[0].tokens.index(MASK_ID)
 
     best: dict[tuple[int, ...], float] = {}
     for candidate, dist in zip(beam.candidates, dists):
@@ -165,14 +164,18 @@ def select_final(
 def decode_masked_slots(
     masked_ids: Sequence[int], slots: Sequence[int], predictor, width: int
 ) -> Beam:
-    """Beam-decode the given masked slots left to right.
+    """Beam-decode the masked slots left to right.
 
+    ``slots`` must be the masked positions of ``masked_ids``.
     ``predictor.predict(tokens, position, top)`` supplies per-candidate
     prediction distributions; ``top`` is the beam width, so each of the
     (at most) b candidates proposes its b most probable tokens.
     """
+    slots = sorted(slots)
+    if slots != [i for i, t in enumerate(masked_ids) if t == MASK_ID]:
+        raise ValueError("slots must be the masked positions")
     beam = Beam(width, (EditCandidate(tuple(masked_ids), 0.0),))
-    for slot in sorted(slots):
+    for slot in slots:
         dists = [predictor.predict(c.tokens, slot, width) for c in beam.candidates]
         beam = expand_beam(beam, dists)
     return beam

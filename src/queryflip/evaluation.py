@@ -192,26 +192,28 @@ def split_sentences(text: str) -> list[str]:
     return [s for s in _SENTENCE_RE.split(text.strip()) if s.strip()]
 
 
+def sentence_ids(text: str, vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
+    """The token ids of each sentence of ``text`` that has a token."""
+    tokenized = (tokenize(sentence) for sentence in split_sentences(text))
+    return tuple(tuple(vocab.encode(tokens)) for tokens in tokenized if tokens)
+
+
 def baseline_max_flip(
     triplet: Triplet,
-    vocab: Vocabulary,
+    sentences: Sequence[tuple[int, ...]],
     scorer,
     ppl_fn: Callable[[Sequence[int]], float],
 ) -> EditResult:
     """Use a whole sentence of the target document as the new query.
 
-    Among the sentences of d' that flip the pair, ``select_final`` picks
-    the one with the lowest perplexity (ties by ascending token-id
-    sequence). None when no sentence flips.
+    ``sentences`` are d''s sentences as token ids (see ``sentence_ids``).
+    Among those that flip the pair, ``select_final`` picks the one with
+    the lowest perplexity (ties by ascending token-id sequence). None
+    when no sentence flips.
     """
-    flipping: list[EditCandidate] = []
-    for sentence in split_sentences(triplet.d_prime.text):
-        tokens = tokenize(sentence)
-        if not tokens:
-            continue
-        ids = tuple(vocab.encode(tokens))
-        if check_flip(ids, triplet, scorer):
-            flipping.append(EditCandidate(ids, 0.0))
+    flipping = [
+        EditCandidate(ids, 0.0) for ids in sentences if check_flip(ids, triplet, scorer)
+    ]
     if not flipping:
         return EditResult(None, 0, ())
     return EditResult(select_final(flipping, ppl_fn).tokens, 0, ())
@@ -228,7 +230,8 @@ class EvalContext:
     ``search`` is always the built-in lexical model (it defines rankings
     and query representations); ``scorer``, ``embedder``, the predictor
     factory and ``ppl_fn`` may be remote-backed drop-ins with the same
-    call shapes.
+    call shapes. The predictor factory is called once per target
+    document (see ``TargetWork``).
     """
 
     vocab: Vocabulary
@@ -240,70 +243,77 @@ class EvalContext:
     masker: str = "maxsim"
 
 
+def _once(memo: dict, key: Any, compute: Callable[[Any], Any]) -> Any:
+    """``memo[key]``, computed by ``compute(key)`` on first use.
+
+    The memo maps a key to its value (never None), or to the lock held by
+    the thread that is computing it. The first caller computes the value;
+    a caller that finds it being computed waits for it.
+    """
+    value = memo.get(key)
+    if value is None:
+        pending = threading.Lock()
+        pending.acquire()
+        value = memo.setdefault(key, pending)  # atomic: one caller wins
+        if value is pending:
+            try:
+                memo[key] = value = compute(key)
+            except BaseException:
+                del memo[key]  # a later caller computes it afresh
+                raise
+            finally:
+                pending.release()
+            return value
+    if type(value) is _LOCK_TYPE:
+        with value:  # wait until its value is stored, then look again
+            pass
+        return _once(memo, key, compute)
+    return value
+
+
 class RankingWork:
     """The values every triplet of one ranking shares, each computed once,
     on first use: the importance of q's tokens for its top document d,
     q's text, and memos of ``vectors_for``, ``query_representation`` and
-    perplexity keyed by token sequence, so no sequence (q included) is
-    asked twice. It stands in for the embedder, the search model and
+    perplexity. It stands in for the embedder, the search model and
     ``ppl_fn`` where the metrics and the masker take them.
 
-    The triplets of one group may run on several worker threads. The
-    first caller of a value computes it; a caller that finds it being
-    computed waits for it. The object refers to the context and nothing
-    refers back to it, so no reference cycle keeps a loaded stack alive
-    after its group is done.
+    The memos are keyed by the token sequence asked about, so no sequence
+    (q included) is asked twice. That is exact because each of the three
+    is a function of the sequence alone, and the shared values are
+    functions of (q, d), which are the same for the whole ranking.
+
+    The triplets of one group may run on several worker threads; see
+    ``_once``. The object refers to the context and nothing refers back
+    to it, so no reference cycle keeps a loaded stack alive after its
+    group is done.
     """
 
     def __init__(self, ctx: EvalContext, query_ids: tuple[int, ...], doc: Document):
         self.ctx = ctx
         self.query_ids = query_ids
         self.doc = doc
-        # Each memo maps a key to its value (never None), or to the lock
-        # held by the thread that is computing it.
         self._shared: dict[str, Any] = {}
         self._vectors: dict[tuple[int, ...], Any] = {}
         self._representations: dict[tuple[int, ...], Any] = {}
         self._ppl: dict[tuple[int, ...], Any] = {}
 
-    @staticmethod
-    def _once(memo: dict, key: Any, compute: Callable[[Any], Any]) -> Any:
-        value = memo.get(key)
-        if value is None:
-            pending = threading.Lock()
-            pending.acquire()
-            value = memo.setdefault(key, pending)  # atomic: one caller wins
-            if value is pending:
-                try:
-                    memo[key] = value = compute(key)
-                except BaseException:
-                    del memo[key]  # a later caller computes it afresh
-                    raise
-                finally:
-                    pending.release()
-                return value
-        if type(value) is _LOCK_TYPE:
-            with value:  # wait until its value is stored, then look again
-                pass
-            return RankingWork._once(memo, key, compute)
-        return value
-
     def importance(self) -> ImportanceScores:
-        return self._once(self._shared, "importance", self._importance)
+        return _once(self._shared, "importance", self._importance)
 
     def text(self) -> str:
-        return self._once(self._shared, "text", self._text)
+        return _once(self._shared, "text", self._text)
 
     def vectors_for(self, ids: Sequence[int]) -> np.ndarray:
-        return self._once(self._vectors, tuple(ids), self.ctx.embedder.vectors_for)
+        return _once(self._vectors, tuple(ids), self.ctx.embedder.vectors_for)
 
     def query_representation(self, ids: Sequence[int]) -> dict[int, float]:
-        return self._once(
+        return _once(
             self._representations, tuple(ids), self.ctx.search.query_representation
         )
 
     def ppl(self, ids: Sequence[int]) -> float:
-        return self._once(self._ppl, tuple(ids), self.ctx.ppl_fn)
+        return _once(self._ppl, tuple(ids), self.ctx.ppl_fn)
 
     def _importance(self, _key: str) -> ImportanceScores:
         try:
@@ -314,6 +324,39 @@ class RankingWork:
 
     def _text(self, _key: str) -> str:
         return " ".join(self.ctx.vocab.decode(self.query_ids))
+
+
+class TargetWork:
+    """The values every triplet with one target document d' shares, each
+    computed once, on first use: d''s predictor (with its memo of
+    answers), d''s sentences as token ids, and a memo of those sentences'
+    perplexities, keyed by token sequence, which max_flip's selection and
+    the fluency of its outcome both read.
+
+    Like ``RankingWork``, it is safe to share between worker threads and
+    nothing refers back to it from the context.
+    """
+
+    def __init__(self, ctx: EvalContext, d_prime: Document):
+        self.ctx = ctx
+        self.d_prime = d_prime
+        self._shared: dict[str, Any] = {}
+        self._ppl: dict[tuple[int, ...], Any] = {}
+
+    def predictor(self):
+        return _once(self._shared, "predictor", self._predictor)
+
+    def sentences(self) -> tuple[tuple[int, ...], ...]:
+        return _once(self._shared, "sentences", self._sentences)
+
+    def ppl(self, ids: Sequence[int]) -> float:
+        return _once(self._ppl, tuple(ids), self.ctx.ppl_fn)
+
+    def _predictor(self, _key: str):
+        return self.ctx.predictor_factory(self.d_prime)
+
+    def _sentences(self, _key: str) -> tuple[tuple[int, ...], ...]:
+        return sentence_ids(self.d_prime.text, self.ctx.vocab)
 
 
 _MASKERS: dict[str, Callable[[RankingWork], ImportanceScores]] = {
@@ -398,18 +441,17 @@ def _breakdown_by_rank(records: Sequence[EvalRecord]) -> dict[int, dict[str, Any
 
 
 def _run_cfe2(
-    triplet: Triplet, work: RankingWork, beam_width: int, max_masks: int | None
+    triplet: Triplet, work: RankingWork, target: TargetWork, beam_width: int,
+    max_masks: int | None,
 ) -> EditResult:
-    ctx = work.ctx
-    predictor = ctx.predictor_factory(triplet.d_prime)
     budget = len(triplet.query_ids)
     if max_masks is not None:
         budget = min(max_masks, budget)
     return edit(
         triplet,
-        ctx.scorer,
+        work.ctx.scorer,
         work.importance(),
-        predictor,
+        target.predictor(),
         work.ppl,
         beam_width=beam_width,
         max_masks=budget,
@@ -417,15 +459,17 @@ def _run_cfe2(
 
 
 def _run_mask_only(
-    triplet: Triplet, work: RankingWork, beam_width: int, max_masks: int | None
+    triplet: Triplet, work: RankingWork, target: TargetWork, beam_width: int,
+    max_masks: int | None,
 ) -> EditResult:
     return baseline_mask_only(triplet, work.importance(), work.ctx.scorer)
 
 
 def _run_max_flip(
-    triplet: Triplet, work: RankingWork, beam_width: int, max_masks: int | None
+    triplet: Triplet, work: RankingWork, target: TargetWork, beam_width: int,
+    max_masks: int | None,
 ) -> EditResult:
-    return baseline_max_flip(triplet, work.ctx.vocab, work.ctx.scorer, work.ppl)
+    return baseline_max_flip(triplet, target.sentences(), work.ctx.scorer, target.ppl)
 
 
 _METHOD_RUNNERS = {
@@ -443,11 +487,14 @@ def run_method(
     beam_width: int = 10,
     max_masks: int | None = None,
     work: RankingWork | None = None,
+    target: TargetWork | None = None,
 ) -> EditResult:
     """Produce one EditResult for ``triplet`` with the chosen method.
 
     ``work`` carries the values shared with other triplets of the same
-    query and top document; without it they are computed afresh.
+    query and top document, and ``target`` those shared with other
+    triplets of the same target document; without them they are
+    computed afresh.
     """
     try:
         run = _METHOD_RUNNERS[method]
@@ -455,7 +502,9 @@ def run_method(
         raise ValueError(f"unknown method: {method}") from None
     if work is None:
         work = RankingWork(ctx, triplet.query_ids, triplet.d)
-    return run(triplet, work, beam_width, max_masks)
+    if target is None:
+        target = TargetWork(ctx, triplet.d_prime)
+    return run(triplet, work, target, beam_width, max_masks)
 
 
 def evaluate(
@@ -473,8 +522,9 @@ def evaluate(
     Each edit is timed individually with a per-task wall clock; with
     ``timing="off"`` the elapsed fields are recorded as 0.0 so repeated
     runs are byte-identical. Triplets may be processed by several worker
-    threads; records are emitted in input order regardless. A ranking's
-    shared work is charged to its first timed edit (see ``beam_sweep``).
+    threads; records are emitted in input order regardless. The work a
+    ranking or a target document shares is charged to the first timed
+    edit that needs it (see ``beam_sweep``).
     """
     return beam_sweep(
         triplets, [beam_width], ctx, max_masks, workers, timing, meta, method
@@ -484,8 +534,10 @@ def evaluate(
 def _record_for(
     index: int,
     triplet: Triplet,
+    method: str,
     result: EditResult,
     work: RankingWork,
+    target: TargetWork,
     elapsed: float,
 ) -> EvalRecord:
     query_ids = triplet.query_ids
@@ -495,7 +547,14 @@ def _record_for(
     if outcome is not None:
         cos = cos_sim_metric(query_ids, outcome, work)
         f1 = bertscore_f1(query_ids, outcome, work)
-        fluency = fluency_metric(query_ids, outcome, work.ppl)
+        ppl = work.ppl
+        if method == "max_flip":
+            # The outcome is a sentence of d', whose perplexity the target's
+            # memo holds; it never equals q, which cannot flip.
+            def ppl(ids):
+                return work.ppl(ids) if ids is query_ids else target.ppl(ids)
+
+        fluency = fluency_metric(query_ids, outcome, ppl)
         outcome_text = " ".join(work.ctx.vocab.decode(outcome))
     return EvalRecord(
         index=index,
@@ -541,21 +600,52 @@ def ranking_groups(
 
 def _sweep_tasks(
     triplets: Sequence[Triplet], ctx: EvalContext, n_sizes: int
-) -> Iterator[tuple[int, Triplet, list[RankingWork]]]:
-    """``(index, triplet, works)`` for every triplet, where ``works`` holds
-    one ``RankingWork`` per beam size, shared by the triplet's group.
+) -> Iterator[tuple[int, Triplet, list[RankingWork], list[TargetWork]]]:
+    """``(index, triplet, works, targets)`` for every triplet, in input
+    order. ``works`` holds one ``RankingWork`` per beam size, shared by the
+    triplet's group; ``targets`` one ``TargetWork`` per beam size, shared
+    by every triplet with the same target document.
 
-    Each size has its own ``RankingWork``, so the edits at one size pay
-    exactly the shared work an ``evaluate`` at that size pays. Sharing
-    it across sizes would let a size reuse perplexities another size
-    paid for, and the measured runtime would no longer grow with the
-    beam as an ``evaluate`` at each size does.
+    Each size has its own works, so the edits at one size pay exactly the
+    shared work an ``evaluate`` at that size pays. Sharing them across
+    sizes would let a size reuse perplexities another size paid for, and
+    the measured runtime would no longer grow with the beam as an
+    ``evaluate`` at each size does. A target's works are let go with the
+    task of the last triplet that has its document, so the live ones are
+    bounded by the documents still to come, not by the run's length.
     """
+    last = {triplet.d_prime.id: i for i, triplet in enumerate(triplets)}
+    live: dict[str, list[TargetWork]] = {}
     for group in ranking_groups(triplets):
         first = group[0][1]
         works = [RankingWork(ctx, first.query_ids, first.d) for _ in range(n_sizes)]
         for index, triplet in group:
-            yield index, triplet, works
+            key = triplet.d_prime.id
+            targets = live.get(key)
+            if targets is None:
+                targets = live[key] = [
+                    TargetWork(ctx, triplet.d_prime) for _ in range(n_sizes)
+                ]
+            if last[key] == index:
+                del live[key]
+            yield index, triplet, works, targets
+
+
+def edit_each(
+    triplets: Sequence[Triplet],
+    ctx: EvalContext,
+    beam_width: int,
+    max_masks: int | None,
+    clock: Callable[[], float],
+) -> Iterator[tuple[EditResult, float]]:
+    """cfe2's result and timed seconds for each triplet, in input order,
+    sharing work between triplets as ``beam_sweep`` does at one size."""
+    for _, triplet, works, targets in _sweep_tasks(triplets, ctx, 1):
+        start = clock()
+        result = run_method(
+            triplet, "cfe2", ctx, beam_width, max_masks, works[0], targets[0]
+        )
+        yield result, clock() - start
 
 
 def beam_sweep(
@@ -572,9 +662,11 @@ def beam_sweep(
     one-size case).
 
     The triplets are split into ranking groups (see ``ranking_groups``).
-    A group's shared work at one size (see ``RankingWork``) is computed
-    once, inside the first timed edit at that size that needs it, so
-    with one worker the summed ``elapsed`` covers all the work exactly.
+    A group's shared work at one size (see ``RankingWork``), and the work
+    of all triplets with one target document (see ``TargetWork``), is
+    computed once, inside the first timed edit at that size that needs
+    it, so with one worker the summed ``elapsed`` covers all the work
+    exactly.
     Workers take single triplets, so one ranking's triplets run in
     parallel; an edit that waits for a value another thread is computing
     counts that wait in its ``elapsed``. Records come out in input order.
@@ -588,17 +680,23 @@ def beam_sweep(
     clock = edit_clock(timing)
     n = len(sizes)
 
-    # Holds no reference to ctx: each task carries it in its RankingWorks,
-    # which are freed with the last task of their group.
-    def sweep(task: tuple[int, Triplet, list[RankingWork]]) -> list[EvalRecord]:
-        index, triplet, works = task
+    # Holds no reference to ctx: each task carries it in its works, which
+    # are freed with the last task that shares them.
+    def sweep(
+        task: tuple[int, Triplet, list[RankingWork], list[TargetWork]],
+    ) -> list[EvalRecord]:
+        index, triplet, works, targets = task
         records: dict[int, EvalRecord] = {}
         for k in range(index, index + n):
             s = k % n
-            work = works[s]
+            work, target = works[s], targets[s]
             start = clock()
-            result = run_method(triplet, method, work.ctx, sizes[s], max_masks, work)
-            records[s] = _record_for(index, triplet, result, work, clock() - start)
+            result = run_method(
+                triplet, method, work.ctx, sizes[s], max_masks, work, target
+            )
+            records[s] = _record_for(
+                index, triplet, method, result, work, target, clock() - start
+            )
         return [records[s] for s in range(n)]
 
     tasks = _sweep_tasks(triplets, ctx, n)

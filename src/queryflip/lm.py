@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from math import exp, log
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -28,16 +28,16 @@ from .corpus import EncodedCorpus
 BOS = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionDistribution:
     """Top predictions for one masked slot: (token id, probability) pairs.
 
     Probabilities are strictly positive and non-increasing; equal
     probabilities are ordered by ascending token id. Special tokens are
-    never predicted.
+    never predicted. It does not name its slot, so one checked instance
+    can answer every slot with the same left context.
     """
 
-    position: int
     entries: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
@@ -215,6 +215,12 @@ class NgramPredictor:
     so only those few ids are scored; floor-valued ids fill the remaining
     places in ascending order. Entries come out by descending probability,
     ties by ascending token id, exactly as a sort over all candidates.
+
+    Answers are memoized by (left context, ``top``). The left context is
+    the BOS-padded (order-1)-token context, or ``None`` for a slot that
+    falls back to P_doc alone. The memo is exact: apart from checking the
+    slot, ``predict`` reads nothing of the query but that context. It
+    lives as long as the predictor, which serves one d'.
     """
 
     def __init__(self, lm: NgramLM, d_prime_ids: Sequence[int], lam: float = 0.5):
@@ -233,6 +239,8 @@ class NgramPredictor:
             raise ValueError("document token outside the candidate ids")
         self._doc = doc
         self._doc_denominator = n_tokens + lm.k * lm.n_candidates
+        # (left context or None, top) -> the answer; see the class docstring.
+        self._memo: dict[tuple[Any, int], PredictionDistribution] = {}
 
     def predict(
         self, masked_ids: Sequence[int], position: int, top: int
@@ -244,14 +252,27 @@ class NgramPredictor:
             raise ValueError(f"position {position} out of range")
         if masked_ids[position] != MASK_ID:
             raise ValueError(f"position {position} is not masked")
+        lm = self.lm
+        window = masked_ids[max(0, position - (lm.order - 1)) : position]
+        context = None
+        if position > 0 and not any(t in (MASK_ID, PAD_ID) for t in window):
+            context = lm.context_at(masked_ids, position)
+        key = (context, top)
+        dist = self._memo.get(key)
+        if dist is None:
+            # Two threads may both compute a key; both return the one stored.
+            dist = self._memo.setdefault(key, self._predict(context, top))
+        return dist
+
+    def _predict(
+        self, context: tuple[int, ...] | None, top: int
+    ) -> PredictionDistribution:
         lm, lam, k = self.lm, self.lam, self.lm.k
         doc, d_doc = self._doc, self._doc_denominator
-        window = masked_ids[max(0, position - (lm.order - 1)) : position]
-        if position == 0 or any(t in (MASK_ID, PAD_ID) for t in window):
+        if context is None:
             floor = k / d_doc
             scored = {t: num / d_doc for t, num in doc.items()}
         else:
-            context = lm.context_at(masked_ids, position)
             targets, counts, d_ngram = lm.distribution(context)
             ngram = dict(zip(targets, counts))
             w = 1.0 - lam
@@ -268,4 +289,4 @@ class NgramPredictor:
         ids = range(FIRST_CONTENT_ID, FIRST_CONTENT_ID + lm.n_candidates)
         fill = (t for t in ids if t not in taken)
         entries += [(t, floor) for t in islice(fill, top - len(entries))]
-        return PredictionDistribution(position, tuple(entries))
+        return PredictionDistribution(tuple(entries))

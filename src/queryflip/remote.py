@@ -230,7 +230,11 @@ class RemoteEmbedder:
 
 
 class RemotePredictor:
-    """Masked-slot word prediction backed by a /predict endpoint."""
+    """Masked-slot word prediction backed by a /predict endpoint.
+
+    Every ``predict`` is one request: a remote model may read the query to
+    the right of the slot, so no answer is reused for another query.
+    """
 
     def __init__(
         self, endpoint: BackendEndpoint, vocab: Vocabulary, doc_text: str
@@ -269,7 +273,7 @@ class RemotePredictor:
                 raise ProtocolError(f"predicted a non-content token: {surface!r}")
         if len(set(ids)) != len(ids):
             raise ProtocolError("predicted tokens repeat")
-        return PredictionDistribution(position, tuple(zip(ids, probs)))
+        return PredictionDistribution(tuple(zip(ids, probs)))
 
 
 class RemotePerplexity:

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import fields
 
 import pytest
 
-from queryflip import cli
+from queryflip import cli, evaluation, pipeline
 from queryflip.cli import build_parser, main
 from queryflip.config import RunConfig
 
@@ -254,6 +255,51 @@ def test_edit_triplets_echo_each_query_as_given(workdir, capsys):
     assert [json.loads(row)["query"] for row in out] == [
         "Apple Recipe, qxjw!", "apple recipe",
     ]
+
+
+def test_edit_triplets_share_work_per_ranking_and_target(workdir, monkeypatch, capsys):
+    # Consecutive lines of one ranking share its importance; lines with
+    # one target document share its predictor. Each line still prints
+    # what editing it alone prints.
+    tmp, config = workdir
+    assert _run("index", "--config", config) == 0
+    lines = [
+        {"query": "apple recipe", "doc_id": "d1", "counter_doc_id": "d3"},
+        {"query": "apple recipe", "doc_id": "d1", "counter_doc_id": "d2"},
+        {"query": "apple pie", "doc_id": "d1", "counter_doc_id": "d3"},
+        {"query": "apple recipe", "doc_id": "d1", "counter_doc_id": "d3"},
+    ]
+    alone = []
+    for i, line in enumerate(lines):
+        path = tmp / f"line{i}.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        capsys.readouterr()
+        assert _run("edit", "--config", config, "--triplets", path) == 0
+        alone.append(capsys.readouterr().out)
+
+    importance: Counter = Counter()
+    maxsim = evaluation.maxsim_importance
+
+    def counting_maxsim(query_ids, *args):
+        importance[tuple(query_ids)] += 1
+        return maxsim(query_ids, *args)
+
+    predictors: Counter = Counter()
+    predictor = pipeline.NgramPredictor
+
+    def counting_predictor(lm, doc_ids, lam):
+        predictors[doc_ids] += 1
+        return predictor(lm, doc_ids, lam)
+
+    monkeypatch.setattr(evaluation, "maxsim_importance", counting_maxsim)
+    monkeypatch.setattr(pipeline, "NgramPredictor", counting_predictor)
+    triplets = tmp / "triplets.jsonl"
+    triplets.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert _run("edit", "--config", config, "--triplets", triplets) == 0
+    assert capsys.readouterr().out == "".join(alone)
+    # Three runs of one ranking: the fourth line starts a new one.
+    assert sorted(importance.values()) == [1, 2]
+    assert sorted(predictors.values()) == [1, 1]  # d3 and d2
 
 
 def test_eval_empty_methods_fails_before_loading(workdir, capsys):

@@ -53,7 +53,7 @@ def _ppl(stack):
 
 def test_width_one_beam_is_greedy():
     beam = Beam(1, (EditCandidate((MASK_ID, 9), 0.0),))
-    dist = PredictionDistribution(0, ((5, 0.6), (6, 0.4)))
+    dist = PredictionDistribution(((5, 0.6), (6, 0.4)))
     out = expand_beam(beam, [dist])
     assert len(out.candidates) == 1
     assert out.candidates[0].tokens == (5, 9)
@@ -63,7 +63,7 @@ def test_width_one_beam_is_greedy():
 def test_expand_matches_exhaustive_enumeration_two_slots():
     # Hand-set conditionals over usable vocab {3, 4, 5}; beam width 3^2
     # covers every sequence, so the final beam must equal brute force.
-    first = PredictionDistribution(0, ((3, 0.5), (4, 0.3), (5, 0.2)))
+    first = PredictionDistribution(((3, 0.5), (4, 0.3), (5, 0.2)))
     second_given = {
         3: ((4, 0.7), (3, 0.2), (5, 0.1)),
         4: ((5, 0.6), (3, 0.3), (4, 0.1)),
@@ -72,7 +72,7 @@ def test_expand_matches_exhaustive_enumeration_two_slots():
     beam = Beam(9, (EditCandidate((MASK_ID, MASK_ID), 0.0),))
     beam = expand_beam(beam, [first])
     dists = [
-        PredictionDistribution(1, second_given[c.tokens[0]])
+        PredictionDistribution(second_given[c.tokens[0]])
         for c in beam.candidates
     ]
     beam = expand_beam(beam, dists)
@@ -88,7 +88,7 @@ def test_expand_matches_exhaustive_enumeration_two_slots():
 def test_expand_dedupes_identical_sequences():
     beam = Beam(4, (EditCandidate((MASK_ID,), 0.0),))
     # a malformed-but-legal distribution mentioning token 3 twice
-    dist = PredictionDistribution(0, ((3, 0.5), (3, 0.2), (4, 0.1)))
+    dist = PredictionDistribution(((3, 0.5), (3, 0.2), (4, 0.1)))
     out = expand_beam(beam, [dist])
     assert [c.tokens for c in out.candidates] == [(3,), (4,)]
     assert out.candidates[0].log_prob == math.log(0.5)
@@ -97,14 +97,32 @@ def test_expand_dedupes_identical_sequences():
 def test_expand_rejects_empty_distribution():
     beam = Beam(2, (EditCandidate((MASK_ID,), 0.0),))
     with pytest.raises(ValueError, match="empty prediction"):
-        expand_beam(beam, [PredictionDistribution(0, ())])
+        expand_beam(beam, [PredictionDistribution(())])
+
+
+def test_expand_fills_the_leftmost_masked_slot():
+    beam = Beam(2, (EditCandidate((7, MASK_ID, MASK_ID), 0.0),))
+    out = expand_beam(beam, [PredictionDistribution(((3, 0.5),))])
+    assert [c.tokens for c in out.candidates] == [(7, 3, MASK_ID)]
+    with pytest.raises(ValueError, match="no masked slot"):
+        expand_beam(Beam(2, (EditCandidate((7, 8), 0.0),)),
+                    [PredictionDistribution(((3, 0.5),))])
+
+
+def test_decode_requires_slots_to_be_the_masked_positions(sample_stack):
+    predictor = _predictor(sample_stack, "d3")
+    masked = (MASK_ID, 5, MASK_ID)
+    for slots in ([0], [0, 1, 2], [2, 1]):
+        with pytest.raises(ValueError, match="slots must be the masked positions"):
+            decode_masked_slots(masked, slots, predictor, 2)
+    assert decode_masked_slots(masked, [2, 0], predictor, 2).candidates
 
 
 def test_expand_requires_matching_count():
     beam = Beam(2, (EditCandidate((MASK_ID,), 0.0),))
     dists = [
-        PredictionDistribution(0, ((3, 0.5),)),
-        PredictionDistribution(0, ((4, 0.5),)),
+        PredictionDistribution(((3, 0.5),)),
+        PredictionDistribution(((4, 0.5),)),
     ]
     with pytest.raises(ValueError, match="distributions"):
         expand_beam(beam, dists)

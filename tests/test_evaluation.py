@@ -20,6 +20,7 @@ from queryflip.evaluation import (
     render_markdown,
     reports_to_json,
     run_method,
+    sentence_ids,
     split_sentences,
 )
 from queryflip.corpus import ingest_corpus
@@ -216,11 +217,26 @@ def test_split_sentences_rules():
     assert split_sentences("") == []
 
 
+def _max_flip(t, stack, ppl):
+    return baseline_max_flip(
+        t, sentence_ids(t.d_prime.text, stack.vocab), stack.search, ppl
+    )
+
+
+def test_sentence_ids_skip_sentences_without_tokens(sample_stack):
+    vocab = sample_stack.vocab
+    assert sentence_ids("Apple pie. !!! Banana?", vocab) == (
+        tuple(vocab.encode(["apple", "pie"])),
+        tuple(vocab.encode(["banana"])),
+    )
+    assert sentence_ids("", vocab) == ()
+
+
 def test_max_flip_single_sentence(sample_stack):
     stack = sample_stack
     t = _triplet(stack, "apple recipe", "d1", "d3")
     ppl = lambda seq: perplexity(seq, stack.lm)  # noqa: E731
-    result = baseline_max_flip(t, stack.vocab, stack.search, ppl)
+    result = _max_flip(t, stack, ppl)
     assert result.outcome is not None
     assert stack.vocab.decode(result.outcome) == ["banana", "bread", "recipe"]
     assert result.masks_used == 0
@@ -234,7 +250,7 @@ def test_max_flip_null_when_no_sentence_flips():
     stack = build_stack(ingest_corpus(lines), sample_config(min_count=2))
     t = _triplet(stack, "x y", "a", "b")
     ppl = lambda seq: perplexity(seq, stack.lm)  # noqa: E731
-    result = baseline_max_flip(t, stack.vocab, stack.search, ppl)
+    result = _max_flip(t, stack, ppl)
     assert result.outcome is None
 
 
@@ -253,7 +269,7 @@ def test_max_flip_flips_whenever_any_sentence_flips(small_eval):
         ]
         exists = any(sentence_flips)
         all_have_flipping_sentence &= exists
-        result = baseline_max_flip(t, stack.vocab, stack.search, ppl)
+        result = _max_flip(t, stack, ppl)
         assert (result.outcome is not None) == exists
     report = evaluate(triplets, "max_flip", ctx, timing="off")
     if all_have_flipping_sentence:
@@ -270,7 +286,7 @@ def test_max_flip_prefers_lower_perplexity_sentence():
     stack = build_stack(ingest_corpus(lines), sample_config())
     t = _triplet(stack, "apple pie", "a", "b")
     ppl = lambda seq: perplexity(seq, stack.lm)  # noqa: E731
-    result = baseline_max_flip(t, stack.vocab, stack.search, ppl)
+    result = _max_flip(t, stack, ppl)
     sentences = [tuple(stack.vocab.encode(["banana", "bread"])),
                  tuple(stack.vocab.encode(["banana", "toast", "plum"]))]
     assert result.outcome in sentences
@@ -284,7 +300,7 @@ def _no_ppl(seq):
 def test_max_flip_lone_flipping_sentence_costs_no_perplexity(sample_stack):
     stack = sample_stack
     t = _triplet(stack, "apple recipe", "d1", "d3")
-    result = baseline_max_flip(t, stack.vocab, stack.search, _no_ppl)
+    result = _max_flip(t, stack, _no_ppl)
     assert stack.vocab.decode(result.outcome) == ["banana", "bread", "recipe"]
 
 
@@ -296,7 +312,7 @@ def test_max_flip_equal_perplexities_pick_smaller_ids():
     ]
     stack = build_stack(ingest_corpus(lines), sample_config())
     t = _triplet(stack, "apple pie", "a", "b")
-    result = baseline_max_flip(t, stack.vocab, stack.search, lambda seq: 2.0)
+    result = _max_flip(t, stack, lambda seq: 2.0)
     sentences = [tuple(stack.vocab.encode(["banana", "bread"])),
                  tuple(stack.vocab.encode(["banana", "toast", "plum"]))]
     assert result.outcome == min(sentences)

@@ -7,6 +7,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queryflip.corpus import EncodedCorpus, build_corpus, ingest_corpus
 from queryflip.lm import (
@@ -370,11 +372,53 @@ def test_predict_matches_dense_reference(order, k):
     assert min(slots.values()) > 0
 
 
+def _bits(dist):
+    return [(t, p.hex()) for t, p in dist.entries]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_memoized_predictions_equal_fresh_ones(data):
+    # One predictor answers every call, repeats included and in any order;
+    # each answer must equal, bit for bit, a new predictor's answer.
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    corpus, vocab = build_corpus(_random_corpus(rng), rng.choice((1, 2)))
+    order = data.draw(st.integers(1, 4), label="order")
+    k = data.draw(st.sampled_from((0.1, 1 / 3)), label="k")
+    lm = train_ngram(corpus.encoded, vocab, order=order, k=k)
+    d_prime = data.draw(st.sampled_from([d.ids for d in corpus.documents()]))
+    lam = data.draw(st.floats(0.0, 1.0), label="lam")
+    content = list(vocab.content_ids())
+    a, b = content[0], content[-1]
+    token = st.sampled_from(content + [UNK_ID, MASK_ID, PAD_ID])
+    masked = st.lists(token, min_size=1, max_size=7)
+    calls = [
+        ((MASK_ID, a, b), 0),  # no left context
+        ((a, MASK_ID, MASK_ID), 2),  # MASK in the window
+        ((a, PAD_ID, MASK_ID), 2),  # PAD in the window
+        ((UNK_ID, a, MASK_ID), 2),  # UNK in the context
+        ((a, b, MASK_ID), 2),
+    ]
+    for query in data.draw(st.lists(masked, max_size=8), label="queries"):
+        position = data.draw(st.integers(0, len(query) - 1), label="position")
+        query[position] = MASK_ID
+        calls.append((tuple(query), position))
+    tops = st.integers(1, 12)
+    calls = [(query, position, data.draw(tops, label="top"))
+             for query, position in calls]
+    repeated = data.draw(st.permutations(calls + calls), label="order of calls")
+    predictor = NgramPredictor(lm, d_prime, lam=lam)
+    for query, position, top in repeated:
+        got = predictor.predict(query, position, top)
+        fresh = NgramPredictor(lm, d_prime, lam=lam).predict(query, position, top)
+        assert _bits(got) == _bits(fresh)
+
+
 def test_distribution_invariants_enforced():
     with pytest.raises(ValueError):
-        PredictionDistribution(0, ((3, 0.2), (4, 0.5)))
+        PredictionDistribution(((3, 0.2), (4, 0.5)))
     with pytest.raises(ValueError):
-        PredictionDistribution(0, ((3, 0.0),))
+        PredictionDistribution(((3, 0.0),))
 
 
 def test_train_rejects_empty_corpus():

@@ -11,9 +11,11 @@ those of evaluating every triplet alone.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -32,8 +34,9 @@ from queryflip.evaluation import (
     ranking_groups,
 )
 from queryflip.pipeline import build_stack, make_context
-from queryflip.text import tokenize
+from queryflip.text import MASK_ID, tokenize
 
+from stub_backend import StubBackendServer
 from synthdata import synthetic_corpus, synthetic_queries
 
 N_QUERIES = 8
@@ -274,3 +277,113 @@ def test_any_order_gives_per_triplet_records_at_any_worker_count(
     parallel = evaluate(ordered, method, ctx, beam_width=5, timing="off", workers=4)
     assert serial.records == parallel.records
     assert _alone(serial.records) == expected
+
+
+@pytest.mark.parametrize("method", ["cfe2", "max_flip"])
+def test_target_work_is_freed_after_its_last_triplet(synth_small, monkeypatch, method):
+    # With the cycle collector off, only reference counts free a target's
+    # work: it must be gone once its last triplet is done, so nothing that
+    # outlives it (the context included) refers to it, and it is in no cycle.
+    _, ctx, triplets = synth_small
+    sizes = [3, 5]
+    made: dict[str, list] = {}
+
+    class Tracked(evaluation.TargetWork):
+        def __init__(self, ctx, d_prime):
+            super().__init__(ctx, d_prime)
+            made.setdefault(d_prime.id, []).append(weakref.ref(self))
+
+    record_for = evaluation._record_for
+    last = {t.d_prime.id: i for i, t in enumerate(triplets)}
+    freed_early: set[str] = set()
+
+    def checked(index, *args):
+        for doc_id, refs in made.items():
+            if last[doc_id] < index:
+                assert all(ref() is None for ref in refs), doc_id
+                freed_early.add(doc_id)
+        return record_for(index, *args)
+
+    monkeypatch.setattr(evaluation, "TargetWork", Tracked)
+    monkeypatch.setattr(evaluation, "_record_for", checked)
+    gc.disable()
+    try:
+        beam_sweep(triplets, sizes, ctx, timing="off", method=method)
+    finally:
+        gc.enable()
+    assert sorted(made) == sorted(last)
+    assert all(len(refs) == len(sizes) for refs in made.values())
+    assert len(freed_early) > len(last) // 2
+    gc.collect()
+    assert all(ref() is None for refs in made.values() for ref in refs)
+
+
+def test_each_target_document_gets_one_predictor(synth_small, monkeypatch):
+    _, ctx, triplets = synth_small
+    built: Counter = Counter()
+    factory = ctx.predictor_factory
+
+    def counting(doc):
+        built[doc.id] += 1
+        return factory(doc)
+
+    ctx = dataclasses.replace(ctx, predictor_factory=counting)
+    evaluate(triplets, "cfe2", ctx, beam_width=5, timing="off")
+    assert built == Counter({t.d_prime.id: 1 for t in triplets})
+
+
+@pytest.mark.parametrize("method", ["cfe2", "max_flip"])
+def test_workers_share_one_target_without_asking_twice(synth_small, method):
+    # Triplets of different rankings with one d', on more threads than
+    # cores, with slow backends and a short switch interval: d''s
+    # predictor is built once and each perplexity is asked once.
+    stack, ctx, _ = synth_small
+    triplets = []
+    for query in synthetic_queries():
+        ranking = stack.search.search(stack.vocab.encode(tokenize(query)), 10)
+        triplets.extend(build_triplets(ranking, stack.corpus))
+    target, _ = Counter(t.d_prime.id for t in triplets).most_common(1)[0]
+    shared = [t for t in triplets if t.d_prime.id == target]
+    assert len(ranking_groups(shared)) == len(shared) > 2
+    built: Counter = Counter()
+    factory = ctx.predictor_factory
+
+    def slow_factory(doc):
+        built[doc.id] += 1
+        time.sleep(0.002)
+        return factory(doc)
+
+    counting = dataclasses.replace(_counting(ctx, delay_s=0.002),
+                                   predictor_factory=slow_factory)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as runner:
+            report = runner.submit(
+                evaluate, shared, method, counting, beam_width=5, timing="off",
+                workers=len(shared),
+            ).result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(counting.ppl_fn.calls.values()) == 1, counting.ppl_fn.calls
+    assert built == (Counter({target: 1}) if method == "cfe2" else Counter())
+    assert len(counting.ppl_fn.threads) > 1
+    assert report.records == evaluate(shared, method, ctx, beam_width=5,
+                                      timing="off").records
+
+
+def test_remote_predictor_is_asked_on_every_predict(synth_small):
+    # A remote model may read the query to the right of the slot, so
+    # its answers are never reused: each predict is one request.
+    stack, _, triplets = synth_small
+    with StubBackendServer(stack, lam=0.5) as stub:
+        config = RunConfig(embed_dim=48, timing="off",
+                           backends={"predict": {"url": stub.base_url}})
+        target = evaluation.TargetWork(make_context(stack, config),
+                                       triplets[0].d_prime)
+        predictor = target.predictor()
+        query = (MASK_ID, *triplets[0].query_ids[1:])
+        answers = [predictor.predict(query, 0, 5) for _ in range(3)]
+        assert target.predictor() is predictor
+        assert stub.calls == ["predict"] * 3
+    assert answers[0] == answers[1] == answers[2]
