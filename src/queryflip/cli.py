@@ -170,10 +170,11 @@ def cmd_index(args) -> int:
 
 
 def cmd_search(args) -> int:
-    config = _load_config(args)
-    stack = load_stack(config)
-    query_ids = stack.vocab.encode(tokenize(args.query))
-    ranking = stack.search.search(query_ids, args.k)
+    tokens = tokenize(args.query)
+    if not tokens:  # out-of-vocabulary words still count: they encode as [UNK]
+        raise ValueError("empty query")
+    stack = load_stack(_load_config(args))
+    ranking = stack.search.search(stack.vocab.encode(tokens), args.k)
     for position, (doc_id, score) in enumerate(ranking.entries, start=1):
         print(f"{position}\t{doc_id}\t{score:.6f}")
     return 0

@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -231,7 +231,7 @@ class EvalContext:
     and query representations); ``scorer``, ``embedder``, the predictor
     factory and ``ppl_fn`` may be remote-backed drop-ins with the same
     call shapes. The predictor factory is called once per target
-    document (see ``TargetWork``).
+    document and beam size (see ``SharedWork``).
     """
 
     vocab: Vocabulary
@@ -271,38 +271,50 @@ def _once(memo: dict, key: Any, compute: Callable[[Any], Any]) -> Any:
     return value
 
 
-class RankingWork:
-    """The values every triplet of one ranking shares, each computed once,
-    on first use: the importance of q's tokens for its top document d,
-    q's text, and memos of ``vectors_for``, ``query_representation`` and
-    perplexity. It stands in for the embedder, the search model and
-    ``ppl_fn`` where the metrics and the masker take them.
+class SharedWork:
+    """The values the triplets of one key share, each computed once, on
+    first use. A triplet (q, d, d') has two keys: its ranking (q, d), whose
+    work gives the importance of q's tokens for d, and its target d', whose
+    work gives d''s predictor (with its memo of answers) and d''s
+    sentences as token ids. Both also hold memos of ``vectors_for``,
+    ``query_representation`` and perplexity, so they stand in for the
+    embedder, the search model and ``ppl_fn`` where the metrics, the
+    masker and the editor take them.
 
     The memos are keyed by the token sequence asked about, so no sequence
-    (q included) is asked twice. That is exact because each of the three
-    is a function of the sequence alone, and the shared values are
-    functions of (q, d), which are the same for the whole ranking.
+    is asked twice. That is exact because each of the three is a function
+    of the sequence alone, and the shared values are functions of the key.
 
-    The triplets of one group may run on several worker threads; see
+    The triplets of one key may run on several worker threads; see
     ``_once``. The object refers to the context and nothing refers back
-    to it, so no reference cycle keeps a loaded stack alive after its
-    group is done.
+    to it, so it is freed with the last task that holds it (see
+    ``_sweep_tasks``).
     """
 
-    def __init__(self, ctx: EvalContext, query_ids: tuple[int, ...], doc: Document):
+    def __init__(self, ctx: EvalContext):
         self.ctx = ctx
-        self.query_ids = query_ids
-        self.doc = doc
         self._shared: dict[str, Any] = {}
         self._vectors: dict[tuple[int, ...], Any] = {}
         self._representations: dict[tuple[int, ...], Any] = {}
         self._ppl: dict[tuple[int, ...], Any] = {}
 
-    def importance(self) -> ImportanceScores:
-        return _once(self._shared, "importance", self._importance)
+    def importance(self, triplet: Triplet) -> ImportanceScores:
+        try:
+            masker = _MASKERS[self.ctx.masker]
+        except KeyError:
+            raise ValueError(f"unknown masker: {self.ctx.masker}") from None
+        return _once(self._shared, "importance", lambda _: masker(triplet, self))
 
-    def text(self) -> str:
-        return _once(self._shared, "text", self._text)
+    def predictor(self, d_prime: Document):
+        return _once(
+            self._shared, "predictor", lambda _: self.ctx.predictor_factory(d_prime)
+        )
+
+    def sentences(self, d_prime: Document) -> tuple[tuple[int, ...], ...]:
+        return _once(
+            self._shared, "sentences",
+            lambda _: sentence_ids(d_prime.text, self.ctx.vocab),
+        )
 
     def vectors_for(self, ids: Sequence[int]) -> np.ndarray:
         return _once(self._vectors, tuple(ids), self.ctx.embedder.vectors_for)
@@ -315,54 +327,11 @@ class RankingWork:
     def ppl(self, ids: Sequence[int]) -> float:
         return _once(self._ppl, tuple(ids), self.ctx.ppl_fn)
 
-    def _importance(self, _key: str) -> ImportanceScores:
-        try:
-            masker = _MASKERS[self.ctx.masker]
-        except KeyError:
-            raise ValueError(f"unknown masker: {self.ctx.masker}") from None
-        return masker(self)
 
-    def _text(self, _key: str) -> str:
-        return " ".join(self.ctx.vocab.decode(self.query_ids))
-
-
-class TargetWork:
-    """The values every triplet with one target document d' shares, each
-    computed once, on first use: d''s predictor (with its memo of
-    answers), d''s sentences as token ids, and a memo of those sentences'
-    perplexities, keyed by token sequence, which max_flip's selection and
-    the fluency of its outcome both read.
-
-    Like ``RankingWork``, it is safe to share between worker threads and
-    nothing refers back to it from the context.
-    """
-
-    def __init__(self, ctx: EvalContext, d_prime: Document):
-        self.ctx = ctx
-        self.d_prime = d_prime
-        self._shared: dict[str, Any] = {}
-        self._ppl: dict[tuple[int, ...], Any] = {}
-
-    def predictor(self):
-        return _once(self._shared, "predictor", self._predictor)
-
-    def sentences(self) -> tuple[tuple[int, ...], ...]:
-        return _once(self._shared, "sentences", self._sentences)
-
-    def ppl(self, ids: Sequence[int]) -> float:
-        return _once(self._ppl, tuple(ids), self.ctx.ppl_fn)
-
-    def _predictor(self, _key: str):
-        return self.ctx.predictor_factory(self.d_prime)
-
-    def _sentences(self, _key: str) -> tuple[tuple[int, ...], ...]:
-        return sentence_ids(self.d_prime.text, self.ctx.vocab)
-
-
-_MASKERS: dict[str, Callable[[RankingWork], ImportanceScores]] = {
-    "maxsim": lambda work: maxsim_importance(work.query_ids, work.doc.ids, work),
-    "occlusion": lambda work: occlusion_importance(
-        work.query_ids, work.doc, work.ctx.scorer
+_MASKERS: dict[str, Callable[[Triplet, SharedWork], ImportanceScores]] = {
+    "maxsim": lambda t, work: maxsim_importance(t.query_ids, t.d.ids, work),
+    "occlusion": lambda t, work: occlusion_importance(
+        t.query_ids, t.d, work.ctx.scorer
     ),
 }
 MASKERS = tuple(_MASKERS)
@@ -441,7 +410,7 @@ def _breakdown_by_rank(records: Sequence[EvalRecord]) -> dict[int, dict[str, Any
 
 
 def _run_cfe2(
-    triplet: Triplet, work: RankingWork, target: TargetWork, beam_width: int,
+    triplet: Triplet, work: SharedWork, target: SharedWork, beam_width: int,
     max_masks: int | None,
 ) -> EditResult:
     budget = len(triplet.query_ids)
@@ -450,8 +419,8 @@ def _run_cfe2(
     return edit(
         triplet,
         work.ctx.scorer,
-        work.importance(),
-        target.predictor(),
+        work.importance(triplet),
+        target.predictor(triplet.d_prime),
         work.ppl,
         beam_width=beam_width,
         max_masks=budget,
@@ -459,17 +428,18 @@ def _run_cfe2(
 
 
 def _run_mask_only(
-    triplet: Triplet, work: RankingWork, target: TargetWork, beam_width: int,
+    triplet: Triplet, work: SharedWork, target: SharedWork, beam_width: int,
     max_masks: int | None,
 ) -> EditResult:
-    return baseline_mask_only(triplet, work.importance(), work.ctx.scorer)
+    return baseline_mask_only(triplet, work.importance(triplet), work.ctx.scorer)
 
 
 def _run_max_flip(
-    triplet: Triplet, work: RankingWork, target: TargetWork, beam_width: int,
+    triplet: Triplet, work: SharedWork, target: SharedWork, beam_width: int,
     max_masks: int | None,
 ) -> EditResult:
-    return baseline_max_flip(triplet, target.sentences(), work.ctx.scorer, target.ppl)
+    sentences = target.sentences(triplet.d_prime)
+    return baseline_max_flip(triplet, sentences, work.ctx.scorer, target.ppl)
 
 
 _METHOD_RUNNERS = {
@@ -486,24 +456,23 @@ def run_method(
     ctx: EvalContext,
     beam_width: int = 10,
     max_masks: int | None = None,
-    work: RankingWork | None = None,
-    target: TargetWork | None = None,
+    work: SharedWork | None = None,
+    target: SharedWork | None = None,
 ) -> EditResult:
     """Produce one EditResult for ``triplet`` with the chosen method.
 
-    ``work`` carries the values shared with other triplets of the same
-    query and top document, and ``target`` those shared with other
-    triplets of the same target document; without them they are
-    computed afresh.
+    ``work`` is the ``SharedWork`` of the triplet's ranking (q, d) and
+    ``target`` that of its target document d'; without them the values
+    are computed afresh.
     """
     try:
         run = _METHOD_RUNNERS[method]
     except KeyError:
         raise ValueError(f"unknown method: {method}") from None
     if work is None:
-        work = RankingWork(ctx, triplet.query_ids, triplet.d)
+        work = SharedWork(ctx)
     if target is None:
-        target = TargetWork(ctx, triplet.d_prime)
+        target = SharedWork(ctx)
     return run(triplet, work, target, beam_width, max_masks)
 
 
@@ -536,8 +505,8 @@ def _record_for(
     triplet: Triplet,
     method: str,
     result: EditResult,
-    work: RankingWork,
-    target: TargetWork,
+    work: SharedWork,
+    target: SharedWork,
     elapsed: float,
 ) -> EvalRecord:
     query_ids = triplet.query_ids
@@ -558,7 +527,8 @@ def _record_for(
         outcome_text = " ".join(work.ctx.vocab.decode(outcome))
     return EvalRecord(
         index=index,
-        query=work.text(),
+        # Interned, so the records of one query share one string.
+        query=sys.intern(" ".join(work.ctx.vocab.decode(query_ids))),
         doc_id=triplet.d.id,
         counter_doc_id=triplet.d_prime.id,
         counter_rank=triplet.counter_rank,
@@ -584,51 +554,39 @@ def check_beam_sizes(sizes: Sequence[int]) -> None:
         raise ValueError(f"duplicate beam size: {repeated[0]}")
 
 
-def ranking_groups(
-    triplets: Sequence[Triplet],
-) -> list[list[tuple[int, Triplet]]]:
-    """Maximal runs of consecutive triplets with equal query and top
-    document, as ``(input index, triplet)`` pairs; ``build_triplets``
-    emits each ranking as one run."""
-    return [
-        list(run)
-        for _, run in groupby(
-            enumerate(triplets), key=lambda item: (item[1].query_ids, item[1].d.id)
-        )
-    ]
-
-
 def _sweep_tasks(
     triplets: Sequence[Triplet], ctx: EvalContext, n_sizes: int
-) -> Iterator[tuple[int, Triplet, list[RankingWork], list[TargetWork]]]:
+) -> Iterator[tuple[int, Triplet, list[SharedWork], list[SharedWork]]]:
     """``(index, triplet, works, targets)`` for every triplet, in input
-    order. ``works`` holds one ``RankingWork`` per beam size, shared by the
-    triplet's group; ``targets`` one ``TargetWork`` per beam size, shared
-    by every triplet with the same target document.
+    order: ``works`` holds one ``SharedWork`` per beam size for the
+    triplet's ranking, keyed by (q, d), and ``targets`` one per beam size
+    for its target document, keyed by d'. A key's works are made on its
+    first triplet and let go with the task of its last, so every triplet
+    of a key shares them wherever it stands in the input, and the live
+    ones are bounded by the keys still to come, not by the run's length.
 
     Each size has its own works, so the edits at one size pay exactly the
     shared work an ``evaluate`` at that size pays. Sharing them across
     sizes would let a size reuse perplexities another size paid for, and
     the measured runtime would no longer grow with the beam as an
-    ``evaluate`` at each size does. A target's works are let go with the
-    task of the last triplet that has its document, so the live ones are
-    bounded by the documents still to come, not by the run's length.
+    ``evaluate`` at each size does.
     """
-    last = {triplet.d_prime.id: i for i, triplet in enumerate(triplets)}
-    live: dict[str, list[TargetWork]] = {}
-    for group in ranking_groups(triplets):
-        first = group[0][1]
-        works = [RankingWork(ctx, first.query_ids, first.d) for _ in range(n_sizes)]
-        for index, triplet in group:
-            key = triplet.d_prime.id
-            targets = live.get(key)
-            if targets is None:
-                targets = live[key] = [
-                    TargetWork(ctx, triplet.d_prime) for _ in range(n_sizes)
-                ]
-            if last[key] == index:
-                del live[key]
-            yield index, triplet, works, targets
+    last: dict[Any, int] = {}
+    for i, t in enumerate(triplets):
+        last[t.query_ids, t.d.id] = last[t.d_prime.id] = i
+    live: dict[Any, list[SharedWork]] = {}
+
+    def works_for(key: Any, index: int) -> list[SharedWork]:
+        works = live.get(key)
+        if works is None:
+            works = live[key] = [SharedWork(ctx) for _ in range(n_sizes)]
+        if last[key] == index:
+            del live[key]
+        return works
+
+    for index, t in enumerate(triplets):
+        works = works_for((t.query_ids, t.d.id), index)
+        yield index, t, works, works_for(t.d_prime.id, index)
 
 
 def edit_each(
@@ -661,9 +619,8 @@ def beam_sweep(
     """One report per beam size, in the order given (``evaluate`` is the
     one-size case).
 
-    The triplets are split into ranking groups (see ``ranking_groups``).
-    A group's shared work at one size (see ``RankingWork``), and the work
-    of all triplets with one target document (see ``TargetWork``), is
+    The work the triplets of one ranking (q, d) or of one target document
+    d' share at one size (see ``SharedWork`` and ``_sweep_tasks``) is
     computed once, inside the first timed edit at that size that needs
     it, so with one worker the summed ``elapsed`` covers all the work
     exactly.
@@ -672,8 +629,8 @@ def beam_sweep(
     counts that wait in its ``elapsed``. Records come out in input order.
     Each triplet is edited at every size in turn, so a change in host
     speed hits all sizes alike, and the size it starts with rotates from
-    triplet to triplet, so a group's shared work and the extra cost of a
-    triplet's first edit (cold caches) are spread over all sizes."""
+    triplet to triplet, so shared work and the extra cost of a triplet's
+    first edit (cold caches) are spread over all sizes."""
     check_beam_sizes(sizes)
     if not triplets:
         raise ValueError("no triplets to evaluate")
@@ -683,7 +640,7 @@ def beam_sweep(
     # Holds no reference to ctx: each task carries it in its works, which
     # are freed with the last task that shares them.
     def sweep(
-        task: tuple[int, Triplet, list[RankingWork], list[TargetWork]],
+        task: tuple[int, Triplet, list[SharedWork], list[SharedWork]],
     ) -> list[EvalRecord]:
         index, triplet, works, targets = task
         records: dict[int, EvalRecord] = {}

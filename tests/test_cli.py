@@ -57,6 +57,21 @@ def test_search_before_index_instructs(workdir, capsys):
     assert "queryflip index" in err
 
 
+def test_search_without_tokens_fails_like_edit(workdir, capsys):
+    tmp, config = workdir
+    assert _run("index", "--config", config) == 0
+    capsys.readouterr()
+    assert _run("search", "--config", config, "!!!") == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: empty query\n")
+    assert _run("edit", "--config", config, "--query", "!!!",
+                "--doc", "d1", "--counter", "d3") == 1
+    assert capsys.readouterr().err == "error: empty query\n"
+    # Out-of-vocabulary words encode as [UNK] and still search.
+    assert _run("search", "--config", config, "qxjw zzvq", "--k", "2") == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+
 def test_edit_single_triplet(workdir, capsys):
     tmp, config = workdir
     assert _run("index", "--config", config) == 0
@@ -258,9 +273,9 @@ def test_edit_triplets_echo_each_query_as_given(workdir, capsys):
 
 
 def test_edit_triplets_share_work_per_ranking_and_target(workdir, monkeypatch, capsys):
-    # Consecutive lines of one ranking share its importance; lines with
-    # one target document share its predictor. Each line still prints
-    # what editing it alone prints.
+    # Lines of one ranking share its importance, wherever they stand;
+    # lines with one target document share its predictor. Each line still
+    # prints what editing it alone prints.
     tmp, config = workdir
     assert _run("index", "--config", config) == 0
     lines = [
@@ -297,8 +312,8 @@ def test_edit_triplets_share_work_per_ranking_and_target(workdir, monkeypatch, c
     triplets.write_text("".join(json.dumps(line) + "\n" for line in lines))
     assert _run("edit", "--config", config, "--triplets", triplets) == 0
     assert capsys.readouterr().out == "".join(alone)
-    # Three runs of one ranking: the fourth line starts a new one.
-    assert sorted(importance.values()) == [1, 2]
+    # Two rankings: lines 1, 2 and 4 share one, line 3 is the other.
+    assert sorted(importance.values()) == [1, 1]
     assert sorted(predictors.values()) == [1, 1]  # d3 and d2
 
 

@@ -1,11 +1,13 @@
-"""Ranking groups in evaluation: each (query, top document) pair's shared
-work is done once per group, and grouping never changes a record.
+"""Shared work in evaluation: the work of each ranking (query, top
+document) and of each target document is done once, and sharing never
+changes a record.
 
 ``build_triplets`` emits one ranking as a run of triplets with the same
 query and top document. ``beam_sweep`` (and so ``evaluate``) computes the
-importance, ppl(q) and q's vectors once per such run; the tests below
-count those calls with wrapped components and compare the records with
-those of evaluating every triplet alone.
+importance, ppl(q) and q's vectors once per ranking, and d''s predictor
+once per target document, wherever their triplets stand in the input; the
+tests below count those calls with wrapped components and compare the
+records with those of evaluating every triplet alone.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import time
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -26,13 +29,7 @@ from hypothesis import strategies as st
 from queryflip import evaluation
 from queryflip.config import RunConfig
 from queryflip.corpus import ingest_corpus
-from queryflip.evaluation import (
-    METHODS,
-    beam_sweep,
-    build_triplets,
-    evaluate,
-    ranking_groups,
-)
+from queryflip.evaluation import METHODS, beam_sweep, build_triplets, evaluate
 from queryflip.pipeline import build_stack, make_context
 from queryflip.text import MASK_ID, tokenize
 
@@ -115,6 +112,17 @@ def importance_calls(monkeypatch):
     return calls
 
 
+def ranking_runs(triplets):
+    """Maximal runs of consecutive triplets with equal query and top
+    document, as ``(input index, triplet)`` pairs."""
+    return [
+        list(run)
+        for _, run in groupby(
+            enumerate(triplets), key=lambda item: (item[1].query_ids, item[1].d.id)
+        )
+    ]
+
+
 def _alone(records):
     """Records as evaluating each triplet alone gives them: index 0."""
     return [dataclasses.replace(r, index=0, elapsed=0.0) for r in records]
@@ -125,17 +133,6 @@ def _per_triplet(triplets, method, ctx):
             for t in triplets]
 
 
-def test_groups_are_maximal_runs_of_one_ranking(synth_small):
-    _, _, triplets = synth_small
-    groups = ranking_groups(triplets)
-    assert [i for group in groups for i, _ in group] == list(range(len(triplets)))
-    assert len(groups) == N_QUERIES
-    for group in groups:
-        assert len({(t.query_ids, t.d.id) for _, t in group}) == 1
-    for a, b in zip(groups, groups[1:]):
-        assert (a[-1][1].query_ids, a[-1][1].d.id) != (b[0][1].query_ids, b[0][1].d.id)
-
-
 @pytest.mark.parametrize("masker", ["maxsim", "occlusion"])
 @pytest.mark.parametrize("method", ["cfe2", "mask_only"])
 def test_importance_runs_once_per_ranking_group(
@@ -144,13 +141,13 @@ def test_importance_runs_once_per_ranking_group(
     _, ctx, triplets = synth_small
     ctx = _counting(ctx, masker)
     evaluate(triplets, method, ctx, beam_width=5, timing="off")
-    assert sum(importance_calls.values()) == len(ranking_groups(triplets))
+    assert sum(importance_calls.values()) == len(ranking_runs(triplets))
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_each_group_asks_each_perplexity_once(synth_small, method):
     _, ctx, triplets = synth_small
-    for group in ranking_groups(triplets):
+    for group in ranking_runs(triplets):
         counting = _counting(ctx)
         report = evaluate([t for _, t in group], method, counting,
                           beam_width=5, timing="off")
@@ -193,7 +190,7 @@ def test_workers_share_one_group_without_asking_twice(
     # still run in parallel, and each shared value is still computed
     # once, by whichever thread asks first.
     _, ctx, triplets = synth_small
-    group = [t for _, t in max(ranking_groups(triplets), key=len)]
+    group = [t for _, t in max(ranking_runs(triplets), key=len)]
     counting = _counting(ctx, delay_s=0.002)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -215,7 +212,7 @@ def test_workers_share_one_group_without_asking_twice(
 
 def test_query_and_document_vectors_asked_once_per_group(synth_small):
     stack, ctx, triplets = synth_small
-    for group in ranking_groups(triplets):
+    for group in ranking_runs(triplets):
         counting = _counting(ctx)
         evaluate([t for _, t in group], "cfe2", counting, beam_width=5, timing="off")
         first = group[0][1]
@@ -233,15 +230,19 @@ def test_grouped_records_match_per_triplet_records(synth_small, method):
 
 
 def test_split_ranking_forms_separate_groups(synth_small, importance_calls):
+    # A ranking split across the input still shares one work: importance
+    # is computed once per distinct (q, d).
     _, ctx, triplets = synth_small
     first, second = (
-        [t for _, t in group] for group in ranking_groups(triplets)[:2]
+        [t for _, t in group] for group in ranking_runs(triplets)[:2]
     )
     interleaved = [first[0], second[0], *first[1:], *second[1:]]
-    groups = ranking_groups(interleaved)
-    assert [len(g) for g in groups] == [1, 1, len(first) - 1, len(second) - 1]
+    runs = ranking_runs(interleaved)
+    assert [len(g) for g in runs] == [1, 1, len(first) - 1, len(second) - 1]
     report = evaluate(interleaved, "cfe2", ctx, beam_width=5, timing="off")
-    assert sum(importance_calls.values()) == len(groups)
+    assert importance_calls == Counter(
+        {first[0].query_ids: 1, second[0].query_ids: 1}
+    )
     assert _alone(report.records) == _alone(_per_triplet(interleaved, "cfe2", ctx))
 
 
@@ -273,49 +274,85 @@ def test_any_order_gives_per_triplet_records_at_any_worker_count(
         if (method, i) not in alone_records:
             alone_records[method, i] = _per_triplet([triplets[i]], method, ctx)[0]
     expected = [alone_records[method, i] for i in order]
-    serial = evaluate(ordered, method, ctx, beam_width=5, timing="off")
-    parallel = evaluate(ordered, method, ctx, beam_width=5, timing="off", workers=4)
+    # At any worker count, importance is computed once per distinct (q, d)
+    # and a predictor built once per distinct d', when the method uses them.
+    rankings = Counter({(t.query_ids, t.d.ids): 1 for t in ordered})
+    targets = Counter({t.d_prime.id: 1 for t in ordered})
+    serial, importance, built = _counted_evaluate(ordered, method, ctx, 1)
+    assert importance == (Counter() if method == "max_flip" else rankings)
+    assert built == (targets if method == "cfe2" else Counter())
+    parallel, importance, built = _counted_evaluate(ordered, method, ctx, 4)
+    assert importance == (Counter() if method == "max_flip" else rankings)
+    assert built == (targets if method == "cfe2" else Counter())
     assert serial.records == parallel.records
     assert _alone(serial.records) == expected
 
 
+def _counted_evaluate(triplets, method, ctx, workers):
+    """The report of ``evaluate`` at beam 5, the importance computations
+    per (q, d) ids and the predictors built per d' id."""
+    importance: Counter = Counter()
+    built: Counter = Counter()
+    lock = threading.Lock()
+    maxsim, factory = evaluation.maxsim_importance, ctx.predictor_factory
+
+    def counting_maxsim(query_ids, doc_ids, embedder):
+        with lock:
+            importance[tuple(query_ids), tuple(doc_ids)] += 1
+        return maxsim(query_ids, doc_ids, embedder)
+
+    def counting_factory(doc):
+        with lock:
+            built[doc.id] += 1
+        return factory(doc)
+
+    ctx = dataclasses.replace(ctx, predictor_factory=counting_factory)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "maxsim_importance", counting_maxsim)
+        report = evaluate(triplets, method, ctx, beam_width=5, timing="off",
+                          workers=workers)
+    return report, importance, built
+
+
 @pytest.mark.parametrize("method", ["cfe2", "max_flip"])
 def test_target_work_is_freed_after_its_last_triplet(synth_small, monkeypatch, method):
-    # With the cycle collector off, only reference counts free a target's
-    # work: it must be gone once its last triplet is done, so nothing that
-    # outlives it (the context included) refers to it, and it is in no cycle.
+    # With the cycle collector off, only reference counts free shared work:
+    # the works of a ranking (q, d) and of a target d' must be gone once the
+    # key's last triplet is done, so nothing that outlives them (the
+    # context included) refers to them, and they are in no cycle.
     _, ctx, triplets = synth_small
     sizes = [3, 5]
-    made: dict[str, list] = {}
-
-    class Tracked(evaluation.TargetWork):
-        def __init__(self, ctx, d_prime):
-            super().__init__(ctx, d_prime)
-            made.setdefault(d_prime.id, []).append(weakref.ref(self))
-
+    last: dict = {}
+    for i, t in enumerate(triplets):
+        last[t.query_ids, t.d.id] = last[t.d_prime.id] = i
+    made: dict = {}  # key -> {id: weakref} of its works
+    freed_early: set = set()
     record_for = evaluation._record_for
-    last = {t.d_prime.id: i for i, t in enumerate(triplets)}
-    freed_early: set[str] = set()
 
-    def checked(index, *args):
-        for doc_id, refs in made.items():
-            if last[doc_id] < index:
-                assert all(ref() is None for ref in refs), doc_id
-                freed_early.add(doc_id)
-        return record_for(index, *args)
+    def checked(index, triplet, method, result, work, target, elapsed):
+        keys = ((triplet.query_ids, triplet.d.id), triplet.d_prime.id)
+        for key, shared in zip(keys, (work, target)):
+            made.setdefault(key, {})[id(shared)] = weakref.ref(shared)
+        for key, refs in made.items():
+            if last[key] < index:
+                assert all(ref() is None for ref in refs.values()), key
+                freed_early.add(key)
+        return record_for(index, triplet, method, result, work, target, elapsed)
 
-    monkeypatch.setattr(evaluation, "TargetWork", Tracked)
     monkeypatch.setattr(evaluation, "_record_for", checked)
     gc.disable()
     try:
         beam_sweep(triplets, sizes, ctx, timing="off", method=method)
     finally:
         gc.enable()
-    assert sorted(made) == sorted(last)
+    assert set(made) == set(last)
     assert all(len(refs) == len(sizes) for refs in made.values())
-    assert len(freed_early) > len(last) // 2
+    rankings = {key for key in last if isinstance(key, tuple)}
+    assert len(rankings) == N_QUERIES
+    assert len(rankings & freed_early) == N_QUERIES - 1
+    assert len(freed_early - rankings) > (len(last) - N_QUERIES) // 2
     gc.collect()
-    assert all(ref() is None for refs in made.values() for ref in refs)
+    assert all(ref() is None for refs in made.values() for ref in refs.values())
 
 
 def test_each_target_document_gets_one_predictor(synth_small, monkeypatch):
@@ -344,7 +381,7 @@ def test_workers_share_one_target_without_asking_twice(synth_small, method):
         triplets.extend(build_triplets(ranking, stack.corpus))
     target, _ = Counter(t.d_prime.id for t in triplets).most_common(1)[0]
     shared = [t for t in triplets if t.d_prime.id == target]
-    assert len(ranking_groups(shared)) == len(shared) > 2
+    assert len(ranking_runs(shared)) == len(shared) > 2
     built: Counter = Counter()
     factory = ctx.predictor_factory
 
@@ -379,11 +416,11 @@ def test_remote_predictor_is_asked_on_every_predict(synth_small):
     with StubBackendServer(stack, lam=0.5) as stub:
         config = RunConfig(embed_dim=48, timing="off",
                            backends={"predict": {"url": stub.base_url}})
-        target = evaluation.TargetWork(make_context(stack, config),
-                                       triplets[0].d_prime)
-        predictor = target.predictor()
+        target = evaluation.SharedWork(make_context(stack, config))
+        d_prime = triplets[0].d_prime
+        predictor = target.predictor(d_prime)
         query = (MASK_ID, *triplets[0].query_ids[1:])
         answers = [predictor.predict(query, 0, 5) for _ in range(3)]
-        assert target.predictor() is predictor
+        assert target.predictor(d_prime) is predictor
         assert stub.calls == ["predict"] * 3
     assert answers[0] == answers[1] == answers[2]
