@@ -117,13 +117,15 @@ def _collect_triplets(
                     record = json.loads(line)
                     if not isinstance(record, dict):
                         raise ValueError("not a JSON object")
-                    names = ("query", "doc_id", "counter_doc_id")
-                    values = [record[name] for name in names]
-                    for name, value in zip(names, values):
-                        if not isinstance(value, str):
+                    values = []
+                    for name in ("query", "doc_id", "counter_doc_id"):
+                        if name not in record:
+                            raise ValueError(f"missing field: {name}")
+                        if not isinstance(record[name], str):
                             raise ValueError(f"field {name!r} is not a string")
+                        values.append(record[name])
                     triplets.append((values[0], _triplet_from_ids(stack, *values)))
-                except (KeyError, ValueError) as exc:
+                except ValueError as exc:
                     raise ValueError(f"triplets file line {lineno}: {exc}") from exc
         return triplets
     if not getattr(args, "queries", None):
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_settings(p, "out_dir", "beam", "lam", "masker", "top_k", "workers", "timing")
     p.add_argument("--queries", help="text file, one query per line")
     p.add_argument("--triplets", help="JSONL: {query, doc_id, counter_doc_id}")
-    p.add_argument("--methods", default="cfe2,mask_only,max_flip")
+    p.add_argument("--methods", default=",".join(METHODS))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep-beam", help="evaluate cfe2 across beam sizes")

@@ -43,6 +43,8 @@ _LOCK_TYPE = type(threading.Lock())
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 
 TIMING_MODES = ("wall", "off")
+MASKERS = ("maxsim", "occlusion")
+METHODS = ("cfe2", "mask_only", "max_flip")
 
 
 def edit_clock(timing: str) -> Callable[[], float]:
@@ -299,11 +301,15 @@ class SharedWork:
         self._ppl: dict[tuple[int, ...], Any] = {}
 
     def importance(self, triplet: Triplet) -> ImportanceScores:
-        try:
-            masker = _MASKERS[self.ctx.masker]
-        except KeyError:
-            raise ValueError(f"unknown masker: {self.ctx.masker}") from None
-        return _once(self._shared, "importance", lambda _: masker(triplet, self))
+        def compute(_):
+            query, d = triplet.query_ids, triplet.d
+            if self.ctx.masker == "maxsim":
+                return maxsim_importance(query, d.ids, self)
+            if self.ctx.masker == "occlusion":
+                return occlusion_importance(query, d, self.ctx.scorer)
+            raise ValueError(f"unknown masker: {self.ctx.masker}")
+
+        return _once(self._shared, "importance", compute)
 
     def predictor(self, d_prime: Document):
         return _once(
@@ -326,15 +332,6 @@ class SharedWork:
 
     def ppl(self, ids: Sequence[int]) -> float:
         return _once(self._ppl, tuple(ids), self.ctx.ppl_fn)
-
-
-_MASKERS: dict[str, Callable[[Triplet, SharedWork], ImportanceScores]] = {
-    "maxsim": lambda t, work: maxsim_importance(t.query_ids, t.d.ids, work),
-    "occlusion": lambda t, work: occlusion_importance(
-        t.query_ids, t.d, work.ctx.scorer
-    ),
-}
-MASKERS = tuple(_MASKERS)
 
 
 @dataclass(frozen=True)
@@ -409,47 +406,6 @@ def _breakdown_by_rank(records: Sequence[EvalRecord]) -> dict[int, dict[str, Any
     }
 
 
-def _run_cfe2(
-    triplet: Triplet, work: SharedWork, target: SharedWork, beam_width: int,
-    max_masks: int | None,
-) -> EditResult:
-    budget = len(triplet.query_ids)
-    if max_masks is not None:
-        budget = min(max_masks, budget)
-    return edit(
-        triplet,
-        work.ctx.scorer,
-        work.importance(triplet),
-        target.predictor(triplet.d_prime),
-        work.ppl,
-        beam_width=beam_width,
-        max_masks=budget,
-    )
-
-
-def _run_mask_only(
-    triplet: Triplet, work: SharedWork, target: SharedWork, beam_width: int,
-    max_masks: int | None,
-) -> EditResult:
-    return baseline_mask_only(triplet, work.importance(triplet), work.ctx.scorer)
-
-
-def _run_max_flip(
-    triplet: Triplet, work: SharedWork, target: SharedWork, beam_width: int,
-    max_masks: int | None,
-) -> EditResult:
-    sentences = target.sentences(triplet.d_prime)
-    return baseline_max_flip(triplet, sentences, work.ctx.scorer, target.ppl)
-
-
-_METHOD_RUNNERS = {
-    "cfe2": _run_cfe2,
-    "mask_only": _run_mask_only,
-    "max_flip": _run_max_flip,
-}
-METHODS = tuple(_METHOD_RUNNERS)
-
-
 def run_method(
     triplet: Triplet,
     method: str,
@@ -459,21 +415,34 @@ def run_method(
     work: SharedWork | None = None,
     target: SharedWork | None = None,
 ) -> EditResult:
-    """Produce one EditResult for ``triplet`` with the chosen method.
-
-    ``work`` is the ``SharedWork`` of the triplet's ranking (q, d) and
-    ``target`` that of its target document d'; without them the values
-    are computed afresh.
+    """Produce one EditResult for ``triplet`` with ``method``, one of
+    ``METHODS`` (any other name raises ValueError). ``work`` is the
+    ``SharedWork`` of the triplet's ranking (q, d) and ``target`` that of
+    its target document d'; without them the values are computed afresh.
+    Only cfe2 reads ``beam_width`` and ``max_masks``.
     """
-    try:
-        run = _METHOD_RUNNERS[method]
-    except KeyError:
-        raise ValueError(f"unknown method: {method}") from None
     if work is None:
         work = SharedWork(ctx)
     if target is None:
         target = SharedWork(ctx)
-    return run(triplet, work, target, beam_width, max_masks)
+    if method == "cfe2":
+        if max_masks is not None:  # None lets edit mask up to every token
+            max_masks = min(max_masks, len(triplet.query_ids))
+        return edit(
+            triplet,
+            ctx.scorer,
+            work.importance(triplet),
+            target.predictor(triplet.d_prime),
+            work.ppl,
+            beam_width=beam_width,
+            max_masks=max_masks,
+        )
+    if method == "mask_only":
+        return baseline_mask_only(triplet, work.importance(triplet), ctx.scorer)
+    if method == "max_flip":
+        sentences = target.sentences(triplet.d_prime)
+        return baseline_max_flip(triplet, sentences, ctx.scorer, target.ppl)
+    raise ValueError(f"unknown method: {method}")
 
 
 def evaluate(

@@ -175,8 +175,15 @@ def test_log_level_flag_sets_verbosity(tmp_path, caplog):
             '{"query": "apple recipe", "doc_id": ["d1"], "counter_doc_id": "d3"}',
             "triplets file line 2: field 'doc_id' is not a string",
         ),
+        (
+            '{"doc_id": "d1", "counter_doc_id": "d3"}',
+            "triplets file line 2: missing field: query",
+        ),
     ],
-    ids=["malformed", "not_object", "query_not_string", "doc_id_not_string"],
+    ids=[
+        "malformed", "not_object", "query_not_string", "doc_id_not_string",
+        "missing_query",
+    ],
 )
 def test_edit_bad_triplets_line_names_line(workdir, capsys, bad_line, message):
     tmp, config = workdir

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,8 @@ import pytest
 
 from queryflip.editor import Triplet, check_flip
 from queryflip.evaluation import (
+    MASKERS,
+    METHODS,
     aggregate_records,
     baseline_mask_only,
     baseline_max_flip,
@@ -379,6 +382,21 @@ def test_evaluate_unknown_method_rejected(small_eval):
     _, ctx, triplets = small_eval
     with pytest.raises(ValueError, match="unknown method"):
         evaluate(triplets, "nope", ctx)
+
+
+def test_method_and_masker_names_keep_their_order():
+    # perfbench runs and digests the methods in this order, and it is the
+    # default of `eval --methods`.
+    assert METHODS == ("cfe2", "mask_only", "max_flip")
+    assert MASKERS == ("maxsim", "occlusion")
+
+
+@pytest.mark.parametrize("method", ["cfe2", "mask_only"])
+def test_unknown_masker_fails_on_first_importance(small_eval, method):
+    _, ctx, triplets = small_eval
+    bad = dataclasses.replace(ctx, masker="bert")  # bypasses RunConfig's check
+    with pytest.raises(ValueError, match="unknown masker: bert"):
+        evaluate(triplets, method, bad, timing="off")
 
 
 def test_evaluate_parallel_matches_serial(small_eval):
