@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -75,8 +76,10 @@ class Corpus:
     """Id-addressable document collection with corpus-level statistics.
 
     Built from the ``{id: text}`` records and their token ids, one
-    ``encoded`` row per record in record order. Each Document holds its
-    row as a tuple.
+    ``encoded`` row per record in record order. It keeps both as given,
+    plus a doc id -> position map; a Document, holding its row as a
+    tuple, is built on first access and the same object is returned on
+    every later one.
     """
 
     def __init__(self, records: Mapping[str, str], encoded: EncodedCorpus) -> None:
@@ -84,32 +87,41 @@ class Corpus:
             raise ValueError(
                 f"{encoded.n_docs} rows of token ids for {len(records)} documents"
             )
-        ids = encoded.ids.tolist()
-        bounds = encoded.offsets.tolist()
-        self._docs = {
-            doc_id: Document(doc_id, text, tuple(ids[start:end]))
-            for (doc_id, text), start, end in zip(records.items(), bounds, bounds[1:])
-        }
+        self.records = dict(records)
         self.encoded = encoded
         self.n_docs = len(records)
-        self.avgdl = bounds[-1] / self.n_docs if self.n_docs else 0.0
+        self.avgdl = len(encoded.ids) / self.n_docs if self.n_docs else 0.0
+        self._positions = dict(zip(self.records, range(self.n_docs)))
+        self._docs: dict[str, Document] = {}
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._docs
+        return doc_id in self.records
 
     def __getitem__(self, doc_id: str) -> Document:
-        return self._docs[doc_id]
+        doc = self._docs.get(doc_id)
+        if doc is None:
+            position = self._positions[doc_id]
+            start, end = self.encoded.offsets[position : position + 2].tolist()
+            ids = tuple(self.encoded.ids[start:end].tolist())
+            # Two threads may both build a document; both return the one stored.
+            doc = Document(doc_id, self.records[doc_id], ids)
+            doc = self._docs.setdefault(doc_id, doc)
+        return doc
 
-    def documents(self) -> Iterable[Document]:
-        return self._docs.values()
+    def position(self, doc_id: str) -> int:
+        """The document's row in ``encoded``."""
+        return self._positions[doc_id]
+
+    def documents(self) -> list[Document]:
+        return [self[doc_id] for doc_id in self.records]
 
     def doc_ids(self) -> list[str]:
-        return list(self._docs)
+        return list(self.records)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Ids and texts as UTF-8 buffers with offsets, and the token ids."""
         ids, id_offsets = pack_strings(self.doc_ids())
-        texts, text_offsets = pack_strings([d.text for d in self.documents()])
+        texts, text_offsets = pack_strings(list(self.records.values()))
         return {
             "corpus.ids": ids,
             "corpus.id_offsets": id_offsets,
@@ -127,13 +139,19 @@ class Corpus:
         return cls(dict(zip(ids, texts)), EncodedCorpus(*tokens))
 
 
+# Surrogate code points: UTF-8 cannot encode them, but JSON's \u escapes
+# can produce them.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def ingest_corpus(lines: Iterable[str]) -> dict[str, str]:
     """Parse a line-delimited record stream into ``{id: text}`` records,
     in stream order.
 
     Each non-blank line must be a JSON object with string fields ``id``
-    and ``text``. Malformed records and duplicate ids raise ValueError
-    with the offending line number / id.
+    and ``text`` that UTF-8 can encode (a lone surrogate escape such as
+    ``"\\ud800"`` is valid JSON but not). Malformed records and duplicate
+    ids raise ValueError with the offending line number / id.
     """
     records: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
@@ -148,7 +166,8 @@ def ingest_corpus(lines: Iterable[str]) -> dict[str, str]:
         for fld in ("id", "text"):
             if fld not in record:
                 raise ValueError(f"missing field: {fld} @ line {lineno}")
-            if not isinstance(record[fld], str):
+            value = record[fld]
+            if not isinstance(value, str) or _SURROGATE.search(value):
                 raise ValueError(f"invalid field: {fld} @ line {lineno}")
         doc_id = record["id"]
         if doc_id in records:
@@ -218,13 +237,16 @@ class Bm25SearchModel:
         idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5))
         w(t,d) = idf(t) * tf * (k1+1) / (tf + k1 * (1 - b + b * n/avgdl))
 
-    Derived once at construction: idf per term (``math.log``, one call
-    per term), the impact w(t,d) of every posting in one numpy
-    expression, one {term id: w} dict per document for ``score`` and one
-    term -> row map for ``search``. A query is scored one token
-    occurrence at a time, so repeated query terms contribute once per
-    occurrence. Non-indexed terms contribute 0. The model is immutable
-    after construction and safe for concurrent use.
+    Derived once at construction, as arrays: idf per term (``math.log``,
+    one call per term), the impact w(t,d) of every posting in one numpy
+    expression (``impacts``, in posting order), and the postings
+    regrouped by document. ``score`` builds a document's {term id: w}
+    table from the regrouped arrays the first time it scores that
+    document and keeps it; ``search`` adds rows of ``impacts`` into one
+    score array. A query is scored one token occurrence at a time, so
+    repeated query terms contribute once per occurrence. Non-indexed
+    terms contribute 0. Apart from those memoized tables the model is
+    immutable after construction, and it is safe for concurrent use.
     """
 
     def __init__(
@@ -244,11 +266,15 @@ class Bm25SearchModel:
         idfs = [_robertson_idf(n, df) for df in dfs.tolist()]
         self._idf = dict(zip(term_ids, idfs))
         self._idf_unseen = _robertson_idf(n, 0)
-        bounds = indptr.tolist()
-        self._rows = {t: slice(a, b) for t, a, b in zip(term_ids, bounds, bounds[1:])}
+        self._row = dict(zip(term_ids, range(len(term_ids))))
+        self._bounds: list[int] = indptr.tolist()
         self._corpus_ids = corpus.doc_ids()
-        # Zero-score documents fill a short ranking in ascending doc-id order.
-        self._sorted_ids = sorted(self._corpus_ids)
+        # Zero-score documents fill a short ranking in ascending doc-id
+        # order; matched ones tie-break on the same rank.
+        by_id = sorted(range(n), key=self._corpus_ids.__getitem__)
+        self._by_id = np.array(by_id, dtype=np.int64)
+        self._id_rank = np.empty(n, dtype=np.int64)
+        self._id_rank[self._by_id] = np.arange(n)
         lengths = np.diff(corpus.encoded.offsets)
         # The scalar formula's float operations in its order, one element
         # per posting. Only a posting's document is normalised, so avgdl 0
@@ -256,16 +282,14 @@ class Bm25SearchModel:
         k1, b = params.k1, params.b
         k1_norm = k1 * (1.0 - b + b * lengths[docs] / corpus.avgdl)
         posting_idf = np.repeat(np.array(idfs), dfs)
-        impacts = posting_idf * tfs * (k1 + 1.0) / (tfs + k1_norm)
-        # Regroup the postings by document: doc id -> {term id: w(t,d)}.
+        self.impacts = posting_idf * tfs * (k1 + 1.0) / (tfs + k1_norm)
+        # The postings regrouped by document: document p's terms and impacts
+        # are _doc_terms / _doc_impacts[_doc_bounds[p]:_doc_bounds[p + 1]].
         by_doc = np.argsort(docs, kind="stable")
-        doc_terms = np.repeat(terms, dfs)[by_doc].tolist()
-        doc_impacts = impacts[by_doc].tolist()
-        ends = np.cumsum(np.bincount(docs, minlength=n)).tolist()
-        self._impacts: dict[str, dict[int, float]] = {
-            doc_id: dict(zip(doc_terms[start:end], doc_impacts[start:end]))
-            for doc_id, start, end in zip(self._corpus_ids, [0, *ends], ends)
-        }
+        self._doc_terms = np.repeat(terms, dfs)[by_doc]
+        self._doc_impacts = self.impacts[by_doc]
+        self._doc_bounds = np.cumsum(np.r_[0, np.bincount(docs, minlength=n)])
+        self._weights: dict[str, dict[int, float]] = {}
 
     def idf(self, term_id: int) -> float:
         return self._idf.get(term_id, self._idf_unseen)
@@ -273,18 +297,29 @@ class Bm25SearchModel:
     def bm25_score(self, query_ids: Sequence[int], doc_id: str) -> float:
         """rel(q, d) for one document; 0.0 when no query term matches.
 
-        The one scoring kernel: ``score`` is this method and ``search``
-        ranks with it. The impacts are added left to right in query-token
-        order; ``sum`` would round differently on Python >= 3.12.
+        The one scoring kernel: ``score`` is this method, and ``search``
+        makes the same additions in the same order. The impacts are added
+        left to right in query-token order; ``sum`` would round
+        differently on Python >= 3.12.
         """
-        impacts = self._impacts[doc_id]
+        weights = self._weights.get(doc_id)
+        if weights is None:
+            # Two threads may both build a table; both return the one stored.
+            weights = self._weights.setdefault(doc_id, self._doc_weights(doc_id))
         score = 0.0
         for term_id in query_ids:
-            score += impacts.get(term_id, 0.0)
+            score += weights.get(term_id, 0.0)
         return score
 
     # The scorer protocol used by the editor and the evaluation harness.
     score = bm25_score
+
+    def _doc_weights(self, doc_id: str) -> dict[int, float]:
+        """{term id: w(t,d)} of one document, from the regrouped postings."""
+        position = self.corpus.position(doc_id)
+        start, end = self._doc_bounds[position : position + 2].tolist()
+        terms = self._doc_terms[start:end].tolist()
+        return dict(zip(terms, self._doc_impacts[start:end].tolist()))
 
     def search(self, query_ids: Sequence[int], k: int) -> Ranking:
         """Top-k documents by bm25_score, ties broken by ascending doc id.
@@ -295,19 +330,30 @@ class Bm25SearchModel:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        if self.corpus.n_docs == 0:
+        n = self.corpus.n_docs
+        if n == 0:
             raise ValueError("empty corpus")
-        rows = [self.docs[self._rows[t]] for t in set(query_ids) if t in self._rows]
-        corpus_ids = self._corpus_ids
-        matched = {corpus_ids[p] for row in rows for p in row.tolist()}
-        ranked = sorted(
-            ((d, self.bm25_score(query_ids, d)) for d in matched),
-            key=lambda e: (-e[1], e[0]),
-        )
-        if len(ranked) < k:
-            zeros = [d for d in self._sorted_ids if d not in matched]
-            ranked.extend((d, 0.0) for d in zeros)
-        return Ranking(tuple(query_ids), tuple(ranked[:k]))
+        scores = np.zeros(n)
+        matched = np.zeros(n, dtype=bool)
+        bounds, docs, impacts = self._bounds, self.docs, self.impacts
+        # One query token at a time, in query order, repeats included: each
+        # document receives the additions bm25_score makes, in its order
+        # (bm25_score's + 0.0 for a term the document lacks changes nothing).
+        for term_id in query_ids:
+            row = self._row.get(term_id)
+            if row is not None:
+                start, end = bounds[row], bounds[row + 1]
+                scores[docs[start:end]] += impacts[start:end]
+                matched[docs[start:end]] = True
+        hits = np.flatnonzero(matched)
+        hits = hits[np.lexsort((self._id_rank[hits], -scores[hits]))][:k]
+        if len(hits) < k:
+            zeros = self._by_id[~matched[self._by_id]]
+            hits = np.concatenate((hits, zeros[: k - len(hits)]))
+        ranked = hits.tolist()
+        ids = self._corpus_ids
+        entries = zip([ids[p] for p in ranked], scores[ranked].tolist())
+        return Ranking(tuple(query_ids), tuple(entries))
 
     def query_representation(self, query_ids: Sequence[int]) -> dict[int, float]:
         """L2-normalized sparse idf*tf vector over the vocabulary.

@@ -55,11 +55,16 @@ class NgramLM:
     It holds one count table, as built or loaded: ``grams`` (int32,
     ``(n, order)``: the order-1 context ids, then the target) and
     ``counts`` (int32, ``(n,)``), rows strictly increasing by context, then
-    target. Contexts are BOS-padded at sentence starts. Derived at
+    target. Contexts are BOS-padded at sentence starts and hold ids below
+    the vocabulary size ``FIRST_CONTENT_ID + n_candidates``. Derived at
     construction, with numpy and no loop over rows: each context's run of
-    rows, found by one diff, and from it a dict from the context tuple to
-    its run index, with the run starts, add-k denominators, targets and
-    counts as flat lists for ``prob`` and ``distribution``.
+    rows, found by one diff, and from it a dict from the context's packed
+    key to its run index, with the run starts, add-k denominators, targets
+    and counts as flat lists for ``prob``, ``distribution`` and
+    ``perplexity``. A context's key reads its ids as base-``radix`` digits,
+    BOS as 0 and each id as id + 1, first id most significant, with
+    ``radix`` the vocabulary size + 1; it is a Python int, exact at every
+    order.
 
     Only content tokens are ever predicted; the candidate space has
     ``n_candidates`` tokens with contiguous ids starting at
@@ -94,6 +99,11 @@ class NgramLM:
         step = np.diff(grams.astype(np.int64), axis=0)
         if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
             raise ValueError("n-gram rows not sorted strictly by context, then target")
+        # A context id outside [BOS, vocabulary size) has no key digit.
+        self.radix = FIRST_CONTENT_ID + n_candidates + 1
+        contexts = grams[:, :-1]
+        if ((contexts < BOS) | (contexts >= self.radix - 1)).any():
+            raise ValueError("n-gram context outside the vocabulary ids")
         self.order = order
         self.k = k
         self.n_candidates = n_candidates
@@ -105,11 +115,13 @@ class NgramLM:
         # unseen context gets index len(runs), an empty run.
         starts = np.flatnonzero(np.r_[True, step[:, :-1].any(axis=1)][: len(grams)])
         totals = np.append(np.add.reduceat(counts.astype(np.int64), starts), 0)
-        # Keys from column lists; with no context columns (order 1) there
-        # is at most one run, under the empty context.
-        columns = grams[starts, :-1].T.tolist()
-        keys = zip(*columns) if columns else [()] * len(starts)
-        self._runs = dict(zip(keys, range(len(starts))))
+        # Packed keys in int64 while the largest fits, else in Python ints
+        # (object arrays); with no context columns (order 1) every key is 0.
+        fits = self.radix ** (order - 1) <= np.iinfo(np.int64).max
+        keys = np.zeros(len(starts), dtype=np.int64 if fits else object)
+        for column in contexts[starts].T.astype(keys.dtype):
+            keys = keys * self.radix + column + 1
+        self._runs = dict(zip(keys.tolist(), range(len(starts))))
         self._unseen = len(starts)
         self._starts: list[int] = starts.tolist() + [len(grams)] * 2
         self._denominators: list[float] = (totals + k * n_candidates).tolist()
@@ -144,9 +156,25 @@ class NgramLM:
         padded = [BOS] * ctx_len + left
         return tuple(padded[len(padded) - ctx_len :]) if ctx_len else ()
 
+    def _run(self, context: tuple[int, ...]) -> int:
+        """The run index of ``context``: ``len(runs)``, an empty run, for
+        a context no row holds, of the wrong length or with an id no key
+        digit holds."""
+        if len(context) != self.order - 1:
+            return self._unseen
+        key, radix = 0, self.radix
+        for token_id in context:
+            if not BOS <= token_id < radix - 1:
+                return self._unseen
+            key = key * radix + int(token_id) + 1
+        return self._runs.get(key, self._unseen)
+
     def prob(self, token_id: int, context: tuple[int, ...]) -> float:
         """P(token | context) with add-k smoothing over the candidates."""
-        run = self._runs.get(context, self._unseen)
+        return self._prob_in_run(token_id, self._run(context))
+
+    def _prob_in_run(self, token_id: int, run: int) -> float:
+        """P(token | the context of run index ``run``)."""
         starts = self._starts
         end = starts[run + 1]
         i = bisect_left(self._targets, token_id, starts[run], end)
@@ -159,7 +187,7 @@ class NgramLM:
         """The run of ``context``: its observed targets (ascending), their
         counts, and the add-k denominator. P(t | context) is
         ``(count + k) / denominator``, with count 0 for an unseen target."""
-        run = self._runs.get(context, self._unseen)
+        run = self._run(context)
         start, end = self._starts[run], self._starts[run + 1]
         denominator = self._denominators[run]
         return self._targets[start:end], self._counts[start:end], denominator
@@ -190,16 +218,29 @@ def train_ngram(
 
 
 def perplexity(token_ids: Sequence[int], lm: NgramLM) -> float:
-    """exp(-(1/T) sum_t ln P(x_t | context_t)), natural base."""
+    """exp(-(1/T) sum_t ln P(x_t | context_t)), natural base.
+
+    The context's packed key is rolled along the sequence: after each
+    token the oldest digit is dropped and the token's shifted in. A token
+    that no digit holds stays out of the key, and the next order-1
+    contexts, whose window holds it, are unseen.
+    """
     if len(token_ids) == 0:
         raise ValueError("empty sequence")
-    # The BOS-padded sequence, built once: position pos's context is
-    # padded[pos : pos + width], as context_at would return it.
-    width = lm.order - 1
-    padded = [BOS] * width + list(token_ids)
+    radix, width = lm.radix, lm.order - 1
+    modulus = radix**width
+    runs, unseen = lm._runs, lm._unseen
+    key, stale = 0, 0  # the all-BOS context; positions left that are unseen
     log_sum = 0.0
-    for pos, target in enumerate(token_ids):
-        log_sum += log(lm.prob(target, tuple(padded[pos : pos + width])))
+    for target in token_ids:
+        run = unseen if stale else runs.get(key, unseen)
+        log_sum += log(lm._prob_in_run(target, run))
+        if BOS <= target < radix - 1:
+            key = (key * radix + int(target) + 1) % modulus
+            if stale:
+                stale -= 1
+        else:
+            stale = width
     return exp(-log_sum / len(token_ids))
 
 

@@ -13,6 +13,7 @@ import logging
 import os
 import zipfile
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Mapping
 
 import numpy as np
@@ -59,14 +60,12 @@ class Stack:
 
 
 def corpus_digest(corpus: Corpus) -> str:
-    hasher = hashlib.sha256()
-    for doc_id in corpus.doc_ids():
-        doc = corpus[doc_id]
-        hasher.update(doc.id.encode("utf-8"))
-        hasher.update(b"\x00")
-        hasher.update(doc.text.encode("utf-8"))
-        hasher.update(b"\x01")
-    return hasher.hexdigest()[:16]
+    """sha256 of every ``id NUL text SOH`` in record order, UTF-8 encoded,
+    cut to 16 hex digits."""
+    records = corpus.records
+    fields = zip(records, repeat("\x00"), records.values(), repeat("\x01"))
+    packed = "".join(chain.from_iterable(fields)).encode("utf-8")
+    return hashlib.sha256(packed).hexdigest()[:16]
 
 
 def build_stack(records: Mapping[str, str], config: RunConfig) -> Stack:

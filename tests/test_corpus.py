@@ -4,6 +4,8 @@ import io
 import json
 import math
 import random
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -68,6 +70,20 @@ def test_ingest_malformed_json_reports_line():
 def test_ingest_duplicate_id_named():
     with pytest.raises(ValueError, match=r"duplicate id: d1"):
         ingest_corpus([SAMPLE_LINES[0], SAMPLE_LINES[0]])
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ('{"id": "d1", "text": "apple pie \\ud800 recipe"}', "text"),
+        ('{"id": "d\\udfff", "text": "apple pie recipe"}', "id"),
+    ],
+    ids=["text", "id"],
+)
+def test_ingest_lone_surrogate_reports_line(record, field):
+    # Valid JSON, but a lone surrogate has no UTF-8 encoding.
+    with pytest.raises(ValueError, match=rf"invalid field: {field} @ line 2"):
+        ingest_corpus([SAMPLE_LINES[1], record])
 
 
 def test_bm25_no_matching_terms_scores_zero(sample_stack):
@@ -312,3 +328,71 @@ def test_saved_corpus_loads_the_built_ids_and_index(
             if corpus.avgdl:
                 assert expected == _okapi(corpus, vocab, params, query, doc_id)
         assert loaded.search.search(query, 3) == built.search.search(query, 3)
+
+
+def _reference_search(search, query, k):
+    """Every document sorted by (-bm25_score, doc id), then cut to k:
+    zero-score documents fill in ascending doc-id order."""
+    scored = [(doc_id, search.bm25_score(query, doc_id)) for doc_id in search.corpus.doc_ids()]
+    return tuple(sorted(scored, key=lambda e: (-e[1], e[0]))[:k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(_TEXTS, min_size=1, max_size=10),
+    k1=st.floats(0.1, 3.0),
+    b=st.sampled_from([0.0, 0.75, 1.0]),
+    query=st.lists(st.integers(0, 12), min_size=1, max_size=6),
+    repeats=st.integers(1, 3),
+    k=st.integers(1, 4),
+)
+def test_search_equals_the_sorted_reference(texts, k1, b, query, repeats, k):
+    """``search`` over the flat impact array equals the reference exactly,
+    floats included. Two documents share a text, so scores tie; the
+    queries repeat tokens, hold only [UNK], and are asked for more
+    documents than the corpus has."""
+    records = {f"d{i}": text for i, text in enumerate(texts)}
+    records["a-copy"] = texts[0]
+    records["fixed"] = "w0 w0 w1 w2"
+    corpus, _ = build_corpus(records)
+    search = build_index(corpus, Bm25Params(k1, b))
+    n = corpus.n_docs
+    for q in (query, query * repeats + query[:1], [UNK_ID] * repeats):
+        for top in (k, n, n + k):
+            got = search.search(q, top)
+            assert got.query_ids == tuple(q)
+            assert got.entries == _reference_search(search, q, top)
+
+
+def test_racing_first_accesses_share_one_document_and_score():
+    """Threads that build the same Document or weight table at once all
+    get the one that was stored, and the same scores."""
+    records = {f"d{i}": f"w{i % 7} w{i % 3} shared" for i in range(300)}
+    corpus, vocab = build_corpus(records)
+    search = build_index(corpus, Bm25Params())
+    query = vocab.encode(["w1", "shared", "w2", "w1"])
+    barrier = threading.Barrier(8)
+    seen = []
+
+    def work():
+        barrier.wait(timeout=10)
+        docs = [corpus[doc_id] for doc_id in records]
+        seen.append((docs, [search.score(query, doc_id) for doc_id in records]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == 8
+    stored = [corpus[doc_id] for doc_id in records]
+    expected = [_okapi(corpus, vocab, Bm25Params(), query, d) for d in records]
+    for docs, scores in seen:
+        assert all(doc is first for doc, first in zip(docs, stored))
+        assert scores == expected

@@ -28,6 +28,7 @@ from queryflip.text import (
     tokenize,
 )
 
+from synthdata import synthetic_corpus
 from test_corpus import assert_same_arrays, ids, npz_round_trip
 
 
@@ -172,6 +173,9 @@ def test_train_ngram_matches_counter_reference(order, min_count):
         unseen = (PAD_ID,) * (order - 1)
         sequences = [vocab.encode(tokenize(d.text)) for d in corpus.documents()]
         sequences.append([PAD_ID, UNK_ID, FIRST_CONTENT_ID, FIRST_CONTENT_ID])
+        # Ids that no packed context key holds make their contexts unseen.
+        c = FIRST_CONTENT_ID
+        sequences.append([c, len(vocab) + 4, c, c, BOS - 3, c, c, c, c])
         for model in (lm, loaded):
             for context in [*counts, unseen]:
                 for token_id in [*vocab.content_ids(), PAD_ID]:
@@ -187,6 +191,39 @@ def test_train_ngram_matches_counter_reference(order, min_count):
                 for pos, target in enumerate(seq):
                     log_sum += math.log(ref_prob(target, model.context_at(seq, pos)))
                 assert perplexity(seq, model) == math.exp(-log_sum / len(seq))
+
+
+def test_packed_context_keys_are_exact_past_int64():
+    """Order 10 on the acceptance corpus: the largest key, radix ** 9,
+    is past int64, and every answer still matches counts taken from the
+    table's own rows."""
+    corpus, vocab = build_corpus(ingest_corpus(synthetic_corpus()))
+    k, n = 0.1, vocab.content_size
+    lm = train_ngram(corpus.encoded, vocab, order=10, k=k)
+    assert lm.radix == len(vocab) + 1 == 192
+    assert lm.radix**9 > np.iinfo(np.int64).max
+    rows = [tuple(row) for row in lm.grams.tolist()]
+    counts = dict(zip(rows, lm.counts.tolist()))
+    totals = Counter()
+    for row, count in counts.items():
+        totals[row[:-1]] += count
+
+    def ref_prob(token_id, context):
+        return (counts.get((*context, token_id), 0) + k) / (totals[context] + k * n)
+
+    for row, count in counts.items():
+        assert lm.prob(row[-1], row[:-1]) == (count + k) / (totals[row[:-1]] + k * n)
+    for context in [(*rows[-1][:-2], PAD_ID), (BOS,) * 8 + (MASK_ID,)]:
+        assert context not in totals
+        assert lm.prob(FIRST_CONTENT_ID, context) == k / (k * n)
+        assert lm.distribution(context) == ([], [], k * n)
+    for doc in corpus.documents():
+        seq = doc.ids
+        if seq:
+            log_sum = 0.0
+            for pos, target in enumerate(seq):
+                log_sum += math.log(ref_prob(target, lm.context_at(seq, pos)))
+            assert perplexity(seq, lm) == math.exp(-log_sum / len(seq))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from queryflip import corpus as corpus_module
 from queryflip.config import RunConfig
 from queryflip.corpus import build_corpus, ingest_corpus
-from queryflip.lm import perplexity
+from queryflip.lm import BOS, perplexity
 from queryflip.pipeline import (
     STACK_FILE,
     ArtifactError,
     build_stack,
+    corpus_digest,
     load_stack,
     save_stack,
 )
@@ -197,6 +199,34 @@ def test_save_load_round_trip(tmp_path):
         )
 
 
+def test_documents_are_built_on_first_access_only(tmp_path, monkeypatch):
+    built = []
+    document = corpus_module.Document
+
+    def counting_document(*fields):
+        built.append(fields[0])
+        return document(*fields)
+
+    monkeypatch.setattr(corpus_module, "Document", counting_document)
+    config = sample_config(artifacts=str(tmp_path / "artifacts"))
+    stack = build_stack(ingest_corpus(reversed(SAMPLE_LINES)), config)
+    save_stack(stack, config)
+    loaded = load_stack(config)
+    assert built == []
+    corpus = loaded.corpus
+    assert corpus["d2"] is corpus["d2"]
+    assert built == ["d2"]
+    assert [d.id for d in corpus.documents()] == corpus.doc_ids() == ["d3", "d2", "d1"]
+    assert built == ["d2", "d3", "d1"]
+    assert all(doc is corpus[doc.id] for doc in corpus.documents())
+
+
+def test_corpus_digest_of_the_readme_corpus_is_unchanged(sample_stack):
+    # The value archives indexed before documents were built lazily hold;
+    # a different one would make them fail their fingerprint check.
+    assert corpus_digest(sample_stack.corpus) == "ea20727e15f6770f"
+
+
 def test_load_with_other_bm25_params_scores_like_a_fresh_build(tmp_path):
     # Unequal lengths and tf > 1, so k1 and b change the scores.
     lines = [
@@ -290,6 +320,17 @@ def _duplicate_first_row(arrays):
         arrays[name] = np.concatenate([arrays[name][:1], arrays[name]])
 
 
+# The first context column rises, so the first row takes the smallest value
+# and the last row the largest, and the rows stay sorted.
+def _context_below_bos(arrays):
+    arrays["lm.contexts"] = _set(arrays["lm.contexts"], (0, 0), BOS - 1)
+
+
+def _context_past_vocabulary(arrays):
+    past = len(Vocabulary.from_arrays(arrays))
+    arrays["lm.contexts"] = _set(arrays["lm.contexts"], (-1, 0), past)
+
+
 def _token_id_past_vocabulary(arrays):
     past = len(Vocabulary.from_arrays(arrays))
     arrays["corpus.token_ids"] = _set(arrays["corpus.token_ids"], -1, past)
@@ -330,6 +371,8 @@ def test_load_with_changed_corpus_fails(tmp_path):
         (lambda p: _edit_arrays(p, _target_past_candidates), "outside the candidate ids"),
         (lambda p: _edit_array(p, "lm.targets", lambda a: _set(a, 0, UNK_ID)), "outside"),
         (lambda p: _edit_array(p, "lm.counts", lambda a: _set(a, 0, 0)), "counts must be"),
+        (lambda p: _edit_arrays(p, _context_below_bos), "context outside the vocabulary"),
+        (lambda p: _edit_arrays(p, _context_past_vocabulary), "context outside the vocabulary"),
         (lambda p: _edit_array(p, "corpus.token_ids", lambda a: None), "missing array"),
         (lambda p: _edit_array(p, "corpus.token_ids", lambda a: a.astype(float)), "integer"),
         (lambda p: _edit_array(p, "corpus.token_offsets", lambda a: a[None]), "1-d"),
@@ -345,7 +388,8 @@ def test_load_with_changed_corpus_fails(tmp_path):
         "truncated", "not_zip", "missing_array", "vector_rows", "lm_candidates",
         "lm_counts_length", "lm_targets_length", "lm_context_width",
         "lm_first_seen_order", "lm_duplicate_row", "lm_target_past_candidates",
-        "lm_target_special", "lm_zero_count", "token_ids_missing",
+        "lm_target_special", "lm_zero_count", "lm_context_below_bos",
+        "lm_context_past_vocabulary", "token_ids_missing",
         "token_ids_float", "token_offsets_2d", "token_id_special",
         "token_id_past_vocabulary", "token_ids_past_offsets",
         "token_offsets_start_above_zero", "token_offsets_fall",
