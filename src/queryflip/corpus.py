@@ -76,8 +76,8 @@ class Corpus:
     """Id-addressable document collection with corpus-level statistics.
 
     Built from the ``{id: text}`` records and their token ids, one
-    ``encoded`` row per record in record order. It keeps both as given,
-    plus a doc id -> position map; a Document, holding its row as a
+    ``encoded`` row per record in record order. It keeps both (the records
+    copied), plus a doc id -> position map; a Document, holding its row as a
     tuple, is built on first access and the same object is returned on
     every later one.
     """
