@@ -12,7 +12,6 @@ import json
 import logging
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -362,10 +361,12 @@ class Bm25SearchModel:
         specials yields the zero vector (returned as an empty dict and
         flagged via a debug log).
         """
-        counts: Counter[int] = Counter(
-            t for t in query_ids if t not in SPECIAL_IDS
-        )
-        weights = {t: self.idf(t) * tf for t, tf in counts.items()}
+        counts: dict[int, int] = {}
+        for t in query_ids:
+            if t not in SPECIAL_IDS:
+                counts[t] = counts.get(t, 0) + 1
+        idf, unseen = self._idf, self._idf_unseen
+        weights = {t: idf.get(t, unseen) * tf for t, tf in counts.items()}
         norm = math.sqrt(sum(w * w for w in weights.values()))
         if norm == 0.0:
             logger.debug("query has no scoreable terms; zero representation")

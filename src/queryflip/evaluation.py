@@ -3,9 +3,13 @@
 Metrics per edited query: whether the ranking flipped, cosine similarity
 of the sparse query representations, greedy-matching embedding F1,
 perplexity ratio (1.0 = unchanged fluency), and wall-clock seconds per
-edit. Reports aggregate per method, break results down by the rank of
-the target document, and serialize to canonical JSON plus a markdown
-table.
+edit. A record's metrics are computed after its edit is timed, once per
+distinct (ranking, outcome): the ranking's ``SharedWork`` memoizes them
+by outcome. A max_flip outcome is a sentence of the target document d',
+so its vectors, representation and perplexity are asked of d''s
+``SharedWork``, which every ranking with that target shares. Reports
+aggregate per method, break results down by the rank of the target
+document, and serialize to canonical JSON plus a markdown table.
 """
 
 from __future__ import annotations
@@ -140,8 +144,11 @@ def bertscore_f1(
     q = embedder.vectors_for(query_ids)
     e = embedder.vectors_for(edited_ids)
     sims = e @ q.T  # rows: edited tokens, cols: original tokens
-    precision = float(np.mean((np.max(sims, axis=1) + 1.0) / 2.0))
-    recall = float(np.mean((np.max(sims, axis=0) + 1.0) / 2.0))
+    # np.mean's own sum and division, without its dispatch: the same bits.
+    best_p = (sims.max(axis=1) + 1.0) / 2.0
+    best_r = (sims.max(axis=0) + 1.0) / 2.0
+    precision = float(np.add.reduce(best_p) / len(best_p))
+    recall = float(np.add.reduce(best_r) / len(best_r))
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
@@ -276,16 +283,19 @@ def _once(memo: dict, key: Any, compute: Callable[[Any], Any]) -> Any:
 class SharedWork:
     """The values the triplets of one key share, each computed once, on
     first use. A triplet (q, d, d') has two keys: its ranking (q, d), whose
-    work gives the importance of q's tokens for d, and its target d', whose
-    work gives d''s predictor (with its memo of answers) and d''s
-    sentences as token ids. Both also hold memos of ``vectors_for``,
-    ``query_representation`` and perplexity, so they stand in for the
-    embedder, the search model and ``ppl_fn`` where the metrics, the
-    masker and the editor take them.
+    work gives the importance of q's tokens for d, q's text, and the
+    metrics of each outcome, and its target d', whose work gives d''s
+    predictor (with its memo of answers) and d''s sentences as token ids.
+    Both also hold memos of ``vectors_for``, ``query_representation`` and
+    perplexity, so they stand in for the embedder, the search model and
+    ``ppl_fn`` where the metrics, the masker and the editor take them.
 
     The memos are keyed by the token sequence asked about, so no sequence
     is asked twice. That is exact because each of the three is a function
     of the sequence alone, and the shared values are functions of the key.
+    The metric memo is keyed by the outcome: its values are functions of
+    (q, outcome), and q is fixed by the ranking. Memoized vectors are
+    read-only, since every caller of a sequence gets the same array.
 
     The triplets of one key may run on several worker threads; see
     ``_once``. The object refers to the context and nothing refers back
@@ -299,6 +309,7 @@ class SharedWork:
         self._vectors: dict[tuple[int, ...], Any] = {}
         self._representations: dict[tuple[int, ...], Any] = {}
         self._ppl: dict[tuple[int, ...], Any] = {}
+        self._metrics: dict[tuple[int, ...], Any] = {}
 
     def importance(self, triplet: Triplet) -> ImportanceScores:
         def compute(_):
@@ -322,8 +333,39 @@ class SharedWork:
             lambda _: sentence_ids(d_prime.text, self.ctx.vocab),
         )
 
+    def query_text(self, query_ids: Sequence[int]) -> str:
+        # Interned, so the records of one query share one string at
+        # every size.
+        return _once(
+            self._shared, "query_text",
+            lambda _: sys.intern(" ".join(self.ctx.vocab.decode(query_ids))),
+        )
+
+    def metrics(
+        self, query_ids: Sequence[int], outcome: tuple[int, ...], lookup: Any
+    ) -> tuple[float, float, float, str]:
+        """(cos_sim, bertscore, fluency, outcome text) of ``outcome`` as an
+        edit of q, computed on the first ask. ``lookup`` stands in for the
+        embedder, the search model and ``ppl_fn``: this work, or a
+        ``_MetricLookup`` that asks the outcome of another work."""
+
+        def compute(_):
+            return (
+                cos_sim_metric(query_ids, outcome, lookup),
+                bertscore_f1(query_ids, outcome, lookup),
+                fluency_metric(query_ids, outcome, lookup.ppl),
+                " ".join(self.ctx.vocab.decode(outcome)),
+            )
+
+        return _once(self._metrics, outcome, compute)
+
     def vectors_for(self, ids: Sequence[int]) -> np.ndarray:
-        return _once(self._vectors, tuple(ids), self.ctx.embedder.vectors_for)
+        return _once(self._vectors, tuple(ids), self._read_only_vectors)
+
+    def _read_only_vectors(self, ids: tuple[int, ...]) -> np.ndarray:
+        vectors = self.ctx.embedder.vectors_for(ids)
+        vectors.setflags(write=False)
+        return vectors
 
     def query_representation(self, ids: Sequence[int]) -> dict[int, float]:
         return _once(
@@ -332,6 +374,29 @@ class SharedWork:
 
     def ppl(self, ids: Sequence[int]) -> float:
         return _once(self._ppl, tuple(ids), self.ctx.ppl_fn)
+
+
+class _MetricLookup:
+    """The embedder, search model and ``ppl_fn`` of one outcome's metrics:
+    q, passed as the very object the lookup holds, is asked of the
+    ranking's work, and any other sequence (the outcome) of ``holder``."""
+
+    def __init__(self, query_ids: Sequence[int], work: SharedWork, holder: SharedWork):
+        self._query_ids = query_ids
+        self._work = work
+        self._holder = holder
+
+    def _owner(self, ids: Sequence[int]) -> SharedWork:
+        return self._work if ids is self._query_ids else self._holder
+
+    def vectors_for(self, ids: Sequence[int]) -> np.ndarray:
+        return self._owner(ids).vectors_for(ids)
+
+    def query_representation(self, ids: Sequence[int]) -> dict[int, float]:
+        return self._owner(ids).query_representation(ids)
+
+    def ppl(self, ids: Sequence[int]) -> float:
+        return self._owner(ids).ppl(ids)
 
 
 @dataclass(frozen=True)
@@ -480,24 +545,18 @@ def _record_for(
 ) -> EvalRecord:
     query_ids = triplet.query_ids
     outcome = result.outcome
-    cos = f1 = fluency = None
-    outcome_text = None
+    cos = f1 = fluency = outcome_text = None
     if outcome is not None:
-        cos = cos_sim_metric(query_ids, outcome, work)
-        f1 = bertscore_f1(query_ids, outcome, work)
-        ppl = work.ppl
+        # A max_flip outcome is a sentence of d', asked again by every
+        # ranking with that target, so d''s work holds its answers; it
+        # never equals q, which cannot flip.
+        lookup = work
         if method == "max_flip":
-            # The outcome is a sentence of d', whose perplexity the target's
-            # memo holds; it never equals q, which cannot flip.
-            def ppl(ids):
-                return work.ppl(ids) if ids is query_ids else target.ppl(ids)
-
-        fluency = fluency_metric(query_ids, outcome, ppl)
-        outcome_text = " ".join(work.ctx.vocab.decode(outcome))
+            lookup = _MetricLookup(query_ids, work, target)
+        cos, f1, fluency, outcome_text = work.metrics(query_ids, outcome, lookup)
     return EvalRecord(
         index=index,
-        # Interned, so the records of one query share one string.
-        query=sys.intern(" ".join(work.ctx.vocab.decode(query_ids))),
+        query=work.query_text(query_ids),
         doc_id=triplet.d.id,
         counter_doc_id=triplet.d_prime.id,
         counter_rank=triplet.counter_rank,

@@ -180,16 +180,21 @@ def test_criterion_07_rank_position_trend(synth_reports):
 def test_criterion_08_beam_sweep_runtime_and_stability(synth):
     """Runtime/edit strictly grows b=5 -> 20; flip rate moves <= 0.05.
 
-    The sizes' runtimes differ by about 15%, so one sweep on a busy host
-    can invert a pair; each size's runtime is the median of the means of
-    three interleaved sweeps."""
+    The sizes' mean runtimes differ by 7-15%, so a busy host can invert a
+    pair within one sweep. Each triplet is edited at every size in seven
+    interleaved sweeps; its runtime at a size is its fastest edit there,
+    which drops the time other processes took from the rest, and a size's
+    runtime is the median of those over the triplets."""
     _, ctx, triplets = synth
     evaluate(triplets, "cfe2", ctx, beam_width=5, timing="off")  # warmup
     sweeps = [
-        beam_sweep(triplets, [5, 10, 15, 20], ctx, timing="wall") for _ in range(3)
+        beam_sweep(triplets, [5, 10, 15, 20], ctx, timing="wall") for _ in range(7)
     ]
     runtimes = [
-        statistics.median(r.aggregates["mean_runtime_s"] for r in per_size)
+        statistics.median(
+            min(r.elapsed for r in edits)
+            for edits in zip(*(report.records for report in per_size))
+        )
         for per_size in zip(*sweeps)
     ]
     flip_rates = [r.aggregates["flip_rate"] for r in sweeps[0]]

@@ -396,3 +396,33 @@ def test_racing_first_accesses_share_one_document_and_score():
     for docs, scores in seen:
         assert all(doc is first for doc, first in zip(docs, stored))
         assert scores == expected
+
+
+def _counter_representation(search, query_ids):
+    """The representation counted with a ``Counter`` and weighted through
+    ``idf``: the reference ``query_representation`` must match."""
+    counts = Counter(t for t in query_ids if t not in SPECIAL_IDS)
+    weights = {t: search.idf(t) * tf for t, tf in counts.items()}
+    norm = math.sqrt(sum(w * w for w in weights.values()))
+    if norm == 0.0:
+        return {}
+    return {t: w / norm for t, w in sorted(weights.items())}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(_TEXTS, min_size=1, max_size=6),
+    query=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+    repeats=st.integers(1, 3),
+)
+def test_query_representation_equals_the_counter_reference(texts, query, repeats):
+    """Equal weights bit for bit, in the same key order, for queries with
+    repeated terms, specials, [UNK] and ids no document holds."""
+    records = {f"d{i}": text for i, text in enumerate(texts)}
+    records["fixed"] = "w0 w0 w1 w2"
+    corpus, _ = build_corpus(records)
+    search = build_index(corpus, Bm25Params())
+    for q in (query, query * repeats + [UNK_ID], [UNK_ID] * repeats):
+        expected = _counter_representation(search, q)
+        got = search.query_representation(q)
+        assert list(got.items()) == list(expected.items())

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queryflip.editor import Triplet, check_flip
 from queryflip.evaluation import (
@@ -137,6 +139,40 @@ def test_bertscore_hand_greedy_matching():
     assert bertscore_f1([1, 2], [1, 3], embedder) == pytest.approx(
         expected, abs=1e-12
     )
+
+
+def _mean_max_bertscore(q, e):
+    """The F1 through ``np.mean`` and ``np.max``: the reference that
+    ``bertscore_f1`` must match bit for bit."""
+    sims = e @ q.T
+    precision = float(np.mean((np.max(sims, axis=1) + 1.0) / 2.0))
+    recall = float(np.mean((np.max(sims, axis=0) + 1.0) / 2.0))
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_query=st.integers(1, 20),
+    n_edited=st.integers(1, 20),
+    dim=st.integers(1, 12),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bertscore_equals_the_mean_max_reference(n_query, n_edited, dim, dtype, seed):
+    # Lengths up to 20 cross numpy's 8-element pairwise-summation block.
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n_query + n_edited, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    embedder = FakeEmbedder(dict(enumerate(rows.tolist())))
+    embedder.table = {k: v.astype(dtype) for k, v in embedder.table.items()}
+    query = list(range(n_query))
+    edited = list(range(n_query, n_query + n_edited))
+    expected = _mean_max_bertscore(
+        embedder.vectors_for(query), embedder.vectors_for(edited)
+    )
+    assert bertscore_f1(query, edited, embedder).hex() == expected.hex()
 
 
 def test_fluency_identity_exact(sample_stack):

@@ -29,7 +29,15 @@ from hypothesis import strategies as st
 from queryflip import evaluation
 from queryflip.config import RunConfig
 from queryflip.corpus import ingest_corpus
-from queryflip.evaluation import METHODS, beam_sweep, build_triplets, evaluate
+from queryflip.evaluation import (
+    METHODS,
+    beam_sweep,
+    bertscore_f1,
+    build_triplets,
+    cos_sim_metric,
+    evaluate,
+    fluency_metric,
+)
 from queryflip.pipeline import build_stack, make_context
 from queryflip.text import MASK_ID, tokenize
 
@@ -424,3 +432,61 @@ def test_remote_predictor_is_asked_on_every_predict(synth_small):
         assert target.predictor(d_prime) is predictor
         assert stub.calls == ["predict"] * 3
     assert answers[0] == answers[1] == answers[2]
+
+
+def test_memoized_vectors_are_read_only(synth_small):
+    # Every caller of a sequence gets the same array, so a write into it
+    # would change every later metric and importance that reads it.
+    _, ctx, triplets = synth_small
+    work = evaluation.SharedWork(ctx)
+    vectors = work.vectors_for(triplets[0].query_ids)
+    assert work.vectors_for(list(triplets[0].query_ids)) is vectors
+    with pytest.raises(ValueError):
+        vectors[0, 0] = 1.0
+
+
+@pytest.fixture(scope="module")
+def synth_eval_chunk():
+    """The first 125 queries of the ``synth-eval`` benchmark workload
+    (seed 1, top 10): about 1,100 triplets."""
+    config = RunConfig(top_k=10, timing="off")
+    stack = build_stack(ingest_corpus(synthetic_corpus()), config)
+    ctx = make_context(stack, config)
+    triplets = []
+    for query in synthetic_queries(1000, seed=1)[:125]:
+        ids = stack.vocab.encode(tokenize(query))
+        ranking = stack.search.search(ids, config.top_k)
+        triplets.extend(build_triplets(ranking, stack.corpus))
+    return stack, ctx, triplets
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_memoized_metrics_equal_direct_calls(synth_eval_chunk, monkeypatch, method):
+    # Each record's metrics are those of calling the three functions on the
+    # stack's own models, and each is computed once per ranking, outcome
+    # and beam size.
+    stack, ctx, triplets = synth_eval_chunk
+    sizes = [5, 10]
+    calls = []
+
+    def counted(query_ids, edited_ids, embedder):
+        calls.append(edited_ids)
+        return bertscore_f1(query_ids, edited_ids, embedder)
+
+    monkeypatch.setattr(evaluation, "bertscore_f1", counted)
+    reports = beam_sweep(triplets, sizes, ctx, timing="off", method=method)
+    monkeypatch.undo()
+    distinct = set()
+    for size, report in zip(sizes, reports):
+        for record in report.records:
+            if record.outcome is None:
+                continue
+            t = triplets[record.index]
+            q = t.query_ids
+            outcome = tuple(stack.vocab.encode(record.outcome.split(" ")))
+            distinct.add((size, q, t.d.id, outcome))
+            assert record.cos_sim == cos_sim_metric(q, outcome, stack.search)
+            assert record.bertscore == bertscore_f1(q, outcome, stack.table)
+            assert record.fluency == fluency_metric(q, outcome, ctx.ppl_fn)
+    assert distinct
+    assert len(calls) == len(distinct)
