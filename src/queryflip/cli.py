@@ -11,6 +11,7 @@ from dataclasses import fields
 from typing import Sequence, get_args, get_type_hints
 
 from .config import RunConfig
+from .corpus import numbered_lines, open_lines, read_records
 from .editor import EditResult, Triplet
 from .evaluation import (
     METHODS,
@@ -109,29 +110,18 @@ def _collect_triplets(
     """Each triplet with the query text it came from, as given."""
     triplets: list[tuple[str, Triplet]] = []
     if getattr(args, "triplets", None):
-        with open(args.triplets, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
+        with open_lines(args.triplets) as fh:
+            fields = ("query", "doc_id", "counter_doc_id")
+            for lineno, values in read_records(fh, fields):
                 try:
-                    record = json.loads(line)
-                    if not isinstance(record, dict):
-                        raise ValueError("not a JSON object")
-                    values = []
-                    for name in ("query", "doc_id", "counter_doc_id"):
-                        if name not in record:
-                            raise ValueError(f"missing field: {name}")
-                        if not isinstance(record[name], str):
-                            raise ValueError(f"field {name!r} is not a string")
-                        values.append(record[name])
                     triplets.append((values[0], _triplet_from_ids(stack, *values)))
                 except ValueError as exc:
-                    raise ValueError(f"triplets file line {lineno}: {exc}") from exc
+                    raise ValueError(f"{exc} @ line {lineno}") from exc
         return triplets
     if not getattr(args, "queries", None):
         raise ValueError("provide --queries or --triplets")
-    with open(args.queries, encoding="utf-8") as fh:
-        queries = [line.strip() for line in fh if line.strip()]
+    with open_lines(args.queries) as fh:
+        queries = [line.strip() for _, line in numbered_lines(fh)]
     for query_text in queries:
         query_ids = tuple(stack.vocab.encode(tokenize(query_text)))
         if not query_ids:

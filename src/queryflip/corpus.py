@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -139,39 +139,58 @@ class Corpus:
 
 
 # Surrogate code points: UTF-8 cannot encode them, but JSON's \u escapes
-# can produce them.
+# can produce them, and so does a byte that is not UTF-8 read with
+# errors="surrogateescape" (see ``open_lines``).
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def ingest_corpus(lines: Iterable[str]) -> dict[str, str]:
-    """Parse a line-delimited record stream into ``{id: text}`` records,
-    in stream order.
+def open_lines(path: str) -> TextIO:
+    """A UTF-8 text file to read; a byte that is not UTF-8 reads as a surrogate."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
 
-    Each non-blank line must be a JSON object with string fields ``id``
-    and ``text`` that UTF-8 can encode (a lone surrogate escape such as
-    ``"\\ud800"`` is valid JSON but not). Malformed records and duplicate
-    ids raise ValueError with the offending line number / id.
-    """
-    records: dict[str, str] = {}
+
+def numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Each non-blank line with its number; a line holding a surrogate (a
+    byte that is not UTF-8, read by ``open_lines``) raises ValueError."""
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+        if _SURROGATE.search(line):
+            raise ValueError(f"not UTF-8 @ line {lineno}")
+        if line.strip():
+            yield lineno, line
+
+
+def read_records(
+    lines: Iterable[str], fields: Sequence[str]
+) -> Iterator[tuple[int, list[str]]]:
+    """Each non-blank line's ``fields`` values, with its line number. A line
+    must be a JSON object whose ``fields`` are strings that UTF-8 can encode
+    (a lone surrogate escape such as ``"\\ud800"`` is valid JSON but not);
+    each fault raises ValueError as ``<problem> @ line N``."""
+    for lineno, line in numbered_lines(lines):
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed record @ line {lineno}: {exc.msg}") from exc
         if not isinstance(record, dict):
             raise ValueError(f"malformed record @ line {lineno}: not an object")
-        for fld in ("id", "text"):
+        for fld in fields:
             if fld not in record:
                 raise ValueError(f"missing field: {fld} @ line {lineno}")
             value = record[fld]
             if not isinstance(value, str) or _SURROGATE.search(value):
                 raise ValueError(f"invalid field: {fld} @ line {lineno}")
-        doc_id = record["id"]
+        yield lineno, [record[fld] for fld in fields]
+
+
+def ingest_corpus(lines: Iterable[str]) -> dict[str, str]:
+    """Parse a line-delimited record stream into ``{id: text}`` records,
+    in stream order: ``read_records`` lines with fields ``id`` and
+    ``text``, each id once (a duplicate raises ValueError naming it)."""
+    records: dict[str, str] = {}
+    for lineno, (doc_id, text) in read_records(lines, ("id", "text")):
         if doc_id in records:
             raise ValueError(f"duplicate id: {doc_id} @ line {lineno}")
-        records[doc_id] = record["text"]
+        records[doc_id] = text
     return records
 
 
@@ -222,10 +241,10 @@ class Ranking:
 
 
 class Bm25SearchModel:
-    """BM25 relevance scorer that owns its term-frequency postings.
+    """BM25 relevance scorer over the corpus's term-frequency postings.
 
-    ``build_index`` counts the postings from the corpus's token ids into
-    four CSR arrays: ``terms`` (int32, strictly increasing content token
+    Built from the four CSR arrays ``count_postings`` counts from the
+    corpus's token ids: ``terms`` (int32, strictly increasing content token
     ids), ``indptr`` (int64, ``len(terms) + 1`` row bounds, each row
     non-empty), ``docs`` (int32, each row's documents as strictly
     increasing positions in corpus order) and ``tfs`` (int32, term
@@ -258,7 +277,7 @@ class Bm25SearchModel:
         params: Bm25Params,
     ) -> None:
         self.corpus = corpus
-        self.terms, self.indptr, self.docs, self.tfs = terms, indptr, docs, tfs
+        self.docs = docs
         n = corpus.n_docs
         term_ids = terms.tolist()
         dfs = np.diff(indptr)
@@ -378,12 +397,12 @@ def _robertson_idf(n_docs: int, df: int) -> float:
     return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
 
 
-def build_index(corpus: Corpus, params: Bm25Params) -> Bm25SearchModel:
-    """Count every (term, document) pair of the corpus's token ids,
-    specials left out, into CSR postings sorted by term, then document
+def count_postings(encoded: EncodedCorpus) -> tuple[np.ndarray, ...]:
+    """Every (term, document) pair of the token ids, specials left out,
+    counted into the CSR postings ``terms``, ``indptr``, ``docs`` and
+    ``tfs`` (see ``Bm25SearchModel``), sorted by term, then document
     position in corpus order."""
-    encoded = corpus.encoded
-    n = corpus.n_docs
+    n = encoded.n_docs
     content = encoded.ids >= FIRST_CONTENT_ID
     term_ids = encoded.ids[content].astype(np.int64)
     pairs, tfs = np.unique(
@@ -391,11 +410,10 @@ def build_index(corpus: Corpus, params: Bm25Params) -> Bm25SearchModel:
     )
     terms, docs = np.divmod(pairs, n)
     terms, starts = np.unique(terms, return_index=True)
-    return Bm25SearchModel(
-        corpus,
-        terms.astype(np.int32),
-        np.append(starts, len(pairs)),
-        docs.astype(np.int32),
-        tfs.astype(np.int32),
-        params,
-    )
+    indptr = np.append(starts, len(pairs))
+    return terms.astype(np.int32), indptr, docs.astype(np.int32), tfs.astype(np.int32)
+
+
+def build_index(corpus: Corpus, params: Bm25Params) -> Bm25SearchModel:
+    """The BM25 model over the corpus's counted postings."""
+    return Bm25SearchModel(corpus, *count_postings(corpus.encoded), params)

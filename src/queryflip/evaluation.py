@@ -30,8 +30,6 @@ from .corpus import Bm25SearchModel, Corpus, Document, Ranking
 from .editor import (
     EditCandidate,
     EditResult,
-    IterationTrace,
-    TraceCandidate,
     Triplet,
     check_flip,
     edit,
@@ -176,24 +174,20 @@ def baseline_mask_only(
 
     Iteration i replaces the top-i important tokens with PAD (which the
     index never matches) and stops at the first replacement set that
-    flips the pair. No flip after masking every token yields None.
+    flips the pair. No flip after masking every token yields None. The
+    trace is empty.
     """
     query = triplet.query_ids
     if len(query) == 0:
         raise ValueError("empty query")
-    trace: list[IterationTrace] = []
     for i in range(1, len(query) + 1):
-        positions = tuple(sorted(importance.order[:i]))
+        positions = set(importance.order[:i])
         padded = tuple(
             PAD_ID if pos in positions else tok for pos, tok in enumerate(query)
         )
-        flipped = check_flip(padded, triplet, scorer)
-        trace.append(
-            IterationTrace(i, positions, (TraceCandidate(padded, 0.0, flipped),))
-        )
-        if flipped:
-            return EditResult(padded, i, tuple(trace))
-    return EditResult(None, len(query), tuple(trace))
+        if check_flip(padded, triplet, scorer):
+            return EditResult(padded, i, ())
+    return EditResult(None, len(query), ())
 
 
 def split_sentences(text: str) -> list[str]:

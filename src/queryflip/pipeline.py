@@ -27,6 +27,7 @@ from .corpus import (
     build_corpus,
     build_index,
     ingest_corpus,
+    open_lines,
 )
 from .embed import EmbeddingTable, train_embeddings
 from .evaluation import EvalContext
@@ -86,7 +87,7 @@ def build_stack(records: Mapping[str, str], config: RunConfig) -> Stack:
 
 
 def build_stack_from_file(path: str, config: RunConfig) -> Stack:
-    with open(path, encoding="utf-8") as fh:
+    with open_lines(path) as fh:
         return build_stack(ingest_corpus(fh), config)
 
 

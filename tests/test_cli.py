@@ -165,24 +165,36 @@ def test_log_level_flag_sets_verbosity(tmp_path, caplog):
 @pytest.mark.parametrize(
     "bad_line, message",
     [
-        ("{not json", "triplets file line 2: "),
-        ("[1]", "triplets file line 2: not a JSON object"),
+        (b"{not json", "malformed record @ line 2: "),
+        (b"[1]", "malformed record @ line 2: not an object"),
         (
-            '{"query": 5, "doc_id": "d1", "counter_doc_id": "d3"}',
-            "triplets file line 2: field 'query' is not a string",
+            b'{"query": 5, "doc_id": "d1", "counter_doc_id": "d3"}',
+            "invalid field: query @ line 2",
         ),
         (
-            '{"query": "apple recipe", "doc_id": ["d1"], "counter_doc_id": "d3"}',
-            "triplets file line 2: field 'doc_id' is not a string",
+            b'{"query": "apple recipe", "doc_id": ["d1"], "counter_doc_id": "d3"}',
+            "invalid field: doc_id @ line 2",
         ),
         (
-            '{"doc_id": "d1", "counter_doc_id": "d3"}',
-            "triplets file line 2: missing field: query",
+            b'{"doc_id": "d1", "counter_doc_id": "d3"}',
+            "missing field: query @ line 2",
+        ),
+        (
+            b'{"query": "caf\xe9 recipe", "doc_id": "d1", "counter_doc_id": "d3"}',
+            "not UTF-8 @ line 2",
+        ),
+        (
+            b'{"query": "apple \\ud800 recipe", "doc_id": "d1", "counter_doc_id": "d3"}',
+            "invalid field: query @ line 2",
+        ),
+        (
+            b'{"query": "apple recipe", "doc_id": "d9", "counter_doc_id": "d3"}',
+            "unknown document id: d9 @ line 2",
         ),
     ],
     ids=[
         "malformed", "not_object", "query_not_string", "doc_id_not_string",
-        "missing_query",
+        "missing_query", "not_utf8", "lone_surrogate", "unknown_doc_id",
     ],
 )
 def test_edit_bad_triplets_line_names_line(workdir, capsys, bad_line, message):
@@ -190,10 +202,20 @@ def test_edit_bad_triplets_line_names_line(workdir, capsys, bad_line, message):
     assert _run("index", "--config", config) == 0
     triplets = tmp / "triplets.jsonl"
     good = {"query": "apple recipe", "doc_id": "d1", "counter_doc_id": "d3"}
-    triplets.write_text(json.dumps(good) + "\n" + bad_line + "\n")
+    triplets.write_bytes(json.dumps(good).encode() + b"\n" + bad_line + b"\n")
     capsys.readouterr()
     assert _run("edit", "--config", config, "--triplets", triplets) == 1
     assert message in capsys.readouterr().err
+
+
+def test_eval_queries_line_not_utf8_names_line(workdir, capsys):
+    tmp, config = workdir
+    assert _run("index", "--config", config) == 0
+    queries = tmp / "queries.txt"
+    queries.write_bytes(b"apple recipe\ncaf\xe9 recipe\n")
+    capsys.readouterr()
+    assert _run("eval", "--config", config, "--queries", queries) == 1
+    assert "not UTF-8 @ line 2" in capsys.readouterr().err
 
 
 def test_eval_writes_json_and_markdown(workdir, capsys):

@@ -14,8 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queryflip.corpus import Bm25Params, build_corpus, build_index, ingest_corpus
-from queryflip.pipeline import build_stack, load_stack, save_stack
+from queryflip.corpus import (
+    Bm25Params,
+    build_corpus,
+    build_index,
+    count_postings,
+    ingest_corpus,
+)
+from queryflip.pipeline import build_stack, build_stack_from_file, load_stack, save_stack
 from queryflip.text import SPECIAL_IDS, UNK_ID, tokenize
 
 from conftest import SAMPLE_LINES, sample_config
@@ -84,6 +90,30 @@ def test_ingest_lone_surrogate_reports_line(record, field):
     # Valid JSON, but a lone surrogate has no UTF-8 encoding.
     with pytest.raises(ValueError, match=rf"invalid field: {field} @ line 2"):
         ingest_corpus([SAMPLE_LINES[1], record])
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        b'{"id": "d9", "text": "caf\xe9 recipe"}',
+        b'{"id": "d9", "text": "cafe recipe", "title": "caf\xe9"}',
+    ],
+    ids=["text", "unread_field"],
+)
+def test_build_from_file_names_line_of_non_utf8_byte(tmp_path, record):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(SAMPLE_LINES[1].encode() + b"\n" + record + b"\n")
+    with pytest.raises(ValueError, match=r"not UTF-8 @ line 2"):
+        build_stack_from_file(str(path), sample_config())
+
+
+def test_build_from_file_matches_lines(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes("\r\n".join(SAMPLE_LINES).encode() + b"\r\n\r\n")
+    from_file = build_stack_from_file(str(path), sample_config())
+    from_lines = build_stack(ingest_corpus(SAMPLE_LINES), sample_config())
+    assert from_file.corpus.records == from_lines.corpus.records
+    assert from_file.fingerprint == from_lines.fingerprint
 
 
 def test_bm25_no_matching_terms_scores_zero(sample_stack):
@@ -229,7 +259,12 @@ def _counter_postings(corpus, vocab):
 
 
 def postings(search):
-    return {name: getattr(search, name) for name in ("terms", "indptr", "docs", "tfs")}
+    """The postings the model was built from: those its corpus counts to,
+    whose ``docs`` the model keeps."""
+    names = ("terms", "indptr", "docs", "tfs")
+    counted = dict(zip(names, count_postings(search.corpus.encoded)))
+    assert np.array_equal(search.docs, counted["docs"])
+    return counted
 
 
 def npz_round_trip(arrays):
