@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from math import log
+from math import inf
 
 from .corpus import Document
 from .masker import ImportanceScores
@@ -81,11 +81,25 @@ class TraceCandidate:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """What happened at one outer iteration: masks used and the final beam."""
+    """What happened at one outer iteration: masks used and the final beam.
+
+    It keeps the iteration's ``beam`` as decoded and ``flips``, one flip
+    flag per beam candidate. ``candidates`` pairs them up as
+    ``TraceCandidate``s each time it is read, so an edit whose trace
+    nobody reads builds none.
+    """
 
     masks: int
     masked_positions: tuple[int, ...]
-    candidates: tuple[TraceCandidate, ...]
+    beam: Beam
+    flips: tuple[bool, ...]
+
+    @property
+    def candidates(self) -> tuple[TraceCandidate, ...]:
+        return tuple(
+            TraceCandidate(c.tokens, c.log_prob, f)
+            for c, f in zip(self.beam.candidates, self.flips)
+        )
 
 
 @dataclass(frozen=True)
@@ -103,9 +117,18 @@ def expand_beam(beam: Beam, distributions: Sequence[PredictionDistribution]) -> 
     The slot is the leftmost masked one, which every candidate must have
     masked. ``distributions`` holds one prediction per candidate for that
     slot, conditioned on that candidate's filled tokens. New log
-    probabilities are ``old + ln P(token)``. Identical token sequences
-    are deduplicated keeping the higher log probability; ties order by
+    probabilities are ``old + ln P(token)``, with the logs each
+    distribution took when it was made. Identical token sequences are
+    deduplicated keeping the higher log probability; ties order by
     ascending token-id sequence.
+
+    Once ``width`` distinct sequences are held, their minimum is a floor:
+    held values only rise, so at least ``width`` sequences end at or
+    above it and none strictly below it can place. A distribution's
+    probabilities are non-increasing, so a candidate's row stops at its
+    first entry strictly below the floor. The result is the same as
+    expanding every entry, whatever the order of the candidates or of
+    tied entries.
     """
     dists = list(distributions)
     if len(dists) != len(beam.candidates):
@@ -118,23 +141,31 @@ def expand_beam(beam: Beam, distributions: Sequence[PredictionDistribution]) -> 
         raise ValueError("no masked slot left to fill")
     slot = beam.candidates[0].tokens.index(MASK_ID)
 
+    width = beam.width
     best: dict[tuple[int, ...], float] = {}
+    floor = -inf
     for candidate, dist in zip(beam.candidates, dists):
         if candidate.tokens[slot] != MASK_ID:
             raise ValueError(f"slot {slot} is not masked in candidate")
         prefix = candidate.tokens[:slot]
         suffix = candidate.tokens[slot + 1 :]
         base = candidate.log_prob
-        for token_id, prob in dist.entries:
+        for (token_id, _), token_log in zip(dist.entries, dist.logs):
+            log_prob = base + token_log
+            if log_prob < floor:
+                break
             tokens = prefix + (token_id,) + suffix
-            log_prob = base + log(prob)
             held = best.get(tokens)
-            if held is None or log_prob > held:
+            if held is None:
                 best[tokens] = log_prob
-    ranked = sorted(best.items(), key=lambda item: (-item[1], item[0]))
+                if len(best) == width:
+                    floor = min(best.values())
+            elif log_prob > held:
+                best[tokens] = log_prob
+    ranked = sorted((-log_prob, tokens) for tokens, log_prob in best.items())
     return Beam(
-        beam.width,
-        tuple(EditCandidate(tokens, lp) for tokens, lp in ranked[: beam.width]),
+        width,
+        tuple(EditCandidate(tokens, -neg) for neg, tokens in ranked[:width]),
     )
 
 
@@ -217,17 +248,8 @@ def edit(
             MASK_ID if pos in positions else tok for pos, tok in enumerate(query)
         )
         beam = decode_masked_slots(masked, positions, predictor, beam_width)
-        flags = [check_flip(c.tokens, triplet, scorer) for c in beam.candidates]
-        trace.append(
-            IterationTrace(
-                masks=i,
-                masked_positions=positions,
-                candidates=tuple(
-                    TraceCandidate(c.tokens, c.log_prob, f)
-                    for c, f in zip(beam.candidates, flags)
-                ),
-            )
-        )
+        flags = tuple(check_flip(c.tokens, triplet, scorer) for c in beam.candidates)
+        trace.append(IterationTrace(i, positions, beam, flags))
         flipping = [c for c, f in zip(beam.candidates, flags) if f]
         if flipping:
             chosen = select_final(flipping, ppl_fn)

@@ -5,15 +5,16 @@ is the statistical backbone of the editor. Prediction for a masked query
 slot interpolates the n-gram conditional (left context within the query)
 with the add-k-smoothed unigram distribution of the target document,
 which is how the target document conditions what gets written into the
-slot. A prediction scores only the context's observed targets and the
-document's tokens: every other candidate shares one floor probability.
+slot. A prediction scores only the context's observed targets and those
+of the document's tokens that can still place; every candidate outside
+both shares one floor probability.
 Perplexity is exp of the mean negative log likelihood, natural base.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from math import exp, log
 from typing import Any, Mapping, Sequence
@@ -35,10 +36,13 @@ class PredictionDistribution:
     Probabilities are strictly positive and non-increasing; equal
     probabilities are ordered by ascending token id. Special tokens are
     never predicted. It does not name its slot, so one checked instance
-    can answer every slot with the same left context.
+    can answer every slot with the same left context. ``logs`` holds
+    ``math.log`` of each probability, taken once when the instance is
+    made; it is left out of the constructor, ``repr`` and comparisons.
     """
 
     entries: tuple[tuple[int, float], ...]
+    logs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         probs = [p for _, p in self.entries]
@@ -46,6 +50,7 @@ class PredictionDistribution:
             raise ValueError("probabilities must lie in (0, 1]")
         if any(a < b for a, b in zip(probs, probs[1:])):
             raise ValueError("probabilities must be non-increasing")
+        object.__setattr__(self, "logs", tuple(map(log, probs)))
 
 
 class NgramLM:
@@ -171,10 +176,7 @@ class NgramLM:
 
     def prob(self, token_id: int, context: tuple[int, ...]) -> float:
         """P(token | context) with add-k smoothing over the candidates."""
-        return self._prob_in_run(token_id, self._run(context))
-
-    def _prob_in_run(self, token_id: int, run: int) -> float:
-        """P(token | the context of run index ``run``)."""
+        run = self._run(context)
         starts = self._starts
         end = starts[run + 1]
         i = bisect_left(self._targets, token_id, starts[run], end)
@@ -230,11 +232,17 @@ def perplexity(token_ids: Sequence[int], lm: NgramLM) -> float:
     radix, width = lm.radix, lm.order - 1
     modulus = radix**width
     runs, unseen = lm._runs, lm._unseen
+    # ``prob``'s lookup, inline: the same bisect and the same arithmetic.
+    starts, targets, counts = lm._starts, lm._targets, lm._counts
+    denominators, k = lm._denominators, lm.k
     key, stale = 0, 0  # the all-BOS context; positions left that are unseen
     log_sum = 0.0
     for target in token_ids:
         run = unseen if stale else runs.get(key, unseen)
-        log_sum += log(lm._prob_in_run(target, run))
+        end = starts[run + 1]
+        i = bisect_left(targets, target, starts[run], end)
+        count = counts[i] if i < end and targets[i] == target else 0
+        log_sum += log((count + k) / denominators[run])
         if BOS <= target < radix - 1:
             key = (key * radix + int(target) + 1) % modulus
             if stale:
@@ -253,9 +261,17 @@ class NgramPredictor:
     unfilled/PAD token inside the context window) has no usable n-gram
     context and falls back to P_doc alone. Every candidate outside the
     context's observed targets and d''s tokens gets the same floor value,
-    so only those few ids are scored; floor-valued ids fill the remaining
-    places in ascending order. Entries come out by descending probability,
-    ties by ascending token id, exactly as a sort over all candidates.
+    so only those ids can rank above it; floor-valued ids fill the
+    remaining places in ascending order. Entries come out by descending
+    probability, ties by ascending token id, exactly as a sort over all
+    candidates.
+
+    Of those ids, only the ones that can reach the top ``top`` are
+    scored: every observed target of the context, then d''s other tokens
+    by descending count and then id. Outside the observed targets a d'
+    token's probability rises with its count, so the walk stops after
+    ``top`` of them plus every token tied with the last: no token left
+    out can rank above one scored.
 
     Answers are memoized by (left context, ``top``). The left context is
     the BOS-padded (order-1)-token context, or ``None`` for a slot that
@@ -278,8 +294,14 @@ class NgramPredictor:
                 n_tokens += 1
         if doc and max(doc) >= FIRST_CONTENT_ID + lm.n_candidates:
             raise ValueError("document token outside the candidate ids")
-        self._doc = doc
-        self._doc_denominator = n_tokens + lm.k * lm.n_candidates
+        d_doc = n_tokens + lm.k * lm.n_candidates
+        # P_doc and its lam-weighted share, per d' token and for an id d'
+        # lacks; d''s tokens by descending count, then id.
+        self._p_doc = {t: num / d_doc for t, num in doc.items()}
+        self._p_doc_absent = lm.k / d_doc
+        self._share = {t: lam * p for t, p in self._p_doc.items()}
+        self._share_absent = lam * self._p_doc_absent
+        self._by_count = sorted(doc, key=lambda t: (-doc[t], t))
         # (left context or None, top) -> the answer; see the class docstring.
         self._memo: dict[tuple[Any, int], PredictionDistribution] = {}
 
@@ -308,20 +330,31 @@ class NgramPredictor:
     def _predict(
         self, context: tuple[int, ...] | None, top: int
     ) -> PredictionDistribution:
-        lm, lam, k = self.lm, self.lam, self.lm.k
-        doc, d_doc = self._doc, self._doc_denominator
+        lm, k = self.lm, self.lm.k
         if context is None:
-            floor = k / d_doc
-            scored = {t: num / d_doc for t, num in doc.items()}
+            floor = self._p_doc_absent
+            scored: dict[int, float] = {}
+            base, values = 0.0, self._p_doc  # 0.0 + p is p, bit for bit
         else:
             targets, counts, d_ngram = lm.distribution(context)
-            ngram = dict(zip(targets, counts))
-            w = 1.0 - lam
-            floor = w * (k / d_ngram) + lam * (k / d_doc)
+            w = 1.0 - self.lam
+            share, absent = self._share, self._share_absent
+            base, values = w * (k / d_ngram), share
+            floor = base + absent
             scored = {
-                t: w * ((k + ngram.get(t, 0)) / d_ngram) + lam * (doc.get(t, k) / d_doc)
-                for t in ngram.keys() | doc.keys()
+                t: w * ((k + c) / d_ngram) + share.get(t, absent)
+                for t, c in zip(targets, counts)
             }
+        # d''s other tokens, by descending count: probabilities non-increasing.
+        walked, last = 0, 0.0
+        for t in self._by_count:
+            if t in scored:
+                continue
+            p = base + values[t]
+            if walked >= top and p != last:
+                break
+            scored[t] = p
+            walked, last = walked + 1, p
         # Every scored probability is >= floor; ids at the floor tie with
         # the unscored ones, so they are placed with them, by id.
         above = [(t, p) for t, p in scored.items() if p > floor]

@@ -6,11 +6,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queryflip.corpus import build_corpus, ingest_corpus
 from queryflip.editor import (
     Beam,
     EditCandidate,
+    TraceCandidate,
     Triplet,
     check_flip,
     decode_masked_slots,
@@ -336,3 +339,93 @@ def test_beam_equals_enumeration_on_random_instances():
         assert len(got) == len(expected)  # no pruning happened
         checked += 1
     assert checked == 25
+
+
+# ---------------------------------------------------------------------------
+# pruned expand_beam against the full expansion
+
+
+def _full_expansion(beam, distributions):
+    """expand_beam without the floor: every entry of every row, ranked by a
+    key over all of them."""
+    slot = beam.candidates[0].tokens.index(MASK_ID)
+    best = {}
+    for candidate, dist in zip(beam.candidates, distributions):
+        prefix = candidate.tokens[:slot]
+        suffix = candidate.tokens[slot + 1 :]
+        base = candidate.log_prob
+        for token_id, prob in dist.entries:
+            tokens = prefix + (token_id,) + suffix
+            log_prob = base + math.log(prob)
+            held = best.get(tokens)
+            if held is None or log_prob > held:
+                best[tokens] = log_prob
+    ranked = sorted(best.items(), key=lambda item: (-item[1], item[0]))
+    return [(tokens, lp.hex()) for tokens, lp in ranked[: beam.width]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_pruned_expand_matches_full_expansion(data):
+    # Few distinct values, so candidate log probs, probabilities within a
+    # row and sums across rows tie often; candidates come in any order,
+    # tied entries in either id order, and candidates that share their
+    # filled tokens propose the same sequences.
+    width = data.draw(st.integers(1, 12), label="width")
+    length = data.draw(st.integers(1, 3), label="length")
+    slot = data.draw(st.integers(0, length - 1), label="slot")
+    filled = st.sampled_from((3, 4))
+    after = st.sampled_from((MASK_ID, 3))
+    bases = st.sampled_from((0.0, -0.5, math.log(0.5), -1.0, -3.0))
+    row = st.lists(
+        st.tuples(st.integers(3, 8), st.sampled_from((1.0, 0.5, 0.25, 0.2, 0.1))),
+        min_size=1,
+        max_size=12,
+    )
+    candidates, dists = [], []
+    for _ in range(data.draw(st.integers(1, width), label="candidates")):
+        tokens = (
+            tuple(data.draw(filled) for _ in range(slot))
+            + (MASK_ID,)
+            + tuple(data.draw(after) for _ in range(length - slot - 1))
+        )
+        candidates.append(EditCandidate(tokens, data.draw(bases)))
+        entries = data.draw(row)
+        entries.sort(key=lambda e: -e[1])  # stable: tied ids keep drawn order
+        dists.append(PredictionDistribution(tuple(entries)))
+    beam = Beam(width, tuple(candidates))
+    got = expand_beam(beam, dists)
+    assert [(c.tokens, c.log_prob.hex()) for c in got.candidates] == (
+        _full_expansion(beam, dists)
+    )
+
+
+# ---------------------------------------------------------------------------
+# the trace, built on read
+
+
+def test_trace_candidates_equal_the_eager_tuple(sample_stack):
+    # One edit that flips at i = 1 and one that exhausts both masks.
+    forced = _forced_null_stack()
+    cases = [
+        (sample_stack, _triplet(sample_stack, "apple recipe", "d1", "d3"), "d3"),
+        (forced, _triplet(forced, "x y", "a", "b"), "b"),
+    ]
+    for stack, t, counter in cases:
+        importance = occlusion_importance(t.query_ids, t.d, stack.search)
+        predictor = _predictor(stack, counter)
+        result = edit(t, stack.search, importance, predictor, _ppl(stack), beam_width=4)
+        assert result.trace
+        for it in result.trace:
+            masked = tuple(
+                MASK_ID if pos in it.masked_positions else tok
+                for pos, tok in enumerate(t.query_ids)
+            )
+            beam = decode_masked_slots(masked, it.masked_positions, predictor, 4)
+            eager = tuple(
+                TraceCandidate(c.tokens, c.log_prob, check_flip(c.tokens, t, stack.search))
+                for c in beam.candidates
+            )
+            assert eager
+            assert it.candidates == eager
+            assert it.candidates == it.candidates

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -449,6 +450,94 @@ def test_memoized_predictions_equal_fresh_ones(data):
         got = predictor.predict(query, position, top)
         fresh = NgramPredictor(lm, d_prime, lam=lam).predict(query, position, top)
         assert _bits(got) == _bits(fresh)
+
+
+def _full_scoring_prediction(lm, d_prime_ids, lam, masked_ids, position, top):
+    """``NgramPredictor.predict`` scoring every observed target of the
+    context and every token of d', and sorting them all."""
+    k = lm.k
+    doc = {}
+    n_tokens = 0
+    for token_id in d_prime_ids:
+        if token_id >= FIRST_CONTENT_ID:
+            doc[token_id] = doc.get(token_id, k) + 1.0
+            n_tokens += 1
+    d_doc = n_tokens + k * lm.n_candidates
+    window = masked_ids[max(0, position - (lm.order - 1)) : position]
+    if position == 0 or any(t in (MASK_ID, PAD_ID) for t in window):
+        floor = k / d_doc
+        scored = {t: num / d_doc for t, num in doc.items()}
+    else:
+        context = lm.context_at(masked_ids, position)
+        targets, counts, d_ngram = lm.distribution(context)
+        ngram = dict(zip(targets, counts))
+        w = 1.0 - lam
+        floor = w * (k / d_ngram) + lam * (k / d_doc)
+        scored = {
+            t: w * ((k + ngram.get(t, 0)) / d_ngram) + lam * (doc.get(t, k) / d_doc)
+            for t in ngram.keys() | doc.keys()
+        }
+    above = [(t, p) for t, p in scored.items() if p > floor]
+    entries = sorted(above, key=lambda e: (-e[1], e[0]))[:top]
+    taken = {t for t, _ in entries}
+    ids = range(FIRST_CONTENT_ID, FIRST_CONTENT_ID + lm.n_candidates)
+    fill = (t for t in ids if t not in taken)
+    entries += [(t, floor) for t in itertools.islice(fill, top - len(entries))]
+    return [(t, p.hex()) for t, p in entries]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_predict_matches_full_scoring(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    corpus, vocab = build_corpus(_random_corpus(rng), rng.choice((1, 2)))
+    order = data.draw(st.integers(1, 4), label="order")
+    k = data.draw(st.sampled_from((0.1, 1 / 3)), label="k")
+    lm = train_ngram(corpus.encoded, vocab, order=order, k=k)
+    n = lm.n_candidates
+    content = list(vocab.content_ids())
+    # d' repeats tokens, so counts tie.
+    d_prime = data.draw(
+        st.lists(st.sampled_from(content + [UNK_ID]), max_size=12), label="d_prime"
+    )
+    # The last choice of lam makes one more count of d' add about half an
+    # ulp to an unseen context's probability (about 1/n), so tokens with
+    # different counts can round to the same probability.
+    d_doc = sum(t >= FIRST_CONTENT_ID for t in d_prime) + k * n
+    lam = data.draw(
+        st.one_of(
+            st.sampled_from((0.0, 0.5, 1.0)),
+            st.floats(0.0, 1.0),
+            st.floats(0.4, 0.8).map(lambda f: f * math.ulp(1 / n) * d_doc),
+        ),
+        label="lam",
+    )
+    # Seen contexts are the count table's, BOS padding dropped, plus the
+    # first unseen one of content ids; a random query mostly gives an
+    # unseen context, or none with MASK or PAD in its window; position 0
+    # has none.
+    seen = sorted({tuple(t for t in row if t != BOS) for row in lm.grams[:, :-1].tolist()})
+    lefts = data.draw(st.lists(st.sampled_from(seen), max_size=4), label="seen")
+    width = order - 1
+    lefts += [
+        left for left in itertools.product(content, repeat=width)
+        if left not in seen
+    ][:1]
+    token = st.sampled_from(content + [UNK_ID, MASK_ID, PAD_ID])
+    calls = [((MASK_ID,), 0)]
+    for left in lefts:
+        calls.append((left + (MASK_ID,), len(left)))
+    for query in data.draw(st.lists(st.lists(token, min_size=1, max_size=6), max_size=4)):
+        position = data.draw(st.integers(0, len(query) - 1), label="position")
+        query[position] = MASK_ID
+        calls.append((tuple(query), position))
+    predictor = NgramPredictor(lm, d_prime, lam=lam)
+    for query, position in calls:
+        for top in range(1, n + 3):
+            got = predictor.predict(query, position, top)
+            assert _bits(got) == _full_scoring_prediction(
+                lm, d_prime, lam, query, position, top
+            )
 
 
 def test_distribution_invariants_enforced():
