@@ -24,7 +24,7 @@ from .text import (
     Vocabulary,
     build_vocabulary,
     pack_strings,
-    tokenize,
+    tokenize_sentences,
     unpack_strings,
 )
 
@@ -33,15 +33,23 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Document:
-    """A stored document: stable id, raw text, and its token ids."""
+    """A stored document: stable id, raw text, its token ids, and the
+    bounds of its sentences in them: sentence j is
+    ``ids[sentence_bounds[j]:sentence_bounds[j + 1]]``."""
 
     id: str
     text: str
     ids: tuple[int, ...]
+    sentence_bounds: tuple[int, ...]
 
     @property
     def length(self) -> int:
         return len(self.ids)
+
+    def sentences(self) -> list[tuple[int, ...]]:
+        """The token ids of each sentence, in text order."""
+        ids, bounds = self.ids, self.sentence_bounds
+        return [ids[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -49,18 +57,35 @@ class EncodedCorpus:
     """Every document's token ids as one integer stream, documents in
     corpus order: document i is ``ids[offsets[i]:offsets[i + 1]]``. A
     corpus holds its tokens in this form only; the index, the embeddings
-    and the n-gram model are built from it."""
+    and the n-gram model are built from it.
+
+    ``sentence_offsets`` cuts the same stream into sentences (see
+    ``tokenize_sentences``): it rises strictly from 0 to ``len(ids)`` and
+    holds every document bound, so no sentence crosses a document and
+    none is empty. An empty document is a repeated bound of ``offsets``
+    and one bound here."""
 
     ids: np.ndarray
     offsets: np.ndarray
+    sentence_offsets: np.ndarray
 
     def __post_init__(self) -> None:
-        ids, offsets = self.ids, self.offsets
-        if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in (ids, offsets)):
-            raise ValueError("corpus token ids and offsets must be 1-d integer arrays")
+        ids, offsets, sentences = self.ids, self.offsets, self.sentence_offsets
+        if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in (ids, offsets, sentences)):
+            raise ValueError(
+                "corpus token ids, offsets and sentence offsets must be 1-d integer arrays"
+            )
         if not (len(offsets) and offsets[0] == 0 and offsets[-1] == len(ids)
                 and (offsets[1:] >= offsets[:-1]).all()):
             raise ValueError(f"corpus token offsets must rise from 0 to {len(ids)}")
+        if not (len(sentences) and sentences[0] == 0 and sentences[-1] == len(ids)
+                and (sentences[1:] > sentences[:-1]).all()):
+            raise ValueError(
+                f"corpus sentence offsets must rise strictly from 0 to {len(ids)}"
+            )
+        # In range, since both run from 0 to len(ids).
+        if (sentences[np.searchsorted(sentences, offsets)] != offsets).any():
+            raise ValueError("corpus sentence offsets must hold every document bound")
 
     @property
     def n_docs(self) -> int:
@@ -100,10 +125,14 @@ class Corpus:
         doc = self._docs.get(doc_id)
         if doc is None:
             position = self._positions[doc_id]
-            start, end = self.encoded.offsets[position : position + 2].tolist()
-            ids = tuple(self.encoded.ids[start:end].tolist())
+            encoded = self.encoded
+            start, end = encoded.offsets[position : position + 2].tolist()
+            ids = tuple(encoded.ids[start:end].tolist())
+            sentences = encoded.sentence_offsets
+            first, last = np.searchsorted(sentences, (start, end)).tolist()
+            bounds = tuple((sentences[first : last + 1] - start).tolist())
             # Two threads may both build a document; both return the one stored.
-            doc = Document(doc_id, self.records[doc_id], ids)
+            doc = Document(doc_id, self.records[doc_id], ids, bounds)
             doc = self._docs.setdefault(doc_id, doc)
         return doc
 
@@ -128,14 +157,19 @@ class Corpus:
             "corpus.text_offsets": text_offsets,
             "corpus.token_ids": self.encoded.ids,
             "corpus.token_offsets": self.encoded.offsets,
+            "corpus.sentence_offsets": self.encoded.sentence_offsets,
         }
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "Corpus":
         ids = unpack_strings(arrays["corpus.ids"], arrays["corpus.id_offsets"])
         texts = unpack_strings(arrays["corpus.texts"], arrays["corpus.text_offsets"])
-        tokens = arrays["corpus.token_ids"], arrays["corpus.token_offsets"]
-        return cls(dict(zip(ids, texts)), EncodedCorpus(*tokens))
+        encoded = EncodedCorpus(
+            arrays["corpus.token_ids"],
+            arrays["corpus.token_offsets"],
+            arrays["corpus.sentence_offsets"],
+        )
+        return cls(dict(zip(ids, texts)), encoded)
 
 
 # Surrogate code points: UTF-8 cannot encode them, but JSON's \u escapes
@@ -198,12 +232,25 @@ def build_corpus(
     records: Mapping[str, str], min_count: int = 1
 ) -> tuple[Corpus, Vocabulary]:
     """Tokenize each text once, build the vocabulary from those token
-    lists, and encode them into the corpus's one id stream."""
-    tokens = [tokenize(text) for text in records.values()]
+    lists, and encode them into the corpus's one id stream, with its
+    document and sentence bounds."""
+    marked = [tokenize_sentences(text) for text in records.values()]
+    n_marks = sum(map(len, marked))
+    is_token = np.fromiter(map(bool, chain.from_iterable(marked)), bool, count=n_marks)
+    # A break's stream offset is the number of tokens before it: the k-th
+    # break (from 0), at position p of the marked stream, follows p - k.
+    at = np.flatnonzero(~is_token)
+    breaks = at - np.arange(len(at))
+    tokens = [list(filter(None, m)) for m in marked]
+    del marked  # before the ids, the build's largest list, are made
     vocab = build_vocabulary(tokens, min_count)
     ids = vocab.encode(chain.from_iterable(tokens))
     offsets = np.cumsum([0] + [len(t) for t in tokens], dtype=np.int64)
-    encoded = EncodedCorpus(np.array(ids, dtype=np.int32), offsets)
+    starts = np.zeros(len(ids) + 1, dtype=bool)
+    starts[offsets] = True
+    starts[breaks] = True
+    sentence_offsets = np.flatnonzero(starts)
+    encoded = EncodedCorpus(np.array(ids, dtype=np.int32), offsets, sentence_offsets)
     return Corpus(records, encoded), vocab
 
 

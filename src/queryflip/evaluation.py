@@ -7,16 +7,19 @@ edit. A record's metrics are computed after its edit is timed, once per
 distinct (ranking, outcome): the ranking's ``SharedWork`` memoizes them
 by outcome. A max_flip outcome is a sentence of the target document d',
 so its vectors, representation and perplexity are asked of d''s
-``SharedWork``, which every ranking with that target shares. Reports
-aggregate per method, break results down by the rank of the target
-document, and serialize to canonical JSON plus a markdown table.
+``SharedWork``, which every ranking with that target shares. That work
+also ranks d''s stored sentences once, by perplexity: every distinct
+sentence costs one perplexity call (a remote perplexity backend sees each
+once per target and beam size), while a max_flip edit's flip checks stop
+at the first sentence that flips. Reports aggregate per method, break
+results down by the rank of the target document, and serialize to
+canonical JSON plus a markdown table.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import re
 import sys
 import threading
 import time
@@ -27,22 +30,13 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .corpus import Bm25SearchModel, Corpus, Document, Ranking
-from .editor import (
-    EditCandidate,
-    EditResult,
-    Triplet,
-    check_flip,
-    edit,
-    select_final,
-)
+from .editor import EditResult, Triplet, check_flip, edit
 from .masker import ImportanceScores, maxsim_importance, occlusion_importance
-from .text import PAD_ID, Vocabulary, tokenize
+from .text import PAD_ID, Vocabulary
 
 logger = logging.getLogger(__name__)
 
 _LOCK_TYPE = type(threading.Lock())
-
-_SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 
 TIMING_MODES = ("wall", "off")
 MASKERS = ("maxsim", "occlusion")
@@ -190,36 +184,32 @@ def baseline_mask_only(
     return EditResult(None, len(query), ())
 
 
-def split_sentences(text: str) -> list[str]:
-    """Split on ., ! or ? followed by whitespace; no empty sentences."""
-    return [s for s in _SENTENCE_RE.split(text.strip()) if s.strip()]
-
-
-def sentence_ids(text: str, vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
-    """The token ids of each sentence of ``text`` that has a token."""
-    tokenized = (tokenize(sentence) for sentence in split_sentences(text))
-    return tuple(tuple(vocab.encode(tokens)) for tokens in tokenized if tokens)
+def rank_sentences(
+    sentences: Sequence[tuple[int, ...]], ppl_fn: Callable[[Sequence[int]], float]
+) -> list[tuple[int, ...]]:
+    """The distinct sentences, by ascending (perplexity, token ids): the
+    order of ``select_final``. Each distinct sentence costs one
+    ``ppl_fn`` call, in text order."""
+    distinct = list(dict.fromkeys(sentences))
+    ppls = [ppl_fn(ids) for ids in distinct]
+    return [ids for _, ids in sorted(zip(ppls, distinct))]
 
 
 def baseline_max_flip(
-    triplet: Triplet,
-    sentences: Sequence[tuple[int, ...]],
-    scorer,
-    ppl_fn: Callable[[Sequence[int]], float],
+    triplet: Triplet, ranked: Sequence[tuple[int, ...]], scorer
 ) -> EditResult:
     """Use a whole sentence of the target document as the new query.
 
-    ``sentences`` are d''s sentences as token ids (see ``sentence_ids``).
-    Among those that flip the pair, ``select_final`` picks the one with
-    the lowest perplexity (ties by ascending token-id sequence). None
-    when no sentence flips.
+    ``ranked`` holds d''s sentences as token ids, ranked by
+    ``rank_sentences``. The first that flips the pair is the flipping
+    sentence ``select_final`` would pick: the lowest perplexity, ties by
+    ascending token-id sequence. The sentences after it are not checked.
+    None when no sentence flips.
     """
-    flipping = [
-        EditCandidate(ids, 0.0) for ids in sentences if check_flip(ids, triplet, scorer)
-    ]
-    if not flipping:
-        return EditResult(None, 0, ())
-    return EditResult(select_final(flipping, ppl_fn).tokens, 0, ())
+    for ids in ranked:
+        if check_flip(ids, triplet, scorer):
+            return EditResult(ids, 0, ())
+    return EditResult(None, 0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +269,8 @@ class SharedWork:
     first use. A triplet (q, d, d') has two keys: its ranking (q, d), whose
     work gives the importance of q's tokens for d, q's text, and the
     metrics of each outcome, and its target d', whose work gives d''s
-    predictor (with its memo of answers) and d''s sentences as token ids.
+    predictor (with its memo of answers) and d''s distinct sentences as
+    token ids, ranked by ``rank_sentences``.
     Both also hold memos of ``vectors_for``, ``query_representation`` and
     perplexity, so they stand in for the embedder, the search model and
     ``ppl_fn`` where the metrics, the masker and the editor take them.
@@ -321,10 +312,10 @@ class SharedWork:
             self._shared, "predictor", lambda _: self.ctx.predictor_factory(d_prime)
         )
 
-    def sentences(self, d_prime: Document) -> tuple[tuple[int, ...], ...]:
+    def sentences(self, d_prime: Document) -> list[tuple[int, ...]]:
         return _once(
             self._shared, "sentences",
-            lambda _: sentence_ids(d_prime.text, self.ctx.vocab),
+            lambda _: rank_sentences(d_prime.sentences(), self.ppl),
         )
 
     def query_text(self, query_ids: Sequence[int]) -> str:
@@ -499,8 +490,7 @@ def run_method(
     if method == "mask_only":
         return baseline_mask_only(triplet, work.importance(triplet), ctx.scorer)
     if method == "max_flip":
-        sentences = target.sentences(triplet.d_prime)
-        return baseline_max_flip(triplet, sentences, ctx.scorer, target.ppl)
+        return baseline_max_flip(triplet, target.sentences(triplet.d_prime), ctx.scorer)
     raise ValueError(f"unknown method: {method}")
 
 

@@ -16,6 +16,8 @@ import numpy as np
 # Unicode letters and digits; underscore is excluded so it behaves like
 # punctuation. Everything that does not match is a boundary and is dropped.
 _WORD_RE = re.compile(r"[^\W_]+")
+# A word (the group), or the whitespace after ., ! or ? that ends a sentence.
+_WORD_OR_BREAK_RE = re.compile(r"([^\W_]+)|(?<=[.!?])\s+")
 
 MASK_TOKEN = "[MASK]"
 PAD_TOKEN = "[PAD]"
@@ -42,6 +44,16 @@ def tokenize(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
+def tokenize_sentences(text: str) -> list[str]:
+    """``tokenize(text)`` with an empty string at each sentence break.
+
+    A sentence ends at the whitespace after ``.``, ``!`` or ``?``; the
+    tokens between two breaks are one sentence, and a sentence without
+    tokens is none. ``"Pie. Tart!"`` yields ``["pie", "", "tart"]``.
+    """
+    return _WORD_OR_BREAK_RE.findall(text.lower())
+
+
 def pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Strings as one UTF-8 byte buffer plus ``len + 1`` offsets into it."""
     encoded = [s.encode("utf-8") for s in strings]
@@ -50,10 +62,24 @@ def pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unpack_strings(buffer: np.ndarray, offsets: np.ndarray) -> list[str]:
-    """Inverse of pack_strings."""
-    raw = buffer.tobytes()
-    bounds = offsets.tolist()
-    return [raw[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+    """Inverse of pack_strings: the buffer is decoded once and cut at
+    character offsets, each byte offset less the UTF-8 continuation bytes
+    before it. Offsets that fall, leave the buffer, or cut a character
+    raise ValueError."""
+    n = len(buffer)
+    if offsets.ndim != 1 or (len(offsets) and (
+        offsets[0] < 0 or offsets[-1] > n or (offsets[1:] < offsets[:-1]).any()
+    )):
+        raise ValueError(f"string offsets must rise within [0, {n}]")
+    text = buffer.tobytes().decode("utf-8")
+    bounds = offsets
+    if len(text) != n:  # some character takes more than one byte
+        if ((buffer[offsets[offsets < n]] & 0xC0) == 0x80).any():
+            raise ValueError("a string offset cuts a UTF-8 character")
+        continuation = np.flatnonzero((buffer & 0xC0) == 0x80)
+        bounds = offsets - np.searchsorted(continuation, offsets)
+    bounds = bounds.tolist()
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 class Vocabulary:

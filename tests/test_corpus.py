@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 import threading
 from collections import Counter
@@ -11,11 +12,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from queryflip.corpus import (
     Bm25Params,
+    Corpus,
     build_corpus,
     build_index,
     count_postings,
@@ -281,6 +283,68 @@ def assert_same_arrays(got, expected):
     for name, array in expected.items():
         assert got[name].dtype == array.dtype, name
         assert np.array_equal(got[name], array), name
+
+
+# The sentence rule as max_flip applied it to a document's text at edit
+# time, before the build stored the sentences: the reference for the
+# stored spans.
+_SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
+
+
+def reference_sentence_ids(text, vocab):
+    sentences = [s for s in _SENTENCE_RE.split(text.strip()) if s.strip()]
+    tokenized = (tokenize(sentence) for sentence in sentences)
+    return tuple(tuple(vocab.encode(tokens)) for tokens in tokenized if tokens)
+
+
+# Words (Greek capital sigma lowers to a final or a medial sigma, dotted
+# capital I to two characters), stops and runs of stops, a stop inside a
+# word, and an underscore, which splits words but ends no sentence.
+_FRAGMENTS = st.sampled_from([
+    "w0", "w1", "W1", "w2", "ΟΔΟΣ", "ΟΔΟΣ.", "Σ", "Σ!", "İx", "é", "a_b", "_",
+    ".", "!", "?", "...", "!!!", "?!", "e.g.x", "w1.", "w2?",
+])
+# Gaps between fragments: none, spaces, NBSP, LINE SEPARATOR, newline, tab.
+_GAPS = st.sampled_from(["", " ", "  ", "\u00a0", "\u2028", "\n", "\t"])
+_SENTENCE_TEXTS = st.builds(
+    lambda pairs, tail: "".join(f + g for f, g in pairs) + tail,
+    st.lists(st.tuples(_FRAGMENTS, _GAPS), max_size=10),
+    _GAPS,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(_SENTENCE_TEXTS, min_size=1, max_size=6),
+       min_count=st.sampled_from([1, 2]))
+@example(texts=["ΟΔΟΣ. ΑΣ!\u00a0Σ?\u2028w1... w1!!! e.g.x w2 \u2028", "", " \n"],
+         min_count=2)
+@example(texts=["ΑΣ.\u2028ΟΔΟΣ\u00a0ΟΔΟΣ. ", "w1 e.g.x!!!w1"], min_count=1)
+def test_stored_sentences_equal_the_text_rule(texts, min_count):
+    """The sentences the build stores for each document, and the ones an
+    archive loads back, are those of the text rule: empty texts, trailing
+    whitespace and, under min_count 2, [UNK] ids included."""
+    records = {f"d{i}": text for i, text in enumerate(texts)}
+    corpus, vocab = build_corpus(records, min_count)
+    loaded = Corpus.from_arrays(npz_round_trip(corpus.to_arrays()))
+    assert_same_arrays(loaded.to_arrays(), corpus.to_arrays())
+    for doc_id, text in records.items():
+        expected = reference_sentence_ids(text, vocab)
+        assert tuple(corpus[doc_id].sentences()) == expected
+        assert tuple(loaded[doc_id].sentences()) == expected
+        assert corpus[doc_id].ids == tuple(vocab.encode(tokenize(text)))
+
+
+def test_sentence_offsets_cut_the_stream_at_stops_and_documents():
+    records = {"a": "Apple pie. !!! Banana? ", "b": "", "c": "e.g.x ok... Fine"}
+    corpus, vocab = build_corpus(records)
+    # a: "apple pie" | "banana"; b: no token; c: "e g x ok" | "fine"
+    assert corpus.encoded.offsets.tolist() == [0, 3, 3, 8]
+    assert corpus.encoded.sentence_offsets.tolist() == [0, 2, 3, 7, 8]
+    assert corpus["a"].sentence_bounds == (0, 2, 3)
+    assert corpus["b"].sentences() == []
+    assert corpus["c"].sentences() == [
+        tuple(vocab.encode(["e", "g", "x", "ok"])), tuple(vocab.encode(["fine"]))
+    ]
 
 
 def test_index_of_empty_documents_has_no_postings():

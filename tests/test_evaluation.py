@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queryflip import editor
-from queryflip.editor import Triplet, check_flip
+from queryflip.corpus import Document, build_corpus, ingest_corpus
+from queryflip.editor import EditCandidate, EditResult, Triplet, check_flip, select_final
 from queryflip.evaluation import (
     MASKERS,
     METHODS,
@@ -23,20 +24,18 @@ from queryflip.evaluation import (
     evaluate,
     flip_rate,
     fluency_metric,
+    rank_sentences,
     render_markdown,
     reports_to_json,
     run_method,
-    sentence_ids,
-    split_sentences,
 )
-from queryflip.corpus import ingest_corpus
 from queryflip.masker import occlusion_importance
 from queryflip.lm import perplexity
 from queryflip.pipeline import build_stack, make_context
-from queryflip.text import PAD_ID, tokenize
+from queryflip.text import PAD_ID
 
 from conftest import sample_config
-from test_corpus import IDF_DF1, IDF_DF2, ids
+from test_corpus import IDF_DF1, IDF_DF2, ids, reference_sentence_ids
 from test_masker import FakeEmbedder
 
 
@@ -249,27 +248,27 @@ def test_pad_tokens_score_zero(sample_stack):
     assert sample_stack.search.score([PAD_ID, PAD_ID], "d1") == 0.0
 
 
+def _stored_sentences(text):
+    """The sentences a build stores for ``text``, as token surfaces."""
+    corpus, vocab = build_corpus({"d": text})
+    return [vocab.decode(ids) for ids in corpus["d"].sentences()]
+
+
 def test_split_sentences_rules():
-    assert split_sentences("One two. Three four! Five?") == [
-        "One two.", "Three four!", "Five?",
+    assert _stored_sentences("One two. Three four! Five?") == [
+        ["one", "two"], ["three", "four"], ["five"],
     ]
-    assert split_sentences("no terminator at all") == ["no terminator at all"]
-    assert split_sentences("") == []
+    assert _stored_sentences("no terminator at all") == [["no", "terminator", "at", "all"]]
+    assert _stored_sentences("") == []
 
 
 def _max_flip(t, stack, ppl):
-    return baseline_max_flip(
-        t, sentence_ids(t.d_prime.text, stack.vocab), stack.search, ppl
-    )
+    ranked = rank_sentences(t.d_prime.sentences(), ppl)
+    return baseline_max_flip(t, ranked, stack.search)
 
 
-def test_sentence_ids_skip_sentences_without_tokens(sample_stack):
-    vocab = sample_stack.vocab
-    assert sentence_ids("Apple pie. !!! Banana?", vocab) == (
-        tuple(vocab.encode(["apple", "pie"])),
-        tuple(vocab.encode(["banana"])),
-    )
-    assert sentence_ids("", vocab) == ()
+def test_sentence_ids_skip_sentences_without_tokens():
+    assert _stored_sentences("Apple pie. !!! Banana?") == [["apple", "pie"], ["banana"]]
 
 
 def test_max_flip_single_sentence(sample_stack):
@@ -303,9 +302,8 @@ def test_max_flip_flips_whenever_any_sentence_flips(small_eval):
     all_have_flipping_sentence = True
     for t in triplets:
         sentence_flips = [
-            check_flip(tuple(stack.vocab.encode(tokenize(s))), t, stack.search)
-            for s in split_sentences(t.d_prime.text)
-            if tokenize(s)
+            check_flip(s, t, stack.search)
+            for s in reference_sentence_ids(t.d_prime.text, stack.vocab)
         ]
         exists = any(sentence_flips)
         all_have_flipping_sentence &= exists
@@ -333,17 +331,6 @@ def test_max_flip_prefers_lower_perplexity_sentence():
     assert ppl(result.outcome) == min(ppl(s) for s in sentences)
 
 
-def _no_ppl(seq):
-    raise AssertionError("a lone flipping sentence needs no perplexity")
-
-
-def test_max_flip_lone_flipping_sentence_costs_no_perplexity(sample_stack):
-    stack = sample_stack
-    t = _triplet(stack, "apple recipe", "d1", "d3")
-    result = _max_flip(t, stack, _no_ppl)
-    assert stack.vocab.decode(result.outcome) == ["banana", "bread", "recipe"]
-
-
 def test_max_flip_equal_perplexities_pick_smaller_ids():
     lines = [
         json.dumps({"id": "a", "text": "apple pie apple pie filler filler"}),
@@ -356,6 +343,91 @@ def test_max_flip_equal_perplexities_pick_smaller_ids():
     sentences = [tuple(stack.vocab.encode(["banana", "bread"])),
                  tuple(stack.vocab.encode(["banana", "toast", "plum"]))]
     assert result.outcome == min(sentences)
+
+
+def _reference_max_flip(triplet, sentences, scorer, ppl_fn):
+    """max_flip as it was before sentences were ranked: flip-check every
+    sentence, then let ``select_final`` pick among those that flip."""
+    flipping = [
+        EditCandidate(ids, 0.0) for ids in sentences if check_flip(ids, triplet, scorer)
+    ]
+    if not flipping:
+        return EditResult(None, 0, ())
+    return EditResult(select_final(flipping, ppl_fn).tokens, 0, ())
+
+
+class _SetScorer:
+    """Scores exactly the sentences of ``flipping`` above d on d'."""
+
+    def __init__(self, flipping):
+        self.flipping = flipping
+
+    def score(self, ids, doc_id):
+        return 1.0 if doc_id == "d'" and tuple(ids) in self.flipping else 0.0
+
+
+_SENTENCES = st.lists(st.lists(st.integers(3, 5), min_size=1, max_size=3).map(tuple),
+                      max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentences=_SENTENCES, data=st.data())
+def test_max_flip_equals_flipping_all_then_select_final(sentences, data):
+    """Repeated sentences, and perplexities drawn from a few values so that
+    they tie: the first flip in ranked order is ``select_final``'s pick."""
+    distinct = list(dict.fromkeys(sentences))
+    flipping = data.draw(st.sets(st.sampled_from(distinct)) if distinct else st.just(set()))
+    values = st.sampled_from([1.5, 2.0, 2.0000000000000004, 9.0])
+    ppls = data.draw(st.lists(values, min_size=len(distinct), max_size=len(distinct)))
+    ppl_of = dict(zip(distinct, ppls))
+    d, d_prime = Document("d", "", (), (0,)), Document("d'", "", (), (0,))
+    t = Triplet((3,), d, d_prime, 1.0, 0.0)
+    scorer = _SetScorer(flipping)
+    asked = []
+
+    def ppl(ids):
+        asked.append(ids)
+        return ppl_of[ids]
+
+    ranked = rank_sentences(sentences, ppl)
+    assert asked == distinct  # each distinct sentence once, in text order
+    expected = _reference_max_flip(t, sentences, scorer, ppl_of.__getitem__)
+    assert baseline_max_flip(t, ranked, scorer) == expected
+
+
+class _CountingScorer:
+    def __init__(self, inner):
+        self.inner = inner
+        self.scored = []
+
+    def score(self, ids, doc_id):
+        self.scored.append(tuple(ids))
+        return self.inner.score(ids, doc_id)
+
+
+def test_max_flip_stops_at_the_first_flip_in_ranked_order():
+    # d' ranks "apple pie" (q itself, twice) first, then "banana bread
+    # apple", which flips; the two sentences after it are never scored.
+    lines = [
+        json.dumps({"id": "a", "text": "apple pie apple pie filler filler"}),
+        json.dumps({"id": "b", "text": "apple pie. plum jam. banana bread apple. "
+                                       "apple pie. banana toast plum."}),
+        json.dumps({"id": "c", "text": "banana bread banana bread"}),
+    ]
+    config = sample_config()
+    stack = build_stack(ingest_corpus(lines), config)
+    t = _triplet(stack, "apple pie", "a", "b")
+    ppl = lambda seq: perplexity(seq, stack.lm)  # noqa: E731
+    ranked = rank_sentences(t.d_prime.sentences(), ppl)
+    assert [stack.vocab.decode(s) for s in ranked] == [
+        ["apple", "pie"], ["banana", "bread", "apple"], ["banana", "toast", "plum"],
+        ["plum", "jam"],
+    ]
+    scorer = _CountingScorer(stack.search)
+    ctx = dataclasses.replace(make_context(stack, config), scorer=scorer)
+    result = run_method(t, "max_flip", ctx)
+    assert result.outcome == ranked[1]
+    assert scorer.scored == [ranked[0], ranked[0], ranked[1], ranked[1]]
 
 
 # ---------------------------------------------------------------------------

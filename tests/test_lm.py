@@ -548,7 +548,8 @@ def test_distribution_invariants_enforced():
 
 
 def test_train_rejects_empty_corpus():
-    empty = EncodedCorpus(np.zeros(0, dtype=np.int32), np.zeros(1, dtype=np.int64))
+    bounds = np.zeros(1, dtype=np.int64)
+    empty = EncodedCorpus(np.zeros(0, dtype=np.int32), bounds, bounds)
     vocab = build_vocabulary([["a"]], 1)
     with pytest.raises(ValueError, match="empty corpus"):
         train_ngram(empty, vocab)

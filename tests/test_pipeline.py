@@ -178,9 +178,7 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.corpus.doc_ids() == stack.corpus.doc_ids()
     assert loaded.vocab.content_surfaces() == stack.vocab.content_surfaces()
     assert np.array_equal(loaded.table.vectors, stack.table.vectors)
-    assert [d.ids for d in loaded.corpus.documents()] == [
-        d.ids for d in stack.corpus.documents()
-    ]
+    assert loaded.corpus.documents() == stack.corpus.documents()
     assert_same_arrays(postings(loaded.search), postings(stack.search))
 
     q = stack.vocab.encode(["apple", "recipe"])
@@ -383,6 +381,18 @@ def test_load_with_changed_corpus_fails(tmp_path):
         (lambda p: _edit_array(p, "corpus.token_offsets", lambda a: _swap(a, 1, 2)), "offsets"),
         (lambda p: _edit_array(p, "corpus.token_ids", lambda a: a[:-1]), "offsets"),
         (lambda p: _edit_arrays(p, _empty_row_added), "4 rows of token ids for 3"),
+        (lambda p: _edit_array(p, "corpus.sentence_offsets", lambda a: None),
+         "missing array 'corpus.sentence_offsets'"),
+        (lambda p: _edit_array(p, "corpus.sentence_offsets", lambda a: a.astype(float)),
+         "integer"),
+        (lambda p: _edit_array(p, "corpus.sentence_offsets", lambda a: _swap(a, 1, 2)),
+         "sentence offsets must rise"),
+        (lambda p: _edit_array(p, "corpus.sentence_offsets", lambda a: np.delete(a, 1)),
+         "every document bound"),
+        (lambda p: _edit_array(p, "corpus.sentence_offsets", lambda a: np.append(a, 10)),
+         "sentence offsets must rise strictly from 0 to 9"),
+        (lambda p: _edit_array(p, "corpus.sentence_offsets", lambda a: a[:-1]),
+         "sentence offsets must rise strictly from 0 to 9"),
     ],
     ids=[
         "truncated", "not_zip", "missing_array", "vector_rows", "lm_candidates",
@@ -394,12 +404,26 @@ def test_load_with_changed_corpus_fails(tmp_path):
         "token_id_past_vocabulary", "token_ids_past_offsets",
         "token_offsets_start_above_zero", "token_offsets_fall",
         "token_offsets_past_ids", "token_rows_past_documents",
+        "sentence_offsets_missing", "sentence_offsets_float", "sentence_offsets_fall",
+        "sentence_offsets_skip_document_bound", "sentence_offsets_past_end",
+        "sentence_offsets_short_of_end",
     ],
 )
 def test_load_rejects_bad_artifact(tmp_path, damage, match):
     config, path = _saved(tmp_path)
     damage(path)
     with pytest.raises(ArtifactError, match=match):
+        load_stack(config)
+
+
+@pytest.mark.parametrize("name", ["corpus.text_offsets", "vocab.offsets"])
+def test_load_rejects_a_string_offset_inside_a_character(tmp_path, name):
+    config = sample_config(artifacts=str(tmp_path / "artifacts"))
+    records = {"d1": "é é pie", "d2": "crème brûlée é", "d3": "pie"}
+    save_stack(build_stack(records, config), config)
+    path = tmp_path / "artifacts" / STACK_FILE
+    _edit_array(path, name, lambda a: _set(a, 1, 1))  # inside the first "é"
+    with pytest.raises(ArtifactError, match="cuts a UTF-8 character"):
         load_stack(config)
 
 

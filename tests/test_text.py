@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queryflip.text import (
     FIRST_CONTENT_ID,
@@ -13,7 +16,10 @@ from queryflip.text import (
     UNK_ID,
     UNK_TOKEN,
     build_vocabulary,
+    pack_strings,
     tokenize,
+    tokenize_sentences,
+    unpack_strings,
 )
 
 
@@ -33,6 +39,15 @@ def test_tokenize_hyphenated_golden():
 def test_tokenize_unicode_and_digits():
     assert tokenize("Café numéro 42") == ["café", "numéro", "42"]
     assert tokenize("foo_bar") == ["foo", "bar"]
+
+
+def test_tokenize_sentences_marks_each_stop_followed_by_whitespace():
+    assert tokenize_sentences("Pie. Tart!") == ["pie", "", "tart"]
+    assert tokenize_sentences("e.g.x ok...\u00a0Fine?\u2028") == [
+        "e", "g", "x", "ok", "", "fine", "",
+    ]
+    assert tokenize_sentences("no stop _ here") == ["no", "stop", "here"]
+    assert tokenize_sentences("") == []
 
 
 def test_tokenize_round_trip_is_stable():
@@ -92,3 +107,34 @@ def test_empty_corpus_rejected():
 def test_bad_min_count_rejected():
     with pytest.raises(ValueError):
         build_vocabulary([["a"]], min_count=0)
+
+
+def _unpack_each(buffer, offsets):
+    """Each string sliced from the bytes and decoded on its own."""
+    raw = buffer.tobytes()
+    bounds = offsets.tolist()
+    return [raw[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.text(), st.text(alphabet="aé€😀\u2028"))))
+def test_unpack_strings_equals_decoding_each_string(strings):
+    buffer, offsets = pack_strings(strings)
+    assert unpack_strings(buffer, offsets) == _unpack_each(buffer, offsets) == strings
+
+
+@pytest.mark.parametrize(
+    "strings, offsets, match",
+    [
+        (["é", "a"], [0, 1, 3], "cuts a UTF-8 character"),
+        (["a€"], [0, 2, 4], "cuts a UTF-8 character"),
+        (["ab", "c"], [0, 2, 1, 3], "must rise"),
+        (["ab"], [0, 3], "must rise"),
+        (["ab"], [-1, 2], "must rise"),
+    ],
+    ids=["inside_two_bytes", "inside_three_bytes", "fall", "past_end", "negative"],
+)
+def test_unpack_strings_rejects_bad_offsets(strings, offsets, match):
+    buffer, _ = pack_strings(strings)
+    with pytest.raises(ValueError, match=match):
+        unpack_strings(buffer, np.array(offsets, dtype=np.int64))
