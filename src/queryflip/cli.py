@@ -76,9 +76,9 @@ def _result_payload(
                     {
                         "tokens": " ".join(stack.vocab.decode(c.tokens)),
                         "log_prob": c.log_prob,
-                        "flipped": c.flipped,
+                        "flipped": flipped,
                     }
-                    for c in it.candidates
+                    for c, flipped in zip(it.beam.candidates, it.flips)
                 ],
             }
             for it in result.trace

@@ -283,9 +283,6 @@ class Ranking:
         if any(a < b for a, b in zip(scores, scores[1:])):
             raise ValueError("ranking scores must be non-increasing")
 
-    def doc_ids(self) -> list[str]:
-        return [doc_id for doc_id, _ in self.entries]
-
 
 class Bm25SearchModel:
     """BM25 relevance scorer over the corpus's term-frequency postings.
@@ -359,13 +356,13 @@ class Bm25SearchModel:
     def idf(self, term_id: int) -> float:
         return self._idf.get(term_id, self._idf_unseen)
 
-    def bm25_score(self, query_ids: Sequence[int], doc_id: str) -> float:
+    def score(self, query_ids: Sequence[int], doc_id: str) -> float:
         """rel(q, d) for one document; 0.0 when no query term matches.
 
-        The one scoring kernel: ``score`` is this method, and ``search``
-        makes the same additions in the same order. The impacts are added
-        left to right in query-token order; ``sum`` would round
-        differently on Python >= 3.12.
+        The one scoring kernel, and the scorer protocol the editor and the
+        evaluation harness use; ``search`` makes the same additions in the
+        same order. The impacts are added left to right in query-token
+        order; ``sum`` would round differently on Python >= 3.12.
         """
         weights = self._weights.get(doc_id)
         if weights is None:
@@ -376,9 +373,6 @@ class Bm25SearchModel:
             score += weights.get(term_id, 0.0)
         return score
 
-    # The scorer protocol used by the editor and the evaluation harness.
-    score = bm25_score
-
     def _doc_weights(self, doc_id: str) -> dict[int, float]:
         """{term id: w(t,d)} of one document, from the regrouped postings."""
         position = self.corpus.position(doc_id)
@@ -387,7 +381,7 @@ class Bm25SearchModel:
         return dict(zip(terms, self._doc_impacts[start:end].tolist()))
 
     def search(self, query_ids: Sequence[int], k: int) -> Ranking:
-        """Top-k documents by bm25_score, ties broken by ascending doc id.
+        """Top-k documents by ``score``, ties broken by ascending doc id.
 
         When k exceeds the corpus size every document is returned,
         zero-score ones included. Raises ValueError on an empty corpus or
@@ -402,8 +396,8 @@ class Bm25SearchModel:
         matched = np.zeros(n, dtype=bool)
         bounds, docs, impacts = self._bounds, self.docs, self.impacts
         # One query token at a time, in query order, repeats included: each
-        # document receives the additions bm25_score makes, in its order
-        # (bm25_score's + 0.0 for a term the document lacks changes nothing).
+        # document receives the additions ``score`` makes, in its order
+        # (``score``'s + 0.0 for a term the document lacks changes nothing).
         for term_id in query_ids:
             row = self._row.get(term_id)
             if row is not None:

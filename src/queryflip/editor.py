@@ -73,33 +73,17 @@ class Beam:
 
 
 @dataclass(frozen=True)
-class TraceCandidate:
-    tokens: tuple[int, ...]
-    log_prob: float
-    flipped: bool
-
-
-@dataclass(frozen=True)
 class IterationTrace:
     """What happened at one outer iteration: masks used and the final beam.
 
     It keeps the iteration's ``beam`` as decoded and ``flips``, one flip
-    flag per beam candidate. ``candidates`` pairs them up as
-    ``TraceCandidate``s each time it is read, so an edit whose trace
-    nobody reads builds none.
+    flag per beam candidate, in the beam's order.
     """
 
     masks: int
     masked_positions: tuple[int, ...]
     beam: Beam
     flips: tuple[bool, ...]
-
-    @property
-    def candidates(self) -> tuple[TraceCandidate, ...]:
-        return tuple(
-            TraceCandidate(c.tokens, c.log_prob, f)
-            for c, f in zip(self.beam.candidates, self.flips)
-        )
 
 
 @dataclass(frozen=True)
@@ -192,21 +176,15 @@ def select_final(
     return min(candidates, key=lambda c: (ppl_fn(c.tokens), c.tokens))
 
 
-def decode_masked_slots(
-    masked_ids: Sequence[int], slots: Sequence[int], predictor, width: int
-) -> Beam:
-    """Beam-decode the masked slots left to right.
+def decode_masked_slots(masked_ids: Sequence[int], predictor, width: int) -> Beam:
+    """Beam-decode the ``MASK_ID`` positions of ``masked_ids`` left to right.
 
-    ``slots`` must be the masked positions of ``masked_ids``.
     ``predictor.predict(tokens, position, top)`` supplies per-candidate
     prediction distributions; ``top`` is the beam width, so each of the
     (at most) b candidates proposes its b most probable tokens.
     """
-    slots = sorted(slots)
-    if slots != [i for i, t in enumerate(masked_ids) if t == MASK_ID]:
-        raise ValueError("slots must be the masked positions")
     beam = Beam(width, (EditCandidate(tuple(masked_ids), 0.0),))
-    for slot in slots:
+    for slot in [i for i, t in enumerate(masked_ids) if t == MASK_ID]:
         dists = [predictor.predict(c.tokens, slot, width) for c in beam.candidates]
         beam = expand_beam(beam, dists)
     return beam
@@ -247,7 +225,7 @@ def edit(
         masked = tuple(
             MASK_ID if pos in positions else tok for pos, tok in enumerate(query)
         )
-        beam = decode_masked_slots(masked, positions, predictor, beam_width)
+        beam = decode_masked_slots(masked, predictor, beam_width)
         flags = tuple(check_flip(c.tokens, triplet, scorer) for c in beam.candidates)
         trace.append(IterationTrace(i, positions, beam, flags))
         flipping = [c for c, f in zip(beam.candidates, flags) if f]

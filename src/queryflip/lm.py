@@ -174,15 +174,6 @@ class NgramLM:
             key = key * radix + int(token_id) + 1
         return self._runs.get(key, self._unseen)
 
-    def prob(self, token_id: int, context: tuple[int, ...]) -> float:
-        """P(token | context) with add-k smoothing over the candidates."""
-        run = self._run(context)
-        starts = self._starts
-        end = starts[run + 1]
-        i = bisect_left(self._targets, token_id, starts[run], end)
-        count = self._counts[i] if i < end and self._targets[i] == token_id else 0
-        return (count + self.k) / self._denominators[run]
-
     def distribution(
         self, context: tuple[int, ...]
     ) -> tuple[list[int], list[int], float]:
@@ -232,7 +223,7 @@ def perplexity(token_ids: Sequence[int], lm: NgramLM) -> float:
     radix, width = lm.radix, lm.order - 1
     modulus = radix**width
     runs, unseen = lm._runs, lm._unseen
-    # ``prob``'s lookup, inline: the same bisect and the same arithmetic.
+    # P(target | context) from the context's run, as ``distribution`` gives it.
     starts, targets, counts = lm._starts, lm._targets, lm._counts
     denominators, k = lm._denominators, lm.k
     key, stale = 0, 0  # the all-BOS context; positions left that are unseen

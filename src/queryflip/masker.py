@@ -8,7 +8,7 @@ nothing but the (blackbox) search model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -21,21 +21,17 @@ class ImportanceScores:
     """Scores r_1..r_l for one query plus the masking order they induce.
 
     ``order`` is the permutation of token positions sorted by descending
-    score; ties resolve to the leftmost position so traces are
-    reproducible.
+    score, derived from ``scores``; ties resolve to the leftmost position
+    so traces are reproducible.
     """
 
     scores: tuple[float, ...]
-    order: tuple[int, ...]
-
-    @classmethod
-    def from_scores(cls, scores: Sequence[float]) -> "ImportanceScores":
-        order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-        return cls(tuple(float(s) for s in scores), tuple(order))
+    order: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if sorted(self.order) != list(range(len(self.scores))):
-            raise ValueError("order must be a permutation of token positions")
+        scores = self.scores
+        order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        object.__setattr__(self, "order", tuple(order))
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -60,7 +56,7 @@ def maxsim_importance(
     q = embedder.vectors_for(query_ids)
     d = embedder.vectors_for(doc_ids)
     sims = q @ d.T
-    return ImportanceScores.from_scores(np.round(np.max(sims, axis=1), 12).tolist())
+    return ImportanceScores(tuple(np.round(np.max(sims, axis=1), 12).tolist()))
 
 
 def occlusion_importance(
@@ -79,4 +75,4 @@ def occlusion_importance(
     for i in range(len(query_ids)):
         reduced = list(query_ids[:i]) + list(query_ids[i + 1 :])
         scores.append(base - scorer.score(reduced, doc.id))
-    return ImportanceScores.from_scores(scores)
+    return ImportanceScores(tuple(scores))

@@ -150,7 +150,9 @@ def load_stack(config: RunConfig) -> Stack:
         table = EmbeddingTable.from_arrays(arrays)
         lm = NgramLM.from_arrays(arrays)
     except KeyError as exc:
-        raise ArtifactError(f"{STACK_FILE} is missing array {exc}") from exc
+        raise ArtifactError(
+            f"{STACK_FILE} is missing array {exc}; re-run `queryflip index`"
+        ) from exc
     except (EOFError, IndexError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ArtifactError(f"malformed {path}: {exc}") from exc
     if len(table.vectors) != len(vocab):

@@ -15,9 +15,10 @@ import numpy as np
 
 # Unicode letters and digits; underscore is excluded so it behaves like
 # punctuation. Everything that does not match is a boundary and is dropped.
-_WORD_RE = re.compile(r"[^\W_]+")
+_WORD = r"[^\W_]+"
+_WORD_RE = re.compile(_WORD)
 # A word (the group), or the whitespace after ., ! or ? that ends a sentence.
-_WORD_OR_BREAK_RE = re.compile(r"([^\W_]+)|(?<=[.!?])\s+")
+_WORD_OR_BREAK_RE = re.compile(rf"({_WORD})|(?<=[.!?])\s+")
 
 MASK_TOKEN = "[MASK]"
 PAD_TOKEN = "[PAD]"
@@ -113,9 +114,6 @@ class Vocabulary:
     def content_size(self) -> int:
         """Number of non-special tokens."""
         return len(self._surfaces) - FIRST_CONTENT_ID
-
-    def content_ids(self) -> range:
-        return range(FIRST_CONTENT_ID, len(self._surfaces))
 
     def id(self, surface: str) -> int:
         """Id for ``surface``; unknown surfaces map to UNK."""

@@ -121,18 +121,18 @@ def test_build_from_file_matches_lines(tmp_path):
 def test_bm25_no_matching_terms_scores_zero(sample_stack):
     q = ids(sample_stack, "xylophone")
     assert q == [UNK_ID]
-    assert sample_stack.search.bm25_score(q, "d1") == 0.0
+    assert sample_stack.search.score(q, "d1") == 0.0
 
 
 def test_bm25_golden_value(sample_stack):
     q = ids(sample_stack, "apple recipe")
-    assert sample_stack.search.bm25_score(q, "d1") == pytest.approx(
+    assert sample_stack.search.score(q, "d1") == pytest.approx(
         SCORE_APPLE_RECIPE_D1, abs=1e-9
     )
-    assert sample_stack.search.bm25_score(q, "d2") == pytest.approx(
+    assert sample_stack.search.score(q, "d2") == pytest.approx(
         SCORE_APPLE_RECIPE_D2, abs=1e-9
     )
-    assert sample_stack.search.bm25_score(q, "d3") == pytest.approx(
+    assert sample_stack.search.score(q, "d3") == pytest.approx(
         SCORE_APPLE_RECIPE_D2, abs=1e-9
     )
 
@@ -140,30 +140,31 @@ def test_bm25_golden_value(sample_stack):
 def test_bm25_d1_beats_both(sample_stack):
     q = ids(sample_stack, "apple recipe")
     s = sample_stack.search
-    assert s.bm25_score(q, "d1") > s.bm25_score(q, "d2")
-    assert s.bm25_score(q, "d1") > s.bm25_score(q, "d3")
+    assert s.score(q, "d1") > s.score(q, "d2")
+    assert s.score(q, "d1") > s.score(q, "d3")
 
 
 def test_search_order_with_tie_break(sample_stack):
     # d2 and d3 tie exactly (one df=2 term each); ascending doc id wins.
     q = ids(sample_stack, "apple recipe")
     ranking = sample_stack.search.search(q, 3)
-    assert ranking.doc_ids() == ["d1", "d2", "d3"]
+    assert [d for d, _ in ranking.entries] == ["d1", "d2", "d3"]
 
 
 def test_search_k1_returns_top_only(sample_stack):
     q = ids(sample_stack, "apple recipe")
     ranking = sample_stack.search.search(q, 1)
-    assert ranking.doc_ids() == ["d1"]
+    assert [d for d, _ in ranking.entries] == ["d1"]
 
 
 def test_search_k_larger_than_corpus_truncates(sample_stack):
     q = ids(sample_stack, "banana")
     ranking = sample_stack.search.search(q, 10)
     assert len(ranking.entries) == 3
-    assert ranking.doc_ids()[0] == "d3"
+    doc_ids = [d for d, _ in ranking.entries]
+    assert doc_ids[0] == "d3"
     # zero-score documents are appended in ascending id order
-    assert ranking.doc_ids()[1:] == ["d1", "d2"]
+    assert doc_ids[1:] == ["d1", "d2"]
     assert ranking.entries[1][1] == 0.0
 
 
@@ -171,7 +172,7 @@ def test_search_scores_match_fresh_recomputation(sample_stack):
     q = ids(sample_stack, "apple banana recipe")
     ranking = sample_stack.search.search(q, 3)
     for doc_id, score in ranking.entries:
-        assert score == sample_stack.search.bm25_score(q, doc_id)
+        assert score == sample_stack.search.score(q, doc_id)
 
 
 def test_search_prefix_consistency(sample_stack):
@@ -378,7 +379,6 @@ def test_score_equals_per_call_okapi_on_random_corpora():
             for doc_id in corpus.doc_ids():
                 expected = _okapi(corpus, vocab, params, query, doc_id)
                 assert search.score(query, doc_id) == expected
-                assert search.bm25_score(query, doc_id) == expected
             ranking = search.search(query, corpus.n_docs)
             for doc_id, score in ranking.entries:
                 assert score == _okapi(corpus, vocab, params, query, doc_id)
@@ -430,9 +430,9 @@ def test_saved_corpus_loads_the_built_ids_and_index(
 
 
 def _reference_search(search, query, k):
-    """Every document sorted by (-bm25_score, doc id), then cut to k:
+    """Every document sorted by (-score, doc id), then cut to k:
     zero-score documents fill in ascending doc-id order."""
-    scored = [(doc_id, search.bm25_score(query, doc_id)) for doc_id in search.corpus.doc_ids()]
+    scored = [(doc_id, search.score(query, doc_id)) for doc_id in search.corpus.doc_ids()]
     return tuple(sorted(scored, key=lambda e: (-e[1], e[0]))[:k])
 
 

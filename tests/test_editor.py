@@ -13,7 +13,6 @@ from queryflip.corpus import build_corpus, ingest_corpus
 from queryflip.editor import (
     Beam,
     EditCandidate,
-    TraceCandidate,
     Triplet,
     check_flip,
     decode_masked_slots,
@@ -112,13 +111,14 @@ def test_expand_fills_the_leftmost_masked_slot():
                     [PredictionDistribution(((3, 0.5),))])
 
 
-def test_decode_requires_slots_to_be_the_masked_positions(sample_stack):
+def test_decode_fills_every_masked_position(sample_stack):
     predictor = _predictor(sample_stack, "d3")
     masked = (MASK_ID, 5, MASK_ID)
-    for slots in ([0], [0, 1, 2], [2, 1]):
-        with pytest.raises(ValueError, match="slots must be the masked positions"):
-            decode_masked_slots(masked, slots, predictor, 2)
-    assert decode_masked_slots(masked, [2, 0], predictor, 2).candidates
+    beam = decode_masked_slots(masked, predictor, 2)
+    assert beam.candidates
+    for c in beam.candidates:
+        assert MASK_ID not in c.tokens
+        assert c.tokens[1] == 5
 
 
 def test_expand_requires_matching_count():
@@ -210,7 +210,8 @@ def test_edit_golden_trace_on_sample_corpus(sample_stack):
     assert stack.vocab.decode(result.outcome) == ["banana", "recipe"]
     assert result.masks_used == 1
     assert len(result.trace) == 1
-    flipped = [c for c in result.trace[0].candidates if c.flipped]
+    trace = result.trace[0]
+    flipped = [c for c, f in zip(trace.beam.candidates, trace.flips) if f]
     assert {stack.vocab.decode(c.tokens)[0] for c in flipped} == {"banana", "bread"}
 
 
@@ -224,8 +225,8 @@ def test_edit_is_deterministic(sample_stack):
     ]
     assert results[0].outcome == results[1].outcome
     assert results[0].masks_used == results[1].masks_used
-    first = [(c.tokens, c.log_prob, c.flipped) for it in results[0].trace for c in it.candidates]
-    second = [(c.tokens, c.log_prob, c.flipped) for it in results[1].trace for c in it.candidates]
+    first = [(it.beam, it.flips) for it in results[0].trace]
+    second = [(it.beam, it.flips) for it in results[1].trace]
     assert first == second
 
 
@@ -260,7 +261,7 @@ def test_edit_forced_null_exhausts_all_masks():
     assert result.outcome is None
     assert result.masks_used == len(t.query_ids)
     assert [it.masks for it in result.trace] == [1, 2]
-    assert not any(c.flipped for it in result.trace for c in it.candidates)
+    assert not any(f for it in result.trace for f in it.flips)
 
 
 def test_edit_rejects_invalid_triplet(sample_stack):
@@ -332,7 +333,7 @@ def test_beam_equals_enumeration_on_random_instances():
             MASK_ID if pos in slots else tok for pos, tok in enumerate(query)
         )
         width = n * n  # >= |vocab|^slots, so nothing is pruned
-        beam = decode_masked_slots(masked, slots, predictor, width)
+        beam = decode_masked_slots(masked, predictor, width)
         expected = _enumerate_fillings(masked, slots, predictor, n)
         got = [(c.tokens, c.log_prob) for c in beam.candidates]
         assert got == expected[: len(got)]
@@ -401,7 +402,7 @@ def test_pruned_expand_matches_full_expansion(data):
 
 
 # ---------------------------------------------------------------------------
-# the trace, built on read
+# the trace against an eager decode and flip checks
 
 
 def test_trace_candidates_equal_the_eager_tuple(sample_stack):
@@ -421,11 +422,8 @@ def test_trace_candidates_equal_the_eager_tuple(sample_stack):
                 MASK_ID if pos in it.masked_positions else tok
                 for pos, tok in enumerate(t.query_ids)
             )
-            beam = decode_masked_slots(masked, it.masked_positions, predictor, 4)
-            eager = tuple(
-                TraceCandidate(c.tokens, c.log_prob, check_flip(c.tokens, t, stack.search))
-                for c in beam.candidates
-            )
-            assert eager
-            assert it.candidates == eager
-            assert it.candidates == it.candidates
+            beam = decode_masked_slots(masked, predictor, 4)
+            flips = tuple(check_flip(c.tokens, t, stack.search) for c in beam.candidates)
+            assert beam.candidates
+            assert it.beam == beam
+            assert it.flips == flips

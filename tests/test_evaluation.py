@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queryflip import editor
 from queryflip.corpus import Document, build_corpus, ingest_corpus
 from queryflip.editor import EditCandidate, EditResult, Triplet, check_flip, select_final
 from queryflip.evaluation import (
@@ -485,27 +484,6 @@ def test_evaluate_all_methods_produce_reports(small_eval):
         report = evaluate(triplets, method, ctx, beam_width=5, timing="off")
         assert report.method == method
         assert len(report.records) == len(triplets)
-
-
-def test_cfe2_evaluation_builds_no_trace_candidates(small_eval, monkeypatch):
-    # The records never read the trace, so an eval pass builds none of its
-    # candidates; reading an edit's trace builds them.
-    _, ctx, triplets = small_eval
-    built = []
-    real = editor.TraceCandidate
-
-    def counting(*args):
-        built.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(editor, "TraceCandidate", counting)
-    report = evaluate(triplets, "cfe2", ctx, beam_width=5, timing="off")
-    assert len(report.records) == len(triplets)
-    assert built == []
-    result = run_method(triplets[0], "cfe2", ctx, beam_width=5)
-    assert built == []
-    candidates = [c for it in result.trace for c in it.candidates]
-    assert candidates and len(built) == len(candidates)
 
 
 def test_evaluate_unknown_method_rejected(small_eval):

@@ -1,0 +1,52 @@
+"""Every function, method and class the package defines is read somewhere.
+
+Definitions come from ``ast`` over ``src/queryflip/*.py``; reads are the
+``NAME`` tokens of ``src/queryflip/`` and ``perfbench/``, less the name
+token right after each ``def`` or ``class``. Dunders are exempt: Python
+calls them. A name read only by the tests, or only as a string, counts as
+unread.
+
+The check works by name, not by owner: two classes that define a method
+of the same name share its reads, so one of them can go unread unseen
+(``doc_ids`` on ``Corpus`` and on ``Ranking`` was such a pair).
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import tokenize
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "queryflip"
+
+
+def _reads(path: Path) -> Counter:
+    """NAME tokens of one file, less those a ``def`` or ``class`` names."""
+    reads: Counter = Counter()
+    previous = None
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text("utf-8")).readline)
+    for token in tokens:
+        if token.type == tokenize.NAME and previous not in ("def", "class"):
+            reads[token.string] += 1
+        if token.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT):
+            previous = token.string
+    return reads
+
+
+def test_every_def_and_class_in_the_package_is_read():
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, kinds) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                defined.add((path.name, node.name))
+    reads: Counter = Counter()
+    for path in [*PACKAGE.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+        reads += _reads(path)
+    unread = sorted(f"{file}:{name}" for file, name in defined if not reads[name])
+    assert unread == [], f"defined but never read: {unread}"

@@ -33,6 +33,13 @@ from synthdata import synthetic_corpus
 from test_corpus import assert_same_arrays, ids, npz_round_trip
 
 
+def _prob(lm, token_id, context):
+    """P(token | context): add-k over the context's run from ``distribution``."""
+    targets, counts, denominator = lm.distribution(context)
+    count = dict(zip(targets, counts)).get(token_id, 0)
+    return (count + lm.k) / denominator
+
+
 def _bigram_ab():
     # corpus {[a, b], [a, b]}, order 2, k = 0.1, candidates {a, b}
     lines = [json.dumps({"id": f"d{i}", "text": "a b"}) for i in range(2)]
@@ -44,22 +51,22 @@ def test_bigram_conditional_hand_value():
     lm, vocab = _bigram_ab()
     a, b = vocab.id("a"), vocab.id("b")
     # P(b | a) = (2 + 0.1) / (2 + 0.1 * 2)
-    assert lm.prob(b, (a,)) == pytest.approx(2.1 / 2.2, abs=1e-12)
-    assert lm.prob(b, (a,)) == pytest.approx(0.9545454545454545, abs=1e-12)
+    assert _prob(lm, b, (a,)) == pytest.approx(2.1 / 2.2, abs=1e-12)
+    assert _prob(lm, b, (a,)) == pytest.approx(0.9545454545454545, abs=1e-12)
 
 
 def test_unseen_context_backs_off_to_uniform():
     lm, vocab = _bigram_ab()
     a, b = vocab.id("a"), vocab.id("b")
-    assert lm.prob(a, (b,)) == pytest.approx(0.5, abs=1e-12)
-    assert lm.prob(b, (b,)) == pytest.approx(0.5, abs=1e-12)
+    assert _prob(lm, a, (b,)) == pytest.approx(0.5, abs=1e-12)
+    assert _prob(lm, b, (b,)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_distributions_normalize():
     lm, vocab = _bigram_ab()
     a, b = vocab.id("a"), vocab.id("b")
     for context in ((BOS,), (a,), (b,), (UNK_ID,)):
-        total = sum(lm.prob(t, context) for t in (a, b))
+        total = sum(_prob(lm, t, context) for t in (a, b))
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -112,7 +119,7 @@ def test_special_target_scored_at_unseen_floor():
     a = vocab.id("a")
     # PAD is not a candidate: probability equals the add-k floor, so
     # sequences containing it stay scoreable (and expensive).
-    assert lm.prob(PAD_ID, (a,)) == pytest.approx(0.1 / 2.2, abs=1e-12)
+    assert _prob(lm, PAD_ID, (a,)) == pytest.approx(0.1 / 2.2, abs=1e-12)
     assert perplexity([a, PAD_ID], lm) > perplexity([a, vocab.id("b")], lm)
 
 
@@ -179,8 +186,8 @@ def test_train_ngram_matches_counter_reference(order, min_count):
         sequences.append([c, len(vocab) + 4, c, c, BOS - 3, c, c, c, c])
         for model in (lm, loaded):
             for context in [*counts, unseen]:
-                for token_id in [*vocab.content_ids(), PAD_ID]:
-                    assert model.prob(token_id, context) == ref_prob(token_id, context)
+                for token_id in [*range(FIRST_CONTENT_ID, len(vocab)), PAD_ID]:
+                    assert _prob(model, token_id, context) == ref_prob(token_id, context)
                 seen = counts.get(context, {})
                 targets, run_counts, denominator = model.distribution(context)
                 assert targets == sorted(seen)
@@ -213,10 +220,10 @@ def test_packed_context_keys_are_exact_past_int64():
         return (counts.get((*context, token_id), 0) + k) / (totals[context] + k * n)
 
     for row, count in counts.items():
-        assert lm.prob(row[-1], row[:-1]) == (count + k) / (totals[row[:-1]] + k * n)
+        assert _prob(lm, row[-1], row[:-1]) == (count + k) / (totals[row[:-1]] + k * n)
     for context in [(*rows[-1][:-2], PAD_ID), (BOS,) * 8 + (MASK_ID,)]:
         assert context not in totals
-        assert lm.prob(FIRST_CONTENT_ID, context) == k / (k * n)
+        assert _prob(lm, FIRST_CONTENT_ID, context) == k / (k * n)
         assert lm.distribution(context) == ([], [], k * n)
     for doc in corpus.documents():
         seq = doc.ids
@@ -256,7 +263,7 @@ def test_predict_lambda_zero_equals_ngram(sample_stack):
     context = stack.lm.context_at(masked, 1)
     assert context == (BOS, apple)
     for token_id, prob in probs.items():
-        assert prob == pytest.approx(stack.lm.prob(token_id, context), abs=1e-15)
+        assert prob == pytest.approx(_prob(stack.lm, token_id, context), abs=1e-15)
 
 
 def test_predict_first_slot_falls_back_to_doc_distribution(sample_stack):
@@ -386,7 +393,7 @@ def test_predict_matches_dense_reference(order, k):
         counts, totals = reference_counts(corpus, vocab, order)
         n = vocab.content_size
         docs = [vocab.encode(tokenize(d.text)) for d in corpus.documents()]
-        content = list(vocab.content_ids())
+        content = list(range(FIRST_CONTENT_ID, len(vocab)))
         for d_prime in docs:  # includes an empty document
             for lam in (0.0, 1.0, rng.random()):
                 predictor = NgramPredictor(lm, d_prime, lam=lam)
@@ -426,7 +433,7 @@ def test_memoized_predictions_equal_fresh_ones(data):
     lm = train_ngram(corpus.encoded, vocab, order=order, k=k)
     d_prime = data.draw(st.sampled_from([d.ids for d in corpus.documents()]))
     lam = data.draw(st.floats(0.0, 1.0), label="lam")
-    content = list(vocab.content_ids())
+    content = list(range(FIRST_CONTENT_ID, len(vocab)))
     a, b = content[0], content[-1]
     token = st.sampled_from(content + [UNK_ID, MASK_ID, PAD_ID])
     masked = st.lists(token, min_size=1, max_size=7)
@@ -495,7 +502,7 @@ def test_predict_matches_full_scoring(data):
     k = data.draw(st.sampled_from((0.1, 1 / 3)), label="k")
     lm = train_ngram(corpus.encoded, vocab, order=order, k=k)
     n = lm.n_candidates
-    content = list(vocab.content_ids())
+    content = list(range(FIRST_CONTENT_ID, len(vocab)))
     # d' repeats tokens, so counts tie.
     d_prime = data.draw(
         st.lists(st.sampled_from(content + [UNK_ID]), max_size=12), label="d_prime"

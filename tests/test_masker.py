@@ -22,7 +22,7 @@ class FakeEmbedder:
 
 
 def test_order_sorts_descending_with_leftmost_ties():
-    scores = ImportanceScores.from_scores([0.2, 0.9, 0.2, 0.9])
+    scores = ImportanceScores((0.2, 0.9, 0.2, 0.9))
     assert scores.order == (1, 3, 0, 2)
 
 

@@ -382,7 +382,7 @@ def test_load_with_changed_corpus_fails(tmp_path):
         (lambda p: _edit_array(p, "corpus.token_ids", lambda a: a[:-1]), "offsets"),
         (lambda p: _edit_arrays(p, _empty_row_added), "4 rows of token ids for 3"),
         (lambda p: _edit_array(p, "corpus.sentence_offsets", lambda a: None),
-         "missing array 'corpus.sentence_offsets'"),
+         "missing array 'corpus.sentence_offsets'; re-run `queryflip index`"),
         (lambda p: _edit_array(p, "corpus.sentence_offsets", lambda a: a.astype(float)),
          "integer"),
         (lambda p: _edit_array(p, "corpus.sentence_offsets", lambda a: _swap(a, 1, 2)),

@@ -237,7 +237,7 @@ def test_grouped_records_match_per_triplet_records(synth_small, method):
     assert _alone(report.records) == _alone(_per_triplet(triplets, method, ctx))
 
 
-def test_split_ranking_forms_separate_groups(synth_small, importance_calls):
+def test_split_ranking_shares_one_work(synth_small, importance_calls):
     # A ranking split across the input still shares one work: importance
     # is computed once per distinct (q, d).
     _, ctx, triplets = synth_small
