@@ -44,6 +44,9 @@ from .text import UNK_ID, Vocabulary
 logger = logging.getLogger(__name__)
 
 STACK_FILE = "stack.npz"
+# The layout of the arrays in STACK_FILE. A change to the arrays a build
+# writes or a load reads bumps it, so an older archive fails on this number.
+STACK_FORMAT = 1
 
 
 class ArtifactError(RuntimeError):
@@ -94,13 +97,14 @@ def build_stack_from_file(path: str, config: RunConfig) -> Stack:
 # ---------------------------------------------------------------------------
 # Persistence
 #
-# The whole stack lives in one uncompressed ``.npz``: one build fingerprint
-# and the arrays each component writes with ``to_arrays`` and reads back
-# with ``from_arrays``. The BM25 postings are not stored: load counts them
-# from the corpus's token ids with the ``build_index`` the build uses, and
-# their idf and impacts follow k1 and b, which the fingerprint leaves out.
-# The loader checks what one component cannot: vector rows, n-gram
-# candidates, and the corpus's token ids against the vocabulary.
+# The whole stack lives in one uncompressed ``.npz``: its format number, one
+# build fingerprint and the arrays each component writes with ``to_arrays``
+# and reads back with ``from_arrays``. The BM25 postings are not stored:
+# load counts them from the corpus's token ids with the ``build_index`` the
+# build uses, and their idf and impacts follow k1 and b, which the
+# fingerprint leaves out. The loader checks the format number first, then
+# what one component cannot: vector rows, n-gram candidates, and the
+# corpus's token ids against the vocabulary.
 
 
 def save_stack(stack: Stack, config: RunConfig) -> None:
@@ -112,6 +116,7 @@ def save_stack(stack: Stack, config: RunConfig) -> None:
         # Keyword arguments, so two components writing one name is a TypeError.
         np.savez(
             fh,
+            format=np.array(STACK_FORMAT),
             fingerprint=np.array(stack.fingerprint),
             **stack.corpus.to_arrays(),
             **stack.vocab.to_arrays(),
@@ -138,6 +143,12 @@ def load_stack(config: RunConfig) -> Stack:
     try:
         with np.load(path, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
+        found = str(arrays["format"]) if "format" in arrays else "none"
+        if found != str(STACK_FORMAT):
+            raise ArtifactError(
+                f"{STACK_FILE} archive format {found}, this build reads "
+                f"{STACK_FORMAT}; run `queryflip index`"
+            )
         corpus = Corpus.from_arrays(arrays)
         expected = build_fingerprint(config.build_params(), corpus_digest(corpus))
         stored = str(arrays["fingerprint"])

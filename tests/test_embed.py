@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from queryflip.corpus import build_corpus, ingest_corpus
 from queryflip.embed import (
@@ -161,8 +163,12 @@ def test_unk_vector_defined():
 
 
 def _lanczos_log(caplog):
-    """(steps, restarts) of the last Lanczos solve logged."""
-    found = re.findall(r"in (\d+) steps, (\d+) restarts", caplog.text)
+    """(steps, restarts, full reorthogonalisations) of the last Lanczos
+    solve logged."""
+    found = re.findall(
+        r"in (\d+) steps, (\d+) restarts, (\d+) full reorthogonalisations",
+        caplog.text,
+    )
     assert found, "no Lanczos solve was logged"
     return tuple(int(x) for x in found[-1])
 
@@ -210,8 +216,10 @@ def test_top_eigenpairs_agree_with_dense_eigh(caplog, make_entries, k):
     n, rows, cols, vals = make_entries()
     with caplog.at_level(logging.DEBUG, logger="queryflip.embed"):
         values = _assert_matches_dense_eigh(n, rows, cols, vals, k)
-    steps, _ = _lanczos_log(caplog)
+    steps, _, full = _lanczos_log(caplog)
     assert steps < n
+    # Partial reorthogonalisation: some steps run the bare recurrence.
+    assert full < steps
     # The top-|lambda| set takes eigenvalues from both ends of the spectrum.
     assert values.min() < 0.0 < values.max()
 
@@ -224,9 +232,68 @@ def test_top_eigenpairs_find_repeated_eigenvalues(caplog):
     n, rows, cols, vals = _ppmi_problem(*_corpus(["a b c a d b e c", "f g h f i g j h"]), 2)
     with caplog.at_level(logging.DEBUG, logger="queryflip.embed"):
         values = _assert_matches_dense_eigh(n, rows, cols, vals, 4)
-    _, restarts = _lanczos_log(caplog)
+    _, restarts, _ = _lanczos_log(caplog)
     assert restarts >= 1
     assert values[0] == pytest.approx(values[1]) and values[2] == pytest.approx(values[3])
+
+
+def test_top_eigenpairs_of_a_near_double_eigenvalue_with_a_weak_coupling():
+    # Eigenvalues about -1.000001, -1 and 1e-6. Reorthogonalising only past
+    # sqrt(eps) left 3.4e-10 in the projector of the top two.
+    matrix = np.array([[-1.0, 0.0, 1e-3], [0.0, -1.0, 0.0], [1e-3, 0.0, 0.0]])
+    rows, cols = np.nonzero(matrix)
+    _assert_matches_dense_eigh(3, rows, cols, matrix[rows, cols], 2)
+
+
+# Zero, or of magnitude 1e-3 to 1 (PPMI values span a few orders of ten;
+# near-underflow values would test float range, not the solver).
+_ENTRIES = st.one_of(
+    st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    b=st.integers(2, 10),
+    data=st.data(),
+    copies=st.sampled_from([1, 2]),
+    shift=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+    zero_rows=st.integers(0, 3),
+)
+def test_top_eigenpairs_agree_with_dense_eigh_on_random_matrices(
+    b, data, copies, shift, zero_rows
+):
+    """A sparse symmetric b x b block, shifted down by ``shift`` times its
+    row-sum norm on its nonzero rows (from 1 on, no eigenvalue is positive),
+    placed ``copies`` times on disjoint rows (two copies repeat every
+    eigenvalue), with zero rows mixed in. ``k`` is drawn where the top-k
+    eigenspace is separated from the rest by 1% of |lambda_max|, so its
+    projector is well defined. The second copies of repeated eigenvalues
+    are found by restarting on an invariant Krylov space, so two copies
+    take ``k >= b``: the first check then sees both spaces exhausted."""
+    upper = np.zeros((b, b))
+    upper[np.triu_indices(b)] = data.draw(
+        st.lists(_ENTRIES, min_size=b * (b + 1) // 2, max_size=b * (b + 1) // 2)
+    )
+    block = upper + np.triu(upper, 1).T
+    nonzero = np.flatnonzero(np.abs(block).sum(axis=1))
+    block[nonzero, nonzero] -= shift * np.abs(block).sum(axis=1).max()
+    n = copies * b + zero_rows
+    matrix = np.zeros((n, n))
+    for c in range(copies):
+        matrix[c * b : (c + 1) * b, c * b : (c + 1) * b] = block
+    order = np.array(data.draw(st.permutations(range(n))))
+    matrix = matrix[np.ix_(order, order)]
+    magnitudes = np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1]
+    assume(magnitudes[0] > 0.0)
+    ks = [
+        k for k in range(b if copies == 2 else 1, n)
+        if magnitudes[k - 1] - magnitudes[k] >= 1e-2 * magnitudes[0]
+    ]
+    assume(ks)
+    k = data.draw(st.sampled_from(ks))
+    rows, cols = np.nonzero(matrix)
+    _assert_matches_dense_eigh(n, rows, cols, matrix[rows, cols], k)
 
 
 def test_lanczos_training_is_deterministic(caplog):

@@ -12,6 +12,7 @@ from queryflip.corpus import build_corpus, ingest_corpus
 from queryflip.lm import BOS, perplexity
 from queryflip.pipeline import (
     STACK_FILE,
+    STACK_FORMAT,
     ArtifactError,
     build_stack,
     corpus_digest,
@@ -414,6 +415,24 @@ def test_load_rejects_bad_artifact(tmp_path, damage, match):
     damage(path)
     with pytest.raises(ArtifactError, match=match):
         load_stack(config)
+
+
+@pytest.mark.parametrize(
+    "change, found",
+    [(lambda a: a + 1, STACK_FORMAT + 1), (lambda a: None, "none")],
+    ids=["wrong_number", "missing_number"],
+)
+def test_load_checks_the_archive_format_first(tmp_path, change, found):
+    config, path = _saved(tmp_path)
+    # An array is missing too: the format number is checked before it.
+    _edit_array(path, "corpus.sentence_offsets", lambda a: None)
+    _edit_array(path, "format", change)
+    with pytest.raises(ArtifactError) as excinfo:
+        load_stack(config)
+    assert str(excinfo.value) == (
+        f"{STACK_FILE} archive format {found}, this build reads {STACK_FORMAT}; "
+        "run `queryflip index`"
+    )
 
 
 @pytest.mark.parametrize("name", ["corpus.text_offsets", "vocab.offsets"])
