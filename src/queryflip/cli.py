@@ -21,11 +21,10 @@ from .evaluation import (
     beam_sweep,
     build_triplets,
     check_beam_sizes,
-    edit_clock,
-    edit_each,
     evaluate,
     render_markdown,
     reports_to_json,
+    sweep_edits,
 )
 from .pipeline import (
     Stack,
@@ -133,9 +132,10 @@ def _collect_triplets(
 
 
 def _sweep_options(config: RunConfig) -> dict:
-    """The ``beam_sweep``/``evaluate`` options eval and sweep-beam share. No
-    ``workers`` means 1 when every role is local, since local edits hold the
-    interpreter lock, and the available parallelism when a role is remote."""
+    """The ``sweep_edits`` options edit, eval and sweep-beam share, plus the
+    ``meta`` of the reports eval and sweep-beam write. No ``workers`` means
+    1 when every role is local, since local edits hold the interpreter
+    lock, and the available parallelism when a role is remote."""
     parallelism = (os.cpu_count() or 1) if config.backends else 1
     return {
         "max_masks": config.max_masks,
@@ -181,13 +181,16 @@ def cmd_edit(args) -> int:
             raise ValueError("edit needs --query/--doc/--counter or --triplets")
         triplet = _triplet_from_ids(stack, args.query, args.doc, args.counter)
         items = [(args.query, triplet)]
-    results = edit_each(
-        [t for _, t in items], ctx, config.beam, config.max_masks,
-        edit_clock(config.timing),
+    options = _sweep_options(config)
+    del options["meta"]  # edit writes no report
+    rows = sweep_edits(
+        [t for _, t in items], [config.beam], ctx,
+        lambda index, triplet, method, result, work, target, elapsed: (result, elapsed),
+        **options,
     )
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for (text, triplet), (result, elapsed) in zip(items, results):
+        for (text, triplet), [(result, elapsed)] in zip(items, rows):
             payload = _result_payload(result, triplet, stack, text, elapsed)
             out.write(json.dumps(payload))
             out.write("\n")

@@ -1,16 +1,17 @@
 """Run configuration: one dataclass binding the whole pipeline together.
 
 A config can live in a JSON file; command-line flags override file
-values. The subset of fields that affects built artifacts is hashed into
-a build fingerprint which the artifact file embeds, so stale artifacts
-are detected at load time.
+values. A config is validated when it is made and never changes. The
+subset of fields that affects built artifacts is hashed into a build
+fingerprint which the artifact file embeds, so stale artifacts are
+detected at load time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, get_type_hints
 
 from .evaluation import MASKERS, TIMING_MODES
@@ -27,7 +28,7 @@ _JSON_TYPES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     corpus: str = field(default="corpus.jsonl", metadata={"help": "corpus JSONL path"})
     artifacts: str = field(default="artifacts", metadata={"help": "artifact directory"})
@@ -53,6 +54,9 @@ class RunConfig:
     # run behaviour
     workers: int | None = None  # None: 1, or available parallelism if a role is remote
     timing: str = "wall"
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         """Raise ValueError naming the first invalid field: types first,
@@ -109,9 +113,7 @@ class RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"invalid config field: {sorted(unknown)[0]}")
-        config = cls(**raw)
-        config.validate()
-        return config
+        return cls(**raw)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -124,9 +126,7 @@ class RunConfig:
 
     def with_overrides(self, **overrides: Any) -> "RunConfig":
         """New config with non-None overrides applied, re-validated."""
-        raw = self.to_dict()
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-        return RunConfig.from_dict(raw)
+        return replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
     def result_dict(self) -> dict[str, Any]:
         """Config fields that may influence results, as report metadata.

@@ -504,15 +504,10 @@ def evaluate(
     timing: str = "wall",
     meta: dict[str, Any] | None = None,
 ) -> EvalReport:
-    """Run ``method`` on every triplet and assemble the report.
-
-    Each edit is timed individually with a per-task wall clock; with
-    ``timing="off"`` the elapsed fields are recorded as 0.0 so repeated
-    runs are byte-identical. Triplets may be processed by several worker
-    threads; records are emitted in input order regardless. The work a
-    ranking or a target document shares is charged to the first timed
-    edit that needs it (see ``beam_sweep``).
-    """
+    """Run ``method`` on every triplet and assemble the report: the
+    one-size ``beam_sweep``. Each edit is timed on its own; with
+    ``timing="off"`` the elapsed fields are 0.0, so repeated runs are
+    byte-identical. Workers and shared work are as in ``sweep_edits``."""
     return beam_sweep(
         triplets, [beam_width], ctx, max_masks, workers, timing, meta, method
     )[0]
@@ -569,13 +564,15 @@ def check_beam_sizes(sizes: Sequence[int]) -> None:
 def _sweep_tasks(
     triplets: Sequence[Triplet], ctx: EvalContext, n_sizes: int
 ) -> Iterator[tuple[int, Triplet, list[SharedWork], list[SharedWork]]]:
-    """``(index, triplet, works, targets)`` for every triplet, in input
-    order: ``works`` holds one ``SharedWork`` per beam size for the
-    triplet's ranking, keyed by (q, d), and ``targets`` one per beam size
-    for its target document, keyed by d'. A key's works are made on its
-    first triplet and let go with the task of its last, so every triplet
-    of a key shares them wherever it stands in the input, and the live
-    ones are bounded by the keys still to come, not by the run's length.
+    """The tasks of ``sweep_edits``, the one edit loop of ``eval``,
+    ``sweep-beam`` and ``edit``: ``(index, triplet, works, targets)`` for
+    every triplet, in input order. ``works`` holds one ``SharedWork`` per
+    beam size for the triplet's ranking, keyed by (q, d), and ``targets``
+    one per beam size for its target document, keyed by d'. A key's works
+    are made on its first triplet and let go with the task of its last,
+    so every triplet of a key shares them wherever it stands in the input,
+    and the live ones are bounded by the keys still to come, not by the
+    run's length.
 
     Each size has its own works, so the edits at one size pay exactly the
     shared work an ``evaluate`` at that size pays. Sharing them across
@@ -601,21 +598,61 @@ def _sweep_tasks(
         yield index, t, works, works_for(t.d_prime.id, index)
 
 
-def edit_each(
+def sweep_edits(
     triplets: Sequence[Triplet],
+    sizes: Sequence[int],
     ctx: EvalContext,
-    beam_width: int,
-    max_masks: int | None,
-    clock: Callable[[], float],
-) -> Iterator[tuple[EditResult, float]]:
-    """cfe2's result and timed seconds for each triplet, in input order,
-    sharing work between triplets as ``beam_sweep`` does at one size."""
-    for _, triplet, works, targets in _sweep_tasks(triplets, ctx, 1):
-        start = clock()
-        result = run_method(
-            triplet, "cfe2", ctx, beam_width, max_masks, works[0], targets[0]
-        )
-        yield result, clock() - start
+    make: Callable[..., Any],
+    method: str = "cfe2",
+    max_masks: int | None = None,
+    workers: int = 1,
+    timing: str = "wall",
+) -> Iterator[list[Any]]:
+    """Edit every triplet with ``method`` at every beam size and yield, per
+    triplet in input order, one ``make(index, triplet, method, result,
+    work, target, elapsed)`` per size, in the order of ``sizes``.
+
+    The work the triplets of one ranking (q, d) or of one target document
+    d' share at one size (see ``SharedWork`` and ``_sweep_tasks``) is
+    computed once, inside the first timed edit at that size that needs
+    it, so with one worker the summed ``elapsed`` covers all the work
+    exactly. ``make`` runs after the edit's clock stops. With one worker
+    the triplets are edited lazily, one per row taken. Several workers
+    take single triplets, so one ranking's triplets run in parallel; an
+    edit that waits for a value another thread is computing counts that
+    wait in its ``elapsed``. Each triplet is edited at every size in turn,
+    so a change in host speed hits all sizes alike, and the size it
+    starts with rotates from triplet to triplet, so shared work and the
+    extra cost of a triplet's first edit (cold caches) are spread over
+    all sizes."""
+    clock = edit_clock(timing)
+    n = len(sizes)
+
+    # Holds no reference to ctx: each task carries it in its works, which
+    # are freed with the last task that shares them.
+    def sweep(
+        task: tuple[int, Triplet, list[SharedWork], list[SharedWork]],
+    ) -> list[Any]:
+        index, triplet, works, targets = task
+        row: dict[int, Any] = {}
+        for k in range(index, index + n):
+            s = k % n
+            work, target = works[s], targets[s]
+            start = clock()
+            result = run_method(
+                triplet, method, work.ctx, sizes[s], max_masks, work, target
+            )
+            row[s] = make(
+                index, triplet, method, result, work, target, clock() - start
+            )
+        return [row[s] for s in range(n)]
+
+    tasks = _sweep_tasks(triplets, ctx, n)
+    if workers <= 1:
+        yield from map(sweep, tasks)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(sweep, tasks)  # in input order
 
 
 def beam_sweep(
@@ -628,53 +665,14 @@ def beam_sweep(
     meta: dict[str, Any] | None = None,
     method: str = "cfe2",
 ) -> list[EvalReport]:
-    """One report per beam size, in the order given (``evaluate`` is the
-    one-size case).
-
-    The work the triplets of one ranking (q, d) or of one target document
-    d' share at one size (see ``SharedWork`` and ``_sweep_tasks``) is
-    computed once, inside the first timed edit at that size that needs
-    it, so with one worker the summed ``elapsed`` covers all the work
-    exactly.
-    Workers take single triplets, so one ranking's triplets run in
-    parallel; an edit that waits for a value another thread is computing
-    counts that wait in its ``elapsed``. Records come out in input order.
-    Each triplet is edited at every size in turn, so a change in host
-    speed hits all sizes alike, and the size it starts with rotates from
-    triplet to triplet, so shared work and the extra cost of a triplet's
-    first edit (cold caches) are spread over all sizes."""
+    """One report per beam size, in the order given, of the records
+    ``sweep_edits`` makes with ``_record_for``."""
     check_beam_sizes(sizes)
     if not triplets:
         raise ValueError("no triplets to evaluate")
-    clock = edit_clock(timing)
-    n = len(sizes)
-
-    # Holds no reference to ctx: each task carries it in its works, which
-    # are freed with the last task that shares them.
-    def sweep(
-        task: tuple[int, Triplet, list[SharedWork], list[SharedWork]],
-    ) -> list[EvalRecord]:
-        index, triplet, works, targets = task
-        records: dict[int, EvalRecord] = {}
-        for k in range(index, index + n):
-            s = k % n
-            work, target = works[s], targets[s]
-            start = clock()
-            result = run_method(
-                triplet, method, work.ctx, sizes[s], max_masks, work, target
-            )
-            records[s] = _record_for(
-                index, triplet, method, result, work, target, clock() - start
-            )
-        return [records[s] for s in range(n)]
-
-    tasks = _sweep_tasks(triplets, ctx, n)
-    if workers <= 1:
-        rows = [sweep(task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(sweep, tasks))  # in input order
-
+    rows = sweep_edits(
+        triplets, sizes, ctx, _record_for, method, max_masks, workers, timing
+    )
     return [
         EvalReport(
             method=method,

@@ -78,7 +78,6 @@ def build_stack(records: Mapping[str, str], config: RunConfig) -> Stack:
     The embedding dimension is clamped to what the vocabulary and the
     co-occurrence rank can support, so small corpora still index cleanly.
     """
-    config.validate()
     corpus, vocab = build_corpus(records, config.min_count)
     encoded = corpus.encoded
     search = build_index(corpus, Bm25Params(config.k1, config.b_bm25))
@@ -191,7 +190,6 @@ def load_stack(config: RunConfig) -> Stack:
 
 def make_context(stack: Stack, config: RunConfig) -> EvalContext:
     """Bundle the stack (plus any configured remote backends) for eval."""
-    config.validate()
     endpoints = {
         role: BackendEndpoint.from_dict(role, raw)
         for role, raw in config.backends.items()

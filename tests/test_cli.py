@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
+import time
 from collections import Counter
 from dataclasses import fields
 
@@ -344,6 +346,41 @@ def test_edit_triplets_share_work_per_ranking_and_target(workdir, monkeypatch, c
     # Two rankings: lines 1, 2 and 4 share one, line 3 is the other.
     assert sorted(importance.values()) == [1, 1]
     assert sorted(predictors.values()) == [1, 1]  # d3 and d2
+
+
+def test_edit_triplets_run_on_the_configured_workers(workdir, monkeypatch):
+    # A "workers" value in the config file spreads edit's lines over that
+    # many threads; the lines still come out in input order, byte for byte.
+    tmp, config = workdir
+    assert _run("index", "--config", config) == 0
+    lines = [
+        {"query": "apple recipe", "doc_id": "d1", "counter_doc_id": "d3"},
+        {"query": "apple recipe", "doc_id": "d1", "counter_doc_id": "d2"},
+        {"query": "apple pie", "doc_id": "d1", "counter_doc_id": "d3"},
+    ] * 3
+    triplets = tmp / "triplets.jsonl"
+    triplets.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    threads: set[int] = set()
+    run_method = evaluation.run_method
+
+    def recording_run_method(*args):
+        threads.add(threading.get_ident())
+        time.sleep(0.01)  # gives every worker time to take a line
+        return run_method(*args)
+
+    monkeypatch.setattr(evaluation, "run_method", recording_run_method)
+    settings = json.loads(config.read_text())
+    written, used = {}, {}
+    for workers in (1, 3):
+        config.write_text(json.dumps({**settings, "workers": workers}))
+        out = tmp / f"edits-{workers}.jsonl"
+        threads.clear()
+        assert _run("edit", "--config", config, "--triplets", triplets,
+                    "--out", out) == 0
+        written[workers], used[workers] = out.read_bytes(), len(threads)
+    assert used[1] == 1 and used[3] > 1
+    assert written[3] == written[1]
+    assert len(written[1].splitlines()) == len(lines)
 
 
 def test_eval_empty_methods_fails_before_loading(workdir, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from queryflip import evaluation
 from queryflip.corpus import Document, build_corpus, ingest_corpus
 from queryflip.editor import EditCandidate, EditResult, Triplet, check_flip, select_final
 from queryflip.evaluation import (
@@ -27,6 +28,7 @@ from queryflip.evaluation import (
     render_markdown,
     reports_to_json,
     run_method,
+    sweep_edits,
 )
 from queryflip.masker import occlusion_importance
 from queryflip.lm import perplexity
@@ -512,6 +514,27 @@ def test_evaluate_parallel_matches_serial(small_eval):
     serial = evaluate(triplets, "cfe2", ctx, beam_width=5, timing="off")
     parallel = evaluate(triplets, "cfe2", ctx, beam_width=5, timing="off", workers=4)
     assert reports_to_json([serial]) == reports_to_json([parallel])
+
+
+def test_sweep_edits_with_one_worker_edits_as_rows_are_taken(small_eval, monkeypatch):
+    # `edit` writes each line as soon as its edit finishes: taking a row
+    # runs that triplet's edits, one per size, and no other.
+    _, ctx, triplets = small_eval
+    edited = []
+    run = evaluation.run_method
+
+    def recording_run_method(triplet, *args):
+        edited.append(triplet)
+        return run(triplet, *args)
+
+    monkeypatch.setattr(evaluation, "run_method", recording_run_method)
+    rows = sweep_edits(
+        triplets, [3, 5], ctx, lambda index, *_: index, "cfe2", timing="off"
+    )
+    assert next(rows) == [0, 0] and edited == [triplets[0]] * 2
+    assert next(rows) == [1, 1] and edited[2:] == [triplets[1]] * 2
+    assert list(rows) == [[i, i] for i in range(2, len(triplets))]
+    assert len(edited) == 2 * len(triplets)
 
 
 def test_report_serialization_shape(small_eval):

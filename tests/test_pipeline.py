@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -167,6 +167,19 @@ def test_overrides_revalidate():
     assert config.with_overrides(beam=None).beam == config.beam
     with pytest.raises(ValueError, match="beam"):
         config.with_overrides(beam=-1)
+
+
+def test_config_is_valid_from_construction_and_never_changes():
+    # Every RunConfig that exists has passed validate(), so the pipeline
+    # checks none again.
+    with pytest.raises(ValueError, match=r"invalid config field: beam \(must be >= 1\)"):
+        RunConfig(beam=0)
+    with pytest.raises(ValueError, match=r"invalid config field: lam \(must be a number\)"):
+        RunConfig(lam="0.5")
+    config = RunConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.beam = 0
+    assert config.beam == 10
 
 
 def test_save_load_round_trip(tmp_path):
