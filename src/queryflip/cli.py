@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("edit", help="edit one query or a triplets file")
-    _add_settings(p, "beam", "lam", "masker", "max_masks", "timing")
+    _add_settings(p, "beam", "lam", "masker", "max_masks", "workers", "timing")
     p.add_argument("--query")
     p.add_argument("--doc", help="id of the currently winning document")
     p.add_argument("--counter", help="id of the document that should win")

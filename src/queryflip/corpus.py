@@ -255,20 +255,6 @@ def build_corpus(
 
 
 @dataclass(frozen=True)
-class Bm25Params:
-    """Okapi constants; the community-standard defaults."""
-
-    k1: float = 1.2
-    b: float = 0.75
-
-    def __post_init__(self) -> None:
-        if not self.k1 > 0:
-            raise ValueError("k1 must be > 0")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
-
-
-@dataclass(frozen=True)
 class Ranking:
     """Ordered (doc id, score) pairs for one query, scores non-increasing."""
 
@@ -292,7 +278,9 @@ class Bm25SearchModel:
     ids), ``indptr`` (int64, ``len(terms) + 1`` row bounds, each row
     non-empty), ``docs`` (int32, each row's documents as strictly
     increasing positions in corpus order) and ``tfs`` (int32, term
-    frequencies >= 1). Special token ids are never indexed, so
+    frequencies >= 1), and the Okapi constants ``k1`` (> 0) and ``b`` (in
+    [0, 1]; either out of range raises ValueError), which the run's config
+    sets as ``k1`` and ``b_bm25``. Special token ids are never indexed, so
     MASK/PAD/UNK query tokens can never match anything. Scoring uses
     Robertson idf with +1 inside the log (keeps idf >= 0):
 
@@ -300,7 +288,8 @@ class Bm25SearchModel:
         w(t,d) = idf(t) * tf * (k1+1) / (tf + k1 * (1 - b + b * n/avgdl))
 
     Derived once at construction, as arrays: idf per term (``math.log``,
-    one call per term), the impact w(t,d) of every posting in one numpy
+    one call per term; ``idf`` reads it, and so does the query
+    representation), the impact w(t,d) of every posting in one numpy
     expression (``impacts``, in posting order), and the postings
     regrouped by document. ``score`` builds a document's {term id: w}
     table from the regrouped arrays the first time it scores that
@@ -318,8 +307,13 @@ class Bm25SearchModel:
         indptr: np.ndarray,
         docs: np.ndarray,
         tfs: np.ndarray,
-        params: Bm25Params,
+        k1: float,
+        b: float,
     ) -> None:
+        if not k1 > 0:
+            raise ValueError("k1 must be > 0")
+        if not 0.0 <= b <= 1.0:
+            raise ValueError("b must be in [0, 1]")
         self.corpus = corpus
         self.docs = docs
         n = corpus.n_docs
@@ -341,7 +335,6 @@ class Bm25SearchModel:
         # The scalar formula's float operations in its order, one element
         # per posting. Only a posting's document is normalised, so avgdl 0
         # (every document empty, no postings) divides nothing.
-        k1, b = params.k1, params.b
         k1_norm = k1 * (1.0 - b + b * lengths[docs] / corpus.avgdl)
         posting_idf = np.repeat(np.array(idfs), dfs)
         self.impacts = posting_idf * tfs * (k1 + 1.0) / (tfs + k1_norm)
@@ -425,8 +418,7 @@ class Bm25SearchModel:
         for t in query_ids:
             if t not in SPECIAL_IDS:
                 counts[t] = counts.get(t, 0) + 1
-        idf, unseen = self._idf, self._idf_unseen
-        weights = {t: idf.get(t, unseen) * tf for t, tf in counts.items()}
+        weights = {t: self.idf(t) * tf for t, tf in counts.items()}
         norm = math.sqrt(sum(w * w for w in weights.values()))
         if norm == 0.0:
             logger.debug("query has no scoreable terms; zero representation")
@@ -455,6 +447,7 @@ def count_postings(encoded: EncodedCorpus) -> tuple[np.ndarray, ...]:
     return terms.astype(np.int32), indptr, docs.astype(np.int32), tfs.astype(np.int32)
 
 
-def build_index(corpus: Corpus, params: Bm25Params) -> Bm25SearchModel:
-    """The BM25 model over the corpus's counted postings."""
-    return Bm25SearchModel(corpus, *count_postings(corpus.encoded), params)
+def build_index(corpus: Corpus, k1: float, b: float) -> Bm25SearchModel:
+    """The BM25 model with constants ``k1`` and ``b`` over the corpus's
+    counted postings."""
+    return Bm25SearchModel(corpus, *count_postings(corpus.encoded), k1, b)

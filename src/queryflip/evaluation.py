@@ -100,19 +100,23 @@ def flip_rate(flipped_flags: Sequence[bool]) -> float:
 
 
 def cos_sim_metric(
-    query_ids: Sequence[int], edited_ids: Sequence[int], search
+    query_ids: Sequence[int], edited_ids: Sequence[int], search, edited_search=None
 ) -> float:
     """Cosine of the sparse query representations, clamped to [0, 1].
 
-    Identical queries score exactly 1.0. A query whose representation is
-    the zero vector (no scoreable terms) scores 0.0.
+    The edited query's representation is asked of ``edited_search`` when
+    given, else of ``search``, as the original's always is. Identical
+    queries score exactly 1.0. A query whose representation is the zero
+    vector (no scoreable terms) scores 0.0.
     """
     if len(query_ids) == 0 or len(edited_ids) == 0:
         raise ValueError("empty query")
     if list(query_ids) == list(edited_ids):
         return 1.0
+    if edited_search is None:
+        edited_search = search
     u = search.query_representation(query_ids)
-    v = search.query_representation(edited_ids)
+    v = edited_search.query_representation(edited_ids)
     if not u or not v:
         logger.debug("zero-vector query in cosine metric; scored 0.0")
         return 0.0
@@ -121,20 +125,23 @@ def cos_sim_metric(
 
 
 def bertscore_f1(
-    query_ids: Sequence[int], edited_ids: Sequence[int], embedder
+    query_ids: Sequence[int], edited_ids: Sequence[int], embedder, edited_embedder=None
 ) -> float:
     """Greedy-matching token similarity F1 in [0, 1].
 
     Each token's best dot product against the other sequence is mapped
     from [-1, 1] to [0, 1] via (s+1)/2, then averaged into precision and
-    recall. Identical sequences score exactly 1.0.
+    recall. The edited tokens' vectors are asked of ``edited_embedder``
+    when given, else of ``embedder``. Identical sequences score exactly 1.0.
     """
     if len(query_ids) == 0 or len(edited_ids) == 0:
         raise ValueError("empty query")
     if list(query_ids) == list(edited_ids):
         return 1.0
+    if edited_embedder is None:
+        edited_embedder = embedder
     q = embedder.vectors_for(query_ids)
-    e = embedder.vectors_for(edited_ids)
+    e = edited_embedder.vectors_for(edited_ids)
     sims = e @ q.T  # rows: edited tokens, cols: original tokens
     # np.mean's own sum and division, without its dispatch: the same bits.
     best_p = (sims.max(axis=1) + 1.0) / 2.0
@@ -150,11 +157,15 @@ def fluency_metric(
     query_ids: Sequence[int],
     edited_ids: Sequence[int],
     ppl_fn: Callable[[Sequence[int]], float],
+    edited_ppl_fn: Callable[[Sequence[int]], float] | None = None,
 ) -> float:
-    """Perplexity ratio ppl(edited) / ppl(original); 1.0 is ideal."""
+    """Perplexity ratio ppl(edited) / ppl(original); 1.0 is ideal. The
+    edited query's perplexity is ``edited_ppl_fn``'s when given."""
     if len(query_ids) == 0 or len(edited_ids) == 0:
         raise ValueError("empty query")
-    return ppl_fn(edited_ids) / ppl_fn(query_ids)
+    if edited_ppl_fn is None:
+        edited_ppl_fn = ppl_fn
+    return edited_ppl_fn(edited_ids) / ppl_fn(query_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +338,18 @@ class SharedWork:
         )
 
     def metrics(
-        self, query_ids: Sequence[int], outcome: tuple[int, ...], lookup: Any
+        self, query_ids: Sequence[int], outcome: tuple[int, ...], owner: SharedWork
     ) -> tuple[float, float, float, str]:
         """(cos_sim, bertscore, fluency, outcome text) of ``outcome`` as an
-        edit of q, computed on the first ask. ``lookup`` stands in for the
-        embedder, the search model and ``ppl_fn``: this work, or a
-        ``_MetricLookup`` that asks the outcome of another work."""
+        edit of q, computed on the first ask. q's vectors, representation
+        and perplexity are asked of this work, the outcome's of ``owner``:
+        this work, or the work of the key the outcome belongs to."""
 
         def compute(_):
             return (
-                cos_sim_metric(query_ids, outcome, lookup),
-                bertscore_f1(query_ids, outcome, lookup),
-                fluency_metric(query_ids, outcome, lookup.ppl),
+                cos_sim_metric(query_ids, outcome, self, owner),
+                bertscore_f1(query_ids, outcome, self, owner),
+                fluency_metric(query_ids, outcome, self.ppl, owner.ppl),
                 " ".join(self.ctx.vocab.decode(outcome)),
             )
 
@@ -359,29 +370,6 @@ class SharedWork:
 
     def ppl(self, ids: Sequence[int]) -> float:
         return _once(self._ppl, tuple(ids), self.ctx.ppl_fn)
-
-
-class _MetricLookup:
-    """The embedder, search model and ``ppl_fn`` of one outcome's metrics:
-    q, passed as the very object the lookup holds, is asked of the
-    ranking's work, and any other sequence (the outcome) of ``holder``."""
-
-    def __init__(self, query_ids: Sequence[int], work: SharedWork, holder: SharedWork):
-        self._query_ids = query_ids
-        self._work = work
-        self._holder = holder
-
-    def _owner(self, ids: Sequence[int]) -> SharedWork:
-        return self._work if ids is self._query_ids else self._holder
-
-    def vectors_for(self, ids: Sequence[int]) -> np.ndarray:
-        return self._owner(ids).vectors_for(ids)
-
-    def query_representation(self, ids: Sequence[int]) -> dict[int, float]:
-        return self._owner(ids).query_representation(ids)
-
-    def ppl(self, ids: Sequence[int]) -> float:
-        return self._owner(ids).ppl(ids)
 
 
 @dataclass(frozen=True)
@@ -527,12 +515,9 @@ def _record_for(
     cos = f1 = fluency = outcome_text = None
     if outcome is not None:
         # A max_flip outcome is a sentence of d', asked again by every
-        # ranking with that target, so d''s work holds its answers; it
-        # never equals q, which cannot flip.
-        lookup = work
-        if method == "max_flip":
-            lookup = _MetricLookup(query_ids, work, target)
-        cos, f1, fluency, outcome_text = work.metrics(query_ids, outcome, lookup)
+        # ranking with that target, so d''s work holds its answers.
+        owner = target if method == "max_flip" else work
+        cos, f1, fluency, outcome_text = work.metrics(query_ids, outcome, owner)
     return EvalRecord(
         index=index,
         query=work.query_text(query_ids),

@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import RunConfig, build_fingerprint
 from .corpus import (
-    Bm25Params,
     Bm25SearchModel,
     Corpus,
     Document,
@@ -80,7 +79,7 @@ def build_stack(records: Mapping[str, str], config: RunConfig) -> Stack:
     """
     corpus, vocab = build_corpus(records, config.min_count)
     encoded = corpus.encoded
-    search = build_index(corpus, Bm25Params(config.k1, config.b_bm25))
+    search = build_index(corpus, config.k1, config.b_bm25)
     dim = min(config.embed_dim, max(2, vocab.content_size))
     table = train_embeddings(encoded, vocab, dim=dim, window=config.embed_window)
     lm = train_ngram(encoded, vocab, order=config.lm_order, k=config.lm_k)
@@ -180,7 +179,7 @@ def load_stack(config: RunConfig) -> Stack:
         raise ArtifactError(
             f"{STACK_FILE} holds corpus token ids outside [{UNK_ID}, {len(vocab)})"
         )
-    search = build_index(corpus, Bm25Params(config.k1, config.b_bm25))
+    search = build_index(corpus, config.k1, config.b_bm25)
     return Stack(corpus, vocab, search, table, lm, expected)
 
 

@@ -456,7 +456,7 @@ _SETTING_FLAGS = {
     "index": {},
     "search": {},
     "edit": {"beam": 7, "lam": 0.25, "masker": "occlusion", "max_masks": 2,
-             "timing": "off"},
+             "workers": 3, "timing": "off"},
     "eval": {"out_dir": "r", "beam": 7, "lam": 0.25, "masker": "occlusion",
              "top_k": 4, "workers": 3, "timing": "off"},
     "sweep-beam": {"out_dir": "r", "workers": 3, "timing": "off"},

@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from queryflip.corpus import (
-    Bm25Params,
     Corpus,
     build_corpus,
     build_index,
@@ -28,12 +27,14 @@ from queryflip.text import SPECIAL_IDS, UNK_ID, tokenize
 
 from conftest import SAMPLE_LINES, sample_config
 
-# Hand-derived BM25 constants for the sample corpus (k1=1.2, b=0.75).
+# Hand-derived BM25 constants for the sample corpus (k1=1.2, b=0.75, the
+# config defaults).
 # All documents have length 3 = avgdl, so the length normalization factor
 # is exactly 1 and each matching term contributes
 #   idf * 1 * (k1+1) / (1 + k1) = idf.
 # idf(df=2) = ln(1 + (3-2+0.5)/(2+0.5)) = ln(1.6)
 # idf(df=1) = ln(1 + (3-1+0.5)/(1+0.5)) = ln(8/3)
+K1, B = 1.2, 0.75
 IDF_DF2 = math.log(1.6)
 IDF_DF1 = math.log(8.0 / 3.0)
 SCORE_APPLE_RECIPE_D1 = 0.9400072584914713  # 2 * ln(1.6)
@@ -216,10 +217,11 @@ def test_query_representation_all_unk_is_zero_vector(sample_stack):
 
 
 def test_bad_params_rejected():
-    with pytest.raises(ValueError):
-        Bm25Params(k1=0.0)
-    with pytest.raises(ValueError):
-        Bm25Params(b=1.5)
+    corpus, _ = build_corpus({"d": "w0 w1"})
+    with pytest.raises(ValueError, match="k1"):
+        build_index(corpus, 0.0, 0.75)
+    with pytest.raises(ValueError, match="b must"):
+        build_index(corpus, 1.2, 1.5)
 
 
 def test_search_rejects_bad_k(sample_stack):
@@ -227,9 +229,8 @@ def test_search_rejects_bad_k(sample_stack):
         sample_stack.search.search([3], 0)
 
 
-def _okapi(corpus, vocab, params, query_ids, doc_id):
+def _okapi(corpus, vocab, k1, b, query_ids, doc_id):
     """Okapi BM25 recomputed from the corpus on every call, term by term."""
-    k1, b = params.k1, params.b
     encoded = {d.id: vocab.encode(tokenize(d.text)) for d in corpus.documents()}
     df = Counter(t for doc_ids in encoded.values() for t in set(doc_ids))
     doc_tf = Counter(encoded[doc_id])
@@ -351,7 +352,7 @@ def test_sentence_offsets_cut_the_stream_at_stops_and_documents():
 def test_index_of_empty_documents_has_no_postings():
     records = ingest_corpus(json.dumps({"id": f"d{i}", "text": "?!"}) for i in range(3))
     corpus, vocab = build_corpus(records)
-    search = build_index(corpus, Bm25Params())
+    search = build_index(corpus, K1, B)
     assert corpus.avgdl == 0.0 and len(search.docs) == 0
     assert_same_arrays(postings(search), _counter_postings(corpus, vocab))
     assert search.search([UNK_ID], 2).entries == (("d0", 0.0), ("d1", 0.0))
@@ -369,19 +370,19 @@ def test_score_equals_per_call_okapi_on_random_corpora():
         corpus, vocab = build_corpus(records, rng.choice((1, 2)))
         if corpus.avgdl == 0.0:
             continue
-        params = Bm25Params(k1=rng.uniform(0.1, 3.0), b=rng.choice((0.0, 0.75, 1.0)))
-        search = build_index(corpus, params)
+        k1, b = rng.uniform(0.1, 3.0), rng.choice((0.0, 0.75, 1.0))
+        search = build_index(corpus, k1, b)
         assert_same_arrays(postings(search), _counter_postings(corpus, vocab))
         for _ in range(10):
             # specials, ids past the vocabulary and repeated terms included
             query = rng.choices(range(len(vocab) + 3), k=rng.randint(1, 8))
             query += rng.choices(query, k=rng.randint(0, 3))
             for doc_id in corpus.doc_ids():
-                expected = _okapi(corpus, vocab, params, query, doc_id)
+                expected = _okapi(corpus, vocab, k1, b, query, doc_id)
                 assert search.score(query, doc_id) == expected
             ranking = search.search(query, corpus.n_docs)
             for doc_id, score in ranking.entries:
-                assert score == _okapi(corpus, vocab, params, query, doc_id)
+                assert score == _okapi(corpus, vocab, k1, b, query, doc_id)
 
 
 _WORDS = st.sampled_from(["w0", "w1", "w2", "w3", "w4", "w5", "W1", "w1!"])
@@ -419,13 +420,12 @@ def test_saved_corpus_loads_the_built_ids_and_index(
         assert doc.ids == tuple(vocab.encode(tokenize(doc.text)))
         assert doc.length == len(doc.ids)
     assert_same_arrays(postings(loaded.search), _counter_postings(corpus, vocab))
-    params = Bm25Params(k1, b)
     for query in queries:
         for doc_id in corpus.doc_ids():
             expected = built.search.score(query, doc_id)
             assert loaded.search.score(query, doc_id) == expected
             if corpus.avgdl:
-                assert expected == _okapi(corpus, vocab, params, query, doc_id)
+                assert expected == _okapi(corpus, vocab, k1, b, query, doc_id)
         assert loaded.search.search(query, 3) == built.search.search(query, 3)
 
 
@@ -454,7 +454,7 @@ def test_search_equals_the_sorted_reference(texts, k1, b, query, repeats, k):
     records["a-copy"] = texts[0]
     records["fixed"] = "w0 w0 w1 w2"
     corpus, _ = build_corpus(records)
-    search = build_index(corpus, Bm25Params(k1, b))
+    search = build_index(corpus, k1, b)
     n = corpus.n_docs
     for q in (query, query * repeats + query[:1], [UNK_ID] * repeats):
         for top in (k, n, n + k):
@@ -468,7 +468,7 @@ def test_racing_first_accesses_share_one_document_and_score():
     get the one that was stored, and the same scores."""
     records = {f"d{i}": f"w{i % 7} w{i % 3} shared" for i in range(300)}
     corpus, vocab = build_corpus(records)
-    search = build_index(corpus, Bm25Params())
+    search = build_index(corpus, K1, B)
     query = vocab.encode(["w1", "shared", "w2", "w1"])
     barrier = threading.Barrier(8)
     seen = []
@@ -491,7 +491,7 @@ def test_racing_first_accesses_share_one_document_and_score():
     assert not any(thread.is_alive() for thread in threads)
     assert len(seen) == 8
     stored = [corpus[doc_id] for doc_id in records]
-    expected = [_okapi(corpus, vocab, Bm25Params(), query, d) for d in records]
+    expected = [_okapi(corpus, vocab, K1, B, query, d) for d in records]
     for docs, scores in seen:
         assert all(doc is first for doc, first in zip(docs, stored))
         assert scores == expected
@@ -520,7 +520,7 @@ def test_query_representation_equals_the_counter_reference(texts, query, repeats
     records = {f"d{i}": text for i, text in enumerate(texts)}
     records["fixed"] = "w0 w0 w1 w2"
     corpus, _ = build_corpus(records)
-    search = build_index(corpus, Bm25Params())
+    search = build_index(corpus, K1, B)
     for q in (query, query * repeats + [UNK_ID], [UNK_ID] * repeats):
         expected = _counter_representation(search, q)
         got = search.query_representation(q)

@@ -410,6 +410,15 @@ def test_workers_share_one_target_without_asking_twice(synth_small, method):
             ).result(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    if method == "max_flip":
+        # Each outcome is a sentence of d', owned by d''s work: its vectors
+        # are asked once across the rankings that share d', although
+        # several of them end on the same sentence.
+        outcomes = [r.outcome for r in report.records if r.outcome is not None]
+        assert len(set(outcomes)) < len(outcomes)
+        for outcome in outcomes:
+            ids = tuple(stack.vocab.encode(outcome.split(" ")))
+            assert counting.embedder.calls[ids] == 1, outcome
     assert max(counting.ppl_fn.calls.values()) == 1, counting.ppl_fn.calls
     assert built == (Counter({target: 1}) if method == "cfe2" else Counter())
     assert len(counting.ppl_fn.threads) > 1
@@ -469,9 +478,9 @@ def test_memoized_metrics_equal_direct_calls(synth_eval_chunk, monkeypatch, meth
     sizes = [5, 10]
     calls = []
 
-    def counted(query_ids, edited_ids, embedder):
+    def counted(query_ids, edited_ids, *embedders):
         calls.append(edited_ids)
-        return bertscore_f1(query_ids, edited_ids, embedder)
+        return bertscore_f1(query_ids, edited_ids, *embedders)
 
     monkeypatch.setattr(evaluation, "bertscore_f1", counted)
     reports = beam_sweep(triplets, sizes, ctx, timing="off", method=method)
