@@ -2,9 +2,9 @@
 
 A config can live in a JSON file; command-line flags override file
 values. A config is validated when it is made and never changes. The
-subset of fields that affects built artifacts is hashed into a build
-fingerprint which the artifact file embeds, so stale artifacts are
-detected at load time.
+fields that affect built artifacts enter the build fingerprint
+(``pipeline.build_fingerprint``), so stale artifacts are detected at load
+time.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ class RunConfig:
     timing: str = "wall"
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         """Raise ValueError naming the first invalid field: types first,
         then ranges. Each field's JSON type comes from its annotation."""
         hints = get_type_hints(RunConfig)
@@ -145,22 +142,3 @@ class RunConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.result_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-    def build_params(self) -> dict[str, Any]:
-        """The fields that determine artifact contents."""
-        return {
-            "min_count": self.min_count,
-            "embed_dim": self.embed_dim,
-            "embed_window": self.embed_window,
-            "lm_order": self.lm_order,
-            "lm_k": self.lm_k,
-        }
-
-
-def build_fingerprint(build_params: dict[str, Any], corpus_digest: str) -> str:
-    canon = json.dumps(
-        {"build": build_params, "corpus": corpus_digest},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]

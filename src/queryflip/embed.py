@@ -38,17 +38,18 @@ DENSE_EIGH_MAX_VOCAB = 900
 class EmbeddingTable:
     """Token id -> unit-norm vector, for every id in the vocabulary."""
 
-    dim: int
     vectors: np.ndarray  # shape (vocab size, dim), float64, rows unit-norm
 
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
-        if self.vectors.shape[1] != self.dim:
-            raise ValueError("vector width does not match dim")
         norms = np.linalg.norm(self.vectors, axis=1)
         if not np.all(np.abs(norms - 1.0) < 1e-6):
             raise ValueError("all stored vectors must be unit-norm")
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     def vectors_for(self, token_ids: Sequence[int]) -> np.ndarray:
         return self.vectors[np.asarray(token_ids, dtype=np.intp)]
@@ -58,8 +59,7 @@ class EmbeddingTable:
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "EmbeddingTable":
-        vectors = arrays["embed.vectors"]
-        return cls(vectors.shape[1], vectors)
+        return cls(arrays["embed.vectors"])
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
@@ -317,4 +317,4 @@ def train_embeddings(
     unk = content.mean(axis=0)
     unk /= np.linalg.norm(unk)
     table = np.vstack([np.tile(unk, (FIRST_CONTENT_ID, 1)), content])
-    return EmbeddingTable(dim, table)
+    return EmbeddingTable(table)

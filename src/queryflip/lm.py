@@ -24,8 +24,9 @@ import numpy as np
 from .text import FIRST_CONTENT_ID, MASK_ID, PAD_ID, Vocabulary
 from .corpus import EncodedCorpus
 
-#: Sentence-boundary padding marker used in n-gram contexts. Not a
-#: vocabulary id, so it can never collide with a real token.
+#: Padding marker in n-gram contexts: before each document when counting,
+#: before the query when predicting. Not a vocabulary id, so it can never
+#: collide with a real token.
 BOS = -1
 
 
@@ -60,16 +61,15 @@ class NgramLM:
     It holds one count table, as built or loaded: ``grams`` (int32,
     ``(n, order)``: the order-1 context ids, then the target) and
     ``counts`` (int32, ``(n,)``), rows strictly increasing by context, then
-    target. Contexts are BOS-padded at sentence starts and hold ids below
+    target. Contexts are BOS-padded at document starts and hold ids below
     the vocabulary size ``FIRST_CONTENT_ID + n_candidates``. Derived at
     construction, with numpy and no loop over rows: each context's run of
     rows, found by one diff, and from it a dict from the context's packed
     key to its run index, with the run starts, add-k denominators, targets
-    and counts as flat lists for ``prob``, ``distribution`` and
-    ``perplexity``. A context's key reads its ids as base-``radix`` digits,
-    BOS as 0 and each id as id + 1, first id most significant, with
-    ``radix`` the vocabulary size + 1; it is a Python int, exact at every
-    order.
+    and counts as flat lists for ``distribution`` and ``perplexity``. A
+    context's key reads its ids as base-``radix`` digits, BOS as 0 and
+    each id as id + 1, first id most significant, with ``radix`` the
+    vocabulary size + 1; it is a Python int, exact at every order.
 
     Only content tokens are ever predicted; the candidate space has
     ``n_candidates`` tokens with contiguous ids starting at
@@ -154,33 +154,24 @@ class NgramLM:
             arrays["lm.counts"],
         )
 
-    def context_at(self, token_ids: Sequence[int], position: int) -> tuple[int, ...]:
-        """BOS-padded (order-1)-token context preceding ``position``."""
-        ctx_len = self.order - 1
-        left = list(token_ids[:position])
-        padded = [BOS] * ctx_len + left
-        return tuple(padded[len(padded) - ctx_len :]) if ctx_len else ()
-
-    def _run(self, context: tuple[int, ...]) -> int:
-        """The run index of ``context``: ``len(runs)``, an empty run, for
-        a context no row holds, of the wrong length or with an id no key
-        digit holds."""
-        if len(context) != self.order - 1:
-            return self._unseen
-        key, radix = 0, self.radix
-        for token_id in context:
-            if not BOS <= token_id < radix - 1:
-                return self._unseen
-            key = key * radix + int(token_id) + 1
-        return self._runs.get(key, self._unseen)
-
     def distribution(
         self, context: tuple[int, ...]
     ) -> tuple[list[int], list[int], float]:
         """The run of ``context``: its observed targets (ascending), their
         counts, and the add-k denominator. P(t | context) is
-        ``(count + k) / denominator``, with count 0 for an unseen target."""
-        run = self._run(context)
+        ``(count + k) / denominator``, with count 0 for an unseen target.
+
+        A context no row holds, of the wrong length or with an id no key
+        digit holds is unseen: its run, index ``len(runs)``, is empty."""
+        run, radix = self._unseen, self.radix
+        if len(context) == self.order - 1:
+            key = 0
+            for token_id in context:
+                if not BOS <= token_id < radix - 1:
+                    break
+                key = key * radix + int(token_id) + 1
+            else:
+                run = self._runs.get(key, self._unseen)
         start, end = self._starts[run], self._starts[run + 1]
         denominator = self._denominators[run]
         return self._targets[start:end], self._counts[start:end], denominator
@@ -306,11 +297,11 @@ class NgramPredictor:
             raise ValueError(f"position {position} out of range")
         if masked_ids[position] != MASK_ID:
             raise ValueError(f"position {position} is not masked")
-        lm = self.lm
-        window = masked_ids[max(0, position - (lm.order - 1)) : position]
+        width = self.lm.order - 1
+        window = masked_ids[max(0, position - width) : position]
         context = None
         if position > 0 and not any(t in (MASK_ID, PAD_ID) for t in window):
-            context = lm.context_at(masked_ids, position)
+            context = (BOS,) * (width - len(window)) + tuple(window)
         key = (context, top)
         dist = self._memo.get(key)
         if dist is None:

@@ -9,6 +9,7 @@ corpus that produced it; loading with a different config is an error.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import os
 import zipfile
@@ -18,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import RunConfig, build_fingerprint
+from .config import RunConfig
 from .corpus import (
     Bm25SearchModel,
     Corpus,
@@ -71,6 +72,24 @@ def corpus_digest(corpus: Corpus) -> str:
     return hashlib.sha256(packed).hexdigest()[:16]
 
 
+def build_fingerprint(config: RunConfig, corpus: Corpus) -> str:
+    """sha256 of the config fields that determine artifact contents and
+    the corpus digest, as canonical JSON, cut to 16 hex digits."""
+    build = {
+        "min_count": config.min_count,
+        "embed_dim": config.embed_dim,
+        "embed_window": config.embed_window,
+        "lm_order": config.lm_order,
+        "lm_k": config.lm_k,
+    }
+    canon = json.dumps(
+        {"build": build, "corpus": corpus_digest(corpus)},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
 def build_stack(records: Mapping[str, str], config: RunConfig) -> Stack:
     """Derive every model artifact from ingested ``{id: text}`` records.
 
@@ -83,8 +102,7 @@ def build_stack(records: Mapping[str, str], config: RunConfig) -> Stack:
     dim = min(config.embed_dim, max(2, vocab.content_size))
     table = train_embeddings(encoded, vocab, dim=dim, window=config.embed_window)
     lm = train_ngram(encoded, vocab, order=config.lm_order, k=config.lm_k)
-    fingerprint = build_fingerprint(config.build_params(), corpus_digest(corpus))
-    return Stack(corpus, vocab, search, table, lm, fingerprint)
+    return Stack(corpus, vocab, search, table, lm, build_fingerprint(config, corpus))
 
 
 def build_stack_from_file(path: str, config: RunConfig) -> Stack:
@@ -148,7 +166,7 @@ def load_stack(config: RunConfig) -> Stack:
                 f"{STACK_FORMAT}; run `queryflip index`"
             )
         corpus = Corpus.from_arrays(arrays)
-        expected = build_fingerprint(config.build_params(), corpus_digest(corpus))
+        expected = build_fingerprint(config, corpus)
         stored = str(arrays["fingerprint"])
         if stored != expected:
             raise ArtifactError(
@@ -188,43 +206,32 @@ def load_stack(config: RunConfig) -> Stack:
 
 
 def make_context(stack: Stack, config: RunConfig) -> EvalContext:
-    """Bundle the stack (plus any configured remote backends) for eval."""
+    """Bundle the stack for eval. A role that ``config.backends`` names is
+    served by its remote adapter on that endpoint, any other role by the
+    stack's own component."""
     endpoints = {
         role: BackendEndpoint.from_dict(role, raw)
         for role, raw in config.backends.items()
     }
 
-    scorer = stack.search
-    if "score" in endpoints:
-        scorer = RemoteScorer(endpoints["score"], stack.vocab)
+    def serve(role: str, adapter, local):
+        endpoint = endpoints.get(role)
+        return local if endpoint is None else adapter(endpoint, stack.vocab)
 
-    embedder = stack.table
-    if "embed" in endpoints:
-        embedder = RemoteEmbedder(endpoints["embed"], stack.vocab)
+    lm, predict_endpoint = stack.lm, endpoints.get("predict")
 
-    if "perplexity" in endpoints:
-        ppl_fn = RemotePerplexity(endpoints["perplexity"], stack.vocab)
-    else:
-        lm = stack.lm
-        ppl_fn = lambda ids: perplexity(ids, lm)  # noqa: E731
-
-    if "predict" in endpoints:
-        predict_endpoint = endpoints["predict"]
-
-        def predictor_factory(doc: Document):
-            return RemotePredictor(predict_endpoint, stack.vocab, doc.text)
-
-    else:
-
-        def predictor_factory(doc: Document):
-            return NgramPredictor(stack.lm, doc.ids, config.lam)
+    def predictor_factory(doc: Document):
+        if predict_endpoint is None:
+            return NgramPredictor(lm, doc.ids, config.lam)
+        return RemotePredictor(predict_endpoint, stack.vocab, doc.text)
 
     return EvalContext(
         vocab=stack.vocab,
         search=stack.search,
-        scorer=scorer,
-        embedder=embedder,
-        ppl_fn=ppl_fn,
+        scorer=serve("score", RemoteScorer, stack.search),
+        embedder=serve("embed", RemoteEmbedder, stack.table),
+        # ``perplexity`` is looked up when called, so a patched one applies.
+        ppl_fn=serve("perplexity", RemotePerplexity, lambda ids: perplexity(ids, lm)),
         predictor_factory=predictor_factory,
         masker=config.masker,
     )

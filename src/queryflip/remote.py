@@ -74,6 +74,9 @@ class BackendEndpoint:
             raise ValueError("token must be a string")
         if self.role not in ROLES:
             raise ValueError(f"unknown backend role: {self.role}")
+        # Case-blind, as requests matches a url to its transport adapter.
+        if not self.base_url.lower().startswith(("http://", "https://")):
+            raise ValueError("url must start with http:// or https://")
         if self.timeout_ms <= 0:
             raise ValueError("timeout_ms must be > 0")
         if self.retries < 0:
@@ -261,6 +264,8 @@ class RemotePredictor:
         probs = [_number(p, "probs") for p in _require(body, "probs", list)]
         if len(tokens) != len(probs):
             raise ProtocolError("tokens and probs lengths differ")
+        if not tokens:
+            raise ProtocolError("response field is empty: tokens")
         if any(not 0.0 < p <= 1.0 for p in probs):
             raise ProtocolError("response field out of range: probs")
         if any(a < b for a, b in zip(probs, probs[1:])):

@@ -50,3 +50,36 @@ def test_every_def_and_class_in_the_package_is_read():
         reads += _reads(path)
     unread = sorted(f"{file}:{name}" for file, name in defined if not reads[name])
     assert unread == [], f"defined but never read: {unread}"
+
+
+def test_every_parameter_is_read_by_its_function():
+    """Each parameter of each ``def`` in the package is loaded as a name
+    somewhere in its function's body, nested functions included.
+
+    ``self``, ``cls`` and names starting with ``_`` are exempt, and so are
+    lambdas: their caller fixes their shape. Reads count by name, so a
+    nested function's own parameter of the same name hides an unread one.
+    """
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not isinstance(node, kinds):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            loads = {
+                n.id
+                for statement in node.body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.name}:{p.lineno}:{p.arg}"
+                for p in params
+                if p is not None
+                and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")
+                and p.arg not in loads
+            ]
+    assert unread == [], f"parameters never read: {unread}"

@@ -40,6 +40,15 @@ def _prob(lm, token_id, context):
     return (count + lm.k) / denominator
 
 
+def _context_at(lm, token_ids, position):
+    """BOS-padded (order-1)-token context preceding ``position``: the
+    reference the predictor's window-built context must equal."""
+    ctx_len = lm.order - 1
+    left = list(token_ids[:position])
+    padded = [BOS] * ctx_len + left
+    return tuple(padded[len(padded) - ctx_len :]) if ctx_len else ()
+
+
 def _bigram_ab():
     # corpus {[a, b], [a, b]}, order 2, k = 0.1, candidates {a, b}
     lines = [json.dumps({"id": f"d{i}", "text": "a b"}) for i in range(2)]
@@ -197,7 +206,7 @@ def test_train_ngram_matches_counter_reference(order, min_count):
             for seq in filter(None, sequences):
                 log_sum = 0.0
                 for pos, target in enumerate(seq):
-                    log_sum += math.log(ref_prob(target, model.context_at(seq, pos)))
+                    log_sum += math.log(ref_prob(target, _context_at(model, seq, pos)))
                 assert perplexity(seq, model) == math.exp(-log_sum / len(seq))
 
 
@@ -230,7 +239,7 @@ def test_packed_context_keys_are_exact_past_int64():
         if seq:
             log_sum = 0.0
             for pos, target in enumerate(seq):
-                log_sum += math.log(ref_prob(target, lm.context_at(seq, pos)))
+                log_sum += math.log(ref_prob(target, _context_at(lm, seq, pos)))
             assert perplexity(seq, lm) == math.exp(-log_sum / len(seq))
 
 
@@ -260,7 +269,7 @@ def test_predict_lambda_zero_equals_ngram(sample_stack):
     masked = [apple, MASK_ID]
     dist = NgramPredictor(stack.lm, d3, lam=0.0).predict(masked, 1, 7)
     probs = dict(dist.entries)
-    context = stack.lm.context_at(masked, 1)
+    context = _context_at(stack.lm, masked, 1)
     assert context == (BOS, apple)
     for token_id, prob in probs.items():
         assert prob == pytest.approx(_prob(stack.lm, token_id, context), abs=1e-15)
@@ -369,7 +378,7 @@ def dense_prediction(counts, totals, lm, d_prime_ids, masked_ids, position, top,
     if position == 0 or any(t in (MASK_ID, PAD_ID) for t in window):
         probs = p_doc
     else:
-        context = lm.context_at(masked_ids, position)
+        context = _context_at(lm, masked_ids, position)
         row = np.full(n, k, dtype=np.float64)
         for token_id, count in counts.get(context, {}).items():
             row[token_id - FIRST_CONTENT_ID] += count
@@ -475,7 +484,7 @@ def _full_scoring_prediction(lm, d_prime_ids, lam, masked_ids, position, top):
         floor = k / d_doc
         scored = {t: num / d_doc for t, num in doc.items()}
     else:
-        context = lm.context_at(masked_ids, position)
+        context = _context_at(lm, masked_ids, position)
         targets, counts, d_ngram = lm.distribution(context)
         ngram = dict(zip(targets, counts))
         w = 1.0 - lam

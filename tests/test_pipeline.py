@@ -37,11 +37,11 @@ def test_config_round_trips_through_json(tmp_path):
 
 def test_config_validation_names_field():
     with pytest.raises(ValueError, match="beam"):
-        RunConfig(beam=0).validate()
+        RunConfig(beam=0)
     with pytest.raises(ValueError, match="top_k"):
-        RunConfig(top_k=1).validate()
+        RunConfig(top_k=1)
     with pytest.raises(ValueError, match="timing"):
-        RunConfig(timing="cpu").validate()
+        RunConfig(timing="cpu")
     with pytest.raises(ValueError, match="nope"):
         RunConfig.from_dict({"nope": 1})
     bad_types = [
@@ -86,6 +86,7 @@ def test_config_validation_names_field():
         ("score", url, "entry must be an object"),
         ("score", {}, "url must be a string"),
         ("score", {"url": 5}, "url must be a string"),
+        ("score", {"url": "localhost:8080"}, "url must start with http:// or https://"),
         ("embed", {"url": url, "timeout_ms": "5"}, "timeout_ms must be an integer"),
         ("embed", {"url": url, "timeout_ms": 2.5}, "timeout_ms must be an integer"),
         ("embed", {"url": url, "timeout_ms": 0}, "timeout_ms must be > 0"),

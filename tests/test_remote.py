@@ -146,10 +146,11 @@ def test_remote_predictor_rejects_non_content_and_repeats(
         ({"tokens": ["apple", "pie"], "probs": [0.5, 0.0]}, "out of range: probs"),
         ({"tokens": ["apple", "pie", "bread"], "probs": [0.5, 0.25, 0.125]},
          "more than 2 predictions"),
+        ({"tokens": [], "probs": []}, "response field is empty: tokens"),
     ],
     ids=["missing", "tokens_not_list", "token_not_string", "probs_not_list",
          "prob_not_number", "prob_nan", "lengths", "prob_above_one",
-         "prob_zero", "more_than_top"],
+         "prob_zero", "more_than_top", "empty"],
 )
 def test_remote_predictor_bad_body_raises_protocol_error(
     sample_stack, stub, body, message
@@ -356,6 +357,7 @@ def test_unknown_role_rejected():
     "args, kwargs, message",
     [
         ((5, "score"), {}, "url must be a string"),
+        (("localhost:8080", "score"), {}, "url must start with http:// or https://"),
         (("http://x", "score"), {"timeout_ms": "5"}, "timeout_ms must be an integer"),
         (("http://x", "score"), {"timeout_ms": 2.5}, "timeout_ms must be an integer"),
         (("http://x", "score"), {"retries": True}, "retries must be an integer"),
@@ -363,12 +365,18 @@ def test_unknown_role_rejected():
         (("http://x", "score"), {"timeout_ms": 0}, "timeout_ms must be > 0"),
         (("http://x", "score"), {"retries": -1}, "retries must be >= 0"),
     ],
-    ids=["url", "timeout_str", "timeout_float", "retries_bool", "token", "timeout_0",
-         "retries_neg"],
+    ids=["url", "url_scheme", "timeout_str", "timeout_float", "retries_bool", "token",
+         "timeout_0", "retries_neg"],
 )
 def test_endpoint_constructor_checks_every_field(args, kwargs, message):
     with pytest.raises(ValueError, match=message):
         BackendEndpoint(*args, **kwargs)
+
+
+def test_endpoint_url_scheme_ignores_case():
+    # requests picks its transport adapter by a case-blind prefix match.
+    for url in ("HTTP://x", "Https://x:8080/"):
+        assert BackendEndpoint(url, "score").url.endswith("/score")
 
 
 def test_endpoint_from_dict_keeps_the_constructor_defaults():
