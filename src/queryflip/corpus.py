@@ -325,12 +325,10 @@ class Bm25SearchModel:
         self._row = dict(zip(term_ids, range(len(term_ids))))
         self._bounds: list[int] = indptr.tolist()
         self._corpus_ids = corpus.doc_ids()
-        # Zero-score documents fill a short ranking in ascending doc-id
-        # order; matched ones tie-break on the same rank.
+        # Positions in ascending doc-id order: ``search``'s order among
+        # equal scores.
         by_id = sorted(range(n), key=self._corpus_ids.__getitem__)
         self._by_id = np.array(by_id, dtype=np.int64)
-        self._id_rank = np.empty(n, dtype=np.int64)
-        self._id_rank[self._by_id] = np.arange(n)
         lengths = np.diff(corpus.encoded.offsets)
         # The scalar formula's float operations in its order, one element
         # per posting. Only a posting's document is normalised, so avgdl 0
@@ -374,11 +372,10 @@ class Bm25SearchModel:
         return dict(zip(terms, self._doc_impacts[start:end].tolist()))
 
     def search(self, query_ids: Sequence[int], k: int) -> Ranking:
-        """Top-k documents by ``score``, ties broken by ascending doc id.
-
-        When k exceeds the corpus size every document is returned,
-        zero-score ones included. Raises ValueError on an empty corpus or
-        k < 1.
+        """The first k of every document ranked by (-``score``, doc id):
+        zero-score documents fill a ranking that too few documents match,
+        and k above the corpus size returns them all. Raises ValueError on
+        an empty corpus or k < 1.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -386,7 +383,6 @@ class Bm25SearchModel:
         if n == 0:
             raise ValueError("empty corpus")
         scores = np.zeros(n)
-        matched = np.zeros(n, dtype=bool)
         bounds, docs, impacts = self._bounds, self.docs, self.impacts
         # One query token at a time, in query order, repeats included: each
         # document receives the additions ``score`` makes, in its order
@@ -396,13 +392,10 @@ class Bm25SearchModel:
             if row is not None:
                 start, end = bounds[row], bounds[row + 1]
                 scores[docs[start:end]] += impacts[start:end]
-                matched[docs[start:end]] = True
-        hits = np.flatnonzero(matched)
-        hits = hits[np.lexsort((self._id_rank[hits], -scores[hits]))][:k]
-        if len(hits) < k:
-            zeros = self._by_id[~matched[self._by_id]]
-            hits = np.concatenate((hits, zeros[: k - len(hits)]))
-        ranked = hits.tolist()
+        # Every impact is > 0, so a matched document scores above every
+        # unmatched one; a stable sort of the doc-id order breaks ties.
+        by_id = self._by_id
+        ranked = by_id[np.argsort(-scores[by_id], kind="stable")[:k]].tolist()
         ids = self._corpus_ids
         entries = zip([ids[p] for p in ranked], scores[ranked].tolist())
         return Ranking(tuple(query_ids), tuple(entries))

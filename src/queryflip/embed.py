@@ -62,24 +62,16 @@ class EmbeddingTable:
         return cls(arrays["embed.vectors"])
 
 
-def _normalize_rows(rows: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return rows / norms
-
-
 def _fix_signs(columns: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive.
 
     Removes the sign ambiguity of eigenvectors so the table does not
-    depend on LAPACK internals.
+    depend on LAPACK internals. The result is a C-ordered copy: row norms
+    round by memory order, and an ``eigh`` block is Fortran-ordered.
     """
     out = columns.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        pivot = int(np.argmax(np.abs(col)))
-        if col[pivot] < 0:
-            out[:, j] = -col
+    pivots = out[np.abs(out).argmax(axis=0), np.arange(out.shape[1])]
+    out *= np.where(pivots < 0, -1.0, 1.0)
     return out
 
 
@@ -303,11 +295,11 @@ def train_embeddings(
         dim = max(2, rank)
     factors = _fix_signs(eigenvectors[:, order[:dim]] * np.sqrt(s[:dim]))
 
-    content = _normalize_rows(factors)
-    row_norms = np.linalg.norm(factors, axis=1)
-    nonzero = row_norms > 0.0
-    if not np.any(nonzero):
-        raise ValueError("no co-occurrence signal in corpus")
+    # Some PPMI entry is positive (else ``_ppmi_entries`` raised), so
+    # s[0] > 0 and column 0 holds a nonzero entry: some row is nonzero.
+    norms = np.linalg.norm(factors, axis=1, keepdims=True)
+    nonzero = norms[:, 0] > 0.0
+    content = np.divide(factors, norms, out=factors, where=norms > 0.0)
     fallback = content[nonzero].mean(axis=0)
     fallback /= np.linalg.norm(fallback)
     content[~nonzero] = fallback

@@ -32,7 +32,7 @@ import numpy as np
 from .corpus import Bm25SearchModel, Corpus, Document, Ranking
 from .editor import EditResult, Triplet, check_flip, edit
 from .masker import ImportanceScores, maxsim_importance, occlusion_importance
-from .text import PAD_ID, Vocabulary
+from .text import PAD_ID, UNK_ID, Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -198,10 +198,12 @@ def baseline_mask_only(
 def rank_sentences(
     sentences: Sequence[tuple[int, ...]], ppl_fn: Callable[[Sequence[int]], float]
 ) -> list[tuple[int, ...]]:
-    """The distinct sentences, by ascending (perplexity, token ids): the
-    order of ``select_final``. Each distinct sentence costs one
-    ``ppl_fn`` call, in text order."""
-    distinct = list(dict.fromkeys(sentences))
+    """The distinct sentences that hold no ``[UNK]``, by ascending
+    (perplexity, token ids): the order of ``select_final``. A stored
+    sentence holds ``[UNK]`` where a word fell below the vocabulary's
+    ``min_count``; no outcome may. Each sentence kept costs one ``ppl_fn``
+    call, in text order."""
+    distinct = [ids for ids in dict.fromkeys(sentences) if UNK_ID not in ids]
     ppls = [ppl_fn(ids) for ids in distinct]
     return [ids for _, ids in sorted(zip(ppls, distinct))]
 
@@ -211,11 +213,11 @@ def baseline_max_flip(
 ) -> EditResult:
     """Use a whole sentence of the target document as the new query.
 
-    ``ranked`` holds d''s sentences as token ids, ranked by
-    ``rank_sentences``. The first that flips the pair is the flipping
-    sentence ``select_final`` would pick: the lowest perplexity, ties by
-    ascending token-id sequence. The sentences after it are not checked.
-    None when no sentence flips.
+    ``ranked`` holds d''s sentences as token ids, those holding ``[UNK]``
+    left out, ranked by ``rank_sentences``. The first that flips the pair
+    is the flipping sentence ``select_final`` would pick: the lowest
+    perplexity, ties by ascending token-id sequence. The sentences after
+    it are not checked. None when no sentence flips.
     """
     for ids in ranked:
         if check_flip(ids, triplet, scorer):

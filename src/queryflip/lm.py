@@ -314,25 +314,25 @@ class NgramPredictor:
     ) -> PredictionDistribution:
         lm, k = self.lm, self.lm.k
         if context is None:
-            floor = self._p_doc_absent
-            scored: dict[int, float] = {}
-            base, values = 0.0, self._p_doc  # 0.0 + p is p, bit for bit
+            # P_doc alone: no observed targets and weight 0 on the n-gram
+            # part, so base is 0.0 and 0.0 + p is p, bit for bit.
+            targets, counts, d_ngram = (), (), 1.0
+            w, share, absent = 0.0, self._p_doc, self._p_doc_absent
         else:
             targets, counts, d_ngram = lm.distribution(context)
-            w = 1.0 - self.lam
-            share, absent = self._share, self._share_absent
-            base, values = w * (k / d_ngram), share
-            floor = base + absent
-            scored = {
-                t: w * ((k + c) / d_ngram) + share.get(t, absent)
-                for t, c in zip(targets, counts)
-            }
+            w, share, absent = 1.0 - self.lam, self._share, self._share_absent
+        base = w * (k / d_ngram)
+        floor = base + absent
+        scored = {
+            t: w * ((k + c) / d_ngram) + share.get(t, absent)
+            for t, c in zip(targets, counts)
+        }
         # d''s other tokens, by descending count: probabilities non-increasing.
         walked, last = 0, 0.0
         for t in self._by_count:
             if t in scored:
                 continue
-            p = base + values[t]
+            p = base + share[t]
             if walked >= top and p != last:
                 break
             scored[t] = p

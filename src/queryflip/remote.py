@@ -23,6 +23,7 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 import requests
@@ -77,6 +78,8 @@ class BackendEndpoint:
         # Case-blind, as requests matches a url to its transport adapter.
         if not self.base_url.lower().startswith(("http://", "https://")):
             raise ValueError("url must start with http:// or https://")
+        if not urlsplit(self.base_url).hostname:
+            raise ValueError("url must name a host")
         if self.timeout_ms <= 0:
             raise ValueError("timeout_ms must be > 0")
         if self.retries < 0:

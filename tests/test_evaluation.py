@@ -33,7 +33,7 @@ from queryflip.evaluation import (
 from queryflip.masker import occlusion_importance
 from queryflip.lm import perplexity
 from queryflip.pipeline import build_stack, make_context
-from queryflip.text import PAD_ID
+from queryflip.text import PAD_ID, UNK_ID
 
 from conftest import sample_config
 from test_corpus import IDF_DF1, IDF_DF2, ids, reference_sentence_ids
@@ -292,6 +292,23 @@ def test_max_flip_null_when_no_sentence_flips():
     ppl = lambda seq: perplexity(seq, stack.lm)  # noqa: E731
     result = _max_flip(t, stack, ppl)
     assert result.outcome is None
+
+
+def test_max_flip_never_returns_a_sentence_holding_unk():
+    # Under min_count 2 "zork" is [UNK] in d''s only flipping sentence.
+    lines = [
+        json.dumps({"id": "a", "text": "apple pie apple pie filler filler"}),
+        json.dumps({"id": "b", "text": "apple pie. banana bread zork."}),
+        json.dumps({"id": "c", "text": "banana bread banana bread"}),
+    ]
+    stack = build_stack(ingest_corpus(lines), sample_config(min_count=2))
+    t = _triplet(stack, "apple pie", "a", "b")
+    unk_sentence = tuple(stack.vocab.encode(["banana", "bread", "zork"]))
+    assert UNK_ID in unk_sentence and unk_sentence in t.d_prime.sentences()
+    assert check_flip(unk_sentence, t, stack.search)
+    ppl = lambda seq: perplexity(seq, stack.lm)  # noqa: E731
+    assert rank_sentences(t.d_prime.sentences(), ppl) == [t.query_ids]
+    assert _max_flip(t, stack, ppl).outcome is None
 
 
 def test_max_flip_flips_whenever_any_sentence_flips(small_eval):

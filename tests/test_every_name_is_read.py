@@ -1,4 +1,5 @@
-"""Every function, method and class the package defines is read somewhere.
+"""Every function, method, class and stored attribute the package defines
+is read somewhere.
 
 Definitions come from ``ast`` over ``src/queryflip/*.py``; reads are the
 ``NAME`` tokens of ``src/queryflip/`` and ``perfbench/``, less the name
@@ -83,3 +84,45 @@ def test_every_parameter_is_read_by_its_function():
                 and p.arg not in loads
             ]
     assert unread == [], f"parameters never read: {unread}"
+
+
+def _attribute_loads(path: Path) -> set[str]:
+    """Attribute names loaded in one file, less those only written into,
+    as ``x.name[i] = ...`` writes into ``x.name``."""
+    nodes = list(ast.walk(ast.parse(path.read_text("utf-8"))))
+    written_into = {
+        id(n.value)
+        for n in nodes
+        if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
+    }
+    return {
+        n.attr
+        for n in nodes
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.ctx, ast.Load)
+        and id(n) not in written_into
+    }
+
+
+def test_every_stored_attribute_is_read():
+    """Each ``self.<name> = ...`` in the package is loaded as ``.<name>``
+    somewhere in ``src/queryflip/`` or ``perfbench/``.
+
+    Reads count by attribute name, whatever the object, so an attribute
+    that shares its name with one read elsewhere goes unread unseen.
+    """
+    stored = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                stored.add((path.name, node.attr))
+    loads = set()
+    for path in [*PACKAGE.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+        loads |= _attribute_loads(path)
+    unread = sorted(f"{file}:{name}" for file, name in stored if name not in loads)
+    assert unread == [], f"stored but never read: {unread}"

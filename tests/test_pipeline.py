@@ -87,6 +87,7 @@ def test_config_validation_names_field():
         ("score", {}, "url must be a string"),
         ("score", {"url": 5}, "url must be a string"),
         ("score", {"url": "localhost:8080"}, "url must start with http:// or https://"),
+        ("score", {"url": "http://"}, "url must name a host"),
         ("embed", {"url": url, "timeout_ms": "5"}, "timeout_ms must be an integer"),
         ("embed", {"url": url, "timeout_ms": 2.5}, "timeout_ms must be an integer"),
         ("embed", {"url": url, "timeout_ms": 0}, "timeout_ms must be > 0"),

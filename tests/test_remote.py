@@ -358,6 +358,8 @@ def test_unknown_role_rejected():
     [
         ((5, "score"), {}, "url must be a string"),
         (("localhost:8080", "score"), {}, "url must start with http:// or https://"),
+        (("http://", "score"), {}, "url must name a host"),
+        (("http://:8080", "score"), {}, "url must name a host"),
         (("http://x", "score"), {"timeout_ms": "5"}, "timeout_ms must be an integer"),
         (("http://x", "score"), {"timeout_ms": 2.5}, "timeout_ms must be an integer"),
         (("http://x", "score"), {"retries": True}, "retries must be an integer"),
@@ -365,8 +367,8 @@ def test_unknown_role_rejected():
         (("http://x", "score"), {"timeout_ms": 0}, "timeout_ms must be > 0"),
         (("http://x", "score"), {"retries": -1}, "retries must be >= 0"),
     ],
-    ids=["url", "url_scheme", "timeout_str", "timeout_float", "retries_bool", "token",
-         "timeout_0", "retries_neg"],
+    ids=["url", "url_scheme", "url_no_host", "url_port_only", "timeout_str",
+         "timeout_float", "retries_bool", "token", "timeout_0", "retries_neg"],
 )
 def test_endpoint_constructor_checks_every_field(args, kwargs, message):
     with pytest.raises(ValueError, match=message):
