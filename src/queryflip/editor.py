@@ -4,7 +4,7 @@ Given a triplet (query, top document d, target document d') where d
 currently outranks d', the editor looks for a minimally-edited query
 under which d' strictly outranks d:
 
-  1. mask the i most important query tokens (starting at i = 1),
+  1. mask the i most important query tokens, every ``[UNK]`` among them,
   2. refill the masked slots left to right with beam-searched word
      predictions, keeping the b most probable partial edits,
   3. flip-check every fully decoded candidate in the final beam; if any
@@ -53,14 +53,10 @@ class EditCandidate:
     tokens: tuple[int, ...]
     log_prob: float
 
-    def __post_init__(self) -> None:
-        if self.log_prob > 0.0:
-            raise ValueError("log_prob must be <= 0")
-
 
 @dataclass(frozen=True)
 class Beam:
-    """At most ``width`` candidates, ordered by descending log_prob."""
+    """1 to ``width`` distinct candidates, ordered by descending log_prob."""
 
     width: int
     candidates: tuple[EditCandidate, ...]
@@ -68,8 +64,10 @@ class Beam:
     def __post_init__(self) -> None:
         if self.width < 1:
             raise ValueError("beam width must be >= 1")
-        if len(self.candidates) > self.width:
-            raise ValueError("beam holds more candidates than its width")
+        if not 1 <= len(self.candidates) <= self.width:
+            raise ValueError("beam must hold 1 to width candidates")
+        if len({c.tokens for c in self.candidates}) != len(self.candidates):
+            raise ValueError("beam holds a candidate twice")
 
 
 @dataclass(frozen=True)
@@ -102,31 +100,28 @@ def expand_beam(beam: Beam, distributions: Sequence[PredictionDistribution]) -> 
     masked. ``distributions`` holds one prediction per candidate for that
     slot, conditioned on that candidate's filled tokens. New log
     probabilities are ``old + ln P(token)``, with the logs each
-    distribution took when it was made. Identical token sequences are
-    deduplicated keeping the higher log probability; ties order by
-    ascending token-id sequence.
+    distribution took when it was made. The candidates are distinct and
+    no prediction names a token twice, so every extension is a distinct
+    sequence; ties order by ascending token-id sequence.
 
-    Once ``width`` distinct sequences are held, their minimum is a floor:
-    held values only rise, so at least ``width`` sequences end at or
-    above it and none strictly below it can place. A distribution's
-    probabilities are non-increasing, so a candidate's row stops at its
-    first entry strictly below the floor. The result is the same as
-    expanding every entry, whatever the order of the candidates or of
-    tied entries.
+    Once ``width`` sequences are held, their minimum is a floor: at least
+    ``width`` sequences end at or above it, so none strictly below it can
+    place. A distribution's probabilities are non-increasing, so a
+    candidate's row stops at its first entry strictly below the floor.
+    The result is the same as expanding every entry, whatever the order
+    of the candidates or of tied entries.
     """
     dists = list(distributions)
     if len(dists) != len(beam.candidates):
         raise ValueError(
             f"{len(dists)} distributions for {len(beam.candidates)} candidates"
         )
-    if not dists or any(not d.entries for d in dists):
-        raise ValueError("empty prediction distribution")
     if MASK_ID not in beam.candidates[0].tokens:
         raise ValueError("no masked slot left to fill")
     slot = beam.candidates[0].tokens.index(MASK_ID)
 
     width = beam.width
-    best: dict[tuple[int, ...], float] = {}
+    ranked: list[tuple[float, tuple[int, ...]]] = []
     floor = -inf
     for candidate, dist in zip(beam.candidates, dists):
         if candidate.tokens[slot] != MASK_ID:
@@ -138,19 +133,12 @@ def expand_beam(beam: Beam, distributions: Sequence[PredictionDistribution]) -> 
             log_prob = base + token_log
             if log_prob < floor:
                 break
-            tokens = prefix + (token_id,) + suffix
-            held = best.get(tokens)
-            if held is None:
-                best[tokens] = log_prob
-                if len(best) == width:
-                    floor = min(best.values())
-            elif log_prob > held:
-                best[tokens] = log_prob
-    ranked = sorted((-log_prob, tokens) for tokens, log_prob in best.items())
-    return Beam(
-        width,
-        tuple(EditCandidate(tokens, -neg) for neg, tokens in ranked[:width]),
-    )
+            ranked.append((-log_prob, prefix + (token_id,) + suffix))
+            if len(ranked) == width:
+                floor = -max(ranked)[0]
+    ranked.sort()
+    candidates = tuple(EditCandidate(tokens, -neg) for neg, tokens in ranked[:width])
+    return Beam(width, candidates)
 
 
 def check_flip(candidate_ids: Sequence[int], triplet: Triplet, scorer) -> bool:
@@ -201,13 +189,15 @@ def edit(
 ) -> EditResult:
     """Run the full iterative editing loop for one triplet.
 
-    For i = 1..max_masks the top-i important tokens are masked, the
-    slots are refilled by beam search in query-position order, and every
-    complete candidate in the final beam is flip-checked. The first
-    iteration producing a flip wins; with no flip at all the outcome is
-    None. The per-iteration beams and flip checks are recorded in the
-    trace, so callers can audit that no earlier iteration could have
-    flipped. Deterministic for fixed inputs.
+    For i = ``importance.first_masks``..max_masks the top-i important
+    tokens are masked (every ``[UNK]`` among them, so no outcome keeps
+    one), the slots are refilled by beam search in query-position order,
+    and every complete candidate in the final beam is flip-checked. The
+    first iteration producing a flip wins; with no flip at all (or a
+    ``max_masks`` below ``first_masks``) the outcome is None. The
+    per-iteration beams and flip checks are recorded in the trace, so
+    callers can audit that no earlier iteration could have flipped.
+    Deterministic for fixed inputs.
     """
     query = triplet.query_ids
     if len(query) == 0:
@@ -220,7 +210,7 @@ def edit(
         raise ValueError("max_masks must be in 1..|query|")
 
     trace: list[IterationTrace] = []
-    for i in range(1, max_masks + 1):
+    for i in range(importance.first_masks, max_masks + 1):
         positions = tuple(sorted(importance.order[:i]))
         masked = tuple(
             MASK_ID if pos in positions else tok for pos, tok in enumerate(query)

@@ -177,15 +177,15 @@ def baseline_mask_only(
 ) -> EditResult:
     """Drop important tokens instead of editing them.
 
-    Iteration i replaces the top-i important tokens with PAD (which the
-    index never matches) and stops at the first replacement set that
-    flips the pair. No flip after masking every token yields None. The
-    trace is empty.
+    Iteration i (from ``importance.first_masks``, as in ``edit``)
+    replaces the top-i important tokens with PAD (which the index never
+    matches) and stops at the first replacement set that flips the pair.
+    No flip after masking every token yields None. The trace is empty.
     """
     query = triplet.query_ids
     if len(query) == 0:
         raise ValueError("empty query")
-    for i in range(1, len(query) + 1):
+    for i in range(importance.first_masks, len(query) + 1):
         positions = set(importance.order[:i])
         padded = tuple(
             PAD_ID if pos in positions else tok for pos, tok in enumerate(query)
@@ -313,10 +313,13 @@ class SharedWork:
         def compute(_):
             query, d = triplet.query_ids, triplet.d
             if self.ctx.masker == "maxsim":
-                return maxsim_importance(query, d.ids, self)
-            if self.ctx.masker == "occlusion":
-                return occlusion_importance(query, d, self.ctx.scorer)
-            raise ValueError(f"unknown masker: {self.ctx.masker}")
+                scores = maxsim_importance(query, d.ids, self)
+            elif self.ctx.masker == "occlusion":
+                scores = occlusion_importance(query, d, self.ctx.scorer)
+            else:
+                raise ValueError(f"unknown masker: {self.ctx.masker}")
+            unknown = tuple(i for i, t in enumerate(query) if t == UNK_ID)
+            return ImportanceScores(scores.scores, unknown)
 
         return _once(self._shared, "importance", compute)
 

@@ -34,10 +34,10 @@ BOS = -1
 class PredictionDistribution:
     """Top predictions for one masked slot: (token id, probability) pairs.
 
-    Probabilities are strictly positive and non-increasing; equal
-    probabilities are ordered by ascending token id. Special tokens are
-    never predicted. It does not name its slot, so one checked instance
-    can answer every slot with the same left context. ``logs`` holds
+    Every predictor's answer is checked here, once: at least one entry,
+    each probability in (0, 1], probabilities non-increasing and no
+    token twice. It does not name its slot, so one checked instance can
+    answer every slot with the same left context. ``logs`` holds
     ``math.log`` of each probability, taken once when the instance is
     made; it is left out of the constructor, ``repr`` and comparisons.
     """
@@ -46,11 +46,15 @@ class PredictionDistribution:
     logs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not self.entries:
+            raise ValueError("empty prediction")
         probs = [p for _, p in self.entries]
         if any(not 0.0 < p <= 1.0 for p in probs):
             raise ValueError("probabilities must lie in (0, 1]")
         if any(a < b for a, b in zip(probs, probs[1:])):
             raise ValueError("probabilities must be non-increasing")
+        if len({t for t, _ in self.entries}) != len(probs):
+            raise ValueError("predicted tokens repeat")
         object.__setattr__(self, "logs", tuple(map(log, probs)))
 
 

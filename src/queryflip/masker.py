@@ -20,18 +20,23 @@ from .corpus import Document
 class ImportanceScores:
     """Scores r_1..r_l for one query plus the masking order they induce.
 
-    ``order`` is the permutation of token positions sorted by descending
-    score, derived from ``scores``; ties resolve to the leftmost position
-    so traces are reproducible.
+    ``unknown`` holds the query's ``[UNK]`` positions. No outcome may keep
+    an ``[UNK]``, so they lead ``order`` and every masking masks them all:
+    it masks at least ``first_masks`` = max(1, len(unknown)) tokens. The
+    other positions follow by descending score; ties resolve to the
+    leftmost position so traces are reproducible.
     """
 
     scores: tuple[float, ...]
+    unknown: tuple[int, ...] = ()
     order: tuple[int, ...] = field(init=False)
+    first_masks: int = field(init=False)
 
     def __post_init__(self) -> None:
-        scores = self.scores
-        order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        scores, unknown = self.scores, set(self.unknown)
+        order = sorted(range(len(scores)), key=lambda i: (i not in unknown, -scores[i], i))
         object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "first_masks", max(1, len(unknown)))
 
     def __len__(self) -> int:
         return len(self.scores)

@@ -12,7 +12,8 @@ Requests carry ``proto_version`` (currently 1). ``call_backend`` is a
 transport that knows no role: it retries connection errors, timeouts and
 5xx answers with exponential backoff (requests are read-only, so retries
 are safe) and returns any JSON object of this version. Each adapter checks
-its role's answer once; a bad answer is a ``ProtocolError`` naming the field.
+its role's answer once, ``/predict``'s through ``PredictionDistribution``; a
+bad answer is a ``ProtocolError`` naming the field or the broken rule.
 """
 
 from __future__ import annotations
@@ -267,21 +268,16 @@ class RemotePredictor:
         probs = [_number(p, "probs") for p in _require(body, "probs", list)]
         if len(tokens) != len(probs):
             raise ProtocolError("tokens and probs lengths differ")
-        if not tokens:
-            raise ProtocolError("response field is empty: tokens")
-        if any(not 0.0 < p <= 1.0 for p in probs):
-            raise ProtocolError("response field out of range: probs")
-        if any(a < b for a, b in zip(probs, probs[1:])):
-            raise ProtocolError("probs must be non-increasing")
         if len(tokens) > top:
             raise ProtocolError(f"more than {top} predictions returned")
         ids = [self.vocab.id(surface) for surface in tokens]
         for surface, token_id in zip(tokens, ids):
             if token_id in SPECIAL_IDS:  # out-of-vocabulary surfaces map to UNK
                 raise ProtocolError(f"predicted a non-content token: {surface!r}")
-        if len(set(ids)) != len(ids):
-            raise ProtocolError("predicted tokens repeat")
-        return PredictionDistribution(tuple(zip(ids, probs)))
+        try:  # the type checks the rest: empty, range, order, repeats
+            return PredictionDistribution(tuple(zip(ids, probs)))
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
 
 
 class RemotePerplexity:

@@ -87,17 +87,23 @@ def test_expand_matches_exhaustive_enumeration_two_slots():
     assert [(c.tokens, c.log_prob) for c in beam.candidates] == brute
 
 
-def test_expand_dedupes_identical_sequences():
-    beam = Beam(4, (EditCandidate((MASK_ID,), 0.0),))
-    # a malformed-but-legal distribution mentioning token 3 twice
-    dist = PredictionDistribution(((3, 0.5), (3, 0.2), (4, 0.1)))
-    out = expand_beam(beam, [dist])
-    assert [c.tokens for c in out.candidates] == [(3,), (4,)]
-    assert out.candidates[0].log_prob == math.log(0.5)
+def test_distribution_rejects_a_repeated_token():
+    # Two extensions of one beam can be equal only through a prediction
+    # that names a token twice, so expand_beam needs no dedup.
+    with pytest.raises(ValueError, match="repeat"):
+        PredictionDistribution(((3, 0.5), (3, 0.2), (4, 0.1)))
+
+
+def test_beam_rejects_a_repeated_candidate():
+    with pytest.raises(ValueError, match="candidate twice"):
+        Beam(4, (EditCandidate((3, MASK_ID), -1.0), EditCandidate((3, MASK_ID), -2.0)))
+    with pytest.raises(ValueError, match="1 to width"):
+        Beam(4, ())
 
 
 def test_expand_rejects_empty_distribution():
     beam = Beam(2, (EditCandidate((MASK_ID,), 0.0),))
+    # The type rejects an empty prediction before expand_beam sees it.
     with pytest.raises(ValueError, match="empty prediction"):
         expand_beam(beam, [PredictionDistribution(())])
 
@@ -350,18 +356,12 @@ def _full_expansion(beam, distributions):
     """expand_beam without the floor: every entry of every row, ranked by a
     key over all of them."""
     slot = beam.candidates[0].tokens.index(MASK_ID)
-    best = {}
-    for candidate, dist in zip(beam.candidates, distributions):
-        prefix = candidate.tokens[:slot]
-        suffix = candidate.tokens[slot + 1 :]
-        base = candidate.log_prob
-        for token_id, prob in dist.entries:
-            tokens = prefix + (token_id,) + suffix
-            log_prob = base + math.log(prob)
-            held = best.get(tokens)
-            if held is None or log_prob > held:
-                best[tokens] = log_prob
-    ranked = sorted(best.items(), key=lambda item: (-item[1], item[0]))
+    every = [
+        (c.tokens[:slot] + (token_id,) + c.tokens[slot + 1 :], c.log_prob + math.log(p))
+        for c, dist in zip(beam.candidates, distributions)
+        for token_id, p in dist.entries
+    ]
+    ranked = sorted(every, key=lambda item: (-item[1], item[0]))
     return [(tokens, lp.hex()) for tokens, lp in ranked[: beam.width]]
 
 
@@ -369,28 +369,33 @@ def _full_expansion(beam, distributions):
 @given(data=st.data())
 def test_pruned_expand_matches_full_expansion(data):
     # Few distinct values, so candidate log probs, probabilities within a
-    # row and sums across rows tie often; candidates come in any order,
-    # tied entries in either id order, and candidates that share their
-    # filled tokens propose the same sequences.
+    # row and sums across rows tie often; candidates come in any order and
+    # tied entries in either id order. Inputs are legal: distinct
+    # candidates, and distinct ids in each row.
     width = data.draw(st.integers(1, 12), label="width")
     length = data.draw(st.integers(1, 3), label="length")
     slot = data.draw(st.integers(0, length - 1), label="slot")
     filled = st.sampled_from((3, 4))
     after = st.sampled_from((MASK_ID, 3))
     bases = st.sampled_from((0.0, -0.5, math.log(0.5), -1.0, -3.0))
+    token_rows = st.lists(
+        st.tuples(
+            st.tuples(*[filled] * slot, st.just(MASK_ID), *[after] * (length - slot - 1)),
+            bases,
+        ),
+        min_size=1,
+        max_size=width,
+        unique_by=lambda c: c[0],
+    )
     row = st.lists(
         st.tuples(st.integers(3, 8), st.sampled_from((1.0, 0.5, 0.25, 0.2, 0.1))),
         min_size=1,
-        max_size=12,
+        max_size=6,
+        unique_by=lambda e: e[0],
     )
     candidates, dists = [], []
-    for _ in range(data.draw(st.integers(1, width), label="candidates")):
-        tokens = (
-            tuple(data.draw(filled) for _ in range(slot))
-            + (MASK_ID,)
-            + tuple(data.draw(after) for _ in range(length - slot - 1))
-        )
-        candidates.append(EditCandidate(tokens, data.draw(bases)))
+    for tokens, base in data.draw(token_rows, label="candidates"):
+        candidates.append(EditCandidate(tokens, base))
         entries = data.draw(row)
         entries.sort(key=lambda e: -e[1])  # stable: tied ids keep drawn order
         dists.append(PredictionDistribution(tuple(entries)))

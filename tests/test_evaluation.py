@@ -28,12 +28,13 @@ from queryflip.evaluation import (
     render_markdown,
     reports_to_json,
     run_method,
+    SharedWork,
     sweep_edits,
 )
 from queryflip.masker import occlusion_importance
 from queryflip.lm import perplexity
 from queryflip.pipeline import build_stack, make_context
-from queryflip.text import PAD_ID, UNK_ID
+from queryflip.text import MASK_ID, PAD_ID, UNK_ID
 
 from conftest import sample_config
 from test_corpus import IDF_DF1, IDF_DF2, ids, reference_sentence_ids
@@ -209,6 +210,101 @@ def test_cfe2_mask_budget_caps_the_edit(sample_stack, sample_ctx):
     capped = run_method(t, "cfe2", sample_ctx, beam_width=10, max_masks=1)
     assert capped.outcome is None
     assert [it.masks for it in capped.trace] == [1]
+
+
+# ---------------------------------------------------------------------------
+# out-of-vocabulary query words: every [UNK] is masked from the first iteration
+
+
+def test_cfe2_masks_every_unk_first(sample_stack, sample_ctx):
+    # No document holds "zzz" or "qqq", so both are [UNK]: maxsim ranks
+    # them low, yet the first iteration masks both and q' keeps neither.
+    t = _triplet(sample_stack, "apple zzz qqq", "d1", "d3")
+    result = run_method(t, "cfe2", sample_ctx, beam_width=10)
+    assert sample_stack.vocab.decode(result.outcome) == ["apple", "tree", "banana"]
+    assert [it.masked_positions for it in result.trace] == [(1, 2)]
+    assert result.masks_used == 2
+
+
+def test_cfe2_null_when_max_masks_is_below_the_unk_count(sample_stack, sample_ctx):
+    # One mask cannot cover two [UNK]s, so no iteration runs.
+    t = _triplet(sample_stack, "apple zzz qqq", "d1", "d3")
+    result = run_method(t, "cfe2", sample_ctx, beam_width=10, max_masks=1)
+    assert result.outcome is None
+    assert result.masks_used == 1
+    assert result.trace == ()
+
+
+def test_mask_only_replaces_every_unk(sample_stack, sample_ctx):
+    # Without "pie" twice, d2 outranks d1; the [UNK] is replaced as well.
+    t = _triplet(sample_stack, "apple pie pie tree zzz", "d1", "d2")
+    result = run_method(t, "mask_only", sample_ctx)
+    assert sample_stack.vocab.decode(result.outcome) == (
+        ["[PAD]", "[PAD]", "[PAD]", "tree", "[PAD]"]
+    )
+    assert result.masks_used == 4
+
+
+_TOY_WORDS = ("ant", "bee", "cat", "dog", "elk", "fox")
+_ABSENT_WORDS = ("zzz", "qqq")  # no toy corpus holds them
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from(_TOY_WORDS), min_size=3, max_size=6),
+        min_size=3,
+        max_size=5,
+    ),
+    query=st.lists(st.sampled_from(_TOY_WORDS + _ABSENT_WORDS), min_size=1, max_size=4),
+    masker=st.sampled_from(MASKERS),
+    min_count=st.integers(1, 2),
+    beam_width=st.integers(1, 4),
+)
+def test_whole_edit_properties(texts, query, masker, min_count, beam_width):
+    """cfe2 and mask_only over random toy corpora and queries, some of
+    whose words are [UNK]. Every outcome strictly flips, has the query's
+    length, differs from it only at masked positions and holds no [MASK]
+    or [UNK] ([PAD] only from mask_only). cfe2's trace starts at
+    max(1, #[UNK]) masks, grows by one per iteration, flips at its last
+    iteration only, and every log probability in it is <= 0."""
+    # The last document holds every toy word twice, so the vocabulary
+    # always has room for the embedding dimension.
+    texts = texts + [list(_TOY_WORDS) * 2]
+    lines = [json.dumps({"id": f"d{i}", "text": " ".join(t)}) for i, t in enumerate(texts)]
+    config = sample_config(masker=masker, min_count=min_count)
+    stack = build_stack(ingest_corpus(lines), config)
+    ctx = make_context(stack, config)
+    ranking = stack.search.search(stack.vocab.encode(query), len(texts))
+    for t in build_triplets(ranking, stack.corpus):
+        work = SharedWork(ctx)
+        first = max(1, t.query_ids.count(UNK_ID))
+        for method in ("cfe2", "mask_only"):
+            result = run_method(t, method, ctx, beam_width, work=work)
+            if method == "cfe2":
+                masks = [it.masks for it in result.trace]
+                assert masks == list(range(first, first + len(masks)))
+                assert masks[-1] == result.masks_used
+                assert not any(any(it.flips) for it in result.trace[:-1])
+                assert all(
+                    c.log_prob <= 0.0 for it in result.trace for c in it.beam.candidates
+                )
+                masked = set(result.trace[-1].masked_positions)
+            else:
+                masked = set(work.importance(t).order[: result.masks_used])
+            outcome = result.outcome
+            if outcome is None:
+                continue
+            ids = list(outcome)
+            assert ctx.scorer.score(ids, t.d_prime.id) > ctx.scorer.score(ids, t.d.id)
+            forbidden = {MASK_ID, UNK_ID} | ({PAD_ID} if method == "cfe2" else set())
+            assert not forbidden & set(outcome)
+            assert len(outcome) == len(t.query_ids)
+            assert all(
+                before == after
+                for pos, (before, after) in enumerate(zip(t.query_ids, outcome))
+                if pos not in masked
+            )
 
 
 # ---------------------------------------------------------------------------

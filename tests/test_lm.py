@@ -557,10 +557,16 @@ def test_predict_matches_full_scoring(data):
 
 
 def test_distribution_invariants_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-increasing"):
         PredictionDistribution(((3, 0.2), (4, 0.5)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
         PredictionDistribution(((3, 0.0),))
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        PredictionDistribution(((3, 1.5),))
+    with pytest.raises(ValueError, match="empty prediction"):
+        PredictionDistribution(())
+    with pytest.raises(ValueError, match="repeat"):
+        PredictionDistribution(((3, 0.5), (4, 0.25), (3, 0.25)))
 
 
 def test_train_rejects_empty_corpus():

@@ -142,11 +142,12 @@ def test_remote_predictor_rejects_non_content_and_repeats(
         ({"tokens": ["apple", "pie"], "probs": [0.5, float("nan")]},
          "non-finite number in field: probs"),
         ({"tokens": ["apple"], "probs": [0.5, 0.25]}, "lengths differ"),
-        ({"tokens": ["apple", "pie"], "probs": [1.5, 0.25]}, "out of range: probs"),
-        ({"tokens": ["apple", "pie"], "probs": [0.5, 0.0]}, "out of range: probs"),
+        # PredictionDistribution's own messages, passed through as ProtocolError.
+        ({"tokens": ["apple", "pie"], "probs": [1.5, 0.25]}, r"must lie in \(0, 1\]"),
+        ({"tokens": ["apple", "pie"], "probs": [0.5, 0.0]}, r"must lie in \(0, 1\]"),
         ({"tokens": ["apple", "pie", "bread"], "probs": [0.5, 0.25, 0.125]},
          "more than 2 predictions"),
-        ({"tokens": [], "probs": []}, "response field is empty: tokens"),
+        ({"tokens": [], "probs": []}, "empty prediction"),
     ],
     ids=["missing", "tokens_not_list", "token_not_string", "probs_not_list",
          "prob_not_number", "prob_nan", "lengths", "prob_above_one",
