@@ -338,7 +338,11 @@ class Bm25SearchModel:
         self.impacts = posting_idf * tfs * (k1 + 1.0) / (tfs + k1_norm)
         # The postings regrouped by document: document p's terms and impacts
         # are _doc_terms / _doc_impacts[_doc_bounds[p]:_doc_bounds[p + 1]].
-        by_doc = np.argsort(docs, kind="stable")
+        # The sorted keys doc * n_postings + i: each document's postings
+        # in posting order, so by term, and each key's i is its posting.
+        n_postings = len(docs)
+        by_doc = np.sort(docs.astype(np.int64) * n_postings + np.arange(n_postings))
+        by_doc %= n_postings
         self._doc_terms = np.repeat(terms, dfs)[by_doc]
         self._doc_impacts = self.impacts[by_doc]
         self._doc_bounds = np.cumsum(np.r_[0, np.bincount(docs, minlength=n)])
@@ -394,8 +398,16 @@ class Bm25SearchModel:
                 scores[docs[start:end]] += impacts[start:end]
         # Every impact is > 0, so a matched document scores above every
         # unmatched one; a stable sort of the doc-id order breaks ties.
-        by_id = self._by_id
-        ranked = by_id[np.argsort(-scores[by_id], kind="stable")[:k]].tolist()
+        # Below the corpus size only documents at or above the k-th score
+        # (0.0 when fewer than k match) can place, so they are sorted alone.
+        # It is partitioned out of the matched scores: np.partition slows
+        # down on many tied zeros.
+        order = self._by_id
+        if k < n:
+            matched = scores[scores > 0.0]
+            kth = np.partition(matched, -k)[-k] if len(matched) >= k else 0.0
+            order = order[scores[order] >= kth]
+        ranked = order[np.argsort(-scores[order], kind="stable")[:k]].tolist()
         ids = self._corpus_ids
         entries = zip([ids[p] for p in ranked], scores[ranked].tolist())
         return Ranking(tuple(query_ids), tuple(entries))
@@ -423,6 +435,11 @@ def _robertson_idf(n_docs: int, df: int) -> float:
     return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
 
 
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """The index of the first element of each run of equal ``keys``."""
+    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]][: len(keys)])
+
+
 def count_postings(encoded: EncodedCorpus) -> tuple[np.ndarray, ...]:
     """Every (term, document) pair of the token ids, specials left out,
     counted into the CSR postings ``terms``, ``indptr``, ``docs`` and
@@ -435,9 +452,10 @@ def count_postings(encoded: EncodedCorpus) -> tuple[np.ndarray, ...]:
         term_ids * n + encoded.doc_labels()[content], return_counts=True
     )
     terms, docs = np.divmod(pairs, n)
-    terms, starts = np.unique(terms, return_index=True)
+    starts = run_starts(terms)  # the pairs are sorted: one run per term
     indptr = np.append(starts, len(pairs))
-    return terms.astype(np.int32), indptr, docs.astype(np.int32), tfs.astype(np.int32)
+    terms = terms[starts].astype(np.int32)
+    return terms, indptr, docs.astype(np.int32), tfs.astype(np.int32)
 
 
 def build_index(corpus: Corpus, k1: float, b: float) -> Bm25SearchModel:

@@ -18,6 +18,7 @@ canonical JSON plus a markdown table.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import sys
@@ -319,7 +320,7 @@ class SharedWork:
             else:
                 raise ValueError(f"unknown masker: {self.ctx.masker}")
             unknown = tuple(i for i, t in enumerate(query) if t == UNK_ID)
-            return ImportanceScores(scores.scores, unknown)
+            return ImportanceScores(scores.scores, unknown) if unknown else scores
 
         return _once(self._shared, "importance", compute)
 
@@ -680,8 +681,13 @@ def beam_sweep(
 
 
 def canonical_json(payload: Any) -> str:
-    """Stable JSON encoding: sorted keys, fixed layout, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Stable JSON encoding: sorted keys, fixed layout, trailing newline.
+    Each chunk is written to one buffer as it is encoded, not kept in a list."""
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+    out = io.StringIO()
+    out.writelines(encoder.iterencode(payload))
+    out.write("\n")
+    return out.getvalue()
 
 
 def reports_to_json(reports: Sequence[EvalReport]) -> str:

@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .text import FIRST_CONTENT_ID, MASK_ID, PAD_ID, Vocabulary
-from .corpus import EncodedCorpus
+from .corpus import EncodedCorpus, run_starts
 
 #: Padding marker in n-gram contexts: before each document when counting,
 #: before the query when predicting. Not a vocabulary id, so it can never
@@ -67,13 +67,13 @@ class NgramLM:
     ``counts`` (int32, ``(n,)``), rows strictly increasing by context, then
     target. Contexts are BOS-padded at document starts and hold ids below
     the vocabulary size ``FIRST_CONTENT_ID + n_candidates``. Derived at
-    construction, with numpy and no loop over rows: each context's run of
-    rows, found by one diff, and from it a dict from the context's packed
-    key to its run index, with the run starts, add-k denominators, targets
-    and counts as flat lists for ``distribution`` and ``perplexity``. A
-    context's key reads its ids as base-``radix`` digits, BOS as 0 and
-    each id as id + 1, first id most significant, with ``radix`` the
-    vocabulary size + 1; it is a Python int, exact at every order.
+    construction, with numpy and no loop over rows: each row's packed key
+    (``_packed``), which must rise strictly from row to row; each
+    context's run of rows, where its key, the row key // ``radix``,
+    changes; a dict from that key, a Python int exact at every order, to
+    the run index; and the run starts, add-k denominators, targets and
+    counts as flat lists for ``distribution`` and ``perplexity``.
+    ``radix`` is the vocabulary size + 1.
 
     Only content tokens are ever predicted; the candidate space has
     ``n_candidates`` tokens with contiguous ids starting at
@@ -105,14 +105,16 @@ class NgramLM:
         candidate = grams[:, -1] - FIRST_CONTENT_ID
         if ((candidate < 0) | (candidate >= n_candidates)).any():
             raise ValueError("n-gram target outside the candidate ids")
-        step = np.diff(grams.astype(np.int64), axis=0)
-        if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
-            raise ValueError("n-gram rows not sorted strictly by context, then target")
         # A context id outside [BOS, vocabulary size) has no key digit.
         self.radix = FIRST_CONTENT_ID + n_candidates + 1
         contexts = grams[:, :-1]
         if ((contexts < BOS) | (contexts >= self.radix - 1)).any():
             raise ValueError("n-gram context outside the vocabulary ids")
+        # Every digit is in range, so the packed row keys rise strictly
+        # exactly when the rows do, by context and then target.
+        rows = _packed(grams, self.radix)
+        if not (rows[1:] > rows[:-1]).all():
+            raise ValueError("n-gram rows not sorted strictly by context, then target")
         self.order = order
         self.k = k
         self.n_candidates = n_candidates
@@ -122,15 +124,10 @@ class NgramLM:
         # r: rows starts[r]:starts[r + 1], add-k denominator
         # denominators[r] (the run's count total + k * n_candidates). An
         # unseen context gets index len(runs), an empty run.
-        starts = np.flatnonzero(np.r_[True, step[:, :-1].any(axis=1)][: len(grams)])
+        keys = rows // self.radix
+        starts = run_starts(keys)
         totals = np.append(np.add.reduceat(counts.astype(np.int64), starts), 0)
-        # Packed keys in int64 while the largest fits, else in Python ints
-        # (object arrays); with no context columns (order 1) every key is 0.
-        fits = self.radix ** (order - 1) <= np.iinfo(np.int64).max
-        keys = np.zeros(len(starts), dtype=np.int64 if fits else object)
-        for column in contexts[starts].T.astype(keys.dtype):
-            keys = keys * self.radix + column + 1
-        self._runs = dict(zip(keys.tolist(), range(len(starts))))
+        self._runs = dict(zip(keys[starts].tolist(), range(len(starts))))
         self._unseen = len(starts)
         self._starts: list[int] = starts.tolist() + [len(grams)] * 2
         self._denominators: list[float] = (totals + k * n_candidates).tolist()
@@ -195,14 +192,25 @@ def train_ngram(
     # of ``order`` ids ending at it. Specials (UNK) are context, never targets.
     ends = np.flatnonzero(ids >= FIRST_CONTENT_ID)
     windows = ids[ends[:, None] + np.arange(1 - order, 1)]
-    # Sort the windows lexicographically (first column most significant)
-    # and count each run of equal rows.
-    windows = windows[np.lexsort(windows.T[::-1])]
-    run_start = np.ones(len(windows), dtype=bool)
-    run_start[1:] = np.any(windows[1:] != windows[:-1], axis=1)
-    starts = np.flatnonzero(run_start)
-    counts = np.diff(starts, append=len(windows)).astype(np.int32)
-    return NgramLM(order, k, vocab.content_size, windows[starts], counts)
+    # Count each distinct window by its packed key; read the digits back.
+    radix = FIRST_CONTENT_ID + vocab.content_size + 1  # NgramLM's radix
+    keys, counts = np.unique(_packed(windows, radix), return_counts=True)
+    grams = np.empty((len(keys), order), dtype=np.int32)
+    for column in reversed(range(order)):
+        grams[:, column] = keys % radix - 1
+        keys = keys // radix
+    return NgramLM(order, k, vocab.content_size, grams, counts.astype(np.int32))
+
+
+def _packed(rows: np.ndarray, radix: int) -> np.ndarray:
+    """Each row's ids as one key of base-``radix`` digits, BOS as 0 and
+    each id as id + 1, first id most significant: int64 while the largest
+    key fits, else Python ints (object arrays)."""
+    fits = radix ** rows.shape[1] <= np.iinfo(np.int64).max
+    keys = np.zeros(len(rows), dtype=np.int64 if fits else object)
+    for column in rows.T.astype(keys.dtype):
+        keys = keys * radix + column + 1
+    return keys
 
 
 def perplexity(token_ids: Sequence[int], lm: NgramLM) -> float:

@@ -463,6 +463,50 @@ def test_search_equals_the_sorted_reference(texts, k1, b, query, repeats, k):
             assert got.entries == _reference_search(search, q, top)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(_TEXTS, min_size=1, max_size=8),
+    copies=st.integers(1, 3),
+    query=st.lists(st.integers(0, 10), min_size=1, max_size=4),
+)
+def test_partial_selection_equals_the_full_stable_sort(texts, copies, query):
+    """``search`` below the corpus size equals the full stable sort of the
+    doc-id order by -score, cut to k, at every k. Every text is stored
+    ``copies`` times, so whole groups of documents tie, at the k-th score
+    too; the queries include one that matches no document and one that
+    matches a single word, so fewer than k documents match."""
+    records = {f"d{i}-{c}": text for i, text in enumerate(texts) for c in range(copies)}
+    records["fixed"] = "w0 w0 w1"
+    corpus, vocab = build_corpus(records)
+    search = build_index(corpus, K1, B)
+    n = corpus.n_docs
+    by_id = np.array(sorted(range(n), key=corpus.doc_ids().__getitem__))
+    for q in (query, [UNK_ID], vocab.encode(["w1"])):
+        scores = np.array([search.score(q, doc_id) for doc_id in corpus.doc_ids()])
+        full = by_id[np.argsort(-scores[by_id], kind="stable")]
+        for k in range(1, n + 2):
+            got = [doc_id for doc_id, _ in search.search(q, k).entries]
+            assert got == [corpus.doc_ids()[p] for p in full[:k]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(texts=st.lists(_TEXTS, min_size=1, max_size=10), k1=st.floats(0.1, 3.0))
+def test_postings_regrouped_by_document_equal_a_stable_sort(texts, k1):
+    """The postings regrouped by document equal a stable argsort of their
+    documents: each document's terms ascending, its impacts alongside."""
+    corpus, _ = build_corpus({f"d{i}": text for i, text in enumerate(texts)})
+    search = build_index(corpus, k1, B)
+    counted = postings(search)
+    docs = counted["docs"]
+    by_doc = np.argsort(docs, kind="stable")
+    terms = np.repeat(counted["terms"], np.diff(counted["indptr"]))
+    bounds = np.cumsum(np.r_[0, np.bincount(docs, minlength=corpus.n_docs)])
+    assert np.array_equal(search._doc_terms, terms[by_doc])
+    assert search._doc_terms.dtype == counted["terms"].dtype
+    assert np.array_equal(search._doc_impacts, search.impacts[by_doc])
+    assert np.array_equal(search._doc_bounds, bounds)
+
+
 def test_racing_first_accesses_share_one_document_and_score():
     """Threads that build the same Document or weight table at once all
     get the one that was stored, and the same scores."""

@@ -675,3 +675,38 @@ def test_null_outcomes_excluded_from_similarity_means():
     assert report.aggregates["flip_rate"] == 0.0
     assert report.aggregates["nulls"] == 1
     assert report.aggregates["mean_cos_sim"] is None
+
+
+@pytest.mark.parametrize("masker", MASKERS)
+def test_importance_without_unk_is_the_maskers_own_result(small_eval, masker, monkeypatch):
+    """A query with no [UNK] gets the scores its masker built, not a copy;
+    one with [UNK] gets new scores that lead with its [UNK] positions."""
+    _, ctx, triplets = small_eval
+    ctx = dataclasses.replace(ctx, masker=masker)
+    made = []
+    name = f"{masker}_importance"
+    masker_fn = getattr(evaluation, name)
+    monkeypatch.setattr(evaluation, name, lambda *args: made.append(masker_fn(*args)) or made[-1])
+    triplet = triplets[0]
+    assert UNK_ID not in triplet.query_ids
+    assert SharedWork(ctx).importance(triplet) is made[-1]
+    unknown = dataclasses.replace(triplet, query_ids=triplet.query_ids + (UNK_ID,))
+    scores = SharedWork(ctx).importance(unknown)
+    assert scores is not made[-1]
+    assert scores.scores == made[-1].scores
+    assert scores.unknown == (len(triplet.query_ids),) == scores.order[:1]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=_JSON_VALUES)
+def test_canonical_json_is_the_bytes_of_json_dumps(payload):
+    expected = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert evaluation.canonical_json(payload) == expected

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -208,6 +209,99 @@ def test_train_ngram_matches_counter_reference(order, min_count):
                 for pos, target in enumerate(seq):
                     log_sum += math.log(ref_prob(target, _context_at(model, seq, pos)))
                 assert perplexity(seq, model) == math.exp(-log_sum / len(seq))
+
+
+def _table_rows(lm):
+    """The model's table as (context..., target, count) tuples."""
+    return [(*row, count) for row, count in zip(lm.grams.tolist(), lm.counts.tolist())]
+
+
+def _reference_rows(corpus, vocab, order):
+    """``reference_counts`` as the sorted table train_ngram must build."""
+    counts, _ = reference_counts(corpus, vocab, order)
+    return sorted((*ctx, t, n) for ctx, seen in counts.items() for t, n in seen.items())
+
+
+# Past int64 for every vocabulary: radix >= FIRST_CONTENT_ID + 2 = 5, and
+# 5 ** 28 > 2 ** 63, so the row keys are Python ints.
+_OBJECT_ORDER = 28
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=10).map(" ".join),
+        min_size=1, max_size=8,
+    ),
+    order=st.sampled_from([1, 2, 3, 4, _OBJECT_ORDER]),
+    min_count=st.sampled_from([1, 2]),
+)
+def test_train_ngram_table_equals_the_reference_counts(texts, order, min_count):
+    """The table counted from packed row keys holds exactly the reference's
+    rows, sorted, at orders 1-4 (int64 keys) and past int64 (object keys).
+    One document, longer than every order, holds windows with no BOS, whose
+    keys past int64 need every digit."""
+    records = {f"d{i}": text for i, text in enumerate(texts)}
+    records["fixed"] = " ".join("abcde" * 6)
+    corpus, vocab = build_corpus(records, min_count)
+    lm = train_ngram(corpus.encoded, vocab, order=order)
+    if order == _OBJECT_ORDER:
+        assert lm.radix**order > np.iinfo(np.int64).max
+    assert lm.grams.dtype == lm.counts.dtype == np.int32
+    assert lm.grams.shape == (len(lm.counts), order)
+    assert _table_rows(lm) == _reference_rows(corpus, vocab, order)
+
+
+def _set(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+# Damages to a sorted table (grams, counts) of a model with n candidate
+# ids, each with the message NgramLM rejects it with. The first context
+# column rises, so a context set in the first or last row keeps the order.
+MALFORMED_TABLES = {
+    "row_out_of_order": (
+        lambda g, c, n: (g[::-1], c[::-1]),
+        "n-gram rows not sorted strictly by context, then target",
+    ),
+    "duplicate_row": (
+        lambda g, c, n: (np.concatenate([g[:1], g]), np.concatenate([c[:1], c])),
+        "n-gram rows not sorted strictly by context, then target",
+    ),
+    "count_below_one": (
+        lambda g, c, n: (g, _set(c, -1, 0)),
+        "n-gram counts must be >= 1",
+    ),
+    "target_special": (
+        lambda g, c, n: (_set(g, (0, -1), UNK_ID), c),
+        "n-gram target outside the candidate ids",
+    ),
+    "target_past_candidates": (
+        lambda g, c, n: (_set(g, (-1, -1), FIRST_CONTENT_ID + n), c),
+        "n-gram target outside the candidate ids",
+    ),
+    "context_below_bos": (
+        lambda g, c, n: (_set(g, (0, 0), BOS - 1), c),
+        "n-gram context outside the vocabulary ids",
+    ),
+    "context_past_vocabulary": (
+        lambda g, c, n: (_set(g, (-1, 0), FIRST_CONTENT_ID + n), c),
+        "n-gram context outside the vocabulary ids",
+    ),
+}
+
+
+@pytest.mark.parametrize("order", [3, _OBJECT_ORDER])
+@pytest.mark.parametrize("name", list(MALFORMED_TABLES))
+def test_malformed_tables_are_rejected(name, order):
+    damage, message = MALFORMED_TABLES[name]
+    corpus, vocab = build_corpus({"d1": "a b c a b", "d2": "c a b b"})
+    lm = train_ngram(corpus.encoded, vocab, order=order)
+    grams, counts = damage(lm.grams, lm.counts, lm.n_candidates)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        NgramLM(order, lm.k, lm.n_candidates, grams, counts)
 
 
 def test_packed_context_keys_are_exact_past_int64():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -23,7 +24,7 @@ from queryflip.text import FIRST_CONTENT_ID, UNK_ID, Vocabulary
 
 from conftest import SAMPLE_LINES, sample_config
 from test_corpus import assert_same_arrays, postings
-from test_lm import reference_counts
+from test_lm import MALFORMED_TABLES, reference_counts
 
 
 def test_config_round_trips_through_json(tmp_path):
@@ -429,6 +430,25 @@ def test_load_rejects_bad_artifact(tmp_path, damage, match):
     config, path = _saved(tmp_path)
     damage(path)
     with pytest.raises(ArtifactError, match=match):
+        load_stack(config)
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_TABLES))
+def test_load_rejects_each_malformed_table_with_its_message(tmp_path, name):
+    """Each table NgramLM rejects fails the load as ArtifactError, with
+    NgramLM's own message."""
+    damage, message = MALFORMED_TABLES[name]
+    config, path = _saved(tmp_path)
+
+    def edit(arrays):
+        contexts, targets = arrays["lm.contexts"], arrays["lm.targets"]
+        grams = np.column_stack((contexts, targets))
+        n = int(arrays["lm.n_candidates"])
+        grams, arrays["lm.counts"] = damage(grams, arrays["lm.counts"], n)
+        arrays["lm.contexts"], arrays["lm.targets"] = grams[:, :-1], grams[:, -1]
+
+    _edit_arrays(path, edit)
+    with pytest.raises(ArtifactError, match=f"^malformed .*: {re.escape(message)}$"):
         load_stack(config)
 
 
