@@ -398,15 +398,12 @@ class Bm25SearchModel:
                 scores[docs[start:end]] += impacts[start:end]
         # Every impact is > 0, so a matched document scores above every
         # unmatched one; a stable sort of the doc-id order breaks ties.
-        # Below the corpus size only documents at or above the k-th score
-        # (0.0 when fewer than k match) can place, so they are sorted alone.
-        # It is partitioned out of the matched scores: np.partition slows
-        # down on many tied zeros.
-        order = self._by_id
-        if k < n:
-            matched = scores[scores > 0.0]
-            kth = np.partition(matched, -k)[-k] if len(matched) >= k else 0.0
-            order = order[scores[order] >= kth]
+        # Only documents at or above the k-th score (0.0 when fewer than k
+        # match) can place, so they are sorted alone. It is partitioned out
+        # of the matched scores: np.partition slows down on many tied zeros.
+        matched = scores[scores > 0.0]
+        kth = np.partition(matched, -k)[-k] if len(matched) >= k else 0.0
+        order = self._by_id[scores[self._by_id] >= kth]
         ranked = order[np.argsort(-scores[order], kind="stable")[:k]].tolist()
         ids = self._corpus_ids
         entries = zip([ids[p] for p in ranked], scores[ranked].tolist())

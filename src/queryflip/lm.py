@@ -67,13 +67,14 @@ class NgramLM:
     ``counts`` (int32, ``(n,)``), rows strictly increasing by context, then
     target. Contexts are BOS-padded at document starts and hold ids below
     the vocabulary size ``FIRST_CONTENT_ID + n_candidates``. Derived at
-    construction, with numpy and no loop over rows: each row's packed key
-    (``_packed``), which must rise strictly from row to row; each
-    context's run of rows, where its key, the row key // ``radix``,
-    changes; a dict from that key, a Python int exact at every order, to
+    construction, with numpy and no loop over rows: each context's packed
+    key, which with the target must rise strictly from row to row; each
+    context's run of rows, where its key changes; a dict from that key to
     the run index; and the run starts, add-k denominators, targets and
-    counts as flat lists for ``distribution`` and ``perplexity``.
-    ``radix`` is the vocabulary size + 1.
+    counts as flat lists for ``distribution`` and ``perplexity``. A
+    context's key reads its ids as base-``radix`` digits, BOS as 0 and
+    each id as id + 1, first id most significant, with ``radix`` the
+    vocabulary size + 1; it is a Python int, exact at every order.
 
     Only content tokens are ever predicted; the candidate space has
     ``n_candidates`` tokens with contiguous ids starting at
@@ -106,14 +107,22 @@ class NgramLM:
         if ((candidate < 0) | (candidate >= n_candidates)).any():
             raise ValueError("n-gram target outside the candidate ids")
         # A context id outside [BOS, vocabulary size) has no key digit.
-        self.radix = FIRST_CONTENT_ID + n_candidates + 1
-        contexts = grams[:, :-1]
+        self.radix = _radix(n_candidates)
+        contexts, targets = grams[:, :-1], grams[:, -1]
         if ((contexts < BOS) | (contexts >= self.radix - 1)).any():
             raise ValueError("n-gram context outside the vocabulary ids")
-        # Every digit is in range, so the packed row keys rise strictly
-        # exactly when the rows do, by context and then target.
-        rows = _packed(grams, self.radix)
-        if not (rows[1:] > rows[:-1]).all():
+        # Packed keys in int64 while the largest fits, else in Python ints
+        # (object arrays); with no context columns (order 1) every key is 0.
+        # Every digit is in range, so the keys order the contexts as the
+        # rows do.
+        fits = self.radix ** (order - 1) <= np.iinfo(np.int64).max
+        keys = np.zeros(len(grams), dtype=np.int64 if fits else object)
+        for column in contexts.T.astype(keys.dtype):
+            keys = keys * self.radix + column + 1
+        rising = (keys[1:] > keys[:-1]) | (
+            (keys[1:] == keys[:-1]) & (targets[1:] > targets[:-1])
+        )
+        if not rising.all():
             raise ValueError("n-gram rows not sorted strictly by context, then target")
         self.order = order
         self.k = k
@@ -124,14 +133,13 @@ class NgramLM:
         # r: rows starts[r]:starts[r + 1], add-k denominator
         # denominators[r] (the run's count total + k * n_candidates). An
         # unseen context gets index len(runs), an empty run.
-        keys = rows // self.radix
         starts = run_starts(keys)
         totals = np.append(np.add.reduceat(counts.astype(np.int64), starts), 0)
         self._runs = dict(zip(keys[starts].tolist(), range(len(starts))))
         self._unseen = len(starts)
         self._starts: list[int] = starts.tolist() + [len(grams)] * 2
         self._denominators: list[float] = (totals + k * n_candidates).tolist()
-        self._targets: list[int] = grams[:, -1].tolist()
+        self._targets: list[int] = targets.tolist()
         self._counts: list[int] = counts.tolist()
 
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -192,25 +200,26 @@ def train_ngram(
     # of ``order`` ids ending at it. Specials (UNK) are context, never targets.
     ends = np.flatnonzero(ids >= FIRST_CONTENT_ID)
     windows = ids[ends[:, None] + np.arange(1 - order, 1)]
-    # Count each distinct window by its packed key; read the digits back.
-    radix = FIRST_CONTENT_ID + vocab.content_size + 1  # NgramLM's radix
-    keys, counts = np.unique(_packed(windows, radix), return_counts=True)
-    grams = np.empty((len(keys), order), dtype=np.int32)
-    for column in reversed(range(order)):
-        grams[:, column] = keys % radix - 1
-        keys = keys // radix
+    # Count each distinct window. Its prefixes are numbered one column at a
+    # time, in sorted order: a prefix's number * radix + the next id + 1
+    # sorts the longer prefixes as the rows would, and stays below
+    # len(windows) * radix, in int64 at every order. After the last column
+    # the numbers index the distinct rows, sorted.
+    radix = _radix(vocab.content_size)
+    number = np.zeros(len(windows), dtype=np.int64)
+    for column in windows.T:
+        _, number, counts = np.unique(
+            number * radix + column + 1, return_inverse=True, return_counts=True
+        )
+    grams = np.empty((len(counts), order), dtype=np.int32)
+    grams[number] = windows  # equal rows share a number
     return NgramLM(order, k, vocab.content_size, grams, counts.astype(np.int32))
 
 
-def _packed(rows: np.ndarray, radix: int) -> np.ndarray:
-    """Each row's ids as one key of base-``radix`` digits, BOS as 0 and
-    each id as id + 1, first id most significant: int64 while the largest
-    key fits, else Python ints (object arrays)."""
-    fits = radix ** rows.shape[1] <= np.iinfo(np.int64).max
-    keys = np.zeros(len(rows), dtype=np.int64 if fits else object)
-    for column in rows.T.astype(keys.dtype):
-        keys = keys * radix + column + 1
-    return keys
+def _radix(n_candidates: int) -> int:
+    """The base of the packed keys: the vocabulary size + 1, so each id
+    (BOS included) is one digit, id + 1."""
+    return FIRST_CONTENT_ID + n_candidates + 1
 
 
 def perplexity(token_ids: Sequence[int], lm: NgramLM) -> float:

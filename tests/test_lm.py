@@ -223,8 +223,8 @@ def _reference_rows(corpus, vocab, order):
 
 
 # Past int64 for every vocabulary: radix >= FIRST_CONTENT_ID + 2 = 5, and
-# 5 ** 28 > 2 ** 63, so the row keys are Python ints.
-_OBJECT_ORDER = 28
+# 5 ** 28 > 2 ** 63, so the keys of the 28-id contexts are Python ints.
+_OBJECT_ORDER = 29
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,16 +237,16 @@ _OBJECT_ORDER = 28
     min_count=st.sampled_from([1, 2]),
 )
 def test_train_ngram_table_equals_the_reference_counts(texts, order, min_count):
-    """The table counted from packed row keys holds exactly the reference's
-    rows, sorted, at orders 1-4 (int64 keys) and past int64 (object keys).
-    One document, longer than every order, holds windows with no BOS, whose
-    keys past int64 need every digit."""
+    """The table counted from numbered prefixes holds exactly the
+    reference's rows, sorted, at orders 1-4 (int64 context keys) and past
+    int64 (object keys). One document, longer than every order, holds
+    windows with no BOS, whose context keys past int64 need every digit."""
     records = {f"d{i}": text for i, text in enumerate(texts)}
     records["fixed"] = " ".join("abcde" * 6)
     corpus, vocab = build_corpus(records, min_count)
     lm = train_ngram(corpus.encoded, vocab, order=order)
     if order == _OBJECT_ORDER:
-        assert lm.radix**order > np.iinfo(np.int64).max
+        assert lm.radix ** (order - 1) > np.iinfo(np.int64).max
     assert lm.grams.dtype == lm.counts.dtype == np.int32
     assert lm.grams.shape == (len(lm.counts), order)
     assert _table_rows(lm) == _reference_rows(corpus, vocab, order)
@@ -260,10 +260,15 @@ def _set(array, index, value):
 
 # Damages to a sorted table (grams, counts) of a model with n candidate
 # ids, each with the message NgramLM rejects it with. The first context
-# column rises, so a context set in the first or last row keeps the order.
+# column rises, so a context set in the first or last row keeps the order;
+# the first two rows share the all-BOS context.
 MALFORMED_TABLES = {
     "row_out_of_order": (
         lambda g, c, n: (g[::-1], c[::-1]),
+        "n-gram rows not sorted strictly by context, then target",
+    ),
+    "target_out_of_order": (
+        lambda g, c, n: (g[np.r_[1, 0, 2 : len(g)]], c[np.r_[1, 0, 2 : len(c)]]),
         "n-gram rows not sorted strictly by context, then target",
     ),
     "duplicate_row": (
@@ -299,6 +304,7 @@ def test_malformed_tables_are_rejected(name, order):
     damage, message = MALFORMED_TABLES[name]
     corpus, vocab = build_corpus({"d1": "a b c a b", "d2": "c a b b"})
     lm = train_ngram(corpus.encoded, vocab, order=order)
+    assert (lm.grams[0, :-1] == BOS).all() and (lm.grams[1, :-1] == BOS).all()
     grams, counts = damage(lm.grams, lm.counts, lm.n_candidates)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         NgramLM(order, lm.k, lm.n_candidates, grams, counts)
