@@ -92,8 +92,6 @@ def _triplet_from_ids(
         if an_id not in stack.corpus:
             raise ValueError(f"unknown document id: {an_id}")
     query_ids = tuple(stack.vocab.encode(tokenize(query_text)))
-    if not query_ids:
-        raise ValueError("empty query")
     return Triplet(
         query_ids,
         stack.corpus[doc_id],

@@ -32,7 +32,8 @@ from .text import MASK_ID
 
 @dataclass(frozen=True)
 class Triplet:
-    """(q, d, d') with the precondition rel(q, d) > rel(q, d')."""
+    """(q, d, d') with a non-empty q and rel(q, d) > rel(q, d'), which
+    the editor, the baselines and the metrics take as given."""
 
     query_ids: tuple[int, ...]
     d: Document
@@ -42,6 +43,8 @@ class Triplet:
     counter_rank: int | None = None  # rank of d' in the original list
 
     def __post_init__(self) -> None:
+        if not self.query_ids:
+            raise ValueError("empty query")
         if not self.rel_d > self.rel_d_prime:
             raise ValueError("not a valid counterfactual target")
 
@@ -111,21 +114,12 @@ def expand_beam(beam: Beam, distributions: Sequence[PredictionDistribution]) -> 
     The result is the same as expanding every entry, whatever the order
     of the candidates or of tied entries.
     """
-    dists = list(distributions)
-    if len(dists) != len(beam.candidates):
-        raise ValueError(
-            f"{len(dists)} distributions for {len(beam.candidates)} candidates"
-        )
-    if MASK_ID not in beam.candidates[0].tokens:
-        raise ValueError("no masked slot left to fill")
     slot = beam.candidates[0].tokens.index(MASK_ID)
 
     width = beam.width
     ranked: list[tuple[float, tuple[int, ...]]] = []
     floor = -inf
-    for candidate, dist in zip(beam.candidates, dists):
-        if candidate.tokens[slot] != MASK_ID:
-            raise ValueError(f"slot {slot} is not masked in candidate")
+    for candidate, dist in zip(beam.candidates, distributions):
         prefix = candidate.tokens[:slot]
         suffix = candidate.tokens[slot + 1 :]
         base = candidate.log_prob
@@ -143,8 +137,6 @@ def expand_beam(beam: Beam, distributions: Sequence[PredictionDistribution]) -> 
 
 def check_flip(candidate_ids: Sequence[int], triplet: Triplet, scorer) -> bool:
     """True iff rel(candidate, d') > rel(candidate, d), strictly."""
-    if MASK_ID in candidate_ids:
-        raise ValueError("candidate still contains masked slots")
     ids = list(candidate_ids)
     return scorer.score(ids, triplet.d_prime.id) > scorer.score(ids, triplet.d.id)
 
@@ -157,8 +149,6 @@ def select_final(
     Equal perplexities resolve to the lexicographically smaller token-id
     sequence. A lone candidate is returned without calling ``ppl_fn``.
     """
-    if not candidates:
-        raise ValueError("no flipping candidates to select from")
     if len(candidates) == 1:
         return candidates[0]
     return min(candidates, key=lambda c: (ppl_fn(c.tokens), c.tokens))
@@ -194,20 +184,14 @@ def edit(
     one), the slots are refilled by beam search in query-position order,
     and every complete candidate in the final beam is flip-checked. The
     first iteration producing a flip wins; with no flip at all (or a
-    ``max_masks`` below ``first_masks``) the outcome is None. The
+    ``max_masks`` below ``first_masks``) the outcome is None. A
+    ``max_masks`` above |q| is clamped to |q|. The
     per-iteration beams and flip checks are recorded in the trace, so
     callers can audit that no earlier iteration could have flipped.
     Deterministic for fixed inputs.
     """
     query = triplet.query_ids
-    if len(query) == 0:
-        raise ValueError("empty query")
-    if len(importance) != len(query):
-        raise ValueError("importance scores do not match query length")
-    if max_masks is None:
-        max_masks = len(query)
-    if not 1 <= max_masks <= len(query):
-        raise ValueError("max_masks must be in 1..|query|")
+    max_masks = len(query) if max_masks is None else min(max_masks, len(query))
 
     trace: list[IterationTrace] = []
     for i in range(importance.first_masks, max_masks + 1):

@@ -110,8 +110,6 @@ def cos_sim_metric(
     queries score exactly 1.0. A query whose representation is the zero
     vector (no scoreable terms) scores 0.0.
     """
-    if len(query_ids) == 0 or len(edited_ids) == 0:
-        raise ValueError("empty query")
     if list(query_ids) == list(edited_ids):
         return 1.0
     if edited_search is None:
@@ -135,8 +133,6 @@ def bertscore_f1(
     recall. The edited tokens' vectors are asked of ``edited_embedder``
     when given, else of ``embedder``. Identical sequences score exactly 1.0.
     """
-    if len(query_ids) == 0 or len(edited_ids) == 0:
-        raise ValueError("empty query")
     if list(query_ids) == list(edited_ids):
         return 1.0
     if edited_embedder is None:
@@ -162,8 +158,6 @@ def fluency_metric(
 ) -> float:
     """Perplexity ratio ppl(edited) / ppl(original); 1.0 is ideal. The
     edited query's perplexity is ``edited_ppl_fn``'s when given."""
-    if len(query_ids) == 0 or len(edited_ids) == 0:
-        raise ValueError("empty query")
     if edited_ppl_fn is None:
         edited_ppl_fn = ppl_fn
     return edited_ppl_fn(edited_ids) / ppl_fn(query_ids)
@@ -184,8 +178,6 @@ def baseline_mask_only(
     No flip after masking every token yields None. The trace is empty.
     """
     query = triplet.query_ids
-    if len(query) == 0:
-        raise ValueError("empty query")
     for i in range(importance.first_masks, len(query) + 1):
         positions = set(importance.order[:i])
         padded = tuple(
@@ -470,8 +462,6 @@ def run_method(
     if target is None:
         target = SharedWork(ctx)
     if method == "cfe2":
-        if max_masks is not None:  # None lets edit mask up to every token
-            max_masks = min(max_masks, len(triplet.query_ids))
         return edit(
             triplet,
             ctx.scorer,

@@ -278,9 +278,9 @@ class NgramPredictor:
 
     Answers are memoized by (left context, ``top``). The left context is
     the BOS-padded (order-1)-token context, or ``None`` for a slot that
-    falls back to P_doc alone. The memo is exact: apart from checking the
-    slot, ``predict`` reads nothing of the query but that context. It
-    lives as long as the predictor, which serves one d'.
+    falls back to P_doc alone. The memo is exact: ``predict`` reads
+    nothing of the query but that context. It lives as long as the
+    predictor, which serves one d'.
     """
 
     def __init__(self, lm: NgramLM, d_prime_ids: Sequence[int], lam: float = 0.5):
@@ -311,13 +311,7 @@ class NgramPredictor:
     def predict(
         self, masked_ids: Sequence[int], position: int, top: int
     ) -> PredictionDistribution:
-        """The ``top`` most probable tokens for the masked ``position``."""
-        if top < 1:
-            raise ValueError("top must be >= 1")
-        if position < 0 or position >= len(masked_ids):
-            raise ValueError(f"position {position} out of range")
-        if masked_ids[position] != MASK_ID:
-            raise ValueError(f"position {position} is not masked")
+        """The ``top`` (>= 1) most probable tokens for the masked ``position``."""
         width = self.lm.order - 1
         window = masked_ids[max(0, position - width) : position]
         context = None

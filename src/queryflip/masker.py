@@ -54,10 +54,6 @@ def maxsim_importance(
     such ties resolve leftmost rather than by float noise. ``embedder``
     must provide ``vectors_for(ids) -> ndarray``.
     """
-    if len(query_ids) == 0:
-        raise ValueError("empty query")
-    if len(doc_ids) == 0:
-        raise ValueError("empty document")
     q = embedder.vectors_for(query_ids)
     d = embedder.vectors_for(doc_ids)
     sims = q @ d.T
@@ -73,8 +69,6 @@ def occlusion_importance(
     additive scorer like BM25, tokens that do not match the document get
     exactly 0.
     """
-    if len(query_ids) == 0:
-        raise ValueError("empty query")
     base = scorer.score(query_ids, doc.id)
     scores = []
     for i in range(len(query_ids)):

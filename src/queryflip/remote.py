@@ -30,7 +30,7 @@ import numpy as np
 import requests
 
 from .lm import PredictionDistribution
-from .text import MASK_ID, SPECIAL_IDS, Vocabulary
+from .text import SPECIAL_IDS, Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -253,8 +253,6 @@ class RemotePredictor:
     def predict(
         self, masked_ids: Sequence[int], position: int, top: int
     ) -> PredictionDistribution:
-        if masked_ids[position] != MASK_ID:
-            raise ValueError(f"position {position} is not masked")
         body = call_backend(
             self.endpoint,
             {

@@ -193,10 +193,15 @@ def test_log_level_flag_sets_verbosity(tmp_path, caplog):
             b'{"query": "apple recipe", "doc_id": "d9", "counter_doc_id": "d3"}',
             "unknown document id: d9 @ line 2",
         ),
+        (
+            b'{"query": "?!", "doc_id": "d1", "counter_doc_id": "d3"}',
+            "empty query @ line 2",
+        ),
     ],
     ids=[
         "malformed", "not_object", "query_not_string", "doc_id_not_string",
         "missing_query", "not_utf8", "lone_surrogate", "unknown_doc_id",
+        "punctuation_query",
     ],
 )
 def test_edit_bad_triplets_line_names_line(workdir, capsys, bad_line, message):
@@ -235,7 +240,49 @@ def test_eval_writes_json_and_markdown(workdir, capsys):
     assert report_path.exists() and markdown_path.exists()
     payload = json.loads(report_path.read_text())
     assert set(payload) == {"cfe2", "mask_only", "max_flip"}
-    assert "| Flip Rate |" in markdown_path.read_text()
+    markdown = markdown_path.read_text()
+    assert "| Flip Rate |" in markdown
+    assert "## By target-document rank: cfe2" in markdown
+
+
+def test_eval_skips_a_query_without_tokens(workdir, caplog):
+    tmp, config = workdir
+    assert _run("index", "--config", config) == 0
+    queries = tmp / "queries.txt"
+    counts = []
+    for text in ("apple recipe\n", "apple recipe\n?!\n"):
+        queries.write_text(text)
+        assert _run("eval", "--config", config, "--queries", queries) == 0
+        report = json.loads((tmp / "reports" / "report.json").read_text())
+        counts.append(report["cfe2"]["aggregates"]["triplets"])
+    assert counts[0] == counts[1] > 0
+    assert "skipping empty query '?!'" in caplog.text
+
+
+def test_eval_without_any_triplet_fails(workdir, capsys):
+    tmp, config = workdir
+    assert _run("index", "--config", config) == 0
+    # No tokens, and only [UNK]: every document ties the top one at 0.
+    queries = tmp / "queries.txt"
+    queries.write_text("?!\nqxjw zzvq\n")
+    capsys.readouterr()
+    assert _run("eval", "--config", config, "--queries", queries) == 1
+    assert capsys.readouterr().err == "error: no triplets to evaluate\n"
+
+
+def test_eval_triplets_report_has_no_rank_breakdown(workdir):
+    # A triplets file names d' directly, so no record has a target rank.
+    tmp, config = workdir
+    assert _run("index", "--config", config) == 0
+    triplets = tmp / "triplets.jsonl"
+    triplets.write_text(json.dumps({
+        "query": "apple recipe", "doc_id": "d1", "counter_doc_id": "d3",
+    }) + "\n")
+    assert _run("eval", "--config", config, "--triplets", triplets,
+                "--methods", "cfe2,mask_only") == 0
+    payload = json.loads((tmp / "reports" / "report.json").read_text())
+    assert [payload[m]["by_rank"] for m in ("cfe2", "mask_only")] == [{}, {}]
+    assert "By target-document rank" not in (tmp / "reports" / "report.md").read_text()
 
 
 def test_eval_without_inputs_fails_cleanly(workdir, capsys):

@@ -102,6 +102,8 @@ def test_cos_sim_disjoint_zero(sample_stack):
     q = ids(sample_stack, "apple recipe")
     other = ids(sample_stack, "tree bread")
     assert cos_sim_metric(q, other, sample_stack.search) == 0.0
+    # A mask_only outcome that pads every token has the zero vector.
+    assert cos_sim_metric(q, [PAD_ID] * len(q), sample_stack.search) == 0.0
 
 
 def test_cos_sim_hand_value(sample_stack):

@@ -72,6 +72,23 @@ def test_unseen_context_backs_off_to_uniform():
     assert _prob(lm, b, (b,)) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_out_of_range_or_wrong_length_context_is_unseen():
+    # Each context below packs to the key of the seen context beside it,
+    # so only the range and length checks keep it apart.
+    lines = [json.dumps({"id": "d0", "text": "a b c"})]
+    corpus, vocab = build_corpus(ingest_corpus(lines))
+    lm = train_ngram(corpus.encoded, vocab, order=3, k=0.1)
+    a, b = vocab.id("a"), vocab.id("b")
+    unseen = ([], [], lm.k * lm.n_candidates)
+    for context, twin in [
+        ((a - 1, b + lm.radix), (a, b)),  # an id past the vocabulary
+        ((a,), (BOS, a)),  # too short
+        ((BOS, a, b), (a, b)),  # too long
+    ]:
+        assert lm.distribution(twin)[0]
+        assert lm.distribution(context) == unseen
+
+
 def test_distributions_normalize():
     lm, vocab = _bigram_ab()
     a, b = vocab.id("a"), vocab.id("b")
@@ -426,13 +443,6 @@ def test_predict_full_distribution_sums_to_one(sample_stack):
     assert all(t >= FIRST_CONTENT_ID for t, _ in dist.entries)
 
 
-def test_predict_unmasked_position_rejected(sample_stack):
-    stack = sample_stack
-    d3 = stack.corpus["d3"].ids
-    with pytest.raises(ValueError, match="not masked"):
-        NgramPredictor(stack.lm, d3).predict(ids(stack, "apple recipe"), 0, 3)
-
-
 def test_predict_deterministic(sample_stack):
     stack = sample_stack
     d3 = stack.corpus["d3"].ids
@@ -445,18 +455,12 @@ def test_predict_deterministic(sample_stack):
 def test_predictor_rejects_bad_arguments(sample_stack):
     stack = sample_stack
     d3 = stack.corpus["d3"].ids
-    masked = [MASK_ID] + ids(stack, "recipe")
     for lam in (-0.1, 1.5):
         with pytest.raises(ValueError, match="lam must be in"):
             NgramPredictor(stack.lm, d3, lam=lam)
     outside = FIRST_CONTENT_ID + stack.lm.n_candidates
     with pytest.raises(ValueError, match="outside the candidate ids"):
         NgramPredictor(stack.lm, [*d3, outside])
-    predictor = NgramPredictor(stack.lm, d3)
-    with pytest.raises(ValueError, match="top must be"):
-        predictor.predict(masked, 0, 0)
-    with pytest.raises(ValueError, match="out of range"):
-        predictor.predict(masked, 2, 3)
 
 
 def dense_prediction(counts, totals, lm, d_prime_ids, masked_ids, position, top, lam):

@@ -92,12 +92,6 @@ def test_maxsim_permutation_invariant_and_monotone():
     assert all(g >= s for g, s in zip(grown, scores))
 
 
-def test_maxsim_rejects_empty_document():
-    embedder = FakeEmbedder({1: [1.0, 0.0]})
-    with pytest.raises(ValueError, match="empty document"):
-        maxsim_importance([1], [], embedder)
-
-
 def test_occlusion_zero_for_non_matching_token(sample_stack):
     # "banana" does not occur in d1, so removing it cannot change the
     # additive BM25 sum.

@@ -20,7 +20,13 @@ from queryflip.pipeline import (
     load_stack,
     save_stack,
 )
-from queryflip.text import FIRST_CONTENT_ID, UNK_ID, Vocabulary
+from queryflip.text import (
+    FIRST_CONTENT_ID,
+    UNK_ID,
+    Vocabulary,
+    pack_strings,
+    unpack_strings,
+)
 
 from conftest import SAMPLE_LINES, sample_config
 from test_corpus import assert_same_arrays, postings
@@ -446,6 +452,25 @@ def test_load_rejects_each_malformed_table_with_its_message(tmp_path, name):
         n = int(arrays["lm.n_candidates"])
         grams, arrays["lm.counts"] = damage(grams, arrays["lm.counts"], n)
         arrays["lm.contexts"], arrays["lm.targets"] = grams[:, :-1], grams[:, -1]
+
+    _edit_arrays(path, edit)
+    with pytest.raises(ArtifactError, match=f"^malformed .*: {re.escape(message)}$"):
+        load_stack(config)
+
+
+@pytest.mark.parametrize("duplicate", [False, True], ids=["empty_surface", "duplicate_surface"])
+def test_load_rejects_each_malformed_vocabulary_with_its_message(tmp_path, duplicate):
+    """A vocabulary ``Vocabulary`` rejects fails the load as ArtifactError,
+    with the vocabulary's own message."""
+    config, path = _saved(tmp_path)
+    with np.load(path) as npz:
+        surfaces = unpack_strings(npz["vocab.surfaces"], npz["vocab.offsets"])
+    first = surfaces[0]
+    surfaces[1] = first if duplicate else ""
+    message = f"duplicate token surface: {first!r}" if duplicate else "empty token surface"
+
+    def edit(arrays):
+        arrays["vocab.surfaces"], arrays["vocab.offsets"] = pack_strings(surfaces)
 
     _edit_arrays(path, edit)
     with pytest.raises(ArtifactError, match=f"^malformed .*: {re.escape(message)}$"):

@@ -162,11 +162,6 @@ def test_remote_predictor_bad_body_raises_protocol_error(
             _predictor(sample_stack, stub).predict(masked, 0, 2)
 
 
-def test_remote_predictor_requires_masked_position(sample_stack, stub):
-    with pytest.raises(ValueError, match="position 0 is not masked"):
-        _predictor(sample_stack, stub).predict(ids(sample_stack, "apple pie"), 0, 2)
-
-
 def test_remote_embedder_matches_builtin(sample_stack, stub):
     embedder = RemoteEmbedder(_endpoint(stub, "embed"), sample_stack.vocab)
     q = ids(sample_stack, "apple banana")
