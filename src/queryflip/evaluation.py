@@ -93,13 +93,6 @@ def build_triplets(ranking: Ranking, corpus: Corpus) -> list[Triplet]:
 # Metrics
 
 
-def flip_rate(flipped_flags: Sequence[bool]) -> float:
-    """Fraction of records that flipped; a missing outcome counts as no flip."""
-    if not flipped_flags:
-        raise ValueError("no records")
-    return sum(1 for f in flipped_flags if f) / len(flipped_flags)
-
-
 def cos_sim_metric(
     query_ids: Sequence[int], edited_ids: Sequence[int], search, edited_search=None
 ) -> float:
@@ -306,13 +299,10 @@ class SharedWork:
         def compute(_):
             query, d = triplet.query_ids, triplet.d
             if self.ctx.masker == "maxsim":
-                scores = maxsim_importance(query, d.ids, self)
-            elif self.ctx.masker == "occlusion":
-                scores = occlusion_importance(query, d, self.ctx.scorer)
-            else:
-                raise ValueError(f"unknown masker: {self.ctx.masker}")
-            unknown = tuple(i for i, t in enumerate(query) if t == UNK_ID)
-            return ImportanceScores(scores.scores, unknown) if unknown else scores
+                return maxsim_importance(query, d.ids, self)
+            if self.ctx.masker == "occlusion":
+                return occlusion_importance(query, d, self.ctx.scorer)
+            raise ValueError(f"unknown masker: {self.ctx.masker}")
 
         return _once(self._shared, "importance", compute)
 
@@ -422,10 +412,11 @@ def aggregate_records(records: Sequence[EvalRecord]) -> dict[str, Any]:
     if not records:
         raise ValueError("no records")
     solved = [r for r in records if r.outcome is not None]
+    flips = sum(1 for r in records if r.flipped)
     return {
         "triplets": len(records),
-        "flips": sum(1 for r in records if r.flipped),
-        "flip_rate": flip_rate([r.flipped for r in records]),
+        "flips": flips,
+        "flip_rate": flips / len(records),
         "nulls": len(records) - len(solved),
         "mean_cos_sim": _mean([r.cos_sim for r in solved]),
         "mean_bertscore_f1": _mean([r.bertscore for r in solved]),

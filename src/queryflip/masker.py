@@ -8,38 +8,37 @@ nothing but the (blackbox) search model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Document
+from .text import UNK_ID
 
 
 @dataclass(frozen=True)
 class ImportanceScores:
     """Scores r_1..r_l for one query plus the masking order they induce.
 
-    ``unknown`` holds the query's ``[UNK]`` positions. No outcome may keep
-    an ``[UNK]``, so they lead ``order`` and every masking masks them all:
-    it masks at least ``first_masks`` = max(1, len(unknown)) tokens. The
-    other positions follow by descending score; ties resolve to the
-    leftmost position so traces are reproducible.
+    No outcome may keep an ``[UNK]``, so the query's ``[UNK]`` positions
+    lead ``order`` and every masking masks them all: it masks at least
+    ``first_masks`` = max(1, number of ``[UNK]``) tokens. The other
+    positions follow by descending score; ties resolve to the leftmost
+    position so traces are reproducible.
     """
 
+    query_ids: InitVar[Sequence[int]]
     scores: tuple[float, ...]
-    unknown: tuple[int, ...] = ()
     order: tuple[int, ...] = field(init=False)
     first_masks: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        scores, unknown = self.scores, set(self.unknown)
+    def __post_init__(self, query_ids: Sequence[int]) -> None:
+        scores = self.scores
+        unknown = {i for i, t in enumerate(query_ids) if t == UNK_ID}
         order = sorted(range(len(scores)), key=lambda i: (i not in unknown, -scores[i], i))
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "first_masks", max(1, len(unknown)))
-
-    def __len__(self) -> int:
-        return len(self.scores)
 
 
 def maxsim_importance(
@@ -57,7 +56,7 @@ def maxsim_importance(
     q = embedder.vectors_for(query_ids)
     d = embedder.vectors_for(doc_ids)
     sims = q @ d.T
-    return ImportanceScores(tuple(np.round(np.max(sims, axis=1), 12).tolist()))
+    return ImportanceScores(query_ids, tuple(np.round(np.max(sims, axis=1), 12).tolist()))
 
 
 def occlusion_importance(
@@ -74,4 +73,4 @@ def occlusion_importance(
     for i in range(len(query_ids)):
         reduced = list(query_ids[:i]) + list(query_ids[i + 1 :])
         scores.append(base - scorer.score(reduced, doc.id))
-    return ImportanceScores(tuple(scores))
+    return ImportanceScores(query_ids, tuple(scores))

@@ -173,11 +173,6 @@ def test_select_final_tie_breaks_lexicographically():
     assert select_final([high, low], constant_ppl) is low
 
 
-def test_select_final_empty_rejected(sample_stack):
-    with pytest.raises(ValueError):
-        select_final([], _ppl(sample_stack))
-
-
 # ---------------------------------------------------------------------------
 # edit
 

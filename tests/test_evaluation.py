@@ -21,8 +21,8 @@ from queryflip.evaluation import (
     bertscore_f1,
     build_triplets,
     cos_sim_metric,
+    EvalRecord,
     evaluate,
-    flip_rate,
     fluency_metric,
     rank_sentences,
     render_markdown,
@@ -82,11 +82,17 @@ def test_build_triplets_single_result_empty(sample_stack):
     assert build_triplets(ranking, sample_stack.corpus) == []
 
 
-def test_flip_rate_values():
-    assert flip_rate([True, True]) == 1.0
-    assert flip_rate([True, True, True, False]) == 0.75
-    with pytest.raises(ValueError):
-        flip_rate([])
+def _record(flipped: bool) -> EvalRecord:
+    metric = 1.0 if flipped else None
+    outcome = "edited" if flipped else None
+    return EvalRecord(0, "q", "d", "c", None, flipped, outcome, 1, metric, metric, metric, 0.0)
+
+
+def test_aggregate_records_flip_rate_values():
+    assert aggregate_records([_record(True)] * 2)["flip_rate"] == 1.0
+    assert aggregate_records([_record(True)] * 3 + [_record(False)])["flip_rate"] == 0.75
+    with pytest.raises(ValueError, match="no records"):
+        aggregate_records([])
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +686,9 @@ def test_null_outcomes_excluded_from_similarity_means():
 
 
 @pytest.mark.parametrize("masker", MASKERS)
-def test_importance_without_unk_is_the_maskers_own_result(small_eval, masker, monkeypatch):
-    """A query with no [UNK] gets the scores its masker built, not a copy;
-    one with [UNK] gets new scores that lead with its [UNK] positions."""
+def test_importance_is_the_maskers_own_result(small_eval, masker, monkeypatch):
+    """The masker builds the one ``ImportanceScores`` a ranking uses,
+    with or without [UNK] in the query; [UNK] positions lead its order."""
     _, ctx, triplets = small_eval
     ctx = dataclasses.replace(ctx, masker=masker)
     made = []
@@ -692,11 +698,12 @@ def test_importance_without_unk_is_the_maskers_own_result(small_eval, masker, mo
     triplet = triplets[0]
     assert UNK_ID not in triplet.query_ids
     assert SharedWork(ctx).importance(triplet) is made[-1]
+    assert made[-1].first_masks == 1
     unknown = dataclasses.replace(triplet, query_ids=triplet.query_ids + (UNK_ID,))
     scores = SharedWork(ctx).importance(unknown)
-    assert scores is not made[-1]
-    assert scores.scores == made[-1].scores
-    assert scores.unknown == (len(triplet.query_ids),) == scores.order[:1]
+    assert scores is made[-1] and len(made) == 2
+    assert scores.order[:1] == (len(triplet.query_ids),)
+    assert scores.first_masks == 1
 
 
 _JSON_VALUES = st.recursive(

@@ -5,8 +5,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queryflip.masker import ImportanceScores, maxsim_importance, occlusion_importance
+from queryflip.text import FIRST_CONTENT_ID, MASK_ID, PAD_ID, UNK_ID
 
 from test_corpus import IDF_DF2, ids
 
@@ -22,13 +25,35 @@ class FakeEmbedder:
 
 
 def test_order_sorts_descending_with_leftmost_ties():
-    scores = ImportanceScores((0.2, 0.9, 0.2, 0.9))
+    scores = ImportanceScores((3, 4, 5, 6), (0.2, 0.9, 0.2, 0.9))
     assert scores.order == (1, 3, 0, 2)
+    assert scores.first_masks == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.sampled_from((MASK_ID, PAD_ID, UNK_ID, FIRST_CONTENT_ID, FIRST_CONTENT_ID + 1)),
+            st.sampled_from((-1.0, 0.0, 0.25, 1.0)),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_unk_positions_lead_and_the_rest_follow_by_score(pairs):
+    query, scores = zip(*pairs)
+    importance = ImportanceScores(query, scores)
+    unknown = [i for i, t in enumerate(query) if t == UNK_ID]
+    known = [i for i, t in enumerate(query) if t != UNK_ID]
+    by_score = lambda i: (-scores[i], i)  # noqa: E731
+    assert importance.order == tuple(sorted(unknown, key=by_score) + sorted(known, key=by_score))
+    assert importance.first_masks == max(1, len(unknown))
 
 
 def test_single_token_query():
-    embedder = FakeEmbedder({0: [1.0, 0.0], 5: [0.0, 1.0]})
-    importance = maxsim_importance([0], [5], embedder)
+    embedder = FakeEmbedder({3: [1.0, 0.0], 5: [0.0, 1.0]})
+    importance = maxsim_importance([3], [5], embedder)
     assert importance.order == (0,)
     assert len(importance.scores) == 1
 
@@ -48,8 +73,8 @@ def test_query_tokens_in_document_tie_at_one_and_resolve_leftmost():
     for trial in range(50):
         noisy = base + (1e-14 * rng.normal(size=base.shape) if trial else 0.0)
         noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
-        embedder = FakeEmbedder({1: noisy[0], 2: noisy[1]})
-        importance = maxsim_importance([1, 2], [2, 1], embedder)
+        embedder = FakeEmbedder({3: noisy[0], 4: noisy[1]})
+        importance = maxsim_importance([3, 4], [4, 3], embedder)
         assert importance.scores == (1.0, 1.0)
         assert importance.order == (0, 1)
 
@@ -59,13 +84,13 @@ def test_maxsim_brute_force_oracle():
     # and max-pool by hand.
     sqrt_half = 1.0 / math.sqrt(2.0)
     vectors = {
-        1: [1.0, 0.0],            # apple
-        2: [0.0, 1.0],            # recipe
-        3: [sqrt_half, sqrt_half],  # banana
-        4: [-1.0, 0.0],           # orchard
+        3: [1.0, 0.0],            # apple
+        4: [0.0, 1.0],            # recipe
+        5: [sqrt_half, sqrt_half],  # banana
+        6: [-1.0, 0.0],           # orchard
     }
     embedder = FakeEmbedder(vectors)
-    importance = maxsim_importance([1, 2], [3, 4], embedder)
+    importance = maxsim_importance([3, 4], [5, 6], embedder)
     # apple: max(0.7071, -1.0) = 0.7071; recipe: max(0.7071, 0.0) = 0.7071
     assert importance.scores[0] == pytest.approx(sqrt_half, abs=1e-12)
     assert importance.scores[1] == pytest.approx(sqrt_half, abs=1e-12)
@@ -74,21 +99,21 @@ def test_maxsim_brute_force_oracle():
 
 def test_maxsim_permutation_invariant_and_monotone():
     rng = random.Random(3)
-    base = {i: None for i in range(8)}
+    base = {i: None for i in range(3, 11)}
     gen = np.random.default_rng(3)
     table = {}
     for i in base:
         v = gen.normal(size=4)
         table[i] = (v / np.linalg.norm(v)).tolist()
     embedder = FakeEmbedder(table)
-    q = [0, 1, 2]
-    doc = [3, 4, 5, 6]
+    q = [3, 4, 5]
+    doc = [6, 7, 8, 9]
     scores = maxsim_importance(q, doc, embedder).scores
     for _ in range(5):
         shuffled = doc[:]
         rng.shuffle(shuffled)
         assert maxsim_importance(q, shuffled, embedder).scores == scores
-    grown = maxsim_importance(q, doc + [7], embedder).scores
+    grown = maxsim_importance(q, doc + [10], embedder).scores
     assert all(g >= s for g, s in zip(grown, scores))
 
 
