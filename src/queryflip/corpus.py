@@ -12,7 +12,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -256,18 +256,11 @@ def build_corpus(
 
 @dataclass(frozen=True)
 class Ranking:
-    """Ordered (doc id, score) pairs for one query, scores non-increasing."""
+    """Ordered (doc id, score) pairs for one query, as ``search`` ranks
+    them: each document once, scores non-increasing."""
 
     query_ids: tuple[int, ...]
-    entries: tuple[tuple[str, float], ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        ids = [doc_id for doc_id, _ in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("ranking entries must be unique by doc id")
-        scores = [s for _, s in self.entries]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise ValueError("ranking scores must be non-increasing")
+    entries: tuple[tuple[str, float], ...]
 
 
 class Bm25SearchModel:
@@ -279,9 +272,9 @@ class Bm25SearchModel:
     non-empty), ``docs`` (int32, each row's documents as strictly
     increasing positions in corpus order) and ``tfs`` (int32, term
     frequencies >= 1), and the Okapi constants ``k1`` (> 0) and ``b`` (in
-    [0, 1]; either out of range raises ValueError), which the run's config
-    sets as ``k1`` and ``b_bm25``. Special token ids are never indexed, so
-    MASK/PAD/UNK query tokens can never match anything. Scoring uses
+    [0, 1]), which the run's config sets, and checks, as ``k1`` and
+    ``b_bm25``. Special token ids are never indexed, so MASK/PAD/UNK
+    query tokens can never match anything. Scoring uses
     Robertson idf with +1 inside the log (keeps idf >= 0):
 
         idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5))
@@ -310,10 +303,6 @@ class Bm25SearchModel:
         k1: float,
         b: float,
     ) -> None:
-        if not k1 > 0:
-            raise ValueError("k1 must be > 0")
-        if not 0.0 <= b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
         self.corpus = corpus
         self.docs = docs
         n = corpus.n_docs
@@ -421,7 +410,10 @@ class Bm25SearchModel:
             if t not in SPECIAL_IDS:
                 counts[t] = counts.get(t, 0) + 1
         weights = {t: self.idf(t) * tf for t, tf in counts.items()}
-        norm = math.sqrt(sum(w * w for w in weights.values()))
+        squares = 0.0
+        for w in weights.values():  # left to right; ``sum`` differs on 3.12+
+            squares += w * w
+        norm = math.sqrt(squares)
         if norm == 0.0:
             logger.debug("query has no scoreable terms; zero representation")
             return {}

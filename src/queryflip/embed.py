@@ -271,12 +271,8 @@ def train_embeddings(
     Raises ValueError when ``dim`` exceeds the vocabulary size.
     """
     n_content = vocab.content_size
-    if encoded.n_docs == 0:
-        raise ValueError("empty corpus")
     if dim > n_content:
         raise ValueError(f"dim {dim} exceeds vocabulary size {n_content}")
-    if window < 1:
-        raise ValueError("window must be >= 1")
 
     rows, cols, vals = _ppmi_entries(encoded, vocab, window)
     if n_content <= DENSE_EIGH_MAX_VOCAB:

@@ -112,7 +112,10 @@ def cos_sim_metric(
     if not u or not v:
         logger.debug("zero-vector query in cosine metric; scored 0.0")
         return 0.0
-    dot = sum(w * v[t] for t, w in u.items() if t in v)
+    dot = 0.0
+    for t, w in u.items():  # left to right; ``sum`` differs on 3.12+
+        if t in v:
+            dot += w * v[t]
     return max(0.0, min(1.0, dot))
 
 
@@ -399,18 +402,19 @@ class EvalReport:
 
 
 def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
+    total = 0.0
+    for value in values:  # left to right; ``sum`` differs on 3.12+
+        total += value
+    return total / len(values) if values else None
 
 
 def aggregate_records(records: Sequence[EvalRecord]) -> dict[str, Any]:
-    """Recompute every aggregate from the raw records.
+    """Recompute every aggregate from the raw records (at least one).
 
     Flip rate counts missing outcomes as non-flips; similarity and
     fluency means cover only the records with an outcome, with the
     number of misses reported separately.
     """
-    if not records:
-        raise ValueError("no records")
     solved = [r for r in records if r.outcome is not None]
     flips = sum(1 for r in records if r.flipped)
     return {

@@ -166,21 +166,15 @@ class NgramLM:
     def distribution(
         self, context: tuple[int, ...]
     ) -> tuple[list[int], list[int], float]:
-        """The run of ``context``: its observed targets (ascending), their
-        counts, and the add-k denominator. P(t | context) is
-        ``(count + k) / denominator``, with count 0 for an unseen target.
-
-        A context no row holds, of the wrong length or with an id no key
-        digit holds is unseen: its run, index ``len(runs)``, is empty."""
-        run, radix = self._unseen, self.radix
-        if len(context) == self.order - 1:
-            key = 0
-            for token_id in context:
-                if not BOS <= token_id < radix - 1:
-                    break
-                key = key * radix + int(token_id) + 1
-            else:
-                run = self._runs.get(key, self._unseen)
+        """The run of ``context``, order-1 ids in [BOS, vocabulary size):
+        its observed targets (ascending), their counts, and the add-k
+        denominator. P(t | context) is ``(count + k) / denominator``, with
+        count 0 for an unseen target. A context no row holds is unseen: its
+        run, index ``len(runs)``, is empty."""
+        key, radix = 0, self.radix
+        for token_id in context:
+            key = key * radix + int(token_id) + 1
+        run = self._runs.get(key, self._unseen)
         start, end = self._starts[run], self._starts[run + 1]
         denominator = self._denominators[run]
         return self._targets[start:end], self._counts[start:end], denominator
@@ -190,8 +184,6 @@ def train_ngram(
     encoded: EncodedCorpus, vocab: Vocabulary, order: int = 3, k: float = 0.1
 ) -> NgramLM:
     """Count n-grams over every document, BOS-padded at document starts."""
-    if encoded.n_docs == 0:
-        raise ValueError("empty corpus")
     # The stream with order-1 BOS pads before each document.
     pad = order - 1
     ids = np.full(len(encoded.ids) + pad * encoded.n_docs, BOS, dtype=np.int32)
@@ -223,35 +215,26 @@ def _radix(n_candidates: int) -> int:
 
 
 def perplexity(token_ids: Sequence[int], lm: NgramLM) -> float:
-    """exp(-(1/T) sum_t ln P(x_t | context_t)), natural base.
+    """exp(-(1/T) sum_t ln P(x_t | context_t)), natural base, of a
+    non-empty sequence of vocabulary ids.
 
     The context's packed key is rolled along the sequence: after each
-    token the oldest digit is dropped and the token's shifted in. A token
-    that no digit holds stays out of the key, and the next order-1
-    contexts, whose window holds it, are unseen.
+    token the oldest digit is dropped and the token's shifted in.
     """
-    if len(token_ids) == 0:
-        raise ValueError("empty sequence")
-    radix, width = lm.radix, lm.order - 1
-    modulus = radix**width
+    radix, modulus = lm.radix, lm.radix ** (lm.order - 1)
     runs, unseen = lm._runs, lm._unseen
     # P(target | context) from the context's run, as ``distribution`` gives it.
     starts, targets, counts = lm._starts, lm._targets, lm._counts
     denominators, k = lm._denominators, lm.k
-    key, stale = 0, 0  # the all-BOS context; positions left that are unseen
+    key = 0  # the all-BOS context
     log_sum = 0.0
     for target in token_ids:
-        run = unseen if stale else runs.get(key, unseen)
+        run = runs.get(key, unseen)
         end = starts[run + 1]
         i = bisect_left(targets, target, starts[run], end)
         count = counts[i] if i < end and targets[i] == target else 0
         log_sum += log((count + k) / denominators[run])
-        if BOS <= target < radix - 1:
-            key = (key * radix + int(target) + 1) % modulus
-            if stale:
-                stale -= 1
-        else:
-            stale = width
+        key = (key * radix + int(target) + 1) % modulus
     return exp(-log_sum / len(token_ids))
 
 
@@ -284,8 +267,6 @@ class NgramPredictor:
     """
 
     def __init__(self, lm: NgramLM, d_prime_ids: Sequence[int], lam: float = 0.5):
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError("lam must be in [0, 1]")
         self.lm = lm
         self.lam = lam
         # Add-k numerators of d''s content tokens: k, plus 1.0 per occurrence.
@@ -295,8 +276,6 @@ class NgramPredictor:
             if token_id >= FIRST_CONTENT_ID:
                 doc[token_id] = doc.get(token_id, lm.k) + 1.0
                 n_tokens += 1
-        if doc and max(doc) >= FIRST_CONTENT_ID + lm.n_candidates:
-            raise ValueError("document token outside the candidate ids")
         d_doc = n_tokens + lm.k * lm.n_candidates
         # P_doc and its lam-weighted share, per d' token and for an id d'
         # lacks; d''s tokens by descending count, then id.

@@ -152,10 +152,8 @@ def build_vocabulary(
     maps to UNK at lookup time. Ordering is frequency-descending with
     lexicographic tie-break, which makes the id assignment deterministic.
 
-    Raises ValueError on an empty corpus or ``min_count < 1``.
+    Raises ValueError on an empty corpus.
     """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
     if not corpus_tokens:
         raise ValueError("empty corpus")
     counts = Counter(chain.from_iterable(corpus_tokens))

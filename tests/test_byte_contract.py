@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from queryflip import corpus as corpus_module, evaluation
+from queryflip.cli import main
 from queryflip.config import RunConfig
 from queryflip.corpus import ingest_corpus
 from queryflip.pipeline import build_stack
@@ -79,6 +82,34 @@ def test_eval_report_bytes_are_pinned(run_dir):
     _cli(run_dir, "eval", "--config", "config.json", "--queries", "queries.txt",
          "--workers", "1")
     _assert_sha256(run_dir / "reports" / "report.json", REPORT_SHA256)
+
+
+def _compensated_sum(iterable, start=0):
+    """Python 3.12's builtin ``sum`` on ints and floats: ints add exactly
+    until the first float, and from it on each addition's rounding error
+    is kept (Neumaier's summation) and added in at the end."""
+    total, error, floats = start, 0.0, False
+    for x in iterable:
+        if not floats:
+            total += x
+            floats = isinstance(total, float)
+            continue
+        t = total + x
+        error += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + error if floats and error and math.isfinite(error) else total
+
+
+def test_eval_report_bytes_hold_under_compensated_sum(run_dir, monkeypatch):
+    """The report path adds its floats left to right, so the pinned eval,
+    run in-process with 3.12's ``sum`` in the report modules, writes the
+    pinned bytes on any Python version."""
+    for module in (corpus_module, evaluation):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    monkeypatch.chdir(run_dir)
+    assert main(["eval", "--config", "config.json", "--queries", "queries.txt",
+                 "--workers", "1", "--out-dir", "reports-3.12-sum"]) == 0
+    _assert_sha256(run_dir / "reports-3.12-sum" / "report.json", REPORT_SHA256)
 
 
 @pytest.mark.parametrize("workers", ["1", "4"])

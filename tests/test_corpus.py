@@ -216,14 +216,6 @@ def test_query_representation_all_unk_is_zero_vector(sample_stack):
     assert sample_stack.search.query_representation([UNK_ID, UNK_ID]) == {}
 
 
-def test_bad_params_rejected():
-    corpus, _ = build_corpus({"d": "w0 w1"})
-    with pytest.raises(ValueError, match="k1"):
-        build_index(corpus, 0.0, 0.75)
-    with pytest.raises(ValueError, match="b must"):
-        build_index(corpus, 1.2, 1.5)
-
-
 def test_search_rejects_bad_k(sample_stack):
     with pytest.raises(ValueError):
         sample_stack.search.search([3], 0)

@@ -67,7 +67,9 @@ def test_config_validation_names_field():
             RunConfig.from_dict(raw)
     bad_ranges = [
         ({"k1": 0}, "k1"),
+        ({"k1": -1.0}, "k1"),
         ({"b_bm25": 1.5}, "b_bm25"),
+        ({"b_bm25": -0.5}, "b_bm25"),
         ({"min_count": 0}, "min_count"),
         ({"embed_dim": 1}, "embed_dim"),
         ({"embed_window": 0}, "embed_window"),
@@ -75,6 +77,7 @@ def test_config_validation_names_field():
         ({"lm_k": 0.0}, "lm_k"),
         ({"masker": "bert"}, "masker"),
         ({"lam": 1.5}, "lam"),
+        ({"lam": -0.1}, "lam"),
         ({"max_masks": 0}, "max_masks"),
         ({"workers": 0}, "workers"),
     ]

@@ -104,11 +104,6 @@ def test_empty_corpus_rejected():
         build_vocabulary([], min_count=1)
 
 
-def test_bad_min_count_rejected():
-    with pytest.raises(ValueError):
-        build_vocabulary([["a"]], min_count=0)
-
-
 def _unpack_each(buffer, offsets):
     """Each string sliced from the bytes and decoded on its own."""
     raw = buffer.tobytes()
