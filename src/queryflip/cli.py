@@ -136,7 +136,6 @@ def _sweep_options(config: RunConfig) -> dict:
     lock, and the available parallelism when a role is remote."""
     parallelism = (os.cpu_count() or 1) if config.backends else 1
     return {
-        "max_masks": config.max_masks,
         "workers": config.workers or parallelism,
         "timing": config.timing,
         "meta": {

@@ -94,19 +94,17 @@ def build_triplets(ranking: Ranking, corpus: Corpus) -> list[Triplet]:
 
 
 def cos_sim_metric(
-    query_ids: Sequence[int], edited_ids: Sequence[int], search, edited_search=None
+    query_ids: Sequence[int], edited_ids: Sequence[int], search, edited_search
 ) -> float:
     """Cosine of the sparse query representations, clamped to [0, 1].
 
-    The edited query's representation is asked of ``edited_search`` when
-    given, else of ``search``, as the original's always is. Identical
-    queries score exactly 1.0. A query whose representation is the zero
-    vector (no scoreable terms) scores 0.0.
+    The original query's representation is asked of ``search``, the
+    edited query's of ``edited_search``. Identical queries score exactly
+    1.0. A query whose representation is the zero vector (no scoreable
+    terms) scores 0.0.
     """
     if list(query_ids) == list(edited_ids):
         return 1.0
-    if edited_search is None:
-        edited_search = search
     u = search.query_representation(query_ids)
     v = edited_search.query_representation(edited_ids)
     if not u or not v:
@@ -120,19 +118,18 @@ def cos_sim_metric(
 
 
 def bertscore_f1(
-    query_ids: Sequence[int], edited_ids: Sequence[int], embedder, edited_embedder=None
+    query_ids: Sequence[int], edited_ids: Sequence[int], embedder, edited_embedder
 ) -> float:
     """Greedy-matching token similarity F1 in [0, 1].
 
     Each token's best dot product against the other sequence is mapped
     from [-1, 1] to [0, 1] via (s+1)/2, then averaged into precision and
-    recall. The edited tokens' vectors are asked of ``edited_embedder``
-    when given, else of ``embedder``. Identical sequences score exactly 1.0.
+    recall. The original tokens' vectors are asked of ``embedder``, the
+    edited tokens' of ``edited_embedder``. Identical sequences score
+    exactly 1.0.
     """
     if list(query_ids) == list(edited_ids):
         return 1.0
-    if edited_embedder is None:
-        edited_embedder = embedder
     q = embedder.vectors_for(query_ids)
     e = edited_embedder.vectors_for(edited_ids)
     sims = e @ q.T  # rows: edited tokens, cols: original tokens
@@ -150,12 +147,11 @@ def fluency_metric(
     query_ids: Sequence[int],
     edited_ids: Sequence[int],
     ppl_fn: Callable[[Sequence[int]], float],
-    edited_ppl_fn: Callable[[Sequence[int]], float] | None = None,
+    edited_ppl_fn: Callable[[Sequence[int]], float],
 ) -> float:
     """Perplexity ratio ppl(edited) / ppl(original); 1.0 is ideal. The
-    edited query's perplexity is ``edited_ppl_fn``'s when given."""
-    if edited_ppl_fn is None:
-        edited_ppl_fn = ppl_fn
+    original's perplexity is ``ppl_fn``'s, the edited query's
+    ``edited_ppl_fn``'s."""
     return edited_ppl_fn(edited_ids) / ppl_fn(query_ids)
 
 
@@ -226,7 +222,8 @@ class EvalContext:
     and query representations); ``scorer``, ``embedder``, the predictor
     factory and ``ppl_fn`` may be remote-backed drop-ins with the same
     call shapes. The predictor factory is called once per target
-    document and beam size (see ``SharedWork``).
+    document and beam size (see ``SharedWork``). ``masker`` names the
+    importance masker and ``max_masks`` caps cfe2's masks (None: |q|).
     """
 
     vocab: Vocabulary
@@ -235,7 +232,8 @@ class EvalContext:
     embedder: Any
     ppl_fn: Callable[[Sequence[int]], float]
     predictor_factory: Callable[[Document], Any]
-    masker: str = "maxsim"
+    masker: str
+    max_masks: int | None
 
 
 def _once(memo: dict, key: Any, compute: Callable[[Any], Any]) -> Any:
@@ -441,21 +439,16 @@ def run_method(
     triplet: Triplet,
     method: str,
     ctx: EvalContext,
-    beam_width: int = 10,
-    max_masks: int | None = None,
-    work: SharedWork | None = None,
-    target: SharedWork | None = None,
+    beam_width: int,
+    work: SharedWork,
+    target: SharedWork,
 ) -> EditResult:
     """Produce one EditResult for ``triplet`` with ``method``, one of
     ``METHODS`` (any other name raises ValueError). ``work`` is the
     ``SharedWork`` of the triplet's ranking (q, d) and ``target`` that of
-    its target document d'; without them the values are computed afresh.
-    Only cfe2 reads ``beam_width`` and ``max_masks``.
+    its target document d'. Only cfe2 reads ``beam_width`` and
+    ``ctx.max_masks``.
     """
-    if work is None:
-        work = SharedWork(ctx)
-    if target is None:
-        target = SharedWork(ctx)
     if method == "cfe2":
         return edit(
             triplet,
@@ -464,7 +457,7 @@ def run_method(
             target.predictor(triplet.d_prime),
             work.ppl,
             beam_width=beam_width,
-            max_masks=max_masks,
+            max_masks=ctx.max_masks,
         )
     if method == "mask_only":
         return baseline_mask_only(triplet, work.importance(triplet), ctx.scorer)
@@ -478,7 +471,6 @@ def evaluate(
     method: str,
     ctx: EvalContext,
     beam_width: int = 10,
-    max_masks: int | None = None,
     workers: int = 1,
     timing: str = "wall",
     meta: dict[str, Any] | None = None,
@@ -487,9 +479,7 @@ def evaluate(
     one-size ``beam_sweep``. Each edit is timed on its own; with
     ``timing="off"`` the elapsed fields are 0.0, so repeated runs are
     byte-identical. Workers and shared work are as in ``sweep_edits``."""
-    return beam_sweep(
-        triplets, [beam_width], ctx, max_masks, workers, timing, meta, method
-    )[0]
+    return beam_sweep(triplets, [beam_width], ctx, workers, timing, meta, method)[0]
 
 
 def _record_for(
@@ -580,7 +570,6 @@ def sweep_edits(
     ctx: EvalContext,
     make: Callable[..., Any],
     method: str = "cfe2",
-    max_masks: int | None = None,
     workers: int = 1,
     timing: str = "wall",
 ) -> Iterator[list[Any]]:
@@ -615,9 +604,7 @@ def sweep_edits(
             s = k % n
             work, target = works[s], targets[s]
             start = clock()
-            result = run_method(
-                triplet, method, work.ctx, sizes[s], max_masks, work, target
-            )
+            result = run_method(triplet, method, work.ctx, sizes[s], work, target)
             row[s] = make(
                 index, triplet, method, result, work, target, clock() - start
             )
@@ -635,7 +622,6 @@ def beam_sweep(
     triplets: Sequence[Triplet],
     sizes: Sequence[int],
     ctx: EvalContext,
-    max_masks: int | None = None,
     workers: int = 1,
     timing: str = "wall",
     meta: dict[str, Any] | None = None,
@@ -646,9 +632,7 @@ def beam_sweep(
     check_beam_sizes(sizes)
     if not triplets:
         raise ValueError("no triplets to evaluate")
-    rows = sweep_edits(
-        triplets, sizes, ctx, _record_for, method, max_masks, workers, timing
-    )
+    rows = sweep_edits(triplets, sizes, ctx, _record_for, method, workers, timing)
     return [
         EvalReport(
             method=method,

@@ -155,12 +155,19 @@ class NgramLM:
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "NgramLM":
+        # Integers only: ``int`` would truncate a float setting, and the
+        # add-k denominators would sum float counts as truncated integers.
+        names = ("order", "n_candidates", "contexts", "targets", "counts")
+        ints = [arrays[f"lm.{name}"] for name in names]
+        if any(a.dtype.kind not in "iu" for a in ints):
+            raise ValueError("n-gram settings and tables must be integer arrays")
+        order, n_candidates, contexts, targets, counts = ints
         return cls(
-            int(arrays["lm.order"]),
+            int(order),
             float(arrays["lm.k"]),
-            int(arrays["lm.n_candidates"]),
-            np.column_stack((arrays["lm.contexts"], arrays["lm.targets"])),
-            arrays["lm.counts"],
+            int(n_candidates),
+            np.column_stack((contexts, targets)),
+            counts,
         )
 
     def distribution(

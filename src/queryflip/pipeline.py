@@ -234,4 +234,5 @@ def make_context(stack: Stack, config: RunConfig) -> EvalContext:
         ppl_fn=serve("perplexity", RemotePerplexity, lambda ids: perplexity(ids, lm)),
         predictor_factory=predictor_factory,
         masker=config.masker,
+        max_masks=config.max_masks,
     )

@@ -65,8 +65,10 @@ def pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 def unpack_strings(buffer: np.ndarray, offsets: np.ndarray) -> list[str]:
     """Inverse of pack_strings: the buffer is decoded once and cut at
     character offsets, each byte offset less the UTF-8 continuation bytes
-    before it. Offsets that fall, leave the buffer, or cut a character
-    raise ValueError."""
+    before it. A buffer that is not uint8, or offsets that fall, leave the
+    buffer, or cut a character raise ValueError."""
+    if buffer.dtype != np.uint8:
+        raise ValueError(f"string buffer must be uint8, not {buffer.dtype}")
     n = len(buffer)
     if offsets.ndim != 1 or (len(offsets) and (
         offsets[0] < 0 or offsets[-1] > n or (offsets[1:] < offsets[:-1]).any()

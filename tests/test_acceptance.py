@@ -29,6 +29,7 @@ from queryflip.evaluation import (
     fluency_metric,
     reports_to_json,
     run_method,
+    SharedWork,
 )
 from queryflip.lm import NgramPredictor, perplexity
 from queryflip.pipeline import build_stack, make_context
@@ -114,9 +115,9 @@ def test_criterion_03_metric_identities(synth):
     checked = 0
     for _ in range(100):
         query = [rng.choice(content) for _ in range(rng.randint(2, 6))]
-        assert cos_sim_metric(query, list(query), stack.search) == 1.0
-        assert bertscore_f1(query, list(query), stack.table) == 1.0
-        assert fluency_metric(query, list(query), ctx.ppl_fn) == 1.0
+        assert cos_sim_metric(query, list(query), stack.search, stack.search) == 1.0
+        assert bertscore_f1(query, list(query), stack.table, stack.table) == 1.0
+        assert fluency_metric(query, list(query), ctx.ppl_fn, ctx.ppl_fn) == 1.0
         checked += 1
     assert checked == 100
 
@@ -130,7 +131,7 @@ def test_criterion_04_flip_soundness(synth):
     violations = 0
     solved = 0
     for triplet in triplets:
-        result = run_method(triplet, "cfe2", ctx, beam_width=10)
+        result = run_method(triplet, "cfe2", ctx, 10, SharedWork(ctx), SharedWork(ctx))
         if result.outcome is None:
             continue
         solved += 1
@@ -147,7 +148,7 @@ def test_criterion_05_schedule_minimality(synth):
     _, ctx, triplets = synth
     violations = 0
     for triplet in triplets:
-        result = run_method(triplet, "cfe2", ctx, beam_width=10)
+        result = run_method(triplet, "cfe2", ctx, 10, SharedWork(ctx), SharedWork(ctx))
         if result.outcome is None:
             continue
         for iteration in result.trace[:-1]:

@@ -285,6 +285,25 @@ def test_eval_triplets_report_has_no_rank_breakdown(workdir):
     assert "By target-document rank" not in (tmp / "reports" / "report.md").read_text()
 
 
+@pytest.mark.parametrize("max_masks, masks_used", [(None, 2), (1, 1)])
+def test_eval_reads_the_mask_budget_from_the_config_file(workdir, max_masks, masks_used):
+    # On the README corpus "apple pie" flips d1 against d2 only with both
+    # tokens masked, so a budget of one mask leaves cfe2 without an outcome.
+    tmp, config = workdir
+    settings = {**json.loads(config.read_text()), "max_masks": max_masks}
+    config.write_text(json.dumps(settings))
+    assert _run("index", "--config", config) == 0
+    triplets = tmp / "triplets.jsonl"
+    triplets.write_text(json.dumps({
+        "query": "apple pie", "doc_id": "d1", "counter_doc_id": "d2",
+    }) + "\n")
+    assert _run("eval", "--config", config, "--triplets", triplets) == 0
+    payload = json.loads((tmp / "reports" / "report.json").read_text())
+    [record] = payload["cfe2"]["records"]
+    assert record["masks_used"] == masks_used
+    assert (record["outcome"] is None) == (max_masks == 1)
+
+
 def test_eval_without_inputs_fails_cleanly(workdir, capsys):
     tmp, config = workdir
     assert _run("index", "--config", config) == 0

@@ -99,15 +99,17 @@ def test_aggregate_records_flip_rate_values():
 
 def test_cos_sim_identity_exact(sample_stack):
     q = ids(sample_stack, "apple recipe")
-    assert cos_sim_metric(q, list(q), sample_stack.search) == 1.0
+    assert cos_sim_metric(q, list(q), sample_stack.search, sample_stack.search) == 1.0
 
 
 def test_cos_sim_disjoint_zero(sample_stack):
     q = ids(sample_stack, "apple recipe")
     other = ids(sample_stack, "tree bread")
-    assert cos_sim_metric(q, other, sample_stack.search) == 0.0
+    assert cos_sim_metric(q, other, sample_stack.search, sample_stack.search) == 0.0
     # A mask_only outcome that pads every token has the zero vector.
-    assert cos_sim_metric(q, [PAD_ID] * len(q), sample_stack.search) == 0.0
+    assert cos_sim_metric(
+        q, [PAD_ID] * len(q), sample_stack.search, sample_stack.search
+    ) == 0.0
 
 
 def test_cos_sim_hand_value(sample_stack):
@@ -116,19 +118,19 @@ def test_cos_sim_hand_value(sample_stack):
     expected = (IDF_DF2 * IDF_DF2) / (
         math.sqrt(2.0) * IDF_DF2 * math.hypot(IDF_DF2, IDF_DF1)
     )
-    assert cos_sim_metric(q, edited, sample_stack.search) == pytest.approx(
-        expected, abs=1e-9
-    )
+    assert cos_sim_metric(
+        q, edited, sample_stack.search, sample_stack.search
+    ) == pytest.approx(expected, abs=1e-9)
 
 
 def test_bertscore_identity_exact(sample_stack):
     q = ids(sample_stack, "apple recipe")
-    assert bertscore_f1(q, list(q), sample_stack.table) == 1.0
+    assert bertscore_f1(q, list(q), sample_stack.table, sample_stack.table) == 1.0
 
 
 def test_bertscore_orthogonal_pair_half():
     embedder = FakeEmbedder({3: [1.0, 0.0], 4: [0.0, 1.0]})
-    assert bertscore_f1([3], [4], embedder) == pytest.approx(0.5, abs=1e-12)
+    assert bertscore_f1([3], [4], embedder, embedder) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_bertscore_hand_greedy_matching():
@@ -144,7 +146,7 @@ def test_bertscore_hand_greedy_matching():
     p = ((1.0 + 1.0) / 2.0 + (sqrt_half + 1.0) / 2.0) / 2.0
     r = p
     expected = 2 * p * r / (p + r)
-    assert bertscore_f1([1, 2], [1, 3], embedder) == pytest.approx(
+    assert bertscore_f1([1, 2], [1, 3], embedder, embedder) == pytest.approx(
         expected, abs=1e-12
     )
 
@@ -180,13 +182,13 @@ def test_bertscore_equals_the_mean_max_reference(n_query, n_edited, dim, dtype, 
     expected = _mean_max_bertscore(
         embedder.vectors_for(query), embedder.vectors_for(edited)
     )
-    assert bertscore_f1(query, edited, embedder).hex() == expected.hex()
+    assert bertscore_f1(query, edited, embedder, embedder).hex() == expected.hex()
 
 
 def test_fluency_identity_exact(sample_stack):
     q = ids(sample_stack, "apple recipe")
     ppl = lambda seq: perplexity(seq, sample_stack.lm)  # noqa: E731
-    assert fluency_metric(q, list(q), ppl) == 1.0
+    assert fluency_metric(q, list(q), ppl, ppl) == 1.0
 
 
 def test_fluency_uniform_lm_is_one():
@@ -194,7 +196,7 @@ def test_fluency_uniform_lm_is_one():
 
     lm = NgramLM(2, 0.5, 4, np.empty((0, 2), np.int32), np.empty(0, np.int32))
     ppl = lambda seq: perplexity(seq, lm)  # noqa: E731
-    assert fluency_metric([3, 4], [5, 6, 3], ppl) == pytest.approx(1.0, abs=1e-12)
+    assert fluency_metric([3, 4], [5, 6, 3], ppl, ppl) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fluency_hand_ratio(sample_stack):
@@ -203,17 +205,20 @@ def test_fluency_hand_ratio(sample_stack):
     edited = ids(stack, "banana recipe")
     ppl = lambda seq: perplexity(seq, stack.lm)  # noqa: E731
     expected = perplexity(edited, stack.lm) / perplexity(q, stack.lm)
-    assert fluency_metric(q, edited, ppl) == pytest.approx(expected, abs=1e-12)
+    assert fluency_metric(q, edited, ppl, ppl) == pytest.approx(expected, abs=1e-12)
     assert expected > 1.0  # the edit is less fluent than the original
 
 
 def test_cfe2_mask_budget_caps_the_edit(sample_stack, sample_ctx):
     # "apple pie" flips d1 against d2 only with both tokens masked.
     t = _triplet(sample_stack, "apple pie", "d1", "d2")
-    full = run_method(t, "cfe2", sample_ctx, beam_width=10)
+    full = run_method(
+        t, "cfe2", sample_ctx, 10, SharedWork(sample_ctx), SharedWork(sample_ctx)
+    )
     assert full.outcome is not None
     assert [it.masks for it in full.trace] == [1, 2]
-    capped = run_method(t, "cfe2", sample_ctx, beam_width=10, max_masks=1)
+    ctx = dataclasses.replace(sample_ctx, max_masks=1)
+    capped = run_method(t, "cfe2", ctx, 10, SharedWork(ctx), SharedWork(ctx))
     assert capped.outcome is None
     assert [it.masks for it in capped.trace] == [1]
 
@@ -226,7 +231,9 @@ def test_cfe2_masks_every_unk_first(sample_stack, sample_ctx):
     # No document holds "zzz" or "qqq", so both are [UNK]: maxsim ranks
     # them low, yet the first iteration masks both and q' keeps neither.
     t = _triplet(sample_stack, "apple zzz qqq", "d1", "d3")
-    result = run_method(t, "cfe2", sample_ctx, beam_width=10)
+    result = run_method(
+        t, "cfe2", sample_ctx, 10, SharedWork(sample_ctx), SharedWork(sample_ctx)
+    )
     assert sample_stack.vocab.decode(result.outcome) == ["apple", "tree", "banana"]
     assert [it.masked_positions for it in result.trace] == [(1, 2)]
     assert result.masks_used == 2
@@ -235,7 +242,8 @@ def test_cfe2_masks_every_unk_first(sample_stack, sample_ctx):
 def test_cfe2_null_when_max_masks_is_below_the_unk_count(sample_stack, sample_ctx):
     # One mask cannot cover two [UNK]s, so no iteration runs.
     t = _triplet(sample_stack, "apple zzz qqq", "d1", "d3")
-    result = run_method(t, "cfe2", sample_ctx, beam_width=10, max_masks=1)
+    ctx = dataclasses.replace(sample_ctx, max_masks=1)
+    result = run_method(t, "cfe2", ctx, 10, SharedWork(ctx), SharedWork(ctx))
     assert result.outcome is None
     assert result.masks_used == 1
     assert result.trace == ()
@@ -244,7 +252,9 @@ def test_cfe2_null_when_max_masks_is_below_the_unk_count(sample_stack, sample_ct
 def test_mask_only_replaces_every_unk(sample_stack, sample_ctx):
     # Without "pie" twice, d2 outranks d1; the [UNK] is replaced as well.
     t = _triplet(sample_stack, "apple pie pie tree zzz", "d1", "d2")
-    result = run_method(t, "mask_only", sample_ctx)
+    result = run_method(
+        t, "mask_only", sample_ctx, 10, SharedWork(sample_ctx), SharedWork(sample_ctx)
+    )
     assert sample_stack.vocab.decode(result.outcome) == (
         ["[PAD]", "[PAD]", "[PAD]", "tree", "[PAD]"]
     )
@@ -286,7 +296,7 @@ def test_whole_edit_properties(texts, query, masker, min_count, beam_width):
         work = SharedWork(ctx)
         first = max(1, t.query_ids.count(UNK_ID))
         for method in ("cfe2", "mask_only"):
-            result = run_method(t, method, ctx, beam_width, work=work)
+            result = run_method(t, method, ctx, beam_width, work, SharedWork(ctx))
             if method == "cfe2":
                 masks = [it.masks for it in result.trace]
                 assert masks == list(range(first, first + len(masks)))
@@ -545,7 +555,7 @@ def test_max_flip_stops_at_the_first_flip_in_ranked_order():
     ]
     scorer = _CountingScorer(stack.search)
     ctx = dataclasses.replace(make_context(stack, config), scorer=scorer)
-    result = run_method(t, "max_flip", ctx)
+    result = run_method(t, "max_flip", ctx, 10, SharedWork(ctx), SharedWork(ctx))
     assert result.outcome == ranked[1]
     assert scorer.scored == [ranked[0], ranked[0], ranked[1], ranked[1]]
 

@@ -419,6 +419,14 @@ def test_load_with_changed_corpus_fails(tmp_path):
          "sentence offsets must rise strictly from 0 to 9"),
         (lambda p: _edit_array(p, "corpus.sentence_offsets", lambda a: a[:-1]),
          "sentence offsets must rise strictly from 0 to 9"),
+        (lambda p: _edit_array(p, "lm.counts", lambda a: _set(a.astype(float), 0, 1.5)),
+         "integer arrays"),
+        (lambda p: _edit_array(p, "lm.targets", lambda a: a.astype(float)), "integer arrays"),
+        (lambda p: _edit_array(p, "lm.contexts", lambda a: a.astype(float)), "integer arrays"),
+        (lambda p: _edit_array(p, "lm.order", lambda a: a + 0.7), "integer arrays"),
+        (lambda p: _edit_array(p, "lm.n_candidates", lambda a: a + 0.5), "integer arrays"),
+        (lambda p: _edit_array(p, "vocab.surfaces", lambda a: a.astype(np.int64)),
+         "string buffer must be uint8, not int64"),
     ],
     ids=[
         "truncated", "not_zip", "missing_array", "vector_rows", "lm_candidates",
@@ -432,7 +440,9 @@ def test_load_with_changed_corpus_fails(tmp_path):
         "token_offsets_past_ids", "token_rows_past_documents",
         "sentence_offsets_missing", "sentence_offsets_float", "sentence_offsets_fall",
         "sentence_offsets_skip_document_bound", "sentence_offsets_past_end",
-        "sentence_offsets_short_of_end",
+        "sentence_offsets_short_of_end", "lm_counts_float", "lm_targets_float",
+        "lm_contexts_float", "lm_order_float", "lm_candidates_float",
+        "vocab_surfaces_int64",
     ],
 )
 def test_load_rejects_bad_artifact(tmp_path, damage, match):

@@ -494,8 +494,8 @@ def test_memoized_metrics_equal_direct_calls(synth_eval_chunk, monkeypatch, meth
             q = t.query_ids
             outcome = tuple(stack.vocab.encode(record.outcome.split(" ")))
             distinct.add((size, q, t.d.id, outcome))
-            assert record.cos_sim == cos_sim_metric(q, outcome, stack.search)
-            assert record.bertscore == bertscore_f1(q, outcome, stack.table)
-            assert record.fluency == fluency_metric(q, outcome, ctx.ppl_fn)
+            assert record.cos_sim == cos_sim_metric(q, outcome, stack.search, stack.search)
+            assert record.bertscore == bertscore_f1(q, outcome, stack.table, stack.table)
+            assert record.fluency == fluency_metric(q, outcome, ctx.ppl_fn, ctx.ppl_fn)
     assert distinct
     assert len(calls) == len(distinct)
