@@ -20,7 +20,6 @@ from .evaluation import (
     EvalReport,
     beam_sweep,
     build_triplets,
-    check_beam_sizes,
     evaluate,
     render_markdown,
     reports_to_json,
@@ -231,12 +230,25 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_sweep_beam(args) -> int:
+def _beam_sizes(text: str) -> list[int]:
+    """The comma-separated ``--sizes``: at least one, each >= 1 and none
+    repeated, since a size's reports are named after it."""
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        sizes = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
         raise ValueError("--sizes must be comma-separated integers") from None
-    check_beam_sizes(sizes)
+    if not sizes:
+        raise ValueError("no beam sizes")
+    if any(b < 1 for b in sizes):
+        raise ValueError("beam sizes must be >= 1")
+    repeated = [b for i, b in enumerate(sizes) if b in sizes[:i]]
+    if repeated:
+        raise ValueError(f"duplicate beam size: {repeated[0]}")
+    return sizes
+
+
+def cmd_sweep_beam(args) -> int:
+    sizes = _beam_sizes(args.sizes)
     config, stack, ctx = _open_run(args)
     triplets = [t for _, t in _collect_triplets(stack, config, args)]
     reports = beam_sweep(triplets, sizes, ctx, **_sweep_options(config))

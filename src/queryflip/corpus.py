@@ -1,5 +1,5 @@
-"""Document storage, the encoded corpus, and the built-in BM25 search
-model with its postings.
+"""Document storage, the corpus with its one token-id stream, and the
+built-in BM25 search model with its postings.
 
 The search model plays the role of the relevance scorer the rest of the
 pipeline treats as a black box: it produces rel(query, doc) scores, ranked
@@ -52,25 +52,33 @@ class Document:
         return [ids[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-@dataclass(frozen=True)
-class EncodedCorpus:
-    """Every document's token ids as one integer stream, documents in
-    corpus order: document i is ``ids[offsets[i]:offsets[i + 1]]``. A
-    corpus holds its tokens in this form only; the index, the embeddings
-    and the n-gram model are built from it.
+class Corpus:
+    """Id-addressable document collection: the ``{id: text}`` records
+    (copied) and every document's token ids as one integer stream,
+    documents in record order: document i is
+    ``ids[offsets[i]:offsets[i + 1]]``. A corpus holds its tokens in this
+    form only; the index, the embeddings and the n-gram model are built
+    from it.
 
     ``sentence_offsets`` cuts the same stream into sentences (see
     ``tokenize_sentences``): it rises strictly from 0 to ``len(ids)`` and
     holds every document bound, so no sentence crosses a document and
     none is empty. An empty document is a repeated bound of ``offsets``
-    and one bound here."""
+    and one bound here.
 
-    ids: np.ndarray
-    offsets: np.ndarray
-    sentence_offsets: np.ndarray
+    A doc id -> position map is kept; a Document, holding its row as a
+    tuple, is built on first access and the same object is returned on
+    every later one.
+    """
 
-    def __post_init__(self) -> None:
-        ids, offsets, sentences = self.ids, self.offsets, self.sentence_offsets
+    def __init__(
+        self,
+        records: Mapping[str, str],
+        ids: np.ndarray,
+        offsets: np.ndarray,
+        sentence_offsets: np.ndarray,
+    ) -> None:
+        sentences = sentence_offsets
         if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in (ids, offsets, sentences)):
             raise ValueError(
                 "corpus token ids, offsets and sentence offsets must be 1-d integer arrays"
@@ -86,37 +94,20 @@ class EncodedCorpus:
         # In range, since both run from 0 to len(ids).
         if (sentences[np.searchsorted(sentences, offsets)] != offsets).any():
             raise ValueError("corpus sentence offsets must hold every document bound")
-
-    @property
-    def n_docs(self) -> int:
-        return len(self.offsets) - 1
+        self.n_docs = len(offsets) - 1
+        if len(records) != self.n_docs:
+            raise ValueError(
+                f"{self.n_docs} rows of token ids for {len(records)} documents"
+            )
+        self.records = dict(records)
+        self.ids, self.offsets, self.sentence_offsets = ids, offsets, sentences
+        self.avgdl = len(ids) / self.n_docs if self.n_docs else 0.0
+        self._positions = dict(zip(self.records, range(self.n_docs)))
+        self._docs: dict[str, Document] = {}
 
     def doc_labels(self) -> np.ndarray:
         """The document index of every id in the stream."""
         return np.repeat(np.arange(self.n_docs), np.diff(self.offsets))
-
-
-class Corpus:
-    """Id-addressable document collection with corpus-level statistics.
-
-    Built from the ``{id: text}`` records and their token ids, one
-    ``encoded`` row per record in record order. It keeps both (the records
-    copied), plus a doc id -> position map; a Document, holding its row as a
-    tuple, is built on first access and the same object is returned on
-    every later one.
-    """
-
-    def __init__(self, records: Mapping[str, str], encoded: EncodedCorpus) -> None:
-        if len(records) != encoded.n_docs:
-            raise ValueError(
-                f"{encoded.n_docs} rows of token ids for {len(records)} documents"
-            )
-        self.records = dict(records)
-        self.encoded = encoded
-        self.n_docs = len(records)
-        self.avgdl = len(encoded.ids) / self.n_docs if self.n_docs else 0.0
-        self._positions = dict(zip(self.records, range(self.n_docs)))
-        self._docs: dict[str, Document] = {}
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self.records
@@ -125,10 +116,9 @@ class Corpus:
         doc = self._docs.get(doc_id)
         if doc is None:
             position = self._positions[doc_id]
-            encoded = self.encoded
-            start, end = encoded.offsets[position : position + 2].tolist()
-            ids = tuple(encoded.ids[start:end].tolist())
-            sentences = encoded.sentence_offsets
+            start, end = self.offsets[position : position + 2].tolist()
+            ids = tuple(self.ids[start:end].tolist())
+            sentences = self.sentence_offsets
             first, last = np.searchsorted(sentences, (start, end)).tolist()
             bounds = tuple((sentences[first : last + 1] - start).tolist())
             # Two threads may both build a document; both return the one stored.
@@ -137,7 +127,7 @@ class Corpus:
         return doc
 
     def position(self, doc_id: str) -> int:
-        """The document's row in ``encoded``."""
+        """The document's row: document i spans ``offsets[i:i + 2]``."""
         return self._positions[doc_id]
 
     def documents(self) -> list[Document]:
@@ -155,21 +145,21 @@ class Corpus:
             "corpus.id_offsets": id_offsets,
             "corpus.texts": texts,
             "corpus.text_offsets": text_offsets,
-            "corpus.token_ids": self.encoded.ids,
-            "corpus.token_offsets": self.encoded.offsets,
-            "corpus.sentence_offsets": self.encoded.sentence_offsets,
+            "corpus.token_ids": self.ids,
+            "corpus.token_offsets": self.offsets,
+            "corpus.sentence_offsets": self.sentence_offsets,
         }
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "Corpus":
         ids = unpack_strings(arrays["corpus.ids"], arrays["corpus.id_offsets"])
         texts = unpack_strings(arrays["corpus.texts"], arrays["corpus.text_offsets"])
-        encoded = EncodedCorpus(
+        return cls(
+            dict(zip(ids, texts)),
             arrays["corpus.token_ids"],
             arrays["corpus.token_offsets"],
             arrays["corpus.sentence_offsets"],
         )
-        return cls(dict(zip(ids, texts)), encoded)
 
 
 # Surrogate code points: UTF-8 cannot encode them, but JSON's \u escapes
@@ -229,7 +219,7 @@ def ingest_corpus(lines: Iterable[str]) -> dict[str, str]:
 
 
 def build_corpus(
-    records: Mapping[str, str], min_count: int = 1
+    records: Mapping[str, str], min_count: int
 ) -> tuple[Corpus, Vocabulary]:
     """Tokenize each text once, build the vocabulary from those token
     lists, and encode them into the corpus's one id stream, with its
@@ -244,14 +234,13 @@ def build_corpus(
     tokens = [list(filter(None, m)) for m in marked]
     del marked  # before the ids, the build's largest list, are made
     vocab = build_vocabulary(tokens, min_count)
-    ids = vocab.encode(chain.from_iterable(tokens))
+    ids = np.array(vocab.encode(chain.from_iterable(tokens)), dtype=np.int32)
     offsets = np.cumsum([0] + [len(t) for t in tokens], dtype=np.int64)
     starts = np.zeros(len(ids) + 1, dtype=bool)
     starts[offsets] = True
     starts[breaks] = True
     sentence_offsets = np.flatnonzero(starts)
-    encoded = EncodedCorpus(np.array(ids, dtype=np.int32), offsets, sentence_offsets)
-    return Corpus(records, encoded), vocab
+    return Corpus(records, ids, offsets, sentence_offsets), vocab
 
 
 @dataclass(frozen=True)
@@ -318,7 +307,7 @@ class Bm25SearchModel:
         # equal scores.
         by_id = sorted(range(n), key=self._corpus_ids.__getitem__)
         self._by_id = np.array(by_id, dtype=np.int64)
-        lengths = np.diff(corpus.encoded.offsets)
+        lengths = np.diff(corpus.offsets)
         # The scalar formula's float operations in its order, one element
         # per posting. Only a posting's document is normalised, so avgdl 0
         # (every document empty, no postings) divides nothing.
@@ -429,16 +418,16 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]][: len(keys)])
 
 
-def count_postings(encoded: EncodedCorpus) -> tuple[np.ndarray, ...]:
+def count_postings(corpus: Corpus) -> tuple[np.ndarray, ...]:
     """Every (term, document) pair of the token ids, specials left out,
     counted into the CSR postings ``terms``, ``indptr``, ``docs`` and
     ``tfs`` (see ``Bm25SearchModel``), sorted by term, then document
     position in corpus order."""
-    n = encoded.n_docs
-    content = encoded.ids >= FIRST_CONTENT_ID
-    term_ids = encoded.ids[content].astype(np.int64)
+    n = corpus.n_docs
+    content = corpus.ids >= FIRST_CONTENT_ID
+    term_ids = corpus.ids[content].astype(np.int64)
     pairs, tfs = np.unique(
-        term_ids * n + encoded.doc_labels()[content], return_counts=True
+        term_ids * n + corpus.doc_labels()[content], return_counts=True
     )
     terms, docs = np.divmod(pairs, n)
     starts = run_starts(terms)  # the pairs are sorted: one run per term
@@ -450,4 +439,4 @@ def count_postings(encoded: EncodedCorpus) -> tuple[np.ndarray, ...]:
 def build_index(corpus: Corpus, k1: float, b: float) -> Bm25SearchModel:
     """The BM25 model with constants ``k1`` and ``b`` over the corpus's
     counted postings."""
-    return Bm25SearchModel(corpus, *count_postings(corpus.encoded), k1, b)
+    return Bm25SearchModel(corpus, *count_postings(corpus), k1, b)

@@ -174,8 +174,8 @@ def edit(
     importance: ImportanceScores,
     predictor,
     ppl_fn: Callable[[Sequence[int]], float],
-    beam_width: int = 10,
-    max_masks: int | None = None,
+    beam_width: int,
+    max_masks: int | None,
 ) -> EditResult:
     """Run the full iterative editing loop for one triplet.
 
@@ -185,7 +185,7 @@ def edit(
     and every complete candidate in the final beam is flip-checked. The
     first iteration producing a flip wins; with no flip at all (or a
     ``max_masks`` below ``first_masks``) the outcome is None. A
-    ``max_masks`` above |q| is clamped to |q|. The
+    ``max_masks`` of None or above |q| is |q|. The
     per-iteration beams and flip checks are recorded in the trace, so
     callers can audit that no earlier iteration could have flipped.
     Deterministic for fixed inputs.

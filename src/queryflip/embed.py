@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .text import FIRST_CONTENT_ID, Vocabulary
-from .corpus import EncodedCorpus
+from .corpus import Corpus
 
 logger = logging.getLogger(__name__)
 
@@ -41,9 +41,14 @@ class EmbeddingTable:
     vectors: np.ndarray  # shape (vocab size, dim), float64, rows unit-norm
 
     def __post_init__(self) -> None:
+        vectors = self.vectors
+        if vectors.ndim != 2 or vectors.dtype != np.float64:
+            raise ValueError(
+                f"vectors must be a 2-d float64 array, not {vectors.ndim}-d {vectors.dtype}"
+            )
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
-        norms = np.linalg.norm(self.vectors, axis=1)
+        norms = np.linalg.norm(vectors, axis=1)
         if not np.all(np.abs(norms - 1.0) < 1e-6):
             raise ValueError("all stored vectors must be unit-norm")
 
@@ -76,7 +81,7 @@ def _fix_signs(columns: np.ndarray) -> np.ndarray:
 
 
 def _ppmi_entries(
-    encoded: EncodedCorpus, vocab: Vocabulary, window: int
+    corpus: Corpus, vocab: Vocabulary, window: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The positive entries of the symmetric PPMI matrix over content ids,
     as ``(rows, cols, values)`` sorted by row, then column.
@@ -87,7 +92,7 @@ def _ppmi_entries(
     document. PMI is computed on the nonzero pairs only.
     """
     n_content = vocab.content_size
-    ids, docs = encoded.ids.astype(np.int64), encoded.doc_labels()
+    ids, docs = corpus.ids.astype(np.int64), corpus.doc_labels()
     content = ids >= FIRST_CONTENT_ID
     ids, docs = ids[content] - FIRST_CONTENT_ID, docs[content]
     keys = []
@@ -247,10 +252,7 @@ def _top_eigenpairs(
 
 
 def train_embeddings(
-    encoded: EncodedCorpus,
-    vocab: Vocabulary,
-    dim: int = 64,
-    window: int = 5,
+    corpus: Corpus, vocab: Vocabulary, dim: int, window: int
 ) -> EmbeddingTable:
     """Train token vectors: PPMI co-occurrence + the top eigenpairs of the
     symmetric PPMI matrix + row norm.
@@ -274,7 +276,7 @@ def train_embeddings(
     if dim > n_content:
         raise ValueError(f"dim {dim} exceeds vocabulary size {n_content}")
 
-    rows, cols, vals = _ppmi_entries(encoded, vocab, window)
+    rows, cols, vals = _ppmi_entries(corpus, vocab, window)
     if n_content <= DENSE_EIGH_MAX_VOCAB:
         ppmi = np.zeros((n_content, n_content), dtype=np.float64)
         ppmi[rows, cols] = vals

@@ -515,18 +515,6 @@ def _record_for(
     )
 
 
-def check_beam_sizes(sizes: Sequence[int]) -> None:
-    """Reject an empty list of beam sizes, a size below 1 or a repeated
-    size, whose reports would share one name."""
-    if not sizes:
-        raise ValueError("no beam sizes")
-    if any(b < 1 for b in sizes):
-        raise ValueError("beam sizes must be >= 1")
-    repeated = [b for i, b in enumerate(sizes) if b in sizes[:i]]
-    if repeated:
-        raise ValueError(f"duplicate beam size: {repeated[0]}")
-
-
 def _sweep_tasks(
     triplets: Sequence[Triplet], ctx: EvalContext, n_sizes: int
 ) -> Iterator[tuple[int, Triplet, list[SharedWork], list[SharedWork]]]:
@@ -629,7 +617,6 @@ def beam_sweep(
 ) -> list[EvalReport]:
     """One report per beam size, in the order given, of the records
     ``sweep_edits`` makes with ``_record_for``."""
-    check_beam_sizes(sizes)
     if not triplets:
         raise ValueError("no triplets to evaluate")
     rows = sweep_edits(triplets, sizes, ctx, _record_for, method, workers, timing)

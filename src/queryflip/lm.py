@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .text import FIRST_CONTENT_ID, MASK_ID, PAD_ID, Vocabulary
-from .corpus import EncodedCorpus, run_starts
+from .corpus import Corpus, run_starts
 
 #: Padding marker in n-gram contexts: before each document when counting,
 #: before the query when predicting. Not a vocabulary id, so it can never
@@ -187,14 +187,12 @@ class NgramLM:
         return self._targets[start:end], self._counts[start:end], denominator
 
 
-def train_ngram(
-    encoded: EncodedCorpus, vocab: Vocabulary, order: int = 3, k: float = 0.1
-) -> NgramLM:
+def train_ngram(corpus: Corpus, vocab: Vocabulary, order: int, k: float) -> NgramLM:
     """Count n-grams over every document, BOS-padded at document starts."""
     # The stream with order-1 BOS pads before each document.
     pad = order - 1
-    ids = np.full(len(encoded.ids) + pad * encoded.n_docs, BOS, dtype=np.int32)
-    ids[np.arange(len(encoded.ids)) + pad * (encoded.doc_labels() + 1)] = encoded.ids
+    ids = np.full(len(corpus.ids) + pad * corpus.n_docs, BOS, dtype=np.int32)
+    ids[np.arange(len(corpus.ids)) + pad * (corpus.doc_labels() + 1)] = corpus.ids
     # One pass over one stream: each content id is the target of the window
     # of ``order`` ids ending at it. Specials (UNK) are context, never targets.
     ends = np.flatnonzero(ids >= FIRST_CONTENT_ID)
@@ -273,7 +271,7 @@ class NgramPredictor:
     predictor, which serves one d'.
     """
 
-    def __init__(self, lm: NgramLM, d_prime_ids: Sequence[int], lam: float = 0.5):
+    def __init__(self, lm: NgramLM, d_prime_ids: Sequence[int], lam: float):
         self.lm = lm
         self.lam = lam
         # Add-k numerators of d''s content tokens: k, plus 1.0 per occurrence.

@@ -97,11 +97,10 @@ def build_stack(records: Mapping[str, str], config: RunConfig) -> Stack:
     co-occurrence rank can support, so small corpora still index cleanly.
     """
     corpus, vocab = build_corpus(records, config.min_count)
-    encoded = corpus.encoded
     search = build_index(corpus, config.k1, config.b_bm25)
     dim = min(config.embed_dim, max(2, vocab.content_size))
-    table = train_embeddings(encoded, vocab, dim=dim, window=config.embed_window)
-    lm = train_ngram(encoded, vocab, order=config.lm_order, k=config.lm_k)
+    table = train_embeddings(corpus, vocab, dim=dim, window=config.embed_window)
+    lm = train_ngram(corpus, vocab, order=config.lm_order, k=config.lm_k)
     return Stack(corpus, vocab, search, table, lm, build_fingerprint(config, corpus))
 
 
@@ -192,7 +191,7 @@ def load_stack(config: RunConfig) -> Stack:
             f"{STACK_FILE} n-gram model has {lm.n_candidates} candidates for "
             f"{vocab.content_size} content tokens"
         )
-    token_ids = corpus.encoded.ids
+    token_ids = corpus.ids
     if len(token_ids) and (token_ids.min() < UNK_ID or token_ids.max() >= len(vocab)):
         raise ArtifactError(
             f"{STACK_FILE} holds corpus token ids outside [{UNK_ID}, {len(vocab)})"

@@ -146,7 +146,7 @@ class Vocabulary:
 
 
 def build_vocabulary(
-    corpus_tokens: Sequence[Sequence[str]], min_count: int = 1
+    corpus_tokens: Sequence[Sequence[str]], min_count: int
 ) -> Vocabulary:
     """Build a vocabulary from token sequences.
 

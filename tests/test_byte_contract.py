@@ -1,8 +1,8 @@
 """The bytes the CLI writes on the synthetic corpus, pinned by sha256.
 
 Criterion 10 checks that runs agree with each other; these tests check
-that they agree with the pinned values, so a change that moves a report
-or edit byte fails here. Inputs: the synthetic corpus and its 60 queries,
+that they agree with the pinned values, so a change that moves a report,
+edit or archive byte fails here. Inputs: the synthetic corpus and its 60 queries,
 a config of ``embed_dim`` 48 and ``timing`` off with paths relative to
 the run directory, and for ``edit`` 240 triplet lines, each query's top
 document paired with ranks 2-5 of its top-5 ranking.
@@ -18,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from queryflip import corpus as corpus_module, evaluation
@@ -31,6 +32,49 @@ from synthdata import synthetic_corpus, synthetic_queries
 
 REPORT_SHA256 = "0be1c10aa166de53d312d45167c0ac59a5fd0ebc6f9541661c58a60c22f30aa6"
 EDITS_SHA256 = "d201fb7b1e276cf164623c6d7afda8e730ec2e825626e55980d5b198567ac1a2"
+
+# Every member of the ``index`` archive, in archive order, with its dtype.
+STACK_DTYPES = {
+    "format": "<i8",
+    "fingerprint": "<U16",
+    "corpus.ids": "|u1",
+    "corpus.id_offsets": "<i8",
+    "corpus.texts": "|u1",
+    "corpus.text_offsets": "<i8",
+    "corpus.token_ids": "<i4",
+    "corpus.token_offsets": "<i8",
+    "corpus.sentence_offsets": "<i8",
+    "vocab.surfaces": "|u1",
+    "vocab.offsets": "<i8",
+    "embed.vectors": "<f8",
+    "lm.order": "<i8",
+    "lm.k": "<f8",
+    "lm.n_candidates": "<i8",
+    "lm.contexts": "<i4",
+    "lm.targets": "<i4",
+    "lm.counts": "<i4",
+}
+# sha256 of each member's array bytes, but ``embed.vectors``: its last
+# bits come from an eigendecomposition and depend on the BLAS kernel.
+STACK_SHA256 = {
+    "format": "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    "fingerprint": "043b9bde4e7906943ecf20131958a7afa38d47d3fc02569e553ee3955bdc6806",
+    "corpus.ids": "97a12082a65282122c23610e87e10b86fe803e9d80f2833c21c42e1ccbe3b041",
+    "corpus.id_offsets": "2dc7ac20242eae10eadbc685bca39d39ccd6f81f4fbffc6a1a03774caa3237fd",
+    "corpus.texts": "b0af9f87672d85814fc702a75e17eb06df50d623244c0a30eb693a564b7f9a14",
+    "corpus.text_offsets": "5160219972538bde129c560fcc3b6f40c8d43c0b1a80b105d71db1820c7bee07",
+    "corpus.token_ids": "750986ed6c706dd8029b5f03630707267f69dee788d94128892ea0139882d8ee",
+    "corpus.token_offsets": "3ceb326d382d0818d78913a9fe33f7639c6f919cccb4598d07189de9970b294f",
+    "corpus.sentence_offsets": "1b83584b8c0d7aaa80e18b2b935726e40de1e1b6d4df46106990c739f649ea07",
+    "vocab.surfaces": "bc111f2863303d987139ed63a5a964f53b13294b7e2d3543eb11b06dbd7e94af",
+    "vocab.offsets": "58827b4bb9ad1a183b39d523d7923c8c7d801dec2dac5ef12d7e0bed0ebc3183",
+    "lm.order": "35be322d094f9d154a8aba4733b8497f180353bd7ae7b0a15f90b586b549f28b",
+    "lm.k": "45d2b662d9d490ae9b932759c910b26b9a874065de620f4ac0a3a23a65e40b8c",
+    "lm.n_candidates": "351f0f423caa8512d6992cda7078425379d802bd9cd74f924cb742f6a4014bcf",
+    "lm.contexts": "d2d84506c9fdd5e7336f1d20abf41b6cd5cab177d0512f05d5ca8e684b43ba06",
+    "lm.targets": "cc4d13936b16af7b6632c89797c00025e3684844a2646fe293cee716f3696d55",
+    "lm.counts": "9cc40f65e0cfb3260842c0ce38bcf1b9874a4ca32d82bdd6ac7b4fe86888aa1e",
+}
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -118,3 +162,16 @@ def test_edit_triplets_bytes_are_pinned(run_dir, workers):
     _cli(run_dir, "edit", "--config", "config.json", "--triplets", "triplets.jsonl",
          "--timing", "off", "--workers", workers, "--out", out)
     _assert_sha256(run_dir / out, EDITS_SHA256)
+
+
+def test_stack_archive_bytes_are_pinned(run_dir):
+    with np.load(run_dir / "artifacts" / "stack.npz", allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    dtypes = [(name, array.dtype.str) for name, array in arrays.items()]
+    assert dtypes == list(STACK_DTYPES.items())
+    digests = {
+        name: hashlib.sha256(array.tobytes()).hexdigest()
+        for name, array in arrays.items()
+        if name != "embed.vectors"
+    }
+    assert digests == STACK_SHA256

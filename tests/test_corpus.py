@@ -258,7 +258,7 @@ def postings(search):
     """The postings the model was built from: those its corpus counts to,
     whose ``docs`` the model keeps."""
     names = ("terms", "indptr", "docs", "tfs")
-    counted = dict(zip(names, count_postings(search.corpus.encoded)))
+    counted = dict(zip(names, count_postings(search.corpus)))
     assert np.array_equal(search.docs, counted["docs"])
     return counted
 
@@ -330,10 +330,10 @@ def test_stored_sentences_equal_the_text_rule(texts, min_count):
 
 def test_sentence_offsets_cut_the_stream_at_stops_and_documents():
     records = {"a": "Apple pie. !!! Banana? ", "b": "", "c": "e.g.x ok... Fine"}
-    corpus, vocab = build_corpus(records)
+    corpus, vocab = build_corpus(records, 1)
     # a: "apple pie" | "banana"; b: no token; c: "e g x ok" | "fine"
-    assert corpus.encoded.offsets.tolist() == [0, 3, 3, 8]
-    assert corpus.encoded.sentence_offsets.tolist() == [0, 2, 3, 7, 8]
+    assert corpus.offsets.tolist() == [0, 3, 3, 8]
+    assert corpus.sentence_offsets.tolist() == [0, 2, 3, 7, 8]
     assert corpus["a"].sentence_bounds == (0, 2, 3)
     assert corpus["b"].sentences() == []
     assert corpus["c"].sentences() == [
@@ -343,7 +343,7 @@ def test_sentence_offsets_cut_the_stream_at_stops_and_documents():
 
 def test_index_of_empty_documents_has_no_postings():
     records = ingest_corpus(json.dumps({"id": f"d{i}", "text": "?!"}) for i in range(3))
-    corpus, vocab = build_corpus(records)
+    corpus, vocab = build_corpus(records, 1)
     search = build_index(corpus, K1, B)
     assert corpus.avgdl == 0.0 and len(search.docs) == 0
     assert_same_arrays(postings(search), _counter_postings(corpus, vocab))
@@ -446,7 +446,7 @@ def test_search_equals_the_sorted_reference(texts, k1, b, query, repeats, copies
     records = {f"d{i}-{c}": text for i, text in enumerate(texts) for c in range(copies)}
     records["a-copy"] = texts[0]
     records["fixed"] = "w0 w0 w1 w2"
-    corpus, _ = build_corpus(records)
+    corpus, _ = build_corpus(records, 1)
     search = build_index(corpus, k1, b)
     n = corpus.n_docs
     for q in (query, query * repeats + query[:1], [UNK_ID] * repeats):
@@ -461,7 +461,7 @@ def test_search_equals_the_sorted_reference(texts, k1, b, query, repeats, copies
 def test_postings_regrouped_by_document_equal_a_stable_sort(texts, k1):
     """The postings regrouped by document equal a stable argsort of their
     documents: each document's terms ascending, its impacts alongside."""
-    corpus, _ = build_corpus({f"d{i}": text for i, text in enumerate(texts)})
+    corpus, _ = build_corpus({f"d{i}": text for i, text in enumerate(texts)}, 1)
     search = build_index(corpus, k1, B)
     counted = postings(search)
     docs = counted["docs"]
@@ -478,7 +478,7 @@ def test_racing_first_accesses_share_one_document_and_score():
     """Threads that build the same Document or weight table at once all
     get the one that was stored, and the same scores."""
     records = {f"d{i}": f"w{i % 7} w{i % 3} shared" for i in range(300)}
-    corpus, vocab = build_corpus(records)
+    corpus, vocab = build_corpus(records, 1)
     search = build_index(corpus, K1, B)
     query = vocab.encode(["w1", "shared", "w2", "w1"])
     barrier = threading.Barrier(8)
@@ -530,7 +530,7 @@ def test_query_representation_equals_the_counter_reference(texts, query, repeats
     repeated terms, specials, [UNK] and ids no document holds."""
     records = {f"d{i}": text for i, text in enumerate(texts)}
     records["fixed"] = "w0 w0 w1 w2"
-    corpus, _ = build_corpus(records)
+    corpus, _ = build_corpus(records, 1)
     search = build_index(corpus, K1, B)
     for q in (query, query * repeats + [UNK_ID], [UNK_ID] * repeats):
         expected = _counter_representation(search, q)

@@ -186,7 +186,7 @@ def test_edit_golden_trace_on_sample_corpus(sample_stack):
     importance = occlusion_importance(t.query_ids, t.d, stack.search)
     result = edit(
         t, stack.search, importance, _predictor(stack, "d3"), _ppl(stack),
-        beam_width=10,
+        beam_width=10, max_masks=None,
     )
     assert result.outcome is not None
     assert stack.vocab.decode(result.outcome) == ["banana", "recipe"]
@@ -202,7 +202,8 @@ def test_edit_is_deterministic(sample_stack):
     t = _triplet(stack, "apple recipe", "d1", "d3")
     importance = occlusion_importance(t.query_ids, t.d, stack.search)
     results = [
-        edit(t, stack.search, importance, _predictor(stack, "d3"), _ppl(stack))
+        edit(t, stack.search, importance, _predictor(stack, "d3"), _ppl(stack),
+             beam_width=10, max_masks=None)
         for _ in range(2)
     ]
     assert results[0].outcome == results[1].outcome
@@ -216,7 +217,8 @@ def test_edit_outcome_preserves_length_and_masked_positions_only(sample_stack):
     stack = sample_stack
     t = _triplet(stack, "apple recipe", "d1", "d3")
     importance = occlusion_importance(t.query_ids, t.d, stack.search)
-    result = edit(t, stack.search, importance, _predictor(stack, "d3"), _ppl(stack))
+    result = edit(t, stack.search, importance, _predictor(stack, "d3"), _ppl(stack),
+                  beam_width=10, max_masks=None)
     assert len(result.outcome) == len(t.query_ids)
     masked = set(result.trace[-1].masked_positions)
     for pos, (before, after) in enumerate(zip(t.query_ids, result.outcome)):
@@ -239,7 +241,8 @@ def test_edit_forced_null_exhausts_all_masks():
     stack = _forced_null_stack()
     t = _triplet(stack, "x y", "a", "b")
     importance = occlusion_importance(t.query_ids, t.d, stack.search)
-    result = edit(t, stack.search, importance, _predictor(stack, "b"), _ppl(stack))
+    result = edit(t, stack.search, importance, _predictor(stack, "b"), _ppl(stack),
+                  beam_width=10, max_masks=None)
     assert result.outcome is None
     assert result.masks_used == len(t.query_ids)
     assert [it.masks for it in result.trace] == [1, 2]
@@ -265,7 +268,7 @@ def test_edit_budget_above_query_length_equals_no_budget():
     importance = occlusion_importance(t.query_ids, t.d, stack.search)
     results = [
         edit(t, stack.search, importance, _predictor(stack, "b"), _ppl(stack),
-             max_masks=budget)
+             beam_width=10, max_masks=budget)
         for budget in (None, len(t.query_ids) + 3)
     ]
     assert results[0] == results[1]
@@ -284,8 +287,8 @@ def _random_toy_stack(rng: random.Random):
     for _ in range(rng.randint(3, 6)):
         texts.append(" ".join(rng.choices(pool, k=rng.randint(3, 8))))
     lines = [json.dumps({"id": f"d{i}", "text": t}) for i, t in enumerate(texts)]
-    corpus, vocab = build_corpus(ingest_corpus(lines))
-    lm = train_ngram(corpus.encoded, vocab, order=rng.choice((2, 3)), k=0.1)
+    corpus, vocab = build_corpus(ingest_corpus(lines), 1)
+    lm = train_ngram(corpus, vocab, order=rng.choice((2, 3)), k=0.1)
     return corpus, vocab, lm
 
 
@@ -405,7 +408,8 @@ def test_trace_candidates_equal_the_eager_tuple(sample_stack):
     for stack, t, counter in cases:
         importance = occlusion_importance(t.query_ids, t.d, stack.search)
         predictor = _predictor(stack, counter)
-        result = edit(t, stack.search, importance, predictor, _ppl(stack), beam_width=4)
+        result = edit(t, stack.search, importance, predictor, _ppl(stack),
+                      beam_width=4, max_masks=None)
         assert result.trace
         for it in result.trace:
             masked = tuple(

@@ -28,7 +28,7 @@ def _corpus(texts):
 
 
 def _ingest(lines):
-    return build_corpus(ingest_corpus(lines))
+    return build_corpus(ingest_corpus(lines), 1)
 
 
 def _reference_table(corpus, vocab, dim, window):
@@ -85,7 +85,7 @@ ZIPF_LINES = _random_lines(1, n_words=2200, n_docs=3000)
 def test_table_agrees_with_dense_svd_reference(lines, dim, window):
     # Compare Gram matrices: they do not depend on the factors' signs.
     corpus, vocab = _ingest(lines)
-    table = train_embeddings(corpus.encoded, vocab, dim=dim, window=window)
+    table = train_embeddings(corpus, vocab, dim=dim, window=window)
     ref_dim, reference = _reference_table(corpus, vocab, dim, window)
     assert table.dim == ref_dim == dim
     gram = table.vectors @ table.vectors.T
@@ -96,7 +96,7 @@ def test_dim_clamped_to_rank_like_reference(caplog):
     # Window 1 over "a b" and "c d e" gives a PPMI matrix of rank 4 < dim 5.
     corpus, vocab = _corpus(["a b", "c d e"])
     with caplog.at_level(logging.INFO, logger="queryflip.embed"):
-        table = train_embeddings(corpus.encoded, vocab, dim=5, window=1)
+        table = train_embeddings(corpus, vocab, dim=5, window=1)
     assert "clamping embedding dim 5 to PPMI rank 4" in caplog.text
     ref_dim, reference = _reference_table(corpus, vocab, 5, 1)
     assert table.dim == ref_dim == 4
@@ -117,7 +117,7 @@ COS_AB_EXPECTED = math.log(2 * 28 / 25) / math.log(3 * 28 / 25)
 
 def test_paired_tokens_most_similar():
     corpus, vocab = _corpus(PAIR_TEXTS)
-    table = train_embeddings(corpus.encoded, vocab, dim=4, window=2)
+    table = train_embeddings(corpus, vocab, dim=4, window=2)
     a, b, c, d = (vocab.id(s) for s in "abcd")
     cos_ab = float(np.dot(table.vectors[a], table.vectors[b]))
     assert cos_ab == pytest.approx(COS_AB_EXPECTED, abs=1e-9)
@@ -129,15 +129,15 @@ def test_paired_tokens_most_similar():
 
 def test_all_vectors_unit_norm():
     corpus, vocab = _corpus(PAIR_TEXTS)
-    table = train_embeddings(corpus.encoded, vocab, dim=4, window=2)
+    table = train_embeddings(corpus, vocab, dim=4, window=2)
     norms = np.linalg.norm(table.vectors, axis=1)
     assert np.all(np.abs(norms - 1.0) < 1e-9)
 
 
 def test_training_is_deterministic():
     corpus, vocab = _corpus(PAIR_TEXTS)
-    first = train_embeddings(corpus.encoded, vocab, dim=4, window=2)
-    second = train_embeddings(corpus.encoded, vocab, dim=4, window=2)
+    first = train_embeddings(corpus, vocab, dim=4, window=2)
+    second = train_embeddings(corpus, vocab, dim=4, window=2)
     assert np.array_equal(first.vectors, second.vectors)
 
 
@@ -145,7 +145,7 @@ def test_dim_above_rank_rejected_with_suggestion():
     # "c" never co-occurs with anything, so the PPMI matrix has a zero
     # row and rank 2 < dim 3.
     corpus, vocab = _corpus(["a b", "c"])
-    table = train_embeddings(corpus.encoded, vocab, dim=3, window=2)
+    table = train_embeddings(corpus, vocab, dim=3, window=2)
     assert table.dim == 2
     assert table.vectors.shape == (len(vocab), 2)
 
@@ -153,12 +153,12 @@ def test_dim_above_rank_rejected_with_suggestion():
 def test_dim_above_vocab_rejected():
     corpus, vocab = _corpus(["a b a b"])
     with pytest.raises(ValueError, match="vocabulary size"):
-        train_embeddings(corpus.encoded, vocab, dim=8, window=2)
+        train_embeddings(corpus, vocab, dim=8, window=2)
 
 
 def test_unk_vector_defined():
     corpus, vocab = _corpus(PAIR_TEXTS)
-    table = train_embeddings(corpus.encoded, vocab, dim=4, window=2)
+    table = train_embeddings(corpus, vocab, dim=4, window=2)
     assert np.linalg.norm(table.vectors[UNK_ID]) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -193,7 +193,7 @@ def _assert_matches_dense_eigh(n, rows, cols, vals, k):
 
 
 def _ppmi_problem(corpus, vocab, window=5):
-    return (vocab.content_size, *_ppmi_entries(corpus.encoded, vocab, window))
+    return (vocab.content_size, *_ppmi_entries(corpus, vocab, window))
 
 
 def _random_symmetric_entries(seed, n, density):
@@ -300,7 +300,7 @@ def test_lanczos_training_is_deterministic(caplog):
     corpus, vocab = _ingest(ZIPF_LINES)
     assert vocab.content_size > DENSE_EIGH_MAX_VOCAB
     with caplog.at_level(logging.DEBUG, logger="queryflip.embed"):
-        first = train_embeddings(corpus.encoded, vocab, dim=64, window=5)
+        first = train_embeddings(corpus, vocab, dim=64, window=5)
     _lanczos_log(caplog)
-    second = train_embeddings(corpus.encoded, vocab, dim=64, window=5)
+    second = train_embeddings(corpus, vocab, dim=64, window=5)
     assert np.array_equal(first.vectors, second.vectors)

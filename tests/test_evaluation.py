@@ -363,7 +363,7 @@ def test_pad_tokens_score_zero(sample_stack):
 
 def _stored_sentences(text):
     """The sentences a build stores for ``text``, as token surfaces."""
-    corpus, vocab = build_corpus({"d": text})
+    corpus, vocab = build_corpus({"d": text}, 1)
     return [vocab.decode(ids) for ids in corpus["d"].sentences()]
 
 

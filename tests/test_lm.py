@@ -52,8 +52,8 @@ def _context_at(lm, token_ids, position):
 def _bigram_ab():
     # corpus {[a, b], [a, b]}, order 2, k = 0.1, candidates {a, b}
     lines = [json.dumps({"id": f"d{i}", "text": "a b"}) for i in range(2)]
-    corpus, vocab = build_corpus(ingest_corpus(lines))
-    return train_ngram(corpus.encoded, vocab, order=2, k=0.1), vocab
+    corpus, vocab = build_corpus(ingest_corpus(lines), 1)
+    return train_ngram(corpus, vocab, order=2, k=0.1), vocab
 
 
 def test_bigram_conditional_hand_value():
@@ -107,8 +107,8 @@ def test_perplexity_unigram_length_invariance():
         json.dumps({"id": "d1", "text": "a b"}),
         json.dumps({"id": "d2", "text": "a a b"}),
     ]
-    corpus, vocab = build_corpus(ingest_corpus(lines))
-    unigram = train_ngram(corpus.encoded, vocab, order=1, k=0.1)
+    corpus, vocab = build_corpus(ingest_corpus(lines), 1)
+    unigram = train_ngram(corpus, vocab, order=1, k=0.1)
     assert unigram.n_candidates == 2
     a, b = vocab.id("a"), vocab.id("b")
     seq = [a, b, b, a]
@@ -169,7 +169,7 @@ def test_train_ngram_matches_counter_reference(order, min_count):
         corpus, vocab = build_corpus(_random_corpus(rng), min_count)
         assert any(not doc.ids for doc in corpus.documents())
         k, n = 0.1, vocab.content_size
-        lm = train_ngram(corpus.encoded, vocab, order=order, k=k)
+        lm = train_ngram(corpus, vocab, order=order, k=k)
         counts, totals = reference_counts(corpus, vocab, order)
         if min_count == 2 and order > 1:
             assert any(UNK_ID in context for context in counts)
@@ -234,7 +234,7 @@ def test_train_ngram_table_equals_the_reference_counts(texts, order, min_count):
     records = {f"d{i}": text for i, text in enumerate(texts)}
     records["fixed"] = " ".join("abcde" * 6)
     corpus, vocab = build_corpus(records, min_count)
-    lm = train_ngram(corpus.encoded, vocab, order=order)
+    lm = train_ngram(corpus, vocab, order=order, k=0.1)
     if order == _OBJECT_ORDER:
         assert lm.radix ** (order - 1) > np.iinfo(np.int64).max
     assert lm.grams.dtype == lm.counts.dtype == np.int32
@@ -292,8 +292,8 @@ MALFORMED_TABLES = {
 @pytest.mark.parametrize("name", list(MALFORMED_TABLES))
 def test_malformed_tables_are_rejected(name, order):
     damage, message = MALFORMED_TABLES[name]
-    corpus, vocab = build_corpus({"d1": "a b c a b", "d2": "c a b b"})
-    lm = train_ngram(corpus.encoded, vocab, order=order)
+    corpus, vocab = build_corpus({"d1": "a b c a b", "d2": "c a b b"}, 1)
+    lm = train_ngram(corpus, vocab, order=order, k=0.1)
     assert (lm.grams[0, :-1] == BOS).all() and (lm.grams[1, :-1] == BOS).all()
     grams, counts = damage(lm.grams, lm.counts, lm.n_candidates)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -304,9 +304,9 @@ def test_packed_context_keys_are_exact_past_int64():
     """Order 10 on the acceptance corpus: the largest key, radix ** 9,
     is past int64, and every answer still matches counts taken from the
     table's own rows."""
-    corpus, vocab = build_corpus(ingest_corpus(synthetic_corpus()))
+    corpus, vocab = build_corpus(ingest_corpus(synthetic_corpus()), 1)
     k, n = 0.1, vocab.content_size
-    lm = train_ngram(corpus.encoded, vocab, order=10, k=k)
+    lm = train_ngram(corpus, vocab, order=10, k=k)
     assert lm.radix == len(vocab) + 1 == 192
     assert lm.radix**9 > np.iinfo(np.int64).max
     rows = [tuple(row) for row in lm.grams.tolist()]
@@ -464,7 +464,7 @@ def test_predict_matches_dense_reference(order, k):
     slots = {"ngram": 0, "fallback": 0}
     for _ in range(6):
         corpus, vocab = build_corpus(_random_corpus(rng), rng.choice((1, 2)))
-        lm = train_ngram(corpus.encoded, vocab, order=order, k=k)
+        lm = train_ngram(corpus, vocab, order=order, k=k)
         counts, totals = reference_counts(corpus, vocab, order)
         n = vocab.content_size
         docs = [vocab.encode(tokenize(d.text)) for d in corpus.documents()]
@@ -505,7 +505,7 @@ def test_memoized_predictions_equal_fresh_ones(data):
     corpus, vocab = build_corpus(_random_corpus(rng), rng.choice((1, 2)))
     order = data.draw(st.integers(1, 4), label="order")
     k = data.draw(st.sampled_from((0.1, 1 / 3)), label="k")
-    lm = train_ngram(corpus.encoded, vocab, order=order, k=k)
+    lm = train_ngram(corpus, vocab, order=order, k=k)
     d_prime = data.draw(st.sampled_from([d.ids for d in corpus.documents()]))
     lam = data.draw(st.floats(0.0, 1.0), label="lam")
     content = list(range(FIRST_CONTENT_ID, len(vocab)))
@@ -575,7 +575,7 @@ def test_predict_matches_full_scoring(data):
     corpus, vocab = build_corpus(_random_corpus(rng), rng.choice((1, 2)))
     order = data.draw(st.integers(1, 4), label="order")
     k = data.draw(st.sampled_from((0.1, 1 / 3)), label="k")
-    lm = train_ngram(corpus.encoded, vocab, order=order, k=k)
+    lm = train_ngram(corpus, vocab, order=order, k=k)
     n = lm.n_candidates
     content = list(range(FIRST_CONTENT_ID, len(vocab)))
     # d' repeats tokens, so counts tie.

@@ -322,7 +322,7 @@ def _first_seen_rows(arrays):
     """The n-gram rows in first-seen order, one Counter per context, as
     the table was written before it was kept sorted."""
     counts, _ = reference_counts(
-        build_corpus(ingest_corpus(SAMPLE_LINES))[0],
+        build_corpus(ingest_corpus(SAMPLE_LINES), 1)[0],
         Vocabulary.from_arrays(arrays),
         int(arrays["lm.order"]),
     )
@@ -386,6 +386,8 @@ def test_load_with_changed_corpus_fails(tmp_path):
         (lambda p: p.write_text("not a zip"), "truncated or not an npz"),
         (lambda p: _edit_array(p, "lm.targets", lambda a: None), "missing array"),
         (lambda p: _edit_array(p, "embed.vectors", lambda a: a[:-1]), "vector rows"),
+        (lambda p: _edit_array(p, "embed.vectors", lambda a: a.astype(np.float32)),
+         "vectors must be a 2-d float64 array, not 2-d float32"),
         (lambda p: _edit_array(p, "lm.n_candidates", lambda a: a + 1), "candidates"),
         (lambda p: _edit_array(p, "lm.counts", lambda a: a[:-1]), "rows but counts"),
         (lambda p: _edit_array(p, "lm.targets", lambda a: a[:-1]), "must match"),
@@ -429,7 +431,8 @@ def test_load_with_changed_corpus_fails(tmp_path):
          "string buffer must be uint8, not int64"),
     ],
     ids=[
-        "truncated", "not_zip", "missing_array", "vector_rows", "lm_candidates",
+        "truncated", "not_zip", "missing_array", "vector_rows", "embed_vectors_float32",
+        "lm_candidates",
         "lm_counts_length", "lm_targets_length", "lm_context_width",
         "lm_first_seen_order", "lm_duplicate_row", "lm_target_past_candidates",
         "lm_target_special", "lm_zero_count", "lm_context_below_bos",
