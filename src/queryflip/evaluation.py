@@ -44,14 +44,6 @@ MASKERS = ("maxsim", "occlusion")
 METHODS = ("cfe2", "mask_only", "max_flip")
 
 
-def edit_clock(timing: str) -> Callable[[], float]:
-    """The clock each edit is timed with: wall seconds, or a constant 0.0
-    under ``timing="off"`` so repeated runs write identical bytes."""
-    if timing not in TIMING_MODES:
-        raise ValueError(f"unknown timing mode: {timing}")
-    return time.perf_counter if timing == "wall" else lambda: 0.0
-
-
 # ---------------------------------------------------------------------------
 # Triplet construction
 
@@ -214,7 +206,7 @@ def baseline_max_flip(
 # Evaluation harness
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalContext:
     """Read-only bundle of the components one evaluation run needs.
 
@@ -577,8 +569,9 @@ def sweep_edits(
     so a change in host speed hits all sizes alike, and the size it
     starts with rotates from triplet to triplet, so shared work and the
     extra cost of a triplet's first edit (cold caches) are spread over
-    all sizes."""
-    clock = edit_clock(timing)
+    all sizes. Edits are timed in wall seconds, or by a constant 0.0 clock
+    under ``timing="off"``, so repeated runs write identical bytes."""
+    clock = time.perf_counter if timing == "wall" else lambda: 0.0
     n = len(sizes)
 
     # Holds no reference to ctx: each task carries it in its works, which

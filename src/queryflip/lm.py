@@ -62,7 +62,9 @@ class NgramLM:
     """Add-k-smoothed n-gram model. No state changes after construction,
     so concurrent reads are safe.
 
-    It holds one count table, as built or loaded: ``grams`` (int32,
+    ``order`` and ``k`` are taken as given (``RunConfig`` checks them);
+    ``n_candidates`` is the vocabulary's content size, when built and
+    when loaded. It holds one count table: ``grams`` (int32,
     ``(n, order)``: the order-1 context ids, then the target) and
     ``counts`` (int32, ``(n,)``), rows strictly increasing by context, then
     target. Contexts are BOS-padded at document starts and hold ids below
@@ -91,10 +93,6 @@ class NgramLM:
         grams: np.ndarray,
         counts: np.ndarray,
     ) -> None:
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if not k > 0:
-            raise ValueError("smoothing constant k must be > 0")
         if n_candidates < 1:
             raise ValueError("candidate vocabulary is empty")
         if grams.shape[1:] != (order,):
@@ -143,32 +141,21 @@ class NgramLM:
         self._counts: list[int] = counts.tolist()
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """Settings plus the count table, split into contexts and targets."""
-        return {
-            "lm.order": np.array(self.order),
-            "lm.k": np.array(self.k),
-            "lm.n_candidates": np.array(self.n_candidates),
-            "lm.contexts": self.grams[:, :-1],
-            "lm.targets": self.grams[:, -1],
-            "lm.counts": self.counts,
-        }
+        """The count table as held: ``grams`` and ``counts``. The settings
+        are not stored; the loader has them from the config and the
+        vocabulary."""
+        return {"lm.grams": self.grams, "lm.counts": self.counts}
 
     @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "NgramLM":
-        # Integers only: ``int`` would truncate a float setting, and the
+    def from_arrays(
+        cls, arrays: Mapping[str, np.ndarray], order: int, k: float, n_candidates: int
+    ) -> "NgramLM":
+        # Integers only: the packed keys would truncate float ids, and the
         # add-k denominators would sum float counts as truncated integers.
-        names = ("order", "n_candidates", "contexts", "targets", "counts")
-        ints = [arrays[f"lm.{name}"] for name in names]
-        if any(a.dtype.kind not in "iu" for a in ints):
-            raise ValueError("n-gram settings and tables must be integer arrays")
-        order, n_candidates, contexts, targets, counts = ints
-        return cls(
-            int(order),
-            float(arrays["lm.k"]),
-            int(n_candidates),
-            np.column_stack((contexts, targets)),
-            counts,
-        )
+        grams, counts = arrays["lm.grams"], arrays["lm.counts"]
+        if grams.dtype.kind not in "iu" or counts.dtype.kind not in "iu":
+            raise ValueError("n-gram tables must be integer arrays")
+        return cls(order, k, n_candidates, grams, counts)
 
     def distribution(
         self, context: tuple[int, ...]

@@ -46,7 +46,7 @@ logger = logging.getLogger(__name__)
 STACK_FILE = "stack.npz"
 # The layout of the arrays in STACK_FILE. A change to the arrays a build
 # writes or a load reads bumps it, so an older archive fails on this number.
-STACK_FORMAT = 1
+STACK_FORMAT = 2
 
 
 class ArtifactError(RuntimeError):
@@ -117,9 +117,11 @@ def build_stack_from_file(path: str, config: RunConfig) -> Stack:
 # and reads back with ``from_arrays``. The BM25 postings are not stored:
 # load counts them from the corpus's token ids with the ``build_index`` the
 # build uses, and their idf and impacts follow k1 and b, which the
-# fingerprint leaves out. The loader checks the format number first, then
-# what one component cannot: vector rows, n-gram candidates, and the
-# corpus's token ids against the vocabulary.
+# fingerprint leaves out. The n-gram settings are not stored either: the
+# fingerprint holds ``lm_order`` and ``lm_k``, so the config's values are
+# the build's, and the candidates are the vocabulary's content tokens. The
+# loader checks the format number first, then what one component cannot:
+# vector rows and the corpus's token ids against the vocabulary.
 
 
 def save_stack(stack: Stack, config: RunConfig) -> None:
@@ -174,7 +176,9 @@ def load_stack(config: RunConfig) -> Stack:
             )
         vocab = Vocabulary.from_arrays(arrays)
         table = EmbeddingTable.from_arrays(arrays)
-        lm = NgramLM.from_arrays(arrays)
+        lm = NgramLM.from_arrays(
+            arrays, config.lm_order, config.lm_k, vocab.content_size
+        )
     except KeyError as exc:
         raise ArtifactError(
             f"{STACK_FILE} is missing array {exc}; re-run `queryflip index`"
@@ -185,11 +189,6 @@ def load_stack(config: RunConfig) -> Stack:
         raise ArtifactError(
             f"{STACK_FILE} has {len(table.vectors)} vector rows for a "
             f"vocabulary of {len(vocab)}"
-        )
-    if lm.n_candidates != vocab.content_size:
-        raise ArtifactError(
-            f"{STACK_FILE} n-gram model has {lm.n_candidates} candidates for "
-            f"{vocab.content_size} content tokens"
         )
     token_ids = corpus.ids
     if len(token_ids) and (token_ids.min() < UNK_ID or token_ids.max() >= len(vocab)):

@@ -56,32 +56,25 @@ def tokenize_sentences(text: str) -> list[str]:
 
 
 def pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Strings as one UTF-8 byte buffer plus ``len + 1`` offsets into it."""
-    encoded = [s.encode("utf-8") for s in strings]
-    offsets = np.cumsum([0] + [len(b) for b in encoded], dtype=np.int64)
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
+    """Strings as the UTF-8 bytes of their concatenation plus ``len + 1``
+    character offsets into it."""
+    offsets = np.cumsum([0] + [len(s) for s in strings], dtype=np.int64)
+    return np.frombuffer("".join(strings).encode("utf-8"), dtype=np.uint8), offsets
 
 
 def unpack_strings(buffer: np.ndarray, offsets: np.ndarray) -> list[str]:
-    """Inverse of pack_strings: the buffer is decoded once and cut at
-    character offsets, each byte offset less the UTF-8 continuation bytes
-    before it. A buffer that is not uint8, or offsets that fall, leave the
-    buffer, or cut a character raise ValueError."""
+    """Inverse of pack_strings: the buffer is decoded once and sliced at
+    the character offsets. A buffer that is not uint8 or not UTF-8, or
+    offsets that fall or leave the decoded text raise ValueError."""
     if buffer.dtype != np.uint8:
         raise ValueError(f"string buffer must be uint8, not {buffer.dtype}")
-    n = len(buffer)
+    text = buffer.tobytes().decode("utf-8")
+    n = len(text)
     if offsets.ndim != 1 or (len(offsets) and (
         offsets[0] < 0 or offsets[-1] > n or (offsets[1:] < offsets[:-1]).any()
     )):
         raise ValueError(f"string offsets must rise within [0, {n}]")
-    text = buffer.tobytes().decode("utf-8")
-    bounds = offsets
-    if len(text) != n:  # some character takes more than one byte
-        if ((buffer[offsets[offsets < n]] & 0xC0) == 0x80).any():
-            raise ValueError("a string offset cuts a UTF-8 character")
-        continuation = np.flatnonzero((buffer & 0xC0) == 0x80)
-        bounds = offsets - np.searchsorted(continuation, offsets)
-    bounds = bounds.tolist()
+    bounds = offsets.tolist()
     return [text[a:b] for a, b in zip(bounds, bounds[1:])]
 
 

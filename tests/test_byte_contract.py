@@ -47,17 +47,13 @@ STACK_DTYPES = {
     "vocab.surfaces": "|u1",
     "vocab.offsets": "<i8",
     "embed.vectors": "<f8",
-    "lm.order": "<i8",
-    "lm.k": "<f8",
-    "lm.n_candidates": "<i8",
-    "lm.contexts": "<i4",
-    "lm.targets": "<i4",
+    "lm.grams": "<i4",
     "lm.counts": "<i4",
 }
 # sha256 of each member's array bytes, but ``embed.vectors``: its last
 # bits come from an eigendecomposition and depend on the BLAS kernel.
 STACK_SHA256 = {
-    "format": "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    "format": "d86e8112f3c4c4442126f8e9f44f16867da487f29052bf91b810457db34209a4",
     "fingerprint": "043b9bde4e7906943ecf20131958a7afa38d47d3fc02569e553ee3955bdc6806",
     "corpus.ids": "97a12082a65282122c23610e87e10b86fe803e9d80f2833c21c42e1ccbe3b041",
     "corpus.id_offsets": "2dc7ac20242eae10eadbc685bca39d39ccd6f81f4fbffc6a1a03774caa3237fd",
@@ -68,11 +64,7 @@ STACK_SHA256 = {
     "corpus.sentence_offsets": "1b83584b8c0d7aaa80e18b2b935726e40de1e1b6d4df46106990c739f649ea07",
     "vocab.surfaces": "bc111f2863303d987139ed63a5a964f53b13294b7e2d3543eb11b06dbd7e94af",
     "vocab.offsets": "58827b4bb9ad1a183b39d523d7923c8c7d801dec2dac5ef12d7e0bed0ebc3183",
-    "lm.order": "35be322d094f9d154a8aba4733b8497f180353bd7ae7b0a15f90b586b549f28b",
-    "lm.k": "45d2b662d9d490ae9b932759c910b26b9a874065de620f4ac0a3a23a65e40b8c",
-    "lm.n_candidates": "351f0f423caa8512d6992cda7078425379d802bd9cd74f924cb742f6a4014bcf",
-    "lm.contexts": "d2d84506c9fdd5e7336f1d20abf41b6cd5cab177d0512f05d5ca8e684b43ba06",
-    "lm.targets": "cc4d13936b16af7b6632c89797c00025e3684844a2646fe293cee716f3696d55",
+    "lm.grams": "59818d8b55e90b13015f35843fc6b7968dcaf028e2834facd24e56857edd652b",
     "lm.counts": "9cc40f65e0cfb3260842c0ce38bcf1b9874a4ca32d82bdd6ac7b4fe86888aa1e",
 }
 

@@ -10,6 +10,8 @@ unread.
 The check works by name, not by owner: two classes that define a method
 of the same name share its reads, so one of them can go unread unseen
 (``doc_ids`` on ``Corpus`` and on ``Ranking`` was such a pair).
+
+The saved archive is held to the same rule: each member is read on load.
 """
 
 from __future__ import annotations
@@ -18,7 +20,18 @@ import ast
 import io
 import tokenize
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
+
+import numpy as np
+
+from queryflip.corpus import Corpus, ingest_corpus
+from queryflip.embed import EmbeddingTable
+from queryflip.lm import NgramLM
+from queryflip.pipeline import STACK_FILE, build_stack, save_stack
+from queryflip.text import Vocabulary
+
+from conftest import SAMPLE_LINES, sample_config
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "queryflip"
@@ -126,3 +139,36 @@ def test_every_stored_attribute_is_read():
         loads |= _attribute_loads(path)
     unread = sorted(f"{file}:{name}" for file, name in stored if name not in loads)
     assert unread == [], f"stored but never read: {unread}"
+
+
+class _RecordingArrays(Mapping):
+    """The archive's arrays, noting the name of each one read."""
+
+    def __init__(self, arrays):
+        self._arrays = arrays
+        self.read: set[str] = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return self._arrays[name]
+
+    def __iter__(self):
+        return iter(self._arrays)
+
+    def __len__(self):
+        return len(self._arrays)
+
+
+def test_every_archive_member_is_read_on_load(tmp_path):
+    """Each component's ``from_arrays`` together reads every member the
+    saved sample stack holds, but the two ``load_stack`` reads itself, so
+    no member is written and then left unread."""
+    config = sample_config(artifacts=str(tmp_path))
+    save_stack(build_stack(ingest_corpus(SAMPLE_LINES), config), config)
+    with np.load(tmp_path / STACK_FILE, allow_pickle=False) as npz:
+        arrays = _RecordingArrays({name: npz[name] for name in npz.files})
+    vocab = Vocabulary.from_arrays(arrays)
+    Corpus.from_arrays(arrays)
+    EmbeddingTable.from_arrays(arrays)
+    NgramLM.from_arrays(arrays, config.lm_order, config.lm_k, vocab.content_size)
+    assert arrays.read == set(arrays) - {"format", "fingerprint"}

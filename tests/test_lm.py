@@ -179,7 +179,7 @@ def test_train_ngram_matches_counter_reference(order, min_count):
             return (count + k) / (totals.get(context, 0) + k * n)
 
         # The model as built and as loaded from its saved arrays.
-        loaded = NgramLM.from_arrays(npz_round_trip(lm.to_arrays()))
+        loaded = NgramLM.from_arrays(npz_round_trip(lm.to_arrays()), order, k, n)
         assert_same_arrays(loaded.to_arrays(), lm.to_arrays())
         unseen = (PAD_ID,) * (order - 1)
         sequences = [vocab.encode(tokenize(d.text)) for d in corpus.documents()]

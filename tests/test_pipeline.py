@@ -21,7 +21,6 @@ from queryflip.pipeline import (
     save_stack,
 )
 from queryflip.text import (
-    FIRST_CONTENT_ID,
     UNK_ID,
     Vocabulary,
     pack_strings,
@@ -194,23 +193,40 @@ def test_config_is_valid_from_construction_and_never_changes():
     assert config.beam == 10
 
 
+# Ids, texts and words with 1-, 2-, 3- and 4-byte UTF-8 characters.
+WIDE_RECORDS = {
+    "dé": "Café au lait. 中文 𠀀𠀁 pie!",
+    "d中": "中文 recipe 𠀀𠀁 𠀀𠀁 café",
+    "d𠀀": "pie café 中文",
+}
+
+
 def test_save_load_round_trip(tmp_path):
+    _assert_round_trip(tmp_path / "ascii", ingest_corpus(SAMPLE_LINES), ["apple", "recipe"], "d1")
+    _assert_round_trip(tmp_path / "wide", WIDE_RECORDS, ["café", "中文", "𠀀𠀁"], "d中")
+
+
+def _assert_round_trip(tmp_path, records, words, doc_id):
     config = sample_config(artifacts=str(tmp_path / "artifacts"))
-    stack = build_stack(ingest_corpus(SAMPLE_LINES), config)
+    stack = build_stack(records, config)
     save_stack(stack, config)
     loaded = load_stack(config)
 
     assert loaded.fingerprint == stack.fingerprint
+    assert loaded.corpus.records == stack.corpus.records == records
     assert loaded.corpus.doc_ids() == stack.corpus.doc_ids()
     assert loaded.vocab.content_surfaces() == stack.vocab.content_surfaces()
     assert np.array_equal(loaded.table.vectors, stack.table.vectors)
     assert loaded.corpus.documents() == stack.corpus.documents()
     assert_same_arrays(postings(loaded.search), postings(stack.search))
 
-    q = stack.vocab.encode(["apple", "recipe"])
-    assert loaded.search.score(q, "d1") == stack.search.score(q, "d1")
+    q = stack.vocab.encode(words)
+    assert UNK_ID not in q
+    assert loaded.search.score(q, doc_id) == stack.search.score(q, doc_id)
     assert perplexity(q, loaded.lm) == perplexity(q, stack.lm)
     assert_same_arrays(loaded.lm.to_arrays(), stack.lm.to_arrays())
+    lm, built = loaded.lm, stack.lm
+    assert (lm.order, lm.k, lm.n_candidates) == (built.order, built.k, built.n_candidates)
 
     # save -> load -> save writes the same arrays.
     again = config.with_overrides(artifacts=str(tmp_path / "again"))
@@ -324,35 +340,33 @@ def _first_seen_rows(arrays):
     counts, _ = reference_counts(
         build_corpus(ingest_corpus(SAMPLE_LINES), 1)[0],
         Vocabulary.from_arrays(arrays),
-        int(arrays["lm.order"]),
+        arrays["lm.grams"].shape[1],
     )
-    rows = [(c, t, n) for c, counter in counts.items() for t, n in counter.items()]
-    contexts, targets, ns = zip(*rows)
+    rows = [(*c, t, n) for c, counter in counts.items() for t, n in counter.items()]
     assert sorted(rows) != rows
-    arrays["lm.contexts"] = np.array(contexts, dtype=np.int32)
-    arrays["lm.targets"] = np.array(targets, dtype=np.int32)
-    arrays["lm.counts"] = np.array(ns, dtype=np.int32)
+    table = np.array(rows, dtype=np.int32)
+    arrays["lm.grams"], arrays["lm.counts"] = table[:, :-1], table[:, -1]
 
 
 def _target_past_candidates(arrays):
-    past = FIRST_CONTENT_ID + int(arrays["lm.n_candidates"])
-    arrays["lm.targets"] = _set(arrays["lm.targets"], -1, past)
+    past = len(Vocabulary.from_arrays(arrays))
+    arrays["lm.grams"] = _set(arrays["lm.grams"], (-1, -1), past)
 
 
 def _duplicate_first_row(arrays):
-    for name in ("lm.contexts", "lm.targets", "lm.counts"):
+    for name in ("lm.grams", "lm.counts"):
         arrays[name] = np.concatenate([arrays[name][:1], arrays[name]])
 
 
 # The first context column rises, so the first row takes the smallest value
 # and the last row the largest, and the rows stay sorted.
 def _context_below_bos(arrays):
-    arrays["lm.contexts"] = _set(arrays["lm.contexts"], (0, 0), BOS - 1)
+    arrays["lm.grams"] = _set(arrays["lm.grams"], (0, 0), BOS - 1)
 
 
 def _context_past_vocabulary(arrays):
     past = len(Vocabulary.from_arrays(arrays))
-    arrays["lm.contexts"] = _set(arrays["lm.contexts"], (-1, 0), past)
+    arrays["lm.grams"] = _set(arrays["lm.grams"], (-1, 0), past)
 
 
 def _token_id_past_vocabulary(arrays):
@@ -384,18 +398,16 @@ def test_load_with_changed_corpus_fails(tmp_path):
     [
         (lambda p: p.write_bytes(p.read_bytes()[:-100]), "truncated or not an npz"),
         (lambda p: p.write_text("not a zip"), "truncated or not an npz"),
-        (lambda p: _edit_array(p, "lm.targets", lambda a: None), "missing array"),
+        (lambda p: _edit_array(p, "lm.grams", lambda a: None), "missing array"),
         (lambda p: _edit_array(p, "embed.vectors", lambda a: a[:-1]), "vector rows"),
         (lambda p: _edit_array(p, "embed.vectors", lambda a: a.astype(np.float32)),
          "vectors must be a 2-d float64 array, not 2-d float32"),
-        (lambda p: _edit_array(p, "lm.n_candidates", lambda a: a + 1), "candidates"),
         (lambda p: _edit_array(p, "lm.counts", lambda a: a[:-1]), "rows but counts"),
-        (lambda p: _edit_array(p, "lm.targets", lambda a: a[:-1]), "must match"),
-        (lambda p: _edit_array(p, "lm.contexts", lambda a: a[:, 1:]), "order-1"),
+        (lambda p: _edit_array(p, "lm.grams", lambda a: a[:, 1:]), "order-1"),
         (lambda p: _edit_arrays(p, _first_seen_rows), "sorted strictly"),
         (lambda p: _edit_arrays(p, _duplicate_first_row), "sorted strictly"),
         (lambda p: _edit_arrays(p, _target_past_candidates), "outside the candidate ids"),
-        (lambda p: _edit_array(p, "lm.targets", lambda a: _set(a, 0, UNK_ID)), "outside"),
+        (lambda p: _edit_array(p, "lm.grams", lambda a: _set(a, (0, -1), UNK_ID)), "outside"),
         (lambda p: _edit_array(p, "lm.counts", lambda a: _set(a, 0, 0)), "counts must be"),
         (lambda p: _edit_arrays(p, _context_below_bos), "context outside the vocabulary"),
         (lambda p: _edit_arrays(p, _context_past_vocabulary), "context outside the vocabulary"),
@@ -423,17 +435,15 @@ def test_load_with_changed_corpus_fails(tmp_path):
          "sentence offsets must rise strictly from 0 to 9"),
         (lambda p: _edit_array(p, "lm.counts", lambda a: _set(a.astype(float), 0, 1.5)),
          "integer arrays"),
-        (lambda p: _edit_array(p, "lm.targets", lambda a: a.astype(float)), "integer arrays"),
-        (lambda p: _edit_array(p, "lm.contexts", lambda a: a.astype(float)), "integer arrays"),
-        (lambda p: _edit_array(p, "lm.order", lambda a: a + 0.7), "integer arrays"),
-        (lambda p: _edit_array(p, "lm.n_candidates", lambda a: a + 0.5), "integer arrays"),
+        (lambda p: _edit_array(p, "lm.grams", lambda a: a.astype(float)), "integer arrays"),
         (lambda p: _edit_array(p, "vocab.surfaces", lambda a: a.astype(np.int64)),
          "string buffer must be uint8, not int64"),
+        (lambda p: _edit_array(p, "corpus.texts", lambda a: _set(a, 0, 0xFF)),
+         "malformed .*'utf-8' codec can't decode byte 0xff"),
     ],
     ids=[
         "truncated", "not_zip", "missing_array", "vector_rows", "embed_vectors_float32",
-        "lm_candidates",
-        "lm_counts_length", "lm_targets_length", "lm_context_width",
+        "lm_counts_length", "lm_context_width",
         "lm_first_seen_order", "lm_duplicate_row", "lm_target_past_candidates",
         "lm_target_special", "lm_zero_count", "lm_context_below_bos",
         "lm_context_past_vocabulary", "token_ids_missing",
@@ -443,9 +453,8 @@ def test_load_with_changed_corpus_fails(tmp_path):
         "token_offsets_past_ids", "token_rows_past_documents",
         "sentence_offsets_missing", "sentence_offsets_float", "sentence_offsets_fall",
         "sentence_offsets_skip_document_bound", "sentence_offsets_past_end",
-        "sentence_offsets_short_of_end", "lm_counts_float", "lm_targets_float",
-        "lm_contexts_float", "lm_order_float", "lm_candidates_float",
-        "vocab_surfaces_int64",
+        "sentence_offsets_short_of_end", "lm_counts_float", "lm_grams_float",
+        "vocab_surfaces_int64", "corpus_texts_not_utf8",
     ],
 )
 def test_load_rejects_bad_artifact(tmp_path, damage, match):
@@ -463,11 +472,10 @@ def test_load_rejects_each_malformed_table_with_its_message(tmp_path, name):
     config, path = _saved(tmp_path)
 
     def edit(arrays):
-        contexts, targets = arrays["lm.contexts"], arrays["lm.targets"]
-        grams = np.column_stack((contexts, targets))
-        n = int(arrays["lm.n_candidates"])
-        grams, arrays["lm.counts"] = damage(grams, arrays["lm.counts"], n)
-        arrays["lm.contexts"], arrays["lm.targets"] = grams[:, :-1], grams[:, -1]
+        n = Vocabulary.from_arrays(arrays).content_size
+        arrays["lm.grams"], arrays["lm.counts"] = damage(
+            arrays["lm.grams"], arrays["lm.counts"], n
+        )
 
     _edit_arrays(path, edit)
     with pytest.raises(ArtifactError, match=f"^malformed .*: {re.escape(message)}$"):
@@ -495,8 +503,12 @@ def test_load_rejects_each_malformed_vocabulary_with_its_message(tmp_path, dupli
 
 @pytest.mark.parametrize(
     "change, found",
-    [(lambda a: a + 1, STACK_FORMAT + 1), (lambda a: None, "none")],
-    ids=["wrong_number", "missing_number"],
+    [
+        (lambda a: a + 1, STACK_FORMAT + 1),
+        (lambda a: a - 1, STACK_FORMAT - 1),
+        (lambda a: None, "none"),
+    ],
+    ids=["wrong_number", "previous_number", "missing_number"],
 )
 def test_load_checks_the_archive_format_first(tmp_path, change, found):
     config, path = _saved(tmp_path)
@@ -511,14 +523,30 @@ def test_load_checks_the_archive_format_first(tmp_path, change, found):
     )
 
 
-@pytest.mark.parametrize("name", ["corpus.text_offsets", "vocab.offsets"])
-def test_load_rejects_a_string_offset_inside_a_character(tmp_path, name):
+# Each string buffer of the archive, by the name of its offsets.
+STRING_BUFFERS = {
+    "corpus.id_offsets": "corpus.ids",
+    "corpus.text_offsets": "corpus.texts",
+    "vocab.offsets": "vocab.surfaces",
+}
+
+
+@pytest.mark.parametrize("offsets", list(STRING_BUFFERS))
+def test_load_rejects_byte_offsets_over_non_ascii_text(tmp_path, offsets):
+    """Format 1 cut its string buffers at byte offsets. Over text with a
+    multi-byte character they end past the decoded text, so such a member
+    fails whatever the archive's format number says."""
     config = sample_config(artifacts=str(tmp_path / "artifacts"))
-    records = {"d1": "é é pie", "d2": "crème brûlée é", "d3": "pie"}
-    save_stack(build_stack(records, config), config)
-    path = tmp_path / "artifacts" / STACK_FILE
-    _edit_array(path, name, lambda a: _set(a, 1, 1))  # inside the first "é"
-    with pytest.raises(ArtifactError, match="cuts a UTF-8 character"):
+    save_stack(build_stack(WIDE_RECORDS, config), config)
+
+    def to_byte_offsets(arrays):
+        strings = unpack_strings(arrays[STRING_BUFFERS[offsets]], arrays[offsets])
+        widths = [len(s.encode("utf-8")) for s in strings]
+        assert widths != [len(s) for s in strings]
+        arrays[offsets] = np.cumsum([0] + widths, dtype=np.int64)
+
+    _edit_arrays(tmp_path / "artifacts" / STACK_FILE, to_byte_offsets)
+    with pytest.raises(ArtifactError, match="string offsets must rise within"):
         load_stack(config)
 
 
