@@ -435,7 +435,10 @@ def test_load_with_changed_corpus_fails(tmp_path):
          "sentence offsets must rise strictly from 0 to 9"),
         (lambda p: _edit_array(p, "lm.counts", lambda a: _set(a.astype(float), 0, 1.5)),
          "integer arrays"),
-        (lambda p: _edit_array(p, "lm.grams", lambda a: a.astype(float)), "integer arrays"),
+        (lambda p: _edit_array(p, "lm.grams", lambda a: _set(a.astype(float), (0, 0), 2.5)),
+         "integer arrays"),
+        (lambda p: _edit_array(p, "lm.grams", lambda a: _set(a.astype(float), (0, -1), 2.5)),
+         "integer arrays"),
         (lambda p: _edit_array(p, "vocab.surfaces", lambda a: a.astype(np.int64)),
          "string buffer must be uint8, not int64"),
         (lambda p: _edit_array(p, "corpus.texts", lambda a: _set(a, 0, 0xFF)),
@@ -453,7 +456,8 @@ def test_load_with_changed_corpus_fails(tmp_path):
         "token_offsets_past_ids", "token_rows_past_documents",
         "sentence_offsets_missing", "sentence_offsets_float", "sentence_offsets_fall",
         "sentence_offsets_skip_document_bound", "sentence_offsets_past_end",
-        "sentence_offsets_short_of_end", "lm_counts_float", "lm_grams_float",
+        "sentence_offsets_short_of_end", "lm_counts_float", "lm_contexts_float",
+        "lm_targets_float",
         "vocab_surfaces_int64", "corpus_texts_not_utf8",
     ],
 )
