@@ -6,8 +6,8 @@ vector per token and rely on the unit-norm invariant (dot product equals
 cosine). Training counts co-occurring pairs over a symmetric window and
 takes the eigenpairs of largest |eigenvalue| of the symmetric PPMI
 matrix: from a dense eigendecomposition for small vocabularies, and from
-a Lanczos solve with partial reorthogonalisation over the sparse PPMI
-entries, stopped on a residual test, for larger ones. It is fully
+a Lanczos solve over the sparse PPMI entries, reorthogonalised at every
+step and stopped on a residual test, for larger ones. It is fully
 deterministic for a given corpus.
 """
 
@@ -27,10 +27,10 @@ logger = logging.getLogger(__name__)
 # Vocabularies up to this many content words keep the dense
 # eigendecomposition, which is faster there; above it the Lanczos solve
 # wins. Medians of seven interleaved solves for dim 64 on Zipf corpora
-# (2 shared vCPUs): dense 0.117 s against Lanczos 0.143 s at V 810,
-# 0.139 s against 0.128 s at V 910, 0.198 s against 0.171 s at V 1,010,
-# 0.311 s against 0.278 s at V 1,210, 0.372 s against 0.222 s at V 1,410,
-# and 1.16 s against 0.316 s at V 2,010.
+# (2 shared vCPUs): dense 0.091 s against Lanczos 0.099 s at V 810,
+# 0.120 s against 0.101 s at V 910, 0.175 s against 0.118 s at V 1,010,
+# 0.300 s against 0.277 s at V 1,210, 0.446 s against 0.314 s at V 1,410,
+# and 1.09 s against 0.362 s at V 2,010.
 DENSE_EIGH_MAX_VOCAB = 900
 
 
@@ -112,42 +112,22 @@ def _ppmi_entries(
     return rows[positive], cols[positive], pmi[positive]
 
 
-def _orthogonalise(w: np.ndarray, basis: np.ndarray) -> None:
+def _orthogonalise(w: np.ndarray, basis: np.ndarray) -> float:
     """Remove from ``w``, in place, its components along the orthonormal
-    rows of ``basis`` by classical Gram-Schmidt applied twice."""
-    for _ in range(2):
-        w -= basis.T @ (basis @ w)
+    rows of ``basis`` by classical Gram-Schmidt, and return its new norm.
 
-
-# Unit roundoff, and the estimated overlap q[i] . q[j] (i != j) past which
-# the Lanczos basis is reorthogonalised. Simon's sqrt(eps) keeps the Ritz
-# values exact, but the Ritz vectors drift by up to about sqrt(eps) |A| /
-# gap: 3.4e-10 in the projector of a 3 x 3 matrix. eps**0.75 keeps the
-# projector within the 1e-10 the tests hold it to.
-_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
-_REORTHOGONALISE_AT = float(np.finfo(np.float64).eps) ** 0.75
-
-
-def _next_overlaps(
-    omega: np.ndarray, omega_prev: np.ndarray, alpha: np.ndarray, beta: np.ndarray
-) -> np.ndarray:
-    """Simon's estimates of ``q[m+1] . q[j]`` for j = 0 .. m + 1.
-
-    ``omega`` holds the m + 1 estimates for ``q[m]``, ``omega_prev`` the m
-    for ``q[m-1]``; ``alpha[:m+1]`` and ``beta[:m+1]`` are the recurrence
-    coefficients so far. Each estimate is pushed away from zero by the
-    rounding of one step, so it errs on the high side.
+    A second pass runs only when the first cuts the norm below 1/sqrt(2)
+    of its old value (the test of Daniel, Gragg, Kaufman and Stewart
+    1976): only then can the first pass's rounding be large against what
+    is left.
     """
-    m = len(omega) - 1
-    t = beta[:m] * omega[1:] + (alpha[:m] - alpha[m]) * omega[:m]
-    if m:
-        t[1:] += beta[: m - 1] * omega[: m - 1]
-        t -= beta[m - 1] * omega_prev
-    rounding = _ROUNDOFF * (np.abs(alpha[:m]) + beta[:m] + abs(alpha[m]) + beta[m])
-    out = np.empty(m + 2)
-    out[:m] = (t + np.copysign(rounding, t)) / beta[m]
-    out[m:] = _ROUNDOFF, 1.0
-    return out
+    before = np.linalg.norm(w)
+    w -= basis.T @ (basis @ w)
+    after = np.linalg.norm(w)
+    if after < before / np.sqrt(2.0):
+        w -= basis.T @ (basis @ w)
+        after = np.linalg.norm(w)
+    return after
 
 
 def _top_eigenpairs(
@@ -156,23 +136,20 @@ def _top_eigenpairs(
     """The ``k`` eigenpairs of largest |eigenvalue| of the symmetric n x n
     matrix with entries ``(rows, cols, vals)``, sorted by row.
 
-    Lanczos with partial reorthogonalisation (Simon 1984) from a seeded
-    start vector. A step runs the three-term recurrence, so it costs about
-    one sparse product, and Simon's recurrence estimates the overlap of the
-    new vector with every earlier one. Once the largest estimate passes
-    ``_REORTHOGONALISE_AT``, the new vector and the next one are
-    reorthogonalised against the whole basis (classical Gram-Schmidt,
-    applied twice) and the estimates drop to rounding level. Every few
-    steps the Ritz pairs of the tridiagonal matrix are computed; the solve
-    stops once the top ``k + 1`` of them by |theta|, from both ends of the
-    spectrum, have residuals |beta * y_last| of at most 1e-12 |theta_max|,
-    or once the basis spans the whole space. When the Krylov space becomes
-    invariant (beta ~ 0) the recurrence continues from a fresh seeded
-    vector orthogonalised against the basis, and the next step is
-    reorthogonalised too; that is how further copies of a repeated
-    eigenvalue are found, so a solve that converges before the first
-    Krylov space is exhausted misses them. Returns the eigenvalues in
-    ascending order and the unit eigenvectors as columns, as
+    Lanczos with full reorthogonalisation from a seeded start vector. A
+    step runs the three-term recurrence, about one sparse product, and
+    then one classical Gram-Schmidt pass of the new vector against the
+    whole basis, with a second pass only when the first cancels most of
+    it (``_orthogonalise``). Every few steps the Ritz pairs of the
+    tridiagonal matrix are computed; the solve stops once the top
+    ``k + 1`` of them by |theta|, from both ends of the spectrum, have
+    residuals |beta * y_last| of at most 1e-12 |theta_max|, or once the
+    basis spans the whole space. When the Krylov space becomes invariant
+    (beta ~ 0) the recurrence continues from a fresh seeded vector
+    orthogonalised against the basis; that is how further copies of a
+    repeated eigenvalue are found, so a solve that converges before the
+    first Krylov space is exhausted misses them. Returns the eigenvalues
+    in ascending order and the unit eigenvectors as columns, as
     ``np.linalg.eigh`` orders them.
     """
     present, starts = np.unique(rows, return_index=True)
@@ -182,9 +159,7 @@ def _top_eigenpairs(
     alpha, beta = np.empty(n), np.empty(n)
     # Each check solves an m x m eigenproblem, so checks grow apart.
     check = min(n, 2 * want)
-    restarts = full = 0
-    omega_prev, omega = np.empty(0), np.ones(1)
-    forced = False  # this step completes a pair of reorthogonalisations
+    restarts = 0
     product = np.empty(len(vals))
     q = rng.standard_normal(n)
     q /= np.linalg.norm(q)
@@ -206,20 +181,7 @@ def _top_eigenpairs(
             w -= beta[m - 1] * basis[m - 1]
         alpha[m] = q @ w
         w -= alpha[m] * q
-        beta[m] = np.linalg.norm(w)
-        reorthogonalise = forced or beta[m] <= 1e-12 * aq_norm
-        if not reorthogonalise:
-            omega_next = _next_overlaps(omega, omega_prev, alpha, beta)
-            drift = np.abs(omega_next[:m]).max(initial=0.0)
-            reorthogonalise = drift > _REORTHOGONALISE_AT
-        if reorthogonalise:
-            full += 1
-            _orthogonalise(w, spanned)
-            beta[m] = np.linalg.norm(w)
-            omega_next = np.full(m + 2, _ROUNDOFF)
-            omega_next[-1] = 1.0
-            forced = not forced  # the next step completes the pair
-        b = beta[m]
+        b = beta[m] = _orthogonalise(w, spanned)
         # Aq is (numerically) in the span of the basis: the space is invariant.
         invariant = b <= 1e-12 * aq_norm
         if invariant:
@@ -237,15 +199,11 @@ def _top_eigenpairs(
         if invariant:
             restarts += 1
             w = rng.standard_normal(n)
-            _orthogonalise(w, spanned)
-            b = np.linalg.norm(w)
-            forced = True
+            b = _orthogonalise(w, spanned)
         q = w / b
-        omega_prev, omega = omega, omega_next
     logger.debug(
-        "lanczos: top %d of %d eigenpairs in %d steps, %d restarts, "
-        "%d full reorthogonalisations",
-        k, n, m + 1, restarts, full,
+        "lanczos: top %d of %d eigenpairs in %d steps, %d restarts",
+        k, n, m + 1, restarts,
     )
     keep = np.sort(top[:k])
     return theta[keep], spanned.T @ y[:, keep]
@@ -263,12 +221,11 @@ def train_embeddings(
     sqrt(|eigenvalue|), are the rank-``dim`` truncated SVD of the PPMI
     matrix up to column signs. Up to ``DENSE_EIGH_MAX_VOCAB`` content words
     they come from a dense eigendecomposition of the whole matrix; above
-    it, from a Lanczos solve with partial reorthogonalisation over the
-    sparse entries that stops on a residual test, so no V x V array is
-    formed. The computation is
-    deterministic (the Lanczos start vector is seeded). A ``dim`` above the
-    available PPMI rank is lowered to the rank (at least 2) with a log
-    message.
+    it, from a Lanczos solve over the sparse entries that reorthogonalises
+    every step and stops on a residual test, so no V x V array is formed.
+    The computation is deterministic (the Lanczos start vector is seeded).
+    A ``dim`` above the available PPMI rank is lowered to the rank (at
+    least 2) with a log message.
 
     Raises ValueError when ``dim`` exceeds the vocabulary size.
     """

@@ -103,7 +103,7 @@ with open("zipf.jsonl", "w") as fh:
 PY
 printf '{"corpus": "zipf.jsonl", "artifacts": "zipf-artifacts"}' > zipf.json
 queryflip --log-level DEBUG index --config zipf.json 2> zipf.log
-grep -F 'lanczos:' zipf.log
+grep -E '^DEBUG lanczos: top 64 of [0-9]+ eigenpairs in [0-9]+ steps, 0 restarts$' zipf.log
 # Loading it checks and packs an n-gram table larger than any
 # test corpus makes.
 queryflip search --config zipf.json "w1 w2" --k 5

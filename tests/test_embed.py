@@ -163,12 +163,8 @@ def test_unk_vector_defined():
 
 
 def _lanczos_log(caplog):
-    """(steps, restarts, full reorthogonalisations) of the last Lanczos
-    solve logged."""
-    found = re.findall(
-        r"in (\d+) steps, (\d+) restarts, (\d+) full reorthogonalisations",
-        caplog.text,
-    )
+    """(steps, restarts) of the last Lanczos solve logged."""
+    found = re.findall(r"in (\d+) steps, (\d+) restarts$", caplog.text, re.MULTILINE)
     assert found, "no Lanczos solve was logged"
     return tuple(int(x) for x in found[-1])
 
@@ -216,10 +212,8 @@ def test_top_eigenpairs_agree_with_dense_eigh(caplog, make_entries, k):
     n, rows, cols, vals = make_entries()
     with caplog.at_level(logging.DEBUG, logger="queryflip.embed"):
         values = _assert_matches_dense_eigh(n, rows, cols, vals, k)
-    steps, _, full = _lanczos_log(caplog)
+    steps, _ = _lanczos_log(caplog)
     assert steps < n
-    # Partial reorthogonalisation: some steps run the bare recurrence.
-    assert full < steps
     # The top-|lambda| set takes eigenvalues from both ends of the spectrum.
     assert values.min() < 0.0 < values.max()
 
@@ -232,7 +226,7 @@ def test_top_eigenpairs_find_repeated_eigenvalues(caplog):
     n, rows, cols, vals = _ppmi_problem(*_corpus(["a b c a d b e c", "f g h f i g j h"]), 2)
     with caplog.at_level(logging.DEBUG, logger="queryflip.embed"):
         values = _assert_matches_dense_eigh(n, rows, cols, vals, 4)
-    _, restarts, _ = _lanczos_log(caplog)
+    _, restarts = _lanczos_log(caplog)
     assert restarts >= 1
     assert values[0] == pytest.approx(values[1]) and values[2] == pytest.approx(values[3])
 
@@ -243,6 +237,23 @@ def test_top_eigenpairs_of_a_near_double_eigenvalue_with_a_weak_coupling():
     matrix = np.array([[-1.0, 0.0, 1e-3], [0.0, -1.0, 0.0], [1e-3, 0.0, 0.0]])
     rows, cols = np.nonzero(matrix)
     _assert_matches_dense_eigh(3, rows, cols, matrix[rows, cols], 2)
+
+
+def test_top_eigenpairs_after_a_restart_stay_orthogonal(caplog):
+    # Two copies of a shifted 3 x 3 block and a zero row: the second copy
+    # is found after a restart. The restart drops a coupling of up to
+    # 1e-12 |Aq| that is still in A q; a later step with beta 1.3e-3
+    # scaled it into an overlap that put 3.4e-10 in the projector when
+    # only estimated overlaps triggered reorthogonalisation.
+    block = np.array([[-0.03125, 0.0, 0.0], [0.0, -1.0, -0.03125], [0.0, -0.03125, -0.03125]])
+    block -= np.abs(block).sum(axis=1).max() * np.eye(3)
+    matrix = np.zeros((7, 7))
+    matrix[:3, :3] = matrix[3:6, 3:6] = block
+    rows, cols = np.nonzero(matrix)
+    with caplog.at_level(logging.DEBUG, logger="queryflip.embed"):
+        _assert_matches_dense_eigh(7, rows, cols, matrix[rows, cols], 6)
+    _, restarts = _lanczos_log(caplog)
+    assert restarts >= 1
 
 
 # Zero, or of magnitude 1e-3 to 1 (PPMI values span a few orders of ten;
