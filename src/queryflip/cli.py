@@ -68,7 +68,7 @@ def _result_payload(
         "elapsed_s": elapsed,
         "iterations": [
             {
-                "masks": it.masks,
+                "masks": len(it.masked_positions),
                 "masked_positions": list(it.masked_positions),
                 "beam": [
                     {

@@ -65,8 +65,6 @@ class Beam:
     candidates: tuple[EditCandidate, ...]
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError("beam width must be >= 1")
         if not 1 <= len(self.candidates) <= self.width:
             raise ValueError("beam must hold 1 to width candidates")
         if len({c.tokens for c in self.candidates}) != len(self.candidates):
@@ -75,13 +73,11 @@ class Beam:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """What happened at one outer iteration: masks used and the final beam.
-
-    It keeps the iteration's ``beam`` as decoded and ``flips``, one flip
-    flag per beam candidate, in the beam's order.
+    """What happened at one outer iteration: the masked query positions
+    (their count is the iteration's mask count), the ``beam`` as decoded
+    and ``flips``, one flip flag per beam candidate, in the beam's order.
     """
 
-    masks: int
     masked_positions: tuple[int, ...]
     beam: Beam
     flips: tuple[bool, ...]
@@ -201,7 +197,7 @@ def edit(
         )
         beam = decode_masked_slots(masked, predictor, beam_width)
         flags = tuple(check_flip(c.tokens, triplet, scorer) for c in beam.candidates)
-        trace.append(IterationTrace(i, positions, beam, flags))
+        trace.append(IterationTrace(positions, beam, flags))
         flipping = [c for c, f in zip(beam.candidates, flags) if f]
         if flipping:
             chosen = select_final(flipping, ppl_fn)

@@ -88,15 +88,17 @@ def _ppmi_entries(
 
     Pairs are counted within a symmetric ``window`` inside each document,
     over one corpus-wide stream of content ids labelled by document: each
-    window offset is one pass that keeps the pairs whose two ends share a
-    document. PMI is computed on the nonzero pairs only.
+    window offset short of the longest document's length is one pass that
+    keeps the pairs whose two ends share a document. PMI is computed on
+    the nonzero pairs only.
     """
     n_content = vocab.content_size
     ids, docs = corpus.ids.astype(np.int64), corpus.doc_labels()
     content = ids >= FIRST_CONTENT_ID
     ids, docs = ids[content] - FIRST_CONTENT_ID, docs[content]
-    keys = []
-    for offset in range(1, window + 1):
+    longest = int(np.bincount(docs).max(initial=0))
+    keys = [np.empty(0, dtype=np.int64)]  # one-word documents fit no pair
+    for offset in range(1, min(window, longest - 1) + 1):
         same = docs[:-offset] == docs[offset:]
         a, b = ids[:-offset][same], ids[offset:][same]
         keys += (a * n_content + b, b * n_content + a)
@@ -224,15 +226,10 @@ def train_embeddings(
     it, from a Lanczos solve over the sparse entries that reorthogonalises
     every step and stops on a residual test, so no V x V array is formed.
     The computation is deterministic (the Lanczos start vector is seeded).
-    A ``dim`` above the available PPMI rank is lowered to the rank (at
-    least 2) with a log message.
-
-    Raises ValueError when ``dim`` exceeds the vocabulary size.
+    A ``dim`` above the PPMI rank, which the vocabulary size bounds, is
+    lowered to the rank (at least 2) with a log message.
     """
     n_content = vocab.content_size
-    if dim > n_content:
-        raise ValueError(f"dim {dim} exceeds vocabulary size {n_content}")
-
     rows, cols, vals = _ppmi_entries(corpus, vocab, window)
     if n_content <= DENSE_EIGH_MAX_VOCAB:
         ppmi = np.zeros((n_content, n_content), dtype=np.float64)
@@ -244,7 +241,7 @@ def train_embeddings(
     # and the singular vectors are the eigenvectors up to sign.
     order = np.argsort(-np.abs(eigenvalues), kind="stable")
     s = np.abs(eigenvalues[order])
-    rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
+    rank = int(np.sum(s > s[0] * 1e-12))
     if dim > rank:
         logger.info("clamping embedding dim %d to PPMI rank %d", dim, rank)
         dim = max(2, rank)

@@ -430,7 +430,6 @@ def _breakdown_by_rank(records: Sequence[EvalRecord]) -> dict[int, dict[str, Any
 def run_method(
     triplet: Triplet,
     method: str,
-    ctx: EvalContext,
     beam_width: int,
     work: SharedWork,
     target: SharedWork,
@@ -438,9 +437,10 @@ def run_method(
     """Produce one EditResult for ``triplet`` with ``method``, one of
     ``METHODS`` (any other name raises ValueError). ``work`` is the
     ``SharedWork`` of the triplet's ranking (q, d) and ``target`` that of
-    its target document d'. Only cfe2 reads ``beam_width`` and
-    ``ctx.max_masks``.
+    its target document d'; the run reads its context from ``work.ctx``.
+    Only cfe2 reads ``beam_width`` and ``ctx.max_masks``.
     """
+    ctx = work.ctx
     if method == "cfe2":
         return edit(
             triplet,
@@ -585,7 +585,7 @@ def sweep_edits(
             s = k % n
             work, target = works[s], targets[s]
             start = clock()
-            result = run_method(triplet, method, work.ctx, sizes[s], work, target)
+            result = run_method(triplet, method, sizes[s], work, target)
             row[s] = make(
                 index, triplet, method, result, work, target, clock() - start
             )

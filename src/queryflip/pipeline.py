@@ -93,13 +93,12 @@ def build_fingerprint(config: RunConfig, corpus: Corpus) -> str:
 def build_stack(records: Mapping[str, str], config: RunConfig) -> Stack:
     """Derive every model artifact from ingested ``{id: text}`` records.
 
-    The embedding dimension is clamped to what the vocabulary and the
-    co-occurrence rank can support, so small corpora still index cleanly.
+    ``train_embeddings`` lowers ``config.embed_dim`` to the co-occurrence
+    rank, so small corpora still index cleanly.
     """
     corpus, vocab = build_corpus(records, config.min_count)
     search = build_index(corpus, config.k1, config.b_bm25)
-    dim = min(config.embed_dim, max(2, vocab.content_size))
-    table = train_embeddings(corpus, vocab, dim=dim, window=config.embed_window)
+    table = train_embeddings(corpus, vocab, config.embed_dim, config.embed_window)
     lm = train_ngram(corpus, vocab, order=config.lm_order, k=config.lm_k)
     return Stack(corpus, vocab, search, table, lm, build_fingerprint(config, corpus))
 

@@ -99,6 +99,8 @@ def test_beam_rejects_a_repeated_candidate():
         Beam(4, (EditCandidate((3, MASK_ID), -1.0), EditCandidate((3, MASK_ID), -2.0)))
     with pytest.raises(ValueError, match="1 to width"):
         Beam(4, ())
+    with pytest.raises(ValueError, match="1 to width"):
+        Beam(0, (EditCandidate((MASK_ID,), 0.0),))
 
 
 def test_expand_rejects_empty_distribution():
@@ -245,7 +247,7 @@ def test_edit_forced_null_exhausts_all_masks():
                   beam_width=10, max_masks=None)
     assert result.outcome is None
     assert result.masks_used == len(t.query_ids)
-    assert [it.masks for it in result.trace] == [1, 2]
+    assert [len(it.masked_positions) for it in result.trace] == [1, 2]
     assert not any(f for it in result.trace for f in it.flips)
 
 

@@ -31,11 +31,8 @@ def _ingest(lines):
     return build_corpus(ingest_corpus(lines), 1)
 
 
-def _reference_table(corpus, vocab, dim, window):
-    """Dense pair counts, PPMI and a full SVD: the textbook construction.
-
-    Returns the clamped dim and the unit-norm table, specials first.
-    """
+def _reference_ppmi(corpus, vocab, window):
+    """The dense PPMI matrix from pair counts taken document by document."""
     n = vocab.content_size
     cooc = np.zeros((n, n))
     for doc in corpus.documents():
@@ -48,7 +45,15 @@ def _reference_table(corpus, vocab, dim, window):
     marginals = cooc.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         pmi = np.log(cooc * cooc.sum() / np.outer(marginals, marginals))
-    u, s, _ = np.linalg.svd(np.where(pmi > 0.0, pmi, 0.0))
+    return np.where(pmi > 0.0, pmi, 0.0)
+
+
+def _reference_table(corpus, vocab, dim, window):
+    """Dense pair counts, PPMI and a full SVD: the textbook construction.
+
+    Returns the clamped dim and the unit-norm table, specials first.
+    """
+    u, s, _ = np.linalg.svd(_reference_ppmi(corpus, vocab, window))
     dim = max(2, min(dim, int(np.sum(s > s[0] * 1e-12))))
     factors = u[:, :dim] * np.sqrt(s[:dim])
     content = factors / np.linalg.norm(factors, axis=1, keepdims=True)
@@ -94,14 +99,19 @@ def test_table_agrees_with_dense_svd_reference(lines, dim, window):
 
 def test_dim_clamped_to_rank_like_reference(caplog):
     # Window 1 over "a b" and "c d e" gives a PPMI matrix of rank 4 < dim 5.
-    corpus, vocab = _corpus(["a b", "c d e"])
-    with caplog.at_level(logging.INFO, logger="queryflip.embed"):
-        table = train_embeddings(corpus, vocab, dim=5, window=1)
-    assert "clamping embedding dim 5 to PPMI rank 4" in caplog.text
-    ref_dim, reference = _reference_table(corpus, vocab, 5, 1)
-    assert table.dim == ref_dim == 4
-    gram = table.vectors @ table.vectors.T
-    np.testing.assert_allclose(gram, reference @ reference.T, rtol=0, atol=1e-10)
+    # Window 2 over "a b a b" gives rank 2, and dim 8 exceeds even the
+    # vocabulary's 2 words.
+    cases = [(["a b", "c d e"], 5, 1, 4), (["a b a b"], 8, 2, 2)]
+    for texts, dim, window, rank in cases:
+        corpus, vocab = _corpus(texts)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="queryflip.embed"):
+            table = train_embeddings(corpus, vocab, dim=dim, window=window)
+        assert f"clamping embedding dim {dim} to PPMI rank {rank}" in caplog.text
+        ref_dim, reference = _reference_table(corpus, vocab, dim, window)
+        assert table.dim == ref_dim == rank
+        gram = table.vectors @ table.vectors.T
+        np.testing.assert_allclose(gram, reference @ reference.T, rtol=0, atol=1e-10)
 
 
 # Toy corpus for the co-occurrence ordering oracle: a/b co-occur only with
@@ -150,16 +160,32 @@ def test_dim_above_rank_rejected_with_suggestion():
     assert table.vectors.shape == (len(vocab), 2)
 
 
-def test_dim_above_vocab_rejected():
-    corpus, vocab = _corpus(["a b a b"])
-    with pytest.raises(ValueError, match="vocabulary size"):
-        train_embeddings(corpus, vocab, dim=8, window=2)
-
-
 def test_unk_vector_defined():
     corpus, vocab = _corpus(PAIR_TEXTS)
     table = train_embeddings(corpus, vocab, dim=4, window=2)
     assert np.linalg.norm(table.vectors[UNK_ID]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_window_past_the_longest_document_changes_no_entry():
+    # The longest synthetic document holds 43 content words, so no pair of
+    # one document lies farther apart than 42.
+    corpus, vocab = _ingest(synthetic_corpus())
+    content = corpus.ids >= FIRST_CONTENT_ID
+    assert np.bincount(corpus.doc_labels()[content]).max() == 43
+    at_longest = _ppmi_entries(corpus, vocab, 43)
+    rows, cols, vals = at_longest
+    ppmi = np.zeros((vocab.content_size,) * 2)
+    ppmi[rows, cols] = vals
+    np.testing.assert_allclose(ppmi, _reference_ppmi(corpus, vocab, 43), rtol=1e-12)
+    for window in (42, 10**6):
+        for got, want in zip(_ppmi_entries(corpus, vocab, window), at_longest):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_one_word_documents_have_no_co_occurrence_signal():
+    corpus, vocab = _corpus(["a", "b", "c"])
+    with pytest.raises(ValueError, match="no co-occurrence signal in corpus"):
+        _ppmi_entries(corpus, vocab, 5)
 
 
 def _lanczos_log(caplog):

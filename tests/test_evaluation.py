@@ -212,15 +212,13 @@ def test_fluency_hand_ratio(sample_stack):
 def test_cfe2_mask_budget_caps_the_edit(sample_stack, sample_ctx):
     # "apple pie" flips d1 against d2 only with both tokens masked.
     t = _triplet(sample_stack, "apple pie", "d1", "d2")
-    full = run_method(
-        t, "cfe2", sample_ctx, 10, SharedWork(sample_ctx), SharedWork(sample_ctx)
-    )
+    full = run_method(t, "cfe2", 10, SharedWork(sample_ctx), SharedWork(sample_ctx))
     assert full.outcome is not None
-    assert [it.masks for it in full.trace] == [1, 2]
+    assert [len(it.masked_positions) for it in full.trace] == [1, 2]
     ctx = dataclasses.replace(sample_ctx, max_masks=1)
-    capped = run_method(t, "cfe2", ctx, 10, SharedWork(ctx), SharedWork(ctx))
+    capped = run_method(t, "cfe2", 10, SharedWork(ctx), SharedWork(ctx))
     assert capped.outcome is None
-    assert [it.masks for it in capped.trace] == [1]
+    assert [len(it.masked_positions) for it in capped.trace] == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +229,7 @@ def test_cfe2_masks_every_unk_first(sample_stack, sample_ctx):
     # No document holds "zzz" or "qqq", so both are [UNK]: maxsim ranks
     # them low, yet the first iteration masks both and q' keeps neither.
     t = _triplet(sample_stack, "apple zzz qqq", "d1", "d3")
-    result = run_method(
-        t, "cfe2", sample_ctx, 10, SharedWork(sample_ctx), SharedWork(sample_ctx)
-    )
+    result = run_method(t, "cfe2", 10, SharedWork(sample_ctx), SharedWork(sample_ctx))
     assert sample_stack.vocab.decode(result.outcome) == ["apple", "tree", "banana"]
     assert [it.masked_positions for it in result.trace] == [(1, 2)]
     assert result.masks_used == 2
@@ -243,7 +239,7 @@ def test_cfe2_null_when_max_masks_is_below_the_unk_count(sample_stack, sample_ct
     # One mask cannot cover two [UNK]s, so no iteration runs.
     t = _triplet(sample_stack, "apple zzz qqq", "d1", "d3")
     ctx = dataclasses.replace(sample_ctx, max_masks=1)
-    result = run_method(t, "cfe2", ctx, 10, SharedWork(ctx), SharedWork(ctx))
+    result = run_method(t, "cfe2", 10, SharedWork(ctx), SharedWork(ctx))
     assert result.outcome is None
     assert result.masks_used == 1
     assert result.trace == ()
@@ -252,9 +248,8 @@ def test_cfe2_null_when_max_masks_is_below_the_unk_count(sample_stack, sample_ct
 def test_mask_only_replaces_every_unk(sample_stack, sample_ctx):
     # Without "pie" twice, d2 outranks d1; the [UNK] is replaced as well.
     t = _triplet(sample_stack, "apple pie pie tree zzz", "d1", "d2")
-    result = run_method(
-        t, "mask_only", sample_ctx, 10, SharedWork(sample_ctx), SharedWork(sample_ctx)
-    )
+    work, target = SharedWork(sample_ctx), SharedWork(sample_ctx)
+    result = run_method(t, "mask_only", 10, work, target)
     assert sample_stack.vocab.decode(result.outcome) == (
         ["[PAD]", "[PAD]", "[PAD]", "tree", "[PAD]"]
     )
@@ -296,9 +291,9 @@ def test_whole_edit_properties(texts, query, masker, min_count, beam_width):
         work = SharedWork(ctx)
         first = max(1, t.query_ids.count(UNK_ID))
         for method in ("cfe2", "mask_only"):
-            result = run_method(t, method, ctx, beam_width, work, SharedWork(ctx))
+            result = run_method(t, method, beam_width, work, SharedWork(ctx))
             if method == "cfe2":
-                masks = [it.masks for it in result.trace]
+                masks = [len(it.masked_positions) for it in result.trace]
                 assert masks == list(range(first, first + len(masks)))
                 assert masks[-1] == result.masks_used
                 assert not any(any(it.flips) for it in result.trace[:-1])
@@ -555,7 +550,7 @@ def test_max_flip_stops_at_the_first_flip_in_ranked_order():
     ]
     scorer = _CountingScorer(stack.search)
     ctx = dataclasses.replace(make_context(stack, config), scorer=scorer)
-    result = run_method(t, "max_flip", ctx, 10, SharedWork(ctx), SharedWork(ctx))
+    result = run_method(t, "max_flip", 10, SharedWork(ctx), SharedWork(ctx))
     assert result.outcome == ranked[1]
     assert scorer.scored == [ranked[0], ranked[0], ranked[1], ranked[1]]
 

@@ -1,11 +1,14 @@
-"""Every function, method, class and stored attribute the package defines
-is read somewhere.
+"""Every function, method, class, module-level constant and stored
+attribute the package defines is read somewhere.
 
-Definitions come from ``ast`` over ``src/queryflip/*.py``; reads are the
-``NAME`` tokens of ``src/queryflip/`` and ``perfbench/``, less the name
-token right after each ``def`` or ``class``. Dunders are exempt: Python
-calls them. A name read only by the tests, or only as a string, counts as
-unread.
+Definitions come from ``ast`` over ``src/queryflip/*.py``; reads are
+taken from ``src/queryflip/`` and ``perfbench/``. A method, a ``def``
+directly in a class body, is read only through an attribute load
+(``.name``); a constant, a name a module's own body assigns, through a
+name or attribute load. Other functions and classes are read by any
+``NAME`` token but the one right after their ``def`` or ``class``.
+Dunders are exempt: Python reads them. A name read only by the tests, or
+only as a string, counts as unread.
 
 The check works by name, not by owner: two classes that define a method
 of the same name share its reads, so one of them can go unread unseen
@@ -35,6 +38,11 @@ from conftest import SAMPLE_LINES, sample_config
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "queryflip"
+READERS = [*PACKAGE.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _reads(path: Path) -> Counter:
@@ -51,19 +59,61 @@ def _reads(path: Path) -> Counter:
 
 
 def test_every_def_and_class_in_the_package_is_read():
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    defined = set()
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined, methods = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
-            if isinstance(node, kinds) and not (
-                node.name.startswith("__") and node.name.endswith("__")
-            ):
-                defined.add((path.name, node.name))
+        nodes = list(ast.walk(ast.parse(path.read_text("utf-8"))))
+        in_class = {
+            id(item)
+            for node in nodes
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, functions)
+        }
+        for node in nodes:
+            if isinstance(node, (*functions, ast.ClassDef)) and not _dunder(node.name):
+                owner = methods if id(node) in in_class else defined
+                owner.add((path.name, node.name))
     reads: Counter = Counter()
-    for path in [*PACKAGE.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+    loads: set[str] = set()
+    for path in READERS:
         reads += _reads(path)
-    unread = sorted(f"{file}:{name}" for file, name in defined if not reads[name])
+        loads |= _attribute_loads(path)
+    unread = sorted(
+        [f"{file}:{name}" for file, name in defined if not reads[name]]
+        + [f"{file}:.{name}" for file, name in methods if name not in loads]
+    )
     assert unread == [], f"defined but never read: {unread}"
+
+
+def test_every_module_constant_is_read():
+    """Each name a package module's own body assigns is loaded, as a name
+    or as an attribute, somewhere in ``src/queryflip/`` or ``perfbench/``."""
+    assigned = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for statement in ast.parse(path.read_text("utf-8")).body:
+            if isinstance(statement, ast.AnnAssign):
+                targets = [statement.target]
+            elif isinstance(statement, ast.Assign):
+                targets = statement.targets
+            else:
+                continue
+            assigned |= {
+                (path.name, n.id)
+                for target in targets
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name) and not _dunder(n.id)
+            }
+    loads: set[str] = set()
+    for path in READERS:
+        tree = ast.parse(path.read_text("utf-8"))
+        loads |= _attribute_loads(path) | {
+            n.id
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+    unread = sorted(f"{file}:{name}" for file, name in assigned if name not in loads)
+    assert unread == [], f"assigned but never read: {unread}"
 
 
 def test_every_parameter_is_read_by_its_function():
@@ -135,7 +185,7 @@ def test_every_stored_attribute_is_read():
             ):
                 stored.add((path.name, node.attr))
     loads = set()
-    for path in [*PACKAGE.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+    for path in READERS:
         loads |= _attribute_loads(path)
     unread = sorted(f"{file}:{name}" for file, name in stored if name not in loads)
     assert unread == [], f"stored but never read: {unread}"
