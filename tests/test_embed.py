@@ -99,19 +99,27 @@ def test_table_agrees_with_dense_svd_reference(lines, dim, window):
 
 def test_dim_clamped_to_rank_like_reference(caplog):
     # Window 1 over "a b" and "c d e" gives a PPMI matrix of rank 4 < dim 5.
+    corpus, vocab = _corpus(["a b", "c d e"])
+    with caplog.at_level(logging.INFO, logger="queryflip.embed"):
+        table = train_embeddings(corpus, vocab, dim=5, window=1)
+    assert "clamping embedding dim 5 to PPMI rank 4" in caplog.text
+    ref_dim, reference = _reference_table(corpus, vocab, 5, 1)
+    assert table.dim == ref_dim == 4
+    gram = table.vectors @ table.vectors.T
+    np.testing.assert_allclose(gram, reference @ reference.T, rtol=0, atol=1e-10)
+
+
+def test_dim_above_vocab_clamped(caplog):
     # Window 2 over "a b a b" gives rank 2, and dim 8 exceeds even the
-    # vocabulary's 2 words.
-    cases = [(["a b", "c d e"], 5, 1, 4), (["a b a b"], 8, 2, 2)]
-    for texts, dim, window, rank in cases:
-        corpus, vocab = _corpus(texts)
-        caplog.clear()
-        with caplog.at_level(logging.INFO, logger="queryflip.embed"):
-            table = train_embeddings(corpus, vocab, dim=dim, window=window)
-        assert f"clamping embedding dim {dim} to PPMI rank {rank}" in caplog.text
-        ref_dim, reference = _reference_table(corpus, vocab, dim, window)
-        assert table.dim == ref_dim == rank
-        gram = table.vectors @ table.vectors.T
-        np.testing.assert_allclose(gram, reference @ reference.T, rtol=0, atol=1e-10)
+    # vocabulary's 2 words: the same clamp as any dim above the rank.
+    corpus, vocab = _corpus(["a b a b"])
+    with caplog.at_level(logging.INFO, logger="queryflip.embed"):
+        table = train_embeddings(corpus, vocab, dim=8, window=2)
+    assert "clamping embedding dim 8 to PPMI rank 2" in caplog.text
+    ref_dim, reference = _reference_table(corpus, vocab, 8, 2)
+    assert table.dim == ref_dim == 2
+    gram = table.vectors @ table.vectors.T
+    np.testing.assert_allclose(gram, reference @ reference.T, rtol=0, atol=1e-10)
 
 
 # Toy corpus for the co-occurrence ordering oracle: a/b co-occur only with
