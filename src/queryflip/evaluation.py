@@ -11,9 +11,9 @@ so its vectors, representation and perplexity are asked of d''s
 also ranks d''s stored sentences once, by perplexity: every distinct
 sentence costs one perplexity call (a remote perplexity backend sees each
 once per target and beam size), while a max_flip edit's flip checks stop
-at the first sentence that flips. Reports aggregate per method, break
-results down by the rank of the target document, and serialize to
-canonical JSON plus a markdown table.
+at the first sentence that flips. A report derives its aggregates and
+its breakdown by target-document rank from its records, and serializes
+to canonical JSON plus markdown tables.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -373,20 +373,28 @@ class EvalRecord:
 
 @dataclass
 class EvalReport:
-    """One method's records, aggregates, and per-rank breakdown."""
+    """One method's records and meta. ``aggregates`` (all records) and ``by_rank``
+    (ascending target-document rank; unranked records left out) derive from them."""
 
     method: str
     records: list[EvalRecord]
-    aggregates: dict[str, Any] = field(default_factory=dict)
-    by_rank: dict[int, dict[str, Any]] = field(default_factory=dict)
-    meta: dict[str, Any] = field(default_factory=dict)
+    meta: dict[str, Any]
+    aggregates: dict[str, Any] = field(init=False)
+    by_rank: dict[int, dict[str, Any]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.aggregates = aggregate_records(self.records)
+        self.by_rank = {
+            k: aggregate_records([r for r in self.records if r.counter_rank == k])
+            for k in sorted({r.counter_rank for r in self.records} - {None})
+        }
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "method": self.method,
             "meta": self.meta,
             "aggregates": self.aggregates,
-            "by_rank": {str(r): v for r, v in sorted(self.by_rank.items())},
+            "by_rank": {str(r): v for r, v in self.by_rank.items()},
             "records": [vars(r) for r in self.records],
         }
 
@@ -416,14 +424,6 @@ def aggregate_records(records: Sequence[EvalRecord]) -> dict[str, Any]:
         "mean_bertscore_f1": _mean([r.bertscore for r in solved]),
         "mean_fluency": _mean([r.fluency for r in solved]),
         "mean_runtime_s": _mean([r.elapsed for r in records]),
-    }
-
-
-def _breakdown_by_rank(records: Sequence[EvalRecord]) -> dict[int, dict[str, Any]]:
-    ranks = sorted({r.counter_rank for r in records if r.counter_rank is not None})
-    return {
-        rank: aggregate_records([r for r in records if r.counter_rank == rank])
-        for rank in ranks
     }
 
 
@@ -471,7 +471,7 @@ def evaluate(
     one-size ``beam_sweep``. Each edit is timed on its own; with
     ``timing="off"`` the elapsed fields are 0.0, so repeated runs are
     byte-identical. Workers and shared work are as in ``sweep_edits``."""
-    return beam_sweep(triplets, [beam_width], ctx, workers, timing, meta, method)[0]
+    return beam_sweep(triplets, [beam_width], ctx, workers, meta, method, timing=timing)[0]
 
 
 def _record_for(
@@ -551,7 +551,8 @@ def sweep_edits(
     make: Callable[..., Any],
     method: str = "cfe2",
     workers: int = 1,
-    timing: str = "wall",
+    *,
+    timing: str,
 ) -> Iterator[list[Any]]:
     """Edit every triplet with ``method`` at every beam size and yield, per
     triplet in input order, one ``make(index, triplet, method, result,
@@ -604,24 +605,21 @@ def beam_sweep(
     sizes: Sequence[int],
     ctx: EvalContext,
     workers: int = 1,
-    timing: str = "wall",
     meta: dict[str, Any] | None = None,
     method: str = "cfe2",
+    *,
+    timing: str,
 ) -> list[EvalReport]:
-    """One report per beam size, in the order given, of the records
-    ``sweep_edits`` makes with ``_record_for``."""
+    """One ``EvalReport`` per beam size, in the order given, of the records
+    ``sweep_edits`` makes with ``_record_for`` and of ``meta``."""
     if not triplets:
         raise ValueError("no triplets to evaluate")
-    rows = sweep_edits(triplets, sizes, ctx, _record_for, method, workers, timing)
+    rows = sweep_edits(
+        triplets, sizes, ctx, _record_for, method, workers, timing=timing
+    )
     return [
-        EvalReport(
-            method=method,
-            records=list(records),
-            aggregates=aggregate_records(records),
-            by_rank=_breakdown_by_rank(records),
-            meta={"beam": size, "timing": timing, **(meta or {})},
-        )
-        for size, records in zip(sizes, zip(*rows))
+        EvalReport(method, list(records), {"beam": b, "timing": timing, **(meta or {})})
+        for b, records in zip(sizes, zip(*rows))
     ]
 
 
@@ -662,29 +660,23 @@ def _fmt(value: Any) -> str:
 
 
 def render_markdown(reports: Sequence[EvalReport], title: str = "Evaluation") -> str:
-    """Metrics-by-method table plus a per-rank breakdown per method."""
+    """The metrics-by-method table, then each method's per-rank table."""
     lines = [f"# {title}", ""]
     if reports:
-        counts = reports[0].aggregates
-        lines.append(f"Triplets: {counts['triplets']}")
-        lines.append("")
-    header = "| Metric | " + " | ".join(r.method for r in reports) + " |"
-    lines.append(header)
-    lines.append("|" + "---|" * (len(reports) + 1))
-    for label, key in _METRIC_ROWS:
-        cells = " | ".join(_fmt(r.aggregates.get(key)) for r in reports)
-        lines.append(f"| {label} | {cells} |")
+        lines += [f"Triplets: {reports[0].aggregates['triplets']}", ""]
+    lines += _table([(r.method, r.aggregates) for r in reports])
     for report in reports:
-        if not report.by_rank:
-            continue
-        ranks = sorted(report.by_rank)
-        lines.append("")
-        lines.append(f"## By target-document rank: {report.method}")
-        lines.append("")
-        lines.append("| Metric | " + " | ".join(str(r) for r in ranks) + " |")
-        lines.append("|" + "---|" * (len(ranks) + 1))
-        for label, key in _METRIC_ROWS:
-            cells = " | ".join(_fmt(report.by_rank[r].get(key)) for r in ranks)
-            lines.append(f"| {label} | {cells} |")
-    lines.append("")
-    return "\n".join(lines)
+        if report.by_rank:
+            lines += ["", f"## By target-document rank: {report.method}", ""]
+            lines += _table(report.by_rank.items())
+    return "\n".join(lines + [""])
+
+
+def _table(columns: Collection[tuple[Any, dict[str, Any]]]) -> list[str]:
+    """A markdown table: a column per (heading, aggregates), a row per metric."""
+    lines = ["| Metric | " + " | ".join(str(h) for h, _ in columns) + " |"]
+    lines.append("|" + "---|" * (len(columns) + 1))
+    for label, key in _METRIC_ROWS:
+        cells = " | ".join(_fmt(aggregates.get(key)) for _, aggregates in columns)
+        lines.append(f"| {label} | {cells} |")
+    return lines

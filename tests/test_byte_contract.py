@@ -2,7 +2,9 @@
 
 Criterion 10 checks that runs agree with each other; these tests check
 that they agree with the pinned values, so a change that moves a report,
-edit or archive byte fails here. Inputs: the synthetic corpus and its 60 queries,
+edit or archive byte fails here: ``eval``'s JSON and markdown reports,
+``sweep-beam``'s reports at beam sizes 5 and 10, ``edit --triplets``'s
+lines and the ``index`` archive. Inputs: the synthetic corpus and its 60 queries,
 a config of ``embed_dim`` 48 and ``timing`` off with paths relative to
 the run directory, and for ``edit`` 240 triplet lines, each query's top
 document paired with ranks 2-5 of its top-5 ranking.
@@ -30,7 +32,16 @@ from queryflip.text import tokenize
 
 from synthdata import synthetic_corpus, synthetic_queries
 
+# The JSON reports' BERTScore floats, and so their bytes, hold on the
+# SkylakeX OpenBLAS kernel; other kernels move their last bits.
 REPORT_SHA256 = "0be1c10aa166de53d312d45167c0ac59a5fd0ebc6f9541661c58a60c22f30aa6"
+REPORT_MD_SHA256 = "e49b6d3e54377c0afec703445a29b9e6f84e3a6682fb4882acf8ae829d5b5718"
+SWEEP_SHA256 = {
+    "sweep_b5.json": "a450945cfde2c40082e02e9acd22e652bccfdeb4221fca19e3320b4d30be77ce",
+    "sweep_b5.md": "80379c5269fc7f8b267d02b9aa2d845d8928529507d691c78637b15a28d85ed1",
+    "sweep_b10.json": "e48b5c8cefc3eb70c786351698688952e6cf7c37bc5b6e85b0dcb95fe4a3f95b",
+    "sweep_b10.md": "9301e99ca5601107aa24f29dec5cab36f7b43f639d706ead10ad86d71bd7f37b",
+}
 EDITS_SHA256 = "d201fb7b1e276cf164623c6d7afda8e730ec2e825626e55980d5b198567ac1a2"
 
 # Every member of the ``index`` archive, in archive order, with its dtype.
@@ -118,6 +129,14 @@ def test_eval_report_bytes_are_pinned(run_dir):
     _cli(run_dir, "eval", "--config", "config.json", "--queries", "queries.txt",
          "--workers", "1")
     _assert_sha256(run_dir / "reports" / "report.json", REPORT_SHA256)
+    _assert_sha256(run_dir / "reports" / "report.md", REPORT_MD_SHA256)
+
+
+def test_sweep_beam_report_bytes_are_pinned(run_dir):
+    _cli(run_dir, "sweep-beam", "--config", "config.json", "--queries", "queries.txt",
+         "--sizes", "5,10", "--workers", "1")
+    for name, pinned in SWEEP_SHA256.items():
+        _assert_sha256(run_dir / "reports" / name, pinned)
 
 
 def _compensated_sum(iterable, start=0):

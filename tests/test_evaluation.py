@@ -22,6 +22,7 @@ from queryflip.evaluation import (
     build_triplets,
     cos_sim_metric,
     EvalRecord,
+    EvalReport,
     evaluate,
     fluency_metric,
     rank_sentences,
@@ -38,19 +39,8 @@ from queryflip.text import MASK_ID, PAD_ID, UNK_ID
 
 from conftest import sample_config
 from test_corpus import IDF_DF1, IDF_DF2, ids, reference_sentence_ids
+from test_editor import _triplet
 from test_masker import FakeEmbedder
-
-
-def _triplet(stack, query_text, doc_id, counter_doc_id, rank=None):
-    q = tuple(ids(stack, query_text))
-    return Triplet(
-        q,
-        stack.corpus[doc_id],
-        stack.corpus[counter_doc_id],
-        stack.search.score(q, doc_id),
-        stack.search.score(q, counter_doc_id),
-        counter_rank=rank,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +81,25 @@ def _record(flipped: bool) -> EvalRecord:
 def test_aggregate_records_flip_rate_values():
     assert aggregate_records([_record(True)] * 2)["flip_rate"] == 1.0
     assert aggregate_records([_record(True)] * 3 + [_record(False)])["flip_rate"] == 0.75
+
+
+def test_report_derives_its_summaries_from_its_records():
+    # Ranks out of order, and one record with no rank: the report sorts the
+    # ranks itself and counts the unranked record only in its aggregates.
+    records = [
+        dataclasses.replace(_record(True), counter_rank=3),
+        dataclasses.replace(_record(False), counter_rank=2),
+        dataclasses.replace(_record(True), counter_rank=None),
+    ]
+    report = EvalReport("cfe2", records, {"beam": 5})
+    assert report.aggregates == aggregate_records(records)
+    assert list(report.by_rank) == [2, 3]
+    assert report.by_rank == {
+        2: aggregate_records(records[1:2]), 3: aggregate_records(records[:1])
+    }
+    assert report.aggregates["triplets"] == 3
+    assert sum(b["triplets"] for b in report.by_rank.values()) == 2
+    assert report.meta == {"beam": 5}
 
 
 # ---------------------------------------------------------------------------
