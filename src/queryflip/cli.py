@@ -56,14 +56,11 @@ def _result_payload(
     result: EditResult, triplet: Triplet, stack: Stack, query_text: str,
     elapsed: float,
 ) -> dict:
-    outcome = None
-    if result.outcome is not None:
-        outcome = " ".join(stack.vocab.decode(result.outcome))
     return {
         "query": query_text,
         "doc_id": triplet.d.id,
         "counter_doc_id": triplet.d_prime.id,
-        "q_prime": outcome,
+        "q_prime": None if result.outcome is None else stack.vocab.text(result.outcome),
         "masks_used": result.masks_used,
         "elapsed_s": elapsed,
         "iterations": [
@@ -72,7 +69,7 @@ def _result_payload(
                 "masked_positions": list(it.masked_positions),
                 "beam": [
                     {
-                        "tokens": " ".join(stack.vocab.decode(c.tokens)),
+                        "tokens": stack.vocab.text(c.tokens),
                         "log_prob": c.log_prob,
                         "flipped": flipped,
                     }
@@ -100,12 +97,17 @@ def _triplet_from_ids(
     )
 
 
+def _require_queries_or_triplets(args) -> None:
+    if not (args.queries or args.triplets):
+        raise ValueError("provide --queries or --triplets")
+
+
 def _collect_triplets(
     stack: Stack, config: RunConfig, args
 ) -> list[tuple[str, Triplet]]:
     """Each triplet with the query text it came from, as given."""
     triplets: list[tuple[str, Triplet]] = []
-    if getattr(args, "triplets", None):
+    if args.triplets:
         with open_lines(args.triplets) as fh:
             fields = ("query", "doc_id", "counter_doc_id")
             for lineno, values in read_records(fh, fields):
@@ -114,8 +116,6 @@ def _collect_triplets(
                 except ValueError as exc:
                     raise ValueError(f"{exc} @ line {lineno}") from exc
         return triplets
-    if not getattr(args, "queries", None):
-        raise ValueError("provide --queries or --triplets")
     with open_lines(args.queries) as fh:
         queries = [line.strip() for _, line in numbered_lines(fh)]
     for query_text in queries:
@@ -169,12 +169,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_edit(args) -> int:
+    if not (args.triplets or (args.query and args.doc and args.counter)):
+        raise ValueError("edit needs --query/--doc/--counter or --triplets")
     config, stack, ctx = _open_run(args)
     if args.triplets:
         items = _collect_triplets(stack, config, args)
     else:
-        if not (args.query and args.doc and args.counter):
-            raise ValueError("edit needs --query/--doc/--counter or --triplets")
         triplet = _triplet_from_ids(stack, args.query, args.doc, args.counter)
         items = [(args.query, triplet)]
     options = _sweep_options(config)
@@ -218,6 +218,7 @@ def cmd_eval(args) -> int:
             raise ValueError(f"unknown method: {method}")
         if method in methods[:i]:
             raise ValueError(f"duplicate method: {method}")
+    _require_queries_or_triplets(args)
     config, stack, ctx = _open_run(args)
     triplets = [t for _, t in _collect_triplets(stack, config, args)]
     options = _sweep_options(config)
@@ -249,6 +250,7 @@ def _beam_sizes(text: str) -> list[int]:
 
 def cmd_sweep_beam(args) -> int:
     sizes = _beam_sizes(args.sizes)
+    _require_queries_or_triplets(args)
     config, stack, ctx = _open_run(args)
     triplets = [t for _, t in _collect_triplets(stack, config, args)]
     reports = beam_sweep(triplets, sizes, ctx, **_sweep_options(config))

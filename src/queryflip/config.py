@@ -140,5 +140,10 @@ class RunConfig:
         return raw
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.result_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+        return short_hash(self.result_dict())
+
+
+def short_hash(payload: Any) -> str:
+    """sha256 of ``payload`` as compact sorted-key JSON, cut to 16 hex digits."""
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]

@@ -252,13 +252,10 @@ def train_embeddings(
     norms = np.linalg.norm(factors, axis=1, keepdims=True)
     nonzero = norms[:, 0] > 0.0
     content = np.divide(factors, norms, out=factors, where=norms > 0.0)
+    # Zero rows and the specials (MASK/PAD/UNK) share one neutral vector:
+    # the normalized mean of the nonzero rows.
     fallback = content[nonzero].mean(axis=0)
     fallback /= np.linalg.norm(fallback)
     content[~nonzero] = fallback
-
-    # Specials (MASK/PAD/UNK) share the neutral fallback: the normalized
-    # mean of all trained vectors.
-    unk = content.mean(axis=0)
-    unk /= np.linalg.norm(unk)
-    table = np.vstack([np.tile(unk, (FIRST_CONTENT_ID, 1)), content])
+    table = np.vstack([np.tile(fallback, (FIRST_CONTENT_ID, 1)), content])
     return EmbeddingTable(table)

@@ -315,7 +315,7 @@ class SharedWork:
         # every size.
         return _once(
             self._shared, "query_text",
-            lambda _: sys.intern(" ".join(self.ctx.vocab.decode(query_ids))),
+            lambda _: sys.intern(self.ctx.vocab.text(query_ids)),
         )
 
     def metrics(
@@ -331,7 +331,7 @@ class SharedWork:
                 cos_sim_metric(query_ids, outcome, self, owner),
                 bertscore_f1(query_ids, outcome, self, owner),
                 fluency_metric(query_ids, outcome, self.ppl, owner.ppl),
-                " ".join(self.ctx.vocab.decode(outcome)),
+                self.ctx.vocab.text(outcome),
             )
 
         return _once(self._metrics, outcome, compute)
@@ -638,7 +638,12 @@ def canonical_json(payload: Any) -> str:
 
 
 def reports_to_json(reports: Sequence[EvalReport]) -> str:
-    return canonical_json({r.method: r.to_dict() for r in reports})
+    payload: dict[str, Any] = {}
+    for report in reports:  # a repeated method's key would keep only the last
+        if report.method in payload:
+            raise ValueError(f"duplicate method: {report.method}")
+        payload[report.method] = report.to_dict()
+    return canonical_json(payload)
 
 
 _METRIC_ROWS = (

@@ -9,7 +9,6 @@ corpus that produced it; loading with a different config is an error.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import zipfile
@@ -19,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, short_hash
 from .corpus import (
     Bm25SearchModel,
     Corpus,
@@ -82,12 +81,7 @@ def build_fingerprint(config: RunConfig, corpus: Corpus) -> str:
         "lm_order": config.lm_order,
         "lm_k": config.lm_k,
     }
-    canon = json.dumps(
-        {"build": build, "corpus": corpus_digest(corpus)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    return short_hash({"build": build, "corpus": corpus_digest(corpus)})
 
 
 def build_stack(records: Mapping[str, str], config: RunConfig) -> Stack:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -187,12 +186,8 @@ class RemoteScorer:
         self.vocab = vocab
 
     def score(self, query_ids: Sequence[int], doc_id: str) -> float:
-        surfaces = [
-            self.vocab.surface(t) for t in query_ids if t not in SPECIAL_IDS
-        ]
-        body = call_backend(
-            self.endpoint, {"query": " ".join(surfaces), "doc_id": doc_id}
-        )
+        text = self.vocab.text(t for t in query_ids if t not in SPECIAL_IDS)
+        body = call_backend(self.endpoint, {"query": text, "doc_id": doc_id})
         return _require(body, "score", float)
 
 
@@ -200,14 +195,14 @@ class RemoteEmbedder:
     """Token-vector provider backed by an /embed endpoint.
 
     The first answer fixes the width, since the masker and BERTScore
-    multiply the vectors of two calls.
+    multiply the vectors of two calls. Eval threads share one embedder:
+    one atomic ``dict.setdefault`` keeps the first width, with no lock.
     """
 
     def __init__(self, endpoint: BackendEndpoint, vocab: Vocabulary) -> None:
         self.endpoint = endpoint
         self.vocab = vocab
-        self._width: int | None = None
-        self._width_lock = threading.Lock()  # eval threads share one embedder
+        self._first: dict[str, int] = {}  # the first answer's "width"
 
     def vectors_for(self, token_ids: Sequence[int]) -> np.ndarray:
         surfaces = self.vocab.decode(token_ids)
@@ -221,11 +216,9 @@ class RemoteEmbedder:
             [_number(x, "vectors") for x in _typed(vec, "vectors", list)]
             for vec in vectors
         ]
-        with self._width_lock:
-            if self._width is None:
-                self._width = len(rows[0])
-        if any(len(row) != self._width for row in rows):
-            raise ProtocolError(f"vectors must all have the same width ({self._width})")
+        width = self._first.setdefault("width", len(rows[0]))
+        if any(len(row) != width for row in rows):
+            raise ProtocolError(f"vectors must all have the same width ({width})")
         out = np.asarray(rows, dtype=np.float64)
         norms = np.linalg.norm(out, axis=1)
         if np.any(norms == 0.0):

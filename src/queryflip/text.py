@@ -81,9 +81,9 @@ def unpack_strings(buffer: np.ndarray, offsets: np.ndarray) -> list[str]:
 class Vocabulary:
     """Immutable surface <-> id mapping with MASK/PAD/UNK specials.
 
-    Ids 0..2 are the special tokens. Content tokens follow, ordered by
-    corpus frequency (descending) and then surface (ascending), so ids are
-    stable across rebuilds from the same corpus. Safe for concurrent reads.
+    Ids 0..2 are the specials, then content tokens by corpus frequency
+    (descending) and surface (ascending): ids are stable across rebuilds.
+    ``text`` writes ids out as a query. Safe for concurrent reads.
     """
 
     def __init__(self, content_surfaces: Sequence[str]) -> None:
@@ -114,9 +114,6 @@ class Vocabulary:
         """Id for ``surface``; unknown surfaces map to UNK."""
         return self._ids.get(surface, UNK_ID)
 
-    def surface(self, token_id: int) -> str:
-        return self._surfaces[token_id]
-
     def encode(self, tokens: Iterable[str]) -> list[int]:
         ids = self._ids
         return [ids.get(t, UNK_ID) for t in tokens]
@@ -124,6 +121,10 @@ class Vocabulary:
     def decode(self, token_ids: Iterable[int]) -> list[str]:
         surfaces = self._surfaces
         return [surfaces[i] for i in token_ids]
+
+    def text(self, token_ids: Iterable[int]) -> str:
+        """The surfaces of ``token_ids`` joined by single spaces."""
+        return " ".join(self.decode(token_ids))
 
     def content_surfaces(self) -> tuple[str, ...]:
         return self._surfaces[FIRST_CONTENT_ID:]

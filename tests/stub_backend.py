@@ -83,7 +83,7 @@ class StubBackendServer:
                 masked, request["position"], request["top"]
             )
             return {
-                "tokens": [stack.vocab.surface(t) for t, _ in dist.entries],
+                "tokens": stack.vocab.decode(t for t, _ in dist.entries),
                 "probs": [p for _, p in dist.entries],
             }
         if role == "perplexity":

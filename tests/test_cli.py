@@ -474,6 +474,24 @@ def test_eval_duplicate_method_fails_before_loading(workdir, capsys):
     assert not (tmp / "reports").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval"], "provide --queries or --triplets"),
+    (["sweep-beam"], "provide --queries or --triplets"),
+    (["edit"], "edit needs --query/--doc/--counter or --triplets"),
+    (["edit", "--query", "apple", "--doc", "d1"],
+     "edit needs --query/--doc/--counter or --triplets"),
+])
+def test_missing_triplet_input_fails_before_loading(workdir, capsys, argv, message):
+    # No index: the stack would fail to load, so the input flags must be
+    # checked first.
+    tmp, config = workdir
+    assert _run(*argv, "--config", config) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "artifact" not in err
+    assert not (tmp / "reports").exists()
+
+
 def test_workers_default_to_one_when_every_role_is_local(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 6)
     assert cli._sweep_options(RunConfig())["workers"] == 1

@@ -102,6 +102,14 @@ def test_report_derives_its_summaries_from_its_records():
     assert report.meta == {"beam": 5}
 
 
+def test_reports_sharing_a_method_are_not_dropped_from_json():
+    # The JSON keys reports by method, so a second cfe2 report would
+    # overwrite the first while the markdown drew both.
+    reports = [EvalReport("cfe2", [_record(True)], {"beam": b}) for b in (5, 10)]
+    with pytest.raises(ValueError, match="duplicate method: cfe2"):
+        reports_to_json(reports)
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

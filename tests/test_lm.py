@@ -373,10 +373,10 @@ def test_predict_first_slot_falls_back_to_doc_distribution(sample_stack):
     masked = [MASK_ID] + ids(stack, "recipe")
     dist = NgramPredictor(stack.lm, d3, lam=0.5).predict(masked, 0, 7)
     top_id, top_prob = dist.entries[0]
-    assert stack.vocab.surface(top_id) in {"banana", "bread", "recipe"}
+    assert stack.vocab.text([top_id]) in {"banana", "bread", "recipe"}
     assert top_prob == pytest.approx(1.1 / 3.7, abs=1e-12)
     # ties resolve by ascending token id: recipe < banana < bread
-    assert [stack.vocab.surface(t) for t, _ in dist.entries[:3]] == [
+    assert stack.vocab.decode(t for t, _ in dist.entries[:3]) == [
         "recipe", "banana", "bread",
     ]
 

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from queryflip import remote
 from queryflip.lm import NgramPredictor, perplexity
 from queryflip.masker import maxsim_importance
 from queryflip.remote import (
@@ -210,6 +214,48 @@ def test_remote_embedder_keeps_first_width(sample_stack, stub):
     with _answering(stub, {"vectors": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}):
         with pytest.raises(ProtocolError, match=r"same width \(2\)"):
             embedder.vectors_for(ids(sample_stack, "apple banana"))
+
+
+@pytest.mark.parametrize("calls", [2, 4])
+def test_remote_embedder_first_width_is_kept_once_across_threads(
+    sample_stack, monkeypatch, calls
+):
+    # Every answer, each of its own width, arrives before any call checks
+    # its width: whichever call keeps its width first, the others must fail
+    # against it.
+    widths = list(range(3, 3 + calls))
+    answered = threading.Barrier(calls)
+
+    def call_backend(endpoint, payload):
+        width = widths.pop()
+        answered.wait(timeout=10)
+        return {"vectors": [[1.0] + [0.0] * (width - 1)] * len(payload["tokens"])}
+
+    monkeypatch.setattr(remote, "call_backend", call_backend)
+    embedder = RemoteEmbedder(
+        BackendEndpoint("http://localhost:1", "embed"), sample_stack.vocab
+    )
+    query = ids(sample_stack, "apple banana")
+    start = threading.Barrier(calls)
+
+    def embed(_):
+        start.wait(timeout=10)
+        try:
+            return embedder.vectors_for(query).shape[1]
+        except ProtocolError as exc:
+            return exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(calls) as pool:
+            outcomes = list(pool.map(embed, range(calls)))
+    finally:
+        sys.setswitchinterval(interval)
+    [kept] = [o for o in outcomes if not isinstance(o, ProtocolError)]
+    errors = [o for o in outcomes if isinstance(o, ProtocolError)]
+    assert len(errors) == calls - 1
+    assert all(f"same width ({kept})" in str(e) for e in errors)
 
 
 def test_maxsim_over_a_width_changing_backend_raises_protocol_error(

@@ -62,9 +62,9 @@ def test_tokenize_round_trip_is_stable():
 
 def test_vocabulary_specials_and_ids():
     vocab = build_vocabulary([["a", "b"], ["a"]], min_count=1)
-    assert vocab.surface(MASK_ID) == MASK_TOKEN
-    assert vocab.surface(PAD_ID) == PAD_TOKEN
-    assert vocab.surface(UNK_ID) == UNK_TOKEN
+    assert vocab.text([MASK_ID]) == MASK_TOKEN
+    assert vocab.text([PAD_ID]) == PAD_TOKEN
+    assert vocab.text([UNK_ID]) == UNK_TOKEN
     # frequency-descending then lexicographic: a (2) before b (1)
     assert vocab.content_surfaces() == ("a", "b")
     assert vocab.id("a") == FIRST_CONTENT_ID
@@ -89,7 +89,16 @@ def test_vocabulary_sample_corpus_has_seven_content_tokens(sample_stack):
 def test_vocabulary_ids_round_trip():
     vocab = build_vocabulary([["c", "b", "a", "b"]], min_count=1)
     for token_id in range(len(vocab)):
-        assert vocab.id(vocab.surface(token_id)) == token_id
+        assert vocab.id(vocab.text([token_id])) == token_id
+
+
+def test_vocabulary_text_round_trips_content_ids():
+    vocab = build_vocabulary([tokenize("Apple pie, épée x9. Apple tart!")], min_count=1)
+    content = list(range(FIRST_CONTENT_ID, len(vocab)))
+    for token_ids in (content, content[::-1], content + content[:2]):
+        assert vocab.encode(tokenize(vocab.text(token_ids))) == token_ids
+    assert vocab.text([MASK_ID, PAD_ID, UNK_ID]) == "[MASK] [PAD] [UNK]"
+    assert vocab.text([]) == ""
 
 
 def test_vocabulary_encode_decode():
