@@ -15,7 +15,6 @@ from .corpus import numbered_lines, open_lines, read_records
 from .editor import EditResult, Triplet
 from .evaluation import (
     METHODS,
-    TIMING_MODES,
     EvalContext,
     EvalReport,
     beam_sweep,
@@ -266,10 +265,11 @@ def cmd_sweep_beam(args) -> int:
 
 def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
     """``--config`` plus one override flag per named RunConfig field (the
-    paths always), typed by its annotation (``int | None`` parses as ``int``)."""
+    paths always), typed by its annotation (``int | None`` parses as
+    ``int``), with the field's ``choices`` and ``help`` metadata."""
     parser.add_argument("--config", help="JSON config file")
     hints = get_type_hints(RunConfig)
-    helps = {f.name: f.metadata.get("help") for f in fields(RunConfig)}
+    metadata = {f.name: f.metadata for f in fields(RunConfig)}
     for name in ("corpus", "artifacts", *names):
         hint = hints[name]
         kind = next((t for t in get_args(hint) if t is not type(None)), hint)
@@ -277,8 +277,8 @@ def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
             "--" + name.replace("_", "-"),
             dest=name,
             type=kind,
-            choices=TIMING_MODES if name == "timing" else None,
-            help=helps[name],
+            choices=metadata[name].get("choices"),
+            help=metadata[name].get("help"),
         )
 
 

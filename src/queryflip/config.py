@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, get_type_hints
+from typing import Any, Mapping, get_type_hints
 
-from .evaluation import MASKERS, TIMING_MODES
 from .remote import BackendEndpoint
+
+MASKERS = ("maxsim", "occlusion")
+TIMING_MODES = ("wall", "off")
 
 # The JSON types each field annotation accepts, and how a message names
 # them. A bool is not an integer here, and an integer is a valid number.
@@ -34,64 +37,42 @@ class RunConfig:
     artifacts: str = field(default="artifacts", metadata={"help": "artifact directory"})
     out_dir: str = "reports"
     # search model
-    k1: float = 1.2
-    b_bm25: float = 0.75
-    top_k: int = 5
-    min_count: int = 1
+    k1: float = field(default=1.2, metadata={"above": 0})
+    b_bm25: float = field(default=0.75, metadata={"within": (0, 1)})
+    top_k: int = field(default=5, metadata={"min": 2})
+    min_count: int = field(default=1, metadata={"min": 1})
     # embeddings
-    embed_dim: int = 64
-    embed_window: int = 5
+    embed_dim: int = field(default=64, metadata={"min": 2})
+    embed_window: int = field(default=5, metadata={"min": 1})
     # language model
-    lm_order: int = 3
-    lm_k: float = 0.1
+    lm_order: int = field(default=3, metadata={"min": 1})
+    lm_k: float = field(default=0.1, metadata={"above": 0})
     # masker + editor
-    masker: str = "maxsim"
-    beam: int = 10
-    lam: float = 0.5
-    max_masks: int | None = None
+    masker: str = field(default="maxsim", metadata={"choices": MASKERS})
+    beam: int = field(default=10, metadata={"min": 1})
+    lam: float = field(default=0.5, metadata={"within": (0, 1)})
+    max_masks: int | None = field(default=None, metadata={"min": 1})
     # remote backends: role -> {url, timeout_ms, retries, token}
     backends: dict[str, dict[str, Any]] = field(default_factory=dict)
-    # run behaviour
-    workers: int | None = None  # None: 1, or available parallelism if a role is remote
-    timing: str = "wall"
+    # run behaviour (workers None: 1, or available parallelism if a role is remote)
+    workers: int | None = field(default=None, metadata={"min": 1})
+    timing: str = field(default="wall", metadata={"choices": TIMING_MODES})
 
     def __post_init__(self) -> None:
-        """Raise ValueError naming the first invalid field: types first,
-        then ranges. Each field's JSON type comes from its annotation."""
+        """Raise ValueError naming the first invalid field, in field order:
+        its JSON type, from its annotation, then its rule, from its
+        metadata. A float must also be finite."""
         hints = get_type_hints(RunConfig)
         for f in fields(self):
             types, kind = _JSON_TYPES[hints[f.name]]
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ValueError(f"invalid config field: {f.name} (must be {kind})")
-        if self.beam < 1:
-            raise ValueError("invalid config field: beam (must be >= 1)")
-        if self.top_k < 2:
-            raise ValueError("invalid config field: top_k (must be >= 2)")
-        if not self.k1 > 0:
-            raise ValueError("invalid config field: k1 (must be > 0)")
-        if not 0.0 <= self.b_bm25 <= 1.0:
-            raise ValueError("invalid config field: b_bm25 (must be in [0, 1])")
-        if self.min_count < 1:
-            raise ValueError("invalid config field: min_count (must be >= 1)")
-        if self.embed_dim < 2:
-            raise ValueError("invalid config field: embed_dim (must be >= 2)")
-        if self.embed_window < 1:
-            raise ValueError("invalid config field: embed_window (must be >= 1)")
-        if self.lm_order < 1:
-            raise ValueError("invalid config field: lm_order (must be >= 1)")
-        if not self.lm_k > 0:
-            raise ValueError("invalid config field: lm_k (must be > 0)")
-        if self.masker not in MASKERS:
-            raise ValueError(f"invalid config field: masker (one of {MASKERS})")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("invalid config field: lam (must be in [0, 1])")
-        if self.max_masks is not None and self.max_masks < 1:
-            raise ValueError("invalid config field: max_masks (must be >= 1)")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("invalid config field: workers (must be >= 1)")
-        if self.timing not in TIMING_MODES:
-            raise ValueError(f"invalid config field: timing (one of {TIMING_MODES})")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"invalid config field: {f.name} (must be finite)")
+            error = _range_error(value, f.metadata)
+            if error:
+                raise ValueError(f"invalid config field: {f.name} ({error})")
         for role, raw in self.backends.items():
             try:
                 BackendEndpoint.from_dict(role, raw)
@@ -141,6 +122,21 @@ class RunConfig:
 
     def config_hash(self) -> str:
         return short_hash(self.result_dict())
+
+
+def _range_error(value: Any, rule: Mapping[str, Any]) -> str | None:
+    """How ``value`` breaks a field's rule, or None; None is in every range."""
+    if value is None:
+        return None
+    if "min" in rule and value < rule["min"]:
+        return f"must be >= {rule['min']}"
+    if "above" in rule and not value > rule["above"]:
+        return f"must be > {rule['above']}"
+    if "within" in rule and not rule["within"][0] <= value <= rule["within"][1]:
+        return "must be in [{}, {}]".format(*rule["within"])
+    if "choices" in rule and value not in rule["choices"]:
+        return f"one of {rule['choices']}"
+    return None
 
 
 def short_hash(payload: Any) -> str:

@@ -58,7 +58,7 @@ class Corpus:
     documents in record order: document i is
     ``ids[offsets[i]:offsets[i + 1]]``. A corpus holds its tokens in this
     form only; the index, the embeddings and the n-gram model are built
-    from it.
+    from it. It holds at least one document.
 
     ``sentence_offsets`` cuts the same stream into sentences (see
     ``tokenize_sentences``): it rises strictly from 0 to ``len(ids)`` and
@@ -99,9 +99,11 @@ class Corpus:
             raise ValueError(
                 f"{self.n_docs} rows of token ids for {len(records)} documents"
             )
+        if not records:
+            raise ValueError("empty corpus")
         self.records = dict(records)
         self.ids, self.offsets, self.sentence_offsets = ids, offsets, sentences
-        self.avgdl = len(ids) / self.n_docs if self.n_docs else 0.0
+        self.avgdl = len(ids) / self.n_docs
         self._positions = dict(zip(self.records, range(self.n_docs)))
         self._docs: dict[str, Document] = {}
 
@@ -357,14 +359,11 @@ class Bm25SearchModel:
         """The first k of every document ranked by (-``score``, doc id):
         zero-score documents fill a ranking that too few documents match,
         and k above the corpus size returns them all. Raises ValueError on
-        an empty corpus or k < 1.
+        k < 1.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        n = self.corpus.n_docs
-        if n == 0:
-            raise ValueError("empty corpus")
-        scores = np.zeros(n)
+        scores = np.zeros(self.corpus.n_docs)
         bounds, docs, impacts = self._bounds, self.docs, self.impacts
         # One query token at a time, in query order, repeats included: each
         # document receives the additions ``score`` makes, in its order

@@ -39,8 +39,6 @@ logger = logging.getLogger(__name__)
 
 _LOCK_TYPE = type(threading.Lock())
 
-TIMING_MODES = ("wall", "off")
-MASKERS = ("maxsim", "occlusion")
 METHODS = ("cfe2", "mask_only", "max_flip")
 
 

@@ -147,11 +147,7 @@ def build_vocabulary(
     Tokens with corpus frequency >= ``min_count`` are kept; everything else
     maps to UNK at lookup time. Ordering is frequency-descending with
     lexicographic tie-break, which makes the id assignment deterministic.
-
-    Raises ValueError on an empty corpus.
     """
-    if not corpus_tokens:
-        raise ValueError("empty corpus")
     counts = Counter(chain.from_iterable(corpus_tokens))
     kept = [s for s, c in counts.items() if c >= min_count]
     kept.sort(key=lambda s: (-counts[s], s))

@@ -561,11 +561,29 @@ def test_setting_flags_are_config_fields(command):
     assert settings["corpus"].help == "corpus JSONL path"
     assert settings["artifacts"].help == "artifact directory"
     assert all(a.help is None for n, a in settings.items() if n not in _PATHS)
-    if "timing" in settings:
-        assert settings["timing"].choices == ("wall", "off")
+    declared = {f.name: f.metadata.get("choices") for f in fields(RunConfig)}
+    assert declared["masker"] == ("maxsim", "occlusion")
+    assert declared["timing"] == ("wall", "off")
+    assert all(a.choices == declared[n] for n, a in settings.items())
     argv = [command, *(["q"] if command == "search" else [])]
     for name, value in expected.items():
         argv += ["--" + name.replace("_", "-"), str(value)]
     parsed = vars(parser.parse_args(argv))
     for name, value in expected.items():
         assert parsed[name] == value and type(parsed[name]) is type(value), name
+
+
+def test_masker_outside_its_choices_fails_at_parse_and_at_config_load(tmp_path, capsys):
+    edit = ["edit", "--query", "apple", "--doc", "d1", "--counter", "d2"]
+    with pytest.raises(SystemExit) as exc:
+        _run(*edit, "--masker", "bert")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    # Newer Pythons list the choices without quotes.
+    assert "--masker: invalid choice: 'bert'" in err
+    assert "maxsim" in err and "occlusion" in err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"masker": "bert"}))
+    assert _run(*edit, "--config", config) == 1
+    message = "invalid config field: masker (one of ('maxsim', 'occlusion'))"
+    assert message in capsys.readouterr().err

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queryflip import evaluation
+from queryflip.config import MASKERS
 from queryflip.corpus import Document, build_corpus, ingest_corpus
 from queryflip.editor import EditCandidate, EditResult, Triplet, check_flip, select_final
 from queryflip.evaluation import (
-    MASKERS,
     METHODS,
     aggregate_records,
     baseline_mask_only,

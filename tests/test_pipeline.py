@@ -115,6 +115,17 @@ def test_config_validation_names_field():
         RunConfig.from_dict({"backends": ["score"]})
 
 
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.type == "float"])
+def test_config_file_rejects_a_non_finite_number(tmp_path, name, literal):
+    # Python's json reads these three literals as floats.
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"{name}": {literal}}}')
+    expected = rf"config\.json: invalid config field: {name} \(must be finite\)$"
+    with pytest.raises(ValueError, match=expected):
+        RunConfig.from_file(str(path))
+
+
 # The JSON type each annotation asks for, as the error message names it.
 _KIND_OF_ANNOTATION = {
     "str": "a string",
@@ -379,6 +390,19 @@ def _empty_row_added(arrays):
     arrays["corpus.token_offsets"] = np.append(offsets, offsets[-1])
 
 
+def _no_content_surfaces(arrays):
+    # The fingerprint covers neither vocabulary table.
+    arrays["vocab.surfaces"], arrays["vocab.offsets"] = pack_strings([])
+
+
+def _no_documents(arrays):
+    empty, start = pack_strings([])
+    for name in ("ids", "texts"):
+        arrays[f"corpus.{name}"], arrays[f"corpus.{name[:-1]}_offsets"] = empty, start
+    arrays["corpus.token_ids"] = arrays["corpus.token_ids"][:0]
+    arrays["corpus.token_offsets"] = arrays["corpus.sentence_offsets"] = start
+
+
 def _swap(array, i, j):
     array = array.copy()
     array[[i, j]] = array[[j, i]]
@@ -443,6 +467,13 @@ def test_load_with_changed_corpus_fails(tmp_path):
          "string buffer must be uint8, not int64"),
         (lambda p: _edit_array(p, "corpus.texts", lambda a: _set(a, 0, 0xFF)),
          "malformed .*'utf-8' codec can't decode byte 0xff"),
+        (lambda p: _edit_array(p, "embed.vectors", lambda a: a * 2),
+         "malformed .*: all stored vectors must be unit-norm$"),
+        (lambda p: _edit_array(p, "embed.vectors", lambda a: np.ones((len(a), 1))),
+         "malformed .*: dim must be >= 2$"),
+        (lambda p: _edit_arrays(p, _no_content_surfaces),
+         "malformed .*: candidate vocabulary is empty$"),
+        (lambda p: _edit_arrays(p, _no_documents), "malformed .*: empty corpus$"),
     ],
     ids=[
         "truncated", "not_zip", "missing_array", "vector_rows", "embed_vectors_float32",
@@ -458,7 +489,8 @@ def test_load_with_changed_corpus_fails(tmp_path):
         "sentence_offsets_skip_document_bound", "sentence_offsets_past_end",
         "sentence_offsets_short_of_end", "lm_counts_float", "lm_contexts_float",
         "lm_targets_float",
-        "vocab_surfaces_int64", "corpus_texts_not_utf8",
+        "vocab_surfaces_int64", "corpus_texts_not_utf8", "embed_vectors_not_unit_norm",
+        "embed_vectors_one_column", "vocab_no_content_surfaces", "corpus_no_documents",
     ],
 )
 def test_load_rejects_bad_artifact(tmp_path, damage, match):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from queryflip.corpus import build_corpus
 from queryflip.text import (
     FIRST_CONTENT_ID,
     MASK_ID,
@@ -110,7 +111,7 @@ def test_vocabulary_encode_decode():
 
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError, match="empty corpus"):
-        build_vocabulary([], min_count=1)
+        build_corpus({}, min_count=1)
 
 
 def _unpack_each(buffer, offsets):
