@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping, get_type_hints
 
@@ -61,14 +61,15 @@ class RunConfig:
     def __post_init__(self) -> None:
         """Raise ValueError naming the first invalid field, in field order:
         its JSON type, from its annotation, then its rule, from its
-        metadata. A float must also be finite."""
+        metadata. A number must also make a finite float."""
         hints = get_type_hints(RunConfig)
         for f in fields(self):
             types, kind = _JSON_TYPES[hints[f.name]]
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ValueError(f"invalid config field: {f.name} (must be {kind})")
-            if isinstance(value, float) and not math.isfinite(value):
+            # NaN fails every comparison, an int past the float range this one.
+            if float in types and not abs(value) <= sys.float_info.max:
                 raise ValueError(f"invalid config field: {f.name} (must be finite)")
             error = _range_error(value, f.metadata)
             if error:

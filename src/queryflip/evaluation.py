@@ -8,12 +8,13 @@ distinct (ranking, outcome): the ranking's ``SharedWork`` memoizes them
 by outcome. A max_flip outcome is a sentence of the target document d',
 so its vectors, representation and perplexity are asked of d''s
 ``SharedWork``, which every ranking with that target shares. That work
-also ranks d''s stored sentences once, by perplexity: every distinct
-sentence costs one perplexity call (a remote perplexity backend sees each
-once per target and beam size), while a max_flip edit's flip checks stop
-at the first sentence that flips. A report derives its aggregates and
-its breakdown by target-document rank from its records, and serializes
-to canonical JSON plus markdown tables.
+also ranks d''s stored sentences once, by perplexity, while a max_flip
+edit's flip checks stop at the first sentence that flips. The local
+perplexity role scores the sentences of every target document of a pass
+in one batch per beam size; any other ``ppl_fn`` (a remote backend sees
+each sentence once per target and beam size) is asked per sentence. A
+report derives its aggregates and its breakdown by target-document rank
+from its records, and serializes to canonical JSON plus markdown tables.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import Bm25SearchModel, Corpus, Document, Ranking
 from .editor import EditResult, Triplet, check_flip, edit
+from .lm import LocalPerplexity
 from .masker import ImportanceScores, maxsim_importance, occlusion_importance
 from .text import PAD_ID, UNK_ID, Vocabulary
 
@@ -212,8 +215,11 @@ class EvalContext:
     and query representations); ``scorer``, ``embedder``, the predictor
     factory and ``ppl_fn`` may be remote-backed drop-ins with the same
     call shapes. The predictor factory is called once per target
-    document and beam size (see ``SharedWork``). ``masker`` names the
-    importance masker and ``max_masks`` caps cfe2's masks (None: |q|).
+    document and beam size (see ``SharedWork``). The local ``ppl_fn``, a
+    ``LocalPerplexity``, also gives the perplexity of every sentence of
+    many documents at once (see ``_sweep_tasks``).
+    ``masker`` names the importance masker and ``max_masks`` caps cfe2's
+    masks (None: |q|).
     """
 
     vocab: Vocabulary
@@ -260,7 +266,11 @@ class SharedWork:
     work gives the importance of q's tokens for d, q's text, and the
     metrics of each outcome, and its target d', whose work gives d''s
     predictor (with its memo of answers) and d''s distinct sentences as
-    token ids, ranked by ``rank_sentences``.
+    token ids, ranked by ``rank_sentences``. ``sentence_ppls``, when
+    given, returns a table of the sentence perplexities of the pass's
+    target documents (see ``_sweep_tasks``); ranking d' seeds the
+    perplexity memo from it, which is exact, since the table holds the
+    floats ``ppl_fn`` gives.
     Both also hold memos of ``vectors_for``, ``query_representation`` and
     perplexity, so they stand in for the embedder, the search model and
     ``ppl_fn`` where the metrics, the masker and the editor take them.
@@ -278,8 +288,13 @@ class SharedWork:
     ``_sweep_tasks``).
     """
 
-    def __init__(self, ctx: EvalContext):
+    def __init__(
+        self,
+        ctx: EvalContext,
+        sentence_ppls: Callable[[], dict[str, list[float]]] | None = None,
+    ):
         self.ctx = ctx
+        self._sentence_ppls = sentence_ppls
         self._shared: dict[str, Any] = {}
         self._vectors: dict[tuple[int, ...], Any] = {}
         self._representations: dict[tuple[int, ...], Any] = {}
@@ -303,10 +318,13 @@ class SharedWork:
         )
 
     def sentences(self, d_prime: Document) -> list[tuple[int, ...]]:
-        return _once(
-            self._shared, "sentences",
-            lambda _: rank_sentences(d_prime.sentences(), self.ppl),
-        )
+        def compute(_):
+            sentences = d_prime.sentences()
+            if self._sentence_ppls is not None:
+                self._ppl.update(zip(sentences, self._sentence_ppls()[d_prime.id]))
+            return rank_sentences(sentences, self.ppl)
+
+        return _once(self._shared, "sentences", compute)
 
     def query_text(self, query_ids: Sequence[int]) -> str:
         # Interned, so the records of one query share one string at
@@ -518,6 +536,11 @@ def _sweep_tasks(
     and the live ones are bounded by the keys still to come, not by the
     run's length.
 
+    When ``ctx.ppl_fn`` is the local role, each size also has one
+    table of the perplexity of every sentence of every target document of
+    the run, made by one ``batch`` call on the first ask (a max_flip
+    ranking) and shared by all works of that size.
+
     Each size has its own works, so the edits at one size pay exactly the
     shared work an ``evaluate`` at that size pays. Sharing them across
     sizes would let a size reuse perplexities another size paid for, and
@@ -527,12 +550,20 @@ def _sweep_tasks(
     last: dict[Any, int] = {}
     for i, t in enumerate(triplets):
         last[t.query_ids, t.d.id] = last[t.d_prime.id] = i
+    tables: list[Any] = [None] * n_sizes
+    if isinstance(ctx.ppl_fn, LocalPerplexity):
+        batch = ctx.ppl_fn.batch
+        targets = list(dict.fromkeys(t.d_prime.id for t in triplets))
+        tables = [
+            partial(_once, {}, "table", lambda _: dict(zip(targets, batch(targets))))
+            for _ in tables
+        ]
     live: dict[Any, list[SharedWork]] = {}
 
     def works_for(key: Any, index: int) -> list[SharedWork]:
         works = live.get(key)
         if works is None:
-            works = live[key] = [SharedWork(ctx) for _ in range(n_sizes)]
+            works = live[key] = [SharedWork(ctx, table) for table in tables]
         if last[key] == index:
             del live[key]
         return works
@@ -548,8 +579,8 @@ def sweep_edits(
     ctx: EvalContext,
     make: Callable[..., Any],
     method: str = "cfe2",
-    workers: int = 1,
     *,
+    workers: int,
     timing: str,
 ) -> Iterator[list[Any]]:
     """Edit every triplet with ``method`` at every beam size and yield, per
@@ -602,7 +633,7 @@ def beam_sweep(
     triplets: Sequence[Triplet],
     sizes: Sequence[int],
     ctx: EvalContext,
-    workers: int = 1,
+    workers: int,
     meta: dict[str, Any] | None = None,
     method: str = "cfe2",
     *,
@@ -613,7 +644,7 @@ def beam_sweep(
     if not triplets:
         raise ValueError("no triplets to evaluate")
     rows = sweep_edits(
-        triplets, sizes, ctx, _record_for, method, workers, timing=timing
+        triplets, sizes, ctx, _record_for, method, workers=workers, timing=timing
     )
     return [
         EvalReport(method, list(records), {"beam": b, "timing": timing, **(meta or {})})

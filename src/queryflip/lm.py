@@ -114,9 +114,7 @@ class NgramLM:
         # Every digit is in range, so the keys order the contexts as the
         # rows do.
         fits = self.radix ** (order - 1) <= np.iinfo(np.int64).max
-        keys = np.zeros(len(grams), dtype=np.int64 if fits else object)
-        for column in contexts.T.astype(keys.dtype):
-            keys = keys * self.radix + column + 1
+        keys = _pack(contexts, self.radix, np.int64 if fits else object)
         rising = (keys[1:] > keys[:-1]) | (
             (keys[1:] == keys[:-1]) & (targets[1:] > targets[:-1])
         )
@@ -131,12 +129,11 @@ class NgramLM:
         # r: rows starts[r]:starts[r + 1], add-k denominator
         # denominators[r] (the run's count total + k * n_candidates). An
         # unseen context gets index len(runs), an empty run.
-        starts = run_starts(keys)
-        totals = np.append(np.add.reduceat(counts.astype(np.int64), starts), 0)
+        starts, denominators = _context_runs(keys, counts, k, n_candidates)
         self._runs = dict(zip(keys[starts].tolist(), range(len(starts))))
         self._unseen = len(starts)
         self._starts: list[int] = starts.tolist() + [len(grams)] * 2
-        self._denominators: list[float] = (totals + k * n_candidates).tolist()
+        self._denominators: list[float] = denominators.tolist()
         self._targets: list[int] = targets.tolist()
         self._counts: list[int] = counts.tolist()
 
@@ -200,6 +197,28 @@ def train_ngram(corpus: Corpus, vocab: Vocabulary, order: int, k: float) -> Ngra
     return NgramLM(order, k, vocab.content_size, grams, counts.astype(np.int32))
 
 
+def _context_runs(
+    keys: np.ndarray, counts: np.ndarray, k: float, n_candidates: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each run of equal context ``keys``, and each run's
+    add-k denominator (its count total + k * n_candidates), then the
+    unseen context's (k * n_candidates)."""
+    starts = run_starts(keys)
+    totals = np.append(np.add.reduceat(counts.astype(np.int64), starts), 0)
+    return starts, totals + k * n_candidates
+
+
+def _pack(rows: np.ndarray, radix: int, dtype: Any = np.int64) -> np.ndarray:
+    """Each row's ids as one key of base-``radix`` digits, id + 1 (BOS as
+    0), first id most significant."""
+    keys = np.zeros(len(rows), dtype=dtype)
+    for column in rows.T:
+        keys *= radix
+        keys += column.astype(dtype)
+        keys += 1
+    return keys
+
+
 def _radix(n_candidates: int) -> int:
     """The base of the packed keys: the vocabulary size + 1, so each id
     (BOS included) is one digit, id + 1."""
@@ -228,6 +247,100 @@ def perplexity(token_ids: Sequence[int], lm: NgramLM) -> float:
         log_sum += log((count + k) / denominators[run])
         key = (key * radix + int(target) + 1) % modulus
     return exp(-log_sum / len(token_ids))
+
+
+#: Documents ``sentence_perplexities`` scores per step, which bounds its arrays.
+_BATCH_DOCS = 512
+
+
+def sentence_perplexities(
+    corpus: Corpus, doc_ids: Sequence[str], lm: NgramLM
+) -> list[list[float]]:
+    """``perplexity`` of every sentence of the documents ``doc_ids``, bit
+    for bit: one list per document, one float per sentence in text order
+    (see ``Document.sentences``).
+
+    Token ids and sentence bounds are read from the corpus arrays,
+    ``_BATCH_DOCS`` documents at a time. Each token's n-gram, BOS-padded
+    at its sentence's start, is packed as ``NgramLM`` packs a context and
+    found among the count table's rows packed the same way. The
+    arithmetic is ``perplexity``'s: ``(count + k) / denominator`` in
+    float64, ``math.log`` of each distinct ratio, each sentence's terms
+    added left to right from 0.0 (one add per place in the sentence),
+    then ``math.exp(-total / length)``. Where a packed n-gram could pass
+    int64, each sentence is scored by ``perplexity`` itself.
+    """
+    radix, pad = lm.radix, lm.order - 1
+    if radix**lm.order > np.iinfo(np.int64).max:
+        return [[perplexity(s, lm) for s in corpus[d].sentences()] for d in doc_ids]
+    # The table's rows and their contexts' runs, packed, each followed by
+    # a sentinel no key reaches: count 0 and the unseen context's run.
+    rows = _pack(lm.grams, radix)
+    firsts, denominators = _context_runs(
+        rows // radix, lm.counts, lm.k, lm.n_candidates
+    )
+    sentinel = np.iinfo(np.int64).max
+    runs = np.append(rows[firsts] // radix, sentinel)
+    rows, counts = np.append(rows, sentinel), np.append(lm.counts, 0)
+    positions = np.array([corpus.position(d) for d in doc_ids], dtype=np.int64)
+    bounds = corpus.sentence_offsets
+    out: list[list[float]] = []
+    for chunk in range(0, len(positions), _BATCH_DOCS):
+        docs = positions[chunk : chunk + _BATCH_DOCS]
+        first = np.searchsorted(bounds, corpus.offsets[docs])
+        per_doc = np.searchsorted(bounds, corpus.offsets[docs + 1]) - first
+        sentences = _ranges(first, per_doc)
+        lengths = bounds[sentences + 1] - bounds[sentences]
+        # The chunk's tokens in one stream, pad BOS before each sentence,
+        # and each token's window of ``order`` ids ending at it.
+        heads = np.cumsum(lengths) - lengths
+        ends = _ranges(heads + pad * np.arange(1, len(lengths) + 1), lengths)
+        stream = np.full(len(ends) + pad * len(lengths), BOS, dtype=np.int64)
+        stream[ends] = corpus.ids[_ranges(bounds[sentences], lengths)]
+        keys = _pack(stream[ends[:, None] + np.arange(-pad, 1)], radix)
+        # Each distinct key once, in ascending order: its row and its
+        # context's run, or the sentinels where the table lacks them.
+        keys, inverse = np.unique(keys, return_inverse=True)
+        contexts = keys // radix
+        run = np.searchsorted(runs, contexts)
+        run = np.where(runs[run] == contexts, run, len(firsts))
+        row = np.searchsorted(rows, keys)
+        count = np.where(rows[row] == keys, counts[row], 0)
+        ratio = (count + lm.k) / denominators[run]
+        ratios, ratio_of = np.unique(ratio, return_inverse=True)
+        terms = np.array([log(r) for r in ratios.tolist()])[ratio_of[inverse]]
+        totals = np.zeros(len(lengths))
+        for place in range(lengths.max(initial=0)):
+            running = lengths > place
+            totals[running] += terms[heads[running] + place]
+        values = [exp(m) for m in (-totals / lengths).tolist()]
+        for end, n in zip(np.cumsum(per_doc).tolist(), per_doc.tolist()):
+            out.append(values[end - n : end])
+    return out
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[i]``, ``starts[i] + 1``, ... for ``lengths[i]`` values, for
+    every i in turn."""
+    heads = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - heads, lengths)
+
+
+class LocalPerplexity:
+    """The local perplexity role: called with a sequence, its
+    ``perplexity`` (the name is looked up at each call, so a patched one
+    applies); ``batch``, every sentence's of many documents of ``corpus``
+    at once (``sentence_perplexities``)."""
+
+    def __init__(self, lm: NgramLM, corpus: Corpus) -> None:
+        self.lm = lm
+        self.corpus = corpus
+
+    def __call__(self, token_ids: Sequence[int]) -> float:
+        return perplexity(token_ids, self.lm)
+
+    def batch(self, doc_ids: Sequence[str]) -> list[list[float]]:
+        return sentence_perplexities(self.corpus, doc_ids, self.lm)
 
 
 class NgramPredictor:

@@ -30,7 +30,7 @@ from .corpus import (
 )
 from .embed import EmbeddingTable, train_embeddings
 from .evaluation import EvalContext
-from .lm import NgramLM, NgramPredictor, perplexity, train_ngram
+from .lm import LocalPerplexity, NgramLM, NgramPredictor, train_ngram
 from .remote import (
     BackendEndpoint,
     RemoteEmbedder,
@@ -221,8 +221,7 @@ def make_context(stack: Stack, config: RunConfig) -> EvalContext:
         search=stack.search,
         scorer=serve("score", RemoteScorer, stack.search),
         embedder=serve("embed", RemoteEmbedder, stack.table),
-        # ``perplexity`` is looked up when called, so a patched one applies.
-        ppl_fn=serve("perplexity", RemotePerplexity, lambda ids: perplexity(ids, lm)),
+        ppl_fn=serve("perplexity", RemotePerplexity, LocalPerplexity(lm, stack.corpus)),
         predictor_factory=predictor_factory,
         masker=config.masker,
         max_masks=config.max_masks,

@@ -189,7 +189,7 @@ def test_criterion_08_beam_sweep_runtime_and_stability(synth):
     _, ctx, triplets = synth
     evaluate(triplets, "cfe2", ctx, beam_width=5, timing="off")  # warmup
     sweeps = [
-        beam_sweep(triplets, [5, 10, 15, 20], ctx, timing="wall") for _ in range(7)
+        beam_sweep(triplets, [5, 10, 15, 20], ctx, workers=1, timing="wall") for _ in range(7)
     ]
     runtimes = [
         statistics.median(

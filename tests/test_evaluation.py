@@ -670,7 +670,7 @@ def test_sweep_edits_with_one_worker_edits_as_rows_are_taken(small_eval, monkeyp
 
     monkeypatch.setattr(evaluation, "run_method", recording_run_method)
     rows = sweep_edits(
-        triplets, [3, 5], ctx, lambda index, *_: index, "cfe2", timing="off"
+        triplets, [3, 5], ctx, lambda index, *_: index, "cfe2", workers=1, timing="off"
     )
     assert next(rows) == [0, 0] and edited == [triplets[0]] * 2
     assert next(rows) == [1, 1] and edited[2:] == [triplets[1]] * 2

@@ -6,19 +6,22 @@ import math
 import random
 import re
 from collections import Counter, defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queryflip.corpus import build_corpus, ingest_corpus
+from queryflip import lm as lm_module
+from queryflip.corpus import Corpus, build_corpus, ingest_corpus
 from queryflip.lm import (
     BOS,
     NgramLM,
     NgramPredictor,
     PredictionDistribution,
     perplexity,
+    sentence_perplexities,
     train_ngram,
 )
 from queryflip.text import (
@@ -240,6 +243,71 @@ def test_train_ngram_table_equals_the_reference_counts(texts, order, min_count):
     assert lm.grams.dtype == lm.counts.dtype == np.int32
     assert lm.grams.shape == (len(lm.counts), order)
     assert _table_rows(lm) == _reference_rows(corpus, vocab, order)
+
+
+def _random_documents(data, vocab):
+    """A corpus of random sentences over ``vocab``'s ids, ``[UNK]``
+    included, so most of their contexts are unseen; some documents are
+    empty."""
+    docs = data.draw(
+        st.lists(
+            st.lists(
+                st.lists(st.integers(UNK_ID, len(vocab) - 1), min_size=1, max_size=20),
+                max_size=4,
+            ),
+            min_size=1, max_size=5,
+        ),
+        label="documents",
+    )
+    sentences = [s for doc in docs for s in doc]
+    ids = np.array([t for s in sentences for t in s], dtype=np.int32)
+    offsets = np.cumsum([0] + [sum(map(len, doc)) for doc in docs])
+    sentence_offsets = np.cumsum([0] + [len(s) for s in sentences])
+    records = {f"r{i}": "" for i in range(len(docs))}
+    return Corpus(records, ids, offsets, sentence_offsets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sentence_perplexities_equal_the_scalar_loop_bit_for_bit(data):
+    """Every sentence of the training corpus and of random documents, at
+    orders 1-4, at the largest order whose packed n-grams fit int64, and
+    at the next, whose do not and which takes the scalar loop. Documents
+    are scored in chunks of 1-3, in a random order."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    corpus, vocab = build_corpus(_random_corpus(rng), rng.choice((1, 2)))
+    past = next(o for o in itertools.count(1) if (len(vocab) + 1) ** o > 2**63 - 1)
+    order = data.draw(st.sampled_from((1, 2, 3, 4, past - 1, past)), label="order")
+    k = data.draw(st.sampled_from((0.1, 1 / 3)), label="k")
+    lm = train_ngram(corpus, vocab, order=order, k=k)
+    chunk = data.draw(st.integers(1, 3), label="chunk")
+    for scored in (corpus, _random_documents(data, vocab)):
+        doc_ids = data.draw(st.permutations(scored.doc_ids()), label="doc ids")
+        sentences = [scored[d].sentences() for d in doc_ids]
+        expected = [[perplexity(s, lm).hex() for s in doc] for doc in sentences]
+        logged = []
+
+        def spy(x):
+            logged.append(x)
+            return math.log(x)
+
+        with mock.patch.object(lm_module, "_BATCH_DOCS", chunk), \
+                mock.patch.object(lm_module, "log", spy):
+            got = sentence_perplexities(scored, doc_ids, lm)
+        assert [[p.hex() for p in ppls] for ppls in got] == expected
+        # ``math.log`` of each ratio: numpy's own log may differ from it in
+        # the last bit, on some hosts only.
+        ratios = {
+            _prob(lm, t, _sentence_context(s, i, order))
+            for doc in sentences for s in doc for i, t in enumerate(s)
+        }
+        assert set(logged) == ratios
+
+
+def _sentence_context(sentence, i, order):
+    """The order-1 ids before ``sentence[i]``, BOS-padded."""
+    before = sentence[max(0, i - order + 1) : i]
+    return (BOS,) * (order - 1 - len(before)) + tuple(before)
 
 
 def _set(array, index, value):

@@ -126,6 +126,17 @@ def test_config_file_rejects_a_non_finite_number(tmp_path, name, literal):
         RunConfig.from_file(str(path))
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.type == "float"])
+def test_config_rejects_an_integer_too_large_for_a_float(name, sign):
+    # An integer is a number here, but one past the float range would
+    # fail later as a bare OverflowError that names no setting.
+    raw = json.loads(f'{{"{name}": {sign}1{"0" * 400}}}')
+    expected = rf"invalid config field: {name} \(must be finite\)$"
+    with pytest.raises(ValueError, match=expected):
+        RunConfig.from_dict(raw)
+
+
 # The JSON type each annotation asks for, as the error message names it.
 _KIND_OF_ANNOTATION = {
     "str": "a string",

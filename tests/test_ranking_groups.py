@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queryflip import evaluation
+from queryflip import lm as lm_module
 from queryflip.config import RunConfig
 from queryflip.corpus import ingest_corpus
 from queryflip.evaluation import (
@@ -38,6 +39,7 @@ from queryflip.evaluation import (
     evaluate,
     fluency_metric,
 )
+from queryflip.lm import LocalPerplexity
 from queryflip.pipeline import build_stack, make_context
 from queryflip.text import MASK_ID, tokenize
 
@@ -174,7 +176,7 @@ def test_sweep_pays_at_each_size_what_evaluate_pays(
     _, ctx, triplets = synth_small
     sizes = [3, 5, 8]
     swept = _counting(ctx)
-    beam_sweep(triplets, sizes, swept, timing="off", method=method)
+    beam_sweep(triplets, sizes, swept, workers=1, timing="off", method=method)
     swept_importance = +importance_calls
     importance_calls.clear()
     ppl: Counter = Counter()
@@ -350,7 +352,7 @@ def test_target_work_is_freed_after_its_last_triplet(synth_small, monkeypatch, m
     monkeypatch.setattr(evaluation, "_record_for", checked)
     gc.disable()
     try:
-        beam_sweep(triplets, sizes, ctx, timing="off", method=method)
+        beam_sweep(triplets, sizes, ctx, workers=1, timing="off", method=method)
     finally:
         gc.enable()
     assert set(made) == set(last)
@@ -443,6 +445,71 @@ def test_remote_predictor_is_asked_on_every_predict(synth_small):
     assert answers[0] == answers[1] == answers[2]
 
 
+def test_remote_perplexity_is_asked_once_per_sentence_per_target(synth_small):
+    # A remote backend has no batch: ranking each target asks every
+    # distinct sentence once, as a local ppl_fn without one does. The
+    # count is pinned, so any change in what the remote role is asked
+    # shows.
+    stack, ctx, triplets = synth_small
+    with StubBackendServer(stack, lam=0.5) as stub:
+        config = RunConfig(embed_dim=48, timing="off",
+                           backends={"perplexity": {"url": stub.base_url}})
+        report = evaluate(triplets, "max_flip", make_context(stack, config),
+                          beam_width=5, timing="off")
+        asked = list(stub.calls)
+    counting = _counting(ctx)
+    evaluate(triplets, "max_flip", counting, beam_width=5, timing="off")
+    assert asked == ["perplexity"] * 137
+    assert sum(counting.ppl_fn.calls.values()) == 137
+    assert report.records == evaluate(triplets, "max_flip", ctx, beam_width=5,
+                                      timing="off").records
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_local_max_flip_scores_every_target_sentence_in_one_batch(
+    synth_small, monkeypatch, workers
+):
+    # One batch per size holds the perplexity of every sentence of the
+    # targets, also when worker threads (more than there are cores) ask
+    # for it at once; the scalar perplexity is asked only of the queries,
+    # for the fluency of an outcome. The records are those of asking per
+    # sentence.
+    _, ctx, triplets = synth_small
+    sizes = [3, 5]
+    asked, batches = Counter(), []
+    scalar, batch = lm_module.perplexity, LocalPerplexity.batch
+
+    def counted_scalar(ids, lm):
+        asked[tuple(ids)] += 1
+        return scalar(ids, lm)
+
+    def counted_batch(role, doc_ids):
+        batches.append(list(doc_ids))
+        time.sleep(0.002)
+        return batch(role, doc_ids)
+
+    monkeypatch.setattr(lm_module, "perplexity", counted_scalar)
+    monkeypatch.setattr(LocalPerplexity, "batch", counted_batch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as runner:
+            reports = runner.submit(
+                beam_sweep, triplets, sizes, ctx, workers=workers, timing="off",
+                method="max_flip",
+            ).result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.undo()
+    targets = list(dict.fromkeys(t.d_prime.id for t in triplets))
+    assert batches == [targets] * len(sizes)
+    assert asked and set(asked) <= {t.query_ids for t in triplets}
+    per_sentence = _counting(ctx)
+    assert reports == beam_sweep(triplets, sizes, per_sentence, workers=1,
+                                 timing="off", method="max_flip")
+    assert per_sentence.ppl_fn.calls.keys() > asked.keys()
+
+
 def test_memoized_vectors_are_read_only(synth_small):
     # Every caller of a sequence gets the same array, so a write into it
     # would change every later metric and importance that reads it.
@@ -483,7 +550,7 @@ def test_memoized_metrics_equal_direct_calls(synth_eval_chunk, monkeypatch, meth
         return bertscore_f1(query_ids, edited_ids, *embedders)
 
     monkeypatch.setattr(evaluation, "bertscore_f1", counted)
-    reports = beam_sweep(triplets, sizes, ctx, timing="off", method=method)
+    reports = beam_sweep(triplets, sizes, ctx, workers=1, timing="off", method=method)
     monkeypatch.undo()
     distinct = set()
     for size, report in zip(sizes, reports):
