@@ -3,13 +3,13 @@ built-in BM25 search model with its postings.
 
 The search model plays the role of the relevance scorer the rest of the
 pipeline treats as a black box: it produces rel(query, doc) scores, ranked
-lists, and the sparse query representation used by the similarity metric.
+lists, and the idf weights of the similarity metric's sparse query
+representation.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 import re
 from dataclasses import dataclass
@@ -20,15 +20,12 @@ import numpy as np
 
 from .text import (
     FIRST_CONTENT_ID,
-    SPECIAL_IDS,
     Vocabulary,
     build_vocabulary,
     pack_strings,
     tokenize_sentences,
     unpack_strings,
 )
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -272,16 +269,16 @@ class Bm25SearchModel:
         w(t,d) = idf(t) * tf * (k1+1) / (tf + k1 * (1 - b + b * n/avgdl))
 
     Derived once at construction, as arrays: idf per term (``math.log``,
-    one call per term; ``idf`` reads it, and so does the query
-    representation), the impact w(t,d) of every posting in one numpy
-    expression (``impacts``, in posting order), and the postings
-    regrouped by document. ``score`` builds a document's {term id: w}
-    table from the regrouped arrays the first time it scores that
-    document and keeps it; ``search`` adds rows of ``impacts`` into one
-    score array. A query is scored one token occurrence at a time, so
-    repeated query terms contribute once per occurrence. Non-indexed
-    terms contribute 0. Apart from those memoized tables the model is
-    immutable after construction, and it is safe for concurrent use.
+    one call per term; ``idf`` and ``idf_array`` read it), the impact
+    w(t,d) of every posting in one numpy expression (``impacts``, in
+    posting order), and the postings regrouped by document. ``score``
+    builds a document's {term id: w} table from the regrouped arrays the
+    first time it scores that document and keeps it; ``search`` adds rows
+    of ``impacts`` into one score array. A query is scored one token
+    occurrence at a time, so repeated query terms contribute once per
+    occurrence. Non-indexed terms contribute 0. Apart from those memoized
+    tables the model is immutable after construction, and it is safe for
+    concurrent use.
     """
 
     def __init__(
@@ -330,6 +327,10 @@ class Bm25SearchModel:
 
     def idf(self, term_id: int) -> float:
         return self._idf.get(term_id, self._idf_unseen)
+
+    def idf_array(self, size: int) -> np.ndarray:
+        """``idf`` of every token id below ``size``, as one array."""
+        return np.array([self.idf(t) for t in range(size)], dtype=np.float64)
 
     def score(self, query_ids: Sequence[int], doc_id: str) -> float:
         """rel(q, d) for one document; 0.0 when no query term matches.
@@ -386,27 +387,6 @@ class Bm25SearchModel:
         entries = zip([ids[p] for p in ranked], scores[ranked].tolist())
         return Ranking(tuple(query_ids), tuple(entries))
 
-    def query_representation(self, query_ids: Sequence[int]) -> dict[int, float]:
-        """L2-normalized sparse idf*tf vector over the vocabulary.
-
-        Special tokens carry no weight; a query that maps entirely to
-        specials yields the zero vector (returned as an empty dict and
-        flagged via a debug log).
-        """
-        counts: dict[int, int] = {}
-        for t in query_ids:
-            if t not in SPECIAL_IDS:
-                counts[t] = counts.get(t, 0) + 1
-        weights = {t: self.idf(t) * tf for t, tf in counts.items()}
-        squares = 0.0
-        for w in weights.values():  # left to right; ``sum`` differs on 3.12+
-            squares += w * w
-        norm = math.sqrt(squares)
-        if norm == 0.0:
-            logger.debug("query has no scoreable terms; zero representation")
-            return {}
-        return {t: w / norm for t, w in sorted(weights.items())}
-
 
 def _robertson_idf(n_docs: int, df: int) -> float:
     return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
@@ -415,6 +395,26 @@ def _robertson_idf(n_docs: int, df: int) -> float:
 def run_starts(keys: np.ndarray) -> np.ndarray:
     """The index of the first element of each run of equal ``keys``."""
     return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]][: len(keys)])
+
+
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[i]``, ``starts[i] + 1``, ... for ``lengths[i]`` values, for
+    every i in turn."""
+    heads = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - heads, lengths)
+
+
+def sums_in_order(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sum of each run of ``lengths[i]`` consecutive ``values``, added
+    left to right from 0.0 as a Python loop adds them: one add per place in
+    the run, so the floats do not depend on numpy's summation order. An
+    empty run sums to 0.0."""
+    heads = np.cumsum(lengths) - lengths
+    totals = np.zeros(len(lengths))
+    for place in range(lengths.max(initial=0)):
+        running = lengths > place
+        totals[running] += values[heads[running] + place]
+    return totals
 
 
 def count_postings(corpus: Corpus) -> tuple[np.ndarray, ...]:

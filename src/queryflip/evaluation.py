@@ -4,17 +4,21 @@ Metrics per edited query: whether the ranking flipped, cosine similarity
 of the sparse query representations, greedy-matching embedding F1,
 perplexity ratio (1.0 = unchanged fluency), and wall-clock seconds per
 edit. A record's metrics are computed after its edit is timed, once per
-distinct (ranking, outcome): the ranking's ``SharedWork`` memoizes them
-by outcome. A max_flip outcome is a sentence of the target document d',
-so its vectors, representation and perplexity are asked of d''s
-``SharedWork``, which every ranking with that target shares. That work
-also ranks d''s stored sentences once, by perplexity, while a max_flip
-edit's flip checks stop at the first sentence that flips. The local
-perplexity role scores the sentences of every target document of a pass
-in one batch per beam size; any other ``ppl_fn`` (a remote backend sees
-each sentence once per target and beam size) is asked per sentence. A
-report derives its aggregates and its breakdown by target-document rank
-from its records, and serializes to canonical JSON plus markdown tables.
+distinct (ranking, outcome): the ranking's ``SharedWork`` memoizes the
+outcome's pair, whose vectors, fluency and text are asked when its
+first record is made. CosSim and BERTScore are then computed per block
+of records, each by one numpy kernel with no BLAS in it, so a report's
+bytes do not depend on the BLAS kernel. A max_flip outcome is a
+sentence of the target document d', so its vectors and perplexity are
+asked of d''s ``SharedWork``, which every ranking with that target
+shares. That work also ranks d''s stored sentences once, by perplexity,
+while a max_flip edit's flip checks stop at the first sentence that
+flips. The local perplexity role scores the sentences of every target
+document of a pass in one batch per beam size; any other ``ppl_fn`` (a
+remote backend sees each sentence once per target and beam size) is
+asked per sentence. A report derives its aggregates and its breakdown
+by target-document rank from its records, and serializes to canonical
+JSON plus markdown tables.
 """
 
 from __future__ import annotations
@@ -28,21 +32,29 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, islice
 from typing import Any, Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Bm25SearchModel, Corpus, Document, Ranking
+from .corpus import Bm25SearchModel, Corpus, Document, Ranking, ranges, sums_in_order
 from .editor import EditResult, Triplet, check_flip, edit
 from .lm import LocalPerplexity
 from .masker import ImportanceScores, maxsim_importance, occlusion_importance
-from .text import PAD_ID, UNK_ID, Vocabulary
+from .text import FIRST_CONTENT_ID, PAD_ID, UNK_ID, Vocabulary
 
 logger = logging.getLogger(__name__)
 
 _LOCK_TYPE = type(threading.Lock())
 
 METHODS = ("cfe2", "mask_only", "max_flip")
+
+#: Rows ``beam_sweep`` makes before it computes their metrics, which
+#: bounds the arrays of one kernel call.
+_BLOCK_ROWS = 256
+#: Vector entries ``bertscore_f1`` multiplies at a time (256 kB of
+#: float64), so that its products stay in cache.
+_PRODUCT_ENTRIES = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -87,53 +99,115 @@ def build_triplets(ranking: Ranking, corpus: Corpus) -> list[Triplet]:
 
 
 def cos_sim_metric(
-    query_ids: Sequence[int], edited_ids: Sequence[int], search, edited_search
-) -> float:
-    """Cosine of the sparse query representations, clamped to [0, 1].
+    queries: Sequence[Sequence[int]], edits: Sequence[Sequence[int]], idf: np.ndarray
+) -> list[float]:
+    """Cosine of the sparse query representations of each pair
+    ``(queries[i], edits[i])``, clamped to [0, 1]. Identical sequences
+    score exactly 1.0; a sequence with no scoreable term (its
+    representation is the zero vector) scores 0.0.
 
-    The original query's representation is asked of ``search``, the
-    edited query's of ``edited_search``. Identical queries score exactly
-    1.0. A query whose representation is the zero vector (no scoreable
-    terms) scores 0.0.
+    A sequence's representation weighs each distinct term t by
+    ``idf[t] * tf`` (``idf`` as ``Bm25SearchModel.idf_array`` gives it;
+    special tokens carry no weight) and divides by the L2 norm. The float
+    operations are those of a Python loop, in its order: the squares are
+    added left to right from 0.0 in first-occurrence order, and the dot
+    product adds the shared terms' products left to right from 0.0 in
+    ascending term order. Each distinct sequence is represented once.
     """
-    if list(query_ids) == list(edited_ids):
-        return 1.0
-    u = search.query_representation(query_ids)
-    v = edited_search.query_representation(edited_ids)
-    if not u or not v:
-        logger.debug("zero-vector query in cosine metric; scored 0.0")
-        return 0.0
-    dot = 0.0
-    for t, w in u.items():  # left to right; ``sum`` differs on 3.12+
-        if t in v:
-            dot += w * v[t]
-    return max(0.0, min(1.0, dot))
+    number: dict[tuple[int, ...], int] = {}  # of each distinct sequence
+    pairs = np.array([number.setdefault(tuple(ids), len(number))
+                      for pair in zip(queries, edits) for ids in pair],
+                     dtype=np.int64).reshape(-1, 2)
+    sequences = list(number)
+    lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
+    tokens = np.fromiter(chain.from_iterable(sequences), np.int64, int(lengths.sum()))
+    owner = np.repeat(np.arange(len(sequences)), lengths)
+    scored = tokens >= FIRST_CONTENT_ID
+    size = len(idf)
+    # Each sequence's distinct terms in ascending order, with the place of
+    # their first occurrence and their count.
+    keys, first, tf = np.unique(
+        owner[scored] * size + tokens[scored], return_index=True, return_counts=True
+    )
+    seq, term = np.divmod(keys, size)
+    weights = idf[term] * tf
+    by_first = np.argsort(first)
+    w = weights[by_first]
+    counts = np.bincount(seq, minlength=len(sequences))
+    squares = sums_in_order(w * w, counts)
+    representation = weights / np.sqrt(squares)[seq]
+    # Each pair's terms of q and of q', as positions in ``keys``; a shared
+    # term has the same (pair, term) key on both sides.
+    heads = np.cumsum(counts) - counts
+    q, e = pairs[:, 0], pairs[:, 1]
+    u = ranges(heads[q], counts[q])
+    v = ranges(heads[e], counts[e])
+    u_pair = np.repeat(np.arange(len(pairs)), counts[q])
+    u_keys = u_pair * size + term[u]
+    v_keys = np.repeat(np.arange(len(pairs)), counts[e]) * size + term[v]
+    at = np.searchsorted(v_keys, u_keys)
+    shared = np.flatnonzero(np.append(v_keys, -1)[at] == u_keys)  # -1: no key
+    products = representation[u[shared]] * representation[v[at[shared]]]
+    dots = sums_in_order(products, np.bincount(u_pair[shared], minlength=len(pairs)))
+    dots = np.clip(dots, 0.0, 1.0)
+    dots[q == e] = 1.0
+    return dots.tolist()
 
 
 def bertscore_f1(
-    query_ids: Sequence[int], edited_ids: Sequence[int], embedder, edited_embedder
-) -> float:
-    """Greedy-matching token similarity F1 in [0, 1].
+    queries: Sequence[Sequence[int]],
+    edits: Sequence[Sequence[int]],
+    query_vectors: Sequence[np.ndarray],
+    edited_vectors: Sequence[np.ndarray],
+) -> list[float]:
+    """Greedy-matching token similarity F1 in [0, 1] of each pair
+    ``(queries[i], edits[i])``, whose token vectors are
+    ``query_vectors[i]`` and ``edited_vectors[i]``. Identical sequences
+    score exactly 1.0.
 
     Each token's best dot product against the other sequence is mapped
     from [-1, 1] to [0, 1] via (s+1)/2, then averaged into precision and
-    recall. The original tokens' vectors are asked of ``embedder``, the
-    edited tokens' of ``edited_embedder``. Identical sequences score
-    exactly 1.0.
+    recall. No BLAS: each dot product is ``np.add.reduce`` over the vector
+    axis of an elementwise product, and each mean is ``np.add.reduceat``
+    over the pair's own values, so a pair's floats do not depend on the
+    other pairs of the call, nor on the BLAS kernel or the CPU.
     """
-    if list(query_ids) == list(edited_ids):
-        return 1.0
-    q = embedder.vectors_for(query_ids)
-    e = edited_embedder.vectors_for(edited_ids)
-    sims = e @ q.T  # rows: edited tokens, cols: original tokens
-    # np.mean's own sum and division, without its dispatch: the same bits.
-    best_p = (sims.max(axis=1) + 1.0) / 2.0
-    best_r = (sims.max(axis=0) + 1.0) / 2.0
-    precision = float(np.add.reduce(best_p) / len(best_p))
-    recall = float(np.add.reduce(best_r) / len(best_r))
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    if not len(queries):
+        return []
+    n_q = np.array([len(m) for m in query_vectors])
+    n_e = np.array([len(m) for m in edited_vectors])
+    if not (n_q.all() and n_e.all()):
+        raise ValueError("BERTScore of an empty sequence")
+    q, e = np.concatenate(query_vectors), np.concatenate(edited_vectors)
+    e = e.astype(np.result_type(q, e), copy=False)  # the products are made in e's
+    q_heads, e_heads = np.cumsum(n_q) - n_q, np.cumsum(n_e) - n_e
+    # Every (edited token, original token) cell, pair by pair; in a pair,
+    # row by row (an edited token's cells are consecutive).
+    cells = n_e * n_q
+    width, height = np.repeat(n_q, cells), np.repeat(n_e, cells)
+    heads = np.repeat(np.cumsum(cells) - cells, cells)
+    place = np.arange(len(heads)) - heads
+    row, col = np.divmod(place, width)
+    rows, cols = np.repeat(e_heads, cells) + row, np.repeat(q_heads, cells) + col
+    sims = np.empty(len(rows), dtype=e.dtype)
+    step = max(1, _PRODUCT_ENTRIES // q.shape[1])
+    for start in range(0, len(rows), step):
+        part = slice(start, start + step)
+        products = e[rows[part]]
+        products *= q[cols[part]]
+        sims[part] = np.add.reduce(products, axis=1)
+    # The same cells column by column: an original token's are consecutive.
+    across, down = np.divmod(place, height)
+    by_col = heads + down * width + across
+    best_p = (np.maximum.reduceat(sims, np.flatnonzero(col == 0)) + 1.0) / 2.0
+    best_r = (np.maximum.reduceat(sims[by_col], np.flatnonzero(down == 0)) + 1.0) / 2.0
+    precision = np.add.reduceat(best_p, e_heads) / n_e.astype(best_p.dtype)
+    recall = np.add.reduceat(best_r, q_heads) / n_q.astype(best_r.dtype)
+    p, r = precision.astype(np.float64), recall.astype(np.float64)
+    total = p + r
+    f1 = np.divide(2.0 * p * r, total, out=np.zeros(len(p)), where=total != 0.0)
+    f1[[tuple(a) == tuple(b) for a, b in zip(queries, edits)]] = 1.0
+    return f1.tolist()
 
 
 def fluency_metric(
@@ -260,26 +334,44 @@ def _once(memo: dict, key: Any, compute: Callable[[Any], Any]) -> Any:
     return value
 
 
+@dataclass(eq=False, slots=True)
+class _Pair:
+    """An outcome as an edit of q, with what its metrics read: both token
+    sequences and their vectors, asked when its first record is made,
+    with its fluency and text. ``beam_sweep`` sets its CosSim and
+    BERTScore along with the other new pairs of the block that record
+    falls in."""
+
+    query_ids: tuple[int, ...]
+    outcome: tuple[int, ...]
+    query_vectors: np.ndarray
+    outcome_vectors: np.ndarray
+    fluency: float
+    text: str
+    cos_sim: float | None = None
+    bertscore: float | None = None
+
+
 class SharedWork:
     """The values the triplets of one key share, each computed once, on
     first use. A triplet (q, d, d') has two keys: its ranking (q, d), whose
     work gives the importance of q's tokens for d, q's text, and the
-    metrics of each outcome, and its target d', whose work gives d''s
+    metric pair of each outcome, and its target d', whose work gives d''s
     predictor (with its memo of answers) and d''s distinct sentences as
     token ids, ranked by ``rank_sentences``. ``sentence_ppls``, when
     given, returns a table of the sentence perplexities of the pass's
     target documents (see ``_sweep_tasks``); ranking d' seeds the
     perplexity memo from it, which is exact, since the table holds the
     floats ``ppl_fn`` gives.
-    Both also hold memos of ``vectors_for``, ``query_representation`` and
-    perplexity, so they stand in for the embedder, the search model and
-    ``ppl_fn`` where the metrics, the masker and the editor take them.
+    Both also hold memos of ``vectors_for`` and perplexity, so they stand
+    in for the embedder and ``ppl_fn`` where the masker, the editor and
+    the metric inputs take them.
 
     The memos are keyed by the token sequence asked about, so no sequence
-    is asked twice. That is exact because each of the three is a function
-    of the sequence alone, and the shared values are functions of the key.
-    The metric memo is keyed by the outcome: its values are functions of
-    (q, outcome), and q is fixed by the ranking. Memoized vectors are
+    is asked twice. That is exact because each is a function of the
+    sequence alone, and the shared values are functions of the key. The
+    pair memo is keyed by the outcome: a pair is a function of (q,
+    outcome), and q is fixed by the ranking. Memoized vectors are
     read-only, since every caller of a sequence gets the same array.
 
     The triplets of one key may run on several worker threads; see
@@ -297,9 +389,8 @@ class SharedWork:
         self._sentence_ppls = sentence_ppls
         self._shared: dict[str, Any] = {}
         self._vectors: dict[tuple[int, ...], Any] = {}
-        self._representations: dict[tuple[int, ...], Any] = {}
         self._ppl: dict[tuple[int, ...], Any] = {}
-        self._metrics: dict[tuple[int, ...], Any] = {}
+        self._pairs: dict[tuple[int, ...], Any] = {}
 
     def importance(self, triplet: Triplet) -> ImportanceScores:
         def compute(_):
@@ -334,23 +425,21 @@ class SharedWork:
             lambda _: sys.intern(self.ctx.vocab.text(query_ids)),
         )
 
-    def metrics(
+    def pair(
         self, query_ids: Sequence[int], outcome: tuple[int, ...], owner: SharedWork
-    ) -> tuple[float, float, float, str]:
-        """(cos_sim, bertscore, fluency, outcome text) of ``outcome`` as an
-        edit of q, computed on the first ask. q's vectors, representation
-        and perplexity are asked of this work, the outcome's of ``owner``:
-        this work, or the work of the key the outcome belongs to."""
-
-        def compute(_):
-            return (
-                cos_sim_metric(query_ids, outcome, self, owner),
-                bertscore_f1(query_ids, outcome, self, owner),
-                fluency_metric(query_ids, outcome, self.ppl, owner.ppl),
-                self.ctx.vocab.text(outcome),
-            )
-
-        return _once(self._metrics, outcome, compute)
+    ) -> _Pair:
+        """The ``_Pair`` of ``outcome`` as an edit of q, made on the first
+        ask. q's vectors and perplexity are asked of this work, the
+        outcome's of ``owner``: this work, or the work of the key the
+        outcome belongs to."""
+        return _once(self._pairs, outcome, lambda _: _Pair(
+            query_ids,
+            outcome,
+            self.vectors_for(query_ids),
+            owner.vectors_for(outcome),
+            fluency_metric(query_ids, outcome, self.ppl, owner.ppl),
+            self.ctx.vocab.text(outcome),
+        ))
 
     def vectors_for(self, ids: Sequence[int]) -> np.ndarray:
         return _once(self._vectors, tuple(ids), self._read_only_vectors)
@@ -359,11 +448,6 @@ class SharedWork:
         vectors = self.ctx.embedder.vectors_for(ids)
         vectors.setflags(write=False)
         return vectors
-
-    def query_representation(self, ids: Sequence[int]) -> dict[int, float]:
-        return _once(
-            self._representations, tuple(ids), self.ctx.search.query_representation
-        )
 
     def ppl(self, ids: Sequence[int]) -> float:
         return _once(self._ppl, tuple(ids), self.ctx.ppl_fn)
@@ -498,29 +582,39 @@ def _record_for(
     work: SharedWork,
     target: SharedWork,
     elapsed: float,
-) -> EvalRecord:
+) -> tuple[Any, ...]:
+    """``_record``'s arguments: the pair of the outcome (None for no
+    outcome), then the record's other fields in ``EvalRecord``'s order.
+    The pair's inputs are asked here, through the row's works."""
     query_ids = triplet.query_ids
     outcome = result.outcome
-    cos = f1 = fluency = outcome_text = None
+    pair = None
     if outcome is not None:
         # A max_flip outcome is a sentence of d', asked again by every
         # ranking with that target, so d''s work holds its answers.
         owner = target if method == "max_flip" else work
-        cos, f1, fluency, outcome_text = work.metrics(query_ids, outcome, owner)
-    return EvalRecord(
-        index=index,
-        query=work.query_text(query_ids),
-        doc_id=triplet.d.id,
-        counter_doc_id=triplet.d_prime.id,
-        counter_rank=triplet.counter_rank,
-        flipped=outcome is not None,
-        outcome=outcome_text,
-        masks_used=result.masks_used,
-        cos_sim=cos,
-        bertscore=f1,
-        fluency=fluency,
-        elapsed=elapsed,
-    )
+        pair = work.pair(query_ids, outcome, owner)
+    return (pair, index, work.query_text(query_ids), triplet.d.id, triplet.d_prime.id,
+            triplet.counter_rank, result.masks_used, elapsed)
+
+
+def _record(
+    pair: _Pair | None,
+    index: int,
+    query: str,
+    doc_id: str,
+    counter_doc_id: str,
+    counter_rank: int | None,
+    masks_used: int,
+    elapsed: float,
+) -> EvalRecord:
+    """The record of a row whose pair, if any, has its metrics."""
+    if pair is None:
+        return EvalRecord(index, query, doc_id, counter_doc_id, counter_rank, False,
+                          None, masks_used, None, None, None, elapsed)
+    return EvalRecord(index, query, doc_id, counter_doc_id, counter_rank, True,
+                      pair.text, masks_used, pair.cos_sim, pair.bertscore,
+                      pair.fluency, elapsed)
 
 
 def _sweep_tasks(
@@ -640,15 +734,34 @@ def beam_sweep(
     timing: str,
 ) -> list[EvalReport]:
     """One ``EvalReport`` per beam size, in the order given, of the records
-    ``sweep_edits`` makes with ``_record_for`` and of ``meta``."""
+    ``sweep_edits`` makes with ``_record_for`` and of ``meta``.
+
+    Rows are taken ``_BLOCK_ROWS`` at a time. Each row asks for its
+    metric inputs when it is made (see ``_record_for``), so no shared work
+    outlives its last task; the block then computes the CosSim and
+    BERTScore of its pairs that have none yet, each distinct (size,
+    ranking, outcome) once, with one call of each kernel. Blocks are cut
+    by input row, so the records do not depend on the worker count."""
     if not triplets:
         raise ValueError("no triplets to evaluate")
     rows = sweep_edits(
         triplets, sizes, ctx, _record_for, method, workers=workers, timing=timing
     )
+    idf = ctx.search.idf_array(len(ctx.vocab))
+    records: list[list[EvalRecord]] = []
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        made = (m[0] for row in block for m in row)
+        pairs = [p for p in dict.fromkeys(made) if p is not None and p.cos_sim is None]
+        queries, outcomes = [p.query_ids for p in pairs], [p.outcome for p in pairs]
+        cos = cos_sim_metric(queries, outcomes, idf)
+        f1 = bertscore_f1(queries, outcomes, [p.query_vectors for p in pairs],
+                          [p.outcome_vectors for p in pairs])
+        for pair, c, f in zip(pairs, cos, f1):
+            pair.cos_sim, pair.bertscore = c, f
+        records += ([_record(*m) for m in row] for row in block)
     return [
-        EvalReport(method, list(records), {"beam": b, "timing": timing, **(meta or {})})
-        for b, records in zip(sizes, zip(*rows))
+        EvalReport(method, list(column), {"beam": b, "timing": timing, **(meta or {})})
+        for b, column in zip(sizes, zip(*records))
     ]
 
 

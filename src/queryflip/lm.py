@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .text import FIRST_CONTENT_ID, MASK_ID, PAD_ID, Vocabulary
-from .corpus import Corpus, run_starts
+from .corpus import Corpus, ranges, run_starts, sums_in_order
 
 #: Padding marker in n-gram contexts: before each document when counting,
 #: before the query when predicting. Not a vocabulary id, so it can never
@@ -289,14 +289,14 @@ def sentence_perplexities(
         docs = positions[chunk : chunk + _BATCH_DOCS]
         first = np.searchsorted(bounds, corpus.offsets[docs])
         per_doc = np.searchsorted(bounds, corpus.offsets[docs + 1]) - first
-        sentences = _ranges(first, per_doc)
+        sentences = ranges(first, per_doc)
         lengths = bounds[sentences + 1] - bounds[sentences]
         # The chunk's tokens in one stream, pad BOS before each sentence,
         # and each token's window of ``order`` ids ending at it.
         heads = np.cumsum(lengths) - lengths
-        ends = _ranges(heads + pad * np.arange(1, len(lengths) + 1), lengths)
+        ends = ranges(heads + pad * np.arange(1, len(lengths) + 1), lengths)
         stream = np.full(len(ends) + pad * len(lengths), BOS, dtype=np.int64)
-        stream[ends] = corpus.ids[_ranges(bounds[sentences], lengths)]
+        stream[ends] = corpus.ids[ranges(bounds[sentences], lengths)]
         keys = _pack(stream[ends[:, None] + np.arange(-pad, 1)], radix)
         # Each distinct key once, in ascending order: its row and its
         # context's run, or the sentinels where the table lacks them.
@@ -309,21 +309,11 @@ def sentence_perplexities(
         ratio = (count + lm.k) / denominators[run]
         ratios, ratio_of = np.unique(ratio, return_inverse=True)
         terms = np.array([log(r) for r in ratios.tolist()])[ratio_of[inverse]]
-        totals = np.zeros(len(lengths))
-        for place in range(lengths.max(initial=0)):
-            running = lengths > place
-            totals[running] += terms[heads[running] + place]
+        totals = sums_in_order(terms, lengths)
         values = [exp(m) for m in (-totals / lengths).tolist()]
         for end, n in zip(np.cumsum(per_doc).tolist(), per_doc.tolist()):
             out.append(values[end - n : end])
     return out
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``starts[i]``, ``starts[i] + 1``, ... for ``lengths[i]`` values, for
-    every i in turn."""
-    heads = np.cumsum(lengths) - lengths
-    return np.arange(lengths.sum()) + np.repeat(starts - heads, lengths)
 
 
 class LocalPerplexity:

@@ -112,11 +112,13 @@ def test_criterion_03_metric_identities(synth):
     stack, ctx, _ = synth
     rng = random.Random(17)
     content = list(range(FIRST_CONTENT_ID, len(stack.vocab)))
+    idf = stack.search.idf_array(len(stack.vocab))
     checked = 0
     for _ in range(100):
         query = [rng.choice(content) for _ in range(rng.randint(2, 6))]
-        assert cos_sim_metric(query, list(query), stack.search, stack.search) == 1.0
-        assert bertscore_f1(query, list(query), stack.table, stack.table) == 1.0
+        vectors = stack.table.vectors_for(query)
+        assert cos_sim_metric([query], [list(query)], idf) == [1.0]
+        assert bertscore_f1([query], [list(query)], [vectors], [vectors]) == [1.0]
         assert fluency_metric(query, list(query), ctx.ppl_fn, ctx.ppl_fn) == 1.0
         checked += 1
     assert checked == 100

@@ -187,14 +187,44 @@ def test_search_prefix_consistency(sample_stack):
             assert shorter.entries == longer.entries[:k]
 
 
+def query_representation(search, query_ids):
+    """L2-normalized sparse idf*tf vector over the vocabulary, in ascending
+    term order; special tokens carry no weight, and a query with no
+    scoreable term gives the zero vector (an empty dict). Its squares are
+    added left to right in first-occurrence order: the plain-Python
+    reference ``evaluation.cos_sim_metric``'s vectorised representation
+    must match bit for bit."""
+    counts: dict[int, int] = {}
+    for t in query_ids:
+        if t not in SPECIAL_IDS:
+            counts[t] = counts.get(t, 0) + 1
+    weights = {t: search.idf(t) * tf for t, tf in counts.items()}
+    squares = 0.0
+    for w in weights.values():  # left to right; ``sum`` differs on 3.12+
+        squares += w * w
+    norm = math.sqrt(squares)
+    if norm == 0.0:
+        return {}
+    return {t: w / norm for t, w in sorted(weights.items())}
+
+
+def test_idf_array_holds_the_idf_of_every_id(sample_stack):
+    # Specials and ids past the indexed terms get the unseen-term idf.
+    search = sample_stack.search
+    size = len(sample_stack.vocab) + 2
+    table = search.idf_array(size)
+    assert table.dtype == np.float64
+    assert table.tolist() == [search.idf(t) for t in range(size)]
+
+
 def test_query_representation_identity_and_disjoint(sample_stack):
     s = sample_stack.search
     q = ids(sample_stack, "apple recipe")
-    u = s.query_representation(q)
-    v = s.query_representation(q)
+    u = query_representation(s, q)
+    v = query_representation(s, q)
     assert u == v
     assert sum(w * w for w in u.values()) == pytest.approx(1.0, abs=1e-12)
-    disjoint = s.query_representation(ids(sample_stack, "tree bread"))
+    disjoint = query_representation(s, ids(sample_stack, "tree bread"))
     assert set(u) & set(disjoint) == set()
 
 
@@ -202,8 +232,8 @@ def test_query_representation_hand_cosine(sample_stack):
     # q = "apple recipe" (both idf ln 1.6), q' = "apple orchard"
     # cos = ln(1.6)^2 / (sqrt(2)*ln(1.6) * sqrt(ln(1.6)^2 + ln(8/3)^2))
     s = sample_stack.search
-    u = s.query_representation(ids(sample_stack, "apple recipe"))
-    v = s.query_representation(ids(sample_stack, "apple orchard"))
+    u = query_representation(s, ids(sample_stack, "apple recipe"))
+    v = query_representation(s, ids(sample_stack, "apple orchard"))
     dot = sum(w * v[t] for t, w in u.items() if t in v)
     expected = (IDF_DF2 * IDF_DF2) / (
         math.sqrt(2.0) * IDF_DF2 * math.hypot(IDF_DF2, IDF_DF1)
@@ -213,7 +243,7 @@ def test_query_representation_hand_cosine(sample_stack):
 
 
 def test_query_representation_all_unk_is_zero_vector(sample_stack):
-    assert sample_stack.search.query_representation([UNK_ID, UNK_ID]) == {}
+    assert query_representation(sample_stack.search, [UNK_ID, UNK_ID]) == {}
 
 
 def test_search_rejects_bad_k(sample_stack):
@@ -534,5 +564,5 @@ def test_query_representation_equals_the_counter_reference(texts, query, repeats
     search = build_index(corpus, K1, B)
     for q in (query, query * repeats + [UNK_ID], [UNK_ID] * repeats):
         expected = _counter_representation(search, q)
-        got = search.query_representation(q)
+        got = query_representation(search, q)
         assert list(got.items()) == list(expected.items())

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from queryflip import evaluation
 from queryflip.config import MASKERS
-from queryflip.corpus import Document, build_corpus, ingest_corpus
+from queryflip.corpus import Document, build_corpus, build_index, ingest_corpus
 from queryflip.editor import EditCandidate, EditResult, Triplet, check_flip, select_final
 from queryflip.evaluation import (
     METHODS,
@@ -38,7 +39,9 @@ from queryflip.pipeline import build_stack, make_context
 from queryflip.text import MASK_ID, PAD_ID, UNK_ID
 
 from conftest import sample_config
-from test_corpus import IDF_DF1, IDF_DF2, ids, reference_sentence_ids
+from test_corpus import (
+    B, IDF_DF1, IDF_DF2, K1, _TEXTS, ids, query_representation, reference_sentence_ids
+)
 from test_editor import _triplet
 from test_masker import FakeEmbedder
 
@@ -114,19 +117,21 @@ def test_reports_sharing_a_method_are_not_dropped_from_json():
 # metrics
 
 
+def _idf(stack):
+    return stack.search.idf_array(len(stack.vocab))
+
+
 def test_cos_sim_identity_exact(sample_stack):
     q = ids(sample_stack, "apple recipe")
-    assert cos_sim_metric(q, list(q), sample_stack.search, sample_stack.search) == 1.0
+    assert cos_sim_metric([q], [list(q)], _idf(sample_stack)) == [1.0]
 
 
 def test_cos_sim_disjoint_zero(sample_stack):
     q = ids(sample_stack, "apple recipe")
     other = ids(sample_stack, "tree bread")
-    assert cos_sim_metric(q, other, sample_stack.search, sample_stack.search) == 0.0
+    assert cos_sim_metric([q], [other], _idf(sample_stack)) == [0.0]
     # A mask_only outcome that pads every token has the zero vector.
-    assert cos_sim_metric(
-        q, [PAD_ID] * len(q), sample_stack.search, sample_stack.search
-    ) == 0.0
+    assert cos_sim_metric([q], [[PAD_ID] * len(q)], _idf(sample_stack)) == [0.0]
 
 
 def test_cos_sim_hand_value(sample_stack):
@@ -135,19 +140,65 @@ def test_cos_sim_hand_value(sample_stack):
     expected = (IDF_DF2 * IDF_DF2) / (
         math.sqrt(2.0) * IDF_DF2 * math.hypot(IDF_DF2, IDF_DF1)
     )
-    assert cos_sim_metric(
-        q, edited, sample_stack.search, sample_stack.search
-    ) == pytest.approx(expected, abs=1e-9)
+    assert cos_sim_metric([q], [edited], _idf(sample_stack)) == pytest.approx(
+        [expected], abs=1e-9
+    )
+
+
+def _reference_cos_sim(query_ids, edited_ids, search):
+    """The cosine of two ``query_representation``s, their dot product
+    added left to right: the reference ``cos_sim_metric`` must match bit
+    for bit."""
+    if list(query_ids) == list(edited_ids):
+        return 1.0
+    u = query_representation(search, query_ids)
+    v = query_representation(search, edited_ids)
+    dot = 0.0
+    for t, w in u.items():
+        if t in v:
+            dot += w * v[t]
+    return max(0.0, min(1.0, dot))
+
+
+_QUERY_IDS = st.lists(st.integers(0, 12), min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(_TEXTS, min_size=1, max_size=6),
+    pairs=st.lists(st.tuples(_QUERY_IDS, _QUERY_IDS), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_cos_sim_equals_the_reference_alone_and_in_a_block(texts, pairs, data):
+    """Bit for bit, for queries with repeated terms, specials, [UNK], ids
+    no document holds and sequences repeated across pairs; each pair's
+    float is the same alone as in the block."""
+    records = {f"d{i}": text for i, text in enumerate(texts)}
+    records["fixed"] = "w0 w0 w1 w2"
+    corpus, _ = build_corpus(records, 1)
+    search = build_index(corpus, K1, B)
+    # Some pairs reuse another pair's sequence, or pair a sequence with itself.
+    for i in data.draw(st.lists(st.integers(0, len(pairs) - 1), max_size=3)):
+        pairs.append((pairs[i][1], pairs[i][data.draw(st.integers(0, 1))]))
+    queries, edits = [q for q, _ in pairs], [e for _, e in pairs]
+    idf = search.idf_array(13)
+    block = cos_sim_metric(queries, edits, idf)
+    expected = [_reference_cos_sim(q, e, search) for q, e in pairs]
+    assert [x.hex() for x in block] == [x.hex() for x in expected]
+    alone = [cos_sim_metric([q], [e], idf)[0] for q, e in pairs]
+    assert [x.hex() for x in alone] == [x.hex() for x in block]
 
 
 def test_bertscore_identity_exact(sample_stack):
     q = ids(sample_stack, "apple recipe")
-    assert bertscore_f1(q, list(q), sample_stack.table, sample_stack.table) == 1.0
+    vectors = sample_stack.table.vectors_for(q)
+    assert bertscore_f1([q], [list(q)], [vectors], [vectors]) == [1.0]
 
 
 def test_bertscore_orthogonal_pair_half():
     embedder = FakeEmbedder({3: [1.0, 0.0], 4: [0.0, 1.0]})
-    assert bertscore_f1([3], [4], embedder, embedder) == pytest.approx(0.5, abs=1e-12)
+    vectors = [embedder.vectors_for([3])], [embedder.vectors_for([4])]
+    assert bertscore_f1([[3]], [[4]], *vectors) == pytest.approx([0.5], abs=1e-12)
 
 
 def test_bertscore_hand_greedy_matching():
@@ -163,17 +214,28 @@ def test_bertscore_hand_greedy_matching():
     p = ((1.0 + 1.0) / 2.0 + (sqrt_half + 1.0) / 2.0) / 2.0
     r = p
     expected = 2 * p * r / (p + r)
-    assert bertscore_f1([1, 2], [1, 3], embedder, embedder) == pytest.approx(
-        expected, abs=1e-12
+    vectors = [embedder.vectors_for([1, 2])], [embedder.vectors_for([1, 3])]
+    assert bertscore_f1([[1, 2]], [[1, 3]], *vectors) == pytest.approx(
+        [expected], abs=1e-12
     )
 
 
+def test_bertscore_rejects_an_empty_sequence():
+    vectors = np.ones((1, 2))
+    with pytest.raises(ValueError, match="empty sequence"):
+        bertscore_f1([[3], []], [[3], [3]], [vectors, vectors[:0]], [vectors, vectors])
+
+
 def _mean_max_bertscore(q, e):
-    """The F1 through ``np.mean`` and ``np.max``: the reference that
+    """The F1 through the mean of the maxima in a fixed order, with no
+    BLAS: each dot product ``np.add.reduce`` over the vector axis, each
+    mean ``np.add.reduceat`` over the pair's values. The reference that
     ``bertscore_f1`` must match bit for bit."""
-    sims = e @ q.T
-    precision = float(np.mean((np.max(sims, axis=1) + 1.0) / 2.0))
-    recall = float(np.mean((np.max(sims, axis=0) + 1.0) / 2.0))
+    sims = np.add.reduce(e[:, None, :] * q[None, :, :], axis=2)
+    best_p = (sims.max(axis=1) + 1.0) / 2.0
+    best_r = (sims.max(axis=0) + 1.0) / 2.0
+    precision = float(np.add.reduceat(best_p, [0])[0] / len(best_p))
+    recall = float(np.add.reduceat(best_r, [0])[0] / len(best_r))
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
@@ -181,25 +243,37 @@ def _mean_max_bertscore(q, e):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    n_query=st.integers(1, 20),
-    n_edited=st.integers(1, 20),
-    dim=st.integers(1, 12),
+    shapes=st.lists(st.tuples(st.integers(1, 20), st.integers(1, 20)),
+                    min_size=1, max_size=6),
+    dim=st.integers(1, 70),
     dtype=st.sampled_from([np.float64, np.float32]),
     seed=st.integers(0, 2**32 - 1),
+    cells_per_step=st.integers(1, 64),
 )
-def test_bertscore_equals_the_mean_max_reference(n_query, n_edited, dim, dtype, seed):
-    # Lengths up to 20 cross numpy's 8-element pairwise-summation block.
+def test_bertscore_equals_the_mean_max_reference(
+    shapes, dim, dtype, seed, cells_per_step
+):
+    # Lengths up to 20 and 70 dimensions cross numpy's 8-element
+    # pairwise-summation block. Each pair's float is the reference's, alone
+    # and in a block whose products are cut into steps anywhere.
     rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((n_query + n_edited, dim))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    embedder = FakeEmbedder(dict(enumerate(rows.tolist())))
-    embedder.table = {k: v.astype(dtype) for k, v in embedder.table.items()}
-    query = list(range(n_query))
-    edited = list(range(n_query, n_query + n_edited))
-    expected = _mean_max_bertscore(
-        embedder.vectors_for(query), embedder.vectors_for(edited)
-    )
-    assert bertscore_f1(query, edited, embedder, embedder).hex() == expected.hex()
+    queries, edits, query_vectors, edited_vectors = [], [], [], []
+    for n_query, n_edited in shapes:
+        rows = rng.standard_normal((n_query + n_edited, dim))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows = rows.astype(dtype)
+        first = 100 * len(queries)
+        queries.append(list(range(first, first + n_query)))
+        edits.append(list(range(first + n_query, first + n_query + n_edited)))
+        query_vectors.append(rows[:n_query])
+        edited_vectors.append(rows[n_query:])
+    expected = list(map(_mean_max_bertscore, query_vectors, edited_vectors))
+    with mock.patch.object(evaluation, "_PRODUCT_ENTRIES", cells_per_step * dim):
+        block = bertscore_f1(queries, edits, query_vectors, edited_vectors)
+    assert [x.hex() for x in block] == [x.hex() for x in expected]
+    alone = [bertscore_f1([q], [e], [qv], [ev])[0] for q, e, qv, ev
+             in zip(queries, edits, query_vectors, edited_vectors)]
+    assert [x.hex() for x in alone] == [x.hex() for x in block]
 
 
 def test_fluency_identity_exact(sample_stack):

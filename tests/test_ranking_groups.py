@@ -539,19 +539,20 @@ def synth_eval_chunk():
 @pytest.mark.parametrize("method", METHODS)
 def test_memoized_metrics_equal_direct_calls(synth_eval_chunk, monkeypatch, method):
     # Each record's metrics are those of calling the three functions on the
-    # stack's own models, and each is computed once per ranking, outcome
-    # and beam size.
+    # stack's own models with its pair alone, and each distinct ranking,
+    # outcome and beam size is handed to the BERTScore kernel once.
     stack, ctx, triplets = synth_eval_chunk
     sizes = [5, 10]
     calls = []
 
-    def counted(query_ids, edited_ids, *embedders):
-        calls.append(edited_ids)
-        return bertscore_f1(query_ids, edited_ids, *embedders)
+    def counted(queries, edits, *vectors):
+        calls.extend(edits)
+        return bertscore_f1(queries, edits, *vectors)
 
     monkeypatch.setattr(evaluation, "bertscore_f1", counted)
     reports = beam_sweep(triplets, sizes, ctx, workers=1, timing="off", method=method)
     monkeypatch.undo()
+    idf = stack.search.idf_array(len(stack.vocab))
     distinct = set()
     for size, report in zip(sizes, reports):
         for record in report.records:
@@ -561,8 +562,9 @@ def test_memoized_metrics_equal_direct_calls(synth_eval_chunk, monkeypatch, meth
             q = t.query_ids
             outcome = tuple(stack.vocab.encode(record.outcome.split(" ")))
             distinct.add((size, q, t.d.id, outcome))
-            assert record.cos_sim == cos_sim_metric(q, outcome, stack.search, stack.search)
-            assert record.bertscore == bertscore_f1(q, outcome, stack.table, stack.table)
+            vectors = [stack.table.vectors_for(q)], [stack.table.vectors_for(outcome)]
+            assert [record.cos_sim] == cos_sim_metric([q], [outcome], idf)
+            assert [record.bertscore] == bertscore_f1([q], [outcome], *vectors)
             assert record.fluency == fluency_metric(q, outcome, ctx.ppl_fn, ctx.ppl_fn)
     assert distinct
     assert len(calls) == len(distinct)
