@@ -3,22 +3,22 @@
 Metrics per edited query: whether the ranking flipped, cosine similarity
 of the sparse query representations, greedy-matching embedding F1,
 perplexity ratio (1.0 = unchanged fluency), and wall-clock seconds per
-edit. A record's metrics are computed after its edit is timed, once per
-distinct (ranking, outcome): the ranking's ``SharedWork`` memoizes the
-outcome's pair, whose vectors, fluency and text are asked when its
-first record is made. CosSim and BERTScore are then computed per block
-of records, each by one numpy kernel with no BLAS in it, so a report's
-bytes do not depend on the BLAS kernel. A max_flip outcome is a
-sentence of the target document d', so its vectors and perplexity are
-asked of d''s ``SharedWork``, which every ranking with that target
-shares. That work also ranks d''s stored sentences once, by perplexity,
-while a max_flip edit's flip checks stop at the first sentence that
-flips. The local perplexity role scores the sentences of every target
-document of a pass in one batch per beam size; any other ``ppl_fn`` (a
-remote backend sees each sentence once per target and beam size) is
-asked per sentence. A report derives its aggregates and its breakdown
-by target-document rank from its records, and serializes to canonical
-JSON plus markdown tables.
+edit. A record's metrics are computed after its edit is timed. Its
+fluency, text and vectors are asked through the row's ``SharedWork`` as
+the record is made. CosSim and BERTScore are functions of (q, outcome)
+alone, so they are computed per block of records, each distinct (q,
+outcome) of the block once, by one numpy kernel per metric with no BLAS
+in it, so a report's bytes do not depend on the BLAS kernel. A max_flip
+outcome is a sentence of the target document d', so its vectors and
+perplexity are asked of d''s ``SharedWork``, which every ranking with
+that target shares. That work also ranks d''s stored sentences once, by
+perplexity, while a max_flip edit's flip checks stop at the first
+sentence that flips. The local perplexity role scores the sentences of
+every target document of a pass in one batch per beam size; any other
+``ppl_fn`` (a remote backend sees each sentence once per target and beam
+size) is asked per sentence. A report derives its aggregates and its
+breakdown by target-document rank from its records, and serializes to
+canonical JSON plus markdown tables.
 """
 
 from __future__ import annotations
@@ -285,8 +285,9 @@ def baseline_max_flip(
 class EvalContext:
     """Read-only bundle of the components one evaluation run needs.
 
-    ``search`` is always the built-in lexical model (it defines rankings
-    and query representations); ``scorer``, ``embedder``, the predictor
+    ``search`` is always the built-in lexical model; the harness reads
+    only its ``idf_array``, the weights of CosSim's query
+    representations. ``scorer``, ``embedder``, the predictor
     factory and ``ppl_fn`` may be remote-backed drop-ins with the same
     call shapes. The predictor factory is called once per target
     document and beam size (see ``SharedWork``). The local ``ppl_fn``, a
@@ -334,45 +335,26 @@ def _once(memo: dict, key: Any, compute: Callable[[Any], Any]) -> Any:
     return value
 
 
-@dataclass(eq=False, slots=True)
-class _Pair:
-    """An outcome as an edit of q, with what its metrics read: both token
-    sequences and their vectors, asked when its first record is made,
-    with its fluency and text. ``beam_sweep`` sets its CosSim and
-    BERTScore along with the other new pairs of the block that record
-    falls in."""
-
-    query_ids: tuple[int, ...]
-    outcome: tuple[int, ...]
-    query_vectors: np.ndarray
-    outcome_vectors: np.ndarray
-    fluency: float
-    text: str
-    cos_sim: float | None = None
-    bertscore: float | None = None
-
-
 class SharedWork:
     """The values the triplets of one key share, each computed once, on
     first use. A triplet (q, d, d') has two keys: its ranking (q, d), whose
-    work gives the importance of q's tokens for d, q's text, and the
-    metric pair of each outcome, and its target d', whose work gives d''s
-    predictor (with its memo of answers) and d''s distinct sentences as
-    token ids, ranked by ``rank_sentences``. ``sentence_ppls``, when
+    work gives the importance of q's tokens for d and q's text, and its
+    target d', whose work gives d''s predictor (with its memo of answers)
+    and d''s distinct sentences as token ids, ranked by
+    ``rank_sentences``. ``sentence_ppls``, when
     given, returns a table of the sentence perplexities of the pass's
     target documents (see ``_sweep_tasks``); ranking d' seeds the
     perplexity memo from it, which is exact, since the table holds the
     floats ``ppl_fn`` gives.
     Both also hold memos of ``vectors_for`` and perplexity, so they stand
     in for the embedder and ``ppl_fn`` where the masker, the editor and
-    the metric inputs take them.
+    the metric inputs (see ``_record_for``) take them.
 
     The memos are keyed by the token sequence asked about, so no sequence
     is asked twice. That is exact because each is a function of the
-    sequence alone, and the shared values are functions of the key. The
-    pair memo is keyed by the outcome: a pair is a function of (q,
-    outcome), and q is fixed by the ranking. Memoized vectors are
-    read-only, since every caller of a sequence gets the same array.
+    sequence alone, and the shared values are functions of the key.
+    Memoized vectors are read-only, since every caller of a sequence gets
+    the same array.
 
     The triplets of one key may run on several worker threads; see
     ``_once``. The object refers to the context and nothing refers back
@@ -390,7 +372,6 @@ class SharedWork:
         self._shared: dict[str, Any] = {}
         self._vectors: dict[tuple[int, ...], Any] = {}
         self._ppl: dict[tuple[int, ...], Any] = {}
-        self._pairs: dict[tuple[int, ...], Any] = {}
 
     def importance(self, triplet: Triplet) -> ImportanceScores:
         def compute(_):
@@ -425,22 +406,6 @@ class SharedWork:
             lambda _: sys.intern(self.ctx.vocab.text(query_ids)),
         )
 
-    def pair(
-        self, query_ids: Sequence[int], outcome: tuple[int, ...], owner: SharedWork
-    ) -> _Pair:
-        """The ``_Pair`` of ``outcome`` as an edit of q, made on the first
-        ask. q's vectors and perplexity are asked of this work, the
-        outcome's of ``owner``: this work, or the work of the key the
-        outcome belongs to."""
-        return _once(self._pairs, outcome, lambda _: _Pair(
-            query_ids,
-            outcome,
-            self.vectors_for(query_ids),
-            owner.vectors_for(outcome),
-            fluency_metric(query_ids, outcome, self.ppl, owner.ppl),
-            self.ctx.vocab.text(outcome),
-        ))
-
     def vectors_for(self, ids: Sequence[int]) -> np.ndarray:
         return _once(self._vectors, tuple(ids), self._read_only_vectors)
 
@@ -453,9 +418,10 @@ class SharedWork:
         return _once(self._ppl, tuple(ids), self.ctx.ppl_fn)
 
 
-@dataclass(frozen=True)
+@dataclass
 class EvalRecord:
-    """Per-triplet outcome plus its metric values (None where undefined)."""
+    """Per-triplet outcome plus its metric values (None where undefined).
+    ``beam_sweep`` sets CosSim and BERTScore per block of records."""
 
     index: int
     query: str
@@ -582,39 +548,25 @@ def _record_for(
     work: SharedWork,
     target: SharedWork,
     elapsed: float,
-) -> tuple[Any, ...]:
-    """``_record``'s arguments: the pair of the outcome (None for no
-    outcome), then the record's other fields in ``EvalRecord``'s order.
-    The pair's inputs are asked here, through the row's works."""
+) -> tuple[EvalRecord, tuple[Any, ...] | None]:
+    """The row's record, CosSim and BERTScore left None, and for an
+    outcome, the inputs of their kernels: (q, outcome, q's vectors, the
+    outcome's vectors). The vectors, the fluency and the outcome's text
+    are asked here, through the row's works."""
     query_ids = triplet.query_ids
     outcome = result.outcome
-    pair = None
-    if outcome is not None:
-        # A max_flip outcome is a sentence of d', asked again by every
-        # ranking with that target, so d''s work holds its answers.
-        owner = target if method == "max_flip" else work
-        pair = work.pair(query_ids, outcome, owner)
-    return (pair, index, work.query_text(query_ids), triplet.d.id, triplet.d_prime.id,
-            triplet.counter_rank, result.masks_used, elapsed)
-
-
-def _record(
-    pair: _Pair | None,
-    index: int,
-    query: str,
-    doc_id: str,
-    counter_doc_id: str,
-    counter_rank: int | None,
-    masks_used: int,
-    elapsed: float,
-) -> EvalRecord:
-    """The record of a row whose pair, if any, has its metrics."""
-    if pair is None:
-        return EvalRecord(index, query, doc_id, counter_doc_id, counter_rank, False,
-                          None, masks_used, None, None, None, elapsed)
-    return EvalRecord(index, query, doc_id, counter_doc_id, counter_rank, True,
-                      pair.text, masks_used, pair.cos_sim, pair.bertscore,
-                      pair.fluency, elapsed)
+    record = EvalRecord(index, work.query_text(query_ids), triplet.d.id,
+                        triplet.d_prime.id, triplet.counter_rank, outcome is not None,
+                        None, result.masks_used, None, None, None, elapsed)
+    if outcome is None:
+        return record, None
+    # A max_flip outcome is a sentence of d', asked again by every ranking
+    # with that target, so d''s work holds its answers.
+    owner = target if method == "max_flip" else work
+    pair = (query_ids, outcome, work.vectors_for(query_ids), owner.vectors_for(outcome))
+    record.fluency = fluency_metric(query_ids, outcome, work.ppl, owner.ppl)
+    record.outcome = work.ctx.vocab.text(outcome)
+    return record, pair
 
 
 def _sweep_tasks(
@@ -738,10 +690,12 @@ def beam_sweep(
 
     Rows are taken ``_BLOCK_ROWS`` at a time. Each row asks for its
     metric inputs when it is made (see ``_record_for``), so no shared work
-    outlives its last task; the block then computes the CosSim and
-    BERTScore of its pairs that have none yet, each distinct (size,
-    ranking, outcome) once, with one call of each kernel. Blocks are cut
-    by input row, so the records do not depend on the worker count."""
+    outlives its last task. The block then computes the CosSim and
+    BERTScore of each distinct (q, outcome) among its rows once, across
+    sizes and rankings, with one call of each kernel, and sets them in its
+    records. Both metrics are functions of (q, outcome) alone, so the
+    records depend neither on where blocks are cut nor on the worker
+    count."""
     if not triplets:
         raise ValueError("no triplets to evaluate")
     rows = sweep_edits(
@@ -750,15 +704,17 @@ def beam_sweep(
     idf = ctx.search.idf_array(len(ctx.vocab))
     records: list[list[EvalRecord]] = []
     while block := list(islice(rows, _BLOCK_ROWS)):
-        made = (m[0] for row in block for m in row)
-        pairs = [p for p in dict.fromkeys(made) if p is not None and p.cos_sim is None]
-        queries, outcomes = [p.query_ids for p in pairs], [p.outcome for p in pairs]
+        made = list(chain.from_iterable(block))
+        pairs = {p[:2]: p for _, p in made if p is not None}
+        queries, outcomes = [q for q, _ in pairs], [o for _, o in pairs]
         cos = cos_sim_metric(queries, outcomes, idf)
-        f1 = bertscore_f1(queries, outcomes, [p.query_vectors for p in pairs],
-                          [p.outcome_vectors for p in pairs])
-        for pair, c, f in zip(pairs, cos, f1):
-            pair.cos_sim, pair.bertscore = c, f
-        records += ([_record(*m) for m in row] for row in block)
+        f1 = bertscore_f1(queries, outcomes, [p[2] for p in pairs.values()],
+                          [p[3] for p in pairs.values()])
+        metrics = dict(zip(pairs, zip(cos, f1)))
+        for record, pair in made:
+            if pair is not None:
+                record.cos_sim, record.bertscore = metrics[pair[:2]]
+        records += ([record for record, _ in row] for row in block)
     return [
         EvalReport(method, list(column), {"beam": b, "timing": timing, **(meta or {})})
         for b, column in zip(sizes, zip(*records))

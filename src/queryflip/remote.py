@@ -126,8 +126,9 @@ def call_backend(endpoint: BackendEndpoint, request: dict[str, Any]) -> dict[str
     """POST a role request and return the response body, a JSON object.
 
     Connection errors, timeouts and 5xx responses are retried up to the
-    endpoint's budget with exponential backoff; anything else fails at
-    once (retrying cannot fix a broken backend). Callers check the fields.
+    endpoint's budget with exponential backoff, each wait at most the
+    endpoint's timeout; anything else fails at once (retrying cannot fix
+    a broken backend). Callers check the fields.
     """
     payload = {"proto_version": PROTO_VERSION, **request}
     headers = {"Content-Type": "application/json"}
@@ -135,9 +136,11 @@ def call_backend(endpoint: BackendEndpoint, request: dict[str, Any]) -> dict[str
         headers["Authorization"] = f"Bearer {endpoint.token}"
     timeout_s = endpoint.timeout_ms / 1000.0
     last_error: Exception | None = None
+    wait_s = _BACKOFF_BASE_S
     for attempt in range(endpoint.retries + 1):
         if attempt:
-            time.sleep(_BACKOFF_BASE_S * (2 ** (attempt - 1)))
+            time.sleep(min(wait_s, timeout_s))
+            wait_s *= 2  # a float: past its range it is inf, never an error
         try:
             response = requests.post(
                 endpoint.url, json=payload, headers=headers, timeout=timeout_s

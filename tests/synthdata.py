@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
+
 TOPICS = {
     "baking": [
         "flour", "dough", "yeast", "oven", "bread", "crust", "knead",
@@ -119,3 +121,19 @@ def synthetic_queries(n_queries: int = 60, seed: int = 11) -> list[str]:
             terms.append(rng.choice(FILLERS))
         queries.append(" ".join(terms))
     return queries
+
+
+def zipf_corpus(seed: int, n_words: int = 30, n_docs: int = 40) -> list[str]:
+    """JSONL corpus lines: documents of 5-14 words ``w0``, ``w1``, ...
+    drawn from a Zipf distribution over ``n_words`` words."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(n_words)]
+    weights = 1.0 / np.arange(1, n_words + 1)
+    weights /= weights.sum()
+    return [
+        json.dumps({
+            "id": f"d{i}",
+            "text": " ".join(rng.choice(words, size=int(rng.integers(5, 15)), p=weights)),
+        })
+        for i in range(n_docs)
+    ]

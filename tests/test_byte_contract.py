@@ -9,7 +9,9 @@ a config of ``embed_dim`` 48 and ``timing`` off with paths relative to
 the run directory, and for ``edit`` 240 triplet lines, each query's top
 document paired with ranks 2-5 of its top-5 ranking. One more test runs
 ``eval`` on the stored stack under other BLAS kernels and without numpy's
-AVX512 loops, and expects the same ``report.json``.
+AVX512 loops, and expects the same ``report.json``. A second run directory
+takes the sparse path (a Zipf corpus above ``DENSE_EIGH_MAX_VOCAB``, the
+occlusion masker) and pins its archive, ``eval`` and ``edit`` bytes.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ from queryflip import corpus as corpus_module, evaluation
 from queryflip.cli import main
 from queryflip.config import RunConfig
 from queryflip.corpus import ingest_corpus
-from queryflip.pipeline import build_stack
+from queryflip.embed import DENSE_EIGH_MAX_VOCAB
+from queryflip.evaluation import canonical_json
+from queryflip.pipeline import build_stack, load_stack
 from queryflip.text import tokenize
 
-from synthdata import synthetic_corpus, synthetic_queries
+from synthdata import synthetic_corpus, synthetic_queries, zipf_corpus
 
 # Evaluating a stored stack uses no BLAS, so for a given stack the JSON
 # reports hold on any BLAS kernel and CPU (see the cross-kernel test). A
@@ -106,16 +110,17 @@ def _assert_sha256(path: Path, pinned: str) -> None:
     )
 
 
-@pytest.fixture(scope="module")
-def run_dir(tmp_path_factory) -> Path:
-    run = tmp_path_factory.mktemp("byte-contract")
-    corpus, queries = synthetic_corpus(), synthetic_queries()
+def _make_run(run: Path, corpus: list[str], queries: list[str], **settings) -> Path:
+    """A run directory holding ``corpus``, ``queries``, a config of
+    ``embed_dim`` 48, ``timing`` off and ``settings``, and the triplet
+    lines of each query's top-5 ranking; ``index`` is run in it."""
     (run / "corpus.jsonl").write_text("\n".join(corpus) + "\n")
     (run / "queries.txt").write_text("\n".join(queries) + "\n")
     config = {"corpus": "corpus.jsonl", "artifacts": "artifacts",
-              "out_dir": "reports", "embed_dim": 48, "timing": "off"}
+              "out_dir": "reports", "embed_dim": 48, "timing": "off", **settings}
     (run / "config.json").write_text(json.dumps(config))
-    stack = build_stack(ingest_corpus(corpus), RunConfig(embed_dim=48, timing="off"))
+    stack = build_stack(ingest_corpus(corpus),
+                        RunConfig(embed_dim=48, timing="off", **settings))
     lines = []
     for query in queries:
         ranking = stack.search.search(stack.vocab.encode(tokenize(query)), 5)
@@ -128,6 +133,12 @@ def run_dir(tmp_path_factory) -> Path:
     (run / "triplets.jsonl").write_text("\n".join(lines) + "\n")
     _cli(run, "index", "--config", "config.json")
     return run
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory) -> Path:
+    return _make_run(tmp_path_factory.mktemp("byte-contract"), synthetic_corpus(),
+                     synthetic_queries())
 
 
 def test_eval_report_bytes_are_pinned(run_dir):
@@ -215,22 +226,101 @@ def test_eval_report_bytes_hold_under_compensated_sum(run_dir, monkeypatch):
     _assert_sha256(run_dir / "reports-3.12-sum" / "report.json", REPORT_SHA256)
 
 
+def _edit(run_dir: Path, workers: str) -> Path:
+    out = run_dir / f"edits-{workers}.jsonl"
+    _cli(run_dir, "edit", "--config", "config.json", "--triplets", "triplets.jsonl",
+         "--timing", "off", "--workers", workers, "--out", out.name)
+    return out
+
+
 @pytest.mark.parametrize("workers", ["1", "4"])
 def test_edit_triplets_bytes_are_pinned(run_dir, workers):
-    out = f"edits-{workers}.jsonl"
-    _cli(run_dir, "edit", "--config", "config.json", "--triplets", "triplets.jsonl",
-         "--timing", "off", "--workers", workers, "--out", out)
-    _assert_sha256(run_dir / out, EDITS_SHA256)
+    _assert_sha256(_edit(run_dir, workers), EDITS_SHA256)
 
 
-def test_stack_archive_bytes_are_pinned(run_dir):
+def _archive_digests(run_dir: Path) -> dict[str, str]:
+    """sha256 of each member of the run's archive but ``embed.vectors``,
+    after checking the members' names, order and dtypes."""
     with np.load(run_dir / "artifacts" / "stack.npz", allow_pickle=False) as npz:
         arrays = {name: npz[name] for name in npz.files}
     dtypes = [(name, array.dtype.str) for name, array in arrays.items()]
     assert dtypes == list(STACK_DTYPES.items())
-    digests = {
+    return {
         name: hashlib.sha256(array.tobytes()).hexdigest()
         for name, array in arrays.items()
         if name != "embed.vectors"
     }
-    assert digests == STACK_SHA256
+
+
+def test_stack_archive_bytes_are_pinned(run_dir):
+    assert _archive_digests(run_dir) == STACK_SHA256
+
+
+# ---------------------------------------------------------------------------
+# The sparse path: a Zipf corpus of more than DENSE_EIGH_MAX_VOCAB content
+# words, so the table comes from the Lanczos solve, and the occlusion masker.
+# Its 60 queries are the last three words of its first 60 documents.
+#
+# With the occlusion masker only BERTScore reads the embedding table, whose
+# last bits a fresh build takes from the BLAS kernel (ROADMAP item 10). So
+# ``report.json`` is pinned with every BERTScore value set to null, and
+# these pins hold on every kernel. ``report.md`` shows BERTScore's means
+# rounded to four places.
+SPARSE_STACK_SHA256 = {
+    "format": "d86e8112f3c4c4442126f8e9f44f16867da487f29052bf91b810457db34209a4",
+    "fingerprint": "351f4ae0807e871f47116c69ecb1a926e0ffd749edbcba21bdcd537bf7e72529",
+    "corpus.ids": "3266ef8dc0c65b1665099c3bbc69d96cd5b10b0f6bfd9fecc6b973b25c9d4766",
+    "corpus.id_offsets": "d0f7ca6893b959ab58db3cb83b6ff30a0a27775c8d6bd2caae751b96561d1881",
+    "corpus.texts": "a63df373540008f6903130c3df986ed7d795b2f0cca4b3b1441ba64bda4cf9a0",
+    "corpus.text_offsets": "b16c1989712b67f5edad52abf476112a36af5f51e90bce5f4b54b32f0065aba2",
+    "corpus.token_ids": "7cfafef72a01d9e3114175b83d527e5aee592e6fa7877de9ffd467187daeeccb",
+    "corpus.token_offsets": "ae8673cbd28757a6ae823b42056bd89784edab0457e9349c4f9c9de315ccd256",
+    "corpus.sentence_offsets": "ae8673cbd28757a6ae823b42056bd89784edab0457e9349c4f9c9de315ccd256",
+    "vocab.surfaces": "6ad66abce3d989d1a4b1d00f16233ee21069d8b13eab21e0fd0b0a5a6b51e483",
+    "vocab.offsets": "2b0aa3c57fdf1e5ad0610494a80f5c682b0a4048e102658b6bf8cfe8fab7d357",
+    "lm.grams": "cd2d363603dc19a9fe0a480667592b703acaf7272b6155aec9ba0eaee6ca4315",
+    "lm.counts": "b54bceced2dd93e0cec0fd42b64a23bd8ccdd52f3d846726da7f2b8d79b93f13",
+}
+SPARSE_REPORT_SHA256 = "e139e145b1f0effa74df120226e341242e521f545c18e95ffcd7e49a93f3f3f0"
+SPARSE_REPORT_MD_SHA256 = "af19969259b5def2757452a30d10babb1f4df8db344e8593632364c0fd31d40c"
+SPARSE_EDITS_SHA256 = "ee3ac45337cbb5ef2a5bcebe98b3e14af5316098721ea6f48a2f3e459bb1d935"
+
+
+@pytest.fixture(scope="module")
+def sparse_run_dir(tmp_path_factory) -> Path:
+    corpus = zipf_corpus(2, n_words=2000, n_docs=500)
+    queries = [" ".join(json.loads(line)["text"].split()[-3:]) for line in corpus[:60]]
+    return _make_run(tmp_path_factory.mktemp("byte-contract-sparse"), corpus, queries,
+                     masker="occlusion")
+
+
+def _without_bertscore(value):
+    if isinstance(value, dict):
+        return {k: None if k in ("bertscore", "mean_bertscore_f1") else
+                _without_bertscore(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_without_bertscore(v) for v in value]
+    return value
+
+
+def test_sparse_stack_archive_bytes_are_pinned(sparse_run_dir):
+    config = RunConfig(artifacts=str(sparse_run_dir / "artifacts"), embed_dim=48,
+                       masker="occlusion")
+    assert load_stack(config).vocab.content_size > DENSE_EIGH_MAX_VOCAB
+    assert _archive_digests(sparse_run_dir) == SPARSE_STACK_SHA256
+
+
+def test_sparse_eval_report_bytes_are_pinned(sparse_run_dir):
+    _cli(sparse_run_dir, "eval", "--config", "config.json", "--queries", "queries.txt",
+         "--workers", "1")
+    reports = sparse_run_dir / "reports"
+    _assert_sha256(reports / "report.md", SPARSE_REPORT_MD_SHA256)
+    payload = _without_bertscore(json.loads((reports / "report.json").read_text()))
+    stripped = reports / "report-without-bertscore.json"
+    stripped.write_text(canonical_json(payload))
+    _assert_sha256(stripped, SPARSE_REPORT_SHA256)
+
+
+@pytest.mark.parametrize("workers", ["1", "4"])
+def test_sparse_edit_triplets_bytes_are_pinned(sparse_run_dir, workers):
+    _assert_sha256(_edit(sparse_run_dir, workers), SPARSE_EDITS_SHA256)

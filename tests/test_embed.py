@@ -19,7 +19,7 @@ from queryflip.embed import (
 )
 from queryflip.text import FIRST_CONTENT_ID, UNK_ID, tokenize
 
-from synthdata import synthetic_corpus
+from synthdata import synthetic_corpus, zipf_corpus
 
 
 def _corpus(texts):
@@ -62,29 +62,14 @@ def _reference_table(corpus, vocab, dim, window):
     return dim, np.vstack([np.tile(unk, (FIRST_CONTENT_ID, 1)), content])
 
 
-def _random_lines(seed, n_words=30, n_docs=40):
-    """Documents of 5-14 words drawn from a Zipf distribution."""
-    rng = np.random.default_rng(seed)
-    words = [f"w{i}" for i in range(n_words)]
-    weights = 1.0 / np.arange(1, n_words + 1)
-    weights /= weights.sum()
-    return [
-        json.dumps({
-            "id": f"d{i}",
-            "text": " ".join(rng.choice(words, size=int(rng.integers(5, 15)), p=weights)),
-        })
-        for i in range(n_docs)
-    ]
-
-
 # About 2,000 content words: above DENSE_EIGH_MAX_VOCAB, so the table
 # comes from the Lanczos solve.
-ZIPF_LINES = _random_lines(1, n_words=2200, n_docs=3000)
+ZIPF_LINES = zipf_corpus(1, n_words=2200, n_docs=3000)
 
 
 @pytest.mark.parametrize(
     "lines, dim, window",
-    [(synthetic_corpus(), 64, 5), (_random_lines(0), 8, 3), (ZIPF_LINES, 64, 5)],
+    [(synthetic_corpus(), 64, 5), (zipf_corpus(0), 8, 3), (ZIPF_LINES, 64, 5)],
     ids=["synthetic", "random", "zipf-lanczos"],
 )
 def test_table_agrees_with_dense_svd_reference(lines, dim, window):
@@ -238,7 +223,7 @@ def _random_symmetric_entries(seed, n, density):
     "make_entries, k",
     [
         (lambda: (300, *_random_symmetric_entries(3, 300, 0.03)), 10),
-        (lambda: _ppmi_problem(*_ingest(_random_lines(0, n_words=300, n_docs=300))), 64),
+        (lambda: _ppmi_problem(*_ingest(zipf_corpus(0, n_words=300, n_docs=300))), 64),
     ],
     ids=["random-sparse", "ppmi-300-words"],
 )

@@ -38,6 +38,7 @@ from queryflip.evaluation import (
     cos_sim_metric,
     evaluate,
     fluency_metric,
+    reports_to_json,
 )
 from queryflip.lm import LocalPerplexity
 from queryflip.pipeline import build_stack, make_context
@@ -510,6 +511,20 @@ def test_local_max_flip_scores_every_target_sentence_in_one_batch(
     assert per_sentence.ppl_fn.calls.keys() > asked.keys()
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_records_do_not_depend_on_where_blocks_are_cut(synth_small, monkeypatch, method):
+    # A block computes the metrics of its own rows' pairs, so a ranking cut
+    # across blocks has its pairs computed in each, to the same floats.
+    _, ctx, triplets = synth_small
+    written = set()
+    for rows in (1, 3, evaluation._BLOCK_ROWS):
+        monkeypatch.setattr(evaluation, "_BLOCK_ROWS", rows)
+        reports = beam_sweep(triplets, [5, 10], ctx, workers=1, timing="off",
+                             method=method)
+        written.add(tuple(reports_to_json([report]) for report in reports))
+    assert len(written) == 1
+
+
 def test_memoized_vectors_are_read_only(synth_small):
     # Every caller of a sequence gets the same array, so a write into it
     # would change every later metric and importance that reads it.
@@ -539,32 +554,36 @@ def synth_eval_chunk():
 @pytest.mark.parametrize("method", METHODS)
 def test_memoized_metrics_equal_direct_calls(synth_eval_chunk, monkeypatch, method):
     # Each record's metrics are those of calling the three functions on the
-    # stack's own models with its pair alone, and each distinct ranking,
-    # outcome and beam size is handed to the BERTScore kernel once.
+    # stack's own models with its pair alone, and in one block holding every
+    # row, each kernel is handed each distinct (q, outcome) exactly once.
     stack, ctx, triplets = synth_eval_chunk
     sizes = [5, 10]
-    calls = []
+    calls = {kernel: Counter() for kernel in (cos_sim_metric, bertscore_f1)}
 
-    def counted(queries, edits, *vectors):
-        calls.extend(edits)
-        return bertscore_f1(queries, edits, *vectors)
+    def counted(kernel):
+        def call(queries, edits, *rest):
+            calls[kernel].update(zip(map(tuple, queries), map(tuple, edits)))
+            return kernel(queries, edits, *rest)
+        return call
 
-    monkeypatch.setattr(evaluation, "bertscore_f1", counted)
+    monkeypatch.setattr(evaluation, "_BLOCK_ROWS", len(triplets) + 1)
+    monkeypatch.setattr(evaluation, "cos_sim_metric", counted(cos_sim_metric))
+    monkeypatch.setattr(evaluation, "bertscore_f1", counted(bertscore_f1))
     reports = beam_sweep(triplets, sizes, ctx, workers=1, timing="off", method=method)
     monkeypatch.undo()
     idf = stack.search.idf_array(len(stack.vocab))
     distinct = set()
-    for size, report in zip(sizes, reports):
+    for report in reports:
         for record in report.records:
             if record.outcome is None:
                 continue
-            t = triplets[record.index]
-            q = t.query_ids
+            q = triplets[record.index].query_ids
             outcome = tuple(stack.vocab.encode(record.outcome.split(" ")))
-            distinct.add((size, q, t.d.id, outcome))
+            distinct.add((q, outcome))
             vectors = [stack.table.vectors_for(q)], [stack.table.vectors_for(outcome)]
             assert [record.cos_sim] == cos_sim_metric([q], [outcome], idf)
             assert [record.bertscore] == bertscore_f1([q], [outcome], *vectors)
             assert record.fluency == fluency_metric(q, outcome, ctx.ppl_fn, ctx.ppl_fn)
     assert distinct
-    assert len(calls) == len(distinct)
+    for counter in calls.values():
+        assert counter == Counter(dict.fromkeys(distinct, 1))

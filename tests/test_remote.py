@@ -9,6 +9,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import requests
 
 from queryflip import remote
 from queryflip.lm import NgramPredictor, perplexity
@@ -377,6 +378,25 @@ def test_transport_failure_is_not_retried(monkeypatch, answer, message):
     with pytest.raises(ProtocolError, match=message):
         call_backend(endpoint, {"query": "a", "doc_id": "d1"})
     assert len(sent) == 1
+
+
+def test_retry_waits_are_capped_at_the_timeout(monkeypatch):
+    # Against a dead backend, the doubling waits stop growing at the
+    # endpoint's timeout: 64 retries wait minutes, not 2**63 x 10 ms.
+    def post(url, json, headers, timeout):
+        sent.append(timeout)
+        raise requests.ConnectionError("refused")
+
+    sent, waits = [], []
+    monkeypatch.setattr("queryflip.remote.requests.post", post)
+    monkeypatch.setattr("queryflip.remote.time.sleep", waits.append)
+    endpoint = BackendEndpoint("http://localhost:1", "score", timeout_ms=300, retries=64)
+    with pytest.raises(BackendUnavailableError, match="after 65 attempts"):
+        call_backend(endpoint, {"query": "a", "doc_id": "d1"})
+    assert len(sent) == 65
+    assert len(waits) == 64
+    assert waits[:3] == [0.01, 0.02, 0.04]
+    assert max(waits) == waits[-1] == 0.3
 
 
 def test_transport_returns_any_object_and_sends_token(monkeypatch):
