@@ -13,12 +13,12 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Mapping, get_type_hints
-
-from .remote import BackendEndpoint
+from typing import Any, Iterable, Mapping, get_type_hints
+from urllib.parse import urlsplit
 
 MASKERS = ("maxsim", "occlusion")
 TIMING_MODES = ("wall", "off")
+ROLES = ("score", "embed", "predict", "perplexity")
 
 # The JSON types each field annotation accepts, and how a message names
 # them. A bool is not an integer here, and an integer is a valid number.
@@ -26,6 +26,7 @@ _JSON_TYPES = {
     str: ((str,), "a string"),
     int: ((int,), "an integer"),
     int | None: ((int, type(None)), "an integer or null"),
+    str | None: ((str, type(None)), "a string"),
     float: ((int, float), "a number"),
     dict[str, dict[str, Any]]: ((dict,), "an object"),
 }
@@ -59,21 +60,11 @@ class RunConfig:
     timing: str = field(default="wall", metadata={"choices": TIMING_MODES})
 
     def __post_init__(self) -> None:
-        """Raise ValueError naming the first invalid field, in field order:
-        its JSON type, from its annotation, then its rule, from its
-        metadata. A number must also make a finite float."""
-        hints = get_type_hints(RunConfig)
-        for f in fields(self):
-            types, kind = _JSON_TYPES[hints[f.name]]
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(f"invalid config field: {f.name} (must be {kind})")
-            # NaN fails every comparison, an int past the float range this one.
-            if float in types and not abs(value) <= sys.float_info.max:
-                raise ValueError(f"invalid config field: {f.name} (must be finite)")
-            error = _range_error(value, f.metadata)
-            if error:
-                raise ValueError(f"invalid config field: {f.name} ({error})")
+        """Raise ValueError naming the first invalid field, then the first
+        invalid ``backends`` entry."""
+        fault = _first_fault(self)
+        if fault:
+            raise ValueError("invalid config field: {} ({})".format(*fault))
         for role, raw in self.backends.items():
             try:
                 BackendEndpoint.from_dict(role, raw)
@@ -88,10 +79,7 @@ class RunConfig:
     def from_dict(cls, raw: Any) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"invalid config field: {sorted(unknown)[0]}")
+        _check_keys(raw, (f.name for f in fields(cls)), "invalid config field: ")
         return cls(**raw)
 
     @classmethod
@@ -125,19 +113,78 @@ class RunConfig:
         return short_hash(self.result_dict())
 
 
-def _range_error(value: Any, rule: Mapping[str, Any]) -> str | None:
-    """How ``value`` breaks a field's rule, or None; None is in every range."""
-    if value is None:
-        return None
-    if "min" in rule and value < rule["min"]:
-        return f"must be >= {rule['min']}"
-    if "above" in rule and not value > rule["above"]:
-        return f"must be > {rule['above']}"
-    if "within" in rule and not rule["within"][0] <= value <= rule["within"][1]:
-        return "must be in [{}, {}]".format(*rule["within"])
-    if "choices" in rule and value not in rule["choices"]:
-        return f"one of {rule['choices']}"
+@dataclass(frozen=True)
+class BackendEndpoint:
+    """Where one backend role lives and how patiently to call it."""
+
+    base_url: str
+    role: str = field(metadata={"choices": ROLES})
+    timeout_ms: int = field(default=5000, metadata={"above": 0})
+    retries: int = field(default=2, metadata={"min": 0})
+    token: str | None = None
+
+    def __post_init__(self) -> None:
+        """Raise ValueError naming the first invalid field, then the url's
+        first fault: its scheme, then its host."""
+        fault = _first_fault(self)
+        if fault:
+            name, error = fault
+            if name == "role":
+                raise ValueError(f"unknown backend role: {self.role}")
+            name = "url" if name == "base_url" else name  # its config key
+            raise ValueError(f"{name} {error}")
+        # Case-blind, as requests matches a url to its transport adapter.
+        if not self.base_url.lower().startswith(("http://", "https://")):
+            raise ValueError("url must start with http:// or https://")
+        if not urlsplit(self.base_url).hostname:
+            raise ValueError("url must name a host")
+
+    @property
+    def url(self) -> str:
+        return self.base_url.rstrip("/") + "/" + self.role
+
+    @classmethod
+    def from_dict(cls, role: str, raw: Any) -> "BackendEndpoint":
+        """One ``backends`` config entry; ValueError names what is wrong."""
+        if not isinstance(raw, dict):
+            raise ValueError("entry must be an object")
+        _check_keys(raw, ("url", "timeout_ms", "retries", "token"), "unknown field: ")
+        options = dict(raw)
+        return cls(options.pop("url", None), role, **options)
+
+
+def _first_fault(obj: Any) -> tuple[str, str] | None:
+    """The first invalid field of a config dataclass and how it fails, in
+    field order: its JSON type, from its annotation, then its rule, from
+    its metadata, which null always meets. A number must also make a
+    finite float."""
+    hints = get_type_hints(type(obj))
+    for f in fields(obj):
+        types, kind = _JSON_TYPES[hints[f.name]]
+        value, rule = getattr(obj, f.name), f.metadata
+        if isinstance(value, bool) or not isinstance(value, types):
+            return f.name, f"must be {kind}"
+        # NaN fails every comparison, an int past the float range this one.
+        if float in types and not abs(value) <= sys.float_info.max:
+            return f.name, "must be finite"
+        if value is None:
+            continue
+        if "min" in rule and value < rule["min"]:
+            return f.name, f"must be >= {rule['min']}"
+        if "above" in rule and not value > rule["above"]:
+            return f.name, f"must be > {rule['above']}"
+        if "within" in rule and not rule["within"][0] <= value <= rule["within"][1]:
+            return f.name, "must be in [{}, {}]".format(*rule["within"])
+        if "choices" in rule and value not in rule["choices"]:
+            return f.name, f"one of {rule['choices']}"
     return None
+
+
+def _check_keys(raw: Mapping[str, Any], known: Iterable[str], prefix: str) -> None:
+    """Raise ValueError(prefix + key) for the first unknown key, sorted."""
+    unknown = sorted(set(raw).difference(known))
+    if unknown:
+        raise ValueError(prefix + unknown[0])
 
 
 def short_hash(payload: Any) -> str:

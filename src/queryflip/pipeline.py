@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import RunConfig, short_hash
+from .config import BackendEndpoint, RunConfig, short_hash
 from .corpus import (
     Bm25SearchModel,
     Corpus,
@@ -32,7 +32,6 @@ from .embed import EmbeddingTable, train_embeddings
 from .evaluation import EvalContext
 from .lm import LocalPerplexity, NgramLM, NgramPredictor, train_ngram
 from .remote import (
-    BackendEndpoint,
     RemoteEmbedder,
     RemotePerplexity,
     RemotePredictor,

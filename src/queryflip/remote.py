@@ -21,21 +21,18 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
 from typing import Any, Sequence
-from urllib.parse import urlsplit
 
 import numpy as np
 import requests
 
+from .config import ROLES, BackendEndpoint  # noqa: F401  (ROLES: re-exported)
 from .lm import PredictionDistribution
 from .text import SPECIAL_IDS, Vocabulary
 
 logger = logging.getLogger(__name__)
 
 PROTO_VERSION = 1
-
-ROLES = ("score", "embed", "predict", "perplexity")
 
 #: Norm slack before the client renormalizes an embedding vector. Within
 #: tolerance the vector passes through untouched, so a well-behaved
@@ -51,54 +48,6 @@ class BackendUnavailableError(RuntimeError):
 
 class ProtocolError(RuntimeError):
     """The backend answered, but the payload violates the wire schema."""
-
-
-@dataclass(frozen=True)
-class BackendEndpoint:
-    """Where one backend role lives and how patiently to call it."""
-
-    base_url: str
-    role: str
-    timeout_ms: int = 5000
-    retries: int = 2
-    token: str | None = None
-
-    def __post_init__(self) -> None:
-        """Types first, then ranges; a ValueError names the field."""
-        if not isinstance(self.base_url, str):
-            raise ValueError("url must be a string")
-        for name in ("timeout_ms", "retries"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
-        if self.token is not None and not isinstance(self.token, str):
-            raise ValueError("token must be a string")
-        if self.role not in ROLES:
-            raise ValueError(f"unknown backend role: {self.role}")
-        # Case-blind, as requests matches a url to its transport adapter.
-        if not self.base_url.lower().startswith(("http://", "https://")):
-            raise ValueError("url must start with http:// or https://")
-        if not urlsplit(self.base_url).hostname:
-            raise ValueError("url must name a host")
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout_ms must be > 0")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-
-    @property
-    def url(self) -> str:
-        return self.base_url.rstrip("/") + "/" + self.role
-
-    @classmethod
-    def from_dict(cls, role: str, raw: Any) -> "BackendEndpoint":
-        """One ``backends`` config entry; ValueError names what is wrong."""
-        if not isinstance(raw, dict):
-            raise ValueError("entry must be an object")
-        unknown = sorted(set(raw) - {"url", "timeout_ms", "retries", "token"})
-        if unknown:
-            raise ValueError(f"unknown field: {unknown[0]}")
-        options = dict(raw)
-        return cls(options.pop("url", None), role, **options)
 
 
 def _require(body: dict[str, Any], fld: str, kind: type) -> Any:
