@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Iterable, Mapping, get_type_hints
@@ -119,13 +120,15 @@ class BackendEndpoint:
 
     base_url: str
     role: str = field(metadata={"choices": ROLES})
-    timeout_ms: int = field(default=5000, metadata={"above": 0})
+    # poll(2) takes at most 2**31 - 1 ms; past it the socket layer overflows.
+    timeout_ms: int = field(default=5000, metadata={"above": 0, "max": 2**31 - 1})
     retries: int = field(default=2, metadata={"min": 0})
-    token: str | None = None
+    # An RFC 6750 b64token: what a Bearer header can carry; null sends none.
+    token: str | None = field(default=None, metadata={"pattern": r"[A-Za-z0-9._~+/-]+=*"})
 
     def __post_init__(self) -> None:
         """Raise ValueError naming the first invalid field, then the url's
-        first fault: its scheme, then its host."""
+        first fault: its scheme, its host and port as urlsplit reads them."""
         fault = _first_fault(self)
         if fault:
             name, error = fault
@@ -136,7 +139,12 @@ class BackendEndpoint:
         # Case-blind, as requests matches a url to its transport adapter.
         if not self.base_url.lower().startswith(("http://", "https://")):
             raise ValueError("url must start with http:// or https://")
-        if not urlsplit(self.base_url).hostname:
+        try:
+            parts = urlsplit(self.base_url)
+            parts.port  # parsed on first read
+        except ValueError as exc:
+            raise ValueError(f"url is malformed: {exc}") from None
+        if not parts.hostname:
             raise ValueError("url must name a host")
 
     @property
@@ -173,10 +181,14 @@ def _first_fault(obj: Any) -> tuple[str, str] | None:
             return f.name, f"must be >= {rule['min']}"
         if "above" in rule and not value > rule["above"]:
             return f.name, f"must be > {rule['above']}"
+        if "max" in rule and value > rule["max"]:
+            return f.name, f"must be <= {rule['max']}"
         if "within" in rule and not rule["within"][0] <= value <= rule["within"][1]:
             return f.name, "must be in [{}, {}]".format(*rule["within"])
         if "choices" in rule and value not in rule["choices"]:
             return f.name, f"one of {rule['choices']}"
+        if "pattern" in rule and not re.fullmatch(rule["pattern"], value):
+            return f.name, f"must match {rule['pattern']}"
     return None
 
 

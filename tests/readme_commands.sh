@@ -89,6 +89,13 @@ grep -F 'backends.score (url must start with http:// or https://)' no-scheme.txt
 printf '{"corpus": "corpus.jsonl", "artifacts": "artifacts", "embed_dim": 4, "embed_window": 2, "backends": {"score": {"url": "http://"}}}' > no-host.json
 if queryflip eval --config no-host.json --queries queries.txt 2> no-host.txt; then exit 1; fi
 grep -F 'backends.score (url must name a host)' no-host.txt
+# So do a timeout past poll(2)'s range and a token a header cannot carry.
+printf '{"corpus": "corpus.jsonl", "artifacts": "artifacts", "embed_dim": 4, "embed_window": 2, "backends": {"score": {"url": "http://host", "timeout_ms": 10000000000000}}}' > big-timeout.json
+if queryflip eval --config big-timeout.json --queries queries.txt 2> big-timeout.txt; then exit 1; fi
+grep -F 'backends.score (timeout_ms must be <= 2147483647)' big-timeout.txt
+printf '{"corpus": "corpus.jsonl", "artifacts": "artifacts", "embed_dim": 4, "embed_window": 2, "backends": {"score": {"url": "http://host", "token": "a b"}}}' > bad-token.json
+if queryflip eval --config bad-token.json --queries queries.txt 2> bad-token.txt; then exit 1; fi
+grep -F 'backends.score (token must match [A-Za-z0-9._~+/-]+=*)' bad-token.txt
 # About 2,000 content words, above the 900 up to which the dense
 # eigendecomposition runs: the build logs its Lanczos solve.
 python - <<'PY'
