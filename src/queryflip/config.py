@@ -128,7 +128,8 @@ class BackendEndpoint:
 
     def __post_init__(self) -> None:
         """Raise ValueError naming the first invalid field, then the url's
-        first fault: its scheme, its host and port as urlsplit reads them."""
+        first fault: its scheme, its host and port as urlsplit reads them,
+        then a host the transport cannot send."""
         fault = _first_fault(self)
         if fault:
             name, error = fault
@@ -146,6 +147,17 @@ class BackendEndpoint:
             raise ValueError(f"url is malformed: {exc}") from None
         if not parts.hostname:
             raise ValueError("url must name a host")
+        # urlsplit drops tabs and newlines, which the transport would send
+        # on, so the host and port are read from the url as given.
+        host_port = re.match(r"[^/]*//([^/?#]*)", self.base_url)[1].rpartition("@")[2]
+        if any(c.isspace() or not c.isprintable() for c in host_port):
+            raise ValueError(
+                "url is malformed: host holds whitespace or a control character"
+            )
+        try:
+            parts.hostname.encode("idna")  # as the transport will
+        except UnicodeError as exc:  # an empty label, or one over 63 characters
+            raise ValueError(f"url is malformed: {exc.__cause__ or exc}") from None
 
     @property
     def url(self) -> str:

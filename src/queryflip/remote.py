@@ -14,17 +14,23 @@ transport that knows no role: it retries connection errors, timeouts and
 are safe) and returns any JSON object of this version. Each adapter checks
 its role's answer once, ``/predict``'s through ``PredictionDistribution``; a
 bad answer is a ``ProtocolError`` naming the field or the broken rule.
+
+The transport is ``requests``, imported by the first remote call (or the
+first read of ``remote.requests``), so a run whose roles are all local
+never loads it. ``call_backend`` posts through whatever this module's
+``requests`` attribute holds at the call, so a stand-in bound there sees
+every attempt.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import sys
 import time
 from typing import Any, Sequence
 
 import numpy as np
-import requests
 
 from .config import ROLES, BackendEndpoint  # noqa: F401  (ROLES: re-exported)
 from .lm import PredictionDistribution
@@ -48,6 +54,17 @@ class BackendUnavailableError(RuntimeError):
 
 class ProtocolError(RuntimeError):
     """The backend answered, but the payload violates the wire schema."""
+
+
+def __getattr__(name: str) -> Any:
+    """Import ``requests`` on the first read of ``remote.requests`` (PEP 562)
+    and bind it, so later reads find it without this hook."""
+    if name != "requests":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import requests
+
+    globals()["requests"] = requests
+    return requests
 
 
 def _require(body: dict[str, Any], fld: str, kind: type) -> Any:
@@ -84,6 +101,7 @@ def call_backend(endpoint: BackendEndpoint, request: dict[str, Any]) -> dict[str
     if endpoint.token:
         headers["Authorization"] = f"Bearer {endpoint.token}"
     timeout_s = endpoint.timeout_ms / 1000.0
+    transport = sys.modules[__name__].requests  # the module or a stand-in
     last_error: Exception | None = None
     wait_s = _BACKOFF_BASE_S
     for attempt in range(endpoint.retries + 1):
@@ -91,10 +109,10 @@ def call_backend(endpoint: BackendEndpoint, request: dict[str, Any]) -> dict[str
             time.sleep(min(wait_s, timeout_s))
             wait_s *= 2  # a float: past its range it is inf, never an error
         try:
-            response = requests.post(
+            response = transport.post(
                 endpoint.url, json=payload, headers=headers, timeout=timeout_s
             )
-        except requests.RequestException as exc:
+        except transport.RequestException as exc:
             last_error = exc
             logger.debug("backend %s attempt %d failed: %s", endpoint.url, attempt, exc)
             continue

@@ -22,8 +22,9 @@ from queryflip.corpus import (
     count_postings,
     ingest_corpus,
 )
+from queryflip.embed import _ppmi_entries
 from queryflip.pipeline import build_stack, build_stack_from_file, load_stack, save_stack
-from queryflip.text import SPECIAL_IDS, UNK_ID, tokenize
+from queryflip.text import FIRST_CONTENT_ID, SPECIAL_IDS, UNK_ID, tokenize
 
 from conftest import SAMPLE_LINES, sample_config
 
@@ -419,6 +420,7 @@ _TEXTS = st.lists(_WORDS, max_size=12).map(" ".join)
     b=st.sampled_from([0.0, 0.75, 1.0]),
     queries=st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=6), max_size=5),
 )
+@example(texts=["w0 w1", "w1 w1 w1"], min_count=1, k1=1.0, b=0.0, queries=[])
 def test_saved_corpus_loads_the_built_ids_and_index(
     tmp_path_factory, texts, min_count, k1, b, queries
 ):
@@ -426,14 +428,19 @@ def test_saved_corpus_loads_the_built_ids_and_index(
     min_count 2, [UNK] ids included): the loaded documents hold the ids of
     their texts, and the index counted from them scores like the built one.
     One fixed document keeps two content words under min_count 2, which
-    the embeddings and the n-gram model need."""
+    the n-gram model needs, and gives the embeddings a positive PPMI entry:
+    no drawn text holds its words, so their pair co-occurs 3 times in a
+    window of 2, each word's marginal is 5 and the total at least 10."""
     config = sample_config(
         artifacts=str(tmp_path_factory.mktemp("artifacts")),
         min_count=min_count, k1=k1, b_bm25=b,
     )
     records = {f"d{i}": text for i, text in enumerate(texts)}
-    records["fixed"] = "w0 w0 w1 w1"
+    records["fixed"] = "y0 y0 y1 y1"
     built = build_stack(records, config)
+    rows, cols, _ = _ppmi_entries(built.corpus, built.vocab, config.embed_window)
+    y0, y1 = (built.vocab.id(w) - FIRST_CONTENT_ID for w in ("y0", "y1"))
+    assert np.any((rows == y0) & (cols == y1))
     save_stack(built, config)
     loaded = load_stack(config)
     vocab, corpus = loaded.vocab, loaded.corpus

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -28,6 +29,7 @@ from queryflip.remote import (
 )
 from queryflip.text import MASK_ID, PAD_ID
 
+from conftest import SAMPLE_LINES
 from stub_backend import StubBackendServer
 from test_corpus import ids
 
@@ -508,6 +510,45 @@ def test_malformed_url_fails_at_load_naming_url(url, reason):
     )
 
 
+@pytest.mark.parametrize(
+    "url",
+    ["http://a..b", "http://.x:8080", "http://" + "a" * 64 + ".com"],
+    ids=["empty_label", "empty_first_label", "label_over_63"],
+)
+def test_host_the_transport_cannot_encode_fails_at_load(url):
+    # At call time urllib3 raises its own LocationParseError, neither
+    # retried nor wrapped.
+    assert re.fullmatch(
+        r"invalid config field: backends\.score "
+        r"\(url is malformed: .*label (empty|too long).*\)",
+        _load_error({"url": url}),
+    )
+
+
+@pytest.mark.parametrize(
+    "url",
+    ["http://ho st", "http://ho\nst:8080", "http://x\u3000y", "http://h\x01o",
+     "http://u@ho\tst/"],
+    ids=["space", "newline", "ideographic_space", "control", "tab_after_userinfo"],
+)
+def test_host_with_whitespace_or_control_character_fails_at_load(url):
+    # At call time the host is sent percent-encoded, retried and reported
+    # unavailable, though no backend was asked; urlsplit drops the tab and
+    # newline, so only the url as given shows them.
+    assert _load_error({"url": url}) == (
+        "invalid config field: backends.score "
+        "(url is malformed: host holds whitespace or a control character)"
+    )
+
+
+@pytest.mark.parametrize(
+    "url", ["http://[::1]:8080", "http://127.0.0.1:8080", "http://localhost",
+            "https://x.example./path?q=a b"],
+)
+def test_ip_and_plain_hosts_load(url):
+    assert BackendEndpoint(url, "score").url.endswith("/score")
+
+
 def test_loading_a_config_imports_neither_numpy_nor_the_transport():
     # A fresh interpreter: this one has imported the whole package.
     code = (
@@ -520,3 +561,77 @@ def test_loading_a_config_imports_neither_numpy_nor_the_transport():
         [sys.executable, "-c", code], check=True, capture_output=True, text=True
     ).stdout
     assert out == "[]\nTrue True\n"
+
+
+def test_a_local_run_never_imports_the_transport():
+    # A fresh interpreter: importing the CLI, then building the sample
+    # stack and evaluating every method with each role local.
+    code = (
+        "import sys\n"
+        "import queryflip.cli, queryflip.remote\n"
+        "transport = {'requests', 'urllib3'}\n"
+        "print(sorted(transport & set(sys.modules)))\n"
+        "from queryflip.config import RunConfig\n"
+        "from queryflip.corpus import ingest_corpus\n"
+        "from queryflip.evaluation import METHODS, build_triplets, evaluate\n"
+        "from queryflip.pipeline import build_stack, make_context\n"
+        "config = RunConfig(embed_dim=4, embed_window=2, timing='off')\n"
+        f"stack = build_stack(ingest_corpus({SAMPLE_LINES!r}), config)\n"
+        "ctx = make_context(stack, config)\n"
+        "ranking = stack.search.search(stack.vocab.encode(['apple']), 3)\n"
+        "triplets = build_triplets(ranking, stack.corpus)\n"
+        "for method in METHODS:\n"
+        "    evaluate(triplets, method, ctx, timing='off')\n"
+        "print(len(triplets), sorted(transport & set(sys.modules)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True
+    ).stdout
+    assert out == "[]\n1 []\n"
+
+
+def test_reading_remote_requests_imports_the_transport():
+    assert remote.requests is requests
+    with pytest.raises(AttributeError, match="has no attribute 'request'"):
+        remote.request
+
+
+class _CountingTransport:
+    """Stands in for ``requests`` as ``remote.requests`` and counts posts,
+    as perfbench's tracer does."""
+
+    def __init__(self, real):
+        self.real, self.posts = real, 0
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def post(self, *args, **kwargs):
+        self.posts += 1
+        return self.real.post(*args, **kwargs)
+
+
+def test_a_stand_in_bound_as_remote_requests_sees_every_attempt(monkeypatch):
+    answers = [requests.ConnectionError("refused"), _Answer(503), _Answer(body={})]
+    sent = []
+
+    def post(url, json, headers, timeout):
+        sent.append(url)
+        answer = answers[min(len(sent), len(answers)) - 1]
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    monkeypatch.setattr("queryflip.remote.requests.post", post)
+    monkeypatch.setattr("queryflip.remote.time.sleep", lambda s: None)
+    endpoint = BackendEndpoint("http://localhost:1", "score", retries=2)
+    counting = _CountingTransport(remote.requests)
+    with monkeypatch.context() as patch:
+        patch.setattr(remote, "requests", counting)
+        assert call_backend(endpoint, {}) == {}
+    assert counting.posts == len(sent) == 3  # two retried, one answered
+    # Unbound, the real module carries the next call.
+    assert remote.requests is requests
+    assert call_backend(endpoint, {}) == {}
+    assert counting.posts == 3
+    assert len(sent) == 4
