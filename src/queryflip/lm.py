@@ -67,16 +67,22 @@ class NgramLM:
     when loaded. It holds one count table: ``grams`` (int32,
     ``(n, order)``: the order-1 context ids, then the target) and
     ``counts`` (int32, ``(n,)``), rows strictly increasing by context, then
-    target. Contexts are BOS-padded at document starts and hold ids below
-    the vocabulary size ``FIRST_CONTENT_ID + n_candidates``. Derived at
-    construction, with numpy and no loop over rows: each context's packed
-    key, which with the target must rise strictly from row to row; each
-    context's run of rows, where its key changes; a dict from that key to
-    the run index; and the run starts, add-k denominators, targets and
-    counts as flat lists for ``distribution`` and ``perplexity``. A
-    context's key reads its ids as base-``radix`` digits, BOS as 0 and
-    each id as id + 1, first id most significant, with ``radix`` the
-    vocabulary size + 1; it is a Python int, exact at every order.
+    target, with each context's counts totalling below 2**31. Contexts are
+    BOS-padded at document starts and hold ids below the vocabulary size
+    ``FIRST_CONTENT_ID + n_candidates``. Derived at construction, with
+    numpy and no loop over rows: each context's packed key, which with
+    the target must rise strictly from row to row; each context's run of
+    rows, where its key changes; and a dict from that key to the run
+    index. The rest is held in flat typed buffers, no Python object per
+    row: the run starts (int64), the add-k denominators (float64), the
+    targets (``grams``' last column, not copied) and the counts (``counts``
+    with a trailing 0). ``distribution`` and ``perplexity`` read them
+    through memoryviews, which give plain Python numbers. Where a packed
+    n-gram fits int64, the packed rows and each run's context key are
+    held too, for ``sentence_perplexities``. A context's key reads its
+    ids as base-``radix`` digits, BOS as 0 and each id as id + 1, first
+    id most significant, with ``radix`` the vocabulary size + 1; it is a
+    Python int, exact at every order.
 
     Only content tokens are ever predicted; the candidate space has
     ``n_candidates`` tokens with contiguous ids starting at
@@ -106,9 +112,13 @@ class NgramLM:
             raise ValueError("n-gram target outside the candidate ids")
         # A context id outside [BOS, vocabulary size) has no key digit.
         self.radix = _radix(n_candidates)
-        contexts, targets = grams[:, :-1], grams[:, -1]
+        contexts = grams[:, :-1]
         if ((contexts < BOS) | (contexts >= self.radix - 1)).any():
             raise ValueError("n-gram context outside the vocabulary ids")
+        # Every id is in range, so the table is held as int32 whatever
+        # integer type it came in.
+        grams = grams.astype(np.int32, copy=False)
+        contexts, targets = grams[:, :-1], grams[:, -1]
         # Packed keys in int64 while the largest fits, else in Python ints
         # (object arrays); with no context columns (order 1) every key is 0.
         # Every digit is in range, so the keys order the contexts as the
@@ -120,22 +130,42 @@ class NgramLM:
         )
         if not rising.all():
             raise ValueError("n-gram rows not sorted strictly by context, then target")
-        self.order = order
-        self.k = k
-        self.n_candidates = n_candidates
-        self.grams = grams
-        self.counts = counts
         # Each context's rows form one run. A context maps to its run index
         # r: rows starts[r]:starts[r + 1], add-k denominator
         # denominators[r] (the run's count total + k * n_candidates). An
         # unseen context gets index len(runs), an empty run.
-        starts, denominators = _context_runs(keys, counts, k, n_candidates)
-        self._runs = dict(zip(keys[starts].tolist(), range(len(starts))))
+        n = len(grams)
+        starts = run_starts(keys)
+        totals = np.add.reduceat(counts.astype(np.int64), starts)
+        # Below 2**31 every count and total is exact in int32 and in the
+        # float64 denominators. A count past int64 wraps in ``totals``, so
+        # the counts are checked too.
+        if (counts >= 2**31).any() or (totals >= 2**31).any():
+            raise ValueError("n-gram counts of a context must total below 2**31")
+        # The counts, then 0: the count ``sentence_perplexities`` reads for
+        # an n-gram past the last row.
+        held = np.zeros(n + 1, dtype=np.int32)
+        held[:n] = counts
+        self.order = order
+        self.k = k
+        self.n_candidates = n_candidates
+        self.grams = grams
+        self.counts = held[:n]
+        run_keys = keys[starts]
+        self._runs = dict(zip(run_keys.tolist(), range(len(starts))))
         self._unseen = len(starts)
-        self._starts: list[int] = starts.tolist() + [len(grams)] * 2
-        self._denominators: list[float] = denominators.tolist()
-        self._targets: list[int] = targets.tolist()
-        self._counts: list[int] = counts.tolist()
+        self._starts = memoryview(np.append(starts, [n, n]))
+        self._denominators = memoryview(np.append(totals, 0) + k * n_candidates)
+        self._targets = memoryview(targets)
+        self._counts = memoryview(held)
+        # Where a packed n-gram fits int64, each row packed (its context
+        # key * radix + target + 1) and each run's context key, each
+        # followed by a sentinel no key reaches; else None.
+        self._row_keys = self._run_keys = None
+        sentinel = np.iinfo(np.int64).max
+        if self.radix**order <= sentinel:
+            self._row_keys = np.append(keys * self.radix + targets + 1, sentinel)
+            self._run_keys = np.append(run_keys, sentinel)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The count table as held: ``grams`` and ``counts``. The settings
@@ -168,7 +198,8 @@ class NgramLM:
         run = self._runs.get(key, self._unseen)
         start, end = self._starts[run], self._starts[run + 1]
         denominator = self._denominators[run]
-        return self._targets[start:end], self._counts[start:end], denominator
+        targets, counts = self._targets[start:end], self._counts[start:end]
+        return targets.tolist(), counts.tolist(), denominator
 
 
 def train_ngram(corpus: Corpus, vocab: Vocabulary, order: int, k: float) -> NgramLM:
@@ -195,17 +226,6 @@ def train_ngram(corpus: Corpus, vocab: Vocabulary, order: int, k: float) -> Ngra
     grams = np.empty((len(counts), order), dtype=np.int32)
     grams[number] = windows  # equal rows share a number
     return NgramLM(order, k, vocab.content_size, grams, counts.astype(np.int32))
-
-
-def _context_runs(
-    keys: np.ndarray, counts: np.ndarray, k: float, n_candidates: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The first row of each run of equal context ``keys``, and each run's
-    add-k denominator (its count total + k * n_candidates), then the
-    unseen context's (k * n_candidates)."""
-    starts = run_starts(keys)
-    totals = np.append(np.add.reduceat(counts.astype(np.int64), starts), 0)
-    return starts, totals + k * n_candidates
 
 
 def _pack(rows: np.ndarray, radix: int, dtype: Any = np.int64) -> np.ndarray:
@@ -263,25 +283,21 @@ def sentence_perplexities(
     Token ids and sentence bounds are read from the corpus arrays,
     ``_BATCH_DOCS`` documents at a time. Each token's n-gram, BOS-padded
     at its sentence's start, is packed as ``NgramLM`` packs a context and
-    found among the count table's rows packed the same way. The
-    arithmetic is ``perplexity``'s: ``(count + k) / denominator`` in
-    float64, ``math.log`` of each distinct ratio, each sentence's terms
-    added left to right from 0.0 (one add per place in the sentence),
-    then ``math.exp(-total / length)``. Where a packed n-gram could pass
-    int64, each sentence is scored by ``perplexity`` itself.
+    found among the packed rows and run keys the model holds; the table
+    is not packed again. The arithmetic is ``perplexity``'s: ``(count +
+    k) / denominator`` in float64, ``math.log`` of each distinct ratio,
+    each sentence's terms added left to right from 0.0 (one add per
+    place in the sentence), then ``math.exp(-total / length)``. Where a
+    packed n-gram could pass int64, the model holds no packed rows and
+    each sentence is scored by ``perplexity`` itself.
     """
     radix, pad = lm.radix, lm.order - 1
-    if radix**lm.order > np.iinfo(np.int64).max:
+    rows, runs = lm._row_keys, lm._run_keys
+    if rows is None:
         return [[perplexity(s, lm) for s in corpus[d].sentences()] for d in doc_ids]
-    # The table's rows and their contexts' runs, packed, each followed by
-    # a sentinel no key reaches: count 0 and the unseen context's run.
-    rows = _pack(lm.grams, radix)
-    firsts, denominators = _context_runs(
-        rows // radix, lm.counts, lm.k, lm.n_candidates
-    )
-    sentinel = np.iinfo(np.int64).max
-    runs = np.append(rows[firsts] // radix, sentinel)
-    rows, counts = np.append(rows, sentinel), np.append(lm.counts, 0)
+    # Past the last row and run, the sentinels: count 0 and the unseen
+    # context's denominator.
+    counts, denominators = np.asarray(lm._counts), np.asarray(lm._denominators)
     positions = np.array([corpus.position(d) for d in doc_ids], dtype=np.int64)
     bounds = corpus.sentence_offsets
     out: list[list[float]] = []
@@ -303,7 +319,7 @@ def sentence_perplexities(
         keys, inverse = np.unique(keys, return_inverse=True)
         contexts = keys // radix
         run = np.searchsorted(runs, contexts)
-        run = np.where(runs[run] == contexts, run, len(firsts))
+        run = np.where(runs[run] == contexts, run, lm._unseen)
         row = np.searchsorted(rows, keys)
         count = np.where(rows[row] == keys, counts[row], 0)
         ratio = (count + lm.k) / denominators[run]

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter, defaultdict
 from unittest import mock
 
@@ -304,6 +305,46 @@ def test_sentence_perplexities_equal_the_scalar_loop_bit_for_bit(data):
         assert set(logged) == ratios
 
 
+def _synthetic_lm():
+    corpus, vocab = build_corpus(ingest_corpus(synthetic_corpus()), 1)
+    return corpus, train_ngram(corpus, vocab, order=3, k=0.1)
+
+
+def test_sentence_perplexities_never_pack_the_table(monkeypatch):
+    """A one-document batch packs its own windows, never the table's rows:
+    the model holds them packed."""
+    corpus, lm = _synthetic_lm()
+    pack, packed = lm_module._pack, []
+
+    def spy(rows, *args):
+        packed.append(len(rows))
+        return pack(rows, *args)
+
+    monkeypatch.setattr(lm_module, "_pack", spy)
+    doc_ids = corpus.doc_ids()[:1]
+    got = sentence_perplexities(corpus, doc_ids, lm)
+    assert packed and len(lm.grams) not in packed
+    assert got == [[perplexity(s, lm) for s in corpus[d].sentences()] for d in doc_ids]
+
+
+def test_model_keeps_no_python_object_per_row():
+    """Of the tracemalloc blocks ``NgramLM`` allocates, it keeps at most two
+    per context run (the run dict's key and value) plus a few buffers and
+    views."""
+    _, lm = _synthetic_lm()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        model = NgramLM(lm.order, lm.k, lm.n_candidates, lm.grams, lm.counts)
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    kept = sum(stat.count_diff for stat in after.compare_to(before, "filename"))
+    runs = len(model._runs)
+    assert runs > 1000
+    assert kept <= 2 * runs + 64
+
+
 def _sentence_context(sentence, i, order):
     """The order-1 ids before ``sentence[i]``, BOS-padded."""
     before = sentence[max(0, i - order + 1) : i]
@@ -353,6 +394,18 @@ MALFORMED_TABLES = {
         lambda g, c, n: (_set(g, (-1, 0), FIRST_CONTENT_ID + n), c),
         "n-gram context outside the vocabulary ids",
     ),
+    "count_past_int64": (
+        lambda g, c, n: (g, _set(c.astype(np.uint64), -1, 2**63)),
+        "n-gram counts of a context must total below 2**31",
+    ),
+    "context_total_past_int64": (
+        lambda g, c, n: (g, _set(c.astype(np.int64), [0, 1], 2**62)),
+        "n-gram counts of a context must total below 2**31",
+    ),
+    "context_total_at_int32_limit": (
+        lambda g, c, n: (g, _set(c, [0, 1], 2**30)),
+        "n-gram counts of a context must total below 2**31",
+    ),
 }
 
 
@@ -366,6 +419,16 @@ def test_malformed_tables_are_rejected(name, order):
     grams, counts = damage(lm.grams, lm.counts, lm.n_candidates)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         NgramLM(order, lm.k, lm.n_candidates, grams, counts)
+
+
+def test_context_totals_just_below_2_31_are_held_exactly():
+    corpus, vocab = build_corpus({"d1": "a b c a b", "d2": "c a b b"}, 1)
+    lm = train_ngram(corpus, vocab, order=3, k=0.1)
+    counts = _set(lm.counts, [0, 1], [2**30, 2**30 - 1])
+    model = NgramLM(3, 0.1, lm.n_candidates, lm.grams, counts)
+    _, held, denominator = model.distribution((BOS, BOS))
+    assert held == [2**30, 2**30 - 1]
+    assert denominator == 2**31 - 1 + 0.1 * lm.n_candidates
 
 
 def test_packed_context_keys_are_exact_past_int64():
