@@ -89,7 +89,7 @@ class RunConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 return cls.from_dict(json.load(fh))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{path}: {exc}") from exc
 
     def with_overrides(self, **overrides: Any) -> "RunConfig":

@@ -192,8 +192,9 @@ def read_records(
     for lineno, line in numbered_lines(lines):
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed record @ line {lineno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            problem = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            raise ValueError(f"malformed record @ line {lineno}: {problem}") from exc
         if not isinstance(record, dict):
             raise ValueError(f"malformed record @ line {lineno}: not an object")
         for fld in fields:

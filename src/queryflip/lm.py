@@ -59,8 +59,9 @@ class PredictionDistribution:
 
 
 class NgramLM:
-    """Add-k-smoothed n-gram model. No state changes after construction,
-    so concurrent reads are safe.
+    """Add-k-smoothed n-gram model. Its one change after construction: the
+    first lookup builds the run index. Two threads may both build it; the
+    dicts are equal and one is kept, so concurrent reads are safe.
 
     ``order`` and ``k`` are taken as given (``RunConfig`` checks them);
     ``n_candidates`` is the vocabulary's content size, when built and
@@ -71,18 +72,19 @@ class NgramLM:
     BOS-padded at document starts and hold ids below the vocabulary size
     ``FIRST_CONTENT_ID + n_candidates``. Derived at construction, with
     numpy and no loop over rows: each context's packed key, which with
-    the target must rise strictly from row to row; each context's run of
-    rows, where its key changes; and a dict from that key to the run
-    index. The rest is held in flat typed buffers, no Python object per
-    row: the run starts (int64), the add-k denominators (float64), the
-    targets (``grams``' last column, not copied) and the counts (``counts``
-    with a trailing 0). ``distribution`` and ``perplexity`` read them
-    through memoryviews, which give plain Python numbers. Where a packed
-    n-gram fits int64, the packed rows and each run's context key are
-    held too, for ``sentence_perplexities``. A context's key reads its
-    ids as base-``radix`` digits, BOS as 0 and each id as id + 1, first
-    id most significant, with ``radix`` the vocabulary size + 1; it is a
-    Python int, exact at every order.
+    the target must rise strictly from row to row, and each context's run
+    of rows, where its key changes. The rest is held in flat typed
+    buffers, no Python object per row: each run's context key, the run
+    starts (int64), the add-k denominators (float64), the targets
+    (``grams``' last column, not copied) and the counts (``counts`` with a
+    trailing 0). ``distribution`` and ``perplexity`` read them through
+    memoryviews, which give plain Python numbers, and find a context's
+    run by a dict from its key, which the first lookup builds. Where a
+    packed n-gram fits int64, the packed rows are held too, for
+    ``sentence_perplexities``. A context's key reads its ids as
+    base-``radix`` digits, BOS as 0 and each id as id + 1, first id most
+    significant, with ``radix`` the vocabulary size + 1; it is a Python
+    int, exact at every order.
 
     Only content tokens are ever predicted; the candidate space has
     ``n_candidates`` tokens with contiguous ids starting at
@@ -151,21 +153,20 @@ class NgramLM:
         self.n_candidates = n_candidates
         self.grams = grams
         self.counts = held[:n]
-        run_keys = keys[starts]
-        self._runs = dict(zip(run_keys.tolist(), range(len(starts))))
+        # Each run's context key, then radix ** (order - 1), above every key.
+        self._run_keys = np.append(keys[starts], self.radix ** (order - 1))
+        self._runs: dict[int, int] | None = None  # see ``_index``
         self._unseen = len(starts)
         self._starts = memoryview(np.append(starts, [n, n]))
         self._denominators = memoryview(np.append(totals, 0) + k * n_candidates)
         self._targets = memoryview(targets)
         self._counts = memoryview(held)
-        # Where a packed n-gram fits int64, each row packed (its context
-        # key * radix + target + 1) and each run's context key, each
-        # followed by a sentinel no key reaches; else None.
-        self._row_keys = self._run_keys = None
+        # Where a packed n-gram fits int64, each row packed (context key *
+        # radix + target + 1), then a sentinel no key reaches; else None.
+        self._row_keys = None
         sentinel = np.iinfo(np.int64).max
         if self.radix**order <= sentinel:
             self._row_keys = np.append(keys * self.radix + targets + 1, sentinel)
-            self._run_keys = np.append(run_keys, sentinel)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The count table as held: ``grams`` and ``counts``. The settings
@@ -184,6 +185,13 @@ class NgramLM:
             raise ValueError("n-gram tables must be integer arrays")
         return cls(order, k, n_candidates, grams, counts)
 
+    def _index(self) -> dict[int, int]:
+        """Each run's context key to its run index; the first call builds it."""
+        if self._runs is None:
+            # Two threads may both build it; the dicts are equal.
+            self._runs = dict(zip(self._run_keys[:-1].tolist(), range(self._unseen)))
+        return self._runs
+
     def distribution(
         self, context: tuple[int, ...]
     ) -> tuple[list[int], list[int], float]:
@@ -195,7 +203,7 @@ class NgramLM:
         key, radix = 0, self.radix
         for token_id in context:
             key = key * radix + int(token_id) + 1
-        run = self._runs.get(key, self._unseen)
+        run = self._index().get(key, self._unseen)
         start, end = self._starts[run], self._starts[run + 1]
         denominator = self._denominators[run]
         targets, counts = self._targets[start:end], self._counts[start:end]
@@ -253,7 +261,7 @@ def perplexity(token_ids: Sequence[int], lm: NgramLM) -> float:
     token the oldest digit is dropped and the token's shifted in.
     """
     radix, modulus = lm.radix, lm.radix ** (lm.order - 1)
-    runs, unseen = lm._runs, lm._unseen
+    runs, unseen = lm._index(), lm._unseen
     # P(target | context) from the context's run, as ``distribution`` gives it.
     starts, targets, counts = lm._starts, lm._targets, lm._counts
     denominators, k = lm._denominators, lm.k

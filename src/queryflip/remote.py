@@ -125,7 +125,7 @@ def call_backend(endpoint: BackendEndpoint, request: dict[str, Any]) -> dict[str
             )
         try:
             body = response.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # nested too deep to parse
             raise ProtocolError(f"backend {endpoint.url} sent invalid JSON") from exc
         if not isinstance(body, dict):
             raise ProtocolError("response body is not an object")

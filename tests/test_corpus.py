@@ -77,6 +77,22 @@ def test_ingest_malformed_json_reports_line():
         ingest_corpus(["{not json"])
 
 
+@pytest.mark.parametrize(
+    "line, cause",
+    [
+        ("[" * 200_000 + "]" * 200_000, RecursionError),
+        ('{"id": "d9", "text": "x", "n": ' + "1" * 5000 + "}", ValueError),
+    ],
+    ids=["deep_nesting", "5000_digits"],
+)
+def test_ingest_names_the_line_the_parser_gives_up_on(line, cause):
+    # Nesting past the parser's depth and an integer past Python's digit
+    # limit are malformed records too, with their line.
+    with pytest.raises(ValueError, match=r"^malformed record @ line 2: ") as info:
+        ingest_corpus([SAMPLE_LINES[0], line])
+    assert type(info.value.__cause__) is cause
+
+
 def test_ingest_duplicate_id_named():
     with pytest.raises(ValueError, match=r"duplicate id: d1"):
         ingest_corpus([SAMPLE_LINES[0], SAMPLE_LINES[0]])

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import random
 import re
+import sys
+import threading
 import tracemalloc
 from collections import Counter, defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -328,21 +332,85 @@ def test_sentence_perplexities_never_pack_the_table(monkeypatch):
 
 
 def test_model_keeps_no_python_object_per_row():
-    """Of the tracemalloc blocks ``NgramLM`` allocates, it keeps at most two
-    per context run (the run dict's key and value) plus a few buffers and
-    views."""
+    """A constructed model keeps a few tracemalloc blocks (buffers and
+    views), none per row; its first lookup adds the run index, at most
+    two blocks per context run (the dict's key and value)."""
     _, lm = _synthetic_lm()
+    runs = len(np.unique(lm.grams[:, :-1], axis=0))
+    assert runs > 1000
     tracemalloc.start()
     try:
         before = tracemalloc.take_snapshot()
         model = NgramLM(lm.order, lm.k, lm.n_candidates, lm.grams, lm.counts)
-        after = tracemalloc.take_snapshot()
+        built = tracemalloc.take_snapshot()
+        model.distribution((BOS, BOS))
+        looked_up = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    kept = sum(stat.count_diff for stat in after.compare_to(before, "filename"))
-    runs = len(model._runs)
-    assert runs > 1000
-    assert kept <= 2 * runs + 64
+
+    def kept(after):
+        return sum(stat.count_diff for stat in after.compare_to(before, "filename"))
+
+    assert kept(built) <= 64
+    assert kept(looked_up) <= 2 * runs + 64
+
+
+@pytest.mark.parametrize("first", ["perplexity", "distribution"])
+@pytest.mark.parametrize("order", [3, _OBJECT_ORDER])
+def test_first_lookup_builds_the_run_index_once(order, first):
+    """The run index is built by the first lookup, not by training, and
+    then reused. It maps each context's key to its run, in table order,
+    with int64 keys (order 3) and Python int keys (past int64); every row
+    reads its own count through it."""
+    corpus, vocab = build_corpus(ingest_corpus(synthetic_corpus()), 1)
+    k, n = 0.1, vocab.content_size
+    lm = train_ngram(corpus, vocab, order=order, k=k)
+    assert lm._runs is None
+    seq = corpus.documents()[0].ids
+    if first == "perplexity":
+        perplexity(seq, lm)
+    else:
+        lm.distribution((BOS,) * (order - 1))
+    runs = lm._runs
+    rows = [tuple(row) for row in lm.grams.tolist()]
+    contexts = list(dict.fromkeys(row[:-1] for row in rows))
+    keys = [functools.reduce(lambda key, t: key * lm.radix + t + 1, c, 0) for c in contexts]
+    assert runs == dict(zip(keys, range(len(contexts))))
+    totals = Counter()
+    for row, count in zip(rows, lm.counts.tolist()):
+        totals[row[:-1]] += count
+    for row, count in zip(rows, lm.counts.tolist()):
+        assert _prob(lm, row[-1], row[:-1]) == (count + k) / (totals[row[:-1]] + k * n)
+    perplexity(seq, lm)
+    assert lm._runs is runs
+
+
+def test_first_lookups_from_four_threads_agree_with_one():
+    """Four threads that race to a fresh model's first lookups score every
+    sentence bit for bit as one thread does on another fresh model."""
+    corpus, lm = _synthetic_lm()
+    sentences = [s for doc in corpus.documents() for s in doc.sentences()]
+
+    def fresh():
+        return NgramLM(lm.order, lm.k, lm.n_candidates, lm.grams, lm.counts)
+
+    one = fresh()
+    reference = [perplexity(s, one) for s in sentences]
+    model, start = fresh(), threading.Barrier(4)
+
+    def score(_):
+        start.wait(timeout=60)
+        return [perplexity(s, model) for s in sentences]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(score, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert model._runs is not None
+    assert results == [reference] * 4
 
 
 def _sentence_context(sentence, i, order):

@@ -18,6 +18,7 @@ from queryflip.pipeline import (
     build_stack,
     corpus_digest,
     load_stack,
+    make_context,
     save_stack,
 )
 from queryflip.text import (
@@ -170,6 +171,22 @@ def test_config_file_errors_name_the_path(tmp_path):
         RunConfig.from_file(str(path))
 
 
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ('{"top_k": ' + "[" * 100_000 + "]" * 100_000 + "}", RecursionError),
+        ('{"top_k": ' + "1" * 5000 + "}", ValueError),
+    ],
+    ids=["deep_nesting", "5000_digits"],
+)
+def test_config_file_errors_the_parser_gives_up_on_name_the_path(tmp_path, text, cause):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"config\.json: ") as info:
+        RunConfig.from_file(str(path))
+    assert type(info.value.__cause__) is cause
+
+
 def test_config_hash_ignores_workers():
     one = RunConfig(workers=1)
     many = RunConfig(workers=8)
@@ -281,6 +298,25 @@ def test_documents_are_built_on_first_access_only(tmp_path, monkeypatch):
     assert [d.id for d in corpus.documents()] == corpus.doc_ids() == ["d3", "d2", "d1"]
     assert built == ["d2", "d3", "d1"]
     assert all(doc is corpus[doc.id] for doc in corpus.documents())
+
+
+def test_run_index_is_built_on_first_lookup_only(tmp_path):
+    """Building, saving, loading and bundling a stack leave the n-gram
+    run index unbuilt; the first perplexity builds it and later lookups
+    reuse it."""
+    config = sample_config(artifacts=str(tmp_path / "artifacts"))
+    stack = build_stack(ingest_corpus(SAMPLE_LINES), config)
+    save_stack(stack, config)
+    loaded = load_stack(config)
+    make_context(loaded, config)
+    assert stack.lm._runs is None and loaded.lm._runs is None
+    q = stack.vocab.encode(["apple", "recipe"])
+    assert perplexity(q, loaded.lm) == perplexity(q, stack.lm)
+    runs = loaded.lm._runs
+    assert runs is not None
+    loaded.lm.distribution((BOS,) * (config.lm_order - 1))
+    perplexity(q, loaded.lm)
+    assert loaded.lm._runs is runs
 
 
 def test_corpus_digest_of_the_readme_corpus_is_unchanged(sample_stack):

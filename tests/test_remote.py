@@ -371,10 +371,15 @@ def test_descending_probs_enforced(sample_stack, stub):
     [
         (_Answer(404, {"score": 1.0}), "returned status 404"),
         (_Answer(text="{not json"), "invalid JSON"),
+        (_Answer(text="[" * 100_000 + "]" * 100_000), "invalid JSON"),
+        (_Answer(text='{"score": ' + "1" * 5000 + "}"), "invalid JSON"),
         (_Answer(body=[1.0]), "response body is not an object"),
         (_Answer(body={"proto_version": 2, "score": 1.0}), "unsupported proto_version: 2"),
     ],
-    ids=["status_4xx", "invalid_json", "not_object", "proto_version"],
+    ids=[
+        "status_4xx", "invalid_json", "deep_nesting", "5000_digits", "not_object",
+        "proto_version",
+    ],
 )
 def test_transport_failure_is_not_retried(monkeypatch, answer, message):
     sent = _fake_post(monkeypatch, answer)
