@@ -62,6 +62,7 @@ class NgramLM:
     """Add-k-smoothed n-gram model. Its one change after construction: the
     first lookup builds the run index. Two threads may both build it; the
     dicts are equal and one is kept, so concurrent reads are safe.
+    ``sweep_edits`` builds it before it starts several workers.
 
     ``order`` and ``k`` are taken as given (``RunConfig`` checks them);
     ``n_candidates`` is the vocabulary's content size, when built and
@@ -155,7 +156,7 @@ class NgramLM:
         self.counts = held[:n]
         # Each run's context key, then radix ** (order - 1), above every key.
         self._run_keys = np.append(keys[starts], self.radix ** (order - 1))
-        self._runs: dict[int, int] | None = None  # see ``_index``
+        self._runs: dict[int, int] | None = None  # see ``run_index``
         self._unseen = len(starts)
         self._starts = memoryview(np.append(starts, [n, n]))
         self._denominators = memoryview(np.append(totals, 0) + k * n_candidates)
@@ -185,7 +186,7 @@ class NgramLM:
             raise ValueError("n-gram tables must be integer arrays")
         return cls(order, k, n_candidates, grams, counts)
 
-    def _index(self) -> dict[int, int]:
+    def run_index(self) -> dict[int, int]:
         """Each run's context key to its run index; the first call builds it."""
         if self._runs is None:
             # Two threads may both build it; the dicts are equal.
@@ -203,7 +204,7 @@ class NgramLM:
         key, radix = 0, self.radix
         for token_id in context:
             key = key * radix + int(token_id) + 1
-        run = self._index().get(key, self._unseen)
+        run = self.run_index().get(key, self._unseen)
         start, end = self._starts[run], self._starts[run + 1]
         denominator = self._denominators[run]
         targets, counts = self._targets[start:end], self._counts[start:end]
@@ -261,7 +262,7 @@ def perplexity(token_ids: Sequence[int], lm: NgramLM) -> float:
     token the oldest digit is dropped and the token's shifted in.
     """
     radix, modulus = lm.radix, lm.radix ** (lm.order - 1)
-    runs, unseen = lm._index(), lm._unseen
+    runs, unseen = lm.run_index(), lm._unseen
     # P(target | context) from the context's run, as ``distribution`` gives it.
     starts, targets, counts = lm._starts, lm._targets, lm._counts
     denominators, k = lm._denominators, lm.k

@@ -224,4 +224,5 @@ def make_context(stack: Stack, config: RunConfig) -> EvalContext:
         predictor_factory=predictor_factory,
         masker=config.masker,
         max_masks=config.max_masks,
+        lm=None if {"perplexity", "predict"} <= endpoints.keys() else lm,
     )

@@ -6,11 +6,8 @@ import json
 import math
 import random
 import re
-import sys
-import threading
 import tracemalloc
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -383,34 +380,6 @@ def test_first_lookup_builds_the_run_index_once(order, first):
         assert _prob(lm, row[-1], row[:-1]) == (count + k) / (totals[row[:-1]] + k * n)
     perplexity(seq, lm)
     assert lm._runs is runs
-
-
-def test_first_lookups_from_four_threads_agree_with_one():
-    """Four threads that race to a fresh model's first lookups score every
-    sentence bit for bit as one thread does on another fresh model."""
-    corpus, lm = _synthetic_lm()
-    sentences = [s for doc in corpus.documents() for s in doc.sentences()]
-
-    def fresh():
-        return NgramLM(lm.order, lm.k, lm.n_candidates, lm.grams, lm.counts)
-
-    one = fresh()
-    reference = [perplexity(s, one) for s in sentences]
-    model, start = fresh(), threading.Barrier(4)
-
-    def score(_):
-        start.wait(timeout=60)
-        return [perplexity(s, model) for s in sentences]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(4) as pool:
-            results = list(pool.map(score, range(4), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert model._runs is not None
-    assert results == [reference] * 4
 
 
 def _sentence_context(sentence, i, order):
