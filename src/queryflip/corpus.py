@@ -269,8 +269,9 @@ class Bm25SearchModel:
         idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5))
         w(t,d) = idf(t) * tf * (k1+1) / (tf + k1 * (1 - b + b * n/avgdl))
 
-    Derived once at construction, as arrays: idf per term (``math.log``,
-    one call per term; ``idf`` and ``idf_array`` read it), the impact
+    Derived once at construction, as arrays: idf per term (the ratio in
+    one numpy expression, then ``math.log`` of each; ``idf`` and
+    ``idf_array`` read it), the impact
     w(t,d) of every posting in one numpy expression (``impacts``, in
     posting order), and the postings regrouped by document. ``score``
     builds a document's {term id: w} table from the regrouped arrays the
@@ -297,9 +298,12 @@ class Bm25SearchModel:
         n = corpus.n_docs
         term_ids = terms.tolist()
         dfs = np.diff(indptr)
-        idfs = [_robertson_idf(n, df) for df in dfs.tolist()]
+        # The idf formula's float operations in its order, for every term
+        # at once, then df 0 (an unseen term); ``math.log`` of each.
+        with_unseen = np.append(dfs, 0)
+        ratios = 1.0 + (n - with_unseen + 0.5) / (with_unseen + 0.5)
+        *idfs, self._idf_unseen = map(math.log, ratios.tolist())
         self._idf = dict(zip(term_ids, idfs))
-        self._idf_unseen = _robertson_idf(n, 0)
         self._row = dict(zip(term_ids, range(len(term_ids))))
         self._bounds: list[int] = indptr.tolist()
         self._corpus_ids = corpus.doc_ids()
@@ -309,17 +313,28 @@ class Bm25SearchModel:
         self._by_id = np.array(by_id, dtype=np.int64)
         lengths = np.diff(corpus.offsets)
         # The scalar formula's float operations in its order, one element
-        # per posting. Only a posting's document is normalised, so avgdl 0
-        # (every document empty, no postings) divides nothing.
-        k1_norm = k1 * (1.0 - b + b * lengths[docs] / corpus.avgdl)
-        posting_idf = np.repeat(np.array(idfs), dfs)
-        self.impacts = posting_idf * tfs * (k1 + 1.0) / (tfs + k1_norm)
+        # per posting, each into an array made for it (x + c and x * c round
+        # as c + x and c * x do). Only a posting's document is normalised,
+        # so avgdl 0 (every document empty, no postings) divides nothing.
+        k1_norm = b * lengths[docs]
+        k1_norm /= corpus.avgdl
+        k1_norm += 1.0 - b
+        k1_norm *= k1  # k1 * (1 - b + b * length / avgdl)
+        impacts = np.repeat(np.array(idfs), dfs)
+        impacts *= tfs
+        impacts *= k1 + 1.0
+        k1_norm += tfs
+        impacts /= k1_norm  # idf * tf * (k1 + 1) / (tf + k1 * (...))
+        self.impacts = impacts
         # The postings regrouped by document: document p's terms and impacts
         # are _doc_terms / _doc_impacts[_doc_bounds[p]:_doc_bounds[p + 1]].
         # The sorted keys doc * n_postings + i: each document's postings
         # in posting order, so by term, and each key's i is its posting.
         n_postings = len(docs)
-        by_doc = np.sort(docs.astype(np.int64) * n_postings + np.arange(n_postings))
+        by_doc = docs.astype(np.int64)
+        by_doc *= n_postings
+        by_doc += np.arange(n_postings)
+        by_doc.sort()
         by_doc %= n_postings
         self._doc_terms = np.repeat(terms, dfs)[by_doc]
         self._doc_impacts = self.impacts[by_doc]
@@ -389,13 +404,21 @@ class Bm25SearchModel:
         return Ranking(tuple(query_ids), tuple(entries))
 
 
-def _robertson_idf(n_docs: int, df: int) -> float:
-    return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-
-
 def run_starts(keys: np.ndarray) -> np.ndarray:
     """The index of the first element of each run of equal ``keys``."""
-    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]][: len(keys)])
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
+def count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort ``keys`` in place; return each distinct key, ascending, and
+    how many times it occurs (``np.unique(keys, return_counts=True)``
+    with no sorted copy)."""
+    keys.sort()
+    starts = run_starts(keys)
+    return keys[starts], np.diff(np.append(starts, len(keys)))
 
 
 def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -425,10 +448,10 @@ def count_postings(corpus: Corpus) -> tuple[np.ndarray, ...]:
     position in corpus order."""
     n = corpus.n_docs
     content = corpus.ids >= FIRST_CONTENT_ID
-    term_ids = corpus.ids[content].astype(np.int64)
-    pairs, tfs = np.unique(
-        term_ids * n + corpus.doc_labels()[content], return_counts=True
-    )
+    keys = corpus.ids[content].astype(np.int64)
+    keys *= n
+    keys += corpus.doc_labels()[content]
+    pairs, tfs = count_keys(keys)
     terms, docs = np.divmod(pairs, n)
     starts = run_starts(terms)  # the pairs are sorted: one run per term
     indptr = np.append(starts, len(pairs))

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .text import FIRST_CONTENT_ID, Vocabulary
-from .corpus import Corpus
+from .corpus import Corpus, count_keys
 
 logger = logging.getLogger(__name__)
 
@@ -97,17 +97,29 @@ def _ppmi_entries(
     content = ids >= FIRST_CONTENT_ID
     ids, docs = ids[content] - FIRST_CONTENT_ID, docs[content]
     longest = int(np.bincount(docs).max(initial=0))
-    keys = [np.empty(0, dtype=np.int64)]  # one-word documents fit no pair
-    for offset in range(1, min(window, longest - 1) + 1):
-        same = docs[:-offset] == docs[offset:]
-        a, b = ids[:-offset][same], ids[offset:][same]
-        keys += (a * n_content + b, b * n_content + a)
-    pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
-    rows, cols = np.divmod(pairs, n_content)
+    # One-word documents fit no pair, and leave ``keys`` empty.
+    offsets = range(1, min(window, longest - 1) + 1)
+    same = [docs[:-offset] == docs[offset:] for offset in offsets]
+    # Each pair keyed both ways, into one buffer that ``count_keys`` sorts.
+    keys = np.empty(2 * sum(np.count_nonzero(kept) for kept in same), dtype=np.int64)
+    end = 0
+    for offset, kept in zip(offsets, same):
+        a, b = ids[:-offset][kept], ids[offset:][kept]
+        for first, second in ((a, b), (b, a)):
+            at, end = end, end + len(a)
+            np.multiply(first, n_content, out=keys[at:end])
+            keys[at:end] += second
+    pairs, counts = count_keys(keys)
+    del keys  # the largest array here, before the PMI's are made
     counts = counts.astype(np.float64)
+    rows, cols = np.divmod(pairs, n_content)
     total = counts.sum()
     marginals = np.bincount(rows, weights=counts, minlength=n_content)
-    pmi = np.log(counts * total / (marginals[rows] * marginals[cols]))
+    # log(counts * total / (marginals[rows] * marginals[cols])), in place.
+    pmi = counts
+    pmi *= total
+    pmi /= marginals[rows] * marginals[cols]
+    np.log(pmi, out=pmi)
     positive = pmi > 0.0
     if not np.any(positive):
         raise ValueError("no co-occurrence signal in corpus")

@@ -110,14 +110,19 @@ class NgramLM:
             raise ValueError(f"{len(grams)} n-gram rows but counts {counts.shape}")
         if (counts < 1).any():
             raise ValueError("n-gram counts must be >= 1")
-        candidate = grams[:, -1] - FIRST_CONTENT_ID
-        if ((candidate < 0) | (candidate >= n_candidates)).any():
-            raise ValueError("n-gram target outside the candidate ids")
-        # A context id outside [BOS, vocabulary size) has no key digit.
+        # Each column's least and greatest id, with no boolean table made:
+        # targets must be candidates, in [FIRST_CONTENT_ID, vocabulary size),
+        # and context ids in [BOS, vocabulary size), outside which an id has
+        # no key digit. An empty table has neither (and an unsigned one no
+        # BOS to start from).
         self.radix = _radix(n_candidates)
-        contexts = grams[:, :-1]
-        if ((contexts < BOS) | (contexts >= self.radix - 1)).any():
-            raise ValueError("n-gram context outside the vocabulary ids")
+        if len(grams):
+            targets = grams[:, -1]
+            if targets.min() < FIRST_CONTENT_ID or targets.max() >= self.radix - 1:
+                raise ValueError("n-gram target outside the candidate ids")
+            for column in grams.T[:-1]:
+                if column.min() < BOS or column.max() >= self.radix - 1:
+                    raise ValueError("n-gram context outside the vocabulary ids")
         # Every id is in range, so the table is held as int32 whatever
         # integer type it came in.
         grams = grams.astype(np.int32, copy=False)
@@ -167,7 +172,10 @@ class NgramLM:
         self._row_keys = None
         sentinel = np.iinfo(np.int64).max
         if self.radix**order <= sentinel:
-            self._row_keys = np.append(keys * self.radix + targets + 1, sentinel)
+            row_keys = keys * self.radix
+            row_keys += targets
+            row_keys += 1
+            self._row_keys = np.append(row_keys, sentinel)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The count table as held: ``grams`` and ``counts``. The settings

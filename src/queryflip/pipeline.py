@@ -151,7 +151,10 @@ def load_stack(config: RunConfig) -> Stack:
         raise ArtifactError(f"{path} is truncated or not an npz archive")
     try:
         with np.load(path, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
+            try:
+                arrays = {name: npz[name] for name in npz.files}
+            except MemoryError as exc:  # a member's header declares a shape
+                raise ArtifactError(f"malformed {path}: {exc}") from exc
         found = str(arrays["format"]) if "format" in arrays else "none"
         if found != str(STACK_FORMAT):
             raise ArtifactError(

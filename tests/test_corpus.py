@@ -19,6 +19,7 @@ from queryflip.corpus import (
     Corpus,
     build_corpus,
     build_index,
+    count_keys,
     count_postings,
     ingest_corpus,
 )
@@ -27,6 +28,7 @@ from queryflip.pipeline import build_stack, build_stack_from_file, load_stack, s
 from queryflip.text import FIRST_CONTENT_ID, SPECIAL_IDS, UNK_ID, tokenize
 
 from conftest import SAMPLE_LINES, sample_config
+from synthdata import zipf_corpus
 
 # Hand-derived BM25 constants for the sample corpus (k1=1.2, b=0.75, the
 # config defaults).
@@ -232,6 +234,35 @@ def test_idf_array_holds_the_idf_of_every_id(sample_stack):
     table = search.idf_array(size)
     assert table.dtype == np.float64
     assert table.tolist() == [search.idf(t) for t in range(size)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=40))
+def test_count_keys_counts_as_np_unique_does(values):
+    """The distinct keys and their counts, as ``np.unique`` with
+    ``return_counts`` gives them, with the empty array included; the
+    keys are left sorted."""
+    keys = np.array(values, dtype=np.int64)
+    expected = np.unique(keys, return_counts=True)
+    distinct, counts = count_keys(keys)
+    assert np.array_equal(distinct, expected[0]) and np.array_equal(counts, expected[1])
+    assert distinct.dtype == np.int64 and counts.dtype == expected[1].dtype
+    assert keys.tolist() == sorted(values)
+
+
+def test_idf_of_every_indexed_term_is_the_scalar_formula():
+    """On a Zipf corpus, whose document frequencies run from 1 to nearly
+    every document, each term's idf is the formula's float operations in
+    its order, and an unseen term's is its value at df 0."""
+    corpus, vocab = build_corpus(ingest_corpus(zipf_corpus(1, 2200, 3000)), 1)
+    search = build_index(corpus, K1, B)
+    terms, indptr, _, _ = count_postings(corpus)
+    n = corpus.n_docs
+    dfs = np.diff(indptr).tolist()
+    assert min(dfs) == 1 and max(dfs) > n // 2
+    for term, df in zip(terms.tolist(), dfs):
+        assert search.idf(term) == math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+    assert search.idf(UNK_ID) == math.log(1.0 + (n + 0.5) / 0.5)
 
 
 def test_query_representation_identity_and_disjoint(sample_stack):

@@ -397,7 +397,9 @@ def _set(array, index, value):
 # Damages to a sorted table (grams, counts) of a model with n candidate
 # ids, each with the message NgramLM rejects it with. The first context
 # column rises, so a context set in the first or last row keeps the order;
-# the first two rows share the all-BOS context.
+# the first two rows share the all-BOS context. A context id out of range
+# is set in the first context column and in the last (-2), since each
+# column is checked on its own.
 MALFORMED_TABLES = {
     "row_out_of_order": (
         lambda g, c, n: (g[::-1], c[::-1]),
@@ -431,6 +433,14 @@ MALFORMED_TABLES = {
         lambda g, c, n: (_set(g, (-1, 0), FIRST_CONTENT_ID + n), c),
         "n-gram context outside the vocabulary ids",
     ),
+    "last_context_column_below_bos": (
+        lambda g, c, n: (_set(g, (0, -2), BOS - 1), c),
+        "n-gram context outside the vocabulary ids",
+    ),
+    "last_context_column_past_vocabulary": (
+        lambda g, c, n: (_set(g, (-1, -2), FIRST_CONTENT_ID + n), c),
+        "n-gram context outside the vocabulary ids",
+    ),
     "count_past_int64": (
         lambda g, c, n: (g, _set(c.astype(np.uint64), -1, 2**63)),
         "n-gram counts of a context must total below 2**31",
@@ -456,6 +466,19 @@ def test_malformed_tables_are_rejected(name, order):
     grams, counts = damage(lm.grams, lm.counts, lm.n_candidates)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         NgramLM(order, lm.k, lm.n_candidates, grams, counts)
+
+
+def test_a_table_of_unsigned_ids_in_range_is_held_as_int32():
+    """Any integer type is read; an unsigned table holds no BOS, so its
+    contexts here are the trained table's rows without one."""
+    corpus, vocab = build_corpus({"d1": "a b c a b", "d2": "c a b b"}, 1)
+    lm = train_ngram(corpus, vocab, order=3, k=0.1)
+    inside = (lm.grams[:, :-1] != BOS).all(axis=1)
+    grams, counts = lm.grams[inside], lm.counts[inside]
+    assert len(grams)
+    model = NgramLM(3, 0.1, lm.n_candidates, grams.astype(np.uint16), counts)
+    assert model.grams.dtype == np.int32
+    assert np.array_equal(model.grams, grams)
 
 
 def test_context_totals_just_below_2_31_are_held_exactly():

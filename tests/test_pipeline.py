@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
 import re
+import zipfile
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -30,7 +32,7 @@ from queryflip.text import (
 
 from conftest import SAMPLE_LINES, sample_config
 from test_corpus import assert_same_arrays, postings
-from test_lm import MALFORMED_TABLES, reference_counts
+from test_lm import _OBJECT_ORDER, MALFORMED_TABLES, reference_counts
 
 
 def test_config_round_trips_through_json(tmp_path):
@@ -368,8 +370,8 @@ def test_load_with_changed_build_config_fails(tmp_path):
         load_stack(changed)
 
 
-def _saved(tmp_path):
-    config = sample_config(artifacts=str(tmp_path / "artifacts"))
+def _saved(tmp_path, **overrides):
+    config = sample_config(artifacts=str(tmp_path / "artifacts"), **overrides)
     save_stack(build_stack(ingest_corpus(SAMPLE_LINES), config), config)
     return config, tmp_path / "artifacts" / STACK_FILE
 
@@ -556,12 +558,55 @@ def test_load_rejects_bad_artifact(tmp_path, damage, match):
         load_stack(config)
 
 
+def _declare_shape(path, name, shape):
+    """Rewrite member ``name`` of ``stack.npz`` with its header declaring
+    ``shape``; its data stays as saved."""
+    with zipfile.ZipFile(path) as archive:
+        members = {n: archive.read(n) for n in archive.namelist()}
+    member = io.BytesIO(members[name])
+    assert np.lib.format.read_magic(member) == (1, 0)
+    _, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header,
+        {"shape": shape, "fortran_order": fortran_order,
+         "descr": np.lib.format.dtype_to_descr(dtype)},
+    )
+    members[name] = header.getvalue() + member.read()
+    with zipfile.ZipFile(path, "w") as archive:
+        for n, data in members.items():
+            archive.writestr(n, data)
+
+
+def test_load_rejects_a_declared_shape_past_memory(tmp_path):
+    """A member whose header declares 256 TiB, past a 47-bit address space
+    even where memory is overcommitted, fails where the archive is read,
+    before numpy reaches its data."""
+    config, path = _saved(tmp_path)
+    _declare_shape(path, "lm.counts.npy", (2**46,))
+    with pytest.raises(ArtifactError, match=r"^malformed .*: Unable to allocate 256\. TiB"):
+        load_stack(config)
+
+
 @pytest.mark.parametrize("name", list(MALFORMED_TABLES))
 def test_load_rejects_each_malformed_table_with_its_message(tmp_path, name):
     """Each table NgramLM rejects fails the load as ArtifactError, with
     NgramLM's own message."""
+    _assert_load_rejects_table(tmp_path, name)
+
+
+@pytest.mark.parametrize(
+    "name", ["last_context_column_below_bos", "last_context_column_past_vocabulary"]
+)
+def test_load_rejects_a_context_id_out_of_range_past_int64_keys(tmp_path, name):
+    """At an order whose context keys are Python ints, a context id out of
+    range in the last context column fails the load too."""
+    _assert_load_rejects_table(tmp_path, name, lm_order=_OBJECT_ORDER)
+
+
+def _assert_load_rejects_table(tmp_path, name, **overrides):
     damage, message = MALFORMED_TABLES[name]
-    config, path = _saved(tmp_path)
+    config, path = _saved(tmp_path, **overrides)
 
     def edit(arrays):
         n = Vocabulary.from_arrays(arrays).content_size
