@@ -337,7 +337,7 @@ class Bm25SearchModel:
         by_doc.sort()
         by_doc %= n_postings
         self._doc_terms = np.repeat(terms, dfs)[by_doc]
-        self._doc_impacts = self.impacts[by_doc]
+        self._doc_impacts = impacts[by_doc]
         self._doc_bounds = np.cumsum(np.r_[0, np.bincount(docs, minlength=n)])
         self._weights: dict[str, dict[int, float]] = {}
 
