@@ -313,31 +313,20 @@ class Bm25SearchModel:
         self._by_id = np.array(by_id, dtype=np.int64)
         lengths = np.diff(corpus.offsets)
         # The scalar formula's float operations in its order, one element
-        # per posting, each into an array made for it (x + c and x * c round
-        # as c + x and c * x do). Only a posting's document is normalised,
-        # so avgdl 0 (every document empty, no postings) divides nothing.
-        k1_norm = b * lengths[docs]
-        k1_norm /= corpus.avgdl
-        k1_norm += 1.0 - b
-        k1_norm *= k1  # k1 * (1 - b + b * length / avgdl)
-        impacts = np.repeat(np.array(idfs), dfs)
-        impacts *= tfs
-        impacts *= k1 + 1.0
-        k1_norm += tfs
-        impacts /= k1_norm  # idf * tf * (k1 + 1) / (tf + k1 * (...))
-        self.impacts = impacts
+        # per posting. Only a posting's document is normalised, so avgdl 0
+        # (every document empty, no postings) divides nothing.
+        k1_norm = k1 * (1.0 - b + b * lengths[docs] / corpus.avgdl)
+        posting_idf = np.repeat(np.array(idfs), dfs)
+        self.impacts = posting_idf * tfs * (k1 + 1.0) / (tfs + k1_norm)
         # The postings regrouped by document: document p's terms and impacts
         # are _doc_terms / _doc_impacts[_doc_bounds[p]:_doc_bounds[p + 1]].
         # The sorted keys doc * n_postings + i: each document's postings
         # in posting order, so by term, and each key's i is its posting.
         n_postings = len(docs)
-        by_doc = docs.astype(np.int64)
-        by_doc *= n_postings
-        by_doc += np.arange(n_postings)
-        by_doc.sort()
+        by_doc = np.sort(docs.astype(np.int64) * n_postings + np.arange(n_postings))
         by_doc %= n_postings
         self._doc_terms = np.repeat(terms, dfs)[by_doc]
-        self._doc_impacts = impacts[by_doc]
+        self._doc_impacts = self.impacts[by_doc]
         self._doc_bounds = np.cumsum(np.r_[0, np.bincount(docs, minlength=n)])
         self._weights: dict[str, dict[int, float]] = {}
 
@@ -406,10 +395,7 @@ class Bm25SearchModel:
 
 def run_starts(keys: np.ndarray) -> np.ndarray:
     """The index of the first element of each run of equal ``keys``."""
-    starts = np.empty(len(keys), dtype=bool)
-    starts[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    return np.flatnonzero(starts)
+    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]][: len(keys)])
 
 
 def count_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -448,10 +434,8 @@ def count_postings(corpus: Corpus) -> tuple[np.ndarray, ...]:
     position in corpus order."""
     n = corpus.n_docs
     content = corpus.ids >= FIRST_CONTENT_ID
-    keys = corpus.ids[content].astype(np.int64)
-    keys *= n
-    keys += corpus.doc_labels()[content]
-    pairs, tfs = count_keys(keys)
+    term_ids = corpus.ids[content].astype(np.int64)
+    pairs, tfs = count_keys(term_ids * n + corpus.doc_labels()[content])
     terms, docs = np.divmod(pairs, n)
     starts = run_starts(terms)  # the pairs are sorted: one run per term
     indptr = np.append(starts, len(pairs))

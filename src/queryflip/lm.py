@@ -172,10 +172,7 @@ class NgramLM:
         self._row_keys = None
         sentinel = np.iinfo(np.int64).max
         if self.radix**order <= sentinel:
-            row_keys = keys * self.radix
-            row_keys += targets
-            row_keys += 1
-            self._row_keys = np.append(row_keys, sentinel)
+            self._row_keys = np.append(keys * self.radix + targets + 1, sentinel)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The count table as held: ``grams`` and ``counts``. The settings

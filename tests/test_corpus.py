@@ -265,6 +265,18 @@ def test_idf_of_every_indexed_term_is_the_scalar_formula():
     assert search.idf(UNK_ID) == math.log(1.0 + (n + 0.5) / 0.5)
 
 
+@pytest.mark.parametrize("k1, b", [(K1, 0), (K1, 1), (2, B)])
+def test_integer_bm25_constants_weigh_as_their_floats(sample_stack, k1, b):
+    """A config may hold ``k1`` or ``b_bm25`` as an int; the impacts are
+    those of the equal float."""
+    corpus = sample_stack.corpus
+    exact = build_index(corpus, k1, b)
+    floats = build_index(corpus, float(k1), float(b))
+    assert exact.impacts.dtype == np.float64
+    assert exact.impacts.tobytes() == floats.impacts.tobytes()
+    assert exact._doc_impacts.tobytes() == floats._doc_impacts.tobytes()
+
+
 def test_query_representation_identity_and_disjoint(sample_stack):
     s = sample_stack.search
     q = ids(sample_stack, "apple recipe")
