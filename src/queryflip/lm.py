@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .text import FIRST_CONTENT_ID, MASK_ID, PAD_ID, Vocabulary
-from .corpus import Corpus, ranges, run_starts, sums_in_order
+from .corpus import Corpus, count_keys, ranges, run_starts, sums_in_order
 
 #: Padding marker in n-gram contexts: before each document when counting,
 #: before the query when predicting. Not a vocabulary id, so it can never
@@ -80,12 +80,13 @@ class NgramLM:
     (``grams``' last column, not copied) and the counts (``counts`` with a
     trailing 0). ``distribution`` and ``perplexity`` read them through
     memoryviews, which give plain Python numbers, and find a context's
-    run by a dict from its key, which the first lookup builds. Where a
-    packed n-gram fits int64, the packed rows are held too, for
-    ``sentence_perplexities``. A context's key reads its ids as
-    base-``radix`` digits, BOS as 0 and each id as id + 1, first id most
-    significant, with ``radix`` the vocabulary size + 1; it is a Python
-    int, exact at every order.
+    run by a dict from its key, which the first lookup builds. The packed
+    rows are held too, for ``sentence_perplexities``. A context's key
+    reads its ids as base-``radix`` digits, BOS as 0 and each id as id +
+    1, first id most significant, with ``radix`` the vocabulary size + 1;
+    a row's key is its context's key * radix + target + 1. Every key is
+    an int64: an ``order`` whose packed rows could pass int64 is rejected
+    first (see ``_radix``).
 
     Only content tokens are ever predicted; the candidate space has
     ``n_candidates`` tokens with contiguous ids starting at
@@ -104,6 +105,8 @@ class NgramLM:
     ) -> None:
         if n_candidates < 1:
             raise ValueError("candidate vocabulary is empty")
+        # The order first: a load at a rejected order fails by its name.
+        self.radix = _radix(n_candidates, order)
         if grams.shape[1:] != (order,):
             raise ValueError(f"n-gram contexts must hold order-1 = {order - 1} ids")
         if counts.shape != grams.shape[:1]:
@@ -115,7 +118,6 @@ class NgramLM:
         # and context ids in [BOS, vocabulary size), outside which an id has
         # no key digit. An empty table has neither (and an unsigned one no
         # BOS to start from).
-        self.radix = _radix(n_candidates)
         if len(grams):
             targets = grams[:, -1]
             if targets.min() < FIRST_CONTENT_ID or targets.max() >= self.radix - 1:
@@ -127,12 +129,10 @@ class NgramLM:
         # integer type it came in.
         grams = grams.astype(np.int32, copy=False)
         contexts, targets = grams[:, :-1], grams[:, -1]
-        # Packed keys in int64 while the largest fits, else in Python ints
-        # (object arrays); with no context columns (order 1) every key is 0.
-        # Every digit is in range, so the keys order the contexts as the
-        # rows do.
-        fits = self.radix ** (order - 1) <= np.iinfo(np.int64).max
-        keys = _pack(contexts, self.radix, np.int64 if fits else object)
+        # The packed context keys; with no context columns (order 1) every
+        # key is 0. Every digit is in range, so the keys order the contexts
+        # as the rows do.
+        keys = _pack(contexts, self.radix)
         rising = (keys[1:] > keys[:-1]) | (
             (keys[1:] == keys[:-1]) & (targets[1:] > targets[:-1])
         )
@@ -167,12 +167,10 @@ class NgramLM:
         self._denominators = memoryview(np.append(totals, 0) + k * n_candidates)
         self._targets = memoryview(targets)
         self._counts = memoryview(held)
-        # Where a packed n-gram fits int64, each row packed (context key *
-        # radix + target + 1), then a sentinel no key reaches; else None.
-        self._row_keys = None
+        # Each row packed (context key * radix + target + 1), then a
+        # sentinel no key reaches: radix ** order is at most int64's max.
         sentinel = np.iinfo(np.int64).max
-        if self.radix**order <= sentinel:
-            self._row_keys = np.append(keys * self.radix + targets + 1, sentinel)
+        self._row_keys = np.append(keys * self.radix + targets + 1, sentinel)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The count table as held: ``grams`` and ``counts``. The settings
@@ -217,7 +215,10 @@ class NgramLM:
 
 
 def train_ngram(corpus: Corpus, vocab: Vocabulary, order: int, k: float) -> NgramLM:
-    """Count n-grams over every document, BOS-padded at document starts."""
+    """Count n-grams over every document, BOS-padded at document starts.
+    An ``order`` whose packed n-grams could pass int64 fails first, before
+    any array is sized by it (see ``_radix``)."""
+    radix = _radix(vocab.content_size, order)
     # The stream with order-1 BOS pads before each document.
     pad = order - 1
     ids = np.full(len(corpus.ids) + pad * corpus.n_docs, BOS, dtype=np.int32)
@@ -226,37 +227,39 @@ def train_ngram(corpus: Corpus, vocab: Vocabulary, order: int, k: float) -> Ngra
     # of ``order`` ids ending at it. Specials (UNK) are context, never targets.
     ends = np.flatnonzero(ids >= FIRST_CONTENT_ID)
     windows = ids[ends[:, None] + np.arange(1 - order, 1)]
-    # Count each distinct window. Its prefixes are numbered one column at a
-    # time, in sorted order: a prefix's number * radix + the next id + 1
-    # sorts the longer prefixes as the rows would, and stays below
-    # len(windows) * radix, in int64 at every order. After the last column
-    # the numbers index the distinct rows, sorted.
-    radix = _radix(vocab.content_size)
-    number = np.zeros(len(windows), dtype=np.int64)
-    for column in windows.T:
-        _, number, counts = np.unique(
-            number * radix + column + 1, return_inverse=True, return_counts=True
-        )
-    grams = np.empty((len(counts), order), dtype=np.int32)
-    grams[number] = windows  # equal rows share a number
+    # Each distinct window counted by its packed key. The keys sort as the
+    # rows do, and each sorted key's base-radix digits, less one, are its row.
+    keys, counts = count_keys(_pack(windows, radix))
+    digits = keys[:, None] // radix ** np.arange(order - 1, -1, -1) % radix
+    grams = (digits - 1).astype(np.int32)
     return NgramLM(order, k, vocab.content_size, grams, counts.astype(np.int32))
 
 
-def _pack(rows: np.ndarray, radix: int, dtype: Any = np.int64) -> np.ndarray:
-    """Each row's ids as one key of base-``radix`` digits, id + 1 (BOS as
-    0), first id most significant."""
-    keys = np.zeros(len(rows), dtype=dtype)
+def _pack(rows: np.ndarray, radix: int) -> np.ndarray:
+    """Each row's ids as one int64 key of base-``radix`` digits, id + 1
+    (BOS as 0), first id most significant."""
+    keys = np.zeros(len(rows), dtype=np.int64)
     for column in rows.T:
         keys *= radix
-        keys += column.astype(dtype)
+        keys += column
         keys += 1
     return keys
 
 
-def _radix(n_candidates: int) -> int:
+def _radix(n_candidates: int, order: int) -> int:
     """The base of the packed keys: the vocabulary size + 1, so each id
-    (BOS included) is one digit, id + 1."""
-    return FIRST_CONTENT_ID + n_candidates + 1
+    (BOS included) is one digit, id + 1. An ``order`` whose packed n-grams,
+    ``order`` digits, could pass int64 raises ``ValueError``."""
+    radix = FIRST_CONTENT_ID + n_candidates + 1
+    # Every radix is at least 5 and 5 ** 28 passes int64: the orders that
+    # fit are 1 to the count of powers radix ** 1..27 within int64.
+    largest = sum(radix**o < 2**63 for o in range(1, 28))
+    if order > largest:
+        raise ValueError(
+            f"lm_order {order} packs n-grams past int64 for a vocabulary of "
+            f"{radix - 1} ids; the largest accepted lm_order is {largest}"
+        )
+    return radix
 
 
 def perplexity(token_ids: Sequence[int], lm: NgramLM) -> float:
@@ -301,14 +304,10 @@ def sentence_perplexities(
     is not packed again. The arithmetic is ``perplexity``'s: ``(count +
     k) / denominator`` in float64, ``math.log`` of each distinct ratio,
     each sentence's terms added left to right from 0.0 (one add per
-    place in the sentence), then ``math.exp(-total / length)``. Where a
-    packed n-gram could pass int64, the model holds no packed rows and
-    each sentence is scored by ``perplexity`` itself.
+    place in the sentence), then ``math.exp(-total / length)``.
     """
     radix, pad = lm.radix, lm.order - 1
     rows, runs = lm._row_keys, lm._run_keys
-    if rows is None:
-        return [[perplexity(s, lm) for s in corpus[d].sentences()] for d in doc_ids]
     # Past the last row and run, the sentinels: count 0 and the unseen
     # context's denominator.
     counts, denominators = np.asarray(lm._counts), np.asarray(lm._denominators)

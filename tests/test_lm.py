@@ -218,8 +218,27 @@ def _reference_rows(corpus, vocab, order):
 
 
 # Past int64 for every vocabulary: radix >= FIRST_CONTENT_ID + 2 = 5, and
-# 5 ** 28 > 2 ** 63, so the keys of the 28-id contexts are Python ints.
-_OBJECT_ORDER = 29
+# 5 ** 28 > 2 ** 63, so every order from 28 on is rejected.
+_REJECTED_ORDER = 29
+
+
+def _past(vocab):
+    """The least order whose packed n-grams pass int64 at ``vocab``'s size."""
+    return next(o for o in itertools.count(1) if (len(vocab) + 1) ** o > 2**63 - 1)
+
+
+def _order_message(order, size, largest):
+    """The message that rejects ``order`` at a vocabulary of ``size`` ids."""
+    return (
+        f"lm_order {order} packs n-grams past int64 for a vocabulary of "
+        f"{size} ids; the largest accepted lm_order is {largest}"
+    )
+
+
+def _order_rejected(order, size, largest):
+    """``pytest.raises`` for the ValueError with ``_order_message``."""
+    message = _order_message(order, size, largest)
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
 
 
 @settings(max_examples=40, deadline=None)
@@ -228,20 +247,24 @@ _OBJECT_ORDER = 29
         st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=10).map(" ".join),
         min_size=1, max_size=8,
     ),
-    order=st.sampled_from([1, 2, 3, 4, _OBJECT_ORDER]),
+    order=st.sampled_from([1, 2, 3, 4, "largest"]),
     min_count=st.sampled_from([1, 2]),
 )
 def test_train_ngram_table_equals_the_reference_counts(texts, order, min_count):
-    """The table counted from numbered prefixes holds exactly the
-    reference's rows, sorted, at orders 1-4 (int64 context keys) and past
-    int64 (object keys). One document, longer than every order, holds
-    windows with no BOS, whose context keys past int64 need every digit."""
+    """The table counted by packed keys holds exactly the reference's
+    rows, sorted, at orders 1-4 and at the largest accepted order, whose
+    packed rows come nearest int64's max; the next order is rejected.
+    One document, longer than every order, holds windows with no BOS,
+    whose keys need every digit."""
     records = {f"d{i}": text for i, text in enumerate(texts)}
     records["fixed"] = " ".join("abcde" * 6)
     corpus, vocab = build_corpus(records, min_count)
+    past = _past(vocab)
+    with _order_rejected(past, len(vocab), past - 1):
+        train_ngram(corpus, vocab, order=past, k=0.1)
+    if order == "largest":
+        order = past - 1
     lm = train_ngram(corpus, vocab, order=order, k=0.1)
-    if order == _OBJECT_ORDER:
-        assert lm.radix ** (order - 1) > np.iinfo(np.int64).max
     assert lm.grams.dtype == lm.counts.dtype == np.int32
     assert lm.grams.shape == (len(lm.counts), order)
     assert _table_rows(lm) == _reference_rows(corpus, vocab, order)
@@ -273,14 +296,16 @@ def _random_documents(data, vocab):
 @given(data=st.data())
 def test_sentence_perplexities_equal_the_scalar_loop_bit_for_bit(data):
     """Every sentence of the training corpus and of random documents, at
-    orders 1-4, at the largest order whose packed n-grams fit int64, and
-    at the next, whose do not and which takes the scalar loop. Documents
-    are scored in chunks of 1-3, in a random order."""
+    orders 1-4 and at the largest order whose packed n-grams fit int64;
+    the next order is rejected. Documents are scored in chunks of 1-3, in
+    a random order."""
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     corpus, vocab = build_corpus(_random_corpus(rng), rng.choice((1, 2)))
-    past = next(o for o in itertools.count(1) if (len(vocab) + 1) ** o > 2**63 - 1)
-    order = data.draw(st.sampled_from((1, 2, 3, 4, past - 1, past)), label="order")
+    past = _past(vocab)
+    order = data.draw(st.sampled_from((1, 2, 3, 4, past - 1)), label="order")
     k = data.draw(st.sampled_from((0.1, 1 / 3)), label="k")
+    with _order_rejected(past, len(vocab), past - 1):
+        train_ngram(corpus, vocab, order=past, k=k)
     lm = train_ngram(corpus, vocab, order=order, k=k)
     chunk = data.draw(st.integers(1, 3), label="chunk")
     for scored in (corpus, _random_documents(data, vocab)):
@@ -353,12 +378,11 @@ def test_model_keeps_no_python_object_per_row():
 
 
 @pytest.mark.parametrize("first", ["perplexity", "distribution"])
-@pytest.mark.parametrize("order", [3, _OBJECT_ORDER])
+@pytest.mark.parametrize("order", [3])
 def test_first_lookup_builds_the_run_index_once(order, first):
     """The run index is built by the first lookup, not by training, and
-    then reused. It maps each context's key to its run, in table order,
-    with int64 keys (order 3) and Python int keys (past int64); every row
-    reads its own count through it."""
+    then reused. It maps each context's key to its run, in table order;
+    every row reads its own count through it."""
     corpus, vocab = build_corpus(ingest_corpus(synthetic_corpus()), 1)
     k, n = 0.1, vocab.content_size
     lm = train_ngram(corpus, vocab, order=order, k=k)
@@ -456,16 +480,24 @@ MALFORMED_TABLES = {
 }
 
 
-@pytest.mark.parametrize("order", [3, _OBJECT_ORDER])
+@pytest.mark.parametrize("order", [3, _REJECTED_ORDER])
 @pytest.mark.parametrize("name", list(MALFORMED_TABLES))
 def test_malformed_tables_are_rejected(name, order):
+    """Each damage to an order-3 table fails with its own message. At an
+    order past int64 keys the order is checked before the table, so the
+    same table fails by its order whatever the damage: a load at such an
+    order names the order, not a table fault it would cause."""
     damage, message = MALFORMED_TABLES[name]
     corpus, vocab = build_corpus({"d1": "a b c a b", "d2": "c a b b"}, 1)
-    lm = train_ngram(corpus, vocab, order=order, k=0.1)
+    lm = train_ngram(corpus, vocab, order=3, k=0.1)
     assert (lm.grams[0, :-1] == BOS).all() and (lm.grams[1, :-1] == BOS).all()
     grams, counts = damage(lm.grams, lm.counts, lm.n_candidates)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        NgramLM(order, lm.k, lm.n_candidates, grams, counts)
+    if order == 3:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NgramLM(order, lm.k, lm.n_candidates, grams, counts)
+    else:
+        with _order_rejected(order, len(vocab), _past(vocab) - 1):
+            NgramLM(order, lm.k, lm.n_candidates, grams, counts)
 
 
 def test_a_table_of_unsigned_ids_in_range_is_held_as_int32():
@@ -491,15 +523,18 @@ def test_context_totals_just_below_2_31_are_held_exactly():
     assert denominator == 2**31 - 1 + 0.1 * lm.n_candidates
 
 
-def test_packed_context_keys_are_exact_past_int64():
-    """Order 10 on the acceptance corpus: the largest key, radix ** 9,
-    is past int64, and every answer still matches counts taken from the
-    table's own rows."""
+def test_the_largest_accepted_order_answers_from_its_own_rows():
+    """Order 8 on the acceptance corpus: radix ** 8, above every packed
+    row, is within int64, and every answer matches counts taken from the
+    table's own rows. Order 9, whose radix ** 9 is past int64, is
+    rejected, naming 8."""
     corpus, vocab = build_corpus(ingest_corpus(synthetic_corpus()), 1)
     k, n = 0.1, vocab.content_size
-    lm = train_ngram(corpus, vocab, order=10, k=k)
+    with _order_rejected(9, 191, 8):
+        train_ngram(corpus, vocab, order=9, k=k)
+    lm = train_ngram(corpus, vocab, order=8, k=k)
     assert lm.radix == len(vocab) + 1 == 192
-    assert lm.radix**9 > np.iinfo(np.int64).max
+    assert lm.radix**8 <= np.iinfo(np.int64).max < lm.radix**9
     rows = [tuple(row) for row in lm.grams.tolist()]
     counts = dict(zip(rows, lm.counts.tolist()))
     totals = Counter()
@@ -511,7 +546,7 @@ def test_packed_context_keys_are_exact_past_int64():
 
     for row, count in counts.items():
         assert _prob(lm, row[-1], row[:-1]) == (count + k) / (totals[row[:-1]] + k * n)
-    for context in [(*rows[-1][:-2], PAD_ID), (BOS,) * 8 + (MASK_ID,)]:
+    for context in [(*rows[-1][:-2], PAD_ID), (BOS,) * 6 + (MASK_ID,)]:
         assert context not in totals
         assert _prob(lm, FIRST_CONTENT_ID, context) == k / (k * n)
         assert lm.distribution(context) == ([], [], k * n)
@@ -522,6 +557,14 @@ def test_packed_context_keys_are_exact_past_int64():
             for pos, target in enumerate(seq):
                 log_sum += math.log(ref_prob(target, _context_at(lm, seq, pos)))
             assert perplexity(seq, lm) == math.exp(-log_sum / len(seq))
+
+
+def test_an_absurd_order_fails_by_name_before_any_allocation():
+    """The order is checked before any array is sized by it: at 2 ** 50
+    the BOS pads alone would take petabytes."""
+    corpus, vocab = build_corpus(ingest_corpus(synthetic_corpus()), 1)
+    with _order_rejected(2**50, 191, 8):
+        train_ngram(corpus, vocab, order=2**50, k=0.1)
 
 
 # ---------------------------------------------------------------------------

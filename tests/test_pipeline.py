@@ -11,12 +11,13 @@ import pytest
 
 from queryflip import corpus as corpus_module
 from queryflip.config import RunConfig
-from queryflip.corpus import build_corpus, ingest_corpus
+from queryflip.corpus import Corpus, build_corpus, ingest_corpus
 from queryflip.lm import BOS, perplexity
 from queryflip.pipeline import (
     STACK_FILE,
     STACK_FORMAT,
     ArtifactError,
+    build_fingerprint,
     build_stack,
     corpus_digest,
     load_stack,
@@ -32,7 +33,13 @@ from queryflip.text import (
 
 from conftest import SAMPLE_LINES, sample_config
 from test_corpus import assert_same_arrays, postings
-from test_lm import _OBJECT_ORDER, MALFORMED_TABLES, reference_counts
+from test_lm import (
+    _REJECTED_ORDER,
+    MALFORMED_TABLES,
+    _order_message,
+    _past,
+    reference_counts,
+)
 
 
 def test_config_round_trips_through_json(tmp_path):
@@ -592,21 +599,8 @@ def test_load_rejects_a_declared_shape_past_memory(tmp_path):
 def test_load_rejects_each_malformed_table_with_its_message(tmp_path, name):
     """Each table NgramLM rejects fails the load as ArtifactError, with
     NgramLM's own message."""
-    _assert_load_rejects_table(tmp_path, name)
-
-
-@pytest.mark.parametrize(
-    "name", ["last_context_column_below_bos", "last_context_column_past_vocabulary"]
-)
-def test_load_rejects_a_context_id_out_of_range_past_int64_keys(tmp_path, name):
-    """At an order whose context keys are Python ints, a context id out of
-    range in the last context column fails the load too."""
-    _assert_load_rejects_table(tmp_path, name, lm_order=_OBJECT_ORDER)
-
-
-def _assert_load_rejects_table(tmp_path, name, **overrides):
     damage, message = MALFORMED_TABLES[name]
-    config, path = _saved(tmp_path, **overrides)
+    config, path = _saved(tmp_path)
 
     def edit(arrays):
         n = Vocabulary.from_arrays(arrays).content_size
@@ -617,6 +611,31 @@ def _assert_load_rejects_table(tmp_path, name, **overrides):
     _edit_arrays(path, edit)
     with pytest.raises(ArtifactError, match=f"^malformed .*: {re.escape(message)}$"):
         load_stack(config)
+
+
+@pytest.mark.parametrize(
+    "name", ["last_context_column_below_bos", "last_context_column_past_vocabulary"]
+)
+def test_load_rejects_a_context_id_out_of_range_past_int64_keys(tmp_path, name):
+    """An archive whose fingerprint names an order past int64 keys fails
+    the load as ArtifactError with the order's own message, before its
+    table, here with a context id out of range, is read."""
+    damage, _ = MALFORMED_TABLES[name]
+    config, path = _saved(tmp_path)
+    vocab = load_stack(config).vocab
+    rejected = config.with_overrides(lm_order=_REJECTED_ORDER)
+
+    def edit(arrays):
+        arrays["lm.grams"], arrays["lm.counts"] = damage(
+            arrays["lm.grams"], arrays["lm.counts"], vocab.content_size
+        )
+        corpus = Corpus.from_arrays(arrays)
+        arrays["fingerprint"] = np.array(build_fingerprint(rejected, corpus))
+
+    _edit_arrays(path, edit)
+    message = _order_message(_REJECTED_ORDER, len(vocab), _past(vocab) - 1)
+    with pytest.raises(ArtifactError, match=f"^malformed .*: {re.escape(message)}$"):
+        load_stack(rejected)
 
 
 @pytest.mark.parametrize("duplicate", [False, True], ids=["empty_surface", "duplicate_surface"])
