@@ -131,7 +131,7 @@ def _sweep_options(config: RunConfig) -> dict:
     """The ``sweep_edits`` options edit, eval and sweep-beam share, plus the
     ``meta`` of the reports eval and sweep-beam write. No ``workers`` means
     1 when every role is local, since local edits hold the interpreter
-    lock, and the available parallelism when a role is remote."""
+    lock, and the CPU count when a role is remote."""
     parallelism = (os.cpu_count() or 1) if config.backends else 1
     return {
         "workers": config.workers or parallelism,

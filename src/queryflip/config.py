@@ -56,7 +56,7 @@ class RunConfig:
     max_masks: int | None = field(default=None, metadata={"min": 1})
     # remote backends: role -> {url, timeout_ms, retries, token}
     backends: dict[str, dict[str, Any]] = field(default_factory=dict)
-    # run behaviour (workers None: 1, or available parallelism if a role is remote)
+    # run behaviour (workers None: 1, or the CPU count if a role is remote)
     workers: int | None = field(default=None, metadata={"min": 1})
     timing: str = field(default="wall", metadata={"choices": TIMING_MODES})
 

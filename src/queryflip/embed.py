@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .text import FIRST_CONTENT_ID, Vocabulary
-from .corpus import Corpus, count_keys
+from .corpus import Corpus, count_keys, run_starts
 
 logger = logging.getLogger(__name__)
 
@@ -166,7 +166,8 @@ def _top_eigenpairs(
     in ascending order and the unit eigenvectors as columns, as
     ``np.linalg.eigh`` orders them.
     """
-    present, starts = np.unique(rows, return_index=True)
+    starts = run_starts(rows)
+    present = rows[starts]
     rng = np.random.default_rng(0)
     want = min(k + 1, n)
     basis = np.empty((min(n, 2 * want), n))

@@ -39,7 +39,7 @@ import numpy as np
 
 from .corpus import Bm25SearchModel, Corpus, Document, Ranking, ranges, sums_in_order
 from .editor import EditResult, Triplet, check_flip, edit
-from .lm import LocalPerplexity, NgramLM
+from .lm import LocalPerplexity
 from .masker import ImportanceScores, maxsim_importance, occlusion_importance
 from .text import FIRST_CONTENT_ID, PAD_ID, UNK_ID, Vocabulary
 
@@ -294,8 +294,7 @@ class EvalContext:
     ``LocalPerplexity``, also gives the perplexity of every sentence of
     many documents at once (see ``_sweep_tasks``).
     ``masker`` names the importance masker and ``max_masks`` caps cfe2's
-    masks (None: |q|). ``lm`` is the local n-gram model when the
-    perplexity or predict role reads it, else None.
+    masks (None: |q|).
     """
 
     vocab: Vocabulary
@@ -306,7 +305,6 @@ class EvalContext:
     predictor_factory: Callable[[Document], Any]
     masker: str
     max_masks: int | None
-    lm: NgramLM | None
 
 
 def _once(memo: dict, key: Any, compute: Callable[[Any], Any]) -> Any:
@@ -673,8 +671,6 @@ def sweep_edits(
     if workers <= 1:
         yield from map(sweep, tasks)
     else:
-        if ctx.lm is not None:
-            ctx.lm.run_index()  # built once here, not by each worker
         with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(sweep, tasks)  # in input order
 

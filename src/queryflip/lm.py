@@ -60,9 +60,9 @@ class PredictionDistribution:
 
 class NgramLM:
     """Add-k-smoothed n-gram model. Its one change after construction: the
-    first lookup builds the run index. Two threads may both build it; the
-    dicts are equal and one is kept, so concurrent reads are safe.
-    ``sweep_edits`` builds it before it starts several workers.
+    first lookup builds the run index. With several workers, more than one
+    may build it; the dicts are equal and one is kept, so concurrent reads
+    are safe.
 
     ``order`` and ``k`` are taken as given (``RunConfig`` checks them);
     ``n_candidates`` is the vocabulary's content size, when built and

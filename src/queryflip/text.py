@@ -13,12 +13,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-# Unicode letters and digits; underscore is excluded so it behaves like
-# punctuation. Everything that does not match is a boundary and is dropped.
-_WORD = r"[^\W_]+"
-_WORD_RE = re.compile(_WORD)
-# A word (the group), or the whitespace after ., ! or ? that ends a sentence.
-_WORD_OR_BREAK_RE = re.compile(rf"({_WORD})|(?<=[.!?])\s+")
+# A word (the group) is a run of unicode letters and digits; underscore is
+# excluded so it behaves like punctuation. A sentence break is the
+# whitespace after ., ! or ?. Everything else is a boundary and is dropped.
+_WORD_OR_BREAK_RE = re.compile(r"([^\W_]+)|(?<=[.!?])\s+")
 
 MASK_TOKEN = "[MASK]"
 PAD_TOKEN = "[PAD]"
@@ -42,7 +40,7 @@ def tokenize(text: str) -> list[str]:
     four tokens. Empty input yields an empty list. Pure function:
     identical input gives identical output on every run.
     """
-    return _WORD_RE.findall(text.lower())
+    return [token for token in tokenize_sentences(text) if token]
 
 
 def tokenize_sentences(text: str) -> list[str]:

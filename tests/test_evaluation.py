@@ -3,7 +3,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import threading
 from unittest import mock
 
 import numpy as np
@@ -35,7 +34,7 @@ from queryflip.evaluation import (
     sweep_edits,
 )
 from queryflip.masker import occlusion_importance
-from queryflip.lm import NgramLM, perplexity
+from queryflip.lm import perplexity
 from queryflip.pipeline import build_stack, make_context
 from queryflip.text import MASK_ID, PAD_ID, UNK_ID
 
@@ -734,24 +733,6 @@ def test_evaluate_parallel_matches_serial(small_eval):
     serial = evaluate(triplets, "cfe2", ctx, beam_width=5, timing="off")
     parallel = evaluate(triplets, "cfe2", ctx, beam_width=5, timing="off", workers=4)
     assert reports_to_json([serial]) == reports_to_json([parallel])
-
-
-def test_several_workers_start_with_the_run_index_built(monkeypatch):
-    """With several workers, the local n-gram model's run index is built
-    once, by the calling thread, before any worker looks it up."""
-    stack, ctx, triplets = _small_eval()
-    assert ctx.lm is stack.lm and stack.lm._runs is None
-    caller, builders = threading.get_ident(), []
-    run_index = NgramLM.run_index
-
-    def recording_run_index(lm):
-        if lm._runs is None:
-            builders.append(threading.get_ident())
-        return run_index(lm)
-
-    monkeypatch.setattr(NgramLM, "run_index", recording_run_index)
-    evaluate(triplets, "cfe2", ctx, beam_width=5, timing="off", workers=4)
-    assert builders == [caller]
 
 
 def test_sweep_edits_with_one_worker_edits_as_rows_are_taken(small_eval, monkeypatch):

@@ -328,15 +328,6 @@ def test_run_index_is_built_on_first_lookup_only(tmp_path):
     assert loaded.lm._runs is runs
 
 
-@pytest.mark.parametrize(
-    "remote", [(), ("perplexity",), ("predict",), ("perplexity", "predict")]
-)
-def test_context_holds_the_lm_while_a_role_reads_it(sample_stack, remote):
-    config = sample_config(backends={role: {"url": "http://x"} for role in remote})
-    ctx = make_context(sample_stack, config)
-    assert ctx.lm is (None if len(remote) == 2 else sample_stack.lm)
-
-
 def test_corpus_digest_of_the_readme_corpus_is_unchanged(sample_stack):
     # The value archives indexed before documents were built lazily hold;
     # a different one would make them fail their fingerprint check.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,13 @@ def test_tokenize_hyphenated_golden():
 def test_tokenize_unicode_and_digits():
     assert tokenize("Café numéro 42") == ["café", "numéro", "42"]
     assert tokenize("foo_bar") == ["foo", "bar"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet="aZ9_.!? \t\n\u00a0\u2028İ\u0663é")))
+def test_tokenize_keeps_the_words_of_unicode_letters_and_digits(text):
+    # The word rule as one regex: runs of letters and digits, lowercased.
+    assert tokenize(text) == re.findall(r"[^\W_]+", text.lower())
 
 
 def test_tokenize_sentences_marks_each_stop_followed_by_whitespace():
